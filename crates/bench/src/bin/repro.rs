@@ -2,45 +2,21 @@
 //!
 //! ```text
 //! repro <experiment> [--scale N] [--seed N] [--presets NJ,NY,...]
-//!                    [--requests N] [--workers A,B,...] [--trace PATH]
 //!
 //! experiments:
 //!   table2 table3 table4 fig2-estimated fig2-observed fig3 crossover
 //!   ablation-sweep ablation-buffer ablation-tiles ablation-packing
-//!   low-memory service hotpath load live faults all
+//!   faults all
 //! ```
 //!
-//! `service` additionally writes its rows as machine-readable
-//! `BENCH_service.json` in the current directory. `hotpath` writes the full
-//! detail as `BENCH_hotpath_latest.json` and *appends* a compact point to
-//! the tracked `BENCH_hotpath.json` trajectory. `load` (which honours
-//! `--requests` and `--workers`) and `live` rewrite `BENCH_service.json`
-//! with their latest rows — including a `metrics` snapshot of the
-//! service's counter/gauge/histogram registry for `load` — and *append* a
-//! point to the tracked `BENCH_trajectory.json`. `load --trace PATH`
-//! additionally replays the schedule once with tracing on and writes the
-//! run as a Chrome trace-event document (open in `chrome://tracing` or
-//! Perfetto). `faults` rewrites `BENCH_service.json` with the chaos rows
-//! (injected-fault, retry, panic and crash-recovery counters) and appends
-//! a point to `BENCH_trajectory.json`.
+//! Everything is printed in simulated currency and every experiment asserts
+//! its own invariants; nothing is written to disk.
 
-use usj_bench::{ExperimentConfig, LoadSpec, *};
+use usj_bench::*;
 use usj_datagen::Preset;
 
-/// Parsed command line: the shared experiment knobs plus the load-harness
-/// overrides (ignored by every other experiment).
-struct CliOptions {
-    cfg: ExperimentConfig,
-    requests: Option<usize>,
-    workers: Option<Vec<usize>>,
-    trace: Option<String>,
-}
-
-fn parse_config(args: &[String]) -> CliOptions {
+fn parse_config(args: &[String]) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::default();
-    let mut requests = None;
-    let mut workers = None;
-    let mut trace = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -69,63 +45,16 @@ fn parse_config(args: &[String]) -> CliOptions {
                     })
                     .collect();
             }
-            "--requests" => {
-                i += 1;
-                requests = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| die("--requests expects a positive integer")),
-                );
-            }
-            "--workers" => {
-                i += 1;
-                let list = args.get(i).unwrap_or_else(|| die("--workers expects a list"));
-                let parsed: Vec<usize> = list
-                    .split(',')
-                    .map(|n| {
-                        n.parse()
-                            .ok()
-                            .filter(|&w| w > 0)
-                            .unwrap_or_else(|| die("--workers expects positive integers"))
-                    })
-                    .collect();
-                workers = Some(parsed);
-            }
-            "--trace" => {
-                i += 1;
-                trace = Some(
-                    args.get(i)
-                        .filter(|p| !p.is_empty())
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace expects an output path")),
-                );
-            }
             other => die(&format!("unknown option '{other}'")),
         }
         i += 1;
     }
-    CliOptions {
-        cfg,
-        requests,
-        workers,
-        trace,
-    }
-}
-
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
+    cfg
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: repro <experiment> [--scale N] [--seed N] [--presets NJ,NY,...] \
-         [--requests N] [--workers A,B,...] [--trace PATH]"
-    );
+    eprintln!("usage: repro <experiment> [--scale N] [--seed N] [--presets NJ,NY,...]");
     std::process::exit(2);
 }
 
@@ -134,11 +63,7 @@ fn main() {
     let Some(experiment) = args.first() else {
         die("missing experiment name");
     };
-    let opts = parse_config(&args[1..]);
-    if opts.trace.is_some() && experiment != "load" {
-        die("--trace is only supported by the load experiment");
-    }
-    let cfg = opts.cfg.clone();
+    let cfg = parse_config(&args[1..]);
     println!(
         "# unified-spatial-join repro — experiment '{}', scale 1/{}, seed {}",
         experiment, cfg.scale, cfg.seed
@@ -159,111 +84,13 @@ fn main() {
         "ablation-buffer" => ablation_buffer(&cfg),
         "ablation-tiles" => ablation_tiles(&cfg),
         "ablation-packing" => ablation_packing(&cfg),
-        "low-memory" => low_memory(&cfg),
-        "service" => {
-            let rows = service_bench(&cfg);
-            let json = service_bench_json(&cfg, &rows);
-            let path = "BENCH_service.json";
-            std::fs::write(path, &json)
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            println!("wrote {path} ({} rows)", rows.len());
-        }
-        "hotpath" => {
-            let (kernels, joins) = hotpath(&cfg);
-            let json = hotpath_json(&cfg, &kernels, &joins);
-            let latest = "BENCH_hotpath_latest.json";
-            std::fs::write(latest, &json)
-                .unwrap_or_else(|e| die(&format!("cannot write {latest}: {e}")));
-            println!(
-                "wrote {latest} ({} kernel rows, {} join rows)",
-                kernels.len(),
-                joins.len()
-            );
-
-            let point = hotpath_trajectory_point(&cfg, &kernels, &joins, unix_now());
-            let trajectory = "BENCH_hotpath.json";
-            let existing = std::fs::read_to_string(trajectory).ok();
-            let updated = append_trajectory_with(
-                existing.as_deref(),
-                &point,
-                HOTPATH_TRAJECTORY_DESCRIPTION,
-            )
-            .unwrap_or_else(|e| die(&e));
-            std::fs::write(trajectory, updated)
-                .unwrap_or_else(|e| die(&format!("cannot write {trajectory}: {e}")));
-            println!("appended 1 point to {trajectory}");
-        }
-        "load" => {
-            let mut spec = LoadSpec::from_config(&cfg);
-            if let Some(requests) = opts.requests {
-                spec.requests = requests;
-            }
-            if let Some(workers) = opts.workers {
-                spec.worker_counts = workers;
-            }
-            let outcome = load_bench(&spec);
-            let path = "BENCH_service.json";
-            std::fs::write(path, load_bench_json(&spec, &outcome))
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            println!("wrote {path} ({} rows + batching A/B)", outcome.rows.len());
-
-            let point = trajectory_point(&spec, &outcome, unix_now());
-            let trajectory = "BENCH_trajectory.json";
-            let existing = std::fs::read_to_string(trajectory).ok();
-            let updated = append_trajectory(existing.as_deref(), &point)
-                .unwrap_or_else(|e| die(&e));
-            std::fs::write(trajectory, updated)
-                .unwrap_or_else(|e| die(&format!("cannot write {trajectory}: {e}")));
-            println!("appended 1 point to {trajectory}");
-
-            if let Some(trace_path) = &opts.trace {
-                let doc = load_trace_json(&spec);
-                std::fs::write(trace_path, doc)
-                    .unwrap_or_else(|e| die(&format!("cannot write {trace_path}: {e}")));
-                println!("wrote Chrome trace-event document {trace_path}");
-            }
-        }
-        "live" => {
-            let (rows, interference) = live_bench(&cfg);
-            let path = "BENCH_service.json";
-            std::fs::write(path, live_bench_json(&cfg, &rows, &interference))
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            println!(
-                "wrote {path} ({} early-result rows, {} interference rows)",
-                rows.len(),
-                interference.len()
-            );
-
-            let point = live_trajectory_point(&cfg, &rows, &interference, unix_now());
-            let trajectory = "BENCH_trajectory.json";
-            let existing = std::fs::read_to_string(trajectory).ok();
-            let updated = append_trajectory(existing.as_deref(), &point)
-                .unwrap_or_else(|e| die(&e));
-            std::fs::write(trajectory, updated)
-                .unwrap_or_else(|e| die(&format!("cannot write {trajectory}: {e}")));
-            println!("appended 1 point to {trajectory}");
-        }
         "faults" => {
-            let rows = faults_bench(&cfg);
-            let path = "BENCH_service.json";
-            std::fs::write(path, faults_bench_json(&cfg, &rows))
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            println!("wrote {path} ({} rows)", rows.len());
-
-            let point = faults_trajectory_point(&cfg, &rows, unix_now());
-            let trajectory = "BENCH_trajectory.json";
-            let existing = std::fs::read_to_string(trajectory).ok();
-            let updated = append_trajectory_with(
-                existing.as_deref(),
-                &point,
-                FAULTS_TRAJECTORY_DESCRIPTION,
-            )
-            .unwrap_or_else(|e| die(&e));
-            std::fs::write(trajectory, updated)
-                .unwrap_or_else(|e| die(&format!("cannot write {trajectory}: {e}")));
-            println!("appended 1 point to {trajectory}");
+            faults_bench(&cfg);
         }
-        "all" => run_all(&cfg),
+        "all" => {
+            run_all(&cfg);
+            faults_bench(&cfg);
+        }
         other => die(&format!("unknown experiment '{other}'")),
     }
 }

@@ -1,12 +1,12 @@
 //! The experiments: one function per table/figure of the paper.
 
 use usj_core::{
-    cost::crossover_fraction, Algo, JoinAlgorithm, JoinInput, JoinOperator, PbsmJoin, PqJoin,
-    SpatialQuery, SssjJoin, StJoin,
+    cost::crossover_fraction, Algo, CostEstimate, JoinAlgorithm, JoinInput, JoinOperator, PbsmJoin,
+    PqJoin, SpatialQuery, SssjJoin, StJoin,
 };
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_geom::Rect;
-use usj_io::{MachineConfig, SimEnv};
+use usj_io::{CostBreakdown, MachineConfig, SimEnv};
 use usj_rtree::{bulk::bulk_load, BulkLoadConfig, RTree};
 use usj_sweep::{sweep_join, ForwardSweep, StripedSweep};
 
@@ -70,30 +70,56 @@ pub fn table3(cfg: &ExperimentConfig) {
     println!("(paper: PQ total grows from 0.41 MB on NJ to 5.19 MB on DISK1-6, always < 1% of the data)");
 }
 
-/// Table 4: pages requested from disk by the two indexed joins, against the
-/// lower bound of one request per index node.
+/// One data set of Table 4.
+#[derive(Debug, Clone)]
+pub struct Table4Row {
+    /// Data set.
+    pub preset: Preset,
+    /// One request per node of both indexes.
+    pub lower_bound: u64,
+    /// Index pages PQ requested from disk.
+    pub pq_requests: u64,
+    /// Index pages ST requested from disk.
+    pub st_requests: u64,
+}
+
+/// Computes Table 4: pages requested from disk by the two indexed joins,
+/// against the lower bound of one request per index node.
+pub fn table4_rows(cfg: &ExperimentConfig) -> Vec<Table4Row> {
+    cfg.presets
+        .iter()
+        .map(|&preset| {
+            let mut p = PreparedWorkload::build(preset, cfg, MachineConfig::machine3());
+            let lower_bound = p.roads_tree.nodes() + p.hydro_tree.nodes();
+            let pq = p.run_indexed(&PqJoin::default());
+            p.reset();
+            let st = p.run_indexed(&StJoin::default());
+            Table4Row {
+                preset,
+                lower_bound,
+                pq_requests: pq.index_page_requests,
+                st_requests: st.index_page_requests,
+            }
+        })
+        .collect()
+}
+
+/// Prints Table 4 ([`table4_rows`]).
 pub fn table4(cfg: &ExperimentConfig) {
     println!("\n== Table 4: page requests during joining (scale divisor {}) ==", cfg.scale);
     println!(
         "{:<10} {:>12} {:>12} {:>8} {:>12} {:>8}",
         "Data set", "Lower bound", "PQ total", "PQ avg", "ST total", "ST avg"
     );
-    for &preset in &cfg.presets {
-        let mut p = PreparedWorkload::build(preset, cfg, MachineConfig::machine3());
-        let lower = p.roads_tree.nodes() + p.hydro_tree.nodes();
-
-        let pq = p.run_indexed(&PqJoin::default());
-        p.reset();
-        let st = p.run_indexed(&StJoin::default());
-
+    for row in table4_rows(cfg) {
         println!(
             "{:<10} {:>12} {:>12} {:>8.2} {:>12} {:>8.2}",
-            preset.name(),
-            lower,
-            pq.index_page_requests,
-            pq.index_page_requests as f64 / lower as f64,
-            st.index_page_requests,
-            st.index_page_requests as f64 / lower as f64,
+            row.preset.name(),
+            row.lower_bound,
+            row.pq_requests,
+            row.pq_requests as f64 / row.lower_bound as f64,
+            row.st_requests,
+            row.st_requests as f64 / row.lower_bound as f64,
         );
     }
     println!("(paper: PQ always exactly 1.00x the lower bound; ST 1.00x on NJ/NY, 1.14-1.63x on the large sets)");
@@ -141,7 +167,32 @@ pub fn fig2(cfg: &ExperimentConfig, observed: bool) {
     }
 }
 
-/// Figure 3: observed cost of all four algorithms on the three machines.
+/// One data set of Figure 3 on one machine.
+#[derive(Debug, Clone)]
+pub struct Fig3Row {
+    /// Data set.
+    pub preset: Preset,
+    /// Observed cost per algorithm, in [`JoinAlgorithm::all`] order
+    /// (SSSJ, PBSM, PQ, ST).
+    pub costs: [CostBreakdown; 4],
+}
+
+/// Computes one machine's panel of Figure 3: the observed cost of all four
+/// algorithms on every preset.
+pub fn fig3_rows(cfg: &ExperimentConfig, machine: &MachineConfig) -> Vec<Fig3Row> {
+    cfg.presets
+        .iter()
+        .map(|&preset| Fig3Row {
+            preset,
+            costs: JoinAlgorithm::all().map(|alg| {
+                let mut p = PreparedWorkload::build(preset, cfg, machine.clone());
+                p.run_algorithm(alg).observed_cost(machine)
+            }),
+        })
+        .collect()
+}
+
+/// Prints Figure 3 ([`fig3_rows`] on the three machines).
 pub fn fig3(cfg: &ExperimentConfig) {
     println!("\n== Figure 3: observed join cost of SJ/PB/PQ/ST in simulated seconds ==");
     for machine in MachineConfig::all() {
@@ -153,17 +204,13 @@ pub fn fig3(cfg: &ExperimentConfig) {
             "{:<10} {:>14} {:>14} {:>14} {:>14}",
             "Data set", "SJ (cpu+io)", "PB (cpu+io)", "PQ (cpu+io)", "ST (cpu+io)"
         );
-        for &preset in &cfg.presets {
-            let mut cells = Vec::new();
-            for alg in JoinAlgorithm::all() {
-                let mut p = PreparedWorkload::build(preset, cfg, machine.clone());
-                let res = p.run_algorithm(alg);
-                let c = res.observed_cost(&machine);
-                cells.push(format!("{:.1}+{:.1}", c.cpu_secs, c.io_secs));
-            }
+        for row in fig3_rows(cfg, &machine) {
+            let cells = row
+                .costs
+                .map(|c| format!("{:.1}+{:.1}", c.cpu_secs, c.io_secs));
             println!(
                 "{:<10} {:>14} {:>14} {:>14} {:>14}",
-                preset.name(),
+                row.preset.name(),
                 cells[0],
                 cells[1],
                 cells[2],
@@ -174,15 +221,104 @@ pub fn fig3(cfg: &ExperimentConfig) {
     println!("(paper: SSSJ wins almost everywhere on total time despite doing the most I/O, because its I/O is sequential; ST is closest on the slow-CPU Machine 1)");
 }
 
-/// Section 6.3: the cost-based decision between indexed and non-indexed
-/// execution, on a localized join (hydrography of one "state" against the
-/// roads of the whole country).
+/// Window fractions of the Section 6.3 experiment, widest first.
+const CROSSOVER_WINDOWS: [f32; 6] = [1.0, 0.6, 0.4, 0.25, 0.1, 0.05];
+
+/// One window of the Section 6.3 experiment.
+#[derive(Debug, Clone)]
+pub struct CrossoverRow {
+    /// Fraction of the region's area the hydrography is clipped to.
+    pub window_frac: f32,
+    /// The `Algo::Auto` planner's estimate (its `plan()` is the decision).
+    pub estimate: CostEstimate,
+    /// Observed simulated seconds of the pruned PQ join.
+    pub pq_secs: f64,
+    /// Observed simulated seconds of SSSJ on the same inputs.
+    pub sssj_secs: f64,
+}
+
+/// Computes Section 6.3 on Machine 3: the cost-based decision between
+/// indexed and non-indexed execution on a localized join (hydrography of
+/// one "state" against the roads of the whole `preset`), one row per window
+/// fraction from 100 % down to 5 %.
+pub fn crossover_rows(cfg: &ExperimentConfig, preset: Preset) -> Vec<CrossoverRow> {
+    let machine = MachineConfig::machine3();
+    let workload = WorkloadSpec::preset(preset)
+        .with_scale(cfg.scale)
+        .generate(cfg.seed);
+    let region = workload.region;
+    CROSSOVER_WINDOWS
+        .iter()
+        .map(|&window_frac| {
+            let side = region.width() * window_frac.sqrt();
+            let window = Rect::from_coords(
+                region.lo.x,
+                region.lo.y,
+                region.lo.x + side,
+                region.lo.y + side,
+            );
+            let clipped: Vec<_> = workload
+                .hydro
+                .iter()
+                .copied()
+                .filter(|it| window.contains(&it.rect))
+                .collect();
+            let mut env = SimEnv::new(machine.clone());
+            let (roads_tree, hydro_tree) = env.unaccounted(|env| {
+                (
+                    RTree::bulk_load(env, &workload.roads).unwrap(),
+                    RTree::bulk_load(env, &clipped).unwrap(),
+                )
+            });
+            env.device.reset_stats();
+
+            // The builder's Auto planner is the Section 6.3 selector.
+            let plan = SpatialQuery::new(
+                JoinInput::Indexed(&roads_tree),
+                JoinInput::Indexed(&hydro_tree),
+            )
+            .algorithm(Algo::Auto)
+            .plan(&mut env)
+            .expect("query plan");
+            let estimate = plan.cost.expect("auto plans carry the cost estimate");
+
+            // Run both strategies to see what the right call was.
+            env.device.reset_stats();
+            env.cpu = usj_io::CpuCounter::new();
+            let pq = PqJoin::default()
+                .with_pruning()
+                .run(
+                    &mut env,
+                    JoinInput::Indexed(&roads_tree),
+                    JoinInput::Indexed(&hydro_tree),
+                )
+                .expect("pq");
+            env.device.reset_stats();
+            env.cpu = usj_io::CpuCounter::new();
+            let sssj = SssjJoin::default()
+                .run(
+                    &mut env,
+                    JoinInput::Indexed(&roads_tree),
+                    JoinInput::Indexed(&hydro_tree),
+                )
+                .expect("sssj");
+            assert_eq!(pq.pairs, sssj.pairs, "both strategies must agree");
+            CrossoverRow {
+                window_frac,
+                estimate,
+                pq_secs: pq.observed_cost(&machine).total_secs(),
+                sssj_secs: sssj.observed_cost(&machine).total_secs(),
+            }
+        })
+        .collect()
+}
+
+/// Prints Section 6.3 ([`crossover_rows`] on the last configured preset).
 pub fn crossover(cfg: &ExperimentConfig) {
     println!("\n== Section 6.3: cost-based index/no-index decision ==");
-    let machine = MachineConfig::machine3();
     println!(
         "machine 3 crossover fraction (paper's '~60%' under its 10x random/sequential assumption): {:.2}",
-        crossover_fraction(&machine)
+        crossover_fraction(&MachineConfig::machine3())
     );
     println!(
         "machine 1 crossover fraction: {:.2}",
@@ -197,79 +333,16 @@ pub fn crossover(cfg: &ExperimentConfig) {
         "{:>8} {:>10} {:>12} {:>12} {:>12} | {:>12} {:>12}",
         "window", "touched", "est idx s", "est sort s", "plan", "PQ(pruned) s", "SSSJ s"
     );
-    for window_frac in [1.0f32, 0.6, 0.4, 0.25, 0.1, 0.05] {
-        let workload = WorkloadSpec::preset(preset)
-            .with_scale(cfg.scale)
-            .generate(cfg.seed);
-        let region = workload.region;
-        let side = region.width() * window_frac.sqrt();
-        let window = Rect::from_coords(
-            region.lo.x,
-            region.lo.y,
-            region.lo.x + side,
-            region.lo.y + side,
-        );
-        let clipped: Vec<_> = workload
-            .hydro
-            .iter()
-            .copied()
-            .filter(|it| window.contains(&it.rect))
-            .collect();
-        let mut env = SimEnv::new(machine.clone());
-        let (roads_tree, hydro_tree, roads_stream, hydro_stream) = env.unaccounted(|env| {
-            (
-                RTree::bulk_load(env, &workload.roads).unwrap(),
-                RTree::bulk_load(env, &clipped).unwrap(),
-                usj_io::ItemStream::from_items(env, &workload.roads).unwrap(),
-                usj_io::ItemStream::from_items(env, &clipped).unwrap(),
-            )
-        });
-        let _ = (&roads_stream, &hydro_stream);
-        env.device.reset_stats();
-
-        // The builder's Auto planner is the Section 6.3 selector.
-        let plan = SpatialQuery::new(
-            JoinInput::Indexed(&roads_tree),
-            JoinInput::Indexed(&hydro_tree),
-        )
-        .algorithm(Algo::Auto)
-        .plan(&mut env)
-        .expect("query plan");
-        let est = plan.cost.expect("auto plans carry the cost estimate");
-
-        // Run both strategies to see what the right call was.
-        env.device.reset_stats();
-        env.cpu = usj_io::CpuCounter::new();
-        let pq = PqJoin::default()
-            .with_pruning()
-            .run(
-                &mut env,
-                JoinInput::Indexed(&roads_tree),
-                JoinInput::Indexed(&hydro_tree),
-            )
-            .expect("pq");
-        let pq_secs = pq.observed_cost(&machine).total_secs();
-        env.device.reset_stats();
-        env.cpu = usj_io::CpuCounter::new();
-        let sssj = SssjJoin::default()
-            .run(
-                &mut env,
-                JoinInput::Indexed(&roads_tree),
-                JoinInput::Indexed(&hydro_tree),
-            )
-            .expect("sssj");
-        let sssj_secs = sssj.observed_cost(&machine).total_secs();
-        assert_eq!(pq.pairs, sssj.pairs, "both strategies must agree");
-
+    for row in crossover_rows(cfg, preset) {
         println!(
             "{:>7.0}% {:>9.2} {:>12.2} {:>12.2} {:>12} | {:>12.2} {:>12.2}",
-            window_frac * 100.0,
-            est.touched_fraction,
-            est.indexed_secs,
-            est.non_indexed_secs,
-            format!("{:?}", est.plan()),
-            pq_secs,
-            sssj_secs,
+            row.window_frac * 100.0,
+            row.estimate.touched_fraction,
+            row.estimate.indexed_secs,
+            row.estimate.non_indexed_secs,
+            format!("{:?}", row.estimate.plan()),
+            row.pq_secs,
+            row.sssj_secs,
         );
     }
     println!("(paper: index-based execution only pays off when the join touches a small fraction of the index)");
@@ -396,54 +469,7 @@ pub fn ablation_packing(cfg: &ExperimentConfig) {
     println!("(paper: tightly packed, space-efficient structures perform better, at some risk of overlap)");
 }
 
-/// Memory-adaptivity experiment (not in the paper): every algorithm on every
-/// preset at 4, 16 and 64 MB internal-memory limits, recording the measured
-/// peak, the sweep spill volume and the total I/O. The pair counts must not
-/// move — only the I/O may, which is exactly the "runs at any memory size"
-/// degradation story of Sections 3.1–3.2.
-pub fn low_memory(cfg: &ExperimentConfig) {
-    println!(
-        "\n== Low-memory sweep: spill I/O vs memory limit (scale divisor {}) ==",
-        cfg.scale
-    );
-    println!(
-        "{:<10} {:>6} {:>5} {:>10} {:>10} {:>9} {:>7} {:>10} {:>10}",
-        "Data set", "Limit", "Alg", "Pairs", "Peak MB", "Spilled", "Splits", "Pages rd", "Pages wr"
-    );
-    for &preset in &cfg.presets {
-        for limit_mb in [4usize, 16, 64] {
-            let mut p = PreparedWorkload::build(preset, cfg, MachineConfig::machine3());
-            p.env.set_memory_limit(limit_mb * 1024 * 1024);
-            let mut pair_counts = Vec::new();
-            for alg in JoinAlgorithm::all() {
-                let res = p.run_algorithm(alg);
-                assert!(
-                    res.memory.peak_bytes <= p.env.memory_limit,
-                    "{preset} {alg:?}: measured peak over the limit"
-                );
-                pair_counts.push(res.pairs);
-                println!(
-                    "{:<10} {:>4}MB {:>5} {:>10} {:>10.3} {:>9} {:>7} {:>10} {:>10}",
-                    preset.name(),
-                    limit_mb,
-                    alg.short_name(),
-                    res.pairs,
-                    mb(res.memory.peak_bytes as u64),
-                    res.sweep.spilled_items,
-                    res.sweep.spill_runs,
-                    res.io.pages_read,
-                    res.io.pages_written,
-                );
-                p.reset();
-            }
-            pair_counts.dedup();
-            assert_eq!(pair_counts.len(), 1, "{preset}: algorithms disagree at {limit_mb} MB");
-        }
-    }
-    println!("(the memory governor guarantees Peak <= Limit; shrinking the limit may only add spill/repartition I/O, never change the pairs)");
-}
-
-/// Runs every experiment in sequence.
+/// Runs every table, figure and ablation in sequence.
 pub fn run_all(cfg: &ExperimentConfig) {
     table2(cfg);
     table3(cfg);
@@ -456,11 +482,6 @@ pub fn run_all(cfg: &ExperimentConfig) {
     ablation_buffer(cfg);
     ablation_tiles(cfg);
     ablation_packing(cfg);
-    low_memory(cfg);
-    crate::service_exp::service_bench(cfg);
-    crate::hotpath::hotpath(cfg);
-    crate::live_exp::live_bench(cfg);
-    crate::faults_exp::faults_bench(cfg);
 }
 
 #[cfg(test)]
@@ -468,7 +489,8 @@ mod tests {
     use super::*;
 
     /// The experiments must at least run end-to-end on a tiny configuration;
-    /// their numeric claims are covered by the per-crate tests.
+    /// their numeric claims are covered by the per-crate tests and
+    /// `tests/paper_fidelity.rs`.
     #[test]
     fn all_experiments_run_on_a_tiny_configuration() {
         let cfg = ExperimentConfig {

@@ -1,6 +1,6 @@
-//! The chaos experiment (not in the paper): the service batch of
-//! [`service_exp`](crate::service_exp) re-run under a seeded fault plan,
-//! plus three targeted probes with *deterministic* outcomes.
+//! The chaos experiment (not in the paper): a mixed 16-request service
+//! batch that oversubscribes a 16 MB shared budget, run under a seeded fault
+//! plan, plus three targeted probes with *deterministic* outcomes.
 //!
 //! Four claims are exercised, per preset:
 //!
@@ -21,9 +21,9 @@
 //!    the recovered record set must equal the set acknowledged by the last
 //!    successful manifest commit, at every crash point.
 //!
-//! `repro faults` emits the rows as `BENCH_service.json` (the CI
-//! fault-smoke job asserts the injected/retry counters are nonzero) and
-//! appends one summary point to the tracked `BENCH_trajectory.json`.
+//! `repro faults` prints one row per preset and asserts every invariant
+//! in-process, including that the run as a whole injected faults and
+//! retried — a chaos run that injected nothing proves nothing.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -37,10 +37,16 @@ use usj_service::{
     Catalog, QueryRequest, Service, ServiceConfig, ServiceError, QueryStatus,
 };
 
-use crate::service_exp::{
-    SERVICE_BENCH_MEMORY_LIMIT, SERVICE_BENCH_QUERY_BUDGET, SERVICE_BENCH_REQUESTS,
-};
 use crate::setup::ExperimentConfig;
+
+/// Shared admission budget of the chaos services (16 MB).
+const FAULTS_MEMORY_LIMIT: usize = 16 * 1024 * 1024;
+
+/// Per-request demanded budget (6 MB: 2.67× oversubscription at 16 requests).
+const FAULTS_QUERY_BUDGET: usize = 6 * 1024 * 1024;
+
+/// Requests per chaos batch.
+const FAULTS_REQUESTS: usize = 16;
 
 /// Per-operation transient read-fault probability of the chaos batch.
 pub const FAULTS_READ_RATE: f64 = 0.005;
@@ -65,8 +71,6 @@ const FAULTS_WORKERS: usize = 4;
 pub struct FaultsBenchRow {
     /// Workload preset name.
     pub preset: String,
-    /// Worker threads of the service.
-    pub workers: usize,
     /// Requests submitted to the chaos batch.
     pub requests: u64,
     /// Chaos-batch requests completed.
@@ -84,12 +88,8 @@ pub struct FaultsBenchRow {
     /// Admission-gauge reading after every failure mode drained (bytes;
     /// must be zero — leaked reservations would wedge future admissions).
     pub gauge_after_bytes: usize,
-    /// Pairs of the collecting identity join on the faulted service.
-    pub clean_pairs: u64,
     /// Whether the faulted service's pair set equalled the fault-free twin.
     pub pairs_match: bool,
-    /// Crash/recover rounds of the durability loop.
-    pub crash_rounds: u64,
     /// Rounds whose ingestion was interrupted by an injected device fault.
     pub faulted_rounds: u64,
     /// Records acknowledged (manifested) when the loop ended — every one
@@ -99,8 +99,8 @@ pub struct FaultsBenchRow {
     pub wall_ms: f64,
 }
 
-/// Builds the same mixed batch as the service experiment, with per-request
-/// budgets that oversubscribe the shared limit.
+/// Builds the mixed batch — SSSJ, PQ and ST joins plus half-region window
+/// selections — with per-request budgets that oversubscribe the shared limit.
 fn chaos_requests(
     roads: usj_service::DatasetId,
     hydro: usj_service::DatasetId,
@@ -112,7 +112,7 @@ fn chaos_requests(
         region.lo.x + region.width() * 0.5,
         region.lo.y + region.height() * 0.5,
     );
-    (0..SERVICE_BENCH_REQUESTS as u32)
+    (0..FAULTS_REQUESTS as u32)
         .map(|i| {
             let request = match i % 4 {
                 0 => QueryRequest::join(roads, hydro).with_algorithm(Algo::Sssj),
@@ -121,7 +121,7 @@ fn chaos_requests(
                 _ => QueryRequest::window(roads, window),
             };
             request
-                .with_memory_budget(SERVICE_BENCH_QUERY_BUDGET)
+                .with_memory_budget(FAULTS_QUERY_BUDGET)
                 .with_priority((i % 3) as u8)
         })
         .collect()
@@ -178,7 +178,7 @@ fn panic_probe(seed: u64) -> (u64, u64, usize) {
         catalog,
         ServiceConfig::default()
             .with_workers(2)
-            .with_memory_limit(SERVICE_BENCH_MEMORY_LIMIT)
+            .with_memory_limit(FAULTS_MEMORY_LIMIT)
             .with_fault_plan(FaultConfig {
                 seed,
                 panic: 1.0,
@@ -289,12 +289,12 @@ fn crash_loop(cfg: &ExperimentConfig, items: &[Item]) -> (u64, usize) {
 }
 
 /// Runs the chaos experiment, printing one row per preset, and returns the
-/// rows for machine-readable emission.
+/// rows. Every invariant is asserted here, so a run that returns is a pass.
 pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
     println!(
         "\n== Chaos: {} mixed requests under injected faults (read {:.3}, write {:.3}, \
          {} retries), {} crash/recover rounds (scale divisor {}) ==",
-        SERVICE_BENCH_REQUESTS,
+        FAULTS_REQUESTS,
         FAULTS_READ_RATE,
         FAULTS_WRITE_RATE,
         FAULTS_RETRIES,
@@ -323,7 +323,7 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
 
         let chaos_config = ServiceConfig::default()
             .with_workers(FAULTS_WORKERS)
-            .with_memory_limit(SERVICE_BENCH_MEMORY_LIMIT)
+            .with_memory_limit(FAULTS_MEMORY_LIMIT)
             .with_fault_retries(FAULTS_RETRIES, FAULTS_BACKOFF_US)
             .with_fault_plan(FaultConfig {
                 seed: derive_seed(cfg.seed, 1),
@@ -334,7 +334,7 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
         let (chaos, roads, hydro) = service_over(&workload, chaos_config);
         let clean_config = ServiceConfig::default()
             .with_workers(FAULTS_WORKERS)
-            .with_memory_limit(SERVICE_BENCH_MEMORY_LIMIT);
+            .with_memory_limit(FAULTS_MEMORY_LIMIT);
         let (clean, c_roads, c_hydro) = service_over(&workload, clean_config);
 
         // 1. The chaos batch: every request must resolve, the gauge must
@@ -404,7 +404,6 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
         let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
         let row = FaultsBenchRow {
             preset: preset.name().to_string(),
-            workers: FAULTS_WORKERS,
             requests: stats.submitted,
             completed: stats.completed,
             failed: stats.failed,
@@ -413,9 +412,7 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
             panics: snap.counter("faults.panics").unwrap_or(0) + probe_panics,
             deadline_exceeded: snap.counter("faults.deadline_exceeded").unwrap_or(0),
             gauge_after_bytes: gauge_after,
-            clean_pairs: clean_pairs.len() as u64,
             pairs_match,
-            crash_rounds: FAULTS_CRASH_ROUNDS,
             faulted_rounds,
             records_acknowledged,
             wall_ms,
@@ -441,85 +438,16 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
         "(every chaos request resolves with a typed outcome; retried answers are \
          byte-identical to the fault-free twin; recovery never loses manifested records)"
     );
-    rows
-}
-
-/// Renders the rows as the `BENCH_service.json` document `repro faults`
-/// writes (hand-rolled JSON — the workspace is dependency-free). The CI
-/// fault-smoke job asserts the injected/retry counters here are nonzero.
-pub fn faults_bench_json(cfg: &ExperimentConfig, rows: &[FaultsBenchRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"faults\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", cfg.scale));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"read_fault\": {FAULTS_READ_RATE},\n"));
-    out.push_str(&format!("  \"write_fault\": {FAULTS_WRITE_RATE},\n"));
-    out.push_str(&format!("  \"retries\": {FAULTS_RETRIES},\n"));
-    out.push_str(&format!("  \"crash_rounds\": {FAULTS_CRASH_ROUNDS},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"preset\": \"{}\", \"workers\": {}, \"requests\": {}, \"completed\": {}, \
-             \"failed\": {}, \"injected\": {}, \"retries\": {}, \"panics\": {}, \
-             \"deadline_exceeded\": {}, \"gauge_after_bytes\": {}, \"clean_pairs\": {}, \
-             \"pairs_match\": {}, \"crash_rounds\": {}, \"faulted_rounds\": {}, \
-             \"records_acknowledged\": {}, \"wall_ms\": {:.3}}}{}\n",
-            row.preset,
-            row.workers,
-            row.requests,
-            row.completed,
-            row.failed,
-            row.injected,
-            row.retries,
-            row.panics,
-            row.deadline_exceeded,
-            row.gauge_after_bytes,
-            row.clean_pairs,
-            row.pairs_match,
-            row.crash_rounds,
-            row.faulted_rounds,
-            row.records_acknowledged,
-            row.wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Description stamped into a fresh chaos trajectory document.
-pub const FAULTS_TRAJECTORY_DESCRIPTION: &str =
-    "usj chaos trajectory; repro faults appends one point per run";
-
-/// Renders one trajectory point summarising the run. `unix_time` is the
-/// caller-provided wall-clock stamp (seconds since the epoch).
-pub fn faults_trajectory_point(
-    cfg: &ExperimentConfig,
-    rows: &[FaultsBenchRow],
-    unix_time: u64,
-) -> String {
+    // A run that injected nothing proves nothing.
     let injected: u64 = rows.iter().map(|r| r.injected).sum();
     let retries: u64 = rows.iter().map(|r| r.retries).sum();
-    let panics: u64 = rows.iter().map(|r| r.panics).sum();
-    let completed: u64 = rows.iter().map(|r| r.completed).sum();
-    let failed: u64 = rows.iter().map(|r| r.failed).sum();
-    let all_match = rows.iter().all(|r| r.pairs_match);
-    format!(
-        "    {{\"experiment\": \"faults\", \"unix_time\": {}, \"scale\": {}, \"seed\": {}, \
-         \"presets\": {}, \"completed\": {}, \"failed\": {}, \"injected\": {}, \
-         \"retries\": {}, \"panics\": {}, \"pairs_match\": {}, \"crash_rounds\": {}}}\n",
-        unix_time,
-        cfg.scale,
-        cfg.seed,
-        rows.len(),
-        completed,
-        failed,
-        injected,
-        retries,
-        panics,
-        all_match,
-        FAULTS_CRASH_ROUNDS,
-    )
+    assert!(injected > 0, "chaos run injected no faults");
+    assert!(
+        retries > 0,
+        "chaos run exercised no retries: the workload issues too few device operations to \
+         draw faults at these rates (DISK1 and larger at the default scale do)"
+    );
+    rows
 }
 
 #[cfg(test)]
@@ -530,10 +458,14 @@ mod tests {
     #[test]
     fn faults_bench_runs_and_serializes_on_a_tiny_configuration() {
         let cfg = ExperimentConfig {
-            scale: 2_000,
-            seed: 7,
-            presets: vec![Preset::NJ],
+            scale: 200,
+            seed: 42,
+            presets: vec![Preset::Disk1_3],
         };
+        // Not smaller: the batch must issue enough device operations to
+        // draw faults at the experiment's rates (NJ at this scale draws
+        // none, and faults_bench refuses a run that retried nothing).
+        //
         // faults_bench asserts the chaos invariants internally: every
         // request resolves, the gauge drains to zero, the panic and
         // deadline probes come back typed, the faulted pair set equals the
@@ -547,30 +479,5 @@ mod tests {
         assert!(row.panics >= 1, "the panic probe guarantees a contained panic");
         assert!(row.deadline_exceeded >= 1, "the deadline probe guarantees a miss");
         assert!(row.records_acknowledged > 0);
-
-        let json = faults_bench_json(&cfg, &rows);
-        assert!(json.contains("\"experiment\": \"faults\""));
-        assert!(json.contains("\"preset\": \"NJ\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-
-        // The trajectory point is append-compatible with the shared
-        // trajectory machinery and keeps every earlier point.
-        let point = faults_trajectory_point(&cfg, &rows, 1_700_000_000);
-        assert_eq!(point.matches('{').count(), point.matches('}').count());
-        let doc = crate::loadgen::append_trajectory_with(
-            None,
-            &point,
-            FAULTS_TRAJECTORY_DESCRIPTION,
-        )
-        .unwrap();
-        assert!(doc.contains(FAULTS_TRAJECTORY_DESCRIPTION));
-        let doc2 = crate::loadgen::append_trajectory_with(
-            Some(&doc),
-            &point,
-            FAULTS_TRAJECTORY_DESCRIPTION,
-        )
-        .unwrap();
-        assert_eq!(doc2.matches("\"experiment\": \"faults\"").count(), 2);
     }
 }

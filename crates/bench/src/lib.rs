@@ -16,50 +16,30 @@
 //! | `repro ablation-buffer` | ST page requests vs buffer-pool size (Sec. 6.2) |
 //! | `repro ablation-tiles` | PBSM 32×32 vs 128×128 tiles (Sec. 3.2) |
 //! | `repro ablation-packing` | 75 %+20 % packing vs full packing (Sec. 7) |
-//! | `repro low-memory` | memory governor: spill I/O vs 4/16/64 MB limits |
-//! | `repro service` | service throughput: 16 concurrent requests at 2/4/8 workers under a 16 MB shared budget (also writes `BENCH_service.json`) |
-//! | `repro hotpath` | wall-clock of the real kernels: SoA sweep vs the naive list baseline, plus all four algorithms (writes `BENCH_hotpath_latest.json`, appends to the tracked `BENCH_hotpath.json` trajectory) |
-//! | `repro load` | open-loop load harness: tail latency, queue depth and deferral rate over a seeded arrival schedule, plus the shared-scan A/B (writes `BENCH_service.json`, appends to `BENCH_trajectory.json`) |
-//! | `repro live` | streaming joins over live LSM datasets: time-to-first-K-pairs vs full offline SSSJ, plus ingest-while-querying compaction interference (writes `BENCH_service.json`, appends to `BENCH_trajectory.json`) |
-//! | `repro faults` | chaos: the mixed service batch under seeded fault injection with bounded retry, panic/deadline probes, and a crash/recover durability loop (writes `BENCH_service.json`, appends to `BENCH_trajectory.json`) |
+//! | `repro faults` | chaos (not in the paper): the mixed service batch under seeded fault injection with bounded retry, panic/deadline probes, and a crash/recover durability loop |
 //! | `repro all` | everything above |
 //!
 //! Every experiment accepts `--scale <divisor>` (default 200) which divides
-//! the paper's object counts, and `--seed <u64>` for the deterministic data
-//! generator. Absolute numbers therefore differ from the paper; the *shape*
-//! of every comparison (who wins, by what factor, where the crossover falls)
-//! is what the harness reproduces and what `EXPERIMENTS.md` records.
+//! the paper's object counts, `--seed <u64>` for the deterministic data
+//! generator and `--presets <list>`. Absolute numbers therefore differ from
+//! the paper; the *shape* of every comparison (who wins, by what factor,
+//! where the crossover falls) is what the harness reproduces and what
+//! `tests/paper_fidelity.rs` pins.
+//!
+//! `repro` prints simulated-currency tables and asserts its invariants
+//! in-process; it writes no files. Wall-clock, machine-readable numbers come
+//! from the repo benchmark only (`crates/bench/src/bin/benchmark`, declared
+//! by `/BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod experiments;
 pub mod faults_exp;
-pub mod hotpath;
-pub mod live_exp;
-pub mod loadgen;
 pub mod quick;
-pub mod service_exp;
 pub mod setup;
 
 pub use experiments::*;
-pub use faults_exp::{
-    faults_bench, faults_bench_json, faults_trajectory_point, FaultsBenchRow,
-    FAULTS_TRAJECTORY_DESCRIPTION,
-};
-pub use hotpath::{
-    hotpath, hotpath_json, hotpath_trajectory_point, HotpathJoinRow, HotpathKernelRow,
-    HOTPATH_TRAJECTORY_DESCRIPTION,
-};
-pub use live_exp::{
-    live_bench, live_bench_json, live_trajectory_point, LiveBenchRow, LiveInterferenceRow,
-    FIRST_K,
-};
-pub use loadgen::{
-    append_trajectory, append_trajectory_with, generate_schedule, load_bench, load_bench_json,
-    load_trace_json, trajectory_point, ArrivalCurve, BatchingComparison, LoadOutcome, LoadRow,
-    LoadSpec, RequestTemplate, TemplateKind,
-};
+pub use faults_exp::{faults_bench, FaultsBenchRow};
 pub use quick::{BenchReport, QuickBench};
-pub use service_exp::{service_bench, service_bench_json, ServiceBenchRow};
 pub use setup::{ExperimentConfig, PreparedWorkload};

@@ -12,7 +12,7 @@ use crate::histogram::LogHistogram;
 use crate::recorder::{Event, RingCollector, Recorder};
 
 /// Exact nearest-rank percentile over a sorted sample — the code shape
-/// `usj_bench::loadgen` used before the histogram replaced it.
+/// the bench crates used before the histogram replaced it.
 fn exact_nearest_rank(sorted: &[u64], q: f64) -> u64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]

@@ -19,8 +19,8 @@ use std::sync::Arc;
 use usj_geom::{Item, Rect, ITEM_BYTES};
 use usj_io::{MachineConfig, SimEnv};
 use usj_service::{
-    Catalog, ChromeTrace, LiveConfig, LiveId, QueryRequest, Service, ServiceConfig, ServiceReport,
-    VirtualClock,
+    Catalog, ChromeTrace, LiveConfig, LiveId, QueryRequest, QueryTrace, Service, ServiceConfig,
+    ServiceReport, TraceSpan, VirtualClock,
 };
 
 fn grid(n: u32, cell: f32, offset: f32, id_base: u32) -> Vec<Item> {
@@ -81,6 +81,31 @@ fn execution_fingerprint(report: &ServiceReport) -> Vec<Fingerprint> {
         .collect()
 }
 
+/// Proper nesting: every span lies inside its parent's `[start_us, end_us]`.
+fn assert_children_inside_parents(trace: &QueryTrace) {
+    fn check(parent: &TraceSpan) {
+        assert!(
+            parent.start_us <= parent.end_us,
+            "span {} ends before it starts",
+            parent.name
+        );
+        for child in &parent.children {
+            assert!(
+                parent.start_us <= child.start_us && child.end_us <= parent.end_us,
+                "span {} [{}, {}] overhangs its parent {} [{}, {}]",
+                child.name,
+                child.start_us,
+                child.end_us,
+                parent.name,
+                parent.start_us,
+                parent.end_us
+            );
+            check(child);
+        }
+    }
+    trace.roots.iter().for_each(check);
+}
+
 #[test]
 fn tracing_is_byte_invisible_to_execution() {
     let (plain_svc, la, lb, frozen) = live_service(ServiceConfig::default().with_workers(1));
@@ -123,6 +148,7 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
         // the synthesised admission wait beside the recorded execute tree.
         assert_eq!(trace.roots.len(), 1, "shape: {}", trace.shape());
         assert_eq!(trace.roots[0].name, "query");
+        assert_children_inside_parents(trace);
         assert!(trace.find("admission.wait").is_some(), "shape: {}", trace.shape());
         let execute = trace.find("execute").expect("recorded execute root");
         assert!(
@@ -150,6 +176,7 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
         "compact_after_deltas=2 under chunked appends must compact: {}",
         maint.shape()
     );
+    assert_children_inside_parents(&maint);
     chrome.add_trace(0, &maint);
 
     let doc = chrome.finish();

@@ -85,8 +85,7 @@ fn soa_striped_kernel_reports_the_exact_list_sweep_pair_set() {
         pre_pr.sort_unstable();
         assert_eq!(raw_len, optimized.len(), "seed {seed}: duplicate pairs");
         assert_eq!(optimized, reference, "seed {seed}");
-        // The preserved pre-PR striped baseline agrees too, so the hotpath
-        // benchmark's 'vs eager' comparison is apples-to-apples.
+        // The preserved pre-PR striped baseline agrees too.
         assert_eq!(pre_pr, reference, "seed {seed}: pre-PR striped baseline");
     }
 }
