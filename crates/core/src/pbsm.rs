@@ -7,11 +7,24 @@
 //! each partition is then joined in memory with a plane sweep. Replication
 //! can report the same pair in several partitions, so a pair is emitted only
 //! in the partition owning the tile that contains the pair's *reference
-//! point* (the upper-left corner of the intersection).
+//! point* (the lower-left corner of the intersection).
 //!
 //! Following the implementation note in the paper, the default tile grid is
 //! 128 × 128 (the 32 × 32 grid suggested originally produced overfull
 //! partitions on the TIGER data); the ablation harness exercises both.
+//!
+//! ## One-axis, replication-aware partitions
+//!
+//! PBSM is only as cheap as its replication is small. Dealing the tiles
+//! round-robin in *row-major* order sends horizontally **and** vertically
+//! adjacent tiles to different partitions, so a rectangle that is long
+//! along either axis lands in every partition and every partition is the
+//! whole input. Here a grid deals whole tile **columns** or whole tile
+//! **rows**: along the other axis a rectangle may be arbitrarily long and
+//! is still written once. The axis is the one along which the data is
+//! relatively narrower — `Σ extent ÷ region extent`, observed from the
+//! input itself: folded into the bounding-box pass where one runs, taken
+//! from the first block of an input whose bounding box is already known.
 //!
 //! ## Memory-adaptive repartitioning
 //!
@@ -22,14 +35,19 @@
 //! partition is loaded, its bytes are claimed from the
 //! [`MemoryGauge`](usj_io::MemoryGauge); if the claim fails, the partition
 //! is re-replicated over a fresh tile grid covering *its own* bounding box
-//! (so a cluster that fell into one parent tile spreads out again), with the
-//! reference-point test applied at every level of the split so no pair is
-//! duplicated or lost. Indivisible clusters (identical rectangles) fall back
-//! to a memory-bounded chunked sweep that streams one side past the other.
+//! (so a cluster that fell into one parent tile spreads out again) along
+//! *its own* narrower axis, with the reference-point test applied at every
+//! level of the split so no pair is duplicated or lost. A split that does
+//! not shrink its input — the largest child keeps three quarters of it:
+//! identical rectangles, rectangles long on both axes — is abandoned at
+//! once for a memory-bounded chunked sweep that streams one side past the
+//! other.
 
 use usj_geom::{Item, Rect, ITEM_BYTES};
-use usj_io::{CpuOp, ItemStream, ItemStreamWriter, Result, SimEnv, PAGE_SIZE};
-use usj_sweep::{sweep_join_eps_with, ForwardSweep, SweepJoinStats, SweepScratch};
+use usj_io::{CpuOp, ItemStream, ItemStreamWriter, ItemsView, Result, SimEnv, PAGE_SIZE};
+use usj_sweep::{
+    sweep_join_eps_with, ForwardSweep, StripedSweep, SweepJoinStats, SweepScratch, SweepStructure,
+};
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
@@ -121,60 +139,167 @@ impl PbsmJoin {
 /// Recursion limit of the repartitioning (beyond it the chunked fallback
 /// takes over; each level shrinks the region to the overfull partition's
 /// bounding box, so eight levels outrun `f32` resolution anyway).
-const MAX_SPLIT_DEPTH: usize = 8;
+pub(crate) const MAX_SPLIT_DEPTH: usize = 8;
 
 /// Fan-out of one repartitioning level.
-const SPLIT_PARTITIONS: usize = 4;
+pub(crate) const SPLIT_PARTITIONS: usize = 4;
 
 /// Logical block size (in pages) of the sub-partition scratch streams.
 const SPLIT_PAGES_PER_BLOCK: u64 = 2;
 
-/// Geometry of the tile grid.
+/// Bounding box and summed side lengths of a set of rectangles: what a
+/// [`TileGrid`] over them is built from.
+#[derive(Debug, Clone, Copy)]
+struct Extents {
+    bbox: Rect,
+    sum_w: f64,
+    sum_h: f64,
+}
+
+impl Extents {
+    fn empty() -> Self {
+        Extents {
+            bbox: Rect::empty(),
+            sum_w: 0.0,
+            sum_h: 0.0,
+        }
+    }
+
+    fn add(&mut self, r: &Rect) {
+        self.bbox = self.bbox.union(r);
+        self.sum_w += f64::from(r.width());
+        self.sum_h += f64::from(r.height());
+    }
+
+    fn merged(mut self, other: &Extents) -> Extents {
+        self.bbox = self.bbox.union(&other.bbox);
+        self.sum_w += other.sum_w;
+        self.sum_h += other.sum_h;
+        self
+    }
+
+    /// Folds in every item of `stream` — the one sequential pass over an
+    /// input whose bounding box is not known.
+    fn scan(&mut self, env: &mut SimEnv, stream: &ItemStream) -> Result<()> {
+        let mut reader = stream.reader();
+        while let Some(view) = reader.next_view(env)? {
+            env.charge(CpuOp::RectTest, view.len() as u64);
+            view.iter().for_each(|it| self.add(&it.rect));
+        }
+        Ok(())
+    }
+
+    /// Folds in an input of `len` items whose bounding box is `known`, its
+    /// side lengths estimated from one block of it.
+    fn sample(&mut self, env: &mut SimEnv, known: Rect, block: Option<ItemsView<'_>>, len: u64) {
+        let mut seen = Extents::empty();
+        if let Some(view) = block {
+            env.charge(CpuOp::RectTest, view.len() as u64);
+            view.iter().for_each(|it| seen.add(&it.rect));
+            let scale = len as f64 / view.len() as f64;
+            seen.sum_w *= scale;
+            seen.sum_h *= scale;
+        }
+        seen.bbox = known;
+        *self = self.merged(&seen);
+    }
+}
+
+/// Geometry of the tile grid: `tiles_per_side` tile columns (or rows) over
+/// `region`, dealt round-robin to `partitions`.
 #[derive(Debug, Clone)]
 struct TileGrid {
     region: Rect,
     tiles_per_side: usize,
     partitions: usize,
+    /// Whether whole tile columns (else whole tile rows) go to a partition.
+    by_columns: bool,
 }
 
 impl TileGrid {
+    /// A grid over `region` for the rectangles `data` describes, partitioned
+    /// along the axis on which they are relatively narrower: that is where
+    /// the fewest of them cross a partition boundary.
+    fn new(region: Rect, data: &Extents, tiles_per_side: usize, partitions: usize) -> Self {
+        // Σ width ÷ region width against Σ height ÷ region height, cross-
+        // multiplied; a tie (squares, or a region flat on one axis) goes to
+        // the longer side of the region.
+        let across = data.sum_w * f64::from(region.height());
+        let along = data.sum_h * f64::from(region.width());
+        TileGrid {
+            region,
+            tiles_per_side,
+            partitions,
+            by_columns: across < along || (across == along && region.width() >= region.height()),
+        }
+    }
+
+    /// Tile column (or row) containing the point.
     fn tile_of(&self, x: f32, y: f32) -> usize {
-        let n = self.tiles_per_side;
-        let w = self.region.width().max(f32::MIN_POSITIVE);
-        let h = self.region.height().max(f32::MIN_POSITIVE);
-        let tx = (((x - self.region.lo.x) / w) * n as f32).clamp(0.0, n as f32 - 1.0) as usize;
-        let ty = (((y - self.region.lo.y) / h) * n as f32).clamp(0.0, n as f32 - 1.0) as usize;
-        ty * n + tx
+        let n = self.tiles_per_side as f32;
+        let (c, lo, extent) = if self.by_columns {
+            (x, self.region.lo.x, self.region.width())
+        } else {
+            (y, self.region.lo.y, self.region.height())
+        };
+        (((c - lo) / extent.max(f32::MIN_POSITIVE)) * n).clamp(0.0, n - 1.0) as usize
     }
 
-    /// Tile index range `(tx0, ty0, tx1, ty1)` overlapped by a rectangle.
-    fn tile_range(&self, r: &Rect) -> (usize, usize, usize, usize) {
-        let n = self.tiles_per_side;
-        let lo = self.tile_of(r.lo.x, r.lo.y);
-        let hi = self.tile_of(r.hi.x, r.hi.y);
-        (lo % n, lo / n, hi % n, hi / n)
-    }
-
-    /// Round-robin assignment of tiles to partitions (row-major enumeration).
-    fn partition_of_tile(&self, tile: usize) -> usize {
-        tile % self.partitions
+    /// Round-robin assignment of tile columns (or rows) to partitions.
+    fn partition_at(&self, x: f32, y: f32) -> usize {
+        self.tile_of(x, y) % self.partitions
     }
 
     /// Distinct partitions a rectangle must be replicated to.
-    fn partitions_of(&self, r: &Rect, out: &mut Vec<usize>) {
-        out.clear();
-        let (tx0, ty0, tx1, ty1) = self.tile_range(r);
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                let p = self.partition_of_tile(ty * self.tiles_per_side + tx);
-                if !out.contains(&p) {
-                    out.push(p);
-                }
-                if out.len() == self.partitions {
-                    return;
-                }
+    fn partitions_of(&self, r: &Rect) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let lo = self.tile_of(r.lo.x, r.lo.y);
+        let hi = self.tile_of(r.hi.x, r.hi.y);
+        (lo..(hi + 1).min(lo + self.partitions)).map(|t| t % self.partitions)
+    }
+}
+
+/// The writers of one distribution pass over a grid, and what each
+/// partition has received. Writing to many partition streams at once is the
+/// "non-sequential write pass".
+struct Scatter<'g> {
+    grid: &'g TileGrid,
+    writers: Vec<ItemStreamWriter>,
+    /// Per-partition extents, folded for free during the write pass: a
+    /// later recursive split re-grids over exactly these without a
+    /// dedicated scan.
+    extents: Vec<Extents>,
+}
+
+impl<'g> Scatter<'g> {
+    fn new(env: &mut SimEnv, grid: &'g TileGrid, pages_per_block: u64) -> Self {
+        Scatter {
+            grid,
+            writers: (0..grid.partitions)
+                .map(|_| ItemStreamWriter::new(env, pages_per_block))
+                .collect(),
+            extents: vec![Extents::empty(); grid.partitions],
+        }
+    }
+
+    /// Replicates every item into each partition whose tiles it overlaps.
+    fn extend(&mut self, env: &mut SimEnv, items: impl Iterator<Item = Item>) -> Result<()> {
+        for it in items {
+            let targets = self.grid.partitions_of(&it.rect);
+            env.charge(CpuOp::ItemMove, targets.len() as u64);
+            for p in targets {
+                self.extents[p].add(&it.rect);
+                self.writers[p].push(env, it)?;
             }
         }
+        Ok(())
+    }
+
+    fn finish(self, env: &mut SimEnv) -> Result<Vec<(ItemStream, Extents)>> {
+        self.writers
+            .into_iter()
+            .zip(self.extents)
+            .map(|(w, e)| Ok((w.finish(env)?, e)))
+            .collect()
     }
 }
 
@@ -202,33 +327,42 @@ impl JoinOperator for PbsmJoin {
         let left_stream = left.to_stream(env)?;
         let right_stream = right.to_stream(env)?;
 
-        // Data-space bounding box: the hint if given; otherwise union the
-        // inputs' known bounding boxes (index root rectangles, catalog
-        // registration records) and scan only the sides whose extent is
-        // genuinely unknown. The grid is grown by ε so the expanded left
-        // rectangles it partitions stay covered.
-        let region = match self.region_hint {
-            Some(r) => r,
-            None => {
-                let mut bbox = Rect::empty();
-                for (input, stream) in [(&left, &left_stream), (&right, &right_stream)] {
-                    match input.known_bbox() {
-                        Some(b) => bbox = bbox.union(&b),
-                        None => {
-                            let mut r = stream.reader();
-                            while let Some(it) = r.next(env)? {
-                                env.charge(CpuOp::RectTest, 1);
-                                bbox = bbox.union(&it.rect);
-                            }
-                        }
-                    }
-                }
-                if bbox.is_empty() {
-                    Rect::from_coords(0.0, 0.0, 1.0, 1.0)
-                } else {
-                    bbox
-                }
+        // Data-space bounding box and side-length sums: the hint if given,
+        // else the inputs' known bounding boxes (index root rectangles,
+        // catalog registration records), and a scan only of the sides whose
+        // extent is genuinely unknown — which then yields the sums too. A
+        // side that is not scanned is sampled from its first block: the
+        // right through a reader of its own, the left through the reader
+        // that goes on to distribute it, so choosing the axis costs one
+        // extra block read and no block buffer beside the writers'.
+        let known = |input: &JoinInput<'_>| self.region_hint.or_else(|| input.known_bbox());
+        let mut data = Extents::empty();
+        match known(&right) {
+            None => data.scan(env, &right_stream)?,
+            Some(bbox) => {
+                let mut reader = right_stream.reader();
+                let block = reader.next_view(env)?;
+                data.sample(env, bbox, block, right_stream.len());
             }
+        }
+        let mut left_reader = left_stream.reader();
+        let left_first = match known(&left) {
+            None => {
+                data.scan(env, &left_stream)?;
+                None
+            }
+            Some(bbox) => {
+                let block = left_reader.next_view(env)?;
+                data.sample(env, bbox, block, left_stream.len());
+                block
+            }
+        };
+        // The grid is grown by ε so the expanded left rectangles it
+        // partitions stay covered.
+        let region = if data.bbox.is_empty() {
+            Rect::from_coords(0.0, 0.0, 1.0, 1.0)
+        } else {
+            data.bbox
         }
         .expanded(eps);
 
@@ -236,62 +370,39 @@ impl JoinOperator for PbsmJoin {
         // together with the sweep working space, so size each partition to a
         // quarter of the internal memory. The fan-out is additionally capped
         // so the distribution writers' block buffers (one logical block per
-        // partition) fit in that same quarter — partitions that end up
-        // overfull are split recursively below instead.
+        // partition) fit in that same quarter, and at the tile columns there
+        // are to deal — partitions that end up overfull are split
+        // recursively below instead.
         let total_bytes = left_stream.data_bytes() + right_stream.data_bytes();
         let max_fanout = ((env.memory_limit / 4) / PAGE_SIZE).max(1);
         let partitions = self
             .partitions
             .unwrap_or_else(|| ((total_bytes as usize).div_ceil(env.memory_limit / 4)).max(1))
-            .min(max_fanout);
+            .min(max_fanout)
+            .min(self.tiles_per_side);
         let writer_ppb = (((env.memory_limit / 4) / PAGE_SIZE) / partitions).clamp(1, 8) as u64;
-        let grid = TileGrid {
-            region,
-            tiles_per_side: self.tiles_per_side,
-            partitions,
-        };
+        let grid = TileGrid::new(region, &data, self.tiles_per_side, partitions);
 
-        // Phase 1: distribute both inputs to the partitions (replicating
-        // rectangles that overlap several partitions' tiles). Writing to many
-        // partition streams at once is the "non-sequential write pass". Left
-        // rectangles are ε-expanded *before* partitioning so that near-miss
-        // pairs meet in at least one partition.
-        let mut replicated = 0u64;
-        let mut distribute = |env: &mut SimEnv,
-                              stream: &ItemStream,
-                              left_side: bool|
-         -> Result<(Vec<ItemStream>, Vec<Rect>)> {
-            let mut writers: Vec<ItemStreamWriter> = (0..partitions)
-                .map(|_| ItemStreamWriter::new(env, writer_ppb))
-                .collect();
-            // Per-partition bounding boxes, folded for free during the
-            // write pass: a later recursive split re-grids over exactly this
-            // box without a dedicated scan.
-            let mut bboxes = vec![Rect::empty(); partitions];
-            let mut reader = stream.reader();
-            let mut targets = Vec::with_capacity(4);
-            while let Some(mut it) = reader.next(env)? {
-                if left_side {
-                    it = predicate.expand_left(it);
-                }
-                grid.partitions_of(&it.rect, &mut targets);
-                env.charge(CpuOp::ItemMove, targets.len() as u64);
-                replicated += targets.len() as u64 - 1;
-                for &p in &targets {
-                    bboxes[p] = bboxes[p].union(&it.rect);
-                    writers[p].push(env, it)?;
-                }
-            }
-            let streams = writers
-                .into_iter()
-                .map(|w| w.finish(env))
-                .collect::<Result<Vec<_>>>()?;
-            Ok((streams, bboxes))
-        };
-        let (left_parts, left_bboxes) = distribute(env, &left_stream, true)?;
-        let (right_parts, right_bboxes) = distribute(env, &right_stream, false)?;
+        // Phase 1: distribute both inputs to the partitions. Left rectangles
+        // are ε-expanded *before* partitioning so that near-miss pairs meet
+        // in at least one partition.
+        let expand = |it| predicate.expand_left(it);
+        let mut scatter = Scatter::new(env, &grid, writer_ppb);
+        if let Some(view) = left_first {
+            scatter.extend(env, view.iter().map(expand))?;
+        }
+        while let Some(view) = left_reader.next_view(env)? {
+            scatter.extend(env, view.iter().map(expand))?;
+        }
+        let left_parts = scatter.finish(env)?;
+        let mut scatter = Scatter::new(env, &grid, writer_ppb);
+        let mut right_reader = right_stream.reader();
+        while let Some(view) = right_reader.next_view(env)? {
+            scatter.extend(env, view.iter())?;
+        }
+        let right_parts = scatter.finish(env)?;
 
-        // Phase 2: join each partition in memory with the forward sweep,
+        // Phase 2: join each partition in memory with the striped sweep,
         // suppressing duplicates with the reference-point test; partitions
         // that do not fit the memory budget are repartitioned recursively.
         let mut run = PbsmRun {
@@ -307,13 +418,12 @@ impl JoinOperator for PbsmJoin {
             scratch: SweepScratch::new(),
         };
         let mut path = vec![(grid, 0usize)];
-        for p in 0..partitions {
+        for (p, ((ls, le), (rs, re))) in left_parts.iter().zip(&right_parts).enumerate() {
             if run.done {
                 break;
             }
             path[0].1 = p;
-            let bbox = left_bboxes[p].union(&right_bboxes[p]);
-            run.join_partition(env, &mut path, &left_parts[p], &right_parts[p], bbox, 0)?;
+            run.join_partition(env, &mut path, ls, rs, le.merged(re), 0)?;
         }
         env.charge(CpuOp::OutputPair, run.pairs);
         let pairs = run.pairs;
@@ -322,7 +432,6 @@ impl JoinOperator for PbsmJoin {
         let max_partition_bytes = run.max_partition_bytes;
 
         let (io, cpu) = env.since(&measurement);
-        let _ = replicated;
         Ok(JoinResult {
             pairs,
             io,
@@ -359,10 +468,7 @@ fn report_candidate(
     }
     let ref_x = a.rect.lo.x.max(b.rect.lo.x);
     let ref_y = a.rect.lo.y.max(b.rect.lo.y);
-    if !path
-        .iter()
-        .all(|(g, p)| g.partition_of_tile(g.tile_of(ref_x, ref_y)) == *p)
-    {
+    if !path.iter().all(|(g, p)| g.partition_at(ref_x, ref_y) == *p) {
         return;
     }
     if !predicate.accepts(&a.rect, &b.rect) {
@@ -405,47 +511,47 @@ impl PbsmRun<'_> {
     /// `path` is the chain of `(grid, partition)` choices that led here; a
     /// pair is reported only when its reference point maps to the chosen
     /// partition at *every* level, which keeps the output duplicate-free
-    /// under arbitrary re-replication. `bbox` covers the partition's data
-    /// (folded during the distribution write pass) and seeds the grid of a
-    /// recursive split.
+    /// under arbitrary re-replication. `data` describes the partition's
+    /// rectangles (folded during the distribution write pass) and seeds the
+    /// grid of a recursive split.
     fn join_partition(
         &mut self,
         env: &mut SimEnv,
         path: &mut Vec<(TileGrid, usize)>,
         left: &ItemStream,
         right: &ItemStream,
-        bbox: Rect,
+        data: Extents,
         depth: usize,
     ) -> Result<()> {
         if self.done || left.is_empty() || right.is_empty() {
             return Ok(());
         }
         // In-memory envelope: the partition vectors, the sweep's sorted
-        // copies and its active lists — 3× the data is a safe bound for the
-        // copy-free forward sweep.
-        let data = (left.data_bytes() + right.data_bytes()) as usize;
-        let envelope = 3 * data + reader_bound(left) + reader_bound(right);
+        // copies and its resident sets — 3× the data.
+        let bytes = (left.data_bytes() + right.data_bytes()) as usize;
+        let envelope = 3 * bytes + reader_bound(left) + reader_bound(right);
         if depth < MAX_SPLIT_DEPTH {
             if env.memory.headroom() >= envelope {
-                // Claim the vectors/copies/active-list share; the stream
+                // Claim the vectors/copies/resident-set share; the stream
                 // readers charge their own block buffers on top (the
                 // envelope above left room for them).
-                let _claim = env.memory.try_reserve(3 * data)?;
-                return self.sweep_in_memory(env, path, left, right);
+                let _claim = env.memory.try_reserve(3 * bytes)?;
+                self.load_left.clear();
+                self.load_right.clear();
+                left.read_all_into(env, &mut self.load_left)?;
+                right.read_all_into(env, &mut self.load_right)?;
+                self.sweep_loaded::<StripedSweep>(env, path);
+                return Ok(());
             }
-            return self.split(env, path, left, right, bbox, depth);
+            return self.split(env, path, left, right, data, depth);
         }
         self.chunked_fallback(env, path, left, right)
     }
 
-    /// The fitting case: load both sides and run the plain in-memory sweep.
-    fn sweep_in_memory(
-        &mut self,
-        env: &mut SimEnv,
-        path: &[(TileGrid, usize)],
-        left: &ItemStream,
-        right: &ItemStream,
-    ) -> Result<()> {
+    /// Plane-sweeps the rectangles in the two load buffers against each
+    /// other over the interval structure `S`, reporting through
+    /// [`report_candidate`].
+    fn sweep_loaded<S: SweepStructure>(&mut self, env: &mut SimEnv, path: &[(TileGrid, usize)]) {
         let PbsmRun {
             predicate,
             sink,
@@ -456,19 +562,16 @@ impl PbsmRun<'_> {
             scratch,
             ..
         } = self;
-        left.read_all_into(env, load_left)?;
-        right.read_all_into(env, load_right)?;
         let loaded = load_left.len() + load_right.len();
-        self.max_partition_bytes = self
-            .max_partition_bytes
-            .max(loaded * std::mem::size_of::<Item>());
-        let stats = sweep_join_eps_with::<ForwardSweep, _>(load_left, load_right, 0.0, scratch, |a, b| {
+        let stats = sweep_join_eps_with::<S, _>(load_left, load_right, 0.0, scratch, |a, b| {
             report_candidate(*predicate, path, &mut **sink, pairs, done, a, b)
         });
         env.charge(CpuOp::RectTest, stats.rect_tests);
         env.charge(CpuOp::Compare, loaded as u64);
+        self.max_partition_bytes = self
+            .max_partition_bytes
+            .max(loaded * std::mem::size_of::<Item>());
         self.sweep_total.merge(&stats);
-        Ok(())
     }
 
     /// The overflow case: re-replicate the partition over a finer grid that
@@ -480,55 +583,38 @@ impl PbsmRun<'_> {
         path: &mut Vec<(TileGrid, usize)>,
         left: &ItemStream,
         right: &ItemStream,
-        bbox: Rect,
+        data: Extents,
         depth: usize,
     ) -> Result<()> {
-        let sub = TileGrid {
-            region: bbox,
-            tiles_per_side: self.tiles_per_side,
-            partitions: SPLIT_PARTITIONS,
-        };
-        let redistribute =
-            |env: &mut SimEnv, stream: &ItemStream| -> Result<(Vec<ItemStream>, Vec<Rect>)> {
-                let mut writers: Vec<ItemStreamWriter> = (0..SPLIT_PARTITIONS)
-                    .map(|_| ItemStreamWriter::new(env, SPLIT_PAGES_PER_BLOCK))
-                    .collect();
-                let mut bboxes = vec![Rect::empty(); SPLIT_PARTITIONS];
-                let mut reader = stream.reader();
-                let mut targets = Vec::with_capacity(4);
-                while let Some(it) = reader.next(env)? {
-                    // Left rectangles were ε-expanded at the top-level
-                    // distribution; no second expansion here.
-                    sub.partitions_of(&it.rect, &mut targets);
-                    env.charge(CpuOp::ItemMove, targets.len() as u64);
-                    for &p in &targets {
-                        bboxes[p] = bboxes[p].union(&it.rect);
-                        writers[p].push(env, it)?;
-                    }
-                }
-                let streams = writers
-                    .into_iter()
-                    .map(|w| w.finish(env))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok((streams, bboxes))
-            };
-        let (left_parts, left_bboxes) = redistribute(env, left)?;
-        let (right_parts, right_bboxes) = redistribute(env, right)?;
-        for p in 0..SPLIT_PARTITIONS {
+        let sub = TileGrid::new(data.bbox, &data, self.tiles_per_side, SPLIT_PARTITIONS);
+        // Left rectangles were ε-expanded at the top-level distribution; no
+        // second expansion here.
+        let mut parts = Vec::with_capacity(2);
+        for stream in [left, right] {
+            let mut scatter = Scatter::new(env, &sub, SPLIT_PAGES_PER_BLOCK);
+            let mut reader = stream.reader();
+            while let Some(view) = reader.next_view(env)? {
+                scatter.extend(env, view.iter())?;
+            }
+            parts.push(scatter.finish(env)?);
+        }
+        let children = || parts[0].iter().zip(&parts[1]);
+        let largest = children()
+            .map(|((ls, _), (rs, _))| ls.len() + rs.len())
+            .max();
+        if 4 * largest.unwrap_or(0) >= 3 * (left.len() + right.len()) {
+            // The split did not shrink its input (identical rectangles,
+            // rectangles long on both axes): splitting again cannot make
+            // progress, so stream the partition through the memory-bounded
+            // chunked sweep instead.
+            return self.chunked_fallback(env, path, left, right);
+        }
+        for (p, ((ls, le), (rs, re))) in children().enumerate() {
             if self.done {
                 break;
             }
-            let (ls, rs) = (&left_parts[p], &right_parts[p]);
             path.push((sub.clone(), p));
-            if ls.len() == left.len() && rs.len() == right.len() {
-                // The cluster is indivisible (e.g. identical rectangles):
-                // splitting again cannot make progress, so stream it through
-                // the memory-bounded chunked sweep instead.
-                self.chunked_fallback(env, path, ls, rs)?;
-            } else {
-                let sub_bbox = left_bboxes[p].union(&right_bboxes[p]);
-                self.join_partition(env, path, ls, rs, sub_bbox, depth + 1)?;
-            }
+            self.join_partition(env, path, ls, rs, le.merged(re), depth + 1)?;
             path.pop();
         }
         Ok(())
@@ -538,7 +624,9 @@ impl PbsmRun<'_> {
     /// block-nested sweep that loads one memory-sized chunk of the left side
     /// at a time and streams the right side past it. Memory stays bounded;
     /// the price is re-reading the right partition once per left chunk —
-    /// charged I/O, exactly the degradation a real system would pay.
+    /// charged I/O, exactly the degradation a real system would pay. What
+    /// no grid could separate overlaps heavily, so the chunks meet on the
+    /// copy-free forward sweep: strips would only replicate them.
     fn chunked_fallback(
         &mut self,
         env: &mut SimEnv,
@@ -552,22 +640,20 @@ impl PbsmRun<'_> {
             .saturating_sub(reader_bound(left) + reader_bound(right));
         let chunk_bytes = (avail / 8).max(4 * 1024);
         let chunk_items = (chunk_bytes / ITEM_BYTES).max(1);
-        // Two chunks plus the sweep's copies and active lists; the stream
+        // Two chunks plus the sweep's copies and resident sets; the stream
         // readers charge their own block buffers out of the slack above.
         let _claim = env.memory.try_reserve(6 * chunk_bytes)?;
         let mut lr = left.reader();
-        // One pair of chunk buffers for the whole block-nested loop.
-        let mut lchunk: Vec<Item> = Vec::with_capacity(chunk_items);
-        let mut rchunk: Vec<Item> = Vec::with_capacity(chunk_items);
         loop {
-            lchunk.clear();
-            while lchunk.len() < chunk_items {
+            // One pair of chunk buffers for the whole block-nested loop.
+            self.load_left.clear();
+            while self.load_left.len() < chunk_items {
                 match lr.next(env)? {
-                    Some(it) => lchunk.push(it),
+                    Some(it) => self.load_left.push(it),
                     None => break,
                 }
             }
-            if lchunk.is_empty() {
+            if self.load_left.is_empty() {
                 return Ok(());
             }
             let mut rr = right.reader();
@@ -575,30 +661,17 @@ impl PbsmRun<'_> {
                 if self.done {
                     return Ok(());
                 }
-                rchunk.clear();
-                while rchunk.len() < chunk_items {
+                self.load_right.clear();
+                while self.load_right.len() < chunk_items {
                     match rr.next(env)? {
-                        Some(it) => rchunk.push(it),
+                        Some(it) => self.load_right.push(it),
                         None => break,
                     }
                 }
-                if rchunk.is_empty() {
+                if self.load_right.is_empty() {
                     break;
                 }
-                let PbsmRun {
-                    predicate,
-                    sink,
-                    pairs,
-                    done,
-                    scratch,
-                    ..
-                } = self;
-                let stats = sweep_join_eps_with::<ForwardSweep, _>(&lchunk, &rchunk, 0.0, scratch, |a, b| {
-                    report_candidate(*predicate, path, &mut **sink, pairs, done, a, b)
-                });
-                env.charge(CpuOp::RectTest, stats.rect_tests);
-                env.charge(CpuOp::Compare, (lchunk.len() + rchunk.len()) as u64);
-                self.sweep_total.merge(&stats);
+                self.sweep_loaded::<ForwardSweep>(env, path);
             }
         }
     }
@@ -645,6 +718,87 @@ mod tests {
         pairs.sort_unstable();
         pairs.dedup();
         assert_eq!(pairs.len(), 625, "duplicate pairs were reported");
+    }
+
+    #[test]
+    fn the_partition_axis_is_the_one_the_data_is_narrower_on() {
+        let region = Rect::from_coords(0.0, 0.0, 100.0, 50.0);
+        let grid = |rects: &[Rect]| {
+            let mut data = Extents::empty();
+            rects.iter().for_each(|r| data.add(r));
+            TileGrid::new(region, &data, 128, 7)
+        };
+        let tall = Rect::from_coords(10.2, 5.0, 10.5, 45.0);
+        let wide = Rect::from_coords(5.0, 10.2, 95.0, 10.5);
+        // Relative to the region: 40/50 tall against 90/100 wide.
+        let square = Rect::from_coords(1.0, 1.0, 3.0, 3.0);
+
+        let g = grid(&[tall, tall, square]);
+        assert!(g.by_columns);
+        assert_eq!(g.partitions_of(&tall).len(), 1, "long along a column");
+        assert_eq!(g.partitions_of(&wide).len(), 7, "crosses every column");
+        let g = grid(&[wide, wide, square]);
+        assert!(!g.by_columns);
+        assert_eq!(g.partitions_of(&wide).len(), 1);
+        assert_eq!(g.partitions_of(&tall).len(), 7);
+        // One of each: the wide one is relatively longer, so rows it is.
+        assert!(!grid(&[tall, wide]).by_columns);
+        // A tie goes to the region's longer side.
+        assert!(grid(&[]).by_columns);
+
+        // The partitions of a rectangle are distinct and hold its
+        // reference point with any partner's.
+        let r = Rect::from_coords(20.0, 0.0, 24.0, 50.0);
+        let mut ps: Vec<usize> = g.partitions_of(&r).collect();
+        assert!(ps.contains(&g.partition_at(22.0, 17.0)));
+        ps.sort_unstable();
+        ps.dedup();
+        assert_eq!(ps.len(), g.partitions_of(&r).len());
+    }
+
+    #[test]
+    fn rectangles_long_on_one_axis_are_written_about_once() {
+        // 600 thin rectangles, each as long as half the region: dealt
+        // tile by tile in row-major order every one of them landed in all
+        // seven partitions.
+        for tall in [true, false] {
+            let mut env = env();
+            let side = |base: u32| -> Vec<Item> {
+                (0..600u32)
+                    .map(|i| {
+                        let (a, b) = ((i * 37 % 500) as f32, (i * 53 % 997) as f32);
+                        let r = match tall {
+                            true => Rect::from_coords(b, a, b + 0.2, a + 500.0),
+                            false => Rect::from_coords(a, b, a + 500.0, b + 0.2),
+                        };
+                        Item::new(r, base + i)
+                    })
+                    .collect()
+            };
+            let (l, r) = (side(0), side(10_000));
+            let sl = ItemStream::from_items(&mut env, &l).unwrap();
+            let sr = ItemStream::from_items(&mut env, &r).unwrap();
+            let (res, mut pairs) = PbsmJoin::default()
+                .with_partitions(7)
+                .run_collect(&mut env, JoinInput::Stream(&sl), JoinInput::Stream(&sr))
+                .unwrap();
+            let n = pairs.len();
+            pairs.sort_unstable();
+            pairs.dedup();
+            assert_eq!(pairs.len(), n, "duplicate pairs were reported");
+            let want = l
+                .iter()
+                .map(|a| r.iter().filter(|b| a.rect.intersects(&b.rect)).count())
+                .sum::<usize>();
+            assert_eq!(n, want);
+            // 1 200 items are 3 pages; 7 partitions of 2 streams each round
+            // up to a page.
+            assert!(
+                res.io.pages_written <= 14,
+                "tall {tall}: {} pages written",
+                res.io.pages_written
+            );
+        }
     }
 
     #[test]

@@ -420,12 +420,14 @@ impl JoinOperator for PqJoin {
         // Left items are ε-expanded as they leave their source — a uniform
         // shift of the sort keys, so the merge order stays correct. The
         // memory-governed spilling driver evicts cold sweep state to the
-        // simulated device if it ever outgrows the budget.
-        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
+        // simulated device if it ever outgrows the budget — half of what is
+        // free once both sources are primed (their block buffers or queues
+        // reserved), so the driver is built after the first reads.
         let mut pairs = 0u64;
         let mut done = false;
         let mut lnext = left_src.next(env)?.map(|it| predicate.expand_left(it));
         let mut rnext = right_src.next(env)?;
+        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
         while !done && (lnext.is_some() || rnext.is_some()) {
             let take_left = match (&lnext, &rnext) {
                 (Some(a), Some(b)) => {

@@ -32,7 +32,7 @@ use usj_io::{Result, SimEnv};
 use crate::cost::{CostBasedJoin, CostEstimate, JoinPlan};
 use crate::input::JoinInput;
 use crate::parallel::{HilbertPartitioner, ParallelJoin, Partitioner, ShardMap, TilePartitioner};
-use crate::pbsm::PbsmJoin;
+use crate::pbsm::{PbsmJoin, MAX_SPLIT_DEPTH, SPLIT_PARTITIONS};
 use crate::pq::PqJoin;
 use crate::predicate::Predicate;
 use crate::result::JoinResult;
@@ -172,10 +172,13 @@ impl MemoryPlan {
     /// Computes the heuristic for `algorithm` over inputs of the given total
     /// and smaller-side byte sizes, mirroring the runtime sizing rules:
     /// PBSM partitions of a quarter of memory with the fan-out capped by the
-    /// distribution writers (one page each in a quarter of memory), a
-    /// partition admitted when its 3× in-memory envelope fits the full
-    /// memory, a 4-way split per repartitioning level, and a sweep budget of
-    /// half the free memory for SSSJ/PQ.
+    /// distribution writers (one page each in a quarter of memory) and by
+    /// the tile columns a one-axis grid has to deal, a partition admitted
+    /// when its 3× in-memory envelope fits the full memory, and — uniform
+    /// data shrinks at every split, so the non-shrinking rule never cuts
+    /// the recursion short — one [`SPLIT_PARTITIONS`]-way split per level
+    /// up to [`MAX_SPLIT_DEPTH`]; for SSSJ/PQ a sweep budget of half the
+    /// memory left once both input readers hold their block buffers.
     fn estimate(
         algorithm: JoinAlgorithm,
         memory_limit: usize,
@@ -191,18 +194,26 @@ impl MemoryPlan {
             JoinAlgorithm::Pbsm => {
                 let quarter = (memory_limit / 4).max(1) as u64;
                 let max_fanout = ((memory_limit / 4) / usj_io::PAGE_SIZE).max(1) as u64;
-                let partitions = total_bytes.div_ceil(quarter).max(1).min(max_fanout);
+                let columns = PbsmJoin::default().tiles_per_side as u64;
+                let partitions = total_bytes
+                    .div_ceil(quarter)
+                    .max(1)
+                    .min(max_fanout)
+                    .min(columns);
                 let mut need = 3 * total_bytes / partitions;
                 let budget = memory_limit.max(1) as u64;
-                while need > budget && plan.partition_depth < 8 {
+                while need > budget && (plan.partition_depth as usize) < MAX_SPLIT_DEPTH {
                     plan.partition_depth += 1;
-                    need /= 4;
+                    need /= SPLIT_PARTITIONS as u64;
                 }
             }
             JoinAlgorithm::Sssj | JoinAlgorithm::Pq => {
                 // Worst case the whole smaller side is alive at one sweep
-                // position; the driver's budget is half the free memory.
-                let budget = (memory_limit / 2) as u64;
+                // position; the driver's budget is half of what the two
+                // input readers' block buffers leave free.
+                let block = usj_io::stream::DEFAULT_PAGES_PER_BLOCK * usj_io::PAGE_SIZE as u64;
+                let readers = smaller_bytes.min(block) + (total_bytes - smaller_bytes).min(block);
+                let budget = (memory_limit as u64).saturating_sub(readers) / 2;
                 plan.spill_estimate_bytes = smaller_bytes.saturating_sub(budget);
             }
             JoinAlgorithm::St => {}

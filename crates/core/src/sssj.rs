@@ -116,9 +116,11 @@ impl JoinOperator for SssjJoin {
         let sweep_phase = env.obs_phase("sssj.sweep");
         let mut lr = left_sorted.reader();
         let mut rr = right_sorted.reader();
-        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
         let mut lnext = lr.next(env)?.map(|it| predicate.expand_left(it));
         let mut rnext = rr.next(env)?;
+        // Built once the readers hold their block buffers: the driver's
+        // budget is half of what is free *now*, and must leave room for them.
+        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
         let mut pairs = 0u64;
         let mut done = false;
         while !done && (lnext.is_some() || rnext.is_some()) {

@@ -572,8 +572,8 @@ pub struct QueryStats {
     /// re-admission attempts do not reset the anchor.
     pub queue_wait: Duration,
     /// Wall-clock time from first enqueue to resolution (queue wait plus
-    /// execution) — the client-observed latency the load harness
-    /// aggregates into percentiles.
+    /// execution) — the client-observed latency the repo benchmark's
+    /// `serve_*` workloads aggregate into percentiles.
     pub latency: Duration,
     /// Position in the service's admission order (`None` if the request
     /// was never admitted). Within one priority class, un-overtaken
@@ -711,7 +711,7 @@ impl ServiceStats {
     /// resolution counts, delivered pairs, aggregate page I/O, and
     /// plan-cache misses. Two runs of the same request schedule against the
     /// same catalog produce equal digests regardless of worker scheduling —
-    /// the seed-replay determinism contract of the load harness.
+    /// the seed-replay determinism contract `tests/replay.rs` pins.
     ///
     /// Timing-dependent fields (waits, deferrals, overtakes, plan-cache
     /// hit/miss *split* per query, queue depth) are deliberately excluded;
@@ -1297,7 +1297,7 @@ enum Job {
 }
 
 /// An open submission handle into a running [`Service::with_session`]
-/// scope: the load harness's way of driving the worker pool open-loop.
+/// scope: a load generator's way of driving the worker pool open-loop.
 ///
 /// Requests submitted here enter the same priority/FIFO admission queue as
 /// a batch's; outcomes are collected into the session's final

@@ -21,7 +21,7 @@
 //! expiration `retain` of the naive kernel is replaced by an exact expiry
 //! heap plus threshold-triggered tombstone compaction. The pre-optimization
 //! list kernel survives as [`ListSweep`] — the differential-testing oracle
-//! and the wall-clock baseline of the `hotpath` benchmark.
+//! and the wall-clock baseline of the `sweep_structures` bench.
 //!
 //! The [`SweepDriver`] consumes two y-sorted item sequences (in-memory slices
 //! or, in the join crate, streams extracted from R-trees) and produces the

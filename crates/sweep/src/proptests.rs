@@ -3,9 +3,10 @@
 //! rectangle join on arbitrary inputs.
 
 use usj_geom::{Item, Rect};
-use usj_io::{MachineConfig, SimEnv};
+use usj_io::{ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
 
+use crate::spill::{join_batch_against_log, nested_loop_fixup};
 use crate::{
     sweep_join, ForwardSweep, ListSweep, Side, SpillingSweepDriver, StripedSweep, SweepStructure,
 };
@@ -186,5 +187,37 @@ fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
             "gauge peak {} over limit",
             env.memory.peak()
         );
+    });
+}
+
+#[test]
+fn sweep_fixup_matches_the_nested_loop_on_random_spill_histories() {
+    forall!(48, |g| {
+        // A spill history as the fix-up sees it: a batch in no particular
+        // order (eviction is strip by strip), the other side's log in
+        // ascending lower-y, an eviction point anywhere in it, and — the
+        // symmetric driver's case — no relation between the batch's and the
+        // log's positions along y.
+        let spilled = arb_items(g, 200, 0);
+        let mut log = arb_items(g, 400, 10_000);
+        log.sort_unstable_by(Item::cmp_by_lower_y);
+        let start = g.usize_in(0, log.len() + 2) as u64;
+        let side = [Side::Left, Side::Right][g.usize_in(0, 2)];
+        let limit = [64 * 1024, 256 * 1024, 16 * 1024 * 1024][g.usize_in(0, 3)];
+
+        let mut env = SimEnv::new(MachineConfig::machine3()).with_memory_limit(limit);
+        let s = ItemStream::from_items_with_block(&mut env, &spilled, 1).unwrap();
+        let l = ItemStream::from_items_with_block(&mut env, &log, 1).unwrap();
+        let want = nested_loop_fixup(&mut env, &s, &l, start, side);
+        env.memory.begin_phase();
+        let mut got = Vec::new();
+        let mut report = |a: &Item, b: &Item| got.push((a.id, b.id));
+        join_batch_against_log(&mut env, &s, &l, start, side, (-100.0, 130.0), &mut report)
+            .unwrap();
+        got.sort_unstable();
+        assert_eq!(got, want, "{side:?} from {start} of {}", log.len());
+        let peak = env.memory.peak();
+        assert!(peak <= limit, "gauge peak {peak} over limit {limit}");
+        assert_eq!(env.memory.current(), 0, "the fix-up leaked its claim");
     });
 }

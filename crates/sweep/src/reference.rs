@@ -6,9 +6,9 @@
 //! * **oracle** — the differential tests drive the optimized kernels and
 //!   these over the same workloads and require identical pair sets and
 //!   consistent [`SweepStats`];
-//! * **baseline** — the `hotpath` benchmark times them against the SoA
-//!   kernels, so every wall-clock speedup in `BENCH_hotpath.json` is
-//!   measured against the real pre-PR code, not a synthetic strawman.
+//! * **baseline** — the `sweep_structures` bench of `usj_bench` times
+//!   [`ListSweep`] against the SoA kernels, so a wall-clock speedup is
+//!   measured against the real pre-overhaul code, not a synthetic strawman.
 //!
 //! [`ListSweep`] is the pre-optimization `Forward-Sweep`: a single
 //! `Vec<Item>` active list, scanned linearly for every query, with *eager*

@@ -100,62 +100,103 @@ impl SpillEpoch {
         }
         Ok(())
     }
+
+    /// Closes the epoch: joins every batch against its shadow-log suffix
+    /// (see [`join_batch_against_log`]) and returns the rectangle tests
+    /// that took. `x_extent` is the extent of the evicting structures.
+    pub(crate) fn fixup<F: FnMut(&Item, &Item)>(
+        self,
+        env: &mut SimEnv,
+        x_extent: (f32, f32),
+        report: &mut F,
+    ) -> Result<u64> {
+        let log_left = self.log_left.finish(env)?;
+        let log_right = self.log_right.finish(env)?;
+        let mut tests = 0;
+        for b in self.batches {
+            for (spilled, log, from, side) in [
+                (&b.left, &log_right, b.log_right_start, Side::Left),
+                (&b.right, &log_left, b.log_left_start, Side::Right),
+            ] {
+                tests += join_batch_against_log(env, spilled, log, from, side, x_extent, report)?;
+            }
+        }
+        Ok(tests)
+    }
 }
 
 /// Joins one spilled batch side against the shadow-log entries that arrived
 /// after its eviction, returning the number of rectangle tests performed.
 ///
-/// The batch is read back in memory-governed chunks and the log suffix is
-/// streamed past each chunk. Chunking matters: an "evict everything" batch
-/// can approach the whole budget, and at epoch-close time the live
-/// structures may hold the budget again — reserving the full batch could
-/// spuriously exceed the limit, while a chunk of the *current* headroom
-/// always fits. The log reader starts directly at the batch's suffix, so
-/// pre-eviction blocks are never re-read (they were probed in memory;
-/// re-reporting them would duplicate pairs).
+/// This is a sweep of its own, never a nested loop: the batch is read back
+/// in memory-governed chunks, each chunk is loaded into a [`StripedSweep`]
+/// over `x_extent`, and the log suffix streams past it with
+/// `expire_before(z.lo.y)` + `query(z)`. Either side's log is ascending in
+/// lower-y — all the expiry needs — so reading stops as soon as the chunk
+/// has fully expired. The symmetric driver interleaves the sides freely
+/// (a log entry may lie wholly *below* a spilled item), so every probe hit
+/// is confirmed with the full rectangle test.
+///
+/// `x_extent` is the extent of the structures the batch was evicted from,
+/// not the chunk's own: under the strips the items lived in, an index over
+/// part of them is never larger than the structure that held all of them,
+/// whereas strips fitted to a chunk of near-identical rectangles would copy
+/// each of them into every strip.
+///
+/// Chunking matters: an "evict everything" batch can approach the whole
+/// budget, and at epoch-close time the live structures may hold the budget
+/// again — reserving the full batch could spuriously exceed the limit,
+/// while an index grown to half the *current* headroom always fits, and
+/// the gauge is charged its real bytes. The log reader starts directly at
+/// the batch's suffix, so pre-eviction blocks are never re-read (they were
+/// probed in memory; re-reporting them would duplicate pairs).
 pub(crate) fn join_batch_against_log<F: FnMut(&Item, &Item)>(
     env: &mut SimEnv,
     spilled: &ItemStream,
     log: &ItemStream,
     log_start: u64,
     spilled_side: Side,
+    x_extent: (f32, f32),
     report: &mut F,
 ) -> Result<u64> {
     if spilled.is_empty() || log.len() <= log_start {
         return Ok(0);
     }
     let mut rect_tests = 0u64;
-    let chunk_bytes = (env.memory.headroom() / 2)
-        .max(MIN_SWEEP_BUDGET)
-        .min(spilled.data_bytes() as usize);
-    let chunk_items = (chunk_bytes / usj_geom::ITEM_BYTES).max(1);
-    let mut claim = env.memory.try_reserve(chunk_items * usj_geom::ITEM_BYTES)?;
+    let mut claim = env.memory.reserve_empty();
     let mut spilled_reader = spilled.reader();
-    loop {
-        let mut chunk = Vec::with_capacity(chunk_items);
-        while chunk.len() < chunk_items {
+    while spilled_reader.peek(env)?.is_some() {
+        claim.release();
+        // Peeking primed both readers: the headroom is net of their blocks,
+        // and half of it leaves room for the one insert (and the strip
+        // re-tune it may trigger) that takes the index past its budget.
+        let mut reader = log.reader_from(log_start);
+        reader.peek(env)?;
+        let budget = (env.memory.headroom() / 2).max(MIN_SWEEP_BUDGET);
+        let mut index = StripedSweep::with_extent(x_extent.0, x_extent.1);
+        while index.bytes() <= budget {
             match spilled_reader.next(env)? {
-                Some(s) => chunk.push(s),
+                Some(s) => index.insert(s),
                 None => break,
             }
         }
-        if chunk.is_empty() {
-            break;
-        }
-        let mut reader = log.reader_from(log_start);
+        claim.try_set(index.bytes())?;
         while let Some(z) = reader.next(env)? {
-            for s in &chunk {
-                rect_tests += 1;
+            index.expire_before(z.rect.lo.y);
+            if index.is_empty() {
+                break;
+            }
+            index.query(&z, |s| {
                 if s.rect.intersects(&z.rect) {
                     match spilled_side {
                         Side::Left => report(s, &z),
                         Side::Right => report(&z, s),
                     }
                 }
-            }
+            });
         }
+        rect_tests += index.stats().rect_tests;
     }
-    claim.release();
     Ok(rect_tests)
 }
 
@@ -189,7 +230,10 @@ impl SpillingSweepDriver {
     ///
     /// The in-memory budget is half the gauge's current headroom (floored at
     /// [`MIN_SWEEP_BUDGET`]): the other half stays free for the fix-up
-    /// working sets, the shadow-log buffers and the callers' stream buffers.
+    /// working sets, the spill-batch writers and the shadow-log buffers. It
+    /// is *current* headroom: a caller that feeds the driver from stream
+    /// readers primes them first, so their block buffers are not promised
+    /// to the sweep as well.
     pub fn new(env: &SimEnv, x_lo: f32, x_hi: f32) -> Self {
         let budget = (env.memory.headroom() / 2).max(MIN_SWEEP_BUDGET);
         SpillingSweepDriver {
@@ -241,7 +285,7 @@ impl SpillingSweepDriver {
         // Close the epoch once every spilled item has expired.
         if self.epoch.as_ref().is_some_and(|e| e.max_y < y) {
             let epoch = self.epoch.take().expect("checked above");
-            self.fixup_epoch(env, epoch, &mut report)?;
+            self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), &mut report)?;
         }
 
         self.left.expire_before(y);
@@ -346,38 +390,6 @@ impl SpillingSweepDriver {
         Ok(())
     }
 
-    /// Joins every batch of a closed epoch against its shadow-log suffix.
-    fn fixup_epoch<F: FnMut(&Item, &Item)>(
-        &mut self,
-        env: &mut SimEnv,
-        epoch: SpillEpoch,
-        report: &mut F,
-    ) -> Result<()> {
-        let log_left = epoch.log_left.finish(env)?;
-        let log_right = epoch.log_right.finish(env)?;
-        for batch in epoch.batches {
-            self.join_spilled(env, &batch.left, &log_right, batch.log_right_start, Side::Left, report)?;
-            self.join_spilled(env, &batch.right, &log_left, batch.log_left_start, Side::Right, report)?;
-        }
-        Ok(())
-    }
-
-    /// Joins one spilled batch side against the shadow-log entries that
-    /// arrived after its eviction (see [`join_batch_against_log`]).
-    fn join_spilled<F: FnMut(&Item, &Item)>(
-        &mut self,
-        env: &mut SimEnv,
-        spilled: &ItemStream,
-        log: &ItemStream,
-        log_start: u64,
-        spilled_side: Side,
-        report: &mut F,
-    ) -> Result<()> {
-        self.fixup_rect_tests +=
-            join_batch_against_log(env, spilled, log, log_start, spilled_side, report)?;
-        Ok(())
-    }
-
     /// Registers `n` reported pairs in the statistics (the driver does not
     /// count them itself, mirroring [`SweepDriver`](crate::SweepDriver)).
     pub fn add_pairs(&mut self, n: u64) {
@@ -392,7 +404,7 @@ impl SpillingSweepDriver {
         mut report: F,
     ) -> Result<SweepJoinStats> {
         if let Some(epoch) = self.epoch.take() {
-            self.fixup_epoch(env, epoch, &mut report)?;
+            self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), &mut report)?;
         }
         Ok(self.stats_snapshot())
     }
@@ -412,11 +424,213 @@ impl SpillingSweepDriver {
     }
 }
 
+/// The fix-up as it was before it became a sweep — every spilled item
+/// against every later log entry — kept as the oracle the sweep is tested
+/// against. Returns the `(left, right)` identifier pairs, sorted.
+#[cfg(test)]
+pub(crate) fn nested_loop_fixup(
+    env: &mut SimEnv,
+    spilled: &ItemStream,
+    log: &ItemStream,
+    log_start: u64,
+    spilled_side: Side,
+) -> Vec<(u32, u32)> {
+    let batch = spilled.read_all(env).unwrap();
+    let mut out = Vec::new();
+    let mut reader = log.reader_from(log_start);
+    while let Some(z) = reader.next(env).unwrap() {
+        for s in batch.iter().filter(|s| s.rect.intersects(&z.rect)) {
+            out.push(match spilled_side {
+                Side::Left => (s.id, z.id),
+                Side::Right => (z.id, s.id),
+            });
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use usj_geom::Rect;
     use usj_io::MachineConfig;
+
+    /// Runs the sweep fix-up and returns its pairs (sorted, and checked to
+    /// be duplicate-free) with the rectangle tests it counted.
+    fn sweep_fixup(
+        env: &mut SimEnv,
+        spilled: &ItemStream,
+        log: &ItemStream,
+        log_start: u64,
+        side: Side,
+    ) -> (Vec<(u32, u32)>, u64) {
+        let mut out = Vec::new();
+        let mut report = |a: &Item, b: &Item| out.push((a.id, b.id));
+        let tests =
+            join_batch_against_log(env, spilled, log, log_start, side, (0.0, 64.0), &mut report)
+                .unwrap();
+        let n = out.len();
+        out.sort_unstable();
+        out.dedup();
+        assert_eq!(out.len(), n, "the fix-up reported a pair twice");
+        (out, tests)
+    }
+
+    /// One-page blocks, like the drivers' batches and logs.
+    fn stream(env: &mut SimEnv, items: &[Item]) -> ItemStream {
+        ItemStream::from_items_with_block(env, items, SPILL_PAGES_PER_BLOCK).unwrap()
+    }
+
+    /// `n` rectangles ascending in lower-y from `y0` in steps of `dy`,
+    /// `height` tall, `width` wide, cycling over 41 x-positions.
+    fn ascending(n: u32, y0: f32, dy: f32, height: f32, width: f32, id_base: u32) -> Vec<Item> {
+        (0..n)
+            .map(|i| {
+                let x = (i % 41) as f32 * 1.5;
+                let y = y0 + i as f32 * dy;
+                item(x, y, x + width, y + height, id_base + i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweep_fixup_equals_the_nested_loop_in_sweep_order() {
+        // The spilling driver's regime: every log entry starts at or above
+        // every spilled item's lower edge.
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let spilled = ascending(900, 0.0, 0.01, 40.0, 2.0, 0);
+        let log = ascending(3_000, 9.0, 0.02, 5.0, 2.5, 100_000);
+        let (s, l) = (stream(&mut env, &spilled), stream(&mut env, &log));
+        for side in [Side::Left, Side::Right] {
+            // Block-aligned, mid-block, last-record and past-the-end starts.
+            for start in [0, 409, 1_000, 2_999, 3_000, 5_000] {
+                let want = nested_loop_fixup(&mut env, &s, &l, start, side);
+                let (got, tests) = sweep_fixup(&mut env, &s, &l, start, side);
+                assert_eq!(got, want, "{side:?} from {start}");
+                let nested = 900 * 3_000u64.saturating_sub(start);
+                assert!(tests <= nested / 5, "{tests} tests, nested loop {nested}");
+            }
+        }
+        assert!(!nested_loop_fixup(&mut env, &s, &l, 0, Side::Left).is_empty());
+    }
+
+    #[test]
+    fn sweep_fixup_equals_the_nested_loop_when_the_sides_are_out_of_step() {
+        // The symmetric driver's regime: the log's side lagged far behind,
+        // so most of its entries lie wholly *below* the spilled items they
+        // overlap in x — probe hits the full rectangle test must reject.
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let spilled = ascending(700, 500.0, 0.05, 30.0, 2.0, 0);
+        let log = ascending(4_000, 0.0, 0.15, 6.0, 2.5, 100_000);
+        let (s, l) = (stream(&mut env, &spilled), stream(&mut env, &log));
+        for side in [Side::Left, Side::Right] {
+            for start in [0, 777, 3_400] {
+                let want = nested_loop_fixup(&mut env, &s, &l, start, side);
+                let (got, _) = sweep_fixup(&mut env, &s, &l, start, side);
+                assert_eq!(got, want, "{side:?} from {start}");
+            }
+        }
+        let all = nested_loop_fixup(&mut env, &s, &l, 0, Side::Left);
+        let below = log.iter().filter(|z| z.rect.hi.y < 500.0).count();
+        assert!(
+            !all.is_empty() && below > 3_000,
+            "{} pairs, {below} below",
+            all.len()
+        );
+    }
+
+    #[test]
+    fn a_batch_that_expires_early_stops_reading_the_log() {
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        // The batch is gone after y = 12; the log runs on to y = 400.
+        let spilled = ascending(400, 0.0, 0.01, 8.0, 2.0, 0);
+        let log = ascending(20_000, 4.0, 0.02, 3.0, 2.5, 100_000);
+        let (s, l) = (stream(&mut env, &spilled), stream(&mut env, &log));
+        let want = nested_loop_fixup(&mut env, &s, &l, 0, Side::Left);
+        assert!(!want.is_empty());
+        let m = env.begin();
+        let (got, _) = sweep_fixup(&mut env, &s, &l, 0, Side::Left);
+        let (io, _) = env.since(&m);
+        assert_eq!(got, want);
+        assert!(
+            io.pages_read < (s.pages() + l.pages()) / 4,
+            "read {} pages of a {}-page batch and a {}-page log",
+            io.pages_read,
+            s.pages(),
+            l.pages()
+        );
+    }
+
+    #[test]
+    fn the_gauge_stays_within_64_kb_during_a_fixup() {
+        let mut env = env_with_memory(64 * 1024);
+        // Every seventh rectangle spans the whole extent: its strip copies
+        // make the index several times the size of the items in it, and the
+        // real bytes are what must fit.
+        let spilled: Vec<Item> = ascending(6_000, 0.0, 0.01, 50.0, 1.0, 0)
+            .into_iter()
+            .map(|it| match it.id % 7 {
+                0 => item(0.0, it.rect.lo.y, 63.0, it.rect.hi.y, it.id),
+                _ => it,
+            })
+            .collect();
+        let log = ascending(5_000, 30.0, 0.02, 4.0, 2.5, 100_000);
+        let (s, l) = (stream(&mut env, &spilled), stream(&mut env, &log));
+        // Half the memory is in use, as it is when an epoch closes.
+        let _held = env.memory.try_reserve(32 * 1024).unwrap();
+        env.memory.begin_phase();
+        let (got, _) = sweep_fixup(&mut env, &s, &l, 1_234, Side::Right);
+        assert!(
+            env.memory.peak() <= env.memory_limit,
+            "peak {} exceeds the limit",
+            env.memory.peak()
+        );
+        assert_eq!(
+            env.memory.current(),
+            32 * 1024,
+            "the fix-up leaked its claim"
+        );
+        drop(_held);
+        let mut ample = env_with_memory(16 * 1024 * 1024);
+        let (s, l) = (stream(&mut ample, &spilled), stream(&mut ample, &log));
+        assert_eq!(
+            got,
+            nested_loop_fixup(&mut ample, &s, &l, 1_234, Side::Right)
+        );
+    }
+
+    /// Narrow short-lived rectangles under extent-spanning long-lived ones:
+    /// evicting the soonest-to-expire half frees almost nothing (the copies
+    /// of the wide ones stay), so every spill falls through to
+    /// `evict_until(∞)`.
+    fn narrow_under_wide(n: u32, id_base: u32) -> Vec<Item> {
+        (0..n)
+            .map(|i| {
+                let (x, y) = ((i % 61) as f32, i as f32 * 0.01);
+                match i % 3 {
+                    0 => item(0.0, y, 64.0, y + 60.0, id_base + i),
+                    _ => item(x, y, x + 0.5, y + 2.0, id_base + i),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn evict_everything_batches_are_fixed_up_exactly() {
+        let mut env = env_with_memory(64 * 1024);
+        let left = narrow_under_wide(900, 0);
+        let right = narrow_under_wide(900, 10_000);
+        let (pairs, stats) = run_spilling(&mut env, &left, &right);
+        assert_eq!(pairs, brute(&left, &right));
+        assert!(stats.spill_runs > 0, "{stats:?}");
+        // Far more was spilled than half the residents per episode.
+        assert!(
+            stats.spilled_items > stats.spill_runs * stats.max_resident as u64 * 3 / 4,
+            "{stats:?}"
+        );
+        assert!(env.memory.peak() <= env.memory_limit);
+    }
 
     fn item(x0: f32, y0: f32, x1: f32, y1: f32, id: u32) -> Item {
         Item::new(Rect::from_coords(x0, y0, x1, y1), id)

@@ -138,6 +138,11 @@ impl StripedSweep {
         self.strips.len()
     }
 
+    /// The x-extent `[x_lo, x_hi]` the strips divide.
+    pub(crate) fn extent(&self) -> (f32, f32) {
+        (self.x_lo, self.x_hi)
+    }
+
     #[inline]
     fn strip_of(&self, x: f32) -> usize {
         strip_index(self.x_lo, self.inv_span, self.strips.len(), x)

@@ -40,9 +40,7 @@ use usj_geom::Item;
 use usj_io::{ItemStreamWriter, MemoryReservation, Result, SimEnv};
 
 use crate::driver::{Side, SweepJoinStats};
-use crate::spill::{
-    join_batch_against_log, SpillBatch, SpillEpoch, MIN_SWEEP_BUDGET, SPILL_PAGES_PER_BLOCK,
-};
+use crate::spill::{SpillBatch, SpillEpoch, MIN_SWEEP_BUDGET, SPILL_PAGES_PER_BLOCK};
 use crate::structure::SweepStructure;
 use crate::StripedSweep;
 
@@ -223,7 +221,7 @@ impl SymmetricSweepDriver {
         if self.epoch.as_ref().is_some_and(|e| e.max_y < horizon) {
             let epoch = self.epoch.take().expect("checked above");
             usj_obs::instant("sweep.fixup_epoch", epoch.batches.len() as u64);
-            self.fixup_epoch(env, epoch, report)?;
+            self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), report)?;
         }
         Ok(())
     }
@@ -297,36 +295,6 @@ impl SymmetricSweepDriver {
         Ok(())
     }
 
-    /// Joins every batch of a closed epoch against its shadow-log suffix.
-    fn fixup_epoch<F: FnMut(&Item, &Item)>(
-        &mut self,
-        env: &mut SimEnv,
-        epoch: SpillEpoch,
-        report: &mut F,
-    ) -> Result<()> {
-        let log_left = epoch.log_left.finish(env)?;
-        let log_right = epoch.log_right.finish(env)?;
-        for batch in epoch.batches {
-            self.fixup_rect_tests += join_batch_against_log(
-                env,
-                &batch.left,
-                &log_right,
-                batch.log_right_start,
-                Side::Left,
-                report,
-            )?;
-            self.fixup_rect_tests += join_batch_against_log(
-                env,
-                &batch.right,
-                &log_left,
-                batch.log_left_start,
-                Side::Right,
-                report,
-            )?;
-        }
-        Ok(())
-    }
-
     /// Registers `n` reported pairs in the statistics (the driver does not
     /// count them itself, mirroring the other drivers).
     pub fn add_pairs(&mut self, n: u64) {
@@ -341,7 +309,7 @@ impl SymmetricSweepDriver {
         mut report: F,
     ) -> Result<SweepJoinStats> {
         if let Some(epoch) = self.epoch.take() {
-            self.fixup_epoch(env, epoch, &mut report)?;
+            self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), &mut report)?;
         }
         Ok(self.stats_snapshot())
     }
@@ -472,6 +440,41 @@ mod tests {
         assert!(stats.spill_runs > 0, "a 64 KB budget must spill: {stats:?}");
         assert!(io.pages_written > 0, "spill batches are written to the device");
         assert!(io.pages_read > 0, "fix-ups read the spilled items back");
+    }
+
+    #[test]
+    fn sides_far_out_of_step_under_a_small_budget_recover_every_pair_once() {
+        // Every third rectangle spans the extent and lives long; evicting
+        // the soonest-to-expire half leaves their strip copies behind, so
+        // the spills fall through to `evict_until(∞)`. With one side a
+        // thousand items (or the whole input) ahead, the lagging side's log
+        // is full of entries wholly below the spilled items they overlap in
+        // x: only the full rectangle test in the fix-up keeps them out.
+        let mk = |base: u32| -> Vec<Item> {
+            (0..900u32)
+                .map(|i| {
+                    let (x, y) = ((i % 61) as f32, i as f32 * 0.05);
+                    match i % 3 {
+                        0 => item(0.0, y, 64.0, y + 30.0, base + i),
+                        _ => item(x, y, x + 0.5, y + 2.0, base + i),
+                    }
+                })
+                .collect()
+        };
+        let (left, right) = (mk(0), mk(10_000));
+        let want = brute(&left, &right);
+        for stride in [1, 1000, usize::MAX / 2] {
+            let mut env = env_with_memory(64 * 1024);
+            env.memory.begin_phase();
+            let (pairs, stats) = run_symmetric(&mut env, &left, &right, stride);
+            assert_eq!(pairs, want, "stride {stride}");
+            assert!(stats.spill_runs > 0, "stride {stride}: {stats:?}");
+            assert!(
+                stats.spilled_items > stats.spill_runs * stats.max_resident as u64 * 3 / 4,
+                "stride {stride}: median evictions only, {stats:?}"
+            );
+            assert!(env.memory.peak() <= env.memory_limit, "stride {stride}");
+        }
     }
 
     #[test]
