@@ -1,10 +1,13 @@
 //! Named metrics: counters, gauges, and log-bucketed histograms.
 //!
-//! The registry hands out `Arc` handles keyed by static names; the hot
-//! update path is a single relaxed atomic op on the handle (no registry
-//! lock), and [`MetricsRegistry::snapshot`] freezes everything into a
-//! plain-data [`MetricsSnapshot`] with a hand-rolled JSON rendering (the
-//! workspace is dependency-free).
+//! The registry hands out `Arc` handles keyed by static names. An update
+//! *through a handle* is a single relaxed atomic op; a lookup
+//! ([`MetricsRegistry::counter`] and friends) takes that kind's map lock
+//! and clones the `Arc`, so a hot path resolves its handles once and keeps
+//! them (the service does, in its observability hub's constructor).
+//! [`MetricsRegistry::snapshot`] freezes everything into a plain-data
+//! [`MetricsSnapshot`] with a hand-rolled JSON rendering (the workspace is
+//! dependency-free).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -47,7 +47,9 @@
 #![deny(missing_docs)]
 
 pub mod catalog;
+mod obs;
 pub mod plan_cache;
+mod scheduler;
 pub mod service;
 
 // Property-based tests on the vendored `usj_proptest` harness; opt-in

@@ -137,45 +137,102 @@ fn overtaking_is_bounded_so_nothing_starves() {
 #[test]
 fn admission_is_fifo_within_a_priority_class_without_overtaking() {
     forall!(16, |g| {
-        // One worker, equal budgets, overtaking disabled: admission order
-        // must be exactly (priority desc, submission asc) over the
-        // requests that were admitted.
+        // One worker, equal budgets that always fit, overtaking disabled,
+        // a clock that never moves: the admission order of the admitted
+        // requests must be exactly the stable sort by (priority desc,
+        // submission asc) — whatever mix of joins, selections, LIMITs and
+        // pre-cancelled requests the queue holds, and however long it is.
         let config = ServiceConfig::default()
             .with_workers(1)
             .with_memory_limit(8 * 1024 * 1024)
             .with_max_overtakes(0);
         let (service, a, b) = tiny_service(config);
-        let n = g.usize_in(2, 16);
+        service.set_clock(std::sync::Arc::new(crate::VirtualClock::new()));
+        let n = g.usize_in(2, 513);
         let requests: Vec<QueryRequest> = (0..n)
             .map(|_| {
-                let mut r = if g.bool_with(0.5) {
+                let mut r = if g.bool_with(0.15) {
                     QueryRequest::join(a, b).with_algorithm(usj_core::Algo::Sssj)
                 } else {
                     QueryRequest::window(a, Rect::from_coords(0.0, 0.0, 20.0, 20.0))
                 };
                 if g.bool_with(0.6) {
-                    r = r.with_priority(g.u32_in(0, 3) as u8);
+                    r = r.with_priority(g.u32_in(0, 4) as u8);
+                }
+                if g.bool_with(0.3) {
+                    r = r.with_limit(g.u64_in(0, 20));
+                }
+                if g.bool_with(0.1) {
+                    let token = crate::CancelToken::new();
+                    token.cancel();
+                    r = r.with_cancel(token);
                 }
                 r.with_memory_budget(1024 * 1024)
             })
             .collect();
-        let priorities: Vec<u8> = requests.iter().map(|r| r.priority).collect();
+        let mut expected: Vec<usize> = (0..n).filter(|&i| requests[i].cancel.is_none()).collect();
+        expected.sort_by_key(|&i| std::cmp::Reverse(requests[i].priority));
         let report = service.run(requests);
-        let mut admitted: Vec<(u64, u8, usize)> = report
+        let mut admitted: Vec<(u64, usize)> = report
             .outcomes
             .iter()
-            .filter_map(|o| o.stats.admission_seq.map(|s| (s, priorities[o.request], o.request)))
+            .filter_map(|o| o.stats.admission_seq.map(|s| (s, o.request)))
             .collect();
         admitted.sort_unstable();
-        for pair in admitted.windows(2) {
-            let (_, p1, i1) = pair[0];
-            let (_, p2, i2) = pair[1];
-            assert!(
-                p1 > p2 || (p1 == p2 && i1 < i2),
-                "admission order violated: #{i1} (priority {p1}) before #{i2} (priority {p2})"
-            );
-        }
+        let order: Vec<usize> = admitted.into_iter().map(|(_, i)| i).collect();
+        assert_eq!(order, expected, "admission order is not (priority desc, submission asc)");
+        assert_eq!(report.stats.cancelled as usize, n - expected.len());
+        assert_eq!(report.stats.deferrals, 0, "every budget fits: nothing is ever deferred");
+        assert!(report.outcomes.iter().all(|o| o.stats.queue_wait.is_zero()));
     });
+
+    // One seeded case with overtaking on: a 4 MB budget, 3 MB joins queued
+    // ahead (priority 1) of cheap selections, two workers. Only one join
+    // fits at a time, so every join admission but the last leaves the next
+    // join at the head of the queue unable to co-fit — the deterministic
+    // head-of-queue deferral — while the free worker overtakes the blocked
+    // joins with selections, never more than `max_overtakes` times each.
+    let max_overtakes = 2;
+    let config = ServiceConfig::default()
+        .with_workers(2)
+        .with_memory_limit(4 * 1024 * 1024)
+        .with_max_overtakes(max_overtakes);
+    let (service, a, b) = tiny_service(config);
+    let mut g = Gen::new(0x5c4e_d01e);
+    let mut joins = 0u64;
+    let requests: Vec<QueryRequest> = (0..96)
+        .map(|_| {
+            if g.bool_with(0.25) {
+                joins += 1;
+                QueryRequest::join(a, b)
+                    .with_algorithm(usj_core::Algo::Sssj)
+                    .with_priority(1)
+                    .with_memory_budget(3 * 1024 * 1024)
+            } else {
+                let x = g.f32_in(0.0, 30.0);
+                QueryRequest::window(a, Rect::from_coords(x, 0.0, x + 8.0, 20.0))
+                    .with_memory_budget(512 * 1024)
+            }
+        })
+        .collect();
+    assert!(joins >= 2, "the seed must queue at least two joins");
+    let report = service.run(requests);
+    assert_eq!(report.stats.completed, 96);
+    for outcome in &report.outcomes {
+        assert!(
+            outcome.stats.overtaken <= max_overtakes,
+            "request #{} overtaken {} > max {max_overtakes}",
+            outcome.request,
+            outcome.stats.overtaken
+        );
+    }
+    let deferrals: u64 = report.outcomes.iter().map(|o| o.stats.deferrals).sum();
+    assert_eq!(deferrals, report.stats.deferrals);
+    assert!(
+        deferrals >= joins - 1,
+        "{deferrals} deferrals recorded, the head-of-queue rule alone gives {}",
+        joins - 1
+    );
 }
 
 #[test]

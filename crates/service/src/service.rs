@@ -80,14 +80,13 @@ use usj_live::{
     CompactionPlan, FlushJob, JoinSide, LiveCatalog, LiveConfig, LiveDataset, LiveId, LiveSnapshot,
     LiveStats, StreamingJoin,
 };
-use usj_obs::{
-    Clock, HostClock, MetricsRegistry, MetricsSnapshot, QueryTrace, Recorder, RingCollector,
-    TraceSpan,
-};
+use usj_obs::{Clock, QueryTrace, Recorder, RingCollector};
 use usj_rtree::NodeStore;
 
 use crate::catalog::{Catalog, Dataset, DatasetId};
+use crate::obs::ServiceObs;
 use crate::plan_cache::{PlanCache, PlanKey};
+pub use crate::scheduler::Session;
 use crate::{Result, ServiceError};
 
 /// Smallest budget any query is granted (stream block buffers plus sweep
@@ -105,10 +104,6 @@ pub const SELECTION_BUDGET: usize = 1024 * 1024;
 /// Per-query trace ring capacity, in events. A bounded trace drops its
 /// *oldest* events (and says how many) instead of growing without limit.
 const QUERY_TRACE_EVENTS: usize = 16 * 1024;
-
-/// Background-maintenance trace ring capacity, in events. Shared by every
-/// flush and compaction until [`Service::drain_background_trace`] empties it.
-const MAINT_TRACE_EVENTS: usize = 16 * 1024;
 
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
@@ -787,11 +782,11 @@ pub struct Service {
     /// maintenance worker when one is running.
     store: Arc<LiveStore>,
     catalog: Catalog,
-    config: ServiceConfig,
+    pub(crate) config: ServiceConfig,
     /// The machine model, copied out of the storage environment so query
     /// worker forks can be built without touching the storage lock.
     machine: MachineConfig,
-    plan_cache: Mutex<PlanCache>,
+    pub(crate) plan_cache: Mutex<PlanCache>,
     /// The background maintenance worker, when
     /// [`ServiceConfig::background_maintenance`] is on. Dropped (shut down
     /// and joined) before the store is dissolved.
@@ -799,69 +794,12 @@ pub struct Service {
     /// The observability hub: metric registry, trace clock, tracing switch
     /// and the background-maintenance event ring. Shared with the
     /// maintenance worker.
-    obs: Arc<ServiceObs>,
-}
-
-/// The service's observability state, shared between the scheduler, the
-/// query workers and the background maintenance worker.
-///
-/// Metrics are always on (lock-free counters and log-bucketed histograms —
-/// cheap enough to never gate). Tracing is the expensive half (per-event
-/// allocation and ring pushes) and is off by default; flipping
-/// [`Service::set_tracing`] installs per-query [`RingCollector`]s in the
-/// execute path and routes maintenance spans into [`ServiceObs::maint`].
-#[derive(Debug)]
-struct ServiceObs {
-    /// Timestamp source for queue waits, latencies and trace spans. The
-    /// host monotonic clock in production; tests swap in a
-    /// [`usj_obs::VirtualClock`] via [`Service::set_clock`] to make waits
-    /// and trace bounds deterministic.
-    clock: Mutex<Arc<dyn Clock>>,
-    /// Whether per-query and maintenance span tracing is enabled.
-    tracing: AtomicBool,
-    /// Event ring for background maintenance spans (flush/compaction),
-    /// drained by [`Service::drain_background_trace`].
-    maint: Arc<RingCollector>,
-    /// Counters, gauges and histograms, snapshot via
-    /// [`Service::metrics_snapshot`].
-    registry: MetricsRegistry,
-}
-
-impl ServiceObs {
-    fn new() -> Self {
-        ServiceObs {
-            clock: Mutex::new(Arc::new(HostClock::new())),
-            tracing: AtomicBool::new(false),
-            maint: Arc::new(RingCollector::new(MAINT_TRACE_EVENTS)),
-            registry: MetricsRegistry::new(),
-        }
-    }
-
-    /// The current trace/wait clock.
-    fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&*relock(self.clock.lock()))
-    }
-
-    /// Current clock reading, microseconds.
-    fn now_us(&self) -> u64 {
-        self.clock().now_us()
-    }
-
-    fn tracing(&self) -> bool {
-        self.tracing.load(Ordering::Relaxed)
-    }
-
-    /// Installs the maintenance ring on the calling thread while tracing is
-    /// on; a no-op (`None`) otherwise.
-    fn install_maint(&self) -> Option<usj_obs::ObsGuard> {
-        self.tracing()
-            .then(|| usj_obs::install(Arc::clone(&self.maint) as Arc<dyn Recorder>, self.clock()))
-    }
+    pub(crate) obs: Arc<ServiceObs>,
 }
 
 /// Microseconds elapsed between two clock readings, as a [`Duration`]
 /// (clamped at zero — a swapped virtual clock never yields negative waits).
-fn us_between(from_us: u64, to_us: u64) -> Duration {
+pub(crate) fn us_between(from_us: u64, to_us: u64) -> Duration {
     Duration::from_micros(to_us.saturating_sub(from_us))
 }
 
@@ -877,7 +815,7 @@ fn us_between(from_us: u64, to_us: u64) -> Duration {
 /// locks *recover*, while query-path lookups whose callers return `Result`
 /// propagate [`ServiceError::LockPoisoned`] instead (see
 /// [`Service::live_snapshot`]).
-fn relock<T>(result: std::sync::LockResult<T>) -> T {
+pub(crate) fn relock<T>(result: std::sync::LockResult<T>) -> T {
     result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -919,13 +857,13 @@ fn retry_transient<T>(
                 if attempt < retry.retries =>
             {
                 attempt += 1;
-                obs.registry.counter("faults.injected").inc();
-                obs.registry.counter("faults.retries").inc();
+                obs.metrics.faults_injected.inc();
+                obs.metrics.faults_retries.inc();
                 obs.clock().wait_us(retry.backoff_for(attempt));
             }
             Err(e) => {
                 if matches!(&e, ServiceError::Io(IoSimError::DeviceFault { .. })) {
-                    obs.registry.counter("faults.injected").inc();
+                    obs.metrics.faults_injected.inc();
                 }
                 return Err(e);
             }
@@ -935,7 +873,7 @@ fn retry_transient<T>(
 }
 
 /// Best-effort text of a caught panic payload.
-fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -943,6 +881,29 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
+}
+
+/// Fails every member of a shared-scan batch with `err`; the leader keeps
+/// the grant accounting.
+pub(crate) fn fail_batch(
+    lead: &(usize, QueryRequest),
+    riders: &[(usize, QueryRequest)],
+    granted: usize,
+    err: &ServiceError,
+) -> Vec<QueryOutcome> {
+    std::iter::once(lead)
+        .chain(riders)
+        .enumerate()
+        .map(|(k, (idx, _))| QueryOutcome {
+            request: *idx,
+            status: QueryStatus::Failed(err.clone()),
+            pairs: None,
+            stats: QueryStats {
+                admitted_bytes: if k == 0 { granted } else { 0 },
+                ..QueryStats::default()
+            },
+        })
+        .collect()
 }
 
 /// Fault stream id for one query attempt: request index in the low half,
@@ -1082,10 +1043,8 @@ fn tend_live(
                     let snap = storage.device.snapshot();
                     Ok((run, snap))
                 })?;
-                obs.registry.counter("maintenance.flushes").inc();
-                obs.registry
-                    .histogram("maintenance.flush_us")
-                    .record(obs.now_us().saturating_sub(t0));
+                obs.metrics.maintenance_flushes.inc();
+                obs.metrics.maintenance_flush_us.record(obs.now_us().saturating_sub(t0));
                 // Publish: base pages first, then the run handle.
                 store.publish_base(snap);
                 let mut live = relock(store.live.lock());
@@ -1102,10 +1061,8 @@ fn tend_live(
                         .map(|out| (out, storage.device.snapshot()))
                         .map_err(ServiceError::from)
                 });
-                obs.registry.counter("maintenance.compactions").inc();
-                obs.registry
-                    .histogram("maintenance.compaction_us")
-                    .record(obs.now_us().saturating_sub(t0));
+                obs.metrics.maintenance_compactions.inc();
+                obs.metrics.maintenance_compaction_us.record(obs.now_us().saturating_sub(t0));
                 match ran {
                     Ok((out, snap)) => {
                         store.publish_base(snap);
@@ -1172,8 +1129,8 @@ impl Maintenance {
                             let _ = tend_live(&store, &obs, &name, budget, false, retry);
                         }));
                         if tended.is_err() {
-                            obs.registry.counter("faults.panics").inc();
-                            obs.registry.counter("faults.injected").inc();
+                            obs.metrics.faults_panics.inc();
+                            obs.metrics.faults_injected.inc();
                         }
                         let (count, cv) = &*worker_inflight;
                         let mut n = relock(count.lock());
@@ -1222,155 +1179,6 @@ impl Drop for Maintenance {
     }
 }
 
-/// One submitted request's scheduler-side record, alive from submission to
-/// report assembly.
-struct Entry {
-    /// The request itself; taken (moved out) when the entry is claimed for
-    /// execution, so the worker runs it without holding the queue lock.
-    request: Option<QueryRequest>,
-    /// Admission-gauge estimate, computed once at submission.
-    estimate: usize,
-    /// First-enqueue reading of the service's observability clock
-    /// (microseconds) — the queue-wait and latency anchor. Deferrals and
-    /// re-admission attempts never reset it. Reading the pluggable clock
-    /// (rather than `Instant::now`) is what lets tests swap in a
-    /// [`usj_obs::VirtualClock`] and assert exact waits.
-    submitted_us: u64,
-    deferrals: u64,
-    overtaken: u64,
-    admission_seq: Option<u64>,
-    queue_wait: Option<Duration>,
-    coalesced: bool,
-    outcome: Option<QueryOutcome>,
-}
-
-/// Aggregate totals folded in as queries finish.
-#[derive(Default)]
-struct AggTotals {
-    admitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    pairs: u64,
-    io: IoStats,
-    cpu: CpuCounter,
-    peak_query_bytes: usize,
-    max_wait: Duration,
-    total_wait: Duration,
-    deferrals: u64,
-    shared_scans: u64,
-    coalesced: u64,
-}
-
-/// Scheduler state shared by the workers of one batch or session.
-struct SessionState {
-    /// One entry per submitted request, in submission order.
-    entries: Vec<Entry>,
-    /// Indices into `entries` awaiting admission, sorted by
-    /// (priority desc, submission order asc).
-    pending: Vec<usize>,
-    /// Queries (or shared-scan batches) currently holding a reservation.
-    running: usize,
-    /// Set when the submitting side is done; workers drain and exit.
-    closed: bool,
-    next_admission_seq: u64,
-    max_queue_depth: usize,
-    agg: AggTotals,
-}
-
-/// The synchronization bundle shared by the workers and the submitter.
-struct SessionShared {
-    state: Mutex<SessionState>,
-    cv: Condvar,
-    gauge: MemoryGauge,
-}
-
-/// What a worker decided to do with a scanned request.
-enum Job {
-    Run {
-        lead: (usize, QueryRequest),
-        riders: Vec<(usize, QueryRequest)>,
-        reservation: usj_io::MemoryReservation,
-    },
-    Cancel(usize),
-    Fail(usize, ServiceError),
-}
-
-/// An open submission handle into a running [`Service::with_session`]
-/// scope: a load generator's way of driving the worker pool open-loop.
-///
-/// Requests submitted here enter the same priority/FIFO admission queue as
-/// a batch's; outcomes are collected into the session's final
-/// [`ServiceReport`] in submission order. The handle also exposes the
-/// instantaneous queue depth so an open-loop driver can record backlog
-/// growth over time.
-pub struct Session<'a> {
-    service: &'a Service,
-    shared: &'a SessionShared,
-}
-
-impl Session<'_> {
-    /// Enqueues one request and wakes the workers. Returns the request's
-    /// index in the session's final report.
-    pub fn submit(&self, request: QueryRequest) -> usize {
-        let estimate = self.service.admission_estimate(&request);
-        let priority = request.priority;
-        let obs = &self.service.obs;
-        let submitted_us = obs.now_us();
-        let mut guard = relock(self.shared.state.lock());
-        let state = &mut *guard;
-        let idx = state.entries.len();
-        state.entries.push(Entry {
-            request: Some(request),
-            estimate,
-            submitted_us,
-            deferrals: 0,
-            overtaken: 0,
-            admission_seq: None,
-            queue_wait: None,
-            coalesced: false,
-            outcome: None,
-        });
-        let entries = &state.entries;
-        let pos = state.pending.partition_point(|&e| {
-            let queued = entries[e].request.as_ref().expect("pending entries own their request");
-            queued.priority >= priority
-        });
-        state.pending.insert(pos, idx);
-        state.max_queue_depth = state.max_queue_depth.max(state.pending.len());
-        let depth = state.pending.len() as i64;
-        drop(guard);
-        obs.registry.counter("queries.submitted").inc();
-        obs.registry.gauge("queue.depth").set(depth);
-        obs.registry.gauge("queue.depth.peak").set_max(depth);
-        self.shared.cv.notify_all();
-        idx
-    }
-
-    /// Requests currently awaiting admission.
-    pub fn queue_depth(&self) -> usize {
-        relock(self.shared.state.lock()).pending.len()
-    }
-
-    /// Queries (or shared-scan batches) currently executing.
-    pub fn running(&self) -> usize {
-        relock(self.shared.state.lock()).running
-    }
-
-    /// Requests submitted so far.
-    pub fn submitted(&self) -> usize {
-        relock(self.shared.state.lock()).entries.len()
-    }
-
-    /// Bytes currently held on the session's admission gauge. The leak
-    /// oracle for the chaos suite: once every submitted query has resolved
-    /// — completed, failed, panicked, cancelled or timed out — this must
-    /// read zero, or some failure path kept its reservation.
-    pub fn admission_bytes_in_use(&self) -> usize {
-        self.shared.gauge.current()
-    }
-}
-
 impl Service {
     /// Creates a service over `catalog`, whose datasets live on `env`'s
     /// device. The device is snapshotted *once* here — the catalog is
@@ -1410,49 +1218,6 @@ impl Service {
             maintenance,
             obs,
         }
-    }
-
-    /// Swaps the observability clock used for queue waits, latencies and
-    /// trace timestamps. Production keeps the default host monotonic clock;
-    /// tests install a [`usj_obs::VirtualClock`] to make every measured
-    /// wait and trace bound deterministic.
-    ///
-    /// Swap before submitting work: waits anchor at submission, so a
-    /// mid-flight swap mixes time bases (negative deltas clamp to zero).
-    pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *relock(self.obs.clock.lock()) = clock;
-    }
-
-    /// Enables or disables span tracing. Off (the default), queries carry
-    /// no [`QueryStats::trace`] and the execute path never touches the
-    /// span machinery beyond one thread-local probe; on, every query
-    /// drains its operator spans into a bounded per-query ring and
-    /// background maintenance records into the shared maintenance ring.
-    /// Executed work is byte-identical either way.
-    pub fn set_tracing(&self, on: bool) {
-        self.obs.tracing.store(on, Ordering::Relaxed);
-    }
-
-    /// A point-in-time snapshot of every service metric: admission
-    /// counters, queue-depth gauges, wait/latency and maintenance-duration
-    /// histograms. The `live.backlog` gauge is refreshed here (delta runs
-    /// plus frozen batches summed over every live dataset).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let backlog: usize = self.with_live(|live| {
-            live.iter()
-                .map(|(_, ds)| ds.delta_runs().len() + ds.pending_flush_batches())
-                .sum()
-        });
-        self.obs.registry.gauge("live.backlog").set(backlog as i64);
-        self.obs.registry.snapshot()
-    }
-
-    /// Drains the background-maintenance event ring into a span tree of
-    /// the `live.flush` / `live.compaction` work recorded since the last
-    /// drain (empty unless [`set_tracing`](Service::set_tracing) was on).
-    pub fn drain_background_trace(&self) -> QueryTrace {
-        let (events, dropped) = self.obs.maint.drain();
-        QueryTrace::from_events(&events, dropped)
     }
 
     /// The frozen catalog.
@@ -1676,514 +1441,16 @@ impl Service {
         want.min(limit.max(1))
     }
 
-    /// Executes a batch of requests on the worker pool and returns every
-    /// outcome plus the service-wide roll-up.
-    ///
-    /// This is the closed session special case: everything is enqueued up
-    /// front and the session closes immediately, so the workers drain the
-    /// queue and exit.
-    pub fn run(&self, requests: Vec<QueryRequest>) -> ServiceReport {
-        let workers = self.config.workers.max(1).min(requests.len().max(1));
-        self.session_core(requests, workers, |_| {}).1
-    }
-
-    /// Runs an *open* session: spawns the worker pool, hands the caller a
-    /// [`Session`] submission handle, and keeps the workers alive until the
-    /// closure returns — the open-loop load-generation mode, where arrival
-    /// times follow the driver's schedule rather than the batch boundary.
-    ///
-    /// Returns the closure's value and the report over every request
-    /// submitted during the session, in submission order.
-    pub fn with_session<T>(&self, f: impl FnOnce(&Session<'_>) -> T) -> (T, ServiceReport) {
-        self.session_core(Vec::new(), self.config.workers.max(1), f)
-    }
-
-    /// The shared engine under [`run`](Service::run) and
-    /// [`with_session`](Service::with_session): enqueue `initial`, spawn
-    /// `workers`, let `f` drive the session, close, drain, report.
-    fn session_core<T>(
-        &self,
-        initial: Vec<QueryRequest>,
-        workers: usize,
-        f: impl FnOnce(&Session<'_>) -> T,
-    ) -> (T, ServiceReport) {
-        let shared = SessionShared {
-            state: Mutex::new(SessionState {
-                entries: Vec::new(),
-                pending: Vec::new(),
-                running: 0,
-                closed: false,
-                next_admission_seq: 0,
-                max_queue_depth: 0,
-                agg: AggTotals::default(),
-            }),
-            cv: Condvar::new(),
-            gauge: MemoryGauge::new(self.config.memory_limit),
-        };
-        let session = Session {
-            service: self,
-            shared: &shared,
-        };
-        for request in initial {
-            session.submit(request);
-        }
-        let (cache_hits_before, cache_misses_before) = {
-            let cache = relock(self.plan_cache.lock());
-            (cache.hits(), cache.misses())
-        };
-
-        let value = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| self.worker_loop(&shared));
-            }
-            let value = f(&session);
-            relock(shared.state.lock()).closed = true;
-            shared.cv.notify_all();
-            value
-        });
-
-        let state = relock(shared.state.into_inner());
-        let agg = state.agg;
-        let n = state.entries.len();
-        let outcomes: Vec<QueryOutcome> = state
-            .entries
-            .into_iter()
-            .map(|e| e.outcome.expect("every request resolves to an outcome"))
-            .collect();
-        let cache = relock(self.plan_cache.lock());
-        let stats = ServiceStats {
-            memory_limit: self.config.memory_limit,
-            workers,
-            submitted: n as u64,
-            admitted: agg.admitted,
-            completed: agg.completed,
-            failed: agg.failed,
-            cancelled: agg.cancelled,
-            deferrals: agg.deferrals,
-            plan_cache_hits: cache.hits() - cache_hits_before,
-            plan_cache_misses: cache.misses() - cache_misses_before,
-            peak_admitted_bytes: shared.gauge.peak(),
-            peak_query_bytes: agg.peak_query_bytes,
-            pairs: agg.pairs,
-            io: agg.io,
-            cpu: agg.cpu,
-            max_queue_wait: agg.max_wait,
-            total_queue_wait: agg.total_wait,
-            shared_scans: agg.shared_scans,
-            coalesced: agg.coalesced,
-            max_queue_depth: state.max_queue_depth,
-        };
-        (value, ServiceReport { outcomes, stats })
-    }
-
-    /// One worker: repeatedly claim the first admissible pending request (in
-    /// priority/FIFO order, bounded overtake allowed), run it — together
-    /// with any coalesced shared-scan riders — on a forked environment,
-    /// release its budget, until the session closes and the queue drains.
-    fn worker_loop(&self, shared: &SessionShared) {
-        while let Some(job) = self.claim(shared) {
-            match job {
-                Job::Run {
-                    lead,
-                    riders,
-                    reservation,
-                } => {
-                    let granted = reservation.bytes();
-                    let rider_count = riders.len() as u64;
-                    let outcomes = if riders.is_empty() {
-                        vec![self.execute_one(lead.0, &lead.1, granted)]
-                    } else {
-                        // Contain a panic anywhere in the shared traversal:
-                        // every member fails with the payload, the leader
-                        // keeps the grant accounting, and the reservation
-                        // drop below still runs.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            self.execute_shared_scan(&lead, &riders, granted)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            self.obs.registry.counter("faults.panics").inc();
-                            self.obs.registry.counter("faults.injected").inc();
-                            let err = ServiceError::WorkerPanicked(panic_payload(payload.as_ref()));
-                            std::iter::once(&lead)
-                                .chain(riders.iter())
-                                .enumerate()
-                                .map(|(k, (idx, _))| QueryOutcome {
-                                    request: *idx,
-                                    status: QueryStatus::Failed(err.clone()),
-                                    pairs: None,
-                                    stats: QueryStats {
-                                        admitted_bytes: if k == 0 { granted } else { 0 },
-                                        ..QueryStats::default()
-                                    },
-                                })
-                                .collect()
-                        })
-                    };
-                    drop(reservation);
-                    let mut state = relock(shared.state.lock());
-                    for outcome in outcomes {
-                        self.finish(&mut state, outcome, true);
-                    }
-                    if rider_count > 0 {
-                        state.agg.shared_scans += 1;
-                        state.agg.coalesced += rider_count;
-                        self.obs.registry.counter("sharedscan.batches").inc();
-                        self.obs.registry.counter("sharedscan.riders").add(rider_count);
-                    }
-                    state.running -= 1;
-                    drop(state);
-                    shared.cv.notify_all();
-                }
-                Job::Cancel(idx) => {
-                    let outcome = QueryOutcome {
-                        request: idx,
-                        status: QueryStatus::Cancelled(None),
-                        pairs: None,
-                        stats: QueryStats::default(),
-                    };
-                    let mut state = relock(shared.state.lock());
-                    self.finish(&mut state, outcome, false);
-                    drop(state);
-                    shared.cv.notify_all();
-                }
-                Job::Fail(idx, err) => {
-                    let outcome = QueryOutcome {
-                        request: idx,
-                        status: QueryStatus::Failed(err),
-                        pairs: None,
-                        stats: QueryStats::default(),
-                    };
-                    let mut state = relock(shared.state.lock());
-                    self.finish(&mut state, outcome, false);
-                    drop(state);
-                    shared.cv.notify_all();
-                }
-            }
-        }
-    }
-
-    /// Scans the pending queue under the lock for the next piece of work,
-    /// blocking on the condvar while nothing is actionable. Returns `None`
-    /// when the session is closed and the queue has drained.
-    ///
-    /// The scan honors the overtake bound: trying an entry that fails
-    /// admission records a deferral, and once that entry has been overtaken
-    /// [`ServiceConfig::max_overtakes`] times it becomes a barrier — the
-    /// scan stops there instead of admitting anything behind it, so a heavy
-    /// request's wait is bounded by K admissions rather than unbounded.
-    fn claim(&self, shared: &SessionShared) -> Option<Job> {
-        enum Picked {
-            Run(usj_io::MemoryReservation),
-            Cancel,
-            Deadline { deadline_us: u64, now_us: u64 },
-            AdmissionTimeout { waited_us: u64 },
-        }
-        let mut guard = relock(shared.state.lock());
-        loop {
-            let state = &mut *guard;
-            if state.pending.is_empty() {
-                if state.closed {
-                    return None;
-                }
-                guard = relock(shared.cv.wait(guard));
-                continue;
-            }
-            // Read the clock once per scan pass, and only when some pending
-            // request can actually time out — the common no-deadline,
-            // no-timeout configuration never touches the clock here.
-            let timed = self.config.admission_timeout_us.is_some();
-            let need_clock = timed
-                || state.pending.iter().any(|&i| {
-                    state.entries[i].request.as_ref().is_some_and(|r| r.deadline_us.is_some())
-                });
-            let scan_now = if need_clock { self.obs.now_us() } else { 0 };
-            let mut picked = None;
-            for pos in 0..state.pending.len() {
-                let idx = state.pending[pos];
-                let entry = &mut state.entries[idx];
-                let request = entry.request.as_ref().expect("pending entries own their request");
-                if request.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    picked = Some((pos, Picked::Cancel));
-                    break;
-                }
-                if let Some(deadline_us) = request.deadline_us {
-                    if scan_now >= deadline_us {
-                        picked = Some((pos, Picked::Deadline { deadline_us, now_us: scan_now }));
-                        break;
-                    }
-                }
-                match shared.gauge.try_reserve(entry.estimate) {
-                    Ok(reservation) => {
-                        picked = Some((pos, Picked::Run(reservation)));
-                        break;
-                    }
-                    Err(_) => {
-                        entry.deferrals += 1;
-                        self.obs.registry.counter("admission.deferrals").inc();
-                        if let Some(timeout_us) = self.config.admission_timeout_us {
-                            // Only requests the gauge actually deferred can
-                            // time out — an admissible request is admitted
-                            // on this very scan regardless of its age.
-                            let waited_us = scan_now.saturating_sub(entry.submitted_us);
-                            if waited_us >= timeout_us {
-                                picked = Some((pos, Picked::AdmissionTimeout { waited_us }));
-                                break;
-                            }
-                        }
-                        if entry.overtaken >= self.config.max_overtakes {
-                            // Barrier: this entry has been overtaken its
-                            // full allowance — nothing behind it may be
-                            // admitted before it runs.
-                            break;
-                        }
-                    }
-                }
-            }
-            match picked {
-                Some((pos, Picked::Cancel)) => {
-                    let idx = state.pending.remove(pos);
-                    let now_us = self.obs.now_us();
-                    let entry = &mut state.entries[idx];
-                    entry.queue_wait = Some(us_between(entry.submitted_us, now_us));
-                    self.obs.registry.gauge("queue.depth").set(state.pending.len() as i64);
-                    return Some(Job::Cancel(idx));
-                }
-                Some((pos, Picked::Deadline { deadline_us, now_us })) => {
-                    let idx = state.pending.remove(pos);
-                    let entry = &mut state.entries[idx];
-                    entry.queue_wait = Some(us_between(entry.submitted_us, now_us));
-                    // Fire the request's own token too, so a shared
-                    // external handle observes the expiry.
-                    if let Some(request) = entry.request.as_ref() {
-                        if let Some(token) = &request.cancel {
-                            token.cancel();
-                        }
-                    }
-                    self.obs.registry.gauge("queue.depth").set(state.pending.len() as i64);
-                    self.obs.registry.counter("faults.deadline_exceeded").inc();
-                    return Some(Job::Fail(
-                        idx,
-                        ServiceError::DeadlineExceeded { deadline_us, now_us },
-                    ));
-                }
-                Some((pos, Picked::AdmissionTimeout { waited_us })) => {
-                    let timeout_us = self.config.admission_timeout_us.unwrap_or(0);
-                    let idx = state.pending.remove(pos);
-                    let entry = &mut state.entries[idx];
-                    entry.queue_wait = Some(Duration::from_micros(waited_us));
-                    self.obs.registry.gauge("queue.depth").set(state.pending.len() as i64);
-                    self.obs.registry.counter("faults.admission_timeouts").inc();
-                    return Some(Job::Fail(
-                        idx,
-                        ServiceError::AdmissionTimeout { timeout_us, waited_us },
-                    ));
-                }
-                Some((pos, Picked::Run(reservation))) => {
-                    // Everything the admitted entry jumped over was
-                    // overtaken once more.
-                    for p in 0..pos {
-                        let overtaken = state.pending[p];
-                        state.entries[overtaken].overtaken += 1;
-                    }
-                    if pos > 0 {
-                        self.obs.registry.counter("admission.overtakes").add(pos as u64);
-                    }
-                    let idx = state.pending.remove(pos);
-                    let rider_idxs = self.collect_riders(state, idx);
-                    let now_us = self.obs.now_us();
-                    let lead = Self::claim_entry(state, idx, false, now_us);
-                    let riders: Vec<(usize, QueryRequest)> = rider_idxs
-                        .into_iter()
-                        .map(|i| Self::claim_entry(state, i, true, now_us))
-                        .collect();
-                    state.running += 1;
-                    self.obs.registry.counter("admission.grants").inc();
-                    self.obs.registry.gauge("queue.depth").set(state.pending.len() as i64);
-                    // This admission may have exhausted the shared budget
-                    // for the next request in line: record that
-                    // head-of-queue deferral at admission time, so the
-                    // count reflects the queue's oversubscription rather
-                    // than scan timing.
-                    if let Some(&next) = state.pending.first() {
-                        if state.entries[next].estimate > shared.gauge.headroom() {
-                            state.entries[next].deferrals += 1;
-                            self.obs.registry.counter("admission.deferrals").inc();
-                        }
-                    }
-                    return Some(Job::Run {
-                        lead,
-                        riders,
-                        reservation,
-                    });
-                }
-                None if state.running == 0 => {
-                    // Nothing is running, so no reservation will ever be
-                    // released: the head request's budget simply does not
-                    // fit the shared limit. Fail it loudly to keep the
-                    // queue moving.
-                    let idx = state.pending.remove(0);
-                    let now_us = self.obs.now_us();
-                    let entry = &mut state.entries[idx];
-                    entry.queue_wait = Some(us_between(entry.submitted_us, now_us));
-                    self.obs.registry.gauge("queue.depth").set(state.pending.len() as i64);
-                    let required = entry.estimate;
-                    return Some(Job::Fail(
-                        idx,
-                        ServiceError::Io(IoSimError::MemoryLimitExceeded {
-                            required,
-                            limit: self.config.memory_limit,
-                        }),
-                    ));
-                }
-                None => {
-                    if need_clock {
-                        // A deadline or admission timeout can expire with no
-                        // accompanying notify (time passes, no reservation is
-                        // released) — poll with a short timed wait so expiry
-                        // is noticed promptly even on an otherwise idle queue.
-                        guard = relock(shared.cv.wait_timeout(guard, Duration::from_millis(5))).0;
-                    } else {
-                        guard = relock(shared.cv.wait(guard));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Marks `idx` admitted (stamping its admission order and queue wait
-    /// against the clock reading `now_us`) and moves its request out for
-    /// execution off-lock.
-    fn claim_entry(
-        state: &mut SessionState,
-        idx: usize,
-        coalesced: bool,
-        now_us: u64,
-    ) -> (usize, QueryRequest) {
-        let seq = state.next_admission_seq;
-        state.next_admission_seq += 1;
-        let entry = &mut state.entries[idx];
-        entry.admission_seq = Some(seq);
-        entry.queue_wait = Some(us_between(entry.submitted_us, now_us));
-        entry.coalesced = coalesced;
-        let request = entry.request.take().expect("pending entries own their request");
-        (idx, request)
-    }
-
-    /// Pulls pending selections compatible with the just-admitted `lead`
-    /// out of the queue to ride its scan: same dataset, window/point kind,
-    /// not cancelled, up to [`ServiceConfig::max_scan_batch`] members.
-    ///
-    /// Riders reserve no extra admission budget — the batch shares the
-    /// leader's grant and its single `NodeStore` — so coalescing never
-    /// increases the aggregate footprint, and pulling a rider from the
-    /// middle of the queue delays no one (the scan happens regardless);
-    /// riders therefore don't count toward anyone's overtake allowance and
-    /// may be collected from behind a starvation barrier.
-    fn collect_riders(&self, state: &mut SessionState, lead: usize) -> Vec<usize> {
-        if !self.config.shared_scans {
-            return Vec::new();
-        }
-        let lead_dataset = match state.entries[lead].request.as_ref().map(|r| &r.kind) {
-            Some(QueryKind::Window { dataset, .. }) | Some(QueryKind::Point { dataset, .. }) => {
-                *dataset
-            }
-            _ => return Vec::new(),
-        };
-        let cap = self.config.max_scan_batch.max(1) - 1;
-        let mut riders = Vec::new();
-        let mut pos = 0;
-        while pos < state.pending.len() && riders.len() < cap {
-            let idx = state.pending[pos];
-            let request = state.entries[idx]
-                .request
-                .as_ref()
-                .expect("pending entries own their request");
-            let compatible = matches!(
-                request.kind,
-                QueryKind::Window { dataset, .. } | QueryKind::Point { dataset, .. }
-                    if dataset == lead_dataset
-            );
-            let live = !request.cancel.as_ref().is_some_and(|t| t.is_cancelled());
-            if compatible && live {
-                riders.push(idx);
-                state.pending.remove(pos);
-            } else {
-                pos += 1;
-            }
-        }
-        riders
-    }
-
-    /// Folds one finished outcome into the aggregate totals, stamps the
-    /// entry's scheduling stats onto it, records the terminal metrics, and
-    /// stores it.
-    fn finish(&self, state: &mut SessionState, mut outcome: QueryOutcome, admitted: bool) {
-        let idx = outcome.request;
-        {
-            let entry = &state.entries[idx];
-            outcome.stats.deferrals = entry.deferrals;
-            outcome.stats.overtaken = entry.overtaken;
-            outcome.stats.queue_wait = entry.queue_wait.unwrap_or_default();
-            outcome.stats.latency = us_between(entry.submitted_us, self.obs.now_us());
-            outcome.stats.admission_seq = entry.admission_seq;
-            outcome.stats.coalesced = entry.coalesced;
-        }
-        // Wrap the recorded execute tree (if this query was traced) under a
-        // `query` root alongside the admission wait, synthesised from the
-        // scheduler's own measurement — the wait predates the execute
-        // context, so it cannot be a recorded span.
-        if let Some(trace) = outcome.stats.trace.take() {
-            let wait_us = u64::try_from(outcome.stats.queue_wait.as_micros()).unwrap_or(u64::MAX);
-            let exec_start = trace.roots.first().map_or(0, |r| r.start_us);
-            let end = trace.roots.iter().map(|r| r.end_us).max().unwrap_or(exec_start);
-            let start = exec_start.saturating_sub(wait_us);
-            let mut root = TraceSpan::leaf("query", start, end);
-            root.children.push(TraceSpan::leaf("admission.wait", start, exec_start));
-            root.children.extend(trace.roots);
-            outcome.stats.trace = Some(QueryTrace {
-                roots: vec![root],
-                orphan_marks: trace.orphan_marks,
-                dropped_events: trace.dropped_events,
-            });
-        }
-        let metrics = &self.obs.registry;
-        match &outcome.status {
-            QueryStatus::Completed(_) => metrics.counter("queries.completed").inc(),
-            QueryStatus::Cancelled(_) => metrics.counter("queries.cancelled").inc(),
-            QueryStatus::Failed(_) => metrics.counter("queries.failed").inc(),
-        }
-        let wait = &outcome.stats.queue_wait;
-        metrics
-            .histogram("queue.wait_us")
-            .record(u64::try_from(wait.as_micros()).unwrap_or(u64::MAX));
-        metrics
-            .histogram("query.latency_us")
-            .record(u64::try_from(outcome.stats.latency.as_micros()).unwrap_or(u64::MAX));
-        let agg = &mut state.agg;
-        if admitted {
-            agg.admitted += 1;
-        }
-        match &outcome.status {
-            QueryStatus::Completed(_) => agg.completed += 1,
-            QueryStatus::Cancelled(_) => agg.cancelled += 1,
-            QueryStatus::Failed(_) => agg.failed += 1,
-        }
-        if let Some(result) = outcome.result() {
-            agg.pairs += result.pairs;
-            agg.io.merge(&result.io);
-            agg.cpu.merge(&result.cpu);
-            agg.peak_query_bytes = agg.peak_query_bytes.max(result.memory.peak_bytes);
-        }
-        agg.max_wait = agg.max_wait.max(outcome.stats.queue_wait);
-        agg.total_wait += outcome.stats.queue_wait;
-        agg.deferrals += outcome.stats.deferrals;
-        state.entries[idx].outcome = Some(outcome);
-    }
-
     /// Runs one admitted query on a fresh forked environment whose hard
     /// memory limit is the granted budget.
-    fn execute_one(&self, idx: usize, request: &QueryRequest, granted: usize) -> QueryOutcome {
-        let metrics = &self.obs.registry;
+    pub(crate) fn execute_one(
+        &self,
+        idx: usize,
+        request: &QueryRequest,
+        granted: usize,
+        clock: &Arc<dyn Clock>,
+    ) -> QueryOutcome {
+        let metrics = &self.obs.metrics;
         let outcome = |status, pairs, trace| QueryOutcome {
             request: idx,
             status,
@@ -2198,9 +1465,9 @@ impl Service {
         // it without building an environment (deadline 0 takes this path
         // deterministically).
         if let Some(deadline_us) = request.deadline_us {
-            let now_us = self.obs.now_us();
+            let now_us = clock.now_us();
             if now_us >= deadline_us {
-                metrics.counter("faults.deadline_exceeded").inc();
+                metrics.faults_deadline_exceeded.inc();
                 return outcome(
                     QueryStatus::Failed(ServiceError::DeadlineExceeded { deadline_us, now_us }),
                     None,
@@ -2209,14 +1476,14 @@ impl Service {
             }
         }
         let retry = FaultRetry::of(&self.config);
-        let clock = self.obs.clock();
         let mut attempt = 0u32;
         loop {
             // A fresh sink per attempt: a retried query re-emits from pair
             // zero, so partial output from the failed attempt never leaks.
-            let mut sink = ServiceSink::new(request, &clock);
+            let mut sink = ServiceSink::new(request, clock);
             let dispatched = catch_unwind(AssertUnwindSafe(|| {
-                self.dispatch_traced(&request.kind, granted, query_fault_stream(idx, attempt), &mut sink)
+                let fault_stream = query_fault_stream(idx, attempt);
+                self.dispatch_traced(&request.kind, granted, fault_stream, &mut sink, clock)
             }));
             let (ran, trace) = match dispatched {
                 Ok(ran) => ran,
@@ -2224,8 +1491,8 @@ impl Service {
                     // The worker thread survives; the panicking attempt's
                     // forked environment (and its gauge bytes) died with the
                     // unwind, and the reservation is released by the caller.
-                    metrics.counter("faults.panics").inc();
-                    metrics.counter("faults.injected").inc();
+                    metrics.faults_panics.inc();
+                    metrics.faults_injected.inc();
                     return outcome(
                         QueryStatus::Failed(ServiceError::WorkerPanicked(panic_payload(
                             payload.as_ref(),
@@ -2240,8 +1507,8 @@ impl Service {
                     if attempt < retry.retries =>
                 {
                     attempt += 1;
-                    metrics.counter("faults.injected").inc();
-                    metrics.counter("faults.retries").inc();
+                    metrics.faults_injected.inc();
+                    metrics.faults_retries.inc();
                     clock.wait_us(retry.backoff_for(attempt));
                     continue;
                 }
@@ -2250,11 +1517,11 @@ impl Service {
                         &ran,
                         Err(ServiceError::Io(IoSimError::DeviceFault { .. }))
                     ) {
-                        metrics.counter("faults.injected").inc();
+                        metrics.faults_injected.inc();
                     }
                     let status = match ran {
                         _ if sink.deadline_hit => {
-                            metrics.counter("faults.deadline_exceeded").inc();
+                            metrics.faults_deadline_exceeded.inc();
                             QueryStatus::Failed(ServiceError::DeadlineExceeded {
                                 deadline_us: request.deadline_us.unwrap_or(0),
                                 now_us: clock.now_us(),
@@ -2282,13 +1549,13 @@ impl Service {
         granted: usize,
         fault_stream: u64,
         sink: &mut ServiceSink,
+        clock: &Arc<dyn Clock>,
     ) -> (Result<JoinResult>, Option<QueryTrace>) {
         if !self.obs.tracing() {
             return (self.dispatch(kind, granted, fault_stream, sink), None);
         }
         let collector = Arc::new(RingCollector::new(QUERY_TRACE_EVENTS));
-        let guard =
-            usj_obs::install(Arc::clone(&collector) as Arc<dyn Recorder>, self.obs.clock());
+        let guard = usj_obs::install(Arc::clone(&collector) as Arc<dyn Recorder>, Arc::clone(clock));
         let ran = {
             let mut root = usj_obs::span_detail("execute", || kind_label(kind).to_string());
             let ran = self.dispatch(kind, granted, fault_stream, sink);
@@ -2309,29 +1576,16 @@ impl Service {
     /// deactivates only its fan-out slot, and the traversal stops entirely
     /// once every member has broken. The scan's I/O, CPU and peak memory
     /// are accounted once, on the leader — riders report pair counts only.
-    fn execute_shared_scan(
+    pub(crate) fn execute_shared_scan(
         &self,
         lead: &(usize, QueryRequest),
         riders: &[(usize, QueryRequest)],
         granted: usize,
+        clock: &Arc<dyn Clock>,
     ) -> Vec<QueryOutcome> {
         let members: Vec<&(usize, QueryRequest)> =
             std::iter::once(lead).chain(riders.iter()).collect();
-        let fail_all = |err: ServiceError| -> Vec<QueryOutcome> {
-            members
-                .iter()
-                .enumerate()
-                .map(|(k, (idx, _))| QueryOutcome {
-                    request: *idx,
-                    status: QueryStatus::Failed(err.clone()),
-                    pairs: None,
-                    stats: QueryStats {
-                        admitted_bytes: if k == 0 { granted } else { 0 },
-                        ..QueryStats::default()
-                    },
-                })
-                .collect()
-        };
+        let fail_all = |err: ServiceError| fail_batch(lead, riders, granted, &err);
         let dataset_id = match &lead.1.kind {
             QueryKind::Window { dataset, .. } | QueryKind::Point { dataset, .. } => *dataset,
             _ => unreachable!("shared scans coalesce selections only"),
@@ -2356,10 +1610,9 @@ impl Service {
         // retried: a transient fault fails the whole batch, and each member
         // resubmits solo if it cares).
         let fault_stream = query_fault_stream(lead.0, 0);
-        let clock = self.obs.clock();
         let mut wenv = self.worker_env(granted, fault_stream);
         let mut sinks: Vec<ServiceSink> =
-            members.iter().map(|(_, request)| ServiceSink::new(request, &clock)).collect();
+            members.iter().map(|(_, request)| ServiceSink::new(request, clock)).collect();
         // While tracing, the whole batch records one `execute` span (the
         // traversal happens once); the trace lands on the leader's stats,
         // mirroring the I/O accounting.
@@ -2369,7 +1622,7 @@ impl Service {
             .then(|| Arc::new(RingCollector::new(QUERY_TRACE_EVENTS)));
         let guard = collector
             .as_ref()
-            .map(|c| usj_obs::install(Arc::clone(c) as Arc<dyn Recorder>, self.obs.clock()));
+            .map(|c| usj_obs::install(Arc::clone(c) as Arc<dyn Recorder>, Arc::clone(clock)));
         let mut root = collector
             .is_some()
             .then(|| usj_obs::span_detail("execute", || format!("shared_scan x{}", members.len())));
@@ -2399,7 +1652,7 @@ impl Service {
         });
         if let Err(e) = scanned {
             if matches!(e, IoSimError::DeviceFault { .. }) {
-                self.obs.registry.counter("faults.injected").inc();
+                self.obs.metrics.faults_injected.inc();
             }
             return fail_all(ServiceError::Io(e));
         }
@@ -2427,7 +1680,7 @@ impl Service {
                     },
                 };
                 let status = if sink.deadline_hit {
-                    self.obs.registry.counter("faults.deadline_exceeded").inc();
+                    self.obs.metrics.faults_deadline_exceeded.inc();
                     QueryStatus::Failed(ServiceError::DeadlineExceeded {
                         deadline_us: sink.deadline_us.unwrap_or(0),
                         now_us: clock.now_us(),

@@ -236,4 +236,62 @@ fn metrics_snapshot_reports_admission_queue_and_maintenance_activity() {
     let json = snap.to_json(2);
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert!(json.contains("queries.submitted"));
+
+    // An open session with trickled submits: submitter and workers store
+    // the depth gauge concurrently, and the last store must be the drain's.
+    let window = Rect::from_coords(0.0, 0.0, 30.0, 30.0);
+    let ((), report) = service.with_session(|session| {
+        for k in 0..200 {
+            session.submit(QueryRequest::window(frozen, window));
+            if k % 3 == 0 {
+                std::thread::yield_now();
+            }
+        }
+    });
+    assert_eq!(report.stats.completed, 200);
+    let snap = service.metrics_snapshot();
+    assert_eq!(snap.counter("queries.submitted"), Some(203));
+    assert_eq!(snap.gauge("queue.depth"), Some(0), "a drained open session leaves no queue");
+    assert!(snap.gauge("queue.depth.peak").unwrap_or(0) >= 1);
+}
+
+#[test]
+fn metric_names_are_fixed_at_construction_and_the_counts_add_up() {
+    let (service, la, lb, frozen) = live_service(ServiceConfig::default().with_workers(2));
+    let names = |snap: &usj_service::MetricsSnapshot| -> Vec<String> {
+        let counters = snap.counters.iter().map(|(n, _)| n.clone());
+        let gauges = snap.gauges.iter().map(|(n, _)| n.clone());
+        let histograms = snap.histograms.iter().map(|(n, _)| n.clone());
+        counters.chain(gauges).chain(histograms).collect()
+    };
+    // Handles are resolved in `Service::new`: every name is listed before
+    // the first query, at zero.
+    let before = service.metrics_snapshot();
+    assert_eq!(before.counter("queries.submitted"), Some(0));
+    assert_eq!(before.counter("faults.panics"), Some(0));
+    assert_eq!(before.histogram("query.latency_us").map(|h| h.count), Some(0));
+
+    // A mixed batch: joins, selections, one cancelled in the queue, one
+    // that fails (unknown dataset).
+    let token = usj_service::CancelToken::new();
+    token.cancel();
+    let mut batch = join_batch(la, lb, frozen);
+    batch.push(QueryRequest::window(frozen, Rect::from_coords(0.0, 0.0, 20.0, 20.0)));
+    batch.push(QueryRequest::window(frozen, Rect::from_coords(5.0, 5.0, 9.0, 9.0)).with_cancel(token));
+    batch.push(QueryRequest::join(frozen, usj_service::DatasetId(99)));
+    let submitted = batch.len() as u64;
+    let report = service.run(batch);
+    assert_eq!((report.stats.cancelled, report.stats.failed), (1, 1));
+
+    let after = service.metrics_snapshot();
+    assert_eq!(names(&before), names(&after), "a batch must not add or drop a metric name");
+    let counter = |name: &str| after.counter(name).unwrap();
+    assert_eq!(counter("queries.submitted"), submitted);
+    assert_eq!(
+        counter("queries.submitted"),
+        counter("queries.completed") + counter("queries.cancelled") + counter("queries.failed")
+    );
+    assert_eq!(counter("admission.grants"), report.stats.admitted);
+    assert_eq!(after.histogram("queue.wait_us").unwrap().count, submitted);
+    assert_eq!(after.histogram("query.latency_us").unwrap().count, submitted);
 }
