@@ -237,11 +237,14 @@ fn crash_loop(cfg: &ExperimentConfig, items: &[Item]) -> (u64, usize) {
     for round in 0..FAULTS_CRASH_ROUNDS {
         // A few write/torn faults per round; the cap keeps each round's
         // recovery bounded while still crossing flush, compaction and
-        // manifest writes with live fault schedules.
+        // manifest writes with live fault schedules. A round issues only a
+        // dozen or so device writes (merge compaction: the new base, the
+        // loader's runs, the nodes), so the rates are what it takes for one
+        // to three of the six rounds to fault at any seed.
         env.install_faults(FaultPlan::new(FaultConfig {
             seed: derive_seed(cfg.seed, 0x100 + round),
-            write_fault: 0.02,
-            torn_write: 0.02,
+            write_fault: 0.04,
+            torn_write: 0.04,
             max_faults: 3,
             ..FaultConfig::default()
         }));
@@ -442,6 +445,10 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
     let injected: u64 = rows.iter().map(|r| r.injected).sum();
     let retries: u64 = rows.iter().map(|r| r.retries).sum();
     assert!(injected > 0, "chaos run injected no faults");
+    assert!(
+        rows.iter().any(|r| r.faulted_rounds > 0),
+        "no crash/recover round faulted: recovery only ever saw cleanly written devices"
+    );
     assert!(
         retries > 0,
         "chaos run exercised no retries: the workload issues too few device operations to \

@@ -13,8 +13,9 @@ use std::time::{Duration, Instant};
 
 use usj_bench::setup::{ExperimentConfig, PreparedWorkload};
 use usj_core::{CollectSink, JoinAlgorithm, JoinInput, SpatialQuery};
-use usj_datagen::Preset;
-use usj_io::{IoStats, MachineConfig};
+use usj_datagen::{Preset, WorkloadSpec};
+use usj_io::{IoStats, MachineConfig, SimEnv};
+use usj_live::{LiveConfig, LiveDataset, StreamingJoin};
 use usj_obs::{NoopRecorder, QueryTrace, Recorder, RingCollector};
 
 const ALGORITHMS: [JoinAlgorithm; 4] = [
@@ -100,6 +101,61 @@ fn recording_and_noop_runs_are_byte_identical_for_every_preset_and_algorithm() {
             }
         }
     }
+}
+
+/// Ingests both sides of NJ/10 into live datasets (half registered, half
+/// appended through flushes and compactions) and runs the streaming join.
+fn run_streaming() -> (Vec<(u32, u32)>, IoStats, usize) {
+    let w = WorkloadSpec::preset(Preset::NJ).with_scale(10).generate(42);
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let config = LiveConfig {
+        flush_threshold_bytes: 32 * 1024,
+        compact_after_deltas: 3,
+    };
+    let [l, r] = [("roads", &w.roads), ("hydro", &w.hydro)].map(|(name, items)| {
+        let (base, rest) = items.split_at(items.len() / 2);
+        let mut ds = LiveDataset::create(&mut env, name, base, config).unwrap();
+        ds.append(&mut env, rest).unwrap();
+        ds
+    });
+    let mut sink = CollectSink::default();
+    let result = StreamingJoin::default()
+        .run(&mut env, &l.snapshot(), &r.snapshot(), &mut sink)
+        .expect("streaming join");
+    assert_eq!(result.sweep.spill_runs, 0, "ample memory: nothing spills");
+    (sink.pairs, result.io, result.memory.peak_bytes)
+}
+
+#[test]
+fn a_recorded_streaming_join_is_byte_identical_and_fits_a_query_ring() {
+    // The service gives each traced query a 16 Ki-event ring (its
+    // `QUERY_TRACE_EVENTS`). This join pushes ~46 000 items and nearly every
+    // push expires a resident: marked per push that alone overflows the
+    // ring, and since a ring keeps the newest events it is the join's own
+    // opening spans that fall off.
+    let bare = run_streaming();
+    let ring = Arc::new(RingCollector::new(16 * 1024));
+    let recorded = {
+        let _g = usj_obs::install(
+            Arc::clone(&ring) as Arc<dyn Recorder>,
+            Arc::new(usj_obs::HostClock::new()),
+        );
+        run_streaming()
+    };
+    assert_eq!(bare, recorded, "recording changed pairs, I/O or peak memory");
+
+    let (events, dropped) = ring.drain();
+    assert_eq!(dropped, 0, "{} events kept", events.len());
+    let trace = QueryTrace::from_events(&events, dropped);
+    assert!(trace.orphan_marks.is_empty());
+    for phase in ["live.flush", "live.compaction", "stream.probe", "stream.fixup"] {
+        assert!(trace.find(phase).is_some(), "{phase} missing: {}", trace.shape());
+    }
+    // One `sweep.expire` mark, at driver close, carrying every expiry: both
+    // sides close, so every record pushed expires.
+    let expired = trace.mark_values("sweep.expire");
+    let pushed = WorkloadSpec::preset(Preset::NJ).with_scale(10).generate(42);
+    assert_eq!(expired, [(pushed.roads.len() + pushed.hydro.len()) as u64]);
 }
 
 /// Minimum-of-samples wall time of one SSSJ join on a prepared workload.

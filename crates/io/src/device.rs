@@ -12,7 +12,10 @@
 //! pages taken from another device with [`BlockDevice::snapshot`]. This is
 //! how the query service gives every concurrent query its own device — own
 //! head position, own I/O statistics, own scratch space — over the *same*
-//! stored catalog data, without copying a byte per query. Page identifiers
+//! stored catalog data, without copying a byte per query. Taking the
+//! snapshot copies no page either: pages are copy-on-write ([`Page`]), so
+//! the snapshot shares the owner's storage and the owner's later writes
+//! un-share only the pages they hit. Page identifiers
 //! below the base length read from the snapshot; writes to them fail with
 //! [`IoSimError::ReadOnlyPage`] (cataloged data is immutable), and new
 //! allocations start right after the base, so the identifier space stays
@@ -71,18 +74,27 @@ impl BlockDevice {
         }
     }
 
-    /// Deep-copies every allocated page (base and own) into a new shareable
-    /// snapshot, suitable for [`BlockDevice::with_base`].
+    /// Returns every allocated page (base and own) as a shareable snapshot,
+    /// suitable for [`BlockDevice::with_base`].
     ///
-    /// This is an O(data) host-memory copy; it is meant to be taken *once*
-    /// (e.g. when a query service freezes its catalog), after which any
-    /// number of devices can be layered on top of the returned `Arc` for
-    /// free.
+    /// No page bytes are copied: the snapshot holds one reference per page
+    /// to the device's own copy-on-write storage. The sharing contract:
+    ///
+    /// * a snapshot is immutable — nothing that happens to this device
+    ///   afterwards is visible through it, or through a device layered over
+    ///   it;
+    /// * a later write on this device un-shares exactly the page it hits
+    ///   (that page is copied once, the snapshot keeps the old bytes); every
+    ///   page left alone stays one allocation however many snapshots hold
+    ///   it;
+    /// * pages are never freed or renumbered, so a snapshot is a prefix, in
+    ///   page identifiers, of every later snapshot of the same device.
+    ///
+    /// The cost is therefore one pointer per allocated page, which is what
+    /// lets live maintenance publish a fresh snapshot after every flush and
+    /// compaction.
     pub fn snapshot(&self) -> Arc<Vec<Page>> {
-        let mut all = Vec::with_capacity(self.base.len() + self.pages.len());
-        all.extend(self.base.iter().cloned());
-        all.extend(self.pages.iter().cloned());
-        Arc::new(all)
+        Arc::new(self.base.iter().chain(&self.pages).cloned().collect())
     }
 
     /// Number of read-only base-snapshot pages under this device.
@@ -496,6 +508,106 @@ mod tests {
         assert_eq!(relayered.base_pages(), 2);
         assert_eq!(&relayered.read_page(p).unwrap()[..5], b"first");
         assert_eq!(&relayered.read_page(q).unwrap()[..6], b"second");
+    }
+
+    /// Bytes of page `p` as the snapshot holds them.
+    fn snap_bytes(snap: &[Page], p: PageId) -> &[u8] {
+        snap[p as usize].bytes()
+    }
+
+    #[test]
+    fn writes_after_a_snapshot_reach_the_owner_only() {
+        let mut d = BlockDevice::new();
+        let p = d.allocate(4);
+        let old: Vec<u8> = (0..PAGE_SIZE * 4).map(|i| (i % 241 + 1) as u8).collect();
+        d.write_pages(p, 4, &old).unwrap();
+        let snap = d.snapshot();
+        let mut layered = BlockDevice::with_base(Arc::clone(&snap));
+
+        d.write_page(p, b"single").unwrap();
+        let new: Vec<u8> = (0..PAGE_SIZE * 2).map(|i| (i % 13) as u8).collect();
+        d.write_pages(p + 2, 2, &new).unwrap();
+
+        // The owner reads its own writes, the untouched page stays as it was.
+        assert_eq!(&d.read_page(p).unwrap()[..6], b"single");
+        assert_eq!(d.read_pages(p + 2, 2).unwrap(), new);
+        assert_eq!(d.read_page(p + 1).unwrap(), &old[PAGE_SIZE..2 * PAGE_SIZE]);
+        // The snapshot, and a device layered over it, still read the old bytes.
+        assert_eq!(layered.read_pages(p, 4).unwrap(), old);
+        for i in 0..4 {
+            let at = i as usize * PAGE_SIZE;
+            assert_eq!(snap_bytes(&snap, p + i), &old[at..at + PAGE_SIZE]);
+        }
+        // A later snapshot has the new bytes and the first one as a prefix in
+        // page identifiers.
+        d.allocate(1);
+        let later = d.snapshot();
+        assert_eq!(later.len(), snap.len() + 1);
+        assert_eq!(&snap_bytes(&later, p)[..6], b"single");
+    }
+
+    #[test]
+    fn a_torn_write_onto_shared_pages_leaves_the_snapshot_intact() {
+        use crate::fault::FaultConfig;
+        let mut d = BlockDevice::new();
+        let p = d.allocate(4);
+        let old: Vec<u8> = (0..PAGE_SIZE * 4).map(|i| (i % 239 + 1) as u8).collect();
+        d.write_pages(p, 4, &old).unwrap();
+        let snap = d.snapshot();
+        d.reset_stats();
+        d.install_faults(FaultPlan::new(FaultConfig {
+            torn_write: 1.0,
+            max_faults: 1,
+            ..FaultConfig::quiet(11)
+        }));
+        let new = vec![0xEEu8; PAGE_SIZE * 4];
+        assert_eq!(
+            d.write_pages(p, 4, &new),
+            Err(IoSimError::DeviceFault { transient: false })
+        );
+        // The owner holds a strict prefix of the new bytes over the old ones …
+        let committed = d.stats().pages_written as usize;
+        assert!((1..4).contains(&committed), "committed {committed}");
+        let cut = committed * PAGE_SIZE;
+        let back = d.read_pages(p, 4).unwrap();
+        assert_eq!(&back[..cut], &new[..cut]);
+        assert_eq!(&back[cut..], &old[cut..]);
+        // … the snapshot none of them: only the torn prefix was un-shared.
+        for i in 0..4usize {
+            assert_eq!(snap_bytes(&snap, p + i as u64), &old[i * PAGE_SIZE..][..PAGE_SIZE]);
+            assert_eq!(
+                d.page_ref(p + i as u64).shares_storage_with(&snap[i]),
+                i >= committed,
+                "page {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_snapshot_shares_every_page_and_a_write_unshares_exactly_one() {
+        let mut d = BlockDevice::new();
+        let n = 64u64;
+        let p = d.allocate(n);
+        for i in 0..n {
+            d.write_page(p + i, &[i as u8 + 1; 16]).unwrap();
+        }
+        let snap = d.snapshot();
+        let shared = |d: &BlockDevice| {
+            (0..n)
+                .filter(|&i| d.page_ref(p + i).shares_storage_with(&snap[i as usize]))
+                .count() as u64
+        };
+        assert_eq!(shared(&d), n);
+        // A second snapshot shares the same storage again, page for page.
+        let again = d.snapshot();
+        assert!((0..n as usize).all(|i| again[i].shares_storage_with(&snap[i])));
+
+        d.write_page(p + 17, b"rewritten").unwrap();
+        assert_eq!(shared(&d), n - 1);
+        assert!(!d.page_ref(p + 17).shares_storage_with(&snap[17]));
+        // Layering keeps sharing too: a fork's base *is* the snapshot.
+        let fork = BlockDevice::with_base(Arc::clone(&snap));
+        assert!((0..n).all(|i| fork.page_ref(i).shares_storage_with(&snap[i as usize])));
     }
 
     #[test]

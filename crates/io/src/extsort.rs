@@ -120,18 +120,37 @@ where
     drop(run_reservation);
     stats.initial_runs = runs.len() as u64;
 
-    if runs.is_empty() {
-        // Empty input: produce an empty stream.
-        let w = ItemStreamWriter::new(env, pages_per_block);
-        return Ok((w.finish(env)?, stats));
-    }
+    let (sorted, merge_passes) = merge_sorted_runs(env, runs, key, cmp, pages_per_block)?;
+    stats.merge_passes = merge_passes;
+    Ok((sorted, stats))
+}
 
-    // Merge passes: k-way merge with fan-in limited by the memory available
-    // for one logical block per run plus one output block.
+/// Merges `runs`, each already sorted by `(key, cmp)`, into one sorted
+/// stream of `pages_per_block`-page blocks, returning it and the number of
+/// merge passes performed.
+///
+/// This is the merge phase of [`external_sort_by_key`], for callers whose
+/// inputs are sorted to begin with (an LSM compaction folding sorted tiers):
+/// a k-way merge whose fan-in is limited by the memory available for one
+/// logical block per run plus one output block, repeated level by level
+/// while more runs remain than the fan-in. No run yields an empty stream; a
+/// single run is returned as it is, without a copy.
+pub fn merge_sorted_runs<K, F>(
+    env: &mut SimEnv,
+    mut runs: Vec<ItemStream>,
+    key: K,
+    cmp: F,
+    pages_per_block: u64,
+) -> Result<(ItemStream, u64)>
+where
+    K: Fn(&Item) -> u64 + Copy,
+    F: Fn(&Item, &Item) -> Ordering + Copy,
+{
     let block_bytes = (pages_per_block as usize) * PAGE_SIZE;
     let fan_in = ((env.memory_limit / 2) / block_bytes).max(2);
+    let mut merge_passes = 0;
     while runs.len() > 1 {
-        stats.merge_passes += 1;
+        merge_passes += 1;
         let mut next_level: Vec<ItemStream> = Vec::new();
         for group in runs.chunks(fan_in) {
             if group.len() == 1 {
@@ -142,7 +161,10 @@ where
         }
         runs = next_level;
     }
-    Ok((runs.pop().expect("at least one run"), stats))
+    match runs.pop() {
+        Some(run) => Ok((run, merge_passes)),
+        None => Ok((ItemStreamWriter::new(env, pages_per_block).finish(env)?, 0)),
+    }
 }
 
 /// Sorts a buffer in memory, charging the deterministic CPU counters for the

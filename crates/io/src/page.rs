@@ -1,5 +1,7 @@
 //! Fixed-size pages of the simulated disk.
 
+use std::sync::Arc;
+
 /// Size of a disk page in bytes.
 ///
 /// The paper uses 8 KB R-tree nodes on all machines (on the one machine whose
@@ -14,30 +16,44 @@ pub const PAGE_SIZE: usize = 8192;
 /// when discussing the largely sequential layout of bulk-loaded R-trees.
 pub type PageId = u64;
 
-/// A single page worth of bytes.
+/// A single page worth of bytes, stored copy-on-write.
+///
+/// Cloning a page shares its storage (one reference-count increment, no
+/// byte copied); the first [`bytes_mut`](Page::bytes_mut) on a page whose
+/// storage is shared gives it a private copy. This is what makes a device
+/// snapshot cost a pointer per page, and a write after a snapshot cost the
+/// one page it hits.
 #[derive(Clone)]
 pub struct Page {
-    data: Box<[u8]>,
+    data: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// Creates a zero-filled page.
     pub fn zeroed() -> Self {
         Page {
-            data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            data: Arc::new([0u8; PAGE_SIZE]),
         }
     }
 
     /// Immutable view of the page contents.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        &self.data
+        &self.data[..]
     }
 
-    /// Mutable view of the page contents.
+    /// Mutable view of the page contents; un-shares the storage first when
+    /// a clone of this page still refers to it.
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        &mut Arc::make_mut(&mut self.data)[..]
+    }
+
+    /// Whether `self` and `other` are the same storage (not merely equal
+    /// bytes) — how the device tests assert what a snapshot shares.
+    #[cfg(test)]
+    pub(crate) fn shares_storage_with(&self, other: &Page) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 }
 
@@ -49,7 +65,7 @@ impl Default for Page {
 
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Page({} bytes)", self.data.len())
+        write!(f, "Page({PAGE_SIZE} bytes)")
     }
 }
 
@@ -72,6 +88,21 @@ mod tests {
         let q = p.clone();
         assert_eq!(q.bytes()[0], 42);
         assert_eq!(q.bytes()[PAGE_SIZE - 1], 7);
+    }
+
+    #[test]
+    fn a_clone_shares_storage_until_either_side_writes() {
+        let mut p = Page::zeroed();
+        p.bytes_mut()[0] = 1;
+        let q = p.clone();
+        assert!(p.shares_storage_with(&q));
+        p.bytes_mut()[0] = 2;
+        assert!(!p.shares_storage_with(&q));
+        assert_eq!((p.bytes()[0], q.bytes()[0]), (2, 1));
+        // Unshared again, a further write stays in place.
+        let before = p.bytes().as_ptr();
+        p.bytes_mut()[1] = 3;
+        assert_eq!(p.bytes().as_ptr(), before);
     }
 
     #[test]

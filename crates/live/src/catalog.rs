@@ -45,6 +45,7 @@ use std::sync::Arc;
 
 use usj_geom::{Item, Rect};
 use usj_io::{extsort, ItemStream, ItemStreamReader, ItemStreamWriter, PageId, SimEnv, PAGE_SIZE};
+use usj_rtree::bulk::{bulk_load_stream_with_bbox, BulkLoadConfig};
 use usj_rtree::RTree;
 
 use crate::manifest::{self, Manifest, RootPointer, RunRecord};
@@ -148,26 +149,27 @@ impl FlushJob {
     }
 }
 
-/// A claimed compaction: immutable handles of the base and the delta runs
-/// the merge will fold. Produced by [`LiveDataset::begin_compaction`] (which
-/// marks the dataset as compacting so no second merge claims the same
-/// runs), consumed by [`LiveDataset::publish_compaction`] /
-/// [`LiveDataset::abort_compaction`].
+/// A claimed compaction: immutable handles of the runs the merge will fold
+/// — the base first, then the delta runs oldest to youngest — and the
+/// bounding box of their records, taken from the tiers' own boxes. Produced
+/// by [`LiveDataset::begin_compaction`] (which marks the dataset as
+/// compacting so no second merge claims the same runs), consumed by
+/// [`LiveDataset::publish_compaction`] / [`LiveDataset::abort_compaction`].
 #[derive(Debug, Clone)]
 pub struct CompactionPlan {
-    base: ItemStream,
-    deltas: Vec<ItemStream>,
+    runs: Vec<ItemStream>,
+    bbox: Rect,
 }
 
 impl CompactionPlan {
     /// Number of delta runs this plan folds into the new base.
     pub fn delta_count(&self) -> usize {
-        self.deltas.len()
+        self.runs.len() - 1
     }
 
     /// Total records the merge will process.
     pub fn len(&self) -> u64 {
-        self.base.len() + self.deltas.iter().map(ItemStream::len).sum::<u64>()
+        self.runs.iter().map(ItemStream::len).sum()
     }
 
     /// Returns `true` when the plan covers no records.
@@ -735,56 +737,45 @@ impl LiveDataset {
             return None;
         }
         self.compacting = true;
-        Some(CompactionPlan {
-            base: self.base.clone(),
-            deltas: self.deltas.iter().map(|d| d.run.clone()).collect(),
-        })
+        // An empty base carries a placeholder box, not its records' (delta
+        // runs are never empty): leave it out, so the union is exactly the
+        // box of what the merge reads.
+        let mut runs = vec![self.base.clone()];
+        let mut bbox = if self.base.is_empty() { Rect::empty() } else { self.bbox };
+        for delta in &self.deltas {
+            runs.push(delta.run.clone());
+            bbox = bbox.union(&delta.bbox);
+        }
+        Some(CompactionPlan { runs, bbox })
     }
 
     /// Merge compaction work: folds the plan's base + delta runs into a new
     /// base run and bulk-loads its R-tree.
     ///
-    /// The runs are concatenated and pushed through the external sort on
-    /// the packed sweep key; since every input run is already sorted, run
-    /// formation emits large presorted runs and the sort degenerates into
-    /// the k-way merge — all I/O charged like any other maintenance work.
-    /// The old base pages stay valid on the device, which is what keeps
-    /// earlier snapshots readable.
+    /// Every input run is already sorted on the packed sweep key, so this is
+    /// the external sort's k-way merge and nothing else — each record is
+    /// read once and written once (once per level when the runs outnumber
+    /// the budget's fan-in) — and the loader is handed the tiers' bounding
+    /// box instead of scanning for it. All I/O is charged like any other
+    /// maintenance work. The old base pages stay valid on the device, which
+    /// is what keeps earlier snapshots readable.
     pub fn run_compaction(env: &mut SimEnv, plan: &CompactionPlan) -> Result<CompactionOutput> {
         let phase = env.obs_phase("live.compaction");
-        let mut concat = ItemStreamWriter::new(env, LIVE_PAGES_PER_BLOCK);
-        let mut reader = plan.base.reader();
-        while let Some(item) = reader.next(env)? {
-            concat.push(env, item)?;
-        }
-        let mut merged_items = plan.base.len();
-        for delta in &plan.deltas {
-            let mut reader = delta.reader();
-            while let Some(item) = reader.next(env)? {
-                concat.push(env, item)?;
-            }
-            merged_items += delta.len();
-        }
-        let concatenated = concat.finish(env)?;
-        let (base, sort_stats) = extsort::external_sort_by_key(
+        let (base, _) = extsort::merge_sorted_runs(
             env,
-            &concatenated,
+            plan.runs.clone(),
             Item::sweep_key,
             Item::cmp_by_lower_y,
+            LIVE_PAGES_PER_BLOCK,
         )?;
-        let bbox = if sort_stats.bbox.is_empty() {
-            Rect::from_coords(0.0, 0.0, 1.0, 1.0)
-        } else {
-            sort_stats.bbox
-        };
-        let tree = RTree::bulk_load_stream(env, &base)?;
+        let tree = bulk_load_stream_with_bbox(env, &base, plan.bbox, BulkLoadConfig::default())?;
         env.obs_close(phase);
         Ok(CompactionOutput {
             base,
             tree,
-            bbox,
-            merged_items,
-            folded_deltas: plan.deltas.len(),
+            bbox: plan.bbox,
+            merged_items: plan.len(),
+            folded_deltas: plan.delta_count(),
         })
     }
 

@@ -11,11 +11,11 @@
 
 use usj_core::{CollectSink, JoinInput, JoinOperator, LimitSink, SssjJoin};
 use usj_geom::{Item, Rect};
-use usj_io::{MachineConfig, SimEnv};
+use usj_io::{extsort, ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
 use usj_sweep::{Side, SymmetricSweepDriver};
 
-use crate::catalog::{LiveConfig, LiveDataset};
+use crate::catalog::{LiveConfig, LiveDataset, LIVE_PAGES_PER_BLOCK};
 use crate::streaming::StreamingJoin;
 
 fn env() -> SimEnv {
@@ -124,6 +124,58 @@ fn streaming_join_matches_offline_sssj_across_random_ingestion_histories() {
         assert!(live_sorted.windows(2).all(|w| w[0] != w[1]), "duplicate pair");
         assert_eq!(live_sorted, reference);
         assert_eq!(live.pairs as usize, reference.len());
+    });
+}
+
+#[test]
+fn merge_of_k_sorted_runs_equals_the_sort_of_their_concatenation() {
+    // What lets compaction merge its tiers instead of sorting them: zero to
+    // seven runs (empty ones included), corners snapped to a coarse grid so
+    // equal sweep keys meet within and across runs, and budgets on both
+    // sides of the merge fan-in.
+    forall!(48, |g| {
+        let limit = [64 * 1024, 4 * 1024 * 1024][g.usize_in(0, 2)];
+        let mut env = env().with_memory_limit(limit);
+        let mut all = Vec::new();
+        let runs: Vec<ItemStream> = (0..g.usize_in(0, 8))
+            .map(|k| {
+                let mut run = arb_items(g, 300, k as u32 * 10_000);
+                for it in &mut run {
+                    let (lo, hi) = (it.rect.lo, it.rect.hi);
+                    it.rect = Rect::from_coords(lo.x.floor(), (lo.y / 8.0).floor() * 8.0, hi.x, hi.y);
+                }
+                run.sort_unstable_by(|a, b| {
+                    a.sweep_key().cmp(&b.sweep_key()).then_with(|| a.cmp_by_lower_y(b))
+                });
+                all.extend_from_slice(&run);
+                ItemStream::from_items_with_block(&mut env, &run, LIVE_PAGES_PER_BLOCK).unwrap()
+            })
+            .collect();
+        let k = runs.len();
+        let (merged, passes) = extsort::merge_sorted_runs(
+            &mut env,
+            runs,
+            Item::sweep_key,
+            Item::cmp_by_lower_y,
+            LIVE_PAGES_PER_BLOCK,
+        )
+        .unwrap();
+
+        let concat =
+            ItemStream::from_items_with_block(&mut env, &all, LIVE_PAGES_PER_BLOCK).unwrap();
+        let (sorted, _) =
+            extsort::external_sort_by_key(&mut env, &concat, Item::sweep_key, Item::cmp_by_lower_y)
+                .unwrap();
+        assert_eq!(merged.read_all(&mut env).unwrap(), sorted.read_all(&mut env).unwrap());
+        // Fan-in 2 at 64 KB (two 16 KB blocks in half the budget), ample at 4 MB.
+        let fan_in = if limit == 64 * 1024 { 2 } else { 128 };
+        let mut levels = 0;
+        let mut left = k;
+        while left > 1 {
+            left = left.div_ceil(fan_in);
+            levels += 1;
+        }
+        assert_eq!(passes, levels, "{k} runs at {limit} B");
     });
 }
 

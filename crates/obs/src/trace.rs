@@ -226,6 +226,18 @@ impl QueryTrace {
         self.roots.iter().find_map(|r| r.find(name))
     }
 
+    /// Values of every mark named `name` under any span, depth first
+    /// (orphan marks are not included).
+    pub fn mark_values(&self, name: &str) -> Vec<u64> {
+        fn walk(span: &TraceSpan, name: &str, out: &mut Vec<u64>) {
+            out.extend(span.marks.iter().filter(|m| m.name == name).map(|m| m.value));
+            span.children.iter().for_each(|c| walk(c, name, out));
+        }
+        let mut out = Vec::new();
+        self.roots.iter().for_each(|r| walk(r, name, &mut out));
+        out
+    }
+
     /// A timestamp-free structural signature — span names in tree order,
     /// e.g. `query(admission.wait,execute(sssj.sort,sssj.sweep))` — used
     /// by the deterministic trace-shape assertions in the concurrency
@@ -414,6 +426,8 @@ mod tests {
         assert_eq!(sweep.marks.len(), 1);
         assert_eq!(sweep.marks[0].t_us, 35);
         assert_eq!(sweep.marks[0].value, 100);
+        assert_eq!(trace.mark_values("sweep.spill"), [100]);
+        assert!(trace.mark_values("missing").is_empty());
         assert!(trace.find("missing").is_none());
     }
 

@@ -96,8 +96,7 @@ pub fn bulk_load_stream(
     input: &ItemStream,
     config: BulkLoadConfig,
 ) -> Result<RTree> {
-    let config = config.normalized();
-    // Pass 1: bounding box of the data space.
+    // Bounding box of the data space.
     let mut bbox = Rect::empty();
     let mut reader = input.reader();
     while let Some(it) = reader.next(env)? {
@@ -107,7 +106,22 @@ pub fn bulk_load_stream(
     if bbox.is_empty() {
         bbox = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
     }
-    // Pass 2: external sort by Hilbert value of the centre point. The value
+    bulk_load_stream_with_bbox(env, input, bbox, config)
+}
+
+/// [`bulk_load_stream`] for a caller that already knows the bounding box of
+/// `input` and so saves the loader its first scan — the live catalog's
+/// compaction, whose tiers each carry their box. `bbox` must be non-empty
+/// and cover every record; handing in exactly the union of the records'
+/// rectangles builds the very tree [`bulk_load_stream`] does.
+pub fn bulk_load_stream_with_bbox(
+    env: &mut SimEnv,
+    input: &ItemStream,
+    bbox: Rect,
+    config: BulkLoadConfig,
+) -> Result<RTree> {
+    let config = config.normalized();
+    // External sort by Hilbert value of the centre point. The value
     // is the sort's u64 key, so the run sorts and the merge heap compare
     // precomputed keys instead of re-deriving the Hilbert curve position on
     // every comparison.
@@ -121,7 +135,7 @@ pub fn bulk_load_stream(
         },
         Item::cmp_by_lower_y,
     )?;
-    // Pass 3: pack nodes from the sorted stream.
+    // Pack nodes from the sorted stream.
     let mut sorted_reader = sorted.reader();
     let mut next = move |env: &mut SimEnv| -> Result<Option<Item>> { sorted_reader.next(env) };
     pack_from_sorted(env, &mut next, input.len(), bbox, config)

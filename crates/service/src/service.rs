@@ -946,9 +946,17 @@ fn kind_label(kind: &QueryKind) -> &'static str {
 /// readable *before* making the run that references them visible — it
 /// snapshots the device (under `storage`), advances `base`, and only then
 /// publishes the run handle (under `live`). Readers do the reverse: clone
-/// run handles first (a snapshot, under `live`), then fork the base. Since
-/// device pages are append-only (snapshots are prefixes of later
-/// snapshots), every run a reader can see has its pages in the base it
+/// run handles first (a snapshot, under `live`), then fork the base.
+///
+/// What that rests on is the device's sharing contract
+/// ([`BlockDevice::snapshot`](usj_io::BlockDevice::snapshot)): a snapshot
+/// is immutable and shares the storage device's pages instead of copying
+/// them, so publishing one after *every* flush and compaction costs a
+/// pointer per page; the storage device's later writes (new runs on fresh
+/// pages, a durable dataset's root pointer in place) un-share only the
+/// pages they hit and never show through a published snapshot; and pages
+/// are never freed or renumbered, so each snapshot is a prefix of every
+/// later one — every run a reader can see has its pages in the base it
 /// forks. Lock order, where nesting is needed at all, is
 /// `live` → `storage` → `base`; the maintenance loop itself holds at most
 /// one of the three at a time.
@@ -1181,9 +1189,10 @@ impl Drop for Maintenance {
 
 impl Service {
     /// Creates a service over `catalog`, whose datasets live on `env`'s
-    /// device. The device is snapshotted *once* here — the catalog is
-    /// frozen for the service's lifetime and queries never mutate it —
-    /// and every batch's worker forks share that snapshot.
+    /// device. The device is snapshotted here — the catalog is frozen for
+    /// the service's lifetime and queries never mutate it — and every
+    /// batch's worker forks share that snapshot, or the later one live
+    /// maintenance published, which extends it without copying its pages.
     pub fn new(mut env: SimEnv, catalog: Catalog, config: ServiceConfig) -> Self {
         // Under a fault plan, the *storage* environment (flushes,
         // compactions, promotions) draws from its own reserved stream —

@@ -335,4 +335,6 @@ fn maintenance_survives_storage_faults_and_loses_no_records() {
         outcome.status
     );
     assert_eq!(pairs.len(), items.len(), "maintenance under faults lost or duplicated records");
+    let retries = service.metrics_snapshot().counter("faults.retries").unwrap_or(0);
+    assert!(retries > 0, "the storage stream drew no fault: nothing was survived");
 }

@@ -119,6 +119,24 @@ fn tracing_is_byte_invisible_to_execution() {
     assert_eq!(plain.stats.replay_digest(), traced.stats.replay_digest());
     assert!(plain.outcomes.iter().all(|o| o.stats.trace.is_none()));
     assert!(traced.outcomes.iter().all(|o| o.stats.trace.is_some()));
+
+    // Expiry is marked once per join, where the driver closes — not once
+    // per push, which would crowd a long join's own spans out of the ring.
+    // The two full joins drain both 144-record inputs; LIMIT 9 stops before
+    // anything could expire.
+    let expired: Vec<Vec<u64>> = traced
+        .outcomes
+        .iter()
+        .map(|o| {
+            let trace = o.stats.trace.as_ref().unwrap();
+            assert_eq!(trace.dropped_events, 0);
+            assert!(trace.orphan_marks.is_empty());
+            trace.mark_values("sweep.expire")
+        })
+        .collect();
+    assert_eq!(expired[0], [288]);
+    assert_eq!(expired[1], [288]);
+    assert_eq!(expired[2], [0u64; 0]);
 }
 
 #[test]

@@ -62,6 +62,8 @@ pub struct SymmetricSweepDriver {
     reservation: MemoryReservation,
     epoch: Option<SpillEpoch>,
     fixup_rect_tests: u64,
+    /// Expirations (both sides) already reported by a `sweep.expire` mark.
+    expirations_marked: u64,
     evict_left: Vec<Item>,
     evict_right: Vec<Item>,
     expiry_scratch: Vec<f32>,
@@ -84,6 +86,7 @@ impl SymmetricSweepDriver {
             reservation: env.memory.reserve_empty(),
             epoch: None,
             fixup_rect_tests: 0,
+            expirations_marked: 0,
             evict_left: Vec::new(),
             evict_right: Vec::new(),
             expiry_scratch: Vec::new(),
@@ -202,28 +205,33 @@ impl SymmetricSweepDriver {
     ) -> Result<()> {
         let [w_left, w_right] = self.watermark;
         // Left residents serve probes from future *right* arrivals (whose
-        // lower-y is at least w_right), and vice versa. The resident count
-        // is only sampled while a recorder is installed, so the expiry
-        // event costs nothing on the production path.
-        let before = usj_obs::enabled().then(|| self.left.len() + self.right.len());
+        // lower-y is at least w_right), and vice versa.
         self.left.expire_before(w_right);
         self.right.expire_before(w_left);
-        if let Some(before) = before {
-            let expired = before.saturating_sub(self.left.len() + self.right.len());
-            if expired > 0 {
-                usj_obs::instant("sweep.expire", expired as u64);
-            }
-        }
 
         // A spilled item is unreachable once both sides have passed it —
         // conservative for per-side batches, exact for mixed ones.
         let horizon = w_left.min(w_right);
         if self.epoch.as_ref().is_some_and(|e| e.max_y < horizon) {
             let epoch = self.epoch.take().expect("checked above");
+            self.mark_expired();
             usj_obs::instant("sweep.fixup_epoch", epoch.batches.len() as u64);
             self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), report)?;
         }
         Ok(())
+    }
+
+    /// Emits one `sweep.expire` mark carrying the residents expired since
+    /// the previous one. Called where a spill epoch closes and where the
+    /// driver does, never per push: a mark per expiring push is most of a
+    /// streaming join's events and pushes the join's own spans out of a
+    /// bounded trace ring.
+    fn mark_expired(&mut self) {
+        let total = self.left.stats().expirations + self.right.stats().expirations;
+        if total > self.expirations_marked {
+            usj_obs::instant("sweep.expire", total - self.expirations_marked);
+            self.expirations_marked = total;
+        }
     }
 
     fn note_sizes(&mut self) {
@@ -308,6 +316,7 @@ impl SymmetricSweepDriver {
         env: &mut SimEnv,
         mut report: F,
     ) -> Result<SweepJoinStats> {
+        self.mark_expired();
         if let Some(epoch) = self.epoch.take() {
             self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), &mut report)?;
         }
@@ -317,7 +326,8 @@ impl SymmetricSweepDriver {
     /// Abandons any pending spill state *without* reading it back — the
     /// early-termination path (a stopped sink does not want more pairs, so
     /// the fix-up I/O is saved).
-    pub fn discard(self) -> SweepJoinStats {
+    pub fn discard(mut self) -> SweepJoinStats {
+        self.mark_expired();
         self.stats_snapshot()
     }
 
@@ -498,6 +508,79 @@ mod tests {
             stats.max_resident < 200,
             "lockstep streams must expire promptly: {stats:?}"
         );
+    }
+
+    /// Values of the `sweep.expire` and `sweep.fixup_epoch` marks a recorded
+    /// `run_symmetric` emitted.
+    fn recorded_marks(
+        memory: usize,
+        left: &[Item],
+        right: &[Item],
+    ) -> ([Vec<u64>; 2], SweepJoinStats) {
+        use std::sync::Arc;
+        use usj_obs::{Event, HostClock, RingCollector};
+        let mut env = env_with_memory(memory);
+        let ring = Arc::new(RingCollector::new(64 * 1024));
+        let stats = {
+            let _g = usj_obs::install(ring.clone(), Arc::new(HostClock::new()));
+            run_symmetric(&mut env, left, right, 1).1
+        };
+        let (events, dropped) = ring.drain();
+        assert_eq!(dropped, 0);
+        let values = ["sweep.expire", "sweep.fixup_epoch"].map(|want| {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Instant { name, value, .. } if *name == want => Some(*value),
+                    _ => None,
+                })
+                .collect()
+        });
+        (values, stats)
+    }
+
+    #[test]
+    fn expiry_is_marked_once_per_spill_epoch_and_close_not_once_per_push() {
+        // Lockstep short-lived rectangles: nearly every push expires
+        // something, and nothing spills — one mark, at close, carrying all
+        // of it (everything pushed but what is still resident).
+        let mk = |base: u32| -> Vec<Item> {
+            (0..2_000u32)
+                .map(|i| {
+                    let y = i as f32 * 0.1;
+                    item((i % 29) as f32, y, (i % 29) as f32 + 1.5, y + 0.3, base + i)
+                })
+                .collect()
+        };
+        let ([expire, epochs], stats) = recorded_marks(16 * 1024 * 1024, &mk(0), &mk(100_000));
+        assert_eq!(stats.spill_runs, 0);
+        assert!(epochs.is_empty());
+        assert_eq!(expire.len(), 1, "{expire:?}");
+        assert!(
+            (4_000 - stats.max_resident as u64..=4_000).contains(&expire[0]),
+            "{expire:?} of 4000 pushed, {stats:?}"
+        );
+
+        // A dense long-lived opening that spills, then a gap and a sparse
+        // tail: the epoch closes once both sides cross the gap (one mark),
+        // the tail keeps expiring (one more, at close).
+        let mk = |base: u32| -> Vec<Item> {
+            (0..2_000u32)
+                .map(|i| {
+                    let x = (i % 61) as f32;
+                    if i < 1_000 {
+                        let y = i as f32 * 0.05;
+                        item(x, y, x + 3.0, y + 25.0, base + i)
+                    } else {
+                        let y = 200.0 + i as f32 * 0.1;
+                        item(x, y, x + 3.0, y + 0.3, base + i)
+                    }
+                })
+                .collect()
+        };
+        let ([expire, epochs], stats) = recorded_marks(64 * 1024, &mk(0), &mk(10_000));
+        assert!(stats.spill_runs > 0, "{stats:?}");
+        assert_eq!((expire.len(), epochs.len()), (2, 1), "{expire:?} {epochs:?}");
     }
 
     #[test]
