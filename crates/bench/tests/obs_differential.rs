@@ -16,7 +16,7 @@ use usj_core::{CollectSink, JoinAlgorithm, JoinInput, SpatialQuery};
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_io::{IoStats, MachineConfig, SimEnv};
 use usj_live::{LiveConfig, LiveDataset, StreamingJoin};
-use usj_obs::{NoopRecorder, QueryTrace, Recorder, RingCollector};
+use usj_obs::{NoopRecorder, QueryTrace, Recorder, RingCollector, TraceSpan};
 
 const ALGORITHMS: [JoinAlgorithm; 4] = [
     JoinAlgorithm::Sssj,
@@ -49,6 +49,14 @@ fn run_collect(
         .execute(&mut p.env, &mut sink)
         .expect("join");
     (sink.pairs, result.io, result.memory.peak_bytes)
+}
+
+/// Spans named `name` anywhere in the trace.
+fn span_count(trace: &QueryTrace, name: &str) -> usize {
+    fn walk(span: &TraceSpan, name: &str) -> usize {
+        usize::from(span.name == name) + span.children.iter().map(|c| walk(c, name)).sum::<usize>()
+    }
+    trace.roots.iter().map(|r| walk(r, name)).sum()
 }
 
 #[test]
@@ -87,17 +95,27 @@ fn recording_and_noop_runs_are_byte_identical_for_every_preset_and_algorithm() {
                 bare, noop,
                 "{preset:?}/{alg:?}: the no-op recorder changed pairs, I/O or peak memory"
             );
-            if matches!(alg, JoinAlgorithm::Sssj) {
-                assert!(
-                    trace.find("sssj.sort").is_some() && trace.find("sssj.sweep").is_some(),
-                    "{preset:?}: SSSJ must record its operator phases, got {}",
+            // Every operator records its phases — one span each per join,
+            // never one per item — so a traced run attributes its time.
+            let phases: &[&str] = match alg {
+                JoinAlgorithm::Sssj => &["sssj.sort", "sssj.sweep"],
+                JoinAlgorithm::Pbsm => &["pbsm.partition", "pbsm.join"],
+                JoinAlgorithm::Pq => &["pq.sweep"],
+                JoinAlgorithm::St => &["st.traverse"],
+            };
+            for phase in phases {
+                assert_eq!(
+                    span_count(&trace, phase),
+                    1,
+                    "{preset:?}/{alg:?}: one `{phase}` span per join, got {}",
                     trace.shape()
                 );
-                let sort = trace.find("sssj.sort").unwrap();
-                assert!(
-                    sort.io.pages_read > 0,
-                    "{preset:?}: the sort phase reads its input"
-                );
+            }
+            // The phases that read their input say so.
+            for phase in ["sssj.sort", "pbsm.partition", "pq.sweep", "st.traverse"] {
+                if let Some(span) = trace.find(phase) {
+                    assert!(span.io.pages_read > 0, "{preset:?}: {phase} reads its input");
+                }
             }
         }
     }

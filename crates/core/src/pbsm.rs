@@ -45,9 +45,7 @@
 
 use usj_geom::{Item, Rect, ITEM_BYTES};
 use usj_io::{CpuOp, ItemStream, ItemStreamWriter, ItemsView, Result, SimEnv, PAGE_SIZE};
-use usj_sweep::{
-    sweep_join_eps_with, ForwardSweep, StripedSweep, SweepJoinStats, SweepScratch, SweepStructure,
-};
+use usj_sweep::{batch_join, sweep_join_eps_with, StripedSweep, SweepJoinStats, SweepScratch};
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
@@ -324,6 +322,7 @@ impl JoinOperator for PbsmJoin {
         let predicate = self.predicate;
         let eps = predicate.epsilon();
 
+        let partition_phase = env.obs_phase("pbsm.partition");
         let left_stream = left.to_stream(env)?;
         let right_stream = right.to_stream(env)?;
 
@@ -401,6 +400,7 @@ impl JoinOperator for PbsmJoin {
             scatter.extend(env, view.iter())?;
         }
         let right_parts = scatter.finish(env)?;
+        env.obs_close(partition_phase);
 
         // Phase 2: join each partition in memory with the striped sweep,
         // suppressing duplicates with the reference-point test; partitions
@@ -417,6 +417,7 @@ impl JoinOperator for PbsmJoin {
             load_right: Vec::new(),
             scratch: SweepScratch::new(),
         };
+        let join_phase = env.obs_phase("pbsm.join");
         let mut path = vec![(grid, 0usize)];
         for (p, ((ls, le), (rs, re))) in left_parts.iter().zip(&right_parts).enumerate() {
             if run.done {
@@ -425,6 +426,7 @@ impl JoinOperator for PbsmJoin {
             path[0].1 = p;
             run.join_partition(env, &mut path, ls, rs, le.merged(re), 0)?;
         }
+        env.obs_close(join_phase);
         env.charge(CpuOp::OutputPair, run.pairs);
         let pairs = run.pairs;
         let mut sweep_total = run.sweep_total;
@@ -487,6 +489,15 @@ fn reader_bound(s: &ItemStream) -> usize {
     (s.data_bytes() as usize).min(s.pages_per_block() as usize * PAGE_SIZE)
 }
 
+/// How [`PbsmRun::sweep_loaded`] joins what is in the load buffers.
+#[derive(Clone, Copy)]
+enum Kernel {
+    /// A partition that fits in memory: the striped structure.
+    Striped,
+    /// A chunk pair of the fallback: the buffers themselves, copy-free.
+    Batch,
+}
+
 /// Mutable state threaded through the recursive partition joins.
 struct PbsmRun<'a> {
     predicate: Predicate,
@@ -540,7 +551,7 @@ impl PbsmRun<'_> {
                 self.load_right.clear();
                 left.read_all_into(env, &mut self.load_left)?;
                 right.read_all_into(env, &mut self.load_right)?;
-                self.sweep_loaded::<StripedSweep>(env, path);
+                self.sweep_loaded(env, path, Kernel::Striped);
                 return Ok(());
             }
             return self.split(env, path, left, right, data, depth);
@@ -549,9 +560,8 @@ impl PbsmRun<'_> {
     }
 
     /// Plane-sweeps the rectangles in the two load buffers against each
-    /// other over the interval structure `S`, reporting through
-    /// [`report_candidate`].
-    fn sweep_loaded<S: SweepStructure>(&mut self, env: &mut SimEnv, path: &[(TileGrid, usize)]) {
+    /// other with `kernel`, reporting through [`report_candidate`].
+    fn sweep_loaded(&mut self, env: &mut SimEnv, path: &[(TileGrid, usize)], kernel: Kernel) {
         let PbsmRun {
             predicate,
             sink,
@@ -563,15 +573,24 @@ impl PbsmRun<'_> {
             ..
         } = self;
         let loaded = load_left.len() + load_right.len();
-        let stats = sweep_join_eps_with::<S, _>(load_left, load_right, 0.0, scratch, |a, b| {
+        let report = |a: &Item, b: &Item| {
             report_candidate(*predicate, path, &mut **sink, pairs, done, a, b)
-        });
-        env.charge(CpuOp::RectTest, stats.rect_tests);
+        };
+        let tests = match kernel {
+            Kernel::Striped => {
+                let stats = sweep_join_eps_with::<StripedSweep, _>(
+                    load_left, load_right, 0.0, scratch, report,
+                );
+                self.sweep_total.merge(&stats);
+                stats.rect_tests
+            }
+            Kernel::Batch => batch_join(load_left, load_right, &mut self.sweep_total, report),
+        };
+        env.charge(CpuOp::RectTest, tests);
         env.charge(CpuOp::Compare, loaded as u64);
         self.max_partition_bytes = self
             .max_partition_bytes
             .max(loaded * std::mem::size_of::<Item>());
-        self.sweep_total.merge(&stats);
     }
 
     /// The overflow case: re-replicate the partition over a finer grid that
@@ -625,8 +644,9 @@ impl PbsmRun<'_> {
     /// at a time and streams the right side past it. Memory stays bounded;
     /// the price is re-reading the right partition once per left chunk —
     /// charged I/O, exactly the degradation a real system would pay. What
-    /// no grid could separate overlaps heavily, so the chunks meet on the
-    /// copy-free forward sweep: strips would only replicate them.
+    /// no grid could separate overlaps heavily, so the chunks meet in the
+    /// copy-free forward-sweep order of [`batch_join`]: strips would only
+    /// replicate them.
     fn chunked_fallback(
         &mut self,
         env: &mut SimEnv,
@@ -671,7 +691,7 @@ impl PbsmRun<'_> {
                 if self.load_right.is_empty() {
                     break;
                 }
-                self.sweep_loaded::<ForwardSweep>(env, path);
+                self.sweep_loaded(env, path, Kernel::Batch);
             }
         }
     }

@@ -25,11 +25,11 @@
 //! exercised by the cost-model experiment).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use usj_geom::{Item, Rect};
 use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
-use usj_rtree::{NodeKind, RTree};
+use usj_rtree::{Node, NodeKind, RTree};
 use usj_sweep::{Side, SpillingSweepDriver};
 
 use crate::input::JoinInput;
@@ -144,26 +144,38 @@ impl<'a> PqExtractor<'a> {
         self.reservation.try_set(bytes)
     }
 
-    fn stage_leaf(&mut self, env: &mut SimEnv, mut items: Vec<Item>) {
+    /// Stages the data rectangles of a loaded leaf (those the prune window
+    /// lets through), sorted, in a free buffer slot — whose allocation a
+    /// drained leaf left behind — and queues the first of them.
+    fn stage_leaf(&mut self, env: &mut SimEnv, leaf: &Node) {
+        let slot = self.free_buffers.pop().unwrap_or_else(|| {
+            self.buffers.push((Vec::new(), 0));
+            self.buffers.len() - 1
+        });
+        let prune = self.prune;
+        let items = &mut self.buffers[slot].0;
+        items.extend(
+            leaf.entries
+                .iter()
+                .filter(|e| match &prune {
+                    None => true,
+                    Some(p) => {
+                        env.cpu.bump(CpuOp::RectTest);
+                        e.rect.intersects(p)
+                    }
+                })
+                .map(|e| e.as_item()),
+        );
         if items.is_empty() {
+            self.free_buffers.push(slot);
             return;
         }
         let n = items.len() as u64;
         env.charge(CpuOp::Compare, n * (64 - n.leading_zeros()) as u64);
         env.charge(CpuOp::ItemMove, n);
-        items.sort_unstable_by(Item::cmp_by_lower_y);
+        usj_geom::sort_by_lower_y(items);
         self.staged_bytes += items.len() * usj_geom::ITEM_BYTES;
-        let slot = match self.free_buffers.pop() {
-            Some(s) => {
-                self.buffers[s] = (items, 0);
-                s
-            }
-            None => {
-                self.buffers.push((items, 0));
-                self.buffers.len() - 1
-            }
-        };
-        let first_y = self.buffers[slot].0[0].rect.lo.y;
+        let first_y = items[0].rect.lo.y;
         env.charge(CpuOp::HeapOp, 1);
         self.heads.push(Reverse(LeafHead {
             y: OrdF32(first_y),
@@ -206,42 +218,29 @@ impl<'a> PqExtractor<'a> {
                             }));
                         }
                     }
-                    NodeKind::Leaf => {
-                        let items: Vec<Item> = node
-                            .entries
-                            .iter()
-                            .filter(|e| match &self.prune {
-                                None => true,
-                                Some(p) => {
-                                    env.cpu.bump(CpuOp::RectTest);
-                                    e.rect.intersects(p)
-                                }
-                            })
-                            .map(|e| e.as_item())
-                            .collect();
-                        self.stage_leaf(env, items);
-                    }
+                    NodeKind::Leaf => self.stage_leaf(env, &node),
                 }
                 self.note_bytes()?;
             } else {
-                env.charge(CpuOp::HeapOp, 1);
-                let Reverse(head) = self.heads.pop().expect("peeked above");
-                let (items, cursor) = &mut self.buffers[head.buffer];
+                // Extracting a leaf's head and queueing its successor are
+                // two heap operations to the cost model and one sift here:
+                // the successor overwrites the top in place.
+                let mut head = self.heads.peek_mut().expect("peeked above");
+                let slot = head.0.buffer;
+                let (items, cursor) = &mut self.buffers[slot];
                 let item = items[*cursor];
                 *cursor += 1;
                 self.staged_bytes -= usj_geom::ITEM_BYTES;
-                if *cursor < items.len() {
-                    let next_y = items[*cursor].rect.lo.y;
+                env.charge(CpuOp::HeapOp, 1);
+                if let Some(next) = items.get(*cursor) {
                     env.charge(CpuOp::HeapOp, 1);
-                    self.heads.push(Reverse(LeafHead {
-                        y: OrdF32(next_y),
-                        buffer: head.buffer,
-                    }));
+                    head.0.y = OrdF32(next.rect.lo.y);
+                    drop(head);
                 } else {
+                    PeekMut::pop(head);
                     items.clear();
-                    items.shrink_to_fit();
                     *cursor = 0;
-                    self.free_buffers.push(head.buffer);
+                    self.free_buffers.push(slot);
                 }
                 self.note_bytes()?;
                 return Ok(Some(item));
@@ -423,6 +422,7 @@ impl JoinOperator for PqJoin {
         // simulated device if it ever outgrows the budget — half of what is
         // free once both sources are primed (their block buffers or queues
         // reserved), so the driver is built after the first reads.
+        let sweep_phase = env.obs_phase("pq.sweep");
         let mut pairs = 0u64;
         let mut done = false;
         let mut lnext = left_src.next(env)?.map(|it| predicate.expand_left(it));
@@ -479,6 +479,7 @@ impl JoinOperator for PqJoin {
                 }
             })?
         };
+        env.obs_close(sweep_phase);
         sweep.pairs = pairs;
         env.charge(CpuOp::RectTest, sweep.rect_tests);
         env.charge(CpuOp::OutputPair, pairs);

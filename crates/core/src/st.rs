@@ -16,7 +16,7 @@
 use usj_geom::Item;
 use usj_io::{CpuOp, PageId, Result, SimEnv};
 use usj_rtree::{NodeKind, NodeStore, RTree};
-use usj_sweep::{sweep_join_eps_with, ForwardSweep, SweepJoinStats, SweepScratch};
+use usj_sweep::{batch_join, SweepJoinStats};
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
@@ -156,9 +156,7 @@ impl JoinOperator for StJoin {
         // is exact for the distance predicate too.
         let mut pairs = 0u64;
         let mut done = false;
-        // One scratch pair serves the per-node-pair sweeps of the whole
-        // traversal (ST runs one small sweep per intersecting node pair).
-        let mut scratch = SweepScratch::new();
+        let traverse_phase = env.obs_phase("st.traverse");
         let mut stack: Vec<(PageId, PageId)> = Vec::new();
         env.charge(CpuOp::RectTest, 1);
         if left_tree.bbox().expanded(eps).intersects(&right_tree.bbox()) {
@@ -177,7 +175,7 @@ impl JoinOperator for StJoin {
             let Some(common) = node_a.mbr().expanded(eps).intersection(&node_b.mbr()) else {
                 continue;
             };
-            let a_entries: Vec<Item> = node_a
+            let mut a_entries: Vec<Item> = node_a
                 .entries
                 .iter()
                 .filter_map(|e| {
@@ -188,7 +186,7 @@ impl JoinOperator for StJoin {
                         .then(|| Item::new(expanded, e.as_item().id))
                 })
                 .collect();
-            let b_entries: Vec<Item> = node_b
+            let mut b_entries: Vec<Item> = node_b
                 .entries
                 .iter()
                 .filter(|e| {
@@ -199,43 +197,29 @@ impl JoinOperator for StJoin {
                 .collect();
             max_node_pair_bytes = max_node_pair_bytes
                 .max((a_entries.len() + b_entries.len()) * std::mem::size_of::<Item>());
-            // The entry vectors plus the sweep's internal sorted copies and
-            // active lists (3× is a safe envelope for two node loads).
+            // Three times the entry vectors, which the sweep sorts in place
+            // (the envelope dates from a sweep that kept sorted copies and
+            // active lists; what is claimed decides what fits, so it stays).
             let _node_claim = env.memory.try_reserve(
                 3 * (a_entries.len() + b_entries.len()) * std::mem::size_of::<Item>(),
             )?;
 
-            // Intersecting pairs of entries, computed with the forward sweep.
-            // At the leaf level the candidates are additionally refined with
+            // Intersecting pairs of entries, in forward-sweep order, computed
+            // on the two entry vectors themselves. At the leaf level the candidates are additionally refined with
             // the predicate (containment is a data-rectangle test — applying
             // it to directory rectangles would wrongly prune subtrees).
             let leaf_level = node_a.kind == NodeKind::Leaf && node_b.kind == NodeKind::Leaf;
             let mut matches: Vec<(u32, u32)> = Vec::new();
-            let stats = sweep_join_eps_with::<ForwardSweep, _>(
-                &a_entries,
-                &b_entries,
-                0.0,
-                &mut scratch,
-                |a, b| {
-                    if !leaf_level || predicate.accepts(&a.rect, &b.rect) {
-                        matches.push((a.id, b.id));
-                    }
-                },
-            );
-            env.charge(CpuOp::RectTest, stats.rect_tests);
+            let tests = batch_join(&mut a_entries, &mut b_entries, &mut sweep_total, |a, b| {
+                if !leaf_level || predicate.accepts(&a.rect, &b.rect) {
+                    matches.push((a.id, b.id));
+                }
+            });
+            env.charge(CpuOp::RectTest, tests);
             env.charge(
                 CpuOp::Compare,
                 (a_entries.len() + b_entries.len()) as u64,
             );
-            sweep_total = SweepJoinStats {
-                pairs: sweep_total.pairs,
-                left_items: sweep_total.left_items + stats.left_items,
-                right_items: sweep_total.right_items + stats.right_items,
-                rect_tests: sweep_total.rect_tests + stats.rect_tests,
-                max_structure_bytes: sweep_total.max_structure_bytes.max(stats.max_structure_bytes),
-                max_resident: sweep_total.max_resident.max(stats.max_resident),
-                ..sweep_total
-            };
 
             match (node_a.kind, node_b.kind) {
                 (NodeKind::Leaf, NodeKind::Leaf) => {
@@ -275,6 +259,7 @@ impl JoinOperator for StJoin {
                 }
             }
         }
+        env.obs_close(traverse_phase);
         env.charge(CpuOp::OutputPair, pairs);
         sweep_total.pairs = pairs;
 

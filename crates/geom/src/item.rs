@@ -84,7 +84,7 @@ impl Item {
 /// `Less` (with `-0.0 == +0.0`, and every NaN mapped to the maximum key —
 /// equal to each other and above all numbers, exactly like `ord_f32`).
 #[inline]
-fn f32_order_key(x: f32) -> u32 {
+pub fn f32_order_key(x: f32) -> u32 {
     if x.is_nan() {
         // `ord_f32` treats all NaNs as equal and larger than any number;
         // mapping them to one maximal key keeps the keyed sorts consistent
@@ -101,9 +101,79 @@ fn f32_order_key(x: f32) -> u32 {
     }
 }
 
-/// Sorts a slice of items into sweep order (ascending lower y-coordinate).
+/// Inverse of [`f32_order_key`] up to what the key forgets: `-0.0` comes
+/// back as `+0.0` and every NaN as the one canonical quiet NaN.
+#[inline]
+pub fn f32_from_order_key(key: u32) -> f32 {
+    f32::from_bits(if key & 0x8000_0000 != 0 {
+        key & 0x7FFF_FFFF
+    } else {
+        !key
+    })
+}
+
+/// Sorts `v` by `(key, cmp)`: the `u64` key decides first and `cmp` breaks
+/// key ties, so `cmp` must refine the key's order. The result is the one
+/// `v.sort_unstable_by(|a, b| key(a).cmp(&key(b)).then_with(|| cmp(a, b)))`
+/// gives, element for element, wherever `(key, cmp)` tells two elements
+/// apart.
+///
+/// This is the one in-memory sort of the sweep order — run formation of the
+/// external sort, PBSM's partitions, PQ's staged leaves, the memtable — and
+/// of the Hilbert order. It never compares records while it sorts: each
+/// element becomes one `u64` tag, the high half of its key above its index,
+/// the tags are sorted natively, the records gathered in tag order, and only
+/// groups that tie on the high half (for [`Item::sweep_key`]: equal `lo.y`)
+/// go through `(key, cmp)`. A key that says nothing in its high half (a
+/// constant, a 32-bit Hilbert value) skips the tags and sorts by
+/// `(key, cmp)` outright.
+pub fn sort_by_key_then<T, K, F>(v: &mut [T], key: K, cmp: F)
+where
+    T: Copy,
+    K: Fn(&T) -> u64,
+    F: Fn(&T, &T) -> std::cmp::Ordering,
+{
+    let full = |a: &T, b: &T| key(a).cmp(&key(b)).then_with(|| cmp(a, b));
+    let high = |t: &T| key(t) & !0xFFFF_FFFF;
+    // Already in order (a partition read back from a sorted run, a chunk
+    // swept a second time): one pass that an unsorted input leaves at its
+    // first descent.
+    if v.windows(2).all(|w| full(&w[0], &w[1]) != std::cmp::Ordering::Greater) {
+        return;
+    }
+    let Some(first) = v.first().map(high) else {
+        return;
+    };
+    if u32::try_from(v.len()).is_err() || v.iter().all(|t| high(t) == first) {
+        v.sort_unstable_by(full);
+        return;
+    }
+    let mut tags: Vec<u64> = v.iter().zip(0u64..).map(|(t, i)| high(t) | i).collect();
+    tags.sort_unstable();
+    let mut sorted: Vec<T> = tags
+        .iter()
+        .map(|&t| v[(t & 0xFFFF_FFFF) as usize])
+        .collect();
+    let mut start = 0;
+    while start < tags.len() {
+        let group = tags[start] >> 32;
+        let tied = tags[start..]
+            .iter()
+            .take_while(|&&t| t >> 32 == group)
+            .count();
+        if tied > 1 {
+            sorted[start..start + tied].sort_unstable_by(full);
+        }
+        start += tied;
+    }
+    v.copy_from_slice(&sorted);
+}
+
+/// Sorts a slice of items into sweep order: exactly the order of
+/// [`Item::cmp_by_lower_y`], through [`sort_by_key_then`] on
+/// [`Item::sweep_key`].
 pub fn sort_by_lower_y(items: &mut [Item]) {
-    items.sort_unstable_by(Item::cmp_by_lower_y);
+    sort_by_key_then(items, Item::sweep_key, Item::cmp_by_lower_y);
 }
 
 #[cfg(test)]
@@ -207,5 +277,99 @@ mod tests {
         // Ties broken by lower x: item 2 (x=0) before item 3 (x=5).
         assert_eq!(v[0].id, 2);
         assert_eq!(v[1].id, 3);
+    }
+
+    #[test]
+    fn order_key_round_trips_up_to_zero_sign_and_nan_payload() {
+        for x in [
+            -f32::MAX,
+            -1.5,
+            -1e-40,
+            0.0,
+            1e-40,
+            2.5,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            assert_eq!(f32_from_order_key(f32_order_key(x)), x);
+        }
+        assert_eq!(
+            f32_from_order_key(f32_order_key(-0.0)).to_bits(),
+            0.0f32.to_bits()
+        );
+        assert!(f32_from_order_key(f32_order_key(f32::NAN)).is_nan());
+    }
+
+    /// Coordinates that stress the keyed sort: ties on `lo.y`, both zeroes,
+    /// NaNs of both signs, subnormals, the extremes.
+    fn awkward_items() -> Vec<Item> {
+        let ys = [
+            0.0,
+            -0.0,
+            1.0,
+            1.0,
+            -1e-40,
+            1e-40,
+            f32::MAX,
+            -f32::MAX,
+            f32::NAN,
+            f32::from_bits(0xFFC0_0000),
+            3.5,
+            1.0,
+        ];
+        let mut out = Vec::new();
+        for (i, &y) in ys.iter().enumerate() {
+            for (j, &x) in [2.0, -0.0, 0.0, 2.0].iter().enumerate() {
+                let id = (i * 4 + j) as u32 ^ 0x15;
+                out.push(Item::new(
+                    Rect {
+                        lo: crate::Point::new(x, y),
+                        hi: crate::Point::new(x + (id % 3) as f32, y + (id % 2) as f32),
+                    },
+                    id,
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn keyed_sort_gives_the_comparator_order_bit_for_bit() {
+        let mut want = awkward_items();
+        want.sort_by(Item::cmp_by_lower_y);
+        let mut got = awkward_items();
+        sort_by_lower_y(&mut got);
+        let bits = |v: &[Item]| -> Vec<[u32; 5]> {
+            v.iter()
+                .map(|it| {
+                    let [a, b, c, d] =
+                        [it.rect.lo.x, it.rect.lo.y, it.rect.hi.x, it.rect.hi.y].map(f32::to_bits);
+                    [a, b, c, d, it.id]
+                })
+                .collect()
+        };
+        // Distinct ids make the comparator a strict total order here, so the
+        // unstable keyed sort and the stable comparator sort must agree.
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn keyed_sort_handles_keys_without_a_high_half_and_empty_input() {
+        // A 32-bit key (a Hilbert value) and a constant key both tie on the
+        // high half everywhere: the sort is then `(key, cmp)` outright.
+        let mut v: Vec<Item> = awkward_items();
+        v.retain(|it| !it.rect.lo.y.is_nan());
+        let mut want = v.clone();
+        want.sort_by(|a, b| (a.id % 7).cmp(&(b.id % 7)).then_with(|| a.id.cmp(&b.id)));
+        sort_by_key_then(&mut v, |it| u64::from(it.id % 7), |a, b| a.id.cmp(&b.id));
+        assert_eq!(v, want);
+        want.sort_by(Item::cmp_by_lower_y);
+        sort_by_key_then(&mut v, |_| 0, Item::cmp_by_lower_y);
+        assert_eq!(v, want);
+        sort_by_key_then(
+            &mut [] as &mut [Item],
+            Item::sweep_key,
+            Item::cmp_by_lower_y,
+        );
     }
 }

@@ -10,7 +10,7 @@
 
 use std::cmp::Ordering;
 
-use usj_geom::{Item, Rect};
+use usj_geom::{sort_by_key_then, Item, Rect};
 
 use crate::error::Result;
 use crate::page::PAGE_SIZE;
@@ -177,16 +177,16 @@ where
     buffer.sort_unstable_by(cmp);
 }
 
-/// Sorts a keyed run buffer: unstable sort over the precomputed `u64` keys,
-/// comparator fallback on collisions only. Same deterministic CPU charges as
-/// [`sort_in_memory`] — the key trick changes host wall-clock, not the
-/// simulated cost model.
+/// Sorts a keyed run buffer by `(key, cmp)` through the workspace's one
+/// keyed in-memory sort ([`sort_by_key_then`]). Same deterministic CPU
+/// charges as [`sort_in_memory`] — how the host orders the buffer changes
+/// wall-clock, not the simulated cost model.
 fn sort_entries_in_memory<F>(env: &mut SimEnv, buffer: &mut [SortEntry], cmp: F)
 where
     F: Fn(&Item, &Item) -> Ordering + Copy,
 {
     charge_sort(env, buffer.len() as u64);
-    buffer.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
+    sort_by_key_then(buffer, |e| e.0, |a, b| cmp(&a.1, &b.1));
 }
 
 fn charge_sort(env: &mut SimEnv, n: u64) {

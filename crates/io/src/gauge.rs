@@ -38,7 +38,12 @@ struct GaugeInner {
 
 impl GaugeInner {
     fn bump_peak(&self, candidate: usize) {
-        self.peak.fetch_max(candidate, Ordering::Relaxed);
+        // A sweep driver resizes its claim once per item; nearly always the
+        // new total is below a peak set long before, and a plain load is all
+        // that takes.
+        if candidate > self.peak.load(Ordering::Relaxed) {
+            self.peak.fetch_max(candidate, Ordering::Relaxed);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! [`LiveDataset`](crate::LiveDataset) drains it into a sorted delta run on
 //! the device.
 
-use usj_geom::{Item, Rect, ITEM_BYTES};
+use usj_geom::{sort_by_lower_y, Item, Rect, ITEM_BYTES};
 use usj_io::{MemoryReservation, SimEnv};
 
 use crate::Result;
@@ -73,12 +73,15 @@ impl Memtable {
         Ok(())
     }
 
-    /// Drains the buffer, returning every item sorted by the packed sweep
-    /// key (the order of every persisted run), and releases the gauge
-    /// reservation.
+    /// Drains the buffer, returning every item in the order of every
+    /// persisted run — ascending packed sweep key, ties by the full sweep
+    /// comparator — and releases the gauge reservation. Ties must be ordered
+    /// too: compaction *merges* runs with the external sort's `(key,
+    /// comparator)` order, and a merge only equals a sort when every input
+    /// is sorted by all of it.
     pub fn drain_sorted(&mut self) -> Vec<Item> {
         let mut items = std::mem::take(&mut self.items);
-        sort_run(&mut items);
+        sort_by_lower_y(&mut items);
         self.bbox = Rect::empty();
         self.reservation.release();
         items
@@ -92,29 +95,9 @@ impl Memtable {
     /// The memtable is left empty and immediately ready for new inserts.
     pub fn freeze(&mut self) -> (Vec<Item>, Rect, MemoryReservation) {
         let mut items = std::mem::take(&mut self.items);
-        sort_run(&mut items);
+        sort_by_lower_y(&mut items);
         let bbox = std::mem::replace(&mut self.bbox, Rect::empty());
         (items, bbox, self.reservation.take())
-    }
-}
-
-/// Puts `items` in the order of every run: ascending packed sweep key, ties
-/// by the full sweep comparator. Ties must be ordered too — compaction
-/// *merges* runs with the external sort's `(key, comparator)` order, and a
-/// merge only equals a sort when every input is sorted by all of it. They
-/// are rare, so the sort itself stays on the `u64` key alone (a third
-/// faster than a key-then-comparator closure on a 64 KB memtable) and only
-/// the groups that tie are put in comparator order afterwards.
-fn sort_run(items: &mut [Item]) {
-    items.sort_unstable_by_key(Item::sweep_key);
-    let mut start = 0;
-    while start < items.len() {
-        let key = items[start].sweep_key();
-        let tied = items[start..].iter().take_while(|it| it.sweep_key() == key).count();
-        if tied > 1 {
-            items[start..start + tied].sort_unstable_by(Item::cmp_by_lower_y);
-        }
-        start += tied;
     }
 }
 
@@ -124,7 +107,7 @@ fn sort_run(items: &mut [Item]) {
 /// flush threshold bounds it).
 pub(crate) fn frozen_sorted(items: &[Item]) -> Vec<Item> {
     let mut copy = items.to_vec();
-    sort_run(&mut copy);
+    sort_by_lower_y(&mut copy);
     copy
 }
 

@@ -14,7 +14,7 @@
 //! per partition, and ST feeds it with the entries of two R-tree nodes — the
 //! exact reuse of "a few standard operations" the paper advertises.
 
-use usj_geom::Item;
+use usj_geom::{sort_by_lower_y, Item};
 
 use crate::structure::{SweepStats, SweepStructure};
 
@@ -243,8 +243,8 @@ where
     l.extend(left.iter().map(|it| Item::new(it.rect.expanded(eps), it.id)));
     r.clear();
     r.extend_from_slice(right);
-    l.sort_unstable_by(Item::cmp_by_lower_y);
-    r.sort_unstable_by(Item::cmp_by_lower_y);
+    sort_by_lower_y(l);
+    sort_by_lower_y(r);
 
     let (mut x_lo, mut x_hi) = (f32::INFINITY, f32::NEG_INFINITY);
     for it in l.iter().chain(r.iter()) {

@@ -6,13 +6,20 @@
 //! query scans the entire list.
 //!
 //! This implementation keeps the resident set in struct-of-arrays layout
-//! (see the `soa` module): the overlap scan reads three packed `f32` arrays
-//! with a branch-light comparison, and expiration is lazy — an expiry
-//! min-heap keeps the exact live count and expiration totals while
-//! passed items linger as tombstones until a batched compaction reclaims
-//! them. Identical pair sequences and counters to the eager
-//! [`ListSweep`](crate::ListSweep) reference kernel, without the `O(n)`
-//! `retain` on every push.
+//! (see the `soa` module): the overlap scan reads three packed `f32` runs
+//! per eight-entry block with a branch-light comparison, and expiration is
+//! lazy — an expiry queue keeps the exact live count and expiration totals
+//! while passed items linger as tombstones until a batched compaction
+//! reclaims them. Identical pair sequences and counters to the eager
+//! `ListSweep` reference kernel (dev-only `reference-kernels` feature),
+//! without the `O(n)` `retain` on every push.
+//!
+//! It remains the list structure of the generic
+//! [`SweepDriver`](crate::SweepDriver) — the paper's Forward-vs-Striped
+//! kernel comparison in `repro` and in the repo benchmark's probe runs on
+//! it. The joins' one-shot sweeps of two small batches use
+//! [`batch_join`](crate::batch_join) instead, which reports the same pairs
+//! in the same order without building it.
 
 use usj_geom::Item;
 

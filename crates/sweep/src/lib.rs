@@ -16,17 +16,22 @@
 //!   2–5× faster than the alternatives on real data.
 //!
 //! Both structures keep their resident sets in **struct-of-arrays layout**
-//! with **lazy batched expiration** (see [`soa`](crate::forward) docs): the
+//! with **lazy batched expiration** (see the [`forward`] module docs): the
 //! overlap scan streams packed coordinate arrays and the per-push `O(n)`
 //! expiration `retain` of the naive kernel is replaced by an exact expiry
-//! heap plus threshold-triggered tombstone compaction. The pre-optimization
-//! list kernel survives as [`ListSweep`] — the differential-testing oracle
-//! and the wall-clock baseline of the `sweep_structures` bench.
+//! queue plus threshold-triggered tombstone compaction. The pre-optimization
+//! kernels survive behind the dev-only `reference-kernels` feature (module
+//! `reference`: `ListSweep`, `EagerStripedSweep`) — differential-testing
+//! oracles and the wall-clock baseline of the `sweep_structures` bench, not
+//! part of the crate's API.
 //!
 //! The [`SweepDriver`] consumes two y-sorted item sequences (in-memory slices
 //! or, in the join crate, streams extracted from R-trees) and produces the
 //! intersecting pairs plus detailed operation counts, which the simulation
-//! environment later converts into CPU time.
+//! environment later converts into CPU time. Two *small* in-memory batches —
+//! the entries of two R-tree nodes, two chunks of an unsplittable PBSM
+//! partition — skip the structures altogether: [`batch_join`] sweeps them
+//! with a moving window over the sorted batches themselves.
 //!
 //! When the active intervals outgrow the internal-memory budget, the
 //! [`SpillingSweepDriver`] takes over: it evicts the soonest-to-expire items
@@ -43,8 +48,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod batch;
 pub mod driver;
 pub mod forward;
+#[cfg(any(test, feature = "reference-kernels"))]
 pub mod reference;
 mod soa;
 pub mod spill;
@@ -52,11 +59,13 @@ pub mod striped;
 pub mod structure;
 pub mod symmetric;
 
+pub use batch::batch_join;
 pub use driver::{
     sweep_join, sweep_join_count, sweep_join_eps, sweep_join_eps_with, Side, SweepDriver,
     SweepJoinStats, SweepScratch,
 };
 pub use forward::ForwardSweep;
+#[cfg(any(test, feature = "reference-kernels"))]
 pub use reference::{EagerStripedSweep, ListSweep};
 pub use spill::SpillingSweepDriver;
 pub use symmetric::SymmetricSweepDriver;

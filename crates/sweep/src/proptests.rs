@@ -6,9 +6,12 @@ use usj_geom::{Item, Rect};
 use usj_io::{ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
 
+use crate::soa::oracle::QuadHeap;
+use crate::soa::{ExpiryEntry, ExpiryHeap};
 use crate::spill::{join_batch_against_log, nested_loop_fixup};
 use crate::{
-    sweep_join, ForwardSweep, ListSweep, Side, SpillingSweepDriver, StripedSweep, SweepStructure,
+    batch_join, sweep_join, ForwardSweep, ListSweep, Side, SpillingSweepDriver, StripedSweep,
+    SweepJoinStats, SweepStructure,
 };
 
 fn arb_items(g: &mut Gen, max_len: usize, id_base: u32) -> Vec<Item> {
@@ -21,6 +24,52 @@ fn arb_items(g: &mut Gen, max_len: usize, id_base: u32) -> Vec<Item> {
         let id = id_base + next;
         next += 1;
         Item::new(Rect::from_coords(x, y, x + w, y + h), id)
+    })
+}
+
+/// Coordinates from the edges of the format — both zeroes, subnormals, the
+/// extremes, a handful of values shared by everything (ties) — or, half the
+/// time, from the friendly range.
+fn arb_edge_coord(g: &mut Gen) -> f32 {
+    const EDGES: [f32; 14] = [
+        -f32::MAX,
+        -1e30,
+        -2.0,
+        -1e-40,
+        -1e-45,
+        -0.0,
+        0.0,
+        1e-45,
+        1e-40,
+        1.0,
+        1.0,
+        2.0,
+        1e30,
+        f32::MAX,
+    ];
+    if g.bool_with(0.5) {
+        EDGES[g.usize_in(0, EDGES.len())]
+    } else {
+        g.f32_in(-3.0, 3.0)
+    }
+}
+
+/// Valid rectangles (`lo <= hi`, possibly of zero area) on edge coordinates.
+fn arb_edge_items(g: &mut Gen, max_len: usize, id_base: u32) -> Vec<Item> {
+    let mut next = 0u32;
+    g.vec(0, max_len, |g| {
+        let (a, b, c, d) = (
+            arb_edge_coord(g),
+            arb_edge_coord(g),
+            arb_edge_coord(g),
+            arb_edge_coord(g),
+        );
+        let id = id_base + next;
+        next += 1;
+        Item::new(
+            Rect::from_coords(a.min(b), c.min(d), a.max(b), c.max(d)),
+            id,
+        )
     })
 }
 
@@ -219,5 +268,89 @@ fn sweep_fixup_matches_the_nested_loop_on_random_spill_histories() {
         let peak = env.memory.peak();
         assert!(peak <= limit, "gauge peak {peak} over limit {limit}");
         assert_eq!(env.memory.current(), 0, "the fix-up leaked its claim");
+    });
+}
+
+#[test]
+fn expiry_queue_pops_what_the_quad_heap_popped() {
+    // The packed bottom-up heap against the 4-ary `f32` heap it replaced, on
+    // monotone sweeps (every pushed expiry is at or above the last cut) over
+    // edge values: per cut the same expiry positions in the same order, the
+    // same copy sum, the same live count; and the same survivors at the end.
+    forall!(96, |g| {
+        let (mut new, mut old) = (ExpiryHeap::default(), QuadHeap::default());
+        let mut positions: Vec<f32> = (0..g.usize_in(1, 200)).map(|_| arb_edge_coord(g)).collect();
+        positions.sort_unstable_by(f32::total_cmp);
+        for &cut in &positions {
+            let drain = |pop: &mut dyn FnMut() -> Option<ExpiryEntry>| {
+                let (mut ys, mut copies) = (Vec::new(), 0u64);
+                while let Some(e) = pop() {
+                    // -0.0 comes back as +0.0: compare as the queue does.
+                    ys.push(e.y + 0.0);
+                    copies += u64::from(e.copies);
+                }
+                (ys, copies)
+            };
+            let got = drain(&mut || new.pop_if(|y| y < cut));
+            let want = drain(&mut || old.pop_if(|y| y < cut));
+            assert_eq!(got, want, "cut {cut:e}");
+            assert_eq!(new.len(), old.len());
+            assert_eq!(new.bytes(), 8 * old.len());
+            for _ in 0..g.usize_in(0, 6) {
+                // At or above the cut: the cut itself, a tie-prone edge, or
+                // anything larger.
+                let y = match g.usize_in(0, 3) {
+                    0 => cut,
+                    1 => arb_edge_coord(g).max(cut),
+                    _ => cut.max(0.0) + g.f32_in(0.0, 4.0),
+                };
+                let copies = g.u32_in(1, 9);
+                new.push(y, copies);
+                old.push(y, copies);
+            }
+        }
+        let mut left = Vec::new();
+        new.expiries_into(&mut left);
+        left.sort_unstable_by(f32::total_cmp);
+        let mut want = Vec::new();
+        while let Some(e) = old.pop_if(|_| true) {
+            want.push(e.y + 0.0);
+        }
+        assert_eq!(left, want);
+        // A rebuild holds the same entries as pushing them one by one.
+        let mut rebuilt = ExpiryHeap::default();
+        rebuilt.rebuild(left.iter().map(|&y| ExpiryEntry { y, copies: 3 }));
+        let mut again = Vec::new();
+        while let Some(e) = rebuilt.pop_if(|_| true) {
+            assert_eq!(e.copies, 3);
+            again.push(e.y);
+        }
+        assert_eq!(again, want);
+    });
+}
+
+#[test]
+fn batch_join_matches_the_forward_driver_and_brute_force_on_edge_coordinates() {
+    forall!(96, |g| {
+        let (left, right) = match g.bool_with(0.5) {
+            true => (arb_edge_items(g, 90, 0), arb_edge_items(g, 90, 10_000)),
+            false => (arb_items(g, 90, 0), arb_items(g, 90, 10_000)),
+        };
+        let mut want = Vec::new();
+        let driver = sweep_join::<ForwardSweep, _>(&left, &right, |a, b| want.push((a.id, b.id)));
+        let (mut l, mut r) = (left.clone(), right.clone());
+        let mut total = SweepJoinStats::default();
+        let mut got = Vec::new();
+        let tests = batch_join(&mut l, &mut r, &mut total, |a, b| got.push((a.id, b.id)));
+        assert_eq!(got, want, "pairs or their order");
+        assert_eq!(tests, driver.rect_tests);
+        assert_eq!(total.max_resident, driver.max_resident);
+        assert_eq!(
+            (total.pairs, total.left_items, total.right_items),
+            (driver.pairs, driver.left_items, driver.right_items)
+        );
+        got.sort_unstable();
+        assert_eq!(got, brute(&left, &right));
+        assert_eq!(run::<StripedSweep>(&left, &right), got);
     });
 }

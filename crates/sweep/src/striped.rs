@@ -16,12 +16,22 @@
 //!
 //! ## Hot-path layout
 //!
-//! Each strip is a struct-of-arrays buffer (the `soa` module's `SoaBuf`), so the
-//! per-strip overlap scan streams packed `f32` arrays instead of chasing
-//! 20-byte `Item` records. Expiration is lazy: an exact expiry heap tracks
-//! the live residents while passed entries linger as tombstones until a
-//! batched compaction (density threshold) reclaims them — the `O(strips +
-//! copies)` `retain` the old kernel paid on *every* push is gone.
+//! Each strip is a struct-of-arrays buffer (the `soa` module's `SoaBuf`):
+//! blocks of eight entries in one allocation per strip, so the per-strip
+//! overlap scan streams packed `f32` runs instead of chasing 20-byte `Item`
+//! records, and an insert writes one place per strip it overlaps.
+//! Expiration is lazy: the expiry queue (a packed binary heap, one `u64` per
+//! resident) keeps the live count and the live copy total exact after every
+//! `expire_before`, while passed entries linger in the strips as tombstones.
+//!
+//! Tombstones are reclaimed by a **whole-structure compaction**, fired when
+//! they number at least 64 and outnumber the live copies. The policy is
+//! part of the accounting, not an implementation detail: `bytes()` counts
+//! physical entries, the spilling drivers compare it with their budget at
+//! every push, so *when* tombstones go decides when a sweep spills.
+//! Reclaiming a strip at a time as scans meet its tombstones was measured
+//! and rejected for that reason — it changes the `bytes()` trajectory. The
+//! walk itself visits one header and (typically) one block per strip.
 //!
 //! ## Density-based strip auto-tuning
 //!
@@ -64,6 +74,12 @@ const COMPACT_DENOMINATOR: usize = 2;
 /// would thrash instead of batch.
 const COMPACT_FLOOR: usize = 64;
 
+/// Bytes [`SweepStructure::bytes`] charges per strip for its bookkeeping:
+/// the five array headers a strip had when every coordinate was a `Vec` of
+/// its own. A strip is one allocation now, but what the memory governor is
+/// told decides when a sweep spills, so the charge stays what it was.
+const STRIP_HEADER_BYTES: usize = 120;
+
 /// Row index of the strip containing `x` for `n` strips over `[x_lo, ..]`
 /// with precomputed scale `inv_span = n / (x_hi - x_lo)` (coordinates
 /// outside the extent clamp onto the border strips). A free function so the
@@ -72,14 +88,13 @@ const COMPACT_FLOOR: usize = 64;
 /// the insert/query path instead of an `f64` division.
 #[inline]
 fn strip_index(x_lo: f32, inv_span: f64, n: usize, x: f32) -> usize {
-    let idx = ((f64::from(x) - f64::from(x_lo)) * inv_span).floor();
-    if idx < 0.0 {
-        0
-    } else if idx >= n as f64 {
-        n - 1
-    } else {
-        idx as usize
-    }
+    // The float-to-integer cast truncates towards zero, saturates at the
+    // type's bounds and sends NaN to zero: for the non-negative offsets it
+    // is the floor, negative ones clamp to strip 0 either way, and `min`
+    // clamps the far side — no `floor()` call, which without SSE4.1 is a
+    // library routine and was a fifth of the kernel's time.
+    let idx = (f64::from(x) - f64::from(x_lo)) * inv_span;
+    (idx as usize).min(n - 1)
 }
 
 /// The strip scale for `n` strips over `[x_lo, x_hi]`.
@@ -148,10 +163,13 @@ impl StripedSweep {
         strip_index(self.x_lo, self.inv_span, self.strips.len(), x)
     }
 
-    /// Strip range `[first, last]` overlapped by an item's x-projection.
+    /// Strips overlapped by an item's x-projection. Empty when the upper x
+    /// is NaN (strip 0, below the lower one's): an interval that overlaps
+    /// nothing occupies no strip.
     #[inline]
-    fn strip_range(&self, item: &Item) -> (usize, usize) {
-        (self.strip_of(item.rect.lo.x), self.strip_of(item.rect.hi.x))
+    fn strip_range(&self, item: &Item) -> std::ops::Range<usize> {
+        let first = self.strip_of(item.rect.lo.x);
+        first..(self.strip_of(item.rect.hi.x) + 1).max(first)
     }
 
     fn note_size(&mut self) {
@@ -179,7 +197,7 @@ impl StripedSweep {
         let mut live: Vec<Item> = Vec::with_capacity(self.heap.len());
         for (s, strip) in self.strips.iter().enumerate() {
             for i in 0..strip.len() {
-                if strip.y_hi[i] >= cut && self.strip_of(strip.x_lo[i]) == s {
+                if strip.y_hi(i) >= cut && self.strip_of(strip.x_lo(i)) == s {
                     live.push(strip.item(i));
                 }
             }
@@ -189,18 +207,18 @@ impl StripedSweep {
         let mut entries = Vec::with_capacity(live.len());
         let mut copies_total = 0;
         for item in &live {
-            let (first, last) = self.strip_range(item);
-            for s in first..=last {
+            let range = self.strip_range(item);
+            let copies = range.len();
+            for s in range {
                 self.strips[s].push(item);
             }
-            let copies = last - first + 1;
             copies_total += copies;
             entries.push(ExpiryEntry {
                 y: item.rect.hi.y,
                 copies: copies as u32,
             });
         }
-        self.heap.rebuild(entries);
+        self.heap.rebuild(entries.into_iter());
         self.live_copies = copies_total;
         self.phys_copies = copies_total;
     }
@@ -232,12 +250,12 @@ impl StripedSweep {
         let mut phys = 0;
         for (s, strip) in self.strips.iter_mut().enumerate() {
             strip.retain_indexed(|buf, i| {
-                let y = buf.y_hi[i];
+                let y = buf.y_hi(i);
                 if y < cut {
                     return false; // tombstone: reclaim silently
                 }
                 if y <= y_cut {
-                    if strip_index(x_lo, scale, n, buf.x_lo[i]) == s {
+                    if strip_index(x_lo, scale, n, buf.x_lo(i)) == s {
                         out.push(buf.item(i));
                     }
                     return false;
@@ -268,11 +286,11 @@ impl SweepStructure for StripedSweep {
     }
 
     fn insert(&mut self, item: Item) {
-        let (first, last) = self.strip_range(&item);
-        for s in first..=last {
+        let range = self.strip_range(&item);
+        let copies = range.len();
+        for s in range {
             self.strips[s].push(&item);
         }
-        let copies = last - first + 1;
         self.heap.push(item.rect.hi.y, copies as u32);
         self.live_copies += copies;
         self.phys_copies += copies;
@@ -297,7 +315,10 @@ impl SweepStructure for StripedSweep {
             removed += 1;
         }
         self.stats.expirations += removed as u64;
-        let dead = self.phys_copies - self.live_copies;
+        // Saturating: an item whose upper edge is NaN never expires from the
+        // queue, yet is a tombstone to every scan and compaction — once one
+        // has been reclaimed the live count runs ahead of the physical one.
+        let dead = self.phys_copies.saturating_sub(self.live_copies);
         if dead >= COMPACT_FLOOR && dead * COMPACT_DENOMINATOR > self.phys_copies {
             self.compact();
         }
@@ -305,17 +326,19 @@ impl SweepStructure for StripedSweep {
     }
 
     fn query<F: FnMut(&Item)>(&mut self, query: &Item, mut report: F) {
-        let (first, last) = self.strip_range(query);
-        let q_home = self.strip_of(query.rect.lo.x);
+        // The query's home strip — where its lower endpoint falls — is the
+        // first strip of its range.
+        let range = self.strip_range(query);
+        let q_home = range.start;
         let (q_lo, q_hi) = (query.rect.lo.x, query.rect.hi.x);
         let cut = self.cut;
         let mut tests = 0u64;
-        for s in first..=last {
+        for s in range {
             let strip = &self.strips[s];
             tests += strip.scan_overlaps(cut, q_lo, q_hi, |i| {
                 // Canonical strip of the pair: where the rightmost of the two
                 // lower endpoints falls. Report the pair only there.
-                let canonical = q_home.max(self.strip_of(strip.x_lo[i]));
+                let canonical = q_home.max(self.strip_of(strip.x_lo(i)));
                 if canonical == s {
                     report(&strip.item(i));
                 }
@@ -335,7 +358,7 @@ impl SweepStructure for StripedSweep {
     /// earlier than the old `copies * 20` accounting did.
     fn bytes(&self) -> usize {
         self.phys_copies * std::mem::size_of::<Item>()
-            + self.strips.len() * std::mem::size_of::<SoaBuf>()
+            + self.strips.len() * STRIP_HEADER_BYTES
             + self.heap.bytes()
     }
 

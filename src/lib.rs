@@ -105,7 +105,5 @@ pub mod prelude {
         QueryRequest, QueryStats, QueryStatus, Service, ServiceConfig, ServiceReport,
         ServiceStats, Session,
     };
-    pub use usj_sweep::{
-        EagerStripedSweep, ForwardSweep, ListSweep, StripedSweep, SweepScratch, SweepStructure,
-    };
+    pub use usj_sweep::{ForwardSweep, StripedSweep, SweepScratch, SweepStructure};
 }

@@ -1,0 +1,242 @@
+//! Golden counters and emission order of the four join algorithms.
+//!
+//! The sweep kernels, the PQ adapter and the in-memory sorts may be rebuilt
+//! for host speed as often as anyone likes — as long as nothing the paper's
+//! cost model can see moves. This suite pins, per algorithm × data set ×
+//! memory limit at seed 42: the pair count, an *order-sensitive* digest of
+//! the emitted `(left, right)` sequence, the sweep's rectangle tests and
+//! resident high-water mark, the spill volume, every charged CPU counter and
+//! the page I/O. The numbers were recorded against the kernels of PR 22 (a
+//! 4-ary `f32` expiry heap, a `ForwardSweep` driver per ST node pair, the
+//! four-field comparator sort) before PR 23 replaced them; a kernel change
+//! that alters any of them is a behaviour change, not an optimisation.
+//!
+//! On a mismatch the failure message prints the observed row in the literal
+//! syntax of the table, so an *intended* change is a copy-paste plus an
+//! explanation in the PR.
+
+use std::sync::Arc;
+
+use unified_spatial_join::io::{CpuOp, ItemStream, Page};
+use unified_spatial_join::prelude::*;
+
+/// What one join is pinned to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Golden {
+    pairs: u64,
+    /// FNV-1a over the emitted `(left, right)` sequence, in emission order.
+    order: u64,
+    rect_tests: u64,
+    max_resident: usize,
+    spilled_items: u64,
+    /// `Compare`, `HeapOp`, `ItemMove`, `RectTest` as charged.
+    cpu: [u64; 4],
+    /// Pages read, pages written, sequential ops, random ops.
+    io: [u64; 4],
+}
+
+/// Order-sensitive FNV-1a digest of a pair sequence.
+#[derive(Debug, Clone, Copy)]
+struct OrderDigest(u64);
+
+impl OrderDigest {
+    fn new() -> Self {
+        OrderDigest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, left: u32, right: u32) {
+        for byte in left.to_le_bytes().into_iter().chain(right.to_le_bytes()) {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+struct Fixture {
+    env: SimEnv,
+    /// Snapshot of the materialised inputs: every join runs on a fork over
+    /// it, so each starts from the same device state.
+    base: Arc<Vec<Page>>,
+    left_tree: RTree,
+    right_tree: RTree,
+    left_stream: ItemStream,
+    right_stream: ItemStream,
+    /// The same items in two-page blocks: what the 256 KB rows read, where
+    /// two default 512 KB reader blocks would be the whole limit twice over.
+    left_small_blocks: ItemStream,
+    right_small_blocks: ItemStream,
+}
+
+fn fixture(preset: Preset) -> Fixture {
+    let w = WorkloadSpec::preset(preset).with_scale(200).generate(42);
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let (left_tree, right_tree) = env.unaccounted(|env| {
+        (
+            RTree::bulk_load(env, &w.roads).unwrap(),
+            RTree::bulk_load(env, &w.hydro).unwrap(),
+        )
+    });
+    let [left_stream, right_stream, left_small_blocks, right_small_blocks] =
+        [(&w.roads, 64), (&w.hydro, 64), (&w.roads, 2), (&w.hydro, 2)].map(|(items, ppb)| {
+            env.unaccounted(|env| ItemStream::from_items_with_block(env, items, ppb).unwrap())
+        });
+    let base = env.device.snapshot();
+    Fixture {
+        env,
+        base,
+        left_tree,
+        right_tree,
+        left_stream,
+        right_stream,
+        left_small_blocks,
+        right_small_blocks,
+    }
+}
+
+impl Fixture {
+    /// SSSJ and PBSM on the flat streams, PQ and ST on the R-trees — the
+    /// paper's Figure 3 inputs and the repo benchmark's.
+    fn inputs(&self, algo: Algo, limit: usize) -> (JoinInput<'_>, JoinInput<'_>) {
+        match algo {
+            Algo::Sssj | Algo::Pbsm if limit < MB24 => (
+                JoinInput::Stream(&self.left_small_blocks),
+                JoinInput::Stream(&self.right_small_blocks),
+            ),
+            Algo::Sssj | Algo::Pbsm => (
+                JoinInput::Stream(&self.left_stream),
+                JoinInput::Stream(&self.right_stream),
+            ),
+            _ => (
+                JoinInput::Indexed(&self.left_tree),
+                JoinInput::Indexed(&self.right_tree),
+            ),
+        }
+    }
+
+    fn run(&self, algo: Algo, limit: usize, sink: &mut dyn PairSink) -> JoinResult {
+        let mut env = self.env.fork_with_base(Arc::clone(&self.base));
+        env.set_memory_limit(limit);
+        let (left, right) = self.inputs(algo, limit);
+        SpatialQuery::new(left, right)
+            .algorithm(algo)
+            .execute(&mut env, sink)
+            .unwrap_or_else(|e| panic!("{algo:?} at {limit} B failed: {e}"))
+    }
+
+    fn observe(&self, algo: Algo, limit: usize) -> Golden {
+        let mut order = OrderDigest::new();
+        let mut sink = |l: u32, r: u32| order.add(l, r);
+        let res = self.run(algo, limit, &mut sink);
+        Golden {
+            pairs: res.pairs,
+            order: order.0,
+            rect_tests: res.sweep.rect_tests,
+            max_resident: res.sweep.max_resident,
+            spilled_items: res.sweep.spilled_items,
+            cpu: [
+                res.cpu.get(CpuOp::Compare),
+                res.cpu.get(CpuOp::HeapOp),
+                res.cpu.get(CpuOp::ItemMove),
+                res.cpu.get(CpuOp::RectTest),
+            ],
+            io: [
+                res.io.pages_read,
+                res.io.pages_written,
+                res.io.seq_read_ops + res.io.seq_write_ops,
+                res.io.rand_read_ops + res.io.rand_write_ops,
+            ],
+        }
+    }
+}
+
+const MB24: usize = 24 * 1024 * 1024;
+const KB256: usize = 256 * 1024;
+/// Small enough that SSSJ's and PQ's sweeps spill on DISK1/200.
+const KB128: usize = 128 * 1024;
+
+const ALGOS: [Algo; 4] = [Algo::Sssj, Algo::Pbsm, Algo::Pq, Algo::St];
+
+#[rustfmt::skip]
+const GOLDENS: [(Preset, usize, [Golden; 4]); 5] = [
+    (Preset::NJ, MB24, [
+        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [29104, 0, 9304, 10846], io: [14, 7, 1, 5] },
+        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [2326, 0, 11630, 13172], io: [21, 7, 1, 7] },
+        Golden { pairs: 7363, order: 4134012195807859266, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [24011, 4668, 4658, 10846], io: [8, 0, 3, 5] },
+        Golden { pairs: 7363, order: 3975859794417342510, rect_tests: 36771, max_resident: 322, spilled_items: 0, cpu: [2796, 0, 3856, 40635], io: [8, 0, 6, 2] },
+    ]),
+    (Preset::NJ, KB256, [
+        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [29104, 0, 9304, 10846], io: [14, 7, 5, 7] },
+        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [2326, 0, 11630, 13172], io: [21, 7, 5, 7] },
+        Golden { pairs: 7363, order: 4134012195807859266, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [24011, 4668, 4658, 10846], io: [8, 0, 3, 5] },
+        Golden { pairs: 7363, order: 3975859794417342510, rect_tests: 36771, max_resident: 322, spilled_items: 0, cpu: [2796, 0, 3856, 40635], io: [8, 0, 6, 2] },
+    ]),
+    (Preset::Disk1, MB24, [
+        Golden { pairs: 33596, order: 2767078577149976781, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [563149, 0, 143852, 152346], io: [178, 89, 2, 7] },
+        Golden { pairs: 33596, order: 2767078577149976781, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [35963, 0, 179815, 188309], io: [267, 89, 21, 9] },
+        Golden { pairs: 33596, order: 3140964812098539761, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [390377, 72112, 72017, 152346], io: [93, 0, 11, 82] },
+        Golden { pairs: 33596, order: 14536621579136708405, rect_tests: 342799, max_resident: 368, spilled_items: 0, cpu: [55217, 0, 189945, 532986], io: [93, 0, 8, 85] },
+    ]),
+    (Preset::Disk1, KB256, [
+        Golden { pairs: 33596, order: 2767078577149976781, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [680002, 71926, 215778, 152346], io: [275, 186, 136, 105] },
+        Golden { pairs: 33596, order: 13171210364267338893, rect_tests: 64624, max_resident: 434, spilled_items: 0, cpu: [66116, 0, 417718, 100587], io: [507, 329, 214, 340] },
+        Golden { pairs: 33596, order: 3140964812098539761, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [390377, 72112, 72017, 152346], io: [93, 0, 11, 82] },
+        Golden { pairs: 33596, order: 14536621579136708405, rect_tests: 342799, max_resident: 368, spilled_items: 0, cpu: [55217, 0, 189945, 532986], io: [93, 0, 8, 85] },
+    ]),
+    (Preset::Disk1, KB128, [
+        Golden { pairs: 33596, order: 11192657692761802709, rect_tests: 152507, max_resident: 1293, spilled_items: 1866, cpu: [682475, 132234, 280642, 152507], io: [368, 282, 147, 193] },
+        Golden { pairs: 33596, order: 17907210283046378589, rect_tests: 312795, max_resident: 624, spilled_items: 0, cpu: [133695, 0, 1008806, 348758], io: [1171, 995, 525, 938] },
+        Golden { pairs: 33596, order: 10431575048363610437, rect_tests: 178746, max_resident: 266, spilled_items: 3761, cpu: [390377, 72112, 98235, 178746], io: [164, 45, 59, 150] },
+        Golden { pairs: 33596, order: 14536621579136708405, rect_tests: 342799, max_resident: 368, spilled_items: 0, cpu: [55217, 0, 189945, 532986], io: [191, 0, 18, 173] },
+    ]),
+];
+
+#[test]
+fn counters_and_emission_order_are_pinned() {
+    let mut observed = String::new();
+    let mut mismatches = Vec::new();
+    let fixtures = [Preset::NJ, Preset::Disk1].map(|p| (p, fixture(p)));
+    for (preset, limit, want) in GOLDENS {
+        let fx = &fixtures.iter().find(|(p, _)| *p == preset).unwrap().1;
+        observed.push_str(&format!("    ({preset:?}, {limit}, [\n"));
+        for (algo, want) in ALGOS.into_iter().zip(want) {
+            let got = fx.observe(algo, limit);
+            observed.push_str(&format!("        {got:?},\n"));
+            if got != want {
+                mismatches.push(format!("{algo:?} on {preset:?} at {limit} B"));
+            }
+        }
+        observed.push_str("    ]),\n");
+    }
+    assert!(
+        mismatches.is_empty(),
+        "golden mismatch for {mismatches:?}; observed table:\n{observed}"
+    );
+}
+
+/// An early-terminated ST traversal reads exactly the pages it read before:
+/// `LimitSink(k)` stops the DFS after the node pair that delivers the k-th
+/// pair, so any change to the order in which node pairs or their entries
+/// are visited shows up as different page reads.
+#[test]
+fn limited_st_reads_the_same_pages() {
+    const WANT: [(Preset, u64, [u64; 3]); 4] = [
+        (Preset::NJ, 10, [10, 3, 14845205615048347719]),
+        (Preset::NJ, 500, [500, 5, 9404180001168092735]),
+        (Preset::Disk1, 10, [10, 4, 12651776699074352364]),
+        (Preset::Disk1, 500, [500, 4, 2600165548546508503]),
+    ];
+    let mut observed = String::new();
+    let mut ok = true;
+    for (preset, k, want) in WANT {
+        let fx = fixture(preset);
+        let mut order = OrderDigest::new();
+        let mut sink = LimitSink::new(|l: u32, r: u32| order.add(l, r), k);
+        let res = fx.run(Algo::St, MB24, &mut sink);
+        let got = [res.pairs, res.io.pages_read, order.0];
+        observed.push_str(&format!("        ({preset:?}, {k}, {got:?}),\n"));
+        ok &= got == want;
+    }
+    assert!(
+        ok,
+        "limited ST moved; observed (pairs, pages read, order):\n{observed}"
+    );
+}
