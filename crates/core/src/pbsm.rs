@@ -43,9 +43,15 @@
 //! once for a memory-bounded chunked sweep that streams one side past the
 //! other.
 
-use usj_geom::{Item, Rect, ITEM_BYTES};
-use usj_io::{CpuOp, ItemStream, ItemStreamWriter, ItemsView, Result, SimEnv, PAGE_SIZE};
-use usj_sweep::{batch_join, sweep_join_eps_with, StripedSweep, SweepJoinStats, SweepScratch};
+use std::cmp::Ordering;
+
+use usj_geom::{Extents, Item, Rect, ITEM_BYTES};
+use usj_io::{
+    CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView, Result, SimEnv, PAGE_SIZE,
+};
+use usj_sweep::{
+    batch_join_oriented, sweep_join_eps_with, StripedSweep, SweepJoinStats, SweepScratch,
+};
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
@@ -145,62 +151,36 @@ pub(crate) const SPLIT_PARTITIONS: usize = 4;
 /// Logical block size (in pages) of the sub-partition scratch streams.
 const SPLIT_PAGES_PER_BLOCK: u64 = 2;
 
-/// Bounding box and summed side lengths of a set of rectangles: what a
-/// [`TileGrid`] over them is built from.
-#[derive(Debug, Clone, Copy)]
-struct Extents {
-    bbox: Rect,
-    sum_w: f64,
-    sum_h: f64,
+/// Folds every item of `stream` into `data` — the one sequential pass over
+/// an input whose bounding box is not known.
+fn scan_extents(data: &mut Extents, env: &mut SimEnv, stream: &ItemStream) -> Result<()> {
+    let mut reader = stream.reader();
+    while let Some(view) = reader.next_view(env)? {
+        env.charge(CpuOp::RectTest, view.len() as u64);
+        view.iter().for_each(|it| data.add(&it.rect));
+    }
+    Ok(())
 }
 
-impl Extents {
-    fn empty() -> Self {
-        Extents {
-            bbox: Rect::empty(),
-            sum_w: 0.0,
-            sum_h: 0.0,
-        }
+/// Folds into `data` an input of `len` items whose bounding box is `known`,
+/// its side lengths estimated from one block of it.
+fn sample_extents(
+    data: &mut Extents,
+    env: &mut SimEnv,
+    known: Rect,
+    block: Option<ItemsView<'_>>,
+    len: u64,
+) {
+    let mut seen = Extents::empty();
+    if let Some(view) = block {
+        env.charge(CpuOp::RectTest, view.len() as u64);
+        view.iter().for_each(|it| seen.add(&it.rect));
+        let scale = len as f64 / view.len() as f64;
+        seen.sum_w *= scale;
+        seen.sum_h *= scale;
     }
-
-    fn add(&mut self, r: &Rect) {
-        self.bbox = self.bbox.union(r);
-        self.sum_w += f64::from(r.width());
-        self.sum_h += f64::from(r.height());
-    }
-
-    fn merged(mut self, other: &Extents) -> Extents {
-        self.bbox = self.bbox.union(&other.bbox);
-        self.sum_w += other.sum_w;
-        self.sum_h += other.sum_h;
-        self
-    }
-
-    /// Folds in every item of `stream` — the one sequential pass over an
-    /// input whose bounding box is not known.
-    fn scan(&mut self, env: &mut SimEnv, stream: &ItemStream) -> Result<()> {
-        let mut reader = stream.reader();
-        while let Some(view) = reader.next_view(env)? {
-            env.charge(CpuOp::RectTest, view.len() as u64);
-            view.iter().for_each(|it| self.add(&it.rect));
-        }
-        Ok(())
-    }
-
-    /// Folds in an input of `len` items whose bounding box is `known`, its
-    /// side lengths estimated from one block of it.
-    fn sample(&mut self, env: &mut SimEnv, known: Rect, block: Option<ItemsView<'_>>, len: u64) {
-        let mut seen = Extents::empty();
-        if let Some(view) = block {
-            env.charge(CpuOp::RectTest, view.len() as u64);
-            view.iter().for_each(|it| seen.add(&it.rect));
-            let scale = len as f64 / view.len() as f64;
-            seen.sum_w *= scale;
-            seen.sum_h *= scale;
-        }
-        seen.bbox = known;
-        *self = self.merged(&seen);
-    }
+    seen.bbox = known;
+    *data = data.merged(&seen);
 }
 
 /// Geometry of the tile grid: `tiles_per_side` tile columns (or rows) over
@@ -219,16 +199,18 @@ impl TileGrid {
     /// along the axis on which they are relatively narrower: that is where
     /// the fewest of them cross a partition boundary.
     fn new(region: Rect, data: &Extents, tiles_per_side: usize, partitions: usize) -> Self {
-        // Σ width ÷ region width against Σ height ÷ region height, cross-
-        // multiplied; a tie (squares, or a region flat on one axis) goes to
-        // the longer side of the region.
-        let across = data.sum_w * f64::from(region.height());
-        let along = data.sum_h * f64::from(region.width());
+        // A tie (squares, or a region flat on one axis) goes to the longer
+        // side of the region; sums that do not compare, to rows.
+        let by_columns = match data.cmp_x_to_y(&region) {
+            Some(Ordering::Less) => true,
+            Some(Ordering::Equal) => region.width() >= region.height(),
+            _ => false,
+        };
         TileGrid {
             region,
             tiles_per_side,
             partitions,
-            by_columns: across < along || (across == along && region.width() >= region.height()),
+            by_columns,
         }
     }
 
@@ -337,22 +319,22 @@ impl JoinOperator for PbsmJoin {
         let known = |input: &JoinInput<'_>| self.region_hint.or_else(|| input.known_bbox());
         let mut data = Extents::empty();
         match known(&right) {
-            None => data.scan(env, &right_stream)?,
+            None => scan_extents(&mut data, env, &right_stream)?,
             Some(bbox) => {
                 let mut reader = right_stream.reader();
                 let block = reader.next_view(env)?;
-                data.sample(env, bbox, block, right_stream.len());
+                sample_extents(&mut data, env, bbox, block, right_stream.len());
             }
         }
         let mut left_reader = left_stream.reader();
         let left_first = match known(&left) {
             None => {
-                data.scan(env, &left_stream)?;
+                scan_extents(&mut data, env, &left_stream)?;
                 None
             }
             Some(bbox) => {
                 let block = left_reader.next_view(env)?;
-                data.sample(env, bbox, block, left_stream.len());
+                sample_extents(&mut data, env, bbox, block, left_stream.len());
                 block
             }
         };
@@ -494,8 +476,9 @@ fn reader_bound(s: &ItemStream) -> usize {
 enum Kernel {
     /// A partition that fits in memory: the striped structure.
     Striped,
-    /// A chunk pair of the fallback: the buffers themselves, copy-free.
-    Batch,
+    /// A chunk pair of the fallback, whose rectangles the extents describe:
+    /// the buffers themselves, copy-free, along their narrower axis.
+    Batch(Extents),
 }
 
 /// Mutable state threaded through the recursive partition joins.
@@ -584,7 +567,9 @@ impl PbsmRun<'_> {
                 self.sweep_total.merge(&stats);
                 stats.rect_tests
             }
-            Kernel::Batch => batch_join(load_left, load_right, &mut self.sweep_total, report),
+            Kernel::Batch(data) => {
+                batch_join_oriented(load_left, load_right, &data, &mut self.sweep_total, report)
+            }
         };
         env.charge(CpuOp::RectTest, tests);
         env.charge(CpuOp::Compare, loaded as u64);
@@ -645,8 +630,8 @@ impl PbsmRun<'_> {
     /// the price is re-reading the right partition once per left chunk —
     /// charged I/O, exactly the degradation a real system would pay. What
     /// no grid could separate overlaps heavily, so the chunks meet in the
-    /// copy-free forward-sweep order of [`batch_join`]: strips would only
-    /// replicate them.
+    /// copy-free forward sweep of [`batch_join_oriented`], along the axis
+    /// each chunk pair is narrower on: strips would only replicate them.
     fn chunked_fallback(
         &mut self,
         env: &mut SimEnv,
@@ -666,13 +651,7 @@ impl PbsmRun<'_> {
         let mut lr = left.reader();
         loop {
             // One pair of chunk buffers for the whole block-nested loop.
-            self.load_left.clear();
-            while self.load_left.len() < chunk_items {
-                match lr.next(env)? {
-                    Some(it) => self.load_left.push(it),
-                    None => break,
-                }
-            }
+            let left_data = load_chunk(env, &mut lr, &mut self.load_left, chunk_items)?;
             if self.load_left.is_empty() {
                 return Ok(());
             }
@@ -681,20 +660,32 @@ impl PbsmRun<'_> {
                 if self.done {
                     return Ok(());
                 }
-                self.load_right.clear();
-                while self.load_right.len() < chunk_items {
-                    match rr.next(env)? {
-                        Some(it) => self.load_right.push(it),
-                        None => break,
-                    }
-                }
+                let right_data = load_chunk(env, &mut rr, &mut self.load_right, chunk_items)?;
                 if self.load_right.is_empty() {
                     break;
                 }
-                self.sweep_loaded(env, path, Kernel::Batch);
+                self.sweep_loaded(env, path, Kernel::Batch(left_data.merged(&right_data)));
             }
         }
     }
+}
+
+/// Refills `chunk` with the next (up to) `chunk_items` items of `reader` and
+/// returns their extents.
+fn load_chunk(
+    env: &mut SimEnv,
+    reader: &mut ItemStreamReader,
+    chunk: &mut Vec<Item>,
+    chunk_items: usize,
+) -> Result<Extents> {
+    let mut data = Extents::empty();
+    chunk.clear();
+    while chunk.len() < chunk_items {
+        let Some(it) = reader.next(env)? else { break };
+        data.add(&it.rect);
+        chunk.push(it);
+    }
+    Ok(data)
 }
 
 #[cfg(test)]

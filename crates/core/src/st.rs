@@ -7,16 +7,34 @@
 //! overlapping the intersection of the two node rectangles) and the traversal
 //! recurses into them; pairs of leaf entries are reported as results.
 //!
+//! ## The sweep axis of a node pair
+//!
+//! Neither paper says along which axis a node pair is swept, and it matters:
+//! a sweep tests every arrival against everything still alive on the other
+//! side, so entries that are long *along* the sweep axis are all alive at
+//! once and the sweep degenerates into the nested loop it replaced (tall
+//! rectangles swept along y: 117 M rectangle tests on the benchmark's
+//! `join_spill` where the other operators make 6–12 M). Each node pair is
+//! therefore swept along the axis its restricted entries are relatively
+//! narrower on — `Σ extent ÷ extent of their bounding box`, the rule PBSM's
+//! tile grids use ([`usj_geom::Extents::cmp_x_to_y`]), measured in the
+//! restriction pass that touches every entry anyway; a tie sweeps along y.
+//! [`usj_sweep::batch_join_oriented`] does the rest by transposing the two
+//! entry vectors, so the sweep kernel, the predicate and the sink know one
+//! direction only. The axis changes the *order* in which a node pair's
+//! matches come out — the emission order of a leaf pair, the order children
+//! go on the stack at an internal pair — never the set.
+//!
 //! Because the traversal revisits nodes, ST runs on top of a generous LRU
 //! buffer pool (22 MB in the paper's configuration). Its page requests and
 //! its largely *sequential* access pattern on bulk-loaded trees (children are
 //! laid out consecutively, and DFS visits all leaves of a parent in a row)
 //! are exactly what Table 4 and Figure 2 examine.
 
-use usj_geom::Item;
+use usj_geom::{Extents, Item};
 use usj_io::{CpuOp, PageId, Result, SimEnv};
 use usj_rtree::{NodeKind, NodeStore, RTree};
-use usj_sweep::{batch_join, SweepJoinStats};
+use usj_sweep::{batch_join_oriented, SweepJoinStats};
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
@@ -162,6 +180,11 @@ impl JoinOperator for StJoin {
         if left_tree.bbox().expanded(eps).intersects(&right_tree.bbox()) {
             stack.push((left_tree.root(), right_tree.root()));
         }
+        // The entry vectors and the match list of a node pair, reused by
+        // every one of the thousands a traversal visits.
+        let mut a_entries: Vec<Item> = Vec::new();
+        let mut b_entries: Vec<Item> = Vec::new();
+        let mut matches: Vec<(u32, u32)> = Vec::new();
         while let Some((pa, pb)) = stack.pop() {
             if done {
                 break;
@@ -170,31 +193,33 @@ impl JoinOperator for StJoin {
             let node_b = store.read(env, pb)?;
 
             // Restrict both entry sets to the intersection of the two node
-            // rectangles (Brinkhoff et al.'s search-space restriction).
+            // rectangles (Brinkhoff et al.'s search-space restriction). The
+            // same pass measures the survivors: their extents decide the
+            // axis of this node pair's sweep.
             env.charge(CpuOp::RectTest, 1);
             let Some(common) = node_a.mbr().expanded(eps).intersection(&node_b.mbr()) else {
                 continue;
             };
-            let mut a_entries: Vec<Item> = node_a
-                .entries
-                .iter()
-                .filter_map(|e| {
-                    env.cpu.bump(CpuOp::RectTest);
-                    let expanded = e.rect.expanded(eps);
-                    expanded
-                        .intersects(&common)
-                        .then(|| Item::new(expanded, e.as_item().id))
-                })
-                .collect();
-            let mut b_entries: Vec<Item> = node_b
-                .entries
-                .iter()
-                .filter(|e| {
-                    env.cpu.bump(CpuOp::RectTest);
-                    e.rect.intersects(&common)
-                })
-                .map(|e| e.as_item())
-                .collect();
+            let mut data = Extents::empty();
+            a_entries.clear();
+            b_entries.clear();
+            for e in &node_a.entries {
+                let expanded = e.rect.expanded(eps);
+                if expanded.intersects(&common) {
+                    data.add(&expanded);
+                    a_entries.push(Item::new(expanded, e.as_item().id));
+                }
+            }
+            for e in &node_b.entries {
+                if e.rect.intersects(&common) {
+                    data.add(&e.rect);
+                    b_entries.push(e.as_item());
+                }
+            }
+            env.charge(
+                CpuOp::RectTest,
+                (node_a.entries.len() + node_b.entries.len()) as u64,
+            );
             max_node_pair_bytes = max_node_pair_bytes
                 .max((a_entries.len() + b_entries.len()) * std::mem::size_of::<Item>());
             // Three times the entry vectors, which the sweep sorts in place
@@ -204,17 +229,25 @@ impl JoinOperator for StJoin {
                 3 * (a_entries.len() + b_entries.len()) * std::mem::size_of::<Item>(),
             )?;
 
-            // Intersecting pairs of entries, in forward-sweep order, computed
-            // on the two entry vectors themselves. At the leaf level the candidates are additionally refined with
-            // the predicate (containment is a data-rectangle test — applying
-            // it to directory rectangles would wrongly prune subtrees).
+            // Intersecting pairs of entries, in the order of a forward sweep
+            // along the node pair's narrower axis, computed on the two entry
+            // vectors themselves. At the leaf level the candidates are
+            // additionally refined with the predicate (containment is a
+            // data-rectangle test — applying it to directory rectangles
+            // would wrongly prune subtrees).
             let leaf_level = node_a.kind == NodeKind::Leaf && node_b.kind == NodeKind::Leaf;
-            let mut matches: Vec<(u32, u32)> = Vec::new();
-            let tests = batch_join(&mut a_entries, &mut b_entries, &mut sweep_total, |a, b| {
-                if !leaf_level || predicate.accepts(&a.rect, &b.rect) {
-                    matches.push((a.id, b.id));
-                }
-            });
+            matches.clear();
+            let tests = batch_join_oriented(
+                &mut a_entries,
+                &mut b_entries,
+                &data,
+                &mut sweep_total,
+                |a, b| {
+                    if !leaf_level || predicate.accepts(&a.rect, &b.rect) {
+                        matches.push((a.id, b.id));
+                    }
+                },
+            );
             env.charge(CpuOp::RectTest, tests);
             env.charge(
                 CpuOp::Compare,
@@ -223,7 +256,7 @@ impl JoinOperator for StJoin {
 
             match (node_a.kind, node_b.kind) {
                 (NodeKind::Leaf, NodeKind::Leaf) => {
-                    for (a, b) in matches {
+                    for &(a, b) in &matches {
                         if sink.emit(a, b).is_break() {
                             done = true;
                             break;
@@ -232,9 +265,9 @@ impl JoinOperator for StJoin {
                     }
                 }
                 (NodeKind::Internal, NodeKind::Internal) => {
-                    // Depth-first: children pushed in reverse so the leftmost
-                    // pair is explored first.
-                    for (a, b) in matches.into_iter().rev() {
+                    // Depth-first: children pushed in reverse so the first
+                    // match is explored first.
+                    for &(a, b) in matches.iter().rev() {
                         stack.push((PageId::from(a), PageId::from(b)));
                     }
                 }
@@ -242,7 +275,7 @@ impl JoinOperator for StJoin {
                     // Trees of different heights: descend only the internal
                     // side. Several leaf entries may match the same child, so
                     // deduplicate the children before recursing.
-                    let mut children: Vec<u32> = matches.into_iter().map(|(_, b)| b).collect();
+                    let mut children: Vec<u32> = matches.iter().map(|&(_, b)| b).collect();
                     children.sort_unstable();
                     children.dedup();
                     for b in children.into_iter().rev() {
@@ -250,7 +283,7 @@ impl JoinOperator for StJoin {
                     }
                 }
                 (NodeKind::Internal, NodeKind::Leaf) => {
-                    let mut children: Vec<u32> = matches.into_iter().map(|(a, _)| a).collect();
+                    let mut children: Vec<u32> = matches.iter().map(|&(a, _)| a).collect();
                     children.sort_unstable();
                     children.dedup();
                     for a in children.into_iter().rev() {

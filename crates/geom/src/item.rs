@@ -55,6 +55,12 @@ impl Item {
         }
     }
 
+    /// The item with its rectangle [`transposed`](Rect::transposed).
+    #[inline]
+    pub fn transposed(&self) -> Item {
+        Item::new(self.rect.transposed(), self.id)
+    }
+
     /// Sweep order: by lower y-coordinate, ties broken deterministically.
     #[inline]
     pub fn cmp_by_lower_y(&self, other: &Item) -> std::cmp::Ordering {

@@ -10,6 +10,9 @@
 //! * [`Rect`] — an axis-parallel rectangle, the MBR representation.
 //! * [`Item`] — a rectangle plus its 4-byte object identifier; exactly the
 //!   20-byte record layout used by the paper's data files.
+//! * [`Extents`] — bounding box and summed side lengths of a set of
+//!   rectangles, and the one rule by which a partitioning or a sweep picks
+//!   the axis the set is narrower on.
 //! * [`Interval`] — a 1-D interval, used by the plane-sweep structures for the
 //!   projections of rectangles onto the sweep line.
 //! * [`hilbert`] — the Hilbert space-filling curve used for R-tree bulk
@@ -18,12 +21,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod extents;
 pub mod hilbert;
 pub mod interval;
 pub mod item;
 pub mod point;
 pub mod rect;
 
+pub use extents::Extents;
 pub use interval::Interval;
 pub use item::{
     f32_from_order_key, f32_order_key, sort_by_key_then, sort_by_lower_y, Item, ObjectId, ITEM_BYTES,

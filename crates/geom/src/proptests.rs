@@ -79,6 +79,37 @@ fn rect_every_rect_intersects_itself() {
 }
 
 #[test]
+fn transposed_is_an_involution() {
+    forall!(256, |g| {
+        let it = arb_item(g);
+        assert_eq!(it.transposed().transposed(), it);
+        assert_eq!(it.transposed().id, it.id);
+        let t = it.rect.transposed();
+        assert_eq!((t.width(), t.height()), (it.rect.height(), it.rect.width()));
+    });
+}
+
+#[test]
+fn transposed_commutes_with_the_predicates_and_the_expansion() {
+    forall!(256, |g| {
+        let (a, b) = (arb_rect(g), arb_rect(g));
+        let (ta, tb) = (a.transposed(), b.transposed());
+        assert_eq!(ta.intersects(&tb), a.intersects(&b));
+        assert_eq!(ta.contains(&tb), a.contains(&b));
+        // A rectangle inside `a`, so containment is exercised both ways.
+        let inner = a.intersection(&b).unwrap_or(a);
+        assert!(ta.contains(&inner.transposed()));
+        let eps = g.f32_in(0.0, 50.0);
+        assert_eq!(a.expanded(eps).transposed(), ta.expanded(eps));
+        assert_eq!(
+            a.intersection(&b).map(|i| i.transposed()),
+            ta.intersection(&tb)
+        );
+        assert_eq!(a.union(&b).transposed(), ta.union(&tb));
+    });
+}
+
+#[test]
 fn interval_overlap_matches_naive() {
     forall!(256, |g| {
         let a = g.f32_in(-100.0, 100.0);

@@ -166,6 +166,18 @@ impl Rect {
         }
     }
 
+    /// The rectangle mirrored at the diagonal: x and y swapped in both
+    /// corners. An involution that commutes with every predicate and
+    /// operation of this type, which is what lets a y-sweep run along x:
+    /// transpose the inputs, sweep, transpose what comes out.
+    #[inline]
+    pub fn transposed(&self) -> Rect {
+        Rect {
+            lo: Point::new(self.lo.y, self.lo.x),
+            hi: Point::new(self.hi.y, self.hi.x),
+        }
+    }
+
     /// Area increase caused by enlarging `self` to also cover `other`.
     ///
     /// Used by the bulk-loading packing heuristic ("include additional
@@ -316,6 +328,15 @@ mod tests {
         assert_eq!(a.cmp_by_lower_y(&b), std::cmp::Ordering::Less);
         assert_eq!(b.cmp_by_lower_y(&a), std::cmp::Ordering::Greater);
         assert_eq!(a.cmp_by_lower_y(&a), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn transposed_swaps_the_axes_of_both_corners() {
+        let a = r(1.0, 2.0, 3.0, 7.0);
+        assert_eq!(a.transposed(), r(2.0, 1.0, 7.0, 3.0));
+        assert_eq!(a.transposed().transposed(), a);
+        assert_eq!((a.transposed().width(), a.transposed().height()), (5.0, 2.0));
+        assert!(Rect::empty().transposed().is_empty());
     }
 
     #[test]

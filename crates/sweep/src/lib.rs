@@ -31,7 +31,9 @@
 //! environment later converts into CPU time. Two *small* in-memory batches —
 //! the entries of two R-tree nodes, two chunks of an unsplittable PBSM
 //! partition — skip the structures altogether: [`batch_join`] sweeps them
-//! with a moving window over the sorted batches themselves.
+//! with a moving window over the sorted batches themselves, and
+//! [`batch_join_oriented`] does so along whichever axis the batch is
+//! narrower on.
 //!
 //! When the active intervals outgrow the internal-memory budget, the
 //! [`SpillingSweepDriver`] takes over: it evicts the soonest-to-expire items
@@ -59,7 +61,7 @@ pub mod striped;
 pub mod structure;
 pub mod symmetric;
 
-pub use batch::batch_join;
+pub use batch::{batch_join, batch_join_oriented};
 pub use driver::{
     sweep_join, sweep_join_count, sweep_join_eps, sweep_join_eps_with, Side, SweepDriver,
     SweepJoinStats, SweepScratch,

@@ -2,7 +2,7 @@
 //! structures and the spilling driver must agree with a brute-force
 //! rectangle join on arbitrary inputs.
 
-use usj_geom::{Item, Rect};
+use usj_geom::{Extents, Item, Rect};
 use usj_io::{ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
 
@@ -10,7 +10,7 @@ use crate::soa::oracle::QuadHeap;
 use crate::soa::{ExpiryEntry, ExpiryHeap};
 use crate::spill::{join_batch_against_log, nested_loop_fixup};
 use crate::{
-    batch_join, sweep_join, ForwardSweep, ListSweep, Side, SpillingSweepDriver, StripedSweep,
+    batch_join, batch_join_oriented, sweep_join, ForwardSweep, ListSweep, Side, SpillingSweepDriver, StripedSweep,
     SweepJoinStats, SweepStructure,
 };
 
@@ -352,5 +352,39 @@ fn batch_join_matches_the_forward_driver_and_brute_force_on_edge_coordinates() {
         got.sort_unstable();
         assert_eq!(got, brute(&left, &right));
         assert_eq!(run::<StripedSweep>(&left, &right), got);
+    });
+}
+
+#[test]
+fn the_oriented_batch_join_matches_brute_force_whatever_the_extents_say() {
+    forall!(96, |g| {
+        let (left, right) = match g.bool_with(0.5) {
+            true => (arb_edge_items(g, 90, 0), arb_edge_items(g, 90, 10_000)),
+            false => (arb_items(g, 90, 0), arb_items(g, 90, 10_000)),
+        };
+        // The batch's own extents, or any others: the rule picks an axis,
+        // never a pair.
+        let mut data = Extents::empty();
+        match g.usize_in(0, 3) {
+            0 => left.iter().chain(&right).for_each(|it| data.add(&it.rect)),
+            1 => arb_edge_items(g, 8, 0).iter().for_each(|it| data.add(&it.rect)),
+            _ => {}
+        }
+        let (mut l, mut r) = (left.clone(), right.clone());
+        let mut total = SweepJoinStats::default();
+        let mut got = Vec::new();
+        let tests = batch_join_oriented(&mut l, &mut r, &data, &mut total, |a, b| {
+            // The caller's items, not their mirror images.
+            assert!(left.contains(a) && right.contains(b));
+            got.push((a.id, b.id))
+        });
+        got.sort_unstable();
+        assert_eq!(got, brute(&left, &right));
+        assert_eq!((tests, total.pairs), (total.rect_tests, got.len() as u64));
+        // Permuted, never changed.
+        let key = |it: &Item| it.id;
+        l.sort_unstable_by_key(key);
+        r.sort_unstable_by_key(key);
+        assert_eq!((l, r), (left, right));
     });
 }

@@ -238,9 +238,13 @@ fn every_family_algorithm_execution_and_limit_matches_the_oracle() {
 /// (it used to write it 20× on the tall family and 1 758× on the wide-flat
 /// one), and the sweeps' fix-ups test a bounded number of rectangles per
 /// item (they used to test every spilled item against every later arrival,
-/// 1 766 tests per item on the benchmark's tall family).
+/// 1 766 tests per item on the benchmark's tall family). ST's node pairs
+/// sweep along whichever axis their entries are narrower on, so the family
+/// and its mirror image cost it about the same (along y only, the tall one
+/// cost it 28× the tests of the other operators on the benchmark).
 #[test]
 fn long_on_one_axis_stays_linear_under_tight_memory() {
+    let mut st_tests = Vec::new();
     for f in families(0xADFA).into_iter().take(2) {
         let mut p = Prepared::new(&f, TIGHT);
         let items = (f.left.len() + f.right.len()) as u64;
@@ -268,6 +272,57 @@ fn long_on_one_axis_stays_linear_under_tight_memory() {
                     "{algo:?} must spill: {:?}",
                     res.sweep
                 );
+            }
+        }
+
+        let (st, _) = p.join(Algo::St, Execution::Serial);
+        let tests = st.cpu.get(CpuOp::RectTest);
+        assert!(
+            tests <= 64 * items,
+            "{}: ST made {tests} rectangle tests for {items} items",
+            f.name
+        );
+        st_tests.push(tests);
+    }
+    let [tall, wide_flat] = st_tests[..] else {
+        panic!("two families: {st_tests:?}")
+    };
+    assert!(
+        tall <= 2 * wide_flat && wide_flat <= 2 * tall,
+        "ST must not care which axis is the long one: {tall} tests on tall, {wide_flat} on wide-flat"
+    );
+}
+
+/// The order audit of the axis change: ST reports a node pair's matches in
+/// the order of a sweep along that pair's own axis, so *which* pairs a
+/// `LIMIT k` returns moved — that it returns exactly `k` of them, distinct
+/// and all the oracle's, whichever axis the family is long on, did not.
+#[test]
+fn limited_st_returns_k_distinct_oracle_pairs_on_either_long_axis() {
+    for f in families(0xADFA).into_iter().take(2) {
+        let want = oracle(&f);
+        for limit in [AMPLE, TIGHT] {
+            let mut p = Prepared::new(&f, limit);
+            let (full, _) = p.join(Algo::St, Execution::Serial);
+            for k in [1, 10, 500, want.len() as u64, want.len() as u64 + 7] {
+                let query = SpatialQuery::new(
+                    JoinInput::Indexed(&p.left_tree),
+                    JoinInput::Indexed(&p.right_tree),
+                )
+                .algorithm(Algo::St);
+                let (res, mut pairs) = query.first(&mut p.env, k).unwrap();
+                let what = format!("{} / first {k} @ {} KB", f.name, limit / KB);
+                let expect = k.min(want.len() as u64);
+                assert_eq!((res.pairs, pairs.len() as u64), (expect, expect), "{what}");
+                pairs.sort_unstable();
+                pairs.dedup();
+                assert_eq!(pairs.len() as u64, expect, "{what}: duplicates");
+                assert!(
+                    pairs.iter().all(|p| want.binary_search(p).is_ok()),
+                    "{what}: a pair outside the oracle"
+                );
+                // Stopping early never reads more than running to the end.
+                assert!(res.io.pages_read <= full.io.pages_read, "{what}");
             }
         }
     }

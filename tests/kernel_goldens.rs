@@ -11,6 +11,19 @@
 //! four-field comparator sort) before PR 23 replaced them; a kernel change
 //! that alters any of them is a behaviour change, not an optimisation.
 //!
+//! PR 24 is such a change, made on purpose: the in-memory batch sweeps (ST's
+//! node pairs, PBSM's chunked fallback) run along the axis their batch is
+//! narrower on. The order-*insensitive* `set` digest was added and recorded
+//! on the parent commit first; with it unchanged in all twenty rows, `order`,
+//! `rect_tests`, `max_resident` and `cpu[RectTest]` were re-recorded for the
+//! five ST rows (36 771 → 22 738 tests on NJ, 342 799 → 339 341 on DISK1)
+//! and — the one row where PBSM reaches its fallback — `order`, `rect_tests`
+//! and `cpu[RectTest]` of PBSM on DISK1 at 128 KB (312 795 → 294 366). ST
+//! visits the same node pairs in another order, so on DISK1 its page
+//! *classification* moved at 24 MB (8 / 85 → 10 / 83 sequential / random
+//! operations, 93 pages either way) and the two small pools re-read two
+//! pages more (93 → 95, 191 → 193). Every other number is the parent's.
+//!
 //! On a mismatch the failure message prints the observed row in the literal
 //! syntax of the table, so an *intended* change is a copy-paste plus an
 //! explanation in the PR.
@@ -26,6 +39,9 @@ struct Golden {
     pairs: u64,
     /// FNV-1a over the emitted `(left, right)` sequence, in emission order.
     order: u64,
+    /// Order-*insensitive* digest of the emitted pair multiset: what a change
+    /// that only reorders the emission must leave alone.
+    set: u64,
     rect_tests: u64,
     max_resident: usize,
     spilled_items: u64,
@@ -48,6 +64,20 @@ impl OrderDigest {
         for byte in left.to_le_bytes().into_iter().chain(right.to_le_bytes()) {
             self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+}
+
+/// Order-insensitive digest of a pair multiset: the wrapping sum of a
+/// 64-bit mix (the SplitMix64 finaliser) of each `(left, right)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetDigest(u64);
+
+impl SetDigest {
+    fn add(&mut self, left: u32, right: u32) {
+        let mut z = (u64::from(left) << 32 | u64::from(right)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = self.0.wrapping_add(z ^ (z >> 31));
     }
 }
 
@@ -124,11 +154,16 @@ impl Fixture {
 
     fn observe(&self, algo: Algo, limit: usize) -> Golden {
         let mut order = OrderDigest::new();
-        let mut sink = |l: u32, r: u32| order.add(l, r);
+        let mut set = SetDigest::default();
+        let mut sink = |l: u32, r: u32| {
+            order.add(l, r);
+            set.add(l, r);
+        };
         let res = self.run(algo, limit, &mut sink);
         Golden {
             pairs: res.pairs,
             order: order.0,
+            set: set.0,
             rect_tests: res.sweep.rect_tests,
             max_resident: res.sweep.max_resident,
             spilled_items: res.sweep.spilled_items,
@@ -158,34 +193,34 @@ const ALGOS: [Algo; 4] = [Algo::Sssj, Algo::Pbsm, Algo::Pq, Algo::St];
 #[rustfmt::skip]
 const GOLDENS: [(Preset, usize, [Golden; 4]); 5] = [
     (Preset::NJ, MB24, [
-        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [29104, 0, 9304, 10846], io: [14, 7, 1, 5] },
-        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [2326, 0, 11630, 13172], io: [21, 7, 1, 7] },
-        Golden { pairs: 7363, order: 4134012195807859266, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [24011, 4668, 4658, 10846], io: [8, 0, 3, 5] },
-        Golden { pairs: 7363, order: 3975859794417342510, rect_tests: 36771, max_resident: 322, spilled_items: 0, cpu: [2796, 0, 3856, 40635], io: [8, 0, 6, 2] },
+        Golden { pairs: 7363, order: 6806589858038869970, set: 13507948818335958150, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [29104, 0, 9304, 10846], io: [14, 7, 1, 5] },
+        Golden { pairs: 7363, order: 6806589858038869970, set: 13507948818335958150, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [2326, 0, 11630, 13172], io: [21, 7, 1, 7] },
+        Golden { pairs: 7363, order: 4134012195807859266, set: 13507948818335958150, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [24011, 4668, 4658, 10846], io: [8, 0, 3, 5] },
+        Golden { pairs: 7363, order: 10110073594764420914, set: 13507948818335958150, rect_tests: 22738, max_resident: 226, spilled_items: 0, cpu: [2796, 0, 3856, 26602], io: [8, 0, 6, 2] },
     ]),
     (Preset::NJ, KB256, [
-        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [29104, 0, 9304, 10846], io: [14, 7, 5, 7] },
-        Golden { pairs: 7363, order: 6806589858038869970, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [2326, 0, 11630, 13172], io: [21, 7, 5, 7] },
-        Golden { pairs: 7363, order: 4134012195807859266, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [24011, 4668, 4658, 10846], io: [8, 0, 3, 5] },
-        Golden { pairs: 7363, order: 3975859794417342510, rect_tests: 36771, max_resident: 322, spilled_items: 0, cpu: [2796, 0, 3856, 40635], io: [8, 0, 6, 2] },
+        Golden { pairs: 7363, order: 6806589858038869970, set: 13507948818335958150, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [29104, 0, 9304, 10846], io: [14, 7, 5, 7] },
+        Golden { pairs: 7363, order: 6806589858038869970, set: 13507948818335958150, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [2326, 0, 11630, 13172], io: [21, 7, 5, 7] },
+        Golden { pairs: 7363, order: 4134012195807859266, set: 13507948818335958150, rect_tests: 10846, max_resident: 692, spilled_items: 0, cpu: [24011, 4668, 4658, 10846], io: [8, 0, 3, 5] },
+        Golden { pairs: 7363, order: 10110073594764420914, set: 13507948818335958150, rect_tests: 22738, max_resident: 226, spilled_items: 0, cpu: [2796, 0, 3856, 26602], io: [8, 0, 6, 2] },
     ]),
     (Preset::Disk1, MB24, [
-        Golden { pairs: 33596, order: 2767078577149976781, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [563149, 0, 143852, 152346], io: [178, 89, 2, 7] },
-        Golden { pairs: 33596, order: 2767078577149976781, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [35963, 0, 179815, 188309], io: [267, 89, 21, 9] },
-        Golden { pairs: 33596, order: 3140964812098539761, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [390377, 72112, 72017, 152346], io: [93, 0, 11, 82] },
-        Golden { pairs: 33596, order: 14536621579136708405, rect_tests: 342799, max_resident: 368, spilled_items: 0, cpu: [55217, 0, 189945, 532986], io: [93, 0, 8, 85] },
+        Golden { pairs: 33596, order: 2767078577149976781, set: 1771233609919746796, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [563149, 0, 143852, 152346], io: [178, 89, 2, 7] },
+        Golden { pairs: 33596, order: 2767078577149976781, set: 1771233609919746796, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [35963, 0, 179815, 188309], io: [267, 89, 21, 9] },
+        Golden { pairs: 33596, order: 3140964812098539761, set: 1771233609919746796, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [390377, 72112, 72017, 152346], io: [93, 0, 11, 82] },
+        Golden { pairs: 33596, order: 8022890515692473989, set: 1771233609919746796, rect_tests: 339341, max_resident: 367, spilled_items: 0, cpu: [55217, 0, 189945, 529528], io: [93, 0, 10, 83] },
     ]),
     (Preset::Disk1, KB256, [
-        Golden { pairs: 33596, order: 2767078577149976781, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [680002, 71926, 215778, 152346], io: [275, 186, 136, 105] },
-        Golden { pairs: 33596, order: 13171210364267338893, rect_tests: 64624, max_resident: 434, spilled_items: 0, cpu: [66116, 0, 417718, 100587], io: [507, 329, 214, 340] },
-        Golden { pairs: 33596, order: 3140964812098539761, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [390377, 72112, 72017, 152346], io: [93, 0, 11, 82] },
-        Golden { pairs: 33596, order: 14536621579136708405, rect_tests: 342799, max_resident: 368, spilled_items: 0, cpu: [55217, 0, 189945, 532986], io: [93, 0, 8, 85] },
+        Golden { pairs: 33596, order: 2767078577149976781, set: 1771233609919746796, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [680002, 71926, 215778, 152346], io: [275, 186, 136, 105] },
+        Golden { pairs: 33596, order: 13171210364267338893, set: 1771233609919746796, rect_tests: 64624, max_resident: 434, spilled_items: 0, cpu: [66116, 0, 417718, 100587], io: [507, 329, 214, 340] },
+        Golden { pairs: 33596, order: 3140964812098539761, set: 1771233609919746796, rect_tests: 152346, max_resident: 1907, spilled_items: 0, cpu: [390377, 72112, 72017, 152346], io: [93, 0, 11, 82] },
+        Golden { pairs: 33596, order: 8022890515692473989, set: 1771233609919746796, rect_tests: 339341, max_resident: 367, spilled_items: 0, cpu: [55217, 0, 189945, 529528], io: [95, 0, 10, 85] },
     ]),
     (Preset::Disk1, KB128, [
-        Golden { pairs: 33596, order: 11192657692761802709, rect_tests: 152507, max_resident: 1293, spilled_items: 1866, cpu: [682475, 132234, 280642, 152507], io: [368, 282, 147, 193] },
-        Golden { pairs: 33596, order: 17907210283046378589, rect_tests: 312795, max_resident: 624, spilled_items: 0, cpu: [133695, 0, 1008806, 348758], io: [1171, 995, 525, 938] },
-        Golden { pairs: 33596, order: 10431575048363610437, rect_tests: 178746, max_resident: 266, spilled_items: 3761, cpu: [390377, 72112, 98235, 178746], io: [164, 45, 59, 150] },
-        Golden { pairs: 33596, order: 14536621579136708405, rect_tests: 342799, max_resident: 368, spilled_items: 0, cpu: [55217, 0, 189945, 532986], io: [191, 0, 18, 173] },
+        Golden { pairs: 33596, order: 11192657692761802709, set: 1771233609919746796, rect_tests: 152507, max_resident: 1293, spilled_items: 1866, cpu: [682475, 132234, 280642, 152507], io: [368, 282, 147, 193] },
+        Golden { pairs: 33596, order: 13110792813086551697, set: 1771233609919746796, rect_tests: 294366, max_resident: 624, spilled_items: 0, cpu: [133695, 0, 1008806, 330329], io: [1171, 995, 525, 938] },
+        Golden { pairs: 33596, order: 10431575048363610437, set: 1771233609919746796, rect_tests: 178746, max_resident: 266, spilled_items: 3761, cpu: [390377, 72112, 98235, 178746], io: [164, 45, 59, 150] },
+        Golden { pairs: 33596, order: 8022890515692473989, set: 1771233609919746796, rect_tests: 339341, max_resident: 367, spilled_items: 0, cpu: [55217, 0, 189945, 529528], io: [193, 0, 23, 170] },
     ]),
 ];
 
@@ -215,14 +250,15 @@ fn counters_and_emission_order_are_pinned() {
 /// An early-terminated ST traversal reads exactly the pages it read before:
 /// `LimitSink(k)` stops the DFS after the node pair that delivers the k-th
 /// pair, so any change to the order in which node pairs or their entries
-/// are visited shows up as different page reads.
+/// are visited shows up as different page reads. (PR 24 changed which k
+/// pairs come first — the digests — and none of the page counts.)
 #[test]
 fn limited_st_reads_the_same_pages() {
     const WANT: [(Preset, u64, [u64; 3]); 4] = [
-        (Preset::NJ, 10, [10, 3, 14845205615048347719]),
-        (Preset::NJ, 500, [500, 5, 9404180001168092735]),
-        (Preset::Disk1, 10, [10, 4, 12651776699074352364]),
-        (Preset::Disk1, 500, [500, 4, 2600165548546508503]),
+        (Preset::NJ, 10, [10, 3, 16622096854288243728]),
+        (Preset::NJ, 500, [500, 5, 6608481116117296247]),
+        (Preset::Disk1, 10, [10, 4, 2164135273843405648]),
+        (Preset::Disk1, 500, [500, 4, 8657386895516771240]),
     ];
     let mut observed = String::new();
     let mut ok = true;
