@@ -14,9 +14,11 @@ use std::time::{Duration, Instant};
 use usj_bench::setup::{ExperimentConfig, PreparedWorkload};
 use usj_core::{CollectSink, JoinAlgorithm, JoinInput, SpatialQuery};
 use usj_datagen::{Preset, WorkloadSpec};
-use usj_io::{IoStats, MachineConfig, SimEnv};
+use usj_io::{IoStats, ItemStream, MachineConfig, SimEnv};
 use usj_live::{LiveConfig, LiveDataset, StreamingJoin};
 use usj_obs::{NoopRecorder, QueryTrace, Recorder, RingCollector, TraceSpan};
+use usj_rtree::RTree;
+use usj_sweep::SweepJoinStats;
 
 const ALGORITHMS: [JoinAlgorithm; 4] = [
     JoinAlgorithm::Sssj,
@@ -25,11 +27,12 @@ const ALGORITHMS: [JoinAlgorithm; 4] = [
     JoinAlgorithm::St,
 ];
 
+/// What a recorder must not move: the pairs in emission order, the charged
+/// I/O and the measured peak memory.
+type Observed = (Vec<(u32, u32)>, IoStats, usize);
+
 /// Runs `alg` on a freshly built `preset` workload, collecting every pair.
-fn run_collect(
-    preset: Preset,
-    alg: JoinAlgorithm,
-) -> (Vec<(u32, u32)>, IoStats, usize) {
+fn run_collect(preset: Preset, alg: JoinAlgorithm) -> Observed {
     use JoinAlgorithm as A;
     let cfg = ExperimentConfig::quick();
     let mut p = PreparedWorkload::build(preset, &cfg, MachineConfig::machine3());
@@ -117,13 +120,23 @@ fn recording_and_noop_runs_are_byte_identical_for_every_preset_and_algorithm() {
                     assert!(span.io.pages_read > 0, "{preset:?}: {phase} reads its input");
                 }
             }
+            // SSSJ and PQ run the spilling sweep, which marks expiry once at
+            // close — never per push — and closes both sides, so every item
+            // pushed expires. Nothing spills here: no fix-up epoch.
+            if matches!(alg, JoinAlgorithm::Sssj | JoinAlgorithm::Pq) {
+                let cfg = ExperimentConfig::quick();
+                let w = WorkloadSpec::preset(preset).with_scale(cfg.scale).generate(cfg.seed);
+                let pushed = (w.roads.len() + w.hydro.len()) as u64;
+                assert_eq!(trace.mark_values("sweep.expire"), [pushed], "{preset:?}/{alg:?}");
+                assert!(trace.mark_values("sweep.fixup_epoch").is_empty());
+            }
         }
     }
 }
 
 /// Ingests both sides of NJ/10 into live datasets (half registered, half
 /// appended through flushes and compactions) and runs the streaming join.
-fn run_streaming() -> (Vec<(u32, u32)>, IoStats, usize) {
+fn run_streaming() -> Observed {
     let w = WorkloadSpec::preset(Preset::NJ).with_scale(10).generate(42);
     let mut env = SimEnv::new(MachineConfig::machine3());
     let config = LiveConfig {
@@ -174,6 +187,68 @@ fn a_recorded_streaming_join_is_byte_identical_and_fits_a_query_ring() {
     let expired = trace.mark_values("sweep.expire");
     let pushed = WorkloadSpec::preset(Preset::NJ).with_scale(10).generate(42);
     assert_eq!(expired, [(pushed.roads.len() + pushed.hydro.len()) as u64]);
+}
+
+/// Runs SSSJ (on two-page-block streams) or PQ (on the R-trees) over
+/// DISK1/200 under 128 KB, where both sweeps spill. Returns what a recorder
+/// must not move, then the items pushed and the sweep's statistics.
+fn run_spilling(alg: JoinAlgorithm) -> (Observed, u64, SweepJoinStats) {
+    let w = WorkloadSpec::preset(Preset::Disk1).with_scale(200).generate(42);
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let (roads, hydro) = env.unaccounted(|env| {
+        let stream = |env: &mut SimEnv, items| ItemStream::from_items_with_block(env, items, 2);
+        (stream(env, &w.roads).unwrap(), stream(env, &w.hydro).unwrap())
+    });
+    let (roads_tree, hydro_tree) = env.unaccounted(|env| {
+        (
+            RTree::bulk_load(env, &w.roads).unwrap(),
+            RTree::bulk_load(env, &w.hydro).unwrap(),
+        )
+    });
+    let (left, right) = match alg {
+        JoinAlgorithm::Pq => (JoinInput::Indexed(&roads_tree), JoinInput::Indexed(&hydro_tree)),
+        _ => (JoinInput::Stream(&roads), JoinInput::Stream(&hydro)),
+    };
+    env.set_memory_limit(128 * 1024);
+    let mut sink = CollectSink::default();
+    let result = SpatialQuery::new(left, right)
+        .algorithm(alg.into())
+        .execute(&mut env, &mut sink)
+        .expect("join");
+    let pushed = (w.roads.len() + w.hydro.len()) as u64;
+    ((sink.pairs, result.io, result.memory.peak_bytes), pushed, result.sweep)
+}
+
+#[test]
+fn a_recorded_spilling_join_marks_each_fixup_epoch_and_is_byte_identical() {
+    for alg in [JoinAlgorithm::Sssj, JoinAlgorithm::Pq] {
+        let bare = run_spilling(alg);
+        let ring = Arc::new(RingCollector::new(64 * 1024));
+        let recorded = {
+            let _g = usj_obs::install(
+                Arc::clone(&ring) as Arc<dyn Recorder>,
+                Arc::new(usj_obs::HostClock::new()),
+            );
+            run_spilling(alg)
+        };
+        assert_eq!(bare, recorded, "{alg:?}: recording changed the join");
+
+        let (events, dropped) = ring.drain();
+        assert_eq!(dropped, 0, "{alg:?}: {} events kept", events.len());
+        let trace = QueryTrace::from_events(&events, dropped);
+        let (_, pushed, sweep) = recorded;
+        assert!(sweep.spill_runs > 0, "{alg:?}: 128 KB must spill: {sweep:?}");
+        // One mark per closed epoch, carrying its batches: every batch is
+        // fixed up exactly once.
+        let epochs = trace.mark_values("sweep.fixup_epoch");
+        assert!(!epochs.is_empty(), "{alg:?}");
+        assert_eq!(epochs.iter().sum::<u64>(), sweep.spill_runs, "{alg:?}");
+        // At most one expiry mark per epoch plus one at close; together they
+        // carry every item the sweep did not spill.
+        let expire = trace.mark_values("sweep.expire");
+        assert!(expire.len() <= epochs.len() + 1, "{alg:?}: {expire:?}");
+        assert_eq!(expire.iter().sum::<u64>(), pushed - sweep.spilled_items, "{alg:?}");
+    }
 }
 
 /// Minimum-of-samples wall time of one SSSJ join on a prepared workload.

@@ -26,11 +26,12 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::ops::ControlFlow;
 
 use usj_geom::{Item, Rect};
 use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
 use usj_rtree::{Node, NodeKind, RTree};
-use usj_sweep::{Side, SpillingSweepDriver};
+use usj_sweep::merge_sweep;
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
@@ -416,68 +417,34 @@ impl JoinOperator for PqJoin {
             .unwrap_or_else(|| left_bbox.union(&right_bbox))
             .expanded(eps);
 
-        // Left items are ε-expanded as they leave their source — a uniform
-        // shift of the sort keys, so the merge order stays correct. The
+        // Left items are ε-expanded as they leave their source. The
         // memory-governed spilling driver evicts cold sweep state to the
-        // simulated device if it ever outgrows the budget — half of what is
-        // free once both sources are primed (their block buffers or queues
-        // reserved), so the driver is built after the first reads.
+        // simulated device if it ever outgrows the budget.
         let sweep_phase = env.obs_phase("pq.sweep");
-        let mut pairs = 0u64;
-        let mut done = false;
-        let mut lnext = left_src.next(env)?.map(|it| predicate.expand_left(it));
-        let mut rnext = right_src.next(env)?;
-        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
-        while !done && (lnext.is_some() || rnext.is_some()) {
-            let take_left = match (&lnext, &rnext) {
-                (Some(a), Some(b)) => {
-                    env.charge(CpuOp::Compare, 1);
-                    a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater
-                }
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_left {
-                let item = lnext.take().expect("checked above");
-                driver.push(env, Side::Left, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                lnext = left_src.next(env)?.map(|it| predicate.expand_left(it));
-            } else {
-                let item = rnext.take().expect("checked above");
-                driver.push(env, Side::Right, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                rnext = right_src.next(env)?;
+        let (mut pairs, mut stopped) = (0u64, false);
+        let mut emit = |a: &Item, b: &Item| {
+            if !stopped && predicate.accepts(&a.rect, &b.rect) {
+                stopped = sink.emit(a.id, b.id).is_break();
+                pairs += u64::from(!stopped);
             }
-        }
-        let mut sweep = if done {
-            driver.discard()
-        } else {
-            driver.finish(env, |a, b| {
-                if done || !predicate.accepts(&a.rect, &b.rect) {
-                    return;
-                }
-                if sink.emit(a.id, b.id).is_break() {
-                    done = true;
-                } else {
-                    pairs += 1;
-                }
-            })?
+            if stopped {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        let (driver, flow) = merge_sweep(
+            env,
+            |env| Ok(left_src.next(env)?.map(|it| predicate.expand_left(it))),
+            |env| right_src.next(env),
+            (region.lo.x, region.hi.x),
+            &mut emit,
+        )?;
+        let mut sweep = match flow {
+            ControlFlow::Break(()) => driver.discard(),
+            ControlFlow::Continue(()) => driver.finish(env, |a, b| {
+                let _ = emit(a, b);
+            })?,
         };
         env.obs_close(sweep_phase);
         sweep.pairs = pairs;

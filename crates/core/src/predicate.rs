@@ -45,9 +45,10 @@ impl Predicate {
         }
     }
 
-    /// Expands a left-input item by the predicate's ε.
+    /// Expands a left-input item by the predicate's ε — a uniform shift of
+    /// every left sort key, so a lower-y order survives it.
     #[inline]
-    pub(crate) fn expand_left(&self, item: Item) -> Item {
+    pub fn expand_left(&self, item: Item) -> Item {
         let eps = self.epsilon();
         if eps == 0.0 {
             item

@@ -12,9 +12,11 @@
 //! structure-size check that would trigger it is still performed and
 //! reported.
 
-use usj_geom::Rect;
+use std::ops::ControlFlow;
+
+use usj_geom::{Item, Rect};
 use usj_io::{CpuOp, Result, SimEnv};
-use usj_sweep::{Side, SpillingSweepDriver};
+use usj_sweep::merge_sweep;
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
@@ -107,76 +109,42 @@ impl JoinOperator for SssjJoin {
             .expanded(eps);
 
         // Phase 2: single synchronized scan over the two sorted streams. Left
-        // items are ε-expanded as they are read — a uniform shift of their
-        // sort keys, so the merge order below stays correct. The driver is
-        // the memory-governed spilling sweep: when the structures outgrow the
+        // items are ε-expanded as they are read. The driver is the
+        // memory-governed spilling sweep: when the structures outgrow the
         // budget it evicts cold items to the simulated device (this is the
         // degradation path the original SSSJ's worst-case partitioning step
         // covers; for the paper's workloads it never triggers).
         let sweep_phase = env.obs_phase("sssj.sweep");
         let mut lr = left_sorted.reader();
         let mut rr = right_sorted.reader();
-        let mut lnext = lr.next(env)?.map(|it| predicate.expand_left(it));
-        let mut rnext = rr.next(env)?;
-        // Built once the readers hold their block buffers: the driver's
-        // budget is half of what is free *now*, and must leave room for them.
-        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
-        let mut pairs = 0u64;
-        let mut done = false;
-        while !done && (lnext.is_some() || rnext.is_some()) {
-            let take_left = match (&lnext, &rnext) {
-                (Some(a), Some(b)) => {
-                    env.charge(CpuOp::Compare, 1);
-                    a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater
-                }
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_left {
-                let item = lnext.take().expect("checked above");
-                driver.push(env, Side::Left, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                lnext = lr.next(env)?.map(|it| predicate.expand_left(it));
-            } else {
-                let item = rnext.take().expect("checked above");
-                driver.push(env, Side::Right, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                rnext = rr.next(env)?;
+        let (mut pairs, mut stopped) = (0u64, false);
+        let mut emit = |a: &Item, b: &Item| {
+            if !stopped && predicate.accepts(&a.rect, &b.rect) {
+                stopped = sink.emit(a.id, b.id).is_break();
+                pairs += u64::from(!stopped);
             }
-        }
+            if stopped {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        let (driver, flow) = merge_sweep(
+            env,
+            |env| Ok(lr.next(env)?.map(|it| predicate.expand_left(it))),
+            |env| rr.next(env),
+            (region.lo.x, region.hi.x),
+            &mut emit,
+        )?;
         env.obs_close(sweep_phase);
         // Fix up any pending spill epoch — unless the sink stopped the join,
         // in which case the remaining fix-up I/O is skipped entirely.
         let fixup_phase = env.obs_phase("sssj.fixup");
-        let mut sweep = if done {
-            driver.discard()
-        } else {
-            driver.finish(env, |a, b| {
-                if done || !predicate.accepts(&a.rect, &b.rect) {
-                    return;
-                }
-                if sink.emit(a.id, b.id).is_break() {
-                    done = true;
-                } else {
-                    pairs += 1;
-                }
-            })?
+        let mut sweep = match flow {
+            ControlFlow::Break(()) => driver.discard(),
+            ControlFlow::Continue(()) => driver.finish(env, |a, b| {
+                let _ = emit(a, b);
+            })?,
         };
         env.obs_close(fixup_phase);
         sweep.pairs = pairs;

@@ -58,7 +58,7 @@ use crate::{LiveError, Result};
 /// snapshot cursor's reader claims one block of records from the memory
 /// gauge per refill, so the block size is the streaming-read granularity.
 /// Batch-oriented runs want big blocks (fewer seeks); a live run is read
-/// incrementally by symmetric joins that must coexist with the sweep
+/// incrementally by streaming joins that must coexist with the sweep
 /// structures inside a worker's admission budget, so it trades a few extra
 /// blocks for a small, steady per-cursor footprint.
 pub const LIVE_PAGES_PER_BLOCK: u64 = 2;
@@ -1192,7 +1192,7 @@ pub struct SnapshotCursor {
 impl SnapshotCursor {
     /// The next record in ascending sweep-key order, or `None` when every
     /// tier is exhausted. Run pages are read (and charged) on demand.
-    pub fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
+    pub fn next(&mut self, env: &mut SimEnv) -> usj_io::Result<Option<Item>> {
         // The run count is 1 + pending deltas + pending batches — small by
         // construction (maintenance folds them back) — so a linear scan
         // over the heads beats heap bookkeeping. Persisted runs win key
@@ -1224,7 +1224,7 @@ impl SnapshotCursor {
             }
         }
         match best {
-            Some((i, _)) => Ok(self.readers[i].next(env)?),
+            Some((i, _)) => self.readers[i].next(env),
             None => Ok(None),
         }
     }

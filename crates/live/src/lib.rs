@@ -14,11 +14,11 @@
 //!   [`LiveSnapshot`]s — immutable unions of sorted runs plus a frozen
 //!   memtable copy — so queries keep a consistent view while ingestion
 //!   continues.
-//! * [`StreamingJoin`] — a pull-driven join over two snapshots built on the
-//!   [`SymmetricSweepDriver`](usj_sweep::SymmetricSweepDriver): each
-//!   arriving item is inserted into its side's resident set and probed
-//!   against the opposite side, so pairs surface **as items arrive**
-//!   instead of after a blocking full sort. Memory pressure spills
+//! * [`StreamingJoin`] — a pull-driven join over two snapshots: their
+//!   cursors feed [`usj_sweep::merge_sweep`], the spilling plane sweep SSSJ
+//!   and PQ run, so each arriving item is inserted into its side's resident
+//!   set and probed against the opposite side and pairs surface **as items
+//!   arrive** instead of after a blocking full sort. Memory pressure spills
 //!   residents to the device and recovers their pairs with log-suffix
 //!   fix-up joins; the reported pair *set* is identical to offline SSSJ on
 //!   the same snapshot.

@@ -2,18 +2,14 @@
 //!
 //! The streaming operator's contract is *set equality*: over any ingestion
 //! history (random base/append splits, flush points and compaction
-//! cadences) and any memory limit (including ones that force the symmetric
-//! driver to spill), [`StreamingJoin`] must report exactly the pair set the
-//! offline SSSJ reports on the materialised snapshot. A separate property
-//! drives the [`SymmetricSweepDriver`] directly so the *arrival
-//! interleaving* — fixed to the min-lower-y pull policy inside
-//! `StreamingJoin` — is itself randomised.
+//! cadences) and any memory limit (including ones that force the sweep to
+//! spill), [`StreamingJoin`] must report exactly the pair set the offline
+//! SSSJ reports on the materialised snapshot.
 
 use usj_core::{CollectSink, JoinInput, JoinOperator, LimitSink, SssjJoin};
 use usj_geom::{Item, Rect};
 use usj_io::{extsort, ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
-use usj_sweep::{Side, SymmetricSweepDriver};
 
 use crate::catalog::{LiveConfig, LiveDataset, LIVE_PAGES_PER_BLOCK};
 use crate::streaming::StreamingJoin;
@@ -183,9 +179,9 @@ fn merge_of_k_sorted_runs_equals_the_sort_of_their_concatenation() {
 fn streaming_join_matches_offline_under_random_memory_limits() {
     // The worker-fork execution model of the service: datasets are built in
     // an unconstrained environment, the join runs on a forked worker whose
-    // gauge is limited — sometimes low enough to force the symmetric driver
-    // to spill. The pair set must be identical either way, and the gauge
-    // must be respected.
+    // gauge is limited — sometimes low enough to force the sweep to spill.
+    // The pair set must be identical either way, and the gauge must be
+    // respected.
     forall!(24, |g| {
         let mut env = env();
         let l = arb_dataset(g, &mut env, "l", 0);
@@ -208,51 +204,6 @@ fn streaming_join_matches_offline_under_random_memory_limits() {
             "gauge peak {} over limit {limit}",
             live.memory.peak_bytes
         );
-    });
-}
-
-#[test]
-fn symmetric_driver_matches_brute_force_on_arbitrary_interleavings() {
-    // StreamingJoin always pulls the smaller lower-y head; the driver's
-    // contract is stronger — *any* cross-side interleaving of the two
-    // sorted streams yields the same pair set. Drive it directly with a
-    // random interleaving under a spill-inducing budget.
-    forall!(32, |g| {
-        let left = arb_items(g, 100, 0);
-        let right = arb_items(g, 100, 1_000_000);
-        let mut l = left.clone();
-        let mut r = right.clone();
-        l.sort_unstable_by(Item::cmp_by_lower_y);
-        r.sort_unstable_by(Item::cmp_by_lower_y);
-
-        let mut env = env().with_memory_limit(64 * 1024);
-        let bias = g.unit_f64(); // skews draws towards one side running ahead
-        let mut driver = SymmetricSweepDriver::new(&env, -100.0, 130.0);
-        let mut out = Vec::new();
-        let (mut li, mut ri) = (0, 0);
-        while li < l.len() || ri < r.len() {
-            let take_left = match (l.get(li), r.get(ri)) {
-                (Some(_), Some(_)) => g.bool_with(bias),
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_left {
-                driver
-                    .push(&mut env, Side::Left, l[li], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                li += 1;
-            } else {
-                driver
-                    .push(&mut env, Side::Right, r[ri], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                ri += 1;
-            }
-        }
-        driver
-            .finish(&mut env, |a, b| out.push((a.id, b.id)))
-            .unwrap();
-        assert_eq!(sorted(out), brute(&left, &right));
-        assert!(env.memory.peak() <= env.memory_limit);
     });
 }
 

@@ -5,33 +5,31 @@
 //! side of a [`LiveSnapshot`] is already a union of
 //! sweep-key-sorted runs, so its [`SnapshotCursor`] delivers items in
 //! global lower-y order *incrementally* — pages are read on demand as the
-//! merge advances. The join feeds the two cursors into the
-//! [`SymmetricSweepDriver`], which inserts
-//! every arriving item into its side's resident interval structure and
-//! probes the opposite side, emitting pairs **while the scan is running**:
-//! the first pair surfaces after a handful of page reads instead of after
-//! two full sort passes.
+//! merge advances. The join pulls the two cursors through
+//! [`usj_sweep::merge_sweep`] — the spilling sweep SSSJ and PQ run — which
+//! inserts every arriving item into its side's resident interval structure
+//! and probes the opposite side, emitting pairs **while the scan is
+//! running**: the first pair surfaces after a handful of page reads instead
+//! of after two full sort passes.
 //!
-//! The driver tolerates *any* cross-side interleaving (watermark-based
-//! expiry), so the pull policy here — advance whichever head has the
-//! smaller lower-y — is just the one that keeps the resident sets smallest.
 //! Under memory pressure residents spill to the device and their missed
 //! pairs are recovered by log-suffix fix-up joins; the reported pair *set*
 //! is identical to offline SSSJ on the same snapshot (the property-based
-//! differential suite proves this across interleavings, flush points and
-//! memory limits).
+//! differential suite proves this across flush points and memory limits).
+
+use std::ops::ControlFlow;
 
 use usj_core::{CatalogedInput, JoinResult, MemoryStats, PairSink, Predicate};
 use usj_geom::{Item, Rect};
 use usj_io::{CpuOp, ItemStream, ItemStreamReader, SimEnv};
-use usj_sweep::{Side, SymmetricSweepDriver};
+use usj_sweep::merge_sweep;
 
 use crate::catalog::{LiveSnapshot, SnapshotCursor};
 use crate::Result;
 
 /// One input of a (possibly mixed) streaming join.
 ///
-/// The symmetric driver only needs items in ascending lower-y order, and
+/// The sweep only needs items in ascending lower-y order, and
 /// both the live layer and the frozen catalog can deliver that
 /// incrementally: a [`LiveSnapshot`]'s cursor k-way-merges its sorted runs,
 /// and a cataloged dataset's persisted run is *already* y-sorted, so a
@@ -99,10 +97,10 @@ enum SideCursor {
 }
 
 impl SideCursor {
-    fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
+    fn next(&mut self, env: &mut SimEnv) -> usj_io::Result<Option<Item>> {
         match self {
             SideCursor::Snapshot(c) => c.next(env),
-            SideCursor::Stream(r) => Ok(r.next(env)?),
+            SideCursor::Stream(r) => r.next(env),
         }
     }
 }
@@ -162,15 +160,6 @@ impl StreamingJoin {
         env.memory.begin_phase();
         let predicate = self.predicate;
         let eps = predicate.epsilon();
-        // ε-expansion of the left input (distance joins): a uniform shift
-        // of every left sort key, so the merged order below stays correct.
-        let expand = |item: Item| {
-            if eps > 0.0 {
-                Item::new(item.rect.expanded(eps), item.id)
-            } else {
-                item
-            }
-        };
         let region = self
             .region_hint
             .unwrap_or_else(|| left.bbox().union(&right.bbox()))
@@ -179,100 +168,34 @@ impl StreamingJoin {
         let probe_phase = env.obs_phase("stream.probe");
         let mut lcur = left.cursor();
         let mut rcur = right.cursor();
-        // Prime both cursors *before* sizing the driver: the first pull
-        // claims the readers' block buffers from the gauge, so the driver's
-        // headroom-derived spill budget accounts for them.
-        let mut lnext = lcur.next(env)?.map(expand);
-        let mut rnext = rcur.next(env)?;
-        let mut driver = SymmetricSweepDriver::new(env, region.lo.x, region.hi.x);
-        let mut closed = [false; 2];
-        let mut pairs = 0u64;
-        let mut done = false;
-        while !done {
-            if lnext.is_none() && !closed[Side::Left as usize] {
-                closed[Side::Left as usize] = true;
-                driver.close_side(env, Side::Left, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                continue;
+        let (mut pairs, mut stopped) = (0u64, false);
+        let mut emit = |a: &Item, b: &Item| {
+            if !stopped && predicate.accepts(&a.rect, &b.rect) {
+                stopped = sink.emit(a.id, b.id).is_break();
+                pairs += u64::from(!stopped);
             }
-            if rnext.is_none() && !closed[Side::Right as usize] {
-                closed[Side::Right as usize] = true;
-                driver.close_side(env, Side::Right, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                continue;
-            }
-            if lnext.is_none() && rnext.is_none() {
-                break;
-            }
-            let take_left = match (&lnext, &rnext) {
-                (Some(a), Some(b)) => {
-                    env.charge(CpuOp::Compare, 1);
-                    a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater
-                }
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_left {
-                let item = lnext.take().expect("checked above");
-                driver.push(env, Side::Left, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                lnext = lcur.next(env)?.map(expand);
+            if stopped {
+                ControlFlow::Break(())
             } else {
-                let item = rnext.take().expect("checked above");
-                driver.push(env, Side::Right, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                rnext = rcur.next(env)?;
+                ControlFlow::Continue(())
             }
-        }
+        };
+        let (driver, flow) = merge_sweep(
+            env,
+            |env| Ok(lcur.next(env)?.map(|it| predicate.expand_left(it))),
+            |env| rcur.next(env),
+            (region.lo.x, region.hi.x),
+            &mut emit,
+        )?;
         env.obs_close(probe_phase);
-        // Any spill epoch still open (late arrivals kept it alive) fixes up
-        // here — unless the sink stopped the join, which skips that I/O.
+        // Any spill epoch still open fixes up here — unless the sink stopped
+        // the join, which skips that I/O.
         let fixup_phase = env.obs_phase("stream.fixup");
-        let mut sweep = if done {
-            driver.discard()
-        } else {
-            driver.finish(env, |a, b| {
-                if done || !predicate.accepts(&a.rect, &b.rect) {
-                    return;
-                }
-                if sink.emit(a.id, b.id).is_break() {
-                    done = true;
-                } else {
-                    pairs += 1;
-                }
-            })?
+        let mut sweep = match flow {
+            ControlFlow::Break(()) => driver.discard(),
+            ControlFlow::Continue(()) => driver.finish(env, |a, b| {
+                let _ = emit(a, b);
+            })?,
         };
         env.obs_close(fixup_phase);
         sweep.pairs = pairs;

@@ -40,7 +40,7 @@
 //! The service also fronts the *live* layer ([`usj_live`]):
 //! [`Service::register_live`] / [`Service::append_live`] mutate LSM-style
 //! datasets between sessions, and [`QueryRequest::streaming_join`] runs the
-//! incremental symmetric sweep over generation snapshots taken at execution
+//! incremental streaming sweep over generation snapshots taken at execution
 //! time — first pairs stream out before either input is fully read.
 
 #![forbid(unsafe_code)]

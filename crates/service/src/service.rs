@@ -335,7 +335,7 @@ pub enum QueryKind {
         /// The query point.
         point: Point,
     },
-    /// A streaming symmetric join over two *live* datasets
+    /// A streaming join over two *live* datasets
     /// ([`Service::register_live`]): executed over generation snapshots
     /// taken when the query starts running, emitting pairs while the
     /// snapshot runs are still being scanned (no blocking pre-sort).
@@ -349,7 +349,7 @@ pub enum QueryKind {
     },
     /// A mixed streaming join: a *live* dataset's generation snapshot
     /// against a *cataloged* dataset's persisted y-sorted run, through the
-    /// same symmetric sweep — the cataloged run is already in sweep-key
+    /// same streaming sweep — the cataloged run is already in sweep-key
     /// order, so it feeds the driver directly without materialising
     /// anything. Pairs are emitted `(live_id, cataloged_id)`.
     MixedJoin {
@@ -1398,7 +1398,7 @@ impl Service {
     /// explicit [`memory_budget`](QueryRequest::memory_budget) clamped to
     /// `[MIN_QUERY_BUDGET, memory_limit]`, or a size-based heuristic
     /// (3× the input bytes with a [`JOIN_BUDGET_FLOOR`] floor for joins,
-    /// 1× for streaming joins — the symmetric operator spills instead of
+    /// 1× for streaming joins — the streaming operator spills instead of
     /// growing — and [`SELECTION_BUDGET`] for selections).
     ///
     /// When the plan cache holds a *measured* peak for a join's fingerprint

@@ -285,11 +285,6 @@ where
     driver.finish()
 }
 
-/// Convenience wrapper returning only the number of intersecting pairs.
-pub fn sweep_join_count<S: SweepStructure>(left: &[Item], right: &[Item]) -> u64 {
-    sweep_join::<S, _>(left, right, |_, _| {}).pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,13 +39,12 @@
 //! [`SpillingSweepDriver`] takes over: it evicts the soonest-to-expire items
 //! to the simulated device and recovers their missed intersections with a
 //! log-based fix-up join, keeping the memory governor's limit a hard
-//! invariant at the price of extra (charged) I/O.
-//!
-//! For *live* inputs that cannot be globally sorted up front, the
-//! [`SymmetricSweepDriver`] relaxes the protocol to per-side ordering with
-//! arbitrary cross-side interleaving (watermark-based expiry, XJoin-style),
-//! emitting pairs as items arrive while reusing the same spill/fix-up
-//! machinery.
+//! invariant at the price of extra (charged) I/O. It is the one driver
+//! behind every externally sorted or streamed sweep — SSSJ's sorted runs,
+//! PQ's index adapters, the live layer's snapshot cursors — and
+//! [`merge_sweep`] is the one loop that feeds it: two y-ordered pull
+//! sources merged on lower y, each side closed as its source ends so the
+//! residents only it could probe drain at once.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -59,18 +58,16 @@ mod soa;
 pub mod spill;
 pub mod striped;
 pub mod structure;
-pub mod symmetric;
 
 pub use batch::{batch_join, batch_join_oriented};
 pub use driver::{
-    sweep_join, sweep_join_count, sweep_join_eps, sweep_join_eps_with, Side, SweepDriver,
-    SweepJoinStats, SweepScratch,
+    sweep_join, sweep_join_eps, sweep_join_eps_with, Side, SweepDriver, SweepJoinStats,
+    SweepScratch,
 };
 pub use forward::ForwardSweep;
 #[cfg(any(test, feature = "reference-kernels"))]
 pub use reference::{EagerStripedSweep, ListSweep};
-pub use spill::SpillingSweepDriver;
-pub use symmetric::SymmetricSweepDriver;
+pub use spill::{merge_sweep, SpillingSweepDriver};
 pub use striped::{StripedSweep, INITIAL_STRIPS, MAX_STRIPS, TARGET_PER_STRIP};
 pub use structure::{SweepStats, SweepStructure};
 

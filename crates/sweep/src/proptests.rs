@@ -2,6 +2,8 @@
 //! structures and the spilling driver must agree with a brute-force
 //! rectangle join on arbitrary inputs.
 
+use std::ops::ControlFlow;
+
 use usj_geom::{Extents, Item, Rect};
 use usj_io::{ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
@@ -10,8 +12,8 @@ use crate::soa::oracle::QuadHeap;
 use crate::soa::{ExpiryEntry, ExpiryHeap};
 use crate::spill::{join_batch_against_log, nested_loop_fixup};
 use crate::{
-    batch_join, batch_join_oriented, sweep_join, ForwardSweep, ListSweep, Side, SpillingSweepDriver, StripedSweep,
-    SweepJoinStats, SweepStructure,
+    batch_join, batch_join_oriented, merge_sweep, sweep_join, ForwardSweep, ListSweep, Side,
+    StripedSweep, SweepJoinStats, SweepStructure,
 };
 
 fn arb_items(g: &mut Gen, max_len: usize, id_base: u32) -> Vec<Item> {
@@ -201,33 +203,29 @@ fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
         // A 64 KB environment forces the driver to spill on the denser
         // draws; the pair set must stay exact either way.
         let mut env = SimEnv::new(MachineConfig::machine3()).with_memory_limit(64 * 1024);
-        let mut l = left.clone();
-        let mut r = right.clone();
-        l.sort_unstable_by(Item::cmp_by_lower_y);
-        r.sort_unstable_by(Item::cmp_by_lower_y);
-        let mut driver = SpillingSweepDriver::new(&env, -100.0, 130.0);
+        let sorted = |items: &[Item]| {
+            let mut v = items.to_vec();
+            v.sort_unstable_by(Item::cmp_by_lower_y);
+            v.into_iter()
+        };
+        let (mut l, mut r) = (sorted(&left), sorted(&right));
         let mut out = Vec::new();
-        let (mut li, mut ri) = (0, 0);
-        while li < l.len() || ri < r.len() {
-            let take_left = match (l.get(li), r.get(ri)) {
-                (Some(a), Some(b)) => a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_left {
-                driver
-                    .push(&mut env, Side::Left, l[li], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                li += 1;
-            } else {
-                driver
-                    .push(&mut env, Side::Right, r[ri], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                ri += 1;
-            }
-        }
+        let mut emit = |a: &Item, b: &Item| {
+            out.push((a.id, b.id));
+            ControlFlow::Continue(())
+        };
+        let (driver, _) = merge_sweep(
+            &mut env,
+            |_| Ok(l.next()),
+            |_| Ok(r.next()),
+            (-100.0, 130.0),
+            &mut emit,
+        )
+        .unwrap();
         driver
-            .finish(&mut env, |a, b| out.push((a.id, b.id)))
+            .finish(&mut env, |a, b| {
+                let _ = emit(a, b);
+            })
             .unwrap();
         out.sort_unstable();
         assert_eq!(out, brute(&left, &right));
@@ -244,13 +242,22 @@ fn sweep_fixup_matches_the_nested_loop_on_random_spill_histories() {
     forall!(48, |g| {
         // A spill history as the fix-up sees it: a batch in no particular
         // order (eviction is strip by strip), the other side's log in
-        // ascending lower-y, an eviction point anywhere in it, and — the
-        // symmetric driver's case — no relation between the batch's and the
-        // log's positions along y.
+        // ascending lower-y, and an eviction point anywhere in it. The
+        // suffix after that point arrived after every spilled item, so it
+        // starts at or above their lower edges — anywhere from level with
+        // the highest of them to past their tops.
         let spilled = arb_items(g, 200, 0);
         let mut log = arb_items(g, 400, 10_000);
         log.sort_unstable_by(Item::cmp_by_lower_y);
         let start = g.usize_in(0, log.len() + 2) as u64;
+        let floor = spilled.iter().map(|s| s.rect.lo.y).fold(f32::NEG_INFINITY, f32::max);
+        if let Some(first) = log.get(start as usize) {
+            let lift = (floor - first.rect.lo.y).max(0.0);
+            for z in &mut log[start as usize..] {
+                let (lo, hi) = (z.rect.lo, z.rect.hi);
+                z.rect = Rect::from_coords(lo.x, lo.y + lift, hi.x, hi.y + lift);
+            }
+        }
         let side = [Side::Left, Side::Right][g.usize_in(0, 2)];
         let limit = [64 * 1024, 256 * 1024, 16 * 1024 * 1024][g.usize_in(0, 3)];
 

@@ -1,4 +1,4 @@
-//! The external *spilling* plane-sweep driver.
+//! The external *spilling* plane-sweep driver and the merge that feeds it.
 //!
 //! [`SweepDriver`](crate::SweepDriver) keeps both interval structures fully
 //! in memory — fine for the paper's real-life workloads, where Table 3 shows
@@ -27,9 +27,17 @@
 //! pairs differs (they surface when their epoch closes). Spill volume and
 //! episode counts are reported through
 //! [`SweepJoinStats::spilled_items`]/[`spill_runs`](SweepJoinStats::spill_runs).
+//!
+//! It is the one sweep behind SSSJ, PQ and the streaming join over live
+//! snapshots. All three pull two y-ordered sources through [`merge_sweep`],
+//! which feeds the driver in global lower-y order and closes each side as
+//! its source ends ([`SpillingSweepDriver::close_side`]).
+
+use std::cmp::Ordering;
+use std::ops::ControlFlow;
 
 use usj_geom::Item;
-use usj_io::{ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv};
+use usj_io::{CpuOp, ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv};
 
 use crate::driver::{Side, SweepJoinStats};
 use crate::structure::SweepStructure;
@@ -47,35 +55,31 @@ pub(crate) const SPILL_PAGES_PER_BLOCK: u64 = 1;
 
 /// One eviction: the spilled items of both sides, plus where in the shared
 /// shadow log the post-eviction arrivals begin.
-///
-/// Shared with the symmetric streaming driver
-/// ([`SymmetricSweepDriver`](crate::SymmetricSweepDriver)), whose epoch
-/// lifecycle is watermark-driven but whose batches are identical.
 #[derive(Debug)]
-pub(crate) struct SpillBatch {
-    pub(crate) left: ItemStream,
-    pub(crate) right: ItemStream,
-    pub(crate) log_left_start: u64,
-    pub(crate) log_right_start: u64,
+struct SpillBatch {
+    left: ItemStream,
+    right: ItemStream,
+    log_left_start: u64,
+    log_right_start: u64,
 }
 
 /// The live spill state: open batches and the shared shadow log of every
 /// arrival since the first of them. Ends (and is fixed up) once the sweep
 /// line passes `max_y`.
 #[derive(Debug)]
-pub(crate) struct SpillEpoch {
-    pub(crate) batches: Vec<SpillBatch>,
-    pub(crate) log_left: ItemStreamWriter,
-    pub(crate) log_right: ItemStreamWriter,
-    pub(crate) log_left_n: u64,
-    pub(crate) log_right_n: u64,
+struct SpillEpoch {
+    batches: Vec<SpillBatch>,
+    log_left: ItemStreamWriter,
+    log_right: ItemStreamWriter,
+    log_left_n: u64,
+    log_right_n: u64,
     /// Largest upper y-coordinate among all spilled items of the epoch.
-    pub(crate) max_y: f32,
+    max_y: f32,
 }
 
 impl SpillEpoch {
     /// An empty epoch with fresh shadow logs.
-    pub(crate) fn new(env: &mut SimEnv) -> Self {
+    fn new(env: &mut SimEnv) -> Self {
         SpillEpoch {
             batches: Vec::new(),
             log_left: ItemStreamWriter::new(env, SPILL_PAGES_PER_BLOCK),
@@ -87,7 +91,7 @@ impl SpillEpoch {
     }
 
     /// Shadow-logs one arrival on `side`.
-    pub(crate) fn log(&mut self, env: &mut SimEnv, side: Side, item: Item) -> Result<()> {
+    fn log(&mut self, env: &mut SimEnv, side: Side, item: Item) -> Result<()> {
         match side {
             Side::Left => {
                 self.log_left.push(env, item)?;
@@ -104,7 +108,7 @@ impl SpillEpoch {
     /// Closes the epoch: joins every batch against its shadow-log suffix
     /// (see [`join_batch_against_log`]) and returns the rectangle tests
     /// that took. `x_extent` is the extent of the evicting structures.
-    pub(crate) fn fixup<F: FnMut(&Item, &Item)>(
+    fn fixup<F: FnMut(&Item, &Item)>(
         self,
         env: &mut SimEnv,
         x_extent: (f32, f32),
@@ -131,11 +135,11 @@ impl SpillEpoch {
 /// This is a sweep of its own, never a nested loop: the batch is read back
 /// in memory-governed chunks, each chunk is loaded into a [`StripedSweep`]
 /// over `x_extent`, and the log suffix streams past it with
-/// `expire_before(z.lo.y)` + `query(z)`. Either side's log is ascending in
-/// lower-y — all the expiry needs — so reading stops as soon as the chunk
-/// has fully expired. The symmetric driver interleaves the sides freely
-/// (a log entry may lie wholly *below* a spilled item), so every probe hit
-/// is confirmed with the full rectangle test.
+/// `expire_before(z.lo.y)` + `query(z)`. Every log entry of the suffix was
+/// pushed after every spilled item, so it starts at or above their lower
+/// edges: a spilled item the expiry keeps and the probe finds in x-range
+/// overlaps the entry, and reading stops as soon as the chunk has fully
+/// expired.
 ///
 /// `x_extent` is the extent of the structures the batch was evicted from,
 /// not the chunk's own: under the strips the items lived in, an index over
@@ -186,13 +190,9 @@ pub(crate) fn join_batch_against_log<F: FnMut(&Item, &Item)>(
             if index.is_empty() {
                 break;
             }
-            index.query(&z, |s| {
-                if s.rect.intersects(&z.rect) {
-                    match spilled_side {
-                        Side::Left => report(s, &z),
-                        Side::Right => report(&z, s),
-                    }
-                }
+            index.query(&z, |s| match spilled_side {
+                Side::Left => report(s, &z),
+                Side::Right => report(&z, s),
             });
         }
         rect_tests += index.stats().rect_tests;
@@ -206,17 +206,23 @@ pub(crate) fn join_batch_against_log<F: FnMut(&Item, &Item)>(
 /// [`SweepDriver<StripedSweep>`](crate::SweepDriver): same push-based
 /// protocol, but `push` takes the environment (evictions and fix-ups perform
 /// simulated I/O) and the in-memory state never exceeds the budget derived
-/// from the gauge's headroom at construction.
+/// from the gauge's headroom at construction. Items must arrive in
+/// ascending lower-y order across both sides; [`merge_sweep`] feeds it from
+/// two sorted sources.
 #[derive(Debug)]
 pub struct SpillingSweepDriver {
     left: StripedSweep,
     right: StripedSweep,
     stats: SweepJoinStats,
     last_y: f32,
+    /// Sides whose input has ended, indexed by [`Side`].
+    closed: [bool; 2],
     budget: usize,
     reservation: MemoryReservation,
     epoch: Option<SpillEpoch>,
     fixup_rect_tests: u64,
+    /// Expirations (both sides) already reported by a `sweep.expire` mark.
+    expirations_marked: u64,
     /// Reusable eviction buffers: [`StripedSweep::evict_until`] appends into
     /// them, so repeated spill episodes stop allocating fresh vectors.
     evict_left: Vec<Item>,
@@ -241,19 +247,16 @@ impl SpillingSweepDriver {
             right: StripedSweep::with_extent(x_lo, x_hi),
             stats: SweepJoinStats::default(),
             last_y: f32::NEG_INFINITY,
+            closed: [false; 2],
             budget,
             reservation: env.memory.reserve_empty(),
             epoch: None,
             fixup_rect_tests: 0,
+            expirations_marked: 0,
             evict_left: Vec::new(),
             evict_right: Vec::new(),
             expiry_scratch: Vec::new(),
         }
-    }
-
-    /// In-memory budget in bytes.
-    pub fn budget(&self) -> usize {
-        self.budget
     }
 
     /// Spill batches of the current epoch still awaiting their fix-up join.
@@ -264,7 +267,7 @@ impl SpillingSweepDriver {
     /// Advances the sweep line to `item.rect.lo.y` and processes `item` from
     /// input `side`, reporting every join partner as `(left_item,
     /// right_item)`. Items must be pushed in ascending lower-y order across
-    /// both sides (asserted in debug builds).
+    /// both sides, and never on a closed side (asserted in debug builds).
     ///
     /// Fix-up pairs of a spill epoch the sweep line has passed are reported
     /// through the same callback before the new item is processed.
@@ -280,16 +283,14 @@ impl SpillingSweepDriver {
             y >= self.last_y,
             "sweep inputs must be pushed in ascending lower-y order"
         );
+        debug_assert!(!self.closed[side as usize], "push on a closed side");
         self.last_y = y;
+        self.expire();
 
         // Close the epoch once every spilled item has expired.
         if self.epoch.as_ref().is_some_and(|e| e.max_y < y) {
-            let epoch = self.epoch.take().expect("checked above");
-            self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), &mut report)?;
+            self.fixup(env, &mut report)?;
         }
-
-        self.left.expire_before(y);
-        self.right.expire_before(y);
 
         // Shadow-log the arrival: its pairs with already-spilled items can
         // only be discovered at fix-up time.
@@ -317,6 +318,55 @@ impl SpillingSweepDriver {
         self.reservation
             .try_set(self.left.bytes() + self.right.bytes())?;
         Ok(())
+    }
+
+    /// Declares `side`'s input ended. Nothing can probe the opposite
+    /// structure any more, so it drains now and after every later push.
+    ///
+    /// The sweep line does not move, so no spill epoch can close here: this
+    /// reports nothing and performs no I/O.
+    pub fn close_side(&mut self, side: Side) {
+        self.closed[side as usize] = true;
+        self.expire();
+    }
+
+    /// Expires each structure at the sweep line — or entirely, once the
+    /// side whose arrivals probe it has closed.
+    fn expire(&mut self) {
+        let cut = |prober: Side| {
+            if self.closed[prober as usize] {
+                f32::INFINITY
+            } else {
+                self.last_y
+            }
+        };
+        let (left_cut, right_cut) = (cut(Side::Right), cut(Side::Left));
+        self.left.expire_before(left_cut);
+        self.right.expire_before(right_cut);
+    }
+
+    /// Fixes up the open spill epoch, if any, reporting its pairs.
+    fn fixup<F: FnMut(&Item, &Item)>(&mut self, env: &mut SimEnv, report: &mut F) -> Result<()> {
+        let Some(epoch) = self.epoch.take() else {
+            return Ok(());
+        };
+        self.mark_expired();
+        usj_obs::instant("sweep.fixup_epoch", epoch.batches.len() as u64);
+        self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), report)?;
+        Ok(())
+    }
+
+    /// Emits one `sweep.expire` mark carrying the residents expired since
+    /// the previous one. Called where a spill epoch closes and where the
+    /// driver does, never per push: a mark per expiring push is most of a
+    /// join's events and pushes the join's own spans out of a bounded trace
+    /// ring.
+    fn mark_expired(&mut self) {
+        let total = self.left.stats().expirations + self.right.stats().expirations;
+        if total > self.expirations_marked {
+            usj_obs::instant("sweep.expire", total - self.expirations_marked);
+            self.expirations_marked = total;
+        }
     }
 
     fn note_sizes(&mut self) {
@@ -390,12 +440,6 @@ impl SpillingSweepDriver {
         Ok(())
     }
 
-    /// Registers `n` reported pairs in the statistics (the driver does not
-    /// count them itself, mirroring [`SweepDriver`](crate::SweepDriver)).
-    pub fn add_pairs(&mut self, n: u64) {
-        self.stats.pairs += n;
-    }
-
     /// Fixes up any remaining spill epoch (reporting its pairs) and returns
     /// the final statistics.
     pub fn finish<F: FnMut(&Item, &Item)>(
@@ -403,16 +447,16 @@ impl SpillingSweepDriver {
         env: &mut SimEnv,
         mut report: F,
     ) -> Result<SweepJoinStats> {
-        if let Some(epoch) = self.epoch.take() {
-            self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), &mut report)?;
-        }
+        self.fixup(env, &mut report)?;
+        self.mark_expired();
         Ok(self.stats_snapshot())
     }
 
     /// Abandons any pending spill state *without* reading it back — the
     /// early-termination path (a stopped sink does not want more pairs, so
     /// the fix-up I/O is saved).
-    pub fn discard(self) -> SweepJoinStats {
+    pub fn discard(mut self) -> SweepJoinStats {
+        self.mark_expired();
         self.stats_snapshot()
     }
 
@@ -422,6 +466,73 @@ impl SpillingSweepDriver {
             self.left.stats().rect_tests + self.right.stats().rect_tests + self.fixup_rect_tests;
         stats
     }
+}
+
+/// Sweeps two y-ordered pull sources through a [`SpillingSweepDriver`] over
+/// `x_extent`, passing every pair to `emit` as `(left_item, right_item)`.
+///
+/// Each source yields its items in ascending lower-y order and `None` once
+/// it ends. The merge pushes the smaller head (one [`CpuOp::Compare`] per
+/// comparison of two heads, ties to the left), closes each side as its
+/// source ends, and stops once `emit` returns `Break` — after the pull that
+/// replaces the item whose push broke, and without calling `emit` again.
+///
+/// The driver is returned unfinished, with the flow that stopped the merge:
+/// the caller [`finish`](SpillingSweepDriver::finish)es it (fix-up pairs
+/// still pending) or [`discard`](SpillingSweepDriver::discard)s it after a
+/// `Break`, inside whatever trace phase it attributes that I/O to.
+pub fn merge_sweep<L, R, E>(
+    env: &mut SimEnv,
+    mut left: L,
+    mut right: R,
+    x_extent: (f32, f32),
+    emit: &mut E,
+) -> Result<(SpillingSweepDriver, ControlFlow<()>)>
+where
+    L: FnMut(&mut SimEnv) -> Result<Option<Item>>,
+    R: FnMut(&mut SimEnv) -> Result<Option<Item>>,
+    E: FnMut(&Item, &Item) -> ControlFlow<()>,
+{
+    // Prime both sources before sizing the driver: the first pull claims a
+    // stream reader's block buffer (or an index adapter's queues) from the
+    // gauge, and the driver's budget is half of what is free *now*.
+    let mut heads = [left(env)?, right(env)?];
+    let mut driver = SpillingSweepDriver::new(env, x_extent.0, x_extent.1);
+    for side in [Side::Left, Side::Right] {
+        if heads[side as usize].is_none() {
+            driver.close_side(side);
+        }
+    }
+    let mut flow = ControlFlow::Continue(());
+    while flow.is_continue() {
+        let side = match &heads {
+            [Some(a), Some(b)] => {
+                env.charge(CpuOp::Compare, 1);
+                match a.cmp_by_lower_y(b) {
+                    Ordering::Greater => Side::Right,
+                    _ => Side::Left,
+                }
+            }
+            [Some(_), None] => Side::Left,
+            [None, Some(_)] => Side::Right,
+            [None, None] => break,
+        };
+        let item = heads[side as usize].take().expect("matched above");
+        driver.push(env, side, item, |a, b| {
+            if flow.is_continue() {
+                flow = emit(a, b);
+            }
+        })?;
+        let next = match side {
+            Side::Left => left(env)?,
+            Side::Right => right(env)?,
+        };
+        if next.is_none() {
+            driver.close_side(side);
+        }
+        heads[side as usize] = next;
+    }
+    Ok((driver, flow))
 }
 
 /// The fix-up as it was before it became a sweep — every spilled item
@@ -477,7 +588,7 @@ mod tests {
         (out, tests)
     }
 
-    /// One-page blocks, like the drivers' batches and logs.
+    /// One-page blocks, like the driver's batches and logs.
     fn stream(env: &mut SimEnv, items: &[Item]) -> ItemStream {
         ItemStream::from_items_with_block(env, items, SPILL_PAGES_PER_BLOCK).unwrap()
     }
@@ -496,8 +607,8 @@ mod tests {
 
     #[test]
     fn sweep_fixup_equals_the_nested_loop_in_sweep_order() {
-        // The spilling driver's regime: every log entry starts at or above
-        // every spilled item's lower edge.
+        // The driver's regime: every log entry starts at or above every
+        // spilled item's lower edge.
         let mut env = env_with_memory(16 * 1024 * 1024);
         let spilled = ascending(900, 0.0, 0.01, 40.0, 2.0, 0);
         let log = ascending(3_000, 9.0, 0.02, 5.0, 2.5, 100_000);
@@ -513,31 +624,6 @@ mod tests {
             }
         }
         assert!(!nested_loop_fixup(&mut env, &s, &l, 0, Side::Left).is_empty());
-    }
-
-    #[test]
-    fn sweep_fixup_equals_the_nested_loop_when_the_sides_are_out_of_step() {
-        // The symmetric driver's regime: the log's side lagged far behind,
-        // so most of its entries lie wholly *below* the spilled items they
-        // overlap in x — probe hits the full rectangle test must reject.
-        let mut env = env_with_memory(16 * 1024 * 1024);
-        let spilled = ascending(700, 500.0, 0.05, 30.0, 2.0, 0);
-        let log = ascending(4_000, 0.0, 0.15, 6.0, 2.5, 100_000);
-        let (s, l) = (stream(&mut env, &spilled), stream(&mut env, &log));
-        for side in [Side::Left, Side::Right] {
-            for start in [0, 777, 3_400] {
-                let want = nested_loop_fixup(&mut env, &s, &l, start, side);
-                let (got, _) = sweep_fixup(&mut env, &s, &l, start, side);
-                assert_eq!(got, want, "{side:?} from {start}");
-            }
-        }
-        let all = nested_loop_fixup(&mut env, &s, &l, 0, Side::Left);
-        let below = log.iter().filter(|z| z.rect.hi.y < 500.0).count();
-        assert!(
-            !all.is_empty() && below > 3_000,
-            "{} pairs, {below} below",
-            all.len()
-        );
     }
 
     #[test]
@@ -575,7 +661,7 @@ mod tests {
                 _ => it,
             })
             .collect();
-        let log = ascending(5_000, 30.0, 0.02, 4.0, 2.5, 100_000);
+        let log = ascending(5_000, 60.0, 0.02, 4.0, 2.5, 100_000);
         let (s, l) = (stream(&mut env, &spilled), stream(&mut env, &log));
         // Half the memory is in use, as it is when an epoch closes.
         let _held = env.memory.try_reserve(32 * 1024).unwrap();
@@ -594,41 +680,41 @@ mod tests {
         drop(_held);
         let mut ample = env_with_memory(16 * 1024 * 1024);
         let (s, l) = (stream(&mut ample, &spilled), stream(&mut ample, &log));
-        assert_eq!(
-            got,
-            nested_loop_fixup(&mut ample, &s, &l, 1_234, Side::Right)
-        );
+        let want = nested_loop_fixup(&mut ample, &s, &l, 1_234, Side::Right);
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
     }
 
-    /// Narrow short-lived rectangles under extent-spanning long-lived ones:
-    /// evicting the soonest-to-expire half frees almost nothing (the copies
-    /// of the wide ones stay), so every spill falls through to
-    /// `evict_until(∞)`.
-    fn narrow_under_wide(n: u32, id_base: u32) -> Vec<Item> {
+    /// Narrow short-lived rectangles under extent-spanning long-lived ones,
+    /// `dy` apart in lower-y from `y0`: evicting the soonest-to-expire half
+    /// frees almost nothing (the copies of the wide ones stay), so every
+    /// spill falls through to `evict_until(∞)`.
+    fn narrow_under_wide(n: u32, y0: f32, dy: f32, wide_height: f32, id_base: u32) -> Vec<Item> {
         (0..n)
             .map(|i| {
-                let (x, y) = ((i % 61) as f32, i as f32 * 0.01);
+                let (x, y) = ((i % 61) as f32, y0 + i as f32 * dy);
                 match i % 3 {
-                    0 => item(0.0, y, 64.0, y + 60.0, id_base + i),
+                    0 => item(0.0, y, 64.0, y + wide_height, id_base + i),
                     _ => item(x, y, x + 0.5, y + 2.0, id_base + i),
                 }
             })
             .collect()
     }
 
+    /// Every spill of `stats` evicted far more than half the residents.
+    fn evicted_everything(stats: &SweepJoinStats) -> bool {
+        stats.spilled_items > stats.spill_runs * stats.max_resident as u64 * 3 / 4
+    }
+
     #[test]
     fn evict_everything_batches_are_fixed_up_exactly() {
         let mut env = env_with_memory(64 * 1024);
-        let left = narrow_under_wide(900, 0);
-        let right = narrow_under_wide(900, 10_000);
-        let (pairs, stats) = run_spilling(&mut env, &left, &right);
+        let left = narrow_under_wide(900, 0.0, 0.01, 60.0, 0);
+        let right = narrow_under_wide(900, 0.0, 0.01, 60.0, 10_000);
+        let (pairs, stats) = run_merged(&mut env, &left, &right);
         assert_eq!(pairs, brute(&left, &right));
         assert!(stats.spill_runs > 0, "{stats:?}");
-        // Far more was spilled than half the residents per episode.
-        assert!(
-            stats.spilled_items > stats.spill_runs * stats.max_resident as u64 * 3 / 4,
-            "{stats:?}"
-        );
+        assert!(evicted_everything(&stats), "{stats:?}");
         assert!(env.memory.peak() <= env.memory_limit);
     }
 
@@ -652,6 +738,17 @@ mod tests {
             .collect()
     }
 
+    /// Short-lived rectangles `0.1` apart in lower-y: one side of a pair of
+    /// streams in lockstep.
+    fn lockstep(n: u32, id_base: u32) -> Vec<Item> {
+        (0..n)
+            .map(|i| {
+                let (x, y) = ((i % 29) as f32, i as f32 * 0.1);
+                item(x, y, x + 1.5, y + 0.3, id_base + i)
+            })
+            .collect()
+    }
+
     fn brute(left: &[Item], right: &[Item]) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for a in left {
@@ -665,40 +762,36 @@ mod tests {
         out
     }
 
-    fn run_spilling(
+    /// Sorts both inputs and joins them through [`merge_sweep`] and
+    /// `finish`, over the x-extent `[0, 64]`. Returns the pairs (sorted, and
+    /// checked to be duplicate-free) and the driver's statistics.
+    fn run_merged(
         env: &mut SimEnv,
         left: &[Item],
         right: &[Item],
     ) -> (Vec<(u32, u32)>, SweepJoinStats) {
-        let mut l = left.to_vec();
-        let mut r = right.to_vec();
-        l.sort_unstable_by(Item::cmp_by_lower_y);
-        r.sort_unstable_by(Item::cmp_by_lower_y);
-        let mut driver = SpillingSweepDriver::new(env, 0.0, 64.0);
+        let sorted = |items: &[Item]| {
+            let mut v = items.to_vec();
+            v.sort_unstable_by(Item::cmp_by_lower_y);
+            v.into_iter()
+        };
+        let (mut l, mut r) = (sorted(left), sorted(right));
         let mut out = Vec::new();
-        let (mut li, mut ri) = (0, 0);
-        while li < l.len() || ri < r.len() {
-            let take_left = match (l.get(li), r.get(ri)) {
-                (Some(a), Some(b)) => a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_left {
-                driver
-                    .push(env, Side::Left, l[li], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                li += 1;
-            } else {
-                driver
-                    .push(env, Side::Right, r[ri], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                ri += 1;
-            }
-        }
-        driver.add_pairs(out.len() as u64);
-        let stats = driver.finish(env, |a, b| out.push((a.id, b.id))).unwrap();
+        let mut emit = |a: &Item, b: &Item| {
+            out.push((a.id, b.id));
+            ControlFlow::Continue(())
+        };
+        let (driver, _) =
+            merge_sweep(env, |_| Ok(l.next()), |_| Ok(r.next()), (0.0, 64.0), &mut emit).unwrap();
+        let stats = driver
+            .finish(env, |a, b| {
+                let _ = emit(a, b);
+            })
+            .unwrap();
+        let n = out.len();
         out.sort_unstable();
         out.dedup();
+        assert_eq!(out.len(), n, "a pair was reported twice");
         (out, stats)
     }
 
@@ -707,7 +800,7 @@ mod tests {
         let mut env = env_with_memory(16 * 1024 * 1024);
         let left = long_lived(200, 0);
         let right = long_lived(200, 10_000);
-        let (pairs, stats) = run_spilling(&mut env, &left, &right);
+        let (pairs, stats) = run_merged(&mut env, &left, &right);
         assert_eq!(pairs, brute(&left, &right));
         assert_eq!(stats.spill_runs, 0);
         assert_eq!(stats.spilled_items, 0);
@@ -719,7 +812,7 @@ mod tests {
         let left = long_lived(700, 0);
         let right = long_lived(700, 10_000);
         let m = env.begin();
-        let (pairs, stats) = run_spilling(&mut env, &left, &right);
+        let (pairs, stats) = run_merged(&mut env, &left, &right);
         let (io, _) = env.since(&m);
         assert_eq!(pairs, brute(&left, &right));
         assert!(stats.spill_runs > 0, "a 32 KB budget must spill: {stats:?}");
@@ -771,7 +864,7 @@ mod tests {
         let left = long_lived(800, 0);
         let right = long_lived(800, 10_000);
         env.memory.begin_phase();
-        let (pairs, stats) = run_spilling(&mut env, &left, &right);
+        let (pairs, stats) = run_merged(&mut env, &left, &right);
         assert_eq!(pairs.len(), brute(&left, &right).len());
         assert!(stats.spill_runs > 0);
         assert!(
@@ -802,5 +895,182 @@ mod tests {
         let (io, _) = env.since(&m);
         assert!(stats.spill_runs > 0);
         assert_eq!(io.pages_read, 0, "discard must not read the batches back");
+    }
+
+    #[test]
+    fn one_side_running_far_ahead_still_joins_completely() {
+        // The whole left input lies below the right one in lower-y, so it
+        // arrives — and its side closes — before any right item: every pair
+        // is discovered by the right-side probes.
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let left = long_lived(250, 0);
+        let right: Vec<Item> = long_lived(250, 10_000)
+            .into_iter()
+            .map(|it| {
+                let (lo, hi) = (it.rect.lo, it.rect.hi);
+                item(lo.x, lo.y + 40.0, hi.x, hi.y + 40.0, it.id)
+            })
+            .collect();
+        let (pairs, _) = run_merged(&mut env, &left, &right);
+        assert!(!pairs.is_empty());
+        assert_eq!(pairs, brute(&left, &right));
+    }
+
+    #[test]
+    fn spilling_under_a_small_budget_recovers_every_pair_once() {
+        let mut env = env_with_memory(64 * 1024);
+        let left = long_lived(600, 0);
+        let right = long_lived(600, 10_000);
+        let m = env.begin();
+        let (pairs, stats) = run_merged(&mut env, &left, &right);
+        let (io, _) = env.since(&m);
+        assert_eq!(pairs, brute(&left, &right));
+        assert!(stats.spill_runs > 0, "a 64 KB budget must spill: {stats:?}");
+        assert!(io.pages_written > 0, "spill batches are written to the device");
+        assert!(io.pages_read > 0, "fix-ups read the spilled items back");
+    }
+
+    #[test]
+    fn sides_far_out_of_step_under_a_small_budget_recover_every_pair_once() {
+        // Every third rectangle spans the extent and lives long; evicting
+        // the soonest-to-expire half leaves their strip copies behind, so
+        // the spills fall through to `evict_until(∞)`. The right input
+        // starts level with the left, a third of the way up it, or past its
+        // last item — wherever it starts, every pair is recovered once.
+        let left = narrow_under_wide(900, 0.0, 0.05, 30.0, 0);
+        for offset in [0.0, 15.0, 45.0] {
+            let right = narrow_under_wide(900, offset, 0.05, 30.0, 10_000);
+            let mut env = env_with_memory(64 * 1024);
+            env.memory.begin_phase();
+            let (pairs, stats) = run_merged(&mut env, &left, &right);
+            assert_eq!(pairs, brute(&left, &right), "offset {offset}");
+            assert!(stats.spill_runs > 0, "offset {offset}: {stats:?}");
+            assert!(
+                evicted_everything(&stats),
+                "offset {offset}: median evictions only, {stats:?}"
+            );
+            assert!(env.memory.peak() <= env.memory_limit, "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn watermark_expiry_keeps_the_resident_set_small_on_aligned_streams() {
+        // Short-lived rectangles arriving in lockstep: the sweep line tracks
+        // both sides closely, so residents expire promptly.
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let left = lockstep(2_000, 0);
+        let right = lockstep(2_000, 100_000);
+        let (pairs, stats) = run_merged(&mut env, &left, &right);
+        assert_eq!(pairs, brute(&left, &right));
+        assert!(
+            stats.max_resident < 200,
+            "lockstep streams must expire promptly: {stats:?}"
+        );
+    }
+
+    /// Values of the `sweep.expire` and `sweep.fixup_epoch` marks a recorded
+    /// `run_merged` emitted.
+    fn recorded_marks(
+        memory: usize,
+        left: &[Item],
+        right: &[Item],
+    ) -> ([Vec<u64>; 2], SweepJoinStats) {
+        use std::sync::Arc;
+        use usj_obs::{Event, HostClock, RingCollector};
+        let mut env = env_with_memory(memory);
+        let ring = Arc::new(RingCollector::new(64 * 1024));
+        let stats = {
+            let _g = usj_obs::install(ring.clone(), Arc::new(HostClock::new()));
+            run_merged(&mut env, left, right).1
+        };
+        let (events, dropped) = ring.drain();
+        assert_eq!(dropped, 0);
+        let values = ["sweep.expire", "sweep.fixup_epoch"].map(|want| {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Instant { name, value, .. } if *name == want => Some(*value),
+                    _ => None,
+                })
+                .collect()
+        });
+        (values, stats)
+    }
+
+    #[test]
+    fn expiry_is_marked_once_per_spill_epoch_and_close_not_once_per_push() {
+        // Lockstep short-lived rectangles: nearly every push expires
+        // something, and nothing spills — one mark, at close, carrying all
+        // of it: both sides close, so every pushed item expires.
+        let ([expire, epochs], stats) =
+            recorded_marks(16 * 1024 * 1024, &lockstep(2_000, 0), &lockstep(2_000, 100_000));
+        assert_eq!(stats.spill_runs, 0);
+        assert!(epochs.is_empty());
+        assert_eq!(expire, [4_000], "{stats:?}");
+
+        // A dense long-lived opening that spills, then a gap and a sparse
+        // tail: the epoch closes once the sweep line crosses the gap (one
+        // mark each), the tail keeps expiring (one more, at close).
+        let mk = |base: u32| -> Vec<Item> {
+            (0..2_000u32)
+                .map(|i| {
+                    let x = (i % 61) as f32;
+                    if i < 1_000 {
+                        let y = i as f32 * 0.05;
+                        item(x, y, x + 3.0, y + 25.0, base + i)
+                    } else {
+                        let y = 200.0 + i as f32 * 0.1;
+                        item(x, y, x + 3.0, y + 0.3, base + i)
+                    }
+                })
+                .collect()
+        };
+        let ([expire, epochs], stats) = recorded_marks(64 * 1024, &mk(0), &mk(10_000));
+        assert!(stats.spill_runs > 0, "{stats:?}");
+        assert_eq!((expire.len(), epochs.len()), (2, 1), "{expire:?} {epochs:?}");
+    }
+
+    #[test]
+    fn close_side_drains_the_opposite_residents() {
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let mut l = long_lived(100, 0);
+        l.sort_unstable_by(Item::cmp_by_lower_y);
+        let mut driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
+        for it in &l {
+            driver.push(&mut env, Side::Left, *it, |_, _| {}).unwrap();
+        }
+        assert!(!driver.left.is_empty());
+        driver.close_side(Side::Right);
+        assert!(
+            driver.left.is_empty(),
+            "no future right arrivals can probe the left residents"
+        );
+        // Later left arrivals are drained by the next push, never probed.
+        let late = item(0.0, 5.0, 64.0, 500.0, 999);
+        driver.push(&mut env, Side::Left, late, |_, _| {}).unwrap();
+        driver.push(&mut env, Side::Left, late, |_, _| {}).unwrap();
+        assert_eq!(driver.left.len(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascending lower-y order")]
+    fn a_right_push_below_the_sweep_line_panics_in_debug_builds() {
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let mut driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
+        let (above, below) = (item(0.0, 5.0, 1.0, 6.0, 1), item(0.0, 4.0, 1.0, 6.0, 2));
+        driver.push(&mut env, Side::Left, above, |_, _| {}).unwrap();
+        let _ = driver.push(&mut env, Side::Right, below, |_, _| {});
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascending lower-y order")]
+    fn a_left_push_below_the_sweep_line_panics_in_debug_builds() {
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let mut driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
+        let (above, below) = (item(0.0, 5.0, 1.0, 6.0, 1), item(0.0, 4.0, 1.0, 6.0, 2));
+        driver.push(&mut env, Side::Right, above, |_, _| {}).unwrap();
+        let _ = driver.push(&mut env, Side::Left, below, |_, _| {});
     }
 }

@@ -22,9 +22,8 @@
 //!   decides between indexed and non-indexed execution, and the parallel
 //!   partitioned executor that shards any of them across a worker pool.
 //! * [`live`] — LSM-style live ingestion (memtable → sorted delta runs →
-//!   merge compaction, with generation snapshots) and the symmetric
-//!   streaming join that emits pairs while its inputs are still being
-//!   scanned.
+//!   merge compaction, with generation snapshots) and the streaming join
+//!   that emits pairs while its inputs are still being scanned.
 //! * [`service`] — the register-once/query-many layer: a dataset
 //!   [`Catalog`](prelude::Catalog) persisting sorted runs, R-trees and
 //!   histogram summaries on the device, and a concurrent

@@ -24,6 +24,15 @@
 //! operations, 93 pages either way) and the two small pools re-read two
 //! pages more (93 → 95, 191 → 193). Every other number is the parent's.
 //!
+//! PR 25 is another: SSSJ and PQ run on the one spilling driver through the
+//! merge loop the streaming join uses, which closes each side when its
+//! input ends — the opposite residents drain instead of lingering until the
+//! sweep line passes them. At 128 KB on DISK1 those tail residents stop
+//! spilling: SSSJ spills 1 866 → 772 items (I/O 368/282/147/193 →
+//! 366/277/142/191), PQ 3 761 → 2 992 (164/45/59/150 → 161/41/58/144), and
+//! `order` and `cpu[ItemMove]` follow. Pairs, `set`, `rect_tests` and every
+//! other row are the parent's.
+//!
 //! On a mismatch the failure message prints the observed row in the literal
 //! syntax of the table, so an *intended* change is a copy-paste plus an
 //! explanation in the PR.
@@ -217,9 +226,9 @@ const GOLDENS: [(Preset, usize, [Golden; 4]); 5] = [
         Golden { pairs: 33596, order: 8022890515692473989, set: 1771233609919746796, rect_tests: 339341, max_resident: 367, spilled_items: 0, cpu: [55217, 0, 189945, 529528], io: [95, 0, 10, 85] },
     ]),
     (Preset::Disk1, KB128, [
-        Golden { pairs: 33596, order: 11192657692761802709, set: 1771233609919746796, rect_tests: 152507, max_resident: 1293, spilled_items: 1866, cpu: [682475, 132234, 280642, 152507], io: [368, 282, 147, 193] },
+        Golden { pairs: 33596, order: 2893316046828318173, set: 1771233609919746796, rect_tests: 152507, max_resident: 1293, spilled_items: 772, cpu: [682475, 132234, 278882, 152507], io: [366, 277, 142, 191] },
         Golden { pairs: 33596, order: 13110792813086551697, set: 1771233609919746796, rect_tests: 294366, max_resident: 624, spilled_items: 0, cpu: [133695, 0, 1008806, 330329], io: [1171, 995, 525, 938] },
-        Golden { pairs: 33596, order: 10431575048363610437, set: 1771233609919746796, rect_tests: 178746, max_resident: 266, spilled_items: 3761, cpu: [390377, 72112, 98235, 178746], io: [164, 45, 59, 150] },
+        Golden { pairs: 33596, order: 5455844537359624093, set: 1771233609919746796, rect_tests: 178746, max_resident: 266, spilled_items: 2992, cpu: [390377, 72112, 96500, 178746], io: [161, 41, 58, 144] },
         Golden { pairs: 33596, order: 8022890515692473989, set: 1771233609919746796, rect_tests: 339341, max_resident: 367, spilled_items: 0, cpu: [55217, 0, 189945, 529528], io: [193, 0, 23, 170] },
     ]),
 ];
