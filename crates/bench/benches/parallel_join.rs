@@ -7,7 +7,7 @@
 
 use std::hint::black_box;
 use usj_bench::QuickBench;
-use usj_core::parallel::{HilbertPartitioner, ParallelJoin};
+use usj_core::parallel::ParallelJoin;
 use usj_core::{JoinInput, JoinOperator, PqJoin};
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_io::{ItemStream, MachineConfig, SimEnv};
@@ -42,7 +42,7 @@ fn main() {
 
     let mut baseline = None;
     for threads in [1usize, 2, 4, 8] {
-        let join = ParallelJoin::new(PqJoin::default(), HilbertPartitioner::default())
+        let join = ParallelJoin::new(PqJoin::default())
             .with_threads(threads)
             .with_shards(16);
         let report = harness.bench(&format!("parallel_pq_{threads}_threads"), || {

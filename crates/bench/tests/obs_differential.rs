@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use usj_bench::setup::{ExperimentConfig, PreparedWorkload};
-use usj_core::{CollectSink, JoinAlgorithm, JoinInput, SpatialQuery};
+use usj_core::{CollectSink, Execution, JoinAlgorithm, JoinInput, SpatialQuery};
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_io::{IoStats, ItemStream, MachineConfig, SimEnv};
 use usj_live::{LiveConfig, LiveDataset, StreamingJoin};
@@ -259,6 +259,62 @@ fn a_recorded_spilling_join_marks_each_fixup_epoch_and_is_byte_identical() {
         let expire = trace.mark_values("sweep.expire");
         assert!(expire.len() <= epochs.len() + 1, "{alg:?}: {expire:?}");
         assert_eq!(expire.iter().sum::<u64>(), pushed - sweep.spilled_items, "{alg:?}");
+    }
+}
+
+/// Runs PQ or ST over NJ's trees in three strips on two worker threads,
+/// collecting every pair.
+fn run_parallel(alg: JoinAlgorithm) -> Observed {
+    let cfg = ExperimentConfig::quick();
+    let mut p = PreparedWorkload::build(Preset::NJ, &cfg, MachineConfig::machine3());
+    let mut sink = CollectSink::default();
+    let result = SpatialQuery::new(
+        JoinInput::Indexed(&p.roads_tree),
+        JoinInput::Indexed(&p.hydro_tree),
+    )
+    .algorithm(alg.into())
+    .execution(Execution::Parallel {
+        threads: 2,
+        shards: 3,
+    })
+    .execute(&mut p.env, &mut sink)
+    .expect("parallel join");
+    (sink.pairs, result.io, result.memory.peak_bytes)
+}
+
+#[test]
+fn recorded_parallel_joins_are_byte_identical_and_trace_both_phases() {
+    for alg in [JoinAlgorithm::Pq, JoinAlgorithm::St] {
+        let bare = run_parallel(alg);
+        let ring = Arc::new(RingCollector::new(64 * 1024));
+        let recorded = {
+            let _g = usj_obs::install(
+                Arc::clone(&ring) as Arc<dyn Recorder>,
+                Arc::new(usj_obs::HostClock::new()),
+            );
+            run_parallel(alg)
+        };
+        let noop = {
+            let _g = usj_obs::install(
+                Arc::new(NoopRecorder) as Arc<dyn Recorder>,
+                Arc::new(usj_obs::HostClock::new()),
+            );
+            run_parallel(alg)
+        };
+        assert_eq!(bare, recorded, "{alg:?}: recording changed the parallel join");
+        assert_eq!(bare, noop, "{alg:?}: the no-op recorder changed the parallel join");
+
+        let (events, dropped) = ring.drain();
+        assert_eq!(dropped, 0, "{alg:?}");
+        let trace = QueryTrace::from_events(&events, dropped);
+        for phase in ["parallel.partition", "parallel.join"] {
+            assert_eq!(span_count(&trace, phase), 1, "{alg:?}: {}", trace.shape());
+        }
+        // The coordinator's phase carries its I/O: dumping both trees and
+        // writing the strips.
+        let partition = trace.find("parallel.partition").expect("partition span");
+        assert!(partition.io.pages_read > 0, "{alg:?}: {:?}", partition.io);
+        assert!(partition.io.pages_written > 0, "{alg:?}: {:?}", partition.io);
     }
 }
 

@@ -180,9 +180,9 @@ fn sssj_transfers_more_pages_but_pq_issues_more_random_requests() {
 #[test]
 fn parallel_executor_matches_the_serial_joins_on_nj_and_ny() {
     // Acceptance check for the parallel partitioned executor: on the NJ and
-    // NY presets, ParallelJoin over both partitioners reports exactly the
-    // pair counts of the serial PQ and PBSM joins.
-    use crate::parallel::{HilbertPartitioner, ParallelJoin, TilePartitioner};
+    // NY presets, ParallelJoin reports exactly the pair counts of the serial
+    // PQ and PBSM joins.
+    use crate::parallel::ParallelJoin;
     use crate::{PbsmJoin, PqJoin};
 
     for (preset, scale) in [(Preset::NJ, 400), (Preset::NY, 800)] {
@@ -201,18 +201,18 @@ fn parallel_executor_matches_the_serial_joins_on_nj_and_ny() {
         assert_eq!(serial_pq.pairs, expected);
         assert_eq!(serial_pbsm.pairs, expected);
 
-        let hilbert_pq = ParallelJoin::new(PqJoin::default(), HilbertPartitioner::default())
+        let parallel_pq = ParallelJoin::new(PqJoin::default())
             .with_threads(4)
             .with_shards(6)
             .run(&mut env, left, right)
             .unwrap();
-        assert_eq!(hilbert_pq.pairs, serial_pq.pairs, "{preset:?}: hilbert/PQ");
+        assert_eq!(parallel_pq.pairs, serial_pq.pairs, "{preset:?}: PQ");
 
-        let tile_pbsm = ParallelJoin::new(PbsmJoin::default(), TilePartitioner::default())
+        let parallel_pbsm = ParallelJoin::new(PbsmJoin::default())
             .with_threads(4)
-            .with_shards(6)
+            .with_shards(7)
             .run(&mut env, left, right)
             .unwrap();
-        assert_eq!(tile_pbsm.pairs, serial_pbsm.pairs, "{preset:?}: tile/PBSM");
+        assert_eq!(parallel_pbsm.pairs, serial_pbsm.pairs, "{preset:?}: PBSM");
     }
 }

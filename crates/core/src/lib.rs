@@ -22,9 +22,9 @@
 //!   model of Section 6.3 that decides when to use the indexes ("use the
 //!   index only when the join involves less than ~60 % of the leaves").
 //! * [`parallel`] — the partition-parallel executor (not part of the paper):
-//!   spatial sharding by Hilbert ranges or PBSM-style tiles, a worker pool
-//!   running any of the serial joins on forked environments, and exact
-//!   reference-point deduplication.
+//!   PBSM's partition phase cuts the inputs into one strip per shard, a
+//!   worker pool runs any of the serial joins on forked environments, and
+//!   reference-point deduplication keeps the result exact.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,6 +34,7 @@ pub mod histogram;
 pub mod input;
 pub mod multiway;
 pub mod parallel;
+mod partition;
 pub mod pbsm;
 pub mod pq;
 pub mod predicate;
@@ -47,11 +48,11 @@ pub use cost::{CostBasedJoin, CostEstimate, JoinPlan};
 pub use histogram::GridHistogram;
 pub use input::{CatalogedInput, JoinInput};
 pub use multiway::MultiwayJoin;
-pub use parallel::{HilbertPartitioner, ParallelJoin, Partitioner, ShardMap, TilePartitioner};
+pub use parallel::ParallelJoin;
 pub use pbsm::PbsmJoin;
 pub use pq::PqJoin;
 pub use predicate::Predicate;
-pub use query::{Algo, Execution, MemoryPlan, PartitionStrategy, QueryPlan, SpatialQuery};
+pub use query::{Algo, Execution, MemoryPlan, QueryPlan, SpatialQuery};
 pub use result::{JoinResult, MemoryStats};
 pub use sink::{CollectSink, CountSink, FanoutSink, LimitSink, PairSink, SampleSink, TripleSink};
 pub use sssj::SssjJoin;

@@ -25,6 +25,8 @@
 //! relatively narrower — `Σ extent ÷ region extent`, observed from the
 //! input itself: folded into the bounding-box pass where one runs, taken
 //! from the first block of an input whose bounding box is already known.
+//! The grid, its scatter and that extents pass live in `crate::partition`,
+//! which the parallel executor runs with one tile per shard.
 //!
 //! ## Memory-adaptive repartitioning
 //!
@@ -43,17 +45,14 @@
 //! once for a memory-bounded chunked sweep that streams one side past the
 //! other.
 
-use std::cmp::Ordering;
-
 use usj_geom::{Extents, Item, Rect, ITEM_BYTES};
-use usj_io::{
-    CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView, Result, SimEnv, PAGE_SIZE,
-};
+use usj_io::{CpuOp, ItemStream, ItemStreamReader, Result, SimEnv, PAGE_SIZE};
 use usj_sweep::{
     batch_join_oriented, sweep_join_eps_with, StripedSweep, SweepJoinStats, SweepScratch,
 };
 
 use crate::input::JoinInput;
+use crate::partition::{input_extents, region_of, writer_pages_per_block, Scatter, TileGrid};
 use crate::predicate::Predicate;
 use crate::result::{JoinResult, MemoryStats};
 use crate::sink::PairSink;
@@ -151,138 +150,6 @@ pub(crate) const SPLIT_PARTITIONS: usize = 4;
 /// Logical block size (in pages) of the sub-partition scratch streams.
 const SPLIT_PAGES_PER_BLOCK: u64 = 2;
 
-/// Folds every item of `stream` into `data` — the one sequential pass over
-/// an input whose bounding box is not known.
-fn scan_extents(data: &mut Extents, env: &mut SimEnv, stream: &ItemStream) -> Result<()> {
-    let mut reader = stream.reader();
-    while let Some(view) = reader.next_view(env)? {
-        env.charge(CpuOp::RectTest, view.len() as u64);
-        view.iter().for_each(|it| data.add(&it.rect));
-    }
-    Ok(())
-}
-
-/// Folds into `data` an input of `len` items whose bounding box is `known`,
-/// its side lengths estimated from one block of it.
-fn sample_extents(
-    data: &mut Extents,
-    env: &mut SimEnv,
-    known: Rect,
-    block: Option<ItemsView<'_>>,
-    len: u64,
-) {
-    let mut seen = Extents::empty();
-    if let Some(view) = block {
-        env.charge(CpuOp::RectTest, view.len() as u64);
-        view.iter().for_each(|it| seen.add(&it.rect));
-        let scale = len as f64 / view.len() as f64;
-        seen.sum_w *= scale;
-        seen.sum_h *= scale;
-    }
-    seen.bbox = known;
-    *data = data.merged(&seen);
-}
-
-/// Geometry of the tile grid: `tiles_per_side` tile columns (or rows) over
-/// `region`, dealt round-robin to `partitions`.
-#[derive(Debug, Clone)]
-struct TileGrid {
-    region: Rect,
-    tiles_per_side: usize,
-    partitions: usize,
-    /// Whether whole tile columns (else whole tile rows) go to a partition.
-    by_columns: bool,
-}
-
-impl TileGrid {
-    /// A grid over `region` for the rectangles `data` describes, partitioned
-    /// along the axis on which they are relatively narrower: that is where
-    /// the fewest of them cross a partition boundary.
-    fn new(region: Rect, data: &Extents, tiles_per_side: usize, partitions: usize) -> Self {
-        // A tie (squares, or a region flat on one axis) goes to the longer
-        // side of the region; sums that do not compare, to rows.
-        let by_columns = match data.cmp_x_to_y(&region) {
-            Some(Ordering::Less) => true,
-            Some(Ordering::Equal) => region.width() >= region.height(),
-            _ => false,
-        };
-        TileGrid {
-            region,
-            tiles_per_side,
-            partitions,
-            by_columns,
-        }
-    }
-
-    /// Tile column (or row) containing the point.
-    fn tile_of(&self, x: f32, y: f32) -> usize {
-        let n = self.tiles_per_side as f32;
-        let (c, lo, extent) = if self.by_columns {
-            (x, self.region.lo.x, self.region.width())
-        } else {
-            (y, self.region.lo.y, self.region.height())
-        };
-        (((c - lo) / extent.max(f32::MIN_POSITIVE)) * n).clamp(0.0, n - 1.0) as usize
-    }
-
-    /// Round-robin assignment of tile columns (or rows) to partitions.
-    fn partition_at(&self, x: f32, y: f32) -> usize {
-        self.tile_of(x, y) % self.partitions
-    }
-
-    /// Distinct partitions a rectangle must be replicated to.
-    fn partitions_of(&self, r: &Rect) -> impl ExactSizeIterator<Item = usize> + '_ {
-        let lo = self.tile_of(r.lo.x, r.lo.y);
-        let hi = self.tile_of(r.hi.x, r.hi.y);
-        (lo..(hi + 1).min(lo + self.partitions)).map(|t| t % self.partitions)
-    }
-}
-
-/// The writers of one distribution pass over a grid, and what each
-/// partition has received. Writing to many partition streams at once is the
-/// "non-sequential write pass".
-struct Scatter<'g> {
-    grid: &'g TileGrid,
-    writers: Vec<ItemStreamWriter>,
-    /// Per-partition extents, folded for free during the write pass: a
-    /// later recursive split re-grids over exactly these without a
-    /// dedicated scan.
-    extents: Vec<Extents>,
-}
-
-impl<'g> Scatter<'g> {
-    fn new(env: &mut SimEnv, grid: &'g TileGrid, pages_per_block: u64) -> Self {
-        Scatter {
-            grid,
-            writers: (0..grid.partitions)
-                .map(|_| ItemStreamWriter::new(env, pages_per_block))
-                .collect(),
-            extents: vec![Extents::empty(); grid.partitions],
-        }
-    }
-
-    /// Replicates every item into each partition whose tiles it overlaps.
-    fn extend(&mut self, env: &mut SimEnv, items: impl Iterator<Item = Item>) -> Result<()> {
-        for it in items {
-            let targets = self.grid.partitions_of(&it.rect);
-            env.charge(CpuOp::ItemMove, targets.len() as u64);
-            for p in targets {
-                self.extents[p].add(&it.rect);
-                self.writers[p].push(env, it)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self, env: &mut SimEnv) -> Result<Vec<(ItemStream, Extents)>> {
-        self.writers
-            .into_iter()
-            .zip(self.extents)
-            .map(|(w, e)| Ok((w.finish(env)?, e)))
-            .collect()
-    }
-}
-
 impl JoinOperator for PbsmJoin {
     fn name(&self) -> &'static str {
         "PBSM"
@@ -311,41 +178,16 @@ impl JoinOperator for PbsmJoin {
         // Data-space bounding box and side-length sums: the hint if given,
         // else the inputs' known bounding boxes (index root rectangles,
         // catalog registration records), and a scan only of the sides whose
-        // extent is genuinely unknown — which then yields the sums too. A
-        // side that is not scanned is sampled from its first block: the
-        // right through a reader of its own, the left through the reader
-        // that goes on to distribute it, so choosing the axis costs one
-        // extra block read and no block buffer beside the writers'.
-        let known = |input: &JoinInput<'_>| self.region_hint.or_else(|| input.known_bbox());
-        let mut data = Extents::empty();
-        match known(&right) {
-            None => scan_extents(&mut data, env, &right_stream)?,
-            Some(bbox) => {
-                let mut reader = right_stream.reader();
-                let block = reader.next_view(env)?;
-                sample_extents(&mut data, env, bbox, block, right_stream.len());
-            }
-        }
+        // extent is genuinely unknown.
         let mut left_reader = left_stream.reader();
-        let left_first = match known(&left) {
-            None => {
-                scan_extents(&mut data, env, &left_stream)?;
-                None
-            }
-            Some(bbox) => {
-                let block = left_reader.next_view(env)?;
-                sample_extents(&mut data, env, bbox, block, left_stream.len());
-                block
-            }
-        };
-        // The grid is grown by ε so the expanded left rectangles it
-        // partitions stay covered.
-        let region = if data.bbox.is_empty() {
-            Rect::from_coords(0.0, 0.0, 1.0, 1.0)
-        } else {
-            data.bbox
-        }
-        .expanded(eps);
+        let (data, left_first) = input_extents(
+            env,
+            self.region_hint,
+            (&left, &left_stream),
+            (&right, &right_stream),
+            &mut left_reader,
+        )?;
+        let region = region_of(&data, eps);
 
         // Partition count: both partitions of a pair must fit in memory
         // together with the sweep working space, so size each partition to a
@@ -361,14 +203,14 @@ impl JoinOperator for PbsmJoin {
             .unwrap_or_else(|| ((total_bytes as usize).div_ceil(env.memory_limit / 4)).max(1))
             .min(max_fanout)
             .min(self.tiles_per_side);
-        let writer_ppb = (((env.memory_limit / 4) / PAGE_SIZE) / partitions).clamp(1, 8) as u64;
+        let writer_ppb = writer_pages_per_block(env.memory_limit, partitions);
         let grid = TileGrid::new(region, &data, self.tiles_per_side, partitions);
 
         // Phase 1: distribute both inputs to the partitions. Left rectangles
         // are ε-expanded *before* partitioning so that near-miss pairs meet
         // in at least one partition.
         let expand = |it| predicate.expand_left(it);
-        let mut scatter = Scatter::new(env, &grid, writer_ppb);
+        let mut scatter = Scatter::new(env, &grid, writer_ppb, 0.0);
         if let Some(view) = left_first {
             scatter.extend(env, view.iter().map(expand))?;
         }
@@ -376,11 +218,8 @@ impl JoinOperator for PbsmJoin {
             scatter.extend(env, view.iter().map(expand))?;
         }
         let left_parts = scatter.finish(env)?;
-        let mut scatter = Scatter::new(env, &grid, writer_ppb);
-        let mut right_reader = right_stream.reader();
-        while let Some(view) = right_reader.next_view(env)? {
-            scatter.extend(env, view.iter())?;
-        }
+        let mut scatter = Scatter::new(env, &grid, writer_ppb, 0.0);
+        scatter.drain(env, &mut right_stream.reader())?;
         let right_parts = scatter.finish(env)?;
         env.obs_close(partition_phase);
 
@@ -595,11 +434,8 @@ impl PbsmRun<'_> {
         // second expansion here.
         let mut parts = Vec::with_capacity(2);
         for stream in [left, right] {
-            let mut scatter = Scatter::new(env, &sub, SPLIT_PAGES_PER_BLOCK);
-            let mut reader = stream.reader();
-            while let Some(view) = reader.next_view(env)? {
-                scatter.extend(env, view.iter())?;
-            }
+            let mut scatter = Scatter::new(env, &sub, SPLIT_PAGES_PER_BLOCK, 0.0);
+            scatter.drain(env, &mut stream.reader())?;
             parts.push(scatter.finish(env)?);
         }
         let children = || parts[0].iter().zip(&parts[1]);
@@ -691,7 +527,6 @@ fn load_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usj_geom::Item;
     use usj_io::MachineConfig;
 
     fn env() -> SimEnv {

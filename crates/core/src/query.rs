@@ -26,12 +26,13 @@
 
 use std::fmt;
 
-use usj_geom::Rect;
+use usj_geom::{Extents, Rect};
 use usj_io::{Result, SimEnv};
 
 use crate::cost::{CostBasedJoin, CostEstimate, JoinPlan};
 use crate::input::JoinInput;
-use crate::parallel::{HilbertPartitioner, ParallelJoin, Partitioner, ShardMap, TilePartitioner};
+use crate::parallel::{strips, ParallelJoin};
+use crate::partition::input_extents;
 use crate::pbsm::{PbsmJoin, MAX_SPLIT_DEPTH, SPLIT_PARTITIONS};
 use crate::pq::PqJoin;
 use crate::predicate::Predicate;
@@ -69,60 +70,26 @@ impl From<JoinAlgorithm> for Algo {
     }
 }
 
-/// The spatial-sharding strategy of a parallel execution (a value-level
-/// stand-in for the concrete [`Partitioner`] implementations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Contiguous Hilbert-curve runs: spatially coherent shards, minimal
-    /// replication ([`HilbertPartitioner`]).
-    #[default]
-    Hilbert,
-    /// Round-robin tile deal: best load balance, more replication
-    /// ([`TilePartitioner`]).
-    Tile,
-}
-
-impl PartitionStrategy {
-    /// Strategy name, matching [`Partitioner::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            PartitionStrategy::Hilbert => "hilbert",
-            PartitionStrategy::Tile => "tile",
-        }
-    }
-
-    fn build(&self, region: Rect, shards: usize) -> ShardMap {
-        match self {
-            PartitionStrategy::Hilbert => HilbertPartitioner::default().build(region, shards),
-            PartitionStrategy::Tile => TilePartitioner::default().build(region, shards),
-        }
-    }
-}
-
 /// The execution strategy of a [`SpatialQuery`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
     /// Single-threaded, exactly the serial algorithms of the paper.
     #[default]
     Serial,
-    /// Spatially sharded across a worker pool ([`ParallelJoin`]).
+    /// Cut into strips across a worker pool ([`ParallelJoin`]).
     Parallel {
-        /// How grid cells are dealt to shards.
-        partitioner: PartitionStrategy,
         /// Worker threads; `0` means the executor's default (one per CPU,
         /// capped at 8).
         threads: usize,
-        /// Spatial shards; `0` means one shard per worker thread.
+        /// Strips of the data space; `0` means one per worker thread.
         shards: usize,
     },
 }
 
 impl Execution {
-    /// Parallel execution with the default Hilbert partitioner, thread count
-    /// and shard count.
+    /// Parallel execution with the default thread and shard counts.
     pub fn parallel() -> Self {
         Execution::Parallel {
-            partitioner: PartitionStrategy::default(),
             threads: 0,
             shards: 0,
         }
@@ -142,7 +109,7 @@ pub struct QueryPlan {
     /// The strategy the estimate picked, present when [`Algo::Auto`]
     /// consulted it.
     pub chosen: Option<JoinPlan>,
-    /// Sharding of a parallel execution; `None` for serial plans.
+    /// Strips of a parallel execution; `None` for serial plans.
     pub parallelism: Option<ParallelPlan>,
     /// How the plan expects to behave under the environment's internal
     /// memory limit (repartitioning depth, spill volume).
@@ -225,14 +192,17 @@ impl MemoryPlan {
 /// The parallel-execution part of a [`QueryPlan`].
 #[derive(Debug, Clone)]
 pub struct ParallelPlan {
-    /// The partitioning strategy.
-    pub partitioner: PartitionStrategy,
     /// Resolved worker-thread count.
     pub threads: usize,
-    /// Resolved shard count.
+    /// Resolved shard count: the strips the data space is cut into.
     pub shards: usize,
-    /// The cell-to-shard map the executor will replicate against.
-    pub shard_map: ShardMap,
+    /// Whether the strips are columns (ranges of x) rather than rows
+    /// (ranges of y): PBSM's rule, the axis the data is relatively narrower
+    /// on.
+    pub columns: bool,
+    /// What the strips are cut from — the inputs' bounding box and side
+    /// lengths, measured while planning and reused by the execution.
+    pub extents: Extents,
 }
 
 impl fmt::Display for QueryPlan {
@@ -252,9 +222,9 @@ impl fmt::Display for QueryPlan {
             None => write!(f, ", serial")?,
             Some(p) => write!(
                 f,
-                ", parallel over {} {} shards on {} threads",
+                ", parallel over {} {} on {} threads",
                 p.shards,
-                p.partitioner.name(),
+                if p.columns { "columns" } else { "rows" },
                 p.threads
             )?,
         }
@@ -424,25 +394,30 @@ impl<'a> SpatialQuery<'a> {
     /// Lowers the query to an inspectable [`QueryPlan`] without executing it.
     ///
     /// Resolving [`Algo::Auto`] prices both strategies (reading the index
-    /// directories), and planning a parallel execution over inputs of unknown
-    /// extent scans them once to place the shard grid; both costs are charged
-    /// to `env` like any other accounted work.
+    /// directories), and planning a parallel execution runs the executor's
+    /// extents pass — a scan of an input of unknown extent, a block of one
+    /// whose box is known, the dump of an index — to choose the strip axis;
+    /// both costs are charged to `env` like any other accounted work.
     pub fn plan(&self, env: &mut SimEnv) -> Result<QueryPlan> {
         let (algorithm, cost, chosen, _) = self.resolve(env)?;
         let parallelism = match self.execution {
             Execution::Serial => None,
-            Execution::Parallel {
-                partitioner,
-                threads,
-                shards,
-            } => {
+            Execution::Parallel { threads, shards } => {
                 let (threads, shards) = resolved_parallelism(threads, shards);
-                let region = self.discover_region(env)?;
+                let left = self.left.to_stream(env)?;
+                let right = self.right.to_stream(env)?;
+                let (extents, _) = input_extents(
+                    env,
+                    self.region_hint,
+                    (&self.left, &left),
+                    (&self.right, &right),
+                    &mut left.reader(),
+                )?;
                 Some(ParallelPlan {
-                    partitioner,
                     threads,
                     shards,
-                    shard_map: partitioner.build(region, shards),
+                    columns: strips(&extents, self.predicate.epsilon(), shards).by_columns,
+                    extents,
                 })
             }
         };
@@ -470,20 +445,9 @@ impl<'a> SpatialQuery<'a> {
         let op = self.operator_for(algorithm, pruning);
         match self.execution {
             Execution::Serial => op.run_with(env, self.left, self.right, sink),
-            Execution::Parallel {
-                partitioner,
-                threads,
-                shards,
-            } => self.dispatch_parallel(
-                env,
-                op,
-                algorithm,
-                partitioner,
-                threads,
-                shards,
-                self.region_hint,
-                sink,
-            ),
+            Execution::Parallel { threads, shards } => {
+                self.run_parallel(env, op, algorithm, threads, shards, None, sink)
+            }
         }
     }
 
@@ -493,8 +457,8 @@ impl<'a> SpatialQuery<'a> {
     ///
     /// This skips the resolution work `execute` would repeat: the
     /// [`Algo::Auto`] cost estimate is not re-priced, and a parallel plan's
-    /// data-space region is reused from its shard map instead of being
-    /// rediscovered with another scan.
+    /// extents are reused instead of being measured again, so the strips
+    /// are the planned ones.
     pub fn execute_planned(
         &self,
         env: &mut SimEnv,
@@ -505,14 +469,13 @@ impl<'a> SpatialQuery<'a> {
         let op = self.operator_for(plan.algorithm, pruning);
         match &plan.parallelism {
             None => op.run_with(env, self.left, self.right, sink),
-            Some(p) => self.dispatch_parallel(
+            Some(p) => self.run_parallel(
                 env,
                 op,
                 plan.algorithm,
-                p.partitioner,
                 p.threads,
                 p.shards,
-                Some(p.shard_map.region()),
+                Some(p.extents),
                 sink,
             ),
         }
@@ -524,66 +487,31 @@ impl<'a> SpatialQuery<'a> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn dispatch_parallel(
+    fn run_parallel(
         &self,
         env: &mut SimEnv,
         op: Box<dyn JoinOperator + Send + Sync>,
         algorithm: JoinAlgorithm,
-        partitioner: PartitionStrategy,
         threads: usize,
         shards: usize,
-        region: Option<Rect>,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinResult> {
-        // ST only makes sense on indexes, so its shards are bulk-loaded; the
-        // other algorithms join the shard streams directly.
-        let index_shards = algorithm == JoinAlgorithm::St;
-        match partitioner {
-            PartitionStrategy::Hilbert => self.run_parallel(
-                env,
-                op,
-                HilbertPartitioner::default(),
-                threads,
-                shards,
-                index_shards,
-                region,
-                sink,
-            ),
-            PartitionStrategy::Tile => self.run_parallel(
-                env,
-                op,
-                TilePartitioner::default(),
-                threads,
-                shards,
-                index_shards,
-                region,
-                sink,
-            ),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel<P: Partitioner>(
-        &self,
-        env: &mut SimEnv,
-        op: Box<dyn JoinOperator + Send + Sync>,
-        partitioner: P,
-        threads: usize,
-        shards: usize,
-        index_shards: bool,
-        region: Option<Rect>,
+        planned: Option<Extents>,
         sink: &mut dyn PairSink,
     ) -> Result<JoinResult> {
         // Resolve the 0-means-default counts exactly as `plan()` does, so
         // the executed sharding always matches the inspectable plan.
         let (threads, shards) = resolved_parallelism(threads, shards);
-        let mut pj = ParallelJoin::new(op, partitioner)
+        let mut pj = ParallelJoin::new(op)
             .with_threads(threads)
             .with_shards(shards);
-        if let Some(region) = region {
+        if let Some(region) = self.region_hint {
             pj = pj.with_region(region);
         }
-        if index_shards {
+        if let Some(data) = planned {
+            pj = pj.with_planned_extents(data);
+        }
+        // ST only makes sense on indexes, so its shards are bulk-loaded; the
+        // other algorithms join the shard streams directly.
+        if algorithm == JoinAlgorithm::St {
             pj = pj.with_indexed_shards();
         }
         pj.run_with(env, self.left, self.right, sink)
@@ -617,36 +545,6 @@ impl<'a> SpatialQuery<'a> {
         let mut sink = LimitSink::new(CollectSink::default(), limit);
         let res = self.execute(env, &mut sink)?;
         Ok((res, sink.into_inner().pairs))
-    }
-
-    /// Data-space region for shard-map planning: the hint, the union of the
-    /// known index bounding boxes, or one discovery scan.
-    fn discover_region(&self, env: &mut SimEnv) -> Result<Rect> {
-        if let Some(r) = self.region_hint {
-            return Ok(r);
-        }
-        if let (Some(a), Some(b)) = (self.left.known_bbox(), self.right.known_bbox()) {
-            return Ok(a.union(&b));
-        }
-        let mut bbox = Rect::empty();
-        for input in [&self.left, &self.right] {
-            match input.known_bbox() {
-                Some(b) => bbox = bbox.union(&b),
-                None => {
-                    let stream = input.to_stream(env)?;
-                    let mut r = stream.reader();
-                    while let Some(it) = r.next(env)? {
-                        env.charge(usj_io::CpuOp::RectTest, 1);
-                        bbox = bbox.union(&it.rect);
-                    }
-                }
-            }
-        }
-        Ok(if bbox.is_empty() {
-            Rect::from_coords(0.0, 0.0, 1.0, 1.0)
-        } else {
-            bbox
-        })
     }
 }
 
@@ -750,7 +648,6 @@ mod tests {
         let plan = SpatialQuery::new(JoinInput::Indexed(&ta), JoinInput::Indexed(&ta))
             .algorithm(Algo::Pq)
             .execution(Execution::Parallel {
-                partitioner: PartitionStrategy::Tile,
                 threads: 3,
                 shards: 5,
             })
@@ -760,9 +657,10 @@ mod tests {
         let p = plan.parallelism.expect("parallel plan");
         assert_eq!(p.threads, 3);
         assert_eq!(p.shards, 5);
-        assert_eq!(p.shard_map.shards(), 5);
-        assert!(p.shard_map.region().contains(&ta.bbox()));
-        assert!(text.contains("PQ") && text.contains("tile"), "{text}");
+        assert_eq!(p.extents.bbox, ta.bbox());
+        // Square cells on a square grid tie, and a tie goes to columns.
+        assert!(p.columns);
+        assert!(text.contains("PQ") && text.contains("5 columns"), "{text}");
     }
 
     #[test]
@@ -834,7 +732,6 @@ mod tests {
         let q = SpatialQuery::new(JoinInput::Stream(&sa), JoinInput::Stream(&sb))
             .algorithm(Algo::Pbsm)
             .execution(Execution::Parallel {
-                partitioner: PartitionStrategy::Hilbert,
                 threads: 3,
                 shards: 0,
             });
@@ -844,17 +741,14 @@ mod tests {
         // The executed result must agree with an explicit ParallelJoin using
         // the planned counts.
         let (res, pairs) = q.collect(&mut e).unwrap();
-        let explicit = ParallelJoin::new(
-            PbsmJoin::default(),
-            HilbertPartitioner::default(),
-        )
-        .with_threads(p.threads)
-        .with_shards(p.shards);
+        let explicit = ParallelJoin::new(PbsmJoin::default())
+            .with_threads(p.threads)
+            .with_shards(p.shards);
         let (exp_res, exp_pairs) = explicit
             .run_collect(&mut e, JoinInput::Stream(&sa), JoinInput::Stream(&sb))
             .unwrap();
         assert_eq!(res.pairs, exp_res.pairs);
-        assert_eq!(pairs, exp_pairs, "pair order depends on the shard map");
+        assert_eq!(pairs, exp_pairs, "pair order depends on the strips");
     }
 
     #[test]

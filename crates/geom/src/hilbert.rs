@@ -26,10 +26,8 @@ pub fn xy_to_hilbert(x: u32, y: u32) -> u64 {
 /// [`xy_to_hilbert`] on a curve covering a `side` × `side` grid instead of
 /// the full [`HILBERT_SIDE`] grid. `side` must be a power of two; `x` and `y`
 /// must be smaller than `side`. The returned value is in `0 .. side^2`.
-///
-/// Coarse curves are used where a full-resolution Hilbert value would be
-/// wasted — e.g. ordering the cells of the parallel executor's shard grid.
-pub fn xy_to_hilbert_on_side(side: u32, mut x: u32, mut y: u32) -> u64 {
+/// Coarse curves keep the tests' exhaustive checks small.
+fn xy_to_hilbert_on_side(side: u32, mut x: u32, mut y: u32) -> u64 {
     debug_assert!(side.is_power_of_two());
     debug_assert!(x < side && y < side);
     let mut rx: u32;

@@ -87,46 +87,29 @@ impl SimEnv {
     }
 
     /// Creates an independent *worker* environment: the same machine model
-    /// and internal-memory limit, but a fresh (empty) simulated disk and
-    /// zeroed CPU counters.
+    /// and internal-memory limit, zeroed CPU counters, and a device layered
+    /// over the given read-only page snapshot.
     ///
-    /// This is the unit of isolation used by the parallel partitioned
-    /// executor: every shard of a `ParallelJoin` run (in the core crate)
-    /// gets its own forked environment, so per-shard I/O and CPU
-    /// accounting never interleave and can later be rolled up with
+    /// This is the unit of isolation of the query service and the parallel
+    /// partitioned executor. The snapshot holds what the workers share —
+    /// the frozen catalog (stored sorted runs, R-tree nodes, the catalog
+    /// directory), a `ParallelJoin`'s partition streams — so a worker can
+    /// *read* it with its reads charged to its own statistics, while all
+    /// scratch allocations stay private to the fork. Per-worker accounting
+    /// never interleaves and rolls up with
     /// [`IoStats::merge`](crate::stats::IoStats::merge) /
-    /// [`CpuCounter::merge`](crate::stats::CpuCounter::merge). Forking does
-    /// not copy any pages: data a worker needs must be re-materialised in
-    /// (scattered to) the forked environment, which is exactly the
-    /// distribution cost a real partitioned system would pay.
-    pub fn fork(&self) -> SimEnv {
-        SimEnv {
-            device: BlockDevice::new(),
-            machine: self.machine.clone(),
-            cpu: CpuCounter::new(),
-            memory_limit: self.memory_limit,
-            // Each worker gets a fresh gauge with the same budget: the
-            // per-worker peak is the invariant of interest, which is why
-            // `MemoryStats::merge` takes maxima rather than sums.
-            memory: MemoryGauge::new(self.memory_limit),
-        }
-    }
-
-    /// Creates a worker environment like [`fork`](SimEnv::fork), but whose
-    /// device is layered over the given read-only page snapshot.
-    ///
-    /// This is the forking mode of the query service: the snapshot holds the
-    /// frozen catalog (stored sorted runs, R-tree nodes, the catalog
-    /// directory), so a worker can *read* every registered dataset — with
-    /// its reads charged to its own statistics — while all scratch
-    /// allocations stay private to the fork. Writes to snapshot pages fail
-    /// with [`IoSimError::ReadOnlyPage`](crate::IoSimError::ReadOnlyPage).
+    /// [`CpuCounter::merge`](crate::stats::CpuCounter::merge). Writes to
+    /// snapshot pages fail with
+    /// [`IoSimError::ReadOnlyPage`](crate::IoSimError::ReadOnlyPage).
     pub fn fork_with_base(&self, base: Arc<Vec<Page>>) -> SimEnv {
         SimEnv {
             device: BlockDevice::with_base(base),
             machine: self.machine.clone(),
             cpu: CpuCounter::new(),
             memory_limit: self.memory_limit,
+            // Each worker gets a fresh gauge with the same budget: the
+            // per-worker peak is the invariant of interest, which is why
+            // `MemoryStats::merge` takes maxima rather than sums.
             memory: MemoryGauge::new(self.memory_limit),
         }
     }
@@ -266,11 +249,11 @@ mod tests {
         env.device.read_page(p).unwrap();
         env.charge(CpuOp::Compare, 7);
 
-        let mut worker = env.fork();
+        let mut worker = env.fork_with_base(Arc::default());
         // Same machine and memory budget...
         assert_eq!(worker.machine, env.machine);
         assert_eq!(worker.memory_limit, 4096);
-        // ...but a fresh disk and zeroed counters.
+        // ...but a disk of its own and zeroed counters.
         assert_eq!(worker.device.allocated_pages(), 0);
         assert_eq!(worker.device.stats(), IoStats::default());
         assert_eq!(worker.cpu.total(), 0);

@@ -2,7 +2,7 @@
 //!
 //! Planning a query is not free: resolving `Algo::Auto` prices both
 //! strategies (reading index directory levels), and planning a parallel
-//! execution builds a shard map. A service seeing the same query shape many
+//! execution measures the inputs to choose its strips. A service seeing the same query shape many
 //! times — the normal case for a catalog-backed store — should pay that
 //! once. The cache keys on the *query fingerprint* ([`PlanKey`]): dataset
 //! identifiers, algorithm, predicate and execution strategy. Hit plans are
@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use usj_core::{Algo, Execution, PartitionStrategy, Predicate, QueryPlan};
+use usj_core::{Algo, Execution, Predicate, QueryPlan};
 
 use crate::catalog::DatasetId;
 use crate::service::JoinSpec;
@@ -30,7 +30,6 @@ pub struct PlanKey {
     predicate_kind: u8,
     epsilon_bits: u32,
     execution_kind: u8,
-    partitioner: u8,
     threads: u64,
     shards: u64,
 }
@@ -50,21 +49,9 @@ impl PlanKey {
             Predicate::WithinDistance(eps) => (1, eps.max(0.0).to_bits()),
             Predicate::Contains => (2, 0),
         };
-        let (execution_kind, partitioner, threads, shards) = match spec.execution {
-            Execution::Serial => (0, 0, 0, 0),
-            Execution::Parallel {
-                partitioner,
-                threads,
-                shards,
-            } => (
-                1,
-                match partitioner {
-                    PartitionStrategy::Hilbert => 0,
-                    PartitionStrategy::Tile => 1,
-                },
-                threads as u64,
-                shards as u64,
-            ),
+        let (execution_kind, threads, shards) = match spec.execution {
+            Execution::Serial => (0, 0, 0),
+            Execution::Parallel { threads, shards } => (1, threads as u64, shards as u64),
         };
         PlanKey {
             left: spec.left.0,
@@ -73,7 +60,6 @@ impl PlanKey {
             predicate_kind,
             epsilon_bits,
             execution_kind,
-            partitioner,
             threads,
             shards,
         }

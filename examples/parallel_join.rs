@@ -1,4 +1,4 @@
-//! The parallel partitioned executor: shard a TIGER-like join spatially and
+//! The parallel partitioned executor: cut a TIGER-like join into strips and
 //! fan it out across a worker pool, with exact serial-equivalent results —
 //! all through the `SpatialQuery` builder.
 //!
@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use unified_spatial_join::join::parallel::{ParallelJoin, TilePartitioner};
+use unified_spatial_join::join::parallel::ParallelJoin;
 use unified_spatial_join::prelude::*;
 
 fn main() {
@@ -41,11 +41,10 @@ fn main() {
         serial.io.total_ops()
     );
 
-    // 3. The same join, Hilbert-sharded across 1..=8 worker threads. The
+    // 3. The same join, cut into 16 strips across 1..=8 worker threads. The
     //    pair count is identical at every thread count.
     for threads in [1usize, 2, 4, 8] {
         let query = serial_query.execution(Execution::Parallel {
-            partitioner: PartitionStrategy::Hilbert,
             threads,
             shards: 16,
         });
@@ -53,17 +52,18 @@ fn main() {
         let run = query.run(&mut env).expect("parallel join");
         assert_eq!(run.pairs, serial.pairs, "parallel must equal serial");
         println!(
-            "hilbert x{threads}:     {:>8} pairs  {:>8.1?}  ({} simulated I/Os)",
+            "parallel x{threads}:    {:>8} pairs  {:>8.1?}  ({} simulated I/Os)",
             run.pairs,
             t.elapsed(),
             run.io.total_ops(),
         );
     }
 
-    // 4. Per-shard breakdown under the PBSM-style tile partitioner: the
-    //    round-robin cell deal balances the load, Hilbert keeps locality.
+    // 4. Per-shard breakdown over four strips: the coordinator's share is
+    //    reading the inputs and writing the strips, each worker's is reading
+    //    its strip back and joining it.
     //    (`ParallelJoin::run_detailed` exposes what the builder aggregates.)
-    let join = ParallelJoin::new(PqJoin::default(), TilePartitioner::default())
+    let join = ParallelJoin::new(PqJoin::default())
         .with_threads(4)
         .with_shards(4);
     let run = join
@@ -73,8 +73,12 @@ fn main() {
             JoinInput::Stream(&hydro),
             &mut CountSink::default(),
         )
-        .expect("tile-sharded join");
-    println!("tile x4 shards:");
+        .expect("strip-sharded join");
+    println!(
+        "4 strips: coordinator {:>6} I/O ops, {:>9} CPU ops",
+        run.coordinator.io.total_ops(),
+        run.coordinator.cpu.total()
+    );
     for (i, shard) in run.shards.iter().enumerate() {
         println!(
             "  shard {i}: {:>7} pairs, {:>6} I/O ops, {:>9} CPU ops",

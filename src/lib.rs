@@ -81,10 +81,10 @@ pub use usj_sweep as sweep;
 pub mod prelude {
     pub use usj_core::{
         cost::{CostBasedJoin, CostEstimate, JoinPlan},
-        parallel::{HilbertPartitioner, ParallelJoin, Partitioner, ShardMap, TilePartitioner},
+        parallel::ParallelJoin,
         pbsm::PbsmJoin,
         pq::PqJoin,
-        query::{Algo, Execution, MemoryPlan, PartitionStrategy, QueryPlan, SpatialQuery},
+        query::{Algo, Execution, MemoryPlan, QueryPlan, SpatialQuery},
         sssj::SssjJoin,
         st::StJoin,
         CatalogedInput, CollectSink, CountSink, FanoutSink, GridHistogram, JoinAlgorithm,

@@ -27,10 +27,6 @@ const KB: usize = 1024;
 const AMPLE: usize = 16 * 1024 * KB;
 /// Below the tall family's resident set and below one PBSM partition pair.
 const TIGHT: usize = 192 * KB;
-/// The parallel executor scatters in memory: its coordinator holds every
-/// shard's (replicated) input at once, so its floor is a multiple of the
-/// data — 76 KB here — not of a block.
-const TIGHT_PARALLEL: usize = 512 * KB;
 const SIDE: f32 = 1000.0;
 const RIGHT_IDS: u32 = 0x4000_0000;
 
@@ -210,7 +206,7 @@ fn every_family_algorithm_execution_and_limit_matches_the_oracle() {
             (Execution::Serial, AMPLE),
             (Execution::Serial, TIGHT),
             (Execution::parallel(), AMPLE),
-            (Execution::parallel(), TIGHT_PARALLEL),
+            (Execution::parallel(), TIGHT),
         ] {
             let mut p = Prepared::new(&f, limit);
             for algo in ALGOS {
@@ -231,6 +227,39 @@ fn every_family_algorithm_execution_and_limit_matches_the_oracle() {
             }
         }
     }
+}
+
+/// The parallel coordinator holds blocks, not data: it reads an input
+/// through one block buffer and writes each strip through another, so on
+/// the tall family — 76 KB of rectangles, read in two-page blocks into four
+/// strips — its peak at 192 KB stays below the input's bytes.
+#[test]
+fn the_parallel_coordinator_is_bounded_by_blocks_not_by_data() {
+    let f = &families(0xADFA)[0];
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let mut stream = |items: &[Item]| ItemStream::from_items_with_block(&mut env, items, 2).unwrap();
+    let (left, right) = (stream(&f.left), stream(&f.right));
+    env.set_memory_limit(TIGHT);
+    let mut pairs = Vec::new();
+    let run = ParallelJoin::new(PqJoin::default())
+        .with_threads(2)
+        .with_shards(4)
+        .run_detailed(
+            &mut env,
+            JoinInput::Stream(&left),
+            JoinInput::Stream(&right),
+            &mut |a, b| pairs.push((a, b)),
+        )
+        .unwrap();
+    pairs.sort_unstable();
+    assert!(pairs == oracle(f), "{} pairs", pairs.len());
+    let input_bytes = (f.left.len() + f.right.len()) * usj_geom::ITEM_BYTES;
+    assert!(
+        run.coordinator.memory.peak_bytes < input_bytes,
+        "coordinator peak {} for {input_bytes} input bytes",
+        run.coordinator.memory.peak_bytes
+    );
+    assert!(run.total.memory.peak_bytes <= TIGHT);
 }
 
 /// No quadratic work under memory pressure, in the simulated currency: on

@@ -120,7 +120,7 @@ fn builder_is_byte_identical_to_the_legacy_serial_api() {
 fn builder_is_byte_identical_to_the_legacy_parallel_api() {
     for (preset, scale) in [(Preset::NJ, 400), (Preset::NY, 800)] {
         let (mut env, workload, _rt, _ht, rs, hs) = prepare(preset, scale, 7);
-        let legacy_join = ParallelJoin::new(PqJoin::default(), HilbertPartitioner::default())
+        let legacy_join = ParallelJoin::new(PqJoin::default())
             .with_threads(4)
             .with_shards(6);
         let (legacy, legacy_pairs) = legacy_join
@@ -132,7 +132,6 @@ fn builder_is_byte_identical_to_the_legacy_parallel_api() {
         let (result, pairs) = SpatialQuery::new(JoinInput::Stream(&rs2), JoinInput::Stream(&hs2))
             .algorithm(Algo::Pq)
             .execution(Execution::Parallel {
-                partitioner: PartitionStrategy::Hilbert,
                 threads: 4,
                 shards: 6,
             })
@@ -210,7 +209,6 @@ fn within_distance_matches_the_brute_force_oracle_on_all_algorithms() {
         for execution in [
             Execution::Serial,
             Execution::Parallel {
-                partitioner: PartitionStrategy::Hilbert,
                 threads: 4,
                 shards: 5,
             },
@@ -271,7 +269,6 @@ fn every_combination_is_constructible_and_consistent() {
             for execution in [
                 Execution::Serial,
                 Execution::Parallel {
-                    partitioner: PartitionStrategy::Tile,
                     threads: 3,
                     shards: 4,
                 },
