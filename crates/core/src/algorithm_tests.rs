@@ -176,43 +176,3 @@ fn sssj_transfers_more_pages_but_pq_issues_more_random_requests() {
         sssj.io.read_ops()
     );
 }
-
-#[test]
-fn parallel_executor_matches_the_serial_joins_on_nj_and_ny() {
-    // Acceptance check for the parallel partitioned executor: on the NJ and
-    // NY presets, ParallelJoin reports exactly the pair counts of the serial
-    // PQ and PBSM joins.
-    use crate::parallel::ParallelJoin;
-    use crate::{PbsmJoin, PqJoin};
-
-    for (preset, scale) in [(Preset::NJ, 400), (Preset::NY, 800)] {
-        let mut env = env();
-        let w = WorkloadSpec::preset(preset).with_scale(scale).generate(11);
-        let expected = w.reference_join_size();
-        assert!(expected > 0, "{preset:?} workload must produce intersections");
-
-        let roads = ItemStream::from_items(&mut env, &w.roads).unwrap();
-        let hydro = ItemStream::from_items(&mut env, &w.hydro).unwrap();
-        let left = JoinInput::Stream(&roads);
-        let right = JoinInput::Stream(&hydro);
-
-        let serial_pq = PqJoin::default().run(&mut env, left, right).unwrap();
-        let serial_pbsm = PbsmJoin::default().run(&mut env, left, right).unwrap();
-        assert_eq!(serial_pq.pairs, expected);
-        assert_eq!(serial_pbsm.pairs, expected);
-
-        let parallel_pq = ParallelJoin::new(PqJoin::default())
-            .with_threads(4)
-            .with_shards(6)
-            .run(&mut env, left, right)
-            .unwrap();
-        assert_eq!(parallel_pq.pairs, serial_pq.pairs, "{preset:?}: PQ");
-
-        let parallel_pbsm = ParallelJoin::new(PbsmJoin::default())
-            .with_threads(4)
-            .with_shards(7)
-            .run(&mut env, left, right)
-            .unwrap();
-        assert_eq!(parallel_pbsm.pairs, serial_pbsm.pairs, "{preset:?}: PBSM");
-    }
-}

@@ -21,10 +21,6 @@
 //! * [`histogram`] / [`cost`] — spatial selectivity estimation and the cost
 //!   model of Section 6.3 that decides when to use the indexes ("use the
 //!   index only when the join involves less than ~60 % of the leaves").
-//! * [`parallel`] — the partition-parallel executor (not part of the paper):
-//!   PBSM's partition phase cuts the inputs into one strip per shard, a
-//!   worker pool runs any of the serial joins on forked environments, and
-//!   reference-point deduplication keeps the result exact.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,7 +29,6 @@ pub mod cost;
 pub mod histogram;
 pub mod input;
 pub mod multiway;
-pub mod parallel;
 mod partition;
 pub mod pbsm;
 pub mod pq;
@@ -48,11 +43,10 @@ pub use cost::{CostBasedJoin, CostEstimate, JoinPlan};
 pub use histogram::GridHistogram;
 pub use input::{CatalogedInput, JoinInput};
 pub use multiway::MultiwayJoin;
-pub use parallel::ParallelJoin;
 pub use pbsm::PbsmJoin;
 pub use pq::PqJoin;
 pub use predicate::Predicate;
-pub use query::{Algo, Execution, MemoryPlan, QueryPlan, SpatialQuery};
+pub use query::{Algo, MemoryPlan, QueryPlan, SpatialQuery};
 pub use result::{JoinResult, MemoryStats};
 pub use sink::{CollectSink, CountSink, FanoutSink, LimitSink, PairSink, SampleSink, TripleSink};
 pub use sssj::SssjJoin;
@@ -121,8 +115,8 @@ impl JoinAlgorithm {
     }
 }
 
-/// The interface shared by the join implementations (the four serial
-/// algorithms and the parallel executor wrapping them).
+/// The interface shared by the join implementations (the four algorithms of
+/// the comparative study).
 ///
 /// Output pairs stream through a [`PairSink`], whose
 /// [`ControlFlow`](std::ops::ControlFlow)-returning
@@ -133,14 +127,6 @@ impl JoinAlgorithm {
 pub trait JoinOperator {
     /// Human-readable algorithm name.
     fn name(&self) -> &'static str;
-
-    /// The pair-selection predicate this operator evaluates.
-    ///
-    /// Wrappers (the parallel executor) use this to keep their replication
-    /// and deduplication geometry consistent with the inner operator.
-    fn predicate(&self) -> Predicate {
-        Predicate::Intersects
-    }
 
     /// Runs the join, streaming every accepted `(left_id, right_id)` pair to
     /// `sink` and returning the accounting summary.
@@ -169,28 +155,6 @@ pub trait JoinOperator {
         let mut sink = CollectSink::default();
         let res = self.run_with(env, left, right, &mut sink)?;
         Ok((res, sink.pairs))
-    }
-}
-
-/// Boxed operators forward to their contents, so heterogeneous algorithm
-/// choices (the query planner's) can flow through generic executors.
-impl JoinOperator for Box<dyn JoinOperator + Send + Sync> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn predicate(&self) -> Predicate {
-        (**self).predicate()
-    }
-
-    fn run_with(
-        &self,
-        env: &mut SimEnv,
-        left: JoinInput<'_>,
-        right: JoinInput<'_>,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinResult> {
-        (**self).run_with(env, left, right, sink)
     }
 }
 

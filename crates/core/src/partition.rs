@@ -1,12 +1,10 @@
-//! The partition phase PBSM and the parallel executor share: what the inputs
-//! measure, a one-axis tile grid over them, and the scatter that replicates
-//! every rectangle into the partition streams its tiles reach.
+//! PBSM's partition phase: what the inputs measure, a one-axis tile grid over
+//! them, and the scatter that replicates every rectangle into the partition
+//! streams its tiles reach.
 //!
 //! PBSM deals a fine grid of tile columns (or rows) round-robin to a few
-//! partitions; the parallel executor builds a grid with exactly one tile per
-//! shard, where the round-robin deal is the identity and every shard is one
-//! contiguous strip. Either way a pair is owned by the partition holding its
-//! *reference point*, the lower corner of the intersection.
+//! partitions. A pair is owned by the partition holding its *reference
+//! point*, the lower corner of the intersection.
 
 use std::cmp::Ordering;
 
@@ -171,9 +169,6 @@ impl TileGrid {
 /// "non-sequential write pass".
 pub(crate) struct Scatter<'g> {
     grid: &'g TileGrid,
-    /// Growth of every rectangle for targeting only: the items are stored
-    /// as they come.
-    margin: f32,
     writers: Vec<ItemStreamWriter>,
     /// Per-partition extents, folded for free during the write pass: a
     /// later recursive split re-grids over exactly these without a
@@ -182,10 +177,9 @@ pub(crate) struct Scatter<'g> {
 }
 
 impl<'g> Scatter<'g> {
-    pub(crate) fn new(env: &mut SimEnv, grid: &'g TileGrid, pages_per_block: u64, margin: f32) -> Self {
+    pub(crate) fn new(env: &mut SimEnv, grid: &'g TileGrid, pages_per_block: u64) -> Self {
         Scatter {
             grid,
-            margin,
             writers: (0..grid.partitions)
                 .map(|_| ItemStreamWriter::new(env, pages_per_block))
                 .collect(),
@@ -193,11 +187,10 @@ impl<'g> Scatter<'g> {
         }
     }
 
-    /// Replicates every item into each partition whose tiles it overlaps,
-    /// grown by the margin.
+    /// Replicates every item into each partition whose tiles it overlaps.
     pub(crate) fn extend(&mut self, env: &mut SimEnv, items: impl Iterator<Item = Item>) -> Result<()> {
         for it in items {
-            let targets = self.grid.partitions_of(&it.rect.expanded(self.margin));
+            let targets = self.grid.partitions_of(&it.rect);
             env.charge(CpuOp::ItemMove, targets.len() as u64);
             for p in targets {
                 self.extents[p].add(&it.rect);
@@ -229,27 +222,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_tile_per_partition_makes_contiguous_strips() {
+    fn more_tiles_than_partitions_deal_round_robin() {
         let region = Rect::from_coords(0.0, 0.0, 70.0, 10.0);
         let mut data = Extents::empty();
         data.add(&Rect::from_coords(0.0, 0.0, 1.0, 10.0));
-        let g = TileGrid::new(region, &data, 7, 7);
+        let g = TileGrid::new(region, &data, 7, 3);
         assert!(g.by_columns);
-        // Strip p is x ∈ [10p, 10(p + 1)); a rectangle's partitions are the
-        // strips it spans, its lower corner's first.
-        for p in 0..7 {
-            assert_eq!(g.partition_at(10.0 * p as f32 + 5.0, 3.0), p);
+        // Tile column t is x ∈ [10t, 10(t + 1)) and goes to partition t % 3.
+        for t in 0..7 {
+            assert_eq!(g.partition_at(10.0 * t as f32 + 5.0, 3.0), t % 3);
         }
+        // A rectangle's partitions are those of the columns it spans, its
+        // lower corner's first, wrapping past the last partition.
         let r = Rect::from_coords(25.0, 0.0, 41.0, 1.0);
-        assert_eq!(g.partitions_of(&r).collect::<Vec<_>>(), [2, 3, 4]);
-        // The margin grows the target, not the stored rectangle.
+        assert_eq!(g.partitions_of(&r).collect::<Vec<_>>(), [2, 0, 1]);
+        // Spanning more columns than there are partitions reaches each once.
+        let wide = Rect::from_coords(5.0, 0.0, 65.0, 1.0);
+        assert_eq!(g.partitions_of(&wide).collect::<Vec<_>>(), [0, 1, 2]);
         let mut env = SimEnv::new(usj_io::MachineConfig::machine3());
-        let mut scatter = Scatter::new(&mut env, &g, 1, 5.0);
-        let it = Item::new(Rect::from_coords(21.0, 0.0, 29.0, 1.0), 9);
+        let mut scatter = Scatter::new(&mut env, &g, 1);
+        let it = Item::new(Rect::from_coords(21.0, 0.0, 39.0, 1.0), 9);
         scatter.extend(&mut env, std::iter::once(it)).unwrap();
         let parts = scatter.finish(&mut env).unwrap();
-        let holders: Vec<usize> = (0..7).filter(|&p| !parts[p].0.is_empty()).collect();
-        assert_eq!(holders, [1, 2, 3]);
-        assert_eq!(parts[1].0.read_all(&mut env).unwrap(), [it]);
+        let holders: Vec<usize> = (0..3).filter(|&p| !parts[p].0.is_empty()).collect();
+        assert_eq!(holders, [0, 2]);
+        assert_eq!(parts[2].0.read_all(&mut env).unwrap(), [it]);
+        assert_eq!(parts[2].1.bbox, it.rect);
     }
 }

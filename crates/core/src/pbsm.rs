@@ -25,8 +25,7 @@
 //! relatively narrower — `Σ extent ÷ region extent`, observed from the
 //! input itself: folded into the bounding-box pass where one runs, taken
 //! from the first block of an input whose bounding box is already known.
-//! The grid, its scatter and that extents pass live in `crate::partition`,
-//! which the parallel executor runs with one tile per shard.
+//! The grid, its scatter and that extents pass live in `crate::partition`.
 //!
 //! ## Memory-adaptive repartitioning
 //!
@@ -155,10 +154,6 @@ impl JoinOperator for PbsmJoin {
         "PBSM"
     }
 
-    fn predicate(&self) -> Predicate {
-        self.predicate
-    }
-
     fn run_with(
         &self,
         env: &mut SimEnv,
@@ -210,7 +205,7 @@ impl JoinOperator for PbsmJoin {
         // are ε-expanded *before* partitioning so that near-miss pairs meet
         // in at least one partition.
         let expand = |it| predicate.expand_left(it);
-        let mut scatter = Scatter::new(env, &grid, writer_ppb, 0.0);
+        let mut scatter = Scatter::new(env, &grid, writer_ppb);
         if let Some(view) = left_first {
             scatter.extend(env, view.iter().map(expand))?;
         }
@@ -218,7 +213,7 @@ impl JoinOperator for PbsmJoin {
             scatter.extend(env, view.iter().map(expand))?;
         }
         let left_parts = scatter.finish(env)?;
-        let mut scatter = Scatter::new(env, &grid, writer_ppb, 0.0);
+        let mut scatter = Scatter::new(env, &grid, writer_ppb);
         scatter.drain(env, &mut right_stream.reader())?;
         let right_parts = scatter.finish(env)?;
         env.obs_close(partition_phase);
@@ -434,7 +429,7 @@ impl PbsmRun<'_> {
         // second expansion here.
         let mut parts = Vec::with_capacity(2);
         for stream in [left, right] {
-            let mut scatter = Scatter::new(env, &sub, SPLIT_PAGES_PER_BLOCK, 0.0);
+            let mut scatter = Scatter::new(env, &sub, SPLIT_PAGES_PER_BLOCK);
             scatter.drain(env, &mut stream.reader())?;
             parts.push(scatter.finish(env)?);
         }

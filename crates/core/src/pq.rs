@@ -382,10 +382,6 @@ impl JoinOperator for PqJoin {
         "PQ"
     }
 
-    fn predicate(&self) -> Predicate {
-        self.predicate
-    }
-
     fn run_with(
         &self,
         env: &mut SimEnv,

@@ -1,22 +1,21 @@
-//! The unified query surface: one builder over every algorithm, predicate
-//! and execution strategy.
+//! The unified query surface: one builder over every algorithm and
+//! predicate.
 //!
 //! The paper's central claim is *unification* — one algorithm serving indexed
 //! and non-indexed inputs alike. This module lifts that unification to the
 //! API: instead of choosing between `SssjJoin`/`PbsmJoin`/`PqJoin`/`StJoin`,
-//! `CostBasedJoin` and `ParallelJoin` by hand, callers describe the query
+//! and `CostBasedJoin` by hand, callers describe the query
 //! once and let the builder lower it:
 //!
 //! ```text
 //! SpatialQuery::new(left, right)      -- what to join
 //!     .algorithm(Algo::Auto)          -- how (or let the §6.3 cost model pick)
 //!     .predicate(Predicate::WithinDistance(eps))
-//!     .execution(Execution::parallel())
 //!     .plan(&mut env)?                -- inspectable QueryPlan, or
 //!     .execute(&mut env, &mut sink)?  -- stream pairs into any PairSink
 //! ```
 //!
-//! Every combination of algorithm × predicate × execution is reachable, and
+//! Every combination of algorithm × predicate is reachable, and
 //! the output streams through a [`PairSink`] — counting, collecting,
 //! sampling and LIMIT-style early termination all compose with every plan.
 //!
@@ -26,13 +25,11 @@
 
 use std::fmt;
 
-use usj_geom::{Extents, Rect};
+use usj_geom::Rect;
 use usj_io::{Result, SimEnv};
 
 use crate::cost::{CostBasedJoin, CostEstimate, JoinPlan};
 use crate::input::JoinInput;
-use crate::parallel::{strips, ParallelJoin};
-use crate::partition::input_extents;
 use crate::pbsm::{PbsmJoin, MAX_SPLIT_DEPTH, SPLIT_PARTITIONS};
 use crate::pq::PqJoin;
 use crate::predicate::Predicate;
@@ -70,34 +67,8 @@ impl From<JoinAlgorithm> for Algo {
     }
 }
 
-/// The execution strategy of a [`SpatialQuery`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// Single-threaded, exactly the serial algorithms of the paper.
-    #[default]
-    Serial,
-    /// Cut into strips across a worker pool ([`ParallelJoin`]).
-    Parallel {
-        /// Worker threads; `0` means the executor's default (one per CPU,
-        /// capped at 8).
-        threads: usize,
-        /// Strips of the data space; `0` means one per worker thread.
-        shards: usize,
-    },
-}
-
-impl Execution {
-    /// Parallel execution with the default thread and shard counts.
-    pub fn parallel() -> Self {
-        Execution::Parallel {
-            threads: 0,
-            shards: 0,
-        }
-    }
-}
-
 /// The lowered, inspectable form of a [`SpatialQuery`]: which algorithm will
-/// run, why, and how the data space is sharded if the execution is parallel.
+/// run, why, and what it is expected to do under the memory limit.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// The concrete algorithm the query lowers to ([`Algo::Auto`] resolved).
@@ -109,8 +80,6 @@ pub struct QueryPlan {
     /// The strategy the estimate picked, present when [`Algo::Auto`]
     /// consulted it.
     pub chosen: Option<JoinPlan>,
-    /// Strips of a parallel execution; `None` for serial plans.
-    pub parallelism: Option<ParallelPlan>,
     /// How the plan expects to behave under the environment's internal
     /// memory limit (repartitioning depth, spill volume).
     pub memory: MemoryPlan,
@@ -189,22 +158,6 @@ impl MemoryPlan {
     }
 }
 
-/// The parallel-execution part of a [`QueryPlan`].
-#[derive(Debug, Clone)]
-pub struct ParallelPlan {
-    /// Resolved worker-thread count.
-    pub threads: usize,
-    /// Resolved shard count: the strips the data space is cut into.
-    pub shards: usize,
-    /// Whether the strips are columns (ranges of x) rather than rows
-    /// (ranges of y): PBSM's rule, the axis the data is relatively narrower
-    /// on.
-    pub columns: bool,
-    /// What the strips are cut from — the inputs' bounding box and side
-    /// lengths, measured while planning and reused by the execution.
-    pub extents: Extents,
-}
-
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} join, {} predicate", self.algorithm.name(), self.predicate.name())?;
@@ -217,16 +170,6 @@ impl fmt::Display for QueryPlan {
                 cost.non_indexed_secs,
                 cost.touched_fraction * 100.0
             )?;
-        }
-        match &self.parallelism {
-            None => write!(f, ", serial")?,
-            Some(p) => write!(
-                f,
-                ", parallel over {} {} on {} threads",
-                p.shards,
-                if p.columns { "columns" } else { "rows" },
-                p.threads
-            )?,
         }
         if self.memory.partition_depth > 0 {
             write!(
@@ -250,8 +193,8 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// A fluent builder describing a two-way spatial join: inputs, algorithm,
-/// predicate and execution strategy.
+/// A fluent builder describing a two-way spatial join: inputs, algorithm and
+/// predicate.
 ///
 /// The builder lowers to an inspectable [`QueryPlan`] ([`SpatialQuery::plan`])
 /// and executes through any [`PairSink`] ([`SpatialQuery::execute`]), with
@@ -262,7 +205,7 @@ impl fmt::Display for QueryPlan {
 /// # Example
 ///
 /// ```
-/// use usj_core::{Algo, Execution, JoinInput, Predicate, SpatialQuery};
+/// use usj_core::{Algo, JoinInput, Predicate, SpatialQuery};
 /// use usj_geom::{Item, Rect};
 /// use usj_io::{ItemStream, MachineConfig, SimEnv};
 ///
@@ -283,11 +226,10 @@ impl fmt::Display for QueryPlan {
 ///     .unwrap();
 /// assert_eq!(n, 100);
 ///
-/// // The same query as a parallel ε-distance join, stopping after 5 pairs.
+/// // The same query as an ε-distance join, stopping after 5 pairs.
 /// let (_, pairs) = SpatialQuery::new(JoinInput::Stream(&l), JoinInput::Stream(&r))
 ///     .algorithm(Algo::Pq)
 ///     .predicate(Predicate::WithinDistance(0.5))
-///     .execution(Execution::parallel())
 ///     .first(&mut env, 5)
 ///     .unwrap();
 /// assert_eq!(pairs.len(), 5);
@@ -298,7 +240,6 @@ pub struct SpatialQuery<'a> {
     right: JoinInput<'a>,
     algo: Algo,
     predicate: Predicate,
-    execution: Execution,
     region_hint: Option<Rect>,
 }
 
@@ -310,7 +251,6 @@ impl<'a> SpatialQuery<'a> {
             right,
             algo: Algo::default(),
             predicate: Predicate::default(),
-            execution: Execution::default(),
             region_hint: None,
         }
     }
@@ -324,12 +264,6 @@ impl<'a> SpatialQuery<'a> {
     /// Selects the pair predicate (default: [`Predicate::Intersects`]).
     pub fn predicate(mut self, predicate: Predicate) -> Self {
         self.predicate = predicate;
-        self
-    }
-
-    /// Selects the execution strategy (default: [`Execution::Serial`]).
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
         self
     }
 
@@ -365,13 +299,9 @@ impl<'a> SpatialQuery<'a> {
         })
     }
 
-    /// The crate's single algorithm-dispatch site: constructs the serial
-    /// operator for a resolved algorithm.
-    fn operator_for(
-        &self,
-        algorithm: JoinAlgorithm,
-        pruning: bool,
-    ) -> Box<dyn JoinOperator + Send + Sync> {
+    /// The crate's single algorithm-dispatch site: constructs the operator
+    /// for a resolved algorithm.
+    fn operator_for(&self, algorithm: JoinAlgorithm, pruning: bool) -> Box<dyn JoinOperator> {
         match algorithm {
             JoinAlgorithm::Sssj => Box::new(SssjJoin {
                 region_hint: self.region_hint,
@@ -394,33 +324,10 @@ impl<'a> SpatialQuery<'a> {
     /// Lowers the query to an inspectable [`QueryPlan`] without executing it.
     ///
     /// Resolving [`Algo::Auto`] prices both strategies (reading the index
-    /// directories), and planning a parallel execution runs the executor's
-    /// extents pass — a scan of an input of unknown extent, a block of one
-    /// whose box is known, the dump of an index — to choose the strip axis;
-    /// both costs are charged to `env` like any other accounted work.
+    /// directories); that cost is charged to `env` like any other accounted
+    /// work.
     pub fn plan(&self, env: &mut SimEnv) -> Result<QueryPlan> {
         let (algorithm, cost, chosen, _) = self.resolve(env)?;
-        let parallelism = match self.execution {
-            Execution::Serial => None,
-            Execution::Parallel { threads, shards } => {
-                let (threads, shards) = resolved_parallelism(threads, shards);
-                let left = self.left.to_stream(env)?;
-                let right = self.right.to_stream(env)?;
-                let (extents, _) = input_extents(
-                    env,
-                    self.region_hint,
-                    (&self.left, &left),
-                    (&self.right, &right),
-                    &mut left.reader(),
-                )?;
-                Some(ParallelPlan {
-                    threads,
-                    shards,
-                    columns: strips(&extents, self.predicate.epsilon(), shards).by_columns,
-                    extents,
-                })
-            }
-        };
         let left_bytes = self.left.len() * usj_geom::ITEM_BYTES as u64;
         let right_bytes = self.right.len() * usj_geom::ITEM_BYTES as u64;
         let memory = MemoryPlan::estimate(
@@ -434,7 +341,6 @@ impl<'a> SpatialQuery<'a> {
             predicate: self.predicate,
             cost,
             chosen,
-            parallelism,
             memory,
         })
     }
@@ -442,13 +348,8 @@ impl<'a> SpatialQuery<'a> {
     /// Executes the query, streaming every accepted pair into `sink`.
     pub fn execute(&self, env: &mut SimEnv, sink: &mut dyn PairSink) -> Result<JoinResult> {
         let (algorithm, _, _, pruning) = self.resolve(env)?;
-        let op = self.operator_for(algorithm, pruning);
-        match self.execution {
-            Execution::Serial => op.run_with(env, self.left, self.right, sink),
-            Execution::Parallel { threads, shards } => {
-                self.run_parallel(env, op, algorithm, threads, shards, None, sink)
-            }
-        }
+        self.operator_for(algorithm, pruning)
+            .run_with(env, self.left, self.right, sink)
     }
 
     /// Executes a previously computed [`QueryPlan`] (from
@@ -456,9 +357,7 @@ impl<'a> SpatialQuery<'a> {
     /// into `sink`.
     ///
     /// This skips the resolution work `execute` would repeat: the
-    /// [`Algo::Auto`] cost estimate is not re-priced, and a parallel plan's
-    /// extents are reused instead of being measured again, so the strips
-    /// are the planned ones.
+    /// [`Algo::Auto`] cost estimate is not re-priced.
     pub fn execute_planned(
         &self,
         env: &mut SimEnv,
@@ -466,55 +365,13 @@ impl<'a> SpatialQuery<'a> {
         sink: &mut dyn PairSink,
     ) -> Result<JoinResult> {
         let pruning = plan.chosen == Some(JoinPlan::Indexed);
-        let op = self.operator_for(plan.algorithm, pruning);
-        match &plan.parallelism {
-            None => op.run_with(env, self.left, self.right, sink),
-            Some(p) => self.run_parallel(
-                env,
-                op,
-                plan.algorithm,
-                p.threads,
-                p.shards,
-                Some(p.extents),
-                sink,
-            ),
-        }
+        self.operator_for(plan.algorithm, pruning)
+            .run_with(env, self.left, self.right, sink)
     }
 
     /// Executes a previously computed [`QueryPlan`], discarding the pairs.
     pub fn run_planned(&self, env: &mut SimEnv, plan: &QueryPlan) -> Result<JoinResult> {
         self.execute_planned(env, plan, &mut CountSink::default())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel(
-        &self,
-        env: &mut SimEnv,
-        op: Box<dyn JoinOperator + Send + Sync>,
-        algorithm: JoinAlgorithm,
-        threads: usize,
-        shards: usize,
-        planned: Option<Extents>,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinResult> {
-        // Resolve the 0-means-default counts exactly as `plan()` does, so
-        // the executed sharding always matches the inspectable plan.
-        let (threads, shards) = resolved_parallelism(threads, shards);
-        let mut pj = ParallelJoin::new(op)
-            .with_threads(threads)
-            .with_shards(shards);
-        if let Some(region) = self.region_hint {
-            pj = pj.with_region(region);
-        }
-        if let Some(data) = planned {
-            pj = pj.with_planned_extents(data);
-        }
-        // ST only makes sense on indexes, so its shards are bulk-loaded; the
-        // other algorithms join the shard streams directly.
-        if algorithm == JoinAlgorithm::St {
-            pj = pj.with_indexed_shards();
-        }
-        pj.run_with(env, self.left, self.right, sink)
     }
 
     /// Executes the query, discarding the pairs (the paper's measurement
@@ -546,21 +403,6 @@ impl<'a> SpatialQuery<'a> {
         let res = self.execute(env, &mut sink)?;
         Ok((res, sink.into_inner().pairs))
     }
-}
-
-/// Resolves `0`-means-default thread and shard counts the same way
-/// [`ParallelJoin::new`] does.
-fn resolved_parallelism(threads: usize, shards: usize) -> (usize, usize) {
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    };
-    let shards = if shards > 0 { shards } else { threads };
-    (threads, shards)
 }
 
 impl PbsmJoin {
@@ -641,29 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_plans_expose_their_shard_map() {
-        let mut e = env();
-        let a = grid(10, 4.0, 0.0, 0);
-        let ta = RTree::bulk_load(&mut e, &a).unwrap();
-        let plan = SpatialQuery::new(JoinInput::Indexed(&ta), JoinInput::Indexed(&ta))
-            .algorithm(Algo::Pq)
-            .execution(Execution::Parallel {
-                threads: 3,
-                shards: 5,
-            })
-            .plan(&mut e)
-            .unwrap();
-        let text = format!("{plan}");
-        let p = plan.parallelism.expect("parallel plan");
-        assert_eq!(p.threads, 3);
-        assert_eq!(p.shards, 5);
-        assert_eq!(p.extents.bbox, ta.bbox());
-        // Square cells on a square grid tie, and a tie goes to columns.
-        assert!(p.columns);
-        assert!(text.contains("PQ") && text.contains("5 columns"), "{text}");
-    }
-
-    #[test]
     fn contains_predicate_reports_only_contained_pairs() {
         let mut e = env();
         // Big boxes on the left, small boxes on the right: half the small
@@ -710,45 +529,12 @@ mod tests {
         let mut e = env();
         let a = grid(10, 4.0, 0.0, 0);
         let sa = ItemStream::from_items(&mut e, &a).unwrap();
-        for execution in [Execution::Serial, Execution::parallel()] {
-            let (res, pairs) = SpatialQuery::new(JoinInput::Stream(&sa), JoinInput::Stream(&sa))
-                .algorithm(Algo::Pq)
-                .execution(execution)
-                .first(&mut e, 0)
-                .unwrap();
-            assert!(pairs.is_empty(), "{execution:?}");
-            assert_eq!(res.pairs, 0, "{execution:?}: LIMIT 0 must count zero pairs");
-        }
-    }
-
-    #[test]
-    fn executed_sharding_matches_the_plan_for_default_counts() {
-        let mut e = env();
-        let a = grid(12, 4.0, 0.0, 0);
-        let b = grid(12, 4.0, 1.0, 100_000);
-        let sa = ItemStream::from_items(&mut e, &a).unwrap();
-        let sb = ItemStream::from_items(&mut e, &b).unwrap();
-        // threads pinned, shards left to "one per worker thread".
-        let q = SpatialQuery::new(JoinInput::Stream(&sa), JoinInput::Stream(&sb))
-            .algorithm(Algo::Pbsm)
-            .execution(Execution::Parallel {
-                threads: 3,
-                shards: 0,
-            });
-        let plan = q.plan(&mut e).unwrap();
-        let p = plan.parallelism.as_ref().expect("parallel plan");
-        assert_eq!(p.shards, 3, "0 shards means one per worker thread");
-        // The executed result must agree with an explicit ParallelJoin using
-        // the planned counts.
-        let (res, pairs) = q.collect(&mut e).unwrap();
-        let explicit = ParallelJoin::new(PbsmJoin::default())
-            .with_threads(p.threads)
-            .with_shards(p.shards);
-        let (exp_res, exp_pairs) = explicit
-            .run_collect(&mut e, JoinInput::Stream(&sa), JoinInput::Stream(&sb))
+        let (res, pairs) = SpatialQuery::new(JoinInput::Stream(&sa), JoinInput::Stream(&sa))
+            .algorithm(Algo::Pq)
+            .first(&mut e, 0)
             .unwrap();
-        assert_eq!(res.pairs, exp_res.pairs);
-        assert_eq!(pairs, exp_pairs, "pair order depends on the strips");
+        assert!(pairs.is_empty());
+        assert_eq!(res.pairs, 0, "LIMIT 0 must count zero pairs");
     }
 
     #[test]

@@ -34,20 +34,6 @@ impl MemoryStats {
     pub fn total_bytes(&self) -> usize {
         self.priority_queue_bytes + self.sweep_structure_bytes + self.other_bytes
     }
-
-    /// Accumulates `other` by taking the component-wise maximum.
-    ///
-    /// Peaks do not add up across sequential phases, and for concurrent
-    /// workers the per-worker peak is the quantity of interest (each worker
-    /// has its own memory budget); an aggregate upper bound for a parallel
-    /// run is the merged peak times the number of simultaneously active
-    /// workers.
-    pub fn merge(&mut self, other: &MemoryStats) {
-        self.priority_queue_bytes = self.priority_queue_bytes.max(other.priority_queue_bytes);
-        self.sweep_structure_bytes = self.sweep_structure_bytes.max(other.sweep_structure_bytes);
-        self.other_bytes = self.other_bytes.max(other.other_bytes);
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-    }
 }
 
 /// Summary of one join execution.
@@ -73,22 +59,6 @@ pub struct JoinResult {
 }
 
 impl JoinResult {
-    /// Rolls the summary of another (sub-)execution into this one.
-    ///
-    /// Pair and operation counters are summed — merging every worker's
-    /// result of a parallel partitioned run into the coordinator's yields
-    /// the accounting an equivalent serial execution of all shards would
-    /// have produced. Peak-memory statistics take the maximum instead (see
-    /// [`MemoryStats::merge`]).
-    pub fn merge(&mut self, other: &JoinResult) {
-        self.pairs += other.pairs;
-        self.io.merge(&other.io);
-        self.cpu.merge(&other.cpu);
-        self.index_page_requests += other.index_page_requests;
-        self.sweep.merge(&other.sweep);
-        self.memory.merge(&other.memory);
-    }
-
     /// Observed (sequential/random aware) simulated running time on `machine`.
     pub fn observed_cost(&self, machine: &MachineConfig) -> CostBreakdown {
         CostModel::new(machine.clone()).observed(&self.io, &self.cpu)

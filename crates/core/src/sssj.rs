@@ -80,10 +80,6 @@ impl JoinOperator for SssjJoin {
         "SSSJ"
     }
 
-    fn predicate(&self) -> Predicate {
-        self.predicate
-    }
-
     fn run_with(
         &self,
         env: &mut SimEnv,

@@ -111,10 +111,6 @@ impl JoinOperator for StJoin {
         "ST"
     }
 
-    fn predicate(&self) -> Predicate {
-        self.predicate
-    }
-
     fn run_with(
         &self,
         env: &mut SimEnv,

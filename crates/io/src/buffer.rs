@@ -38,17 +38,6 @@ impl BufferPoolStats {
             self.hits as f64 / self.requests() as f64
         }
     }
-
-    /// Adds `other` into `self` component-wise.
-    ///
-    /// Workers of a parallel partitioned run each keep their own pool; the
-    /// merged statistics describe the aggregate caching behaviour of the
-    /// whole run.
-    pub fn merge(&mut self, other: &BufferPoolStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
 }
 
 /// A least-recently-used page cache in front of the simulated device.

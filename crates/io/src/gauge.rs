@@ -19,9 +19,8 @@
 //! The gauge is shared by cloning (atomics behind an [`Arc`]), so a sweep
 //! structure or stream buffer can keep charging its bytes without holding a
 //! borrow of the whole [`SimEnv`](crate::SimEnv). Forked worker environments
-//! get a *fresh* gauge with the same limit: each worker of a parallel
-//! partitioned run has its own memory budget, which is why peak statistics
-//! merge by maximum rather than by sum.
+//! get a *fresh* gauge with the same limit: each worker has its own memory
+//! budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -90,13 +90,14 @@ impl SimEnv {
     /// and internal-memory limit, zeroed CPU counters, and a device layered
     /// over the given read-only page snapshot.
     ///
-    /// This is the unit of isolation of the query service and the parallel
-    /// partitioned executor. The snapshot holds what the workers share —
-    /// the frozen catalog (stored sorted runs, R-tree nodes, the catalog
-    /// directory), a `ParallelJoin`'s partition streams — so a worker can
-    /// *read* it with its reads charged to its own statistics, while all
-    /// scratch allocations stay private to the fork. Per-worker accounting
-    /// never interleaves and rolls up with
+    /// This is the unit of isolation of a worker over a frozen store: the
+    /// query service's workers layer their devices the same way, and the
+    /// benchmark and the fault experiment fork one per measured join. The
+    /// snapshot holds what the workers share — stored sorted runs, R-tree
+    /// nodes, the catalog directory — so a worker can *read* it with its
+    /// reads charged to its own statistics, while all scratch allocations
+    /// stay private to the fork. Per-worker accounting never interleaves and
+    /// rolls up with
     /// [`IoStats::merge`](crate::stats::IoStats::merge) /
     /// [`CpuCounter::merge`](crate::stats::CpuCounter::merge). Writes to
     /// snapshot pages fail with
@@ -108,8 +109,7 @@ impl SimEnv {
             cpu: CpuCounter::new(),
             memory_limit: self.memory_limit,
             // Each worker gets a fresh gauge with the same budget: the
-            // per-worker peak is the invariant of interest, which is why
-            // `MemoryStats::merge` takes maxima rather than sums.
+            // per-worker peak is the invariant of interest.
             memory: MemoryGauge::new(self.memory_limit),
         }
     }

@@ -83,10 +83,9 @@ impl IoStats {
 
     /// Adds `other` into `self` component-wise.
     ///
-    /// Used to roll the per-worker statistics of a parallel partitioned run
-    /// up into one aggregate: merging every worker's delta into the
-    /// coordinator's own delta yields exactly the traffic an equivalent
-    /// serial execution of all shards would have produced.
+    /// Used to roll the per-query statistics of forked worker environments
+    /// up into one aggregate (the service's totals, the benchmark's
+    /// per-phase sums).
     pub fn merge(&mut self, other: &IoStats) {
         *self = self.combined(other);
     }

@@ -27,8 +27,7 @@ use usj_rtree::RTree;
 
 use crate::{Result, ServiceError};
 
-/// Default resolution of the per-dataset histogram summary (64×64 cells,
-/// matching the parallel executor's shard grid).
+/// Default resolution of the per-dataset histogram summary: 64×64 cells.
 pub const DEFAULT_HISTOGRAM_CELLS: usize = 64;
 
 /// Magic number of the on-device catalog directory ("USJCAT" + version 01).

@@ -1,12 +1,11 @@
 //! The plan cache: memoized [`QueryPlan`]s for repeat queries.
 //!
 //! Planning a query is not free: resolving `Algo::Auto` prices both
-//! strategies (reading index directory levels), and planning a parallel
-//! execution measures the inputs to choose its strips. A service seeing the same query shape many
-//! times — the normal case for a catalog-backed store — should pay that
-//! once. The cache keys on the *query fingerprint* ([`PlanKey`]): dataset
-//! identifiers, algorithm, predicate and execution strategy. Hit plans are
-//! replayed through
+//! strategies (reading index directory levels). A service seeing the same
+//! query shape many times — the normal case for a catalog-backed store —
+//! should pay that once. The cache keys on the *query fingerprint*
+//! ([`PlanKey`]): dataset identifiers, algorithm and predicate. Hit plans
+//! are replayed through
 //! [`SpatialQuery::execute_planned`](usj_core::SpatialQuery::execute_planned),
 //! which skips the re-estimation entirely.
 //!
@@ -16,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use usj_core::{Algo, Execution, Predicate, QueryPlan};
+use usj_core::{Algo, Predicate, QueryPlan};
 
 use crate::catalog::DatasetId;
 use crate::service::JoinSpec;
@@ -29,9 +28,6 @@ pub struct PlanKey {
     algo: u8,
     predicate_kind: u8,
     epsilon_bits: u32,
-    execution_kind: u8,
-    threads: u64,
-    shards: u64,
 }
 
 impl PlanKey {
@@ -49,19 +45,12 @@ impl PlanKey {
             Predicate::WithinDistance(eps) => (1, eps.max(0.0).to_bits()),
             Predicate::Contains => (2, 0),
         };
-        let (execution_kind, threads, shards) = match spec.execution {
-            Execution::Serial => (0, 0, 0),
-            Execution::Parallel { threads, shards } => (1, threads as u64, shards as u64),
-        };
         PlanKey {
             left: spec.left.0,
             right: spec.right.0,
             algo,
             predicate_kind,
             epsilon_bits,
-            execution_kind,
-            threads,
-            shards,
         }
     }
 
@@ -158,7 +147,6 @@ mod tests {
             right: DatasetId(right),
             algo,
             predicate: Predicate::Intersects,
-            execution: Execution::Serial,
         }
     }
 
@@ -174,9 +162,6 @@ mod tests {
         let mut eps2 = eps;
         eps2.predicate = Predicate::WithinDistance(0.25);
         assert_ne!(PlanKey::new(&eps), PlanKey::new(&eps2));
-        let mut par = spec(0, 1, Algo::Pq);
-        par.execution = Execution::parallel();
-        assert_ne!(a, PlanKey::new(&par));
         assert_eq!(a.left(), DatasetId(0));
         assert_eq!(a.right(), DatasetId(1));
     }

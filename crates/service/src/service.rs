@@ -69,7 +69,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use usj_core::{
-    Algo, Execution, FanoutSink, JoinResult, MemoryStats, PairSink, Predicate, SpatialQuery,
+    Algo, FanoutSink, JoinResult, MemoryStats, PairSink, Predicate, SpatialQuery,
 };
 use usj_geom::{Item, Point, Rect, ITEM_BYTES};
 use usj_io::{
@@ -286,7 +286,7 @@ impl CancelToken {
 }
 
 /// The join form of a [`QueryRequest`]: which cataloged datasets, which
-/// algorithm, predicate and execution strategy.
+/// algorithm and predicate.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinSpec {
     /// Left input dataset.
@@ -297,19 +297,16 @@ pub struct JoinSpec {
     pub algo: Algo,
     /// Pair predicate (default intersection).
     pub predicate: Predicate,
-    /// Execution strategy (default serial).
-    pub execution: Execution,
 }
 
 impl JoinSpec {
-    /// A default (Auto, intersects, serial) join of `left` against `right`.
+    /// A default (Auto, intersects) join of `left` against `right`.
     pub fn new(left: DatasetId, right: DatasetId) -> Self {
         JoinSpec {
             left,
             right,
             algo: Algo::default(),
             predicate: Predicate::default(),
-            execution: Execution::default(),
         }
     }
 }
@@ -490,15 +487,6 @@ impl QueryRequest {
         self
     }
 
-    /// Selects the join execution strategy (builder style; no-op for
-    /// selections).
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        if let QueryKind::Join(spec) = &mut self.kind {
-            spec.execution = execution;
-        }
-        self
-    }
-
     /// Sets the admission priority (builder style).
     pub fn with_priority(mut self, priority: u8) -> Self {
         self.priority = priority;
@@ -626,8 +614,7 @@ impl QueryOutcome {
 }
 
 /// Service-wide statistics of one [`Service::run`] batch. Counters sum and
-/// peaks take maxima — the same roll-up discipline as
-/// [`JoinResult::merge`].
+/// peaks take maxima.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// The shared admission budget the batch ran under.
@@ -1926,8 +1913,7 @@ impl Service {
         let right = self.dataset(spec.right)?.input();
         let query = SpatialQuery::new(left, right)
             .algorithm(spec.algo)
-            .predicate(spec.predicate)
-            .execution(spec.execution);
+            .predicate(spec.predicate);
         // The reported accounting covers the query end to end on its forked
         // environment — planning included. This is what makes the plan
         // cache's saving visible: a cache hit skips the planner's
@@ -2320,24 +2306,6 @@ mod tests {
         let first = report.outcomes[0].result().unwrap().io.pages_read;
         let repeat = report.outcomes[1].result().unwrap().io.pages_read;
         assert!(repeat < first, "cached plan must save I/O ({repeat} vs {first})");
-    }
-
-    #[test]
-    fn parallel_execution_runs_inside_a_worker() {
-        let a = grid(14, 4.0, 0.0, 0);
-        let b = grid(14, 4.0, 1.0, 100_000);
-        let (service, ia, ib) = service_over(&a, &b, ServiceConfig::default().with_workers(2));
-        let report = service.run(vec![
-            QueryRequest::join(ia, ib).with_algorithm(Algo::Pbsm),
-            QueryRequest::join(ia, ib)
-                .with_algorithm(Algo::Pbsm)
-                .with_execution(Execution::parallel()),
-        ]);
-        assert_eq!(report.stats.completed, 2);
-        assert_eq!(
-            report.outcomes[0].result().unwrap().pairs,
-            report.outcomes[1].result().unwrap().pairs
-        );
     }
 
     #[test]

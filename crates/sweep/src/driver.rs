@@ -14,7 +14,7 @@
 //! per partition, and ST feeds it with the entries of two R-tree nodes — the
 //! exact reuse of "a few standard operations" the paper advertises.
 
-use usj_geom::{sort_by_lower_y, Item};
+use usj_geom::{f32_order_key, sort_by_lower_y, Item};
 
 use crate::structure::{SweepStats, SweepStructure};
 
@@ -65,8 +65,7 @@ pub struct SweepJoinStats {
 impl SweepJoinStats {
     /// Accumulates `other` into `self`: counters are summed, peak sizes take
     /// the maximum. Used when one logical join is executed as several sweeps
-    /// (PBSM partitions, parallel shards) whose statistics must roll up into
-    /// one summary.
+    /// (PBSM partitions) whose statistics must roll up into one summary.
     pub fn merge(&mut self, other: &SweepJoinStats) {
         self.pairs += other.pairs;
         self.left_items += other.left_items;
@@ -112,8 +111,9 @@ impl<S: SweepStructure> SweepDriver<S> {
     /// this is asserted in debug builds.
     pub fn push<F: FnMut(&Item, &Item)>(&mut self, side: Side, item: Item, mut report: F) {
         let y = item.rect.lo.y;
+        // The keyed sort's order: a NaN lower y sorts last.
         debug_assert!(
-            y >= self.last_y,
+            f32_order_key(y) >= f32_order_key(self.last_y),
             "sweep inputs must be pushed in ascending lower-y order"
         );
         self.last_y = y;

@@ -36,7 +36,7 @@
 use std::cmp::Ordering;
 use std::ops::ControlFlow;
 
-use usj_geom::Item;
+use usj_geom::{f32_order_key, Item};
 use usj_io::{CpuOp, ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv};
 
 use crate::driver::{Side, SweepJoinStats};
@@ -279,8 +279,9 @@ impl SpillingSweepDriver {
         mut report: F,
     ) -> Result<()> {
         let y = item.rect.lo.y;
+        // The keyed sort's order: a NaN lower y sorts last.
         debug_assert!(
-            y >= self.last_y,
+            f32_order_key(y) >= f32_order_key(self.last_y),
             "sweep inputs must be pushed in ascending lower-y order"
         );
         debug_assert!(!self.closed[side as usize], "push on a closed side");

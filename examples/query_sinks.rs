@@ -77,22 +77,4 @@ fn main() {
         sample.kept(),
         sample.seen()
     );
-
-    // 6. The same distance query, sharded across a worker pool — predicates
-    //    and parallel execution compose.
-    let eps = workload.region.width() * 0.005;
-    let parallel = query
-        .predicate(Predicate::WithinDistance(eps))
-        .execution(Execution::parallel())
-        .run(&mut env)
-        .expect("parallel distance join");
-    let serial = query
-        .predicate(Predicate::WithinDistance(eps))
-        .count(&mut env)
-        .expect("serial distance join");
-    assert_eq!(parallel.pairs, serial);
-    println!(
-        "parallel eps join    : {:>8} pairs (identical to serial)",
-        parallel.pairs
-    );
 }

@@ -18,9 +18,8 @@
 //!   and the plane-sweep join driver.
 //! * [`datagen`] — TIGER-like synthetic workloads matching Table 2.
 //! * [`join`] — the four spatial-join algorithms (SSSJ, PBSM, ST and the
-//!   paper's new PQ join), the multi-way extension, the cost model that
-//!   decides between indexed and non-indexed execution, and the parallel
-//!   partitioned executor that shards any of them across a worker pool.
+//!   paper's new PQ join), the multi-way extension, and the cost model that
+//!   decides between indexed and non-indexed execution.
 //! * [`live`] — LSM-style live ingestion (memtable → sorted delta runs →
 //!   merge compaction, with generation snapshots) and the streaming join
 //!   that emits pairs while its inputs are still being scanned.
@@ -34,9 +33,8 @@
 //! ## Quickstart
 //!
 //! Joins are described with the [`SpatialQuery`](prelude::SpatialQuery)
-//! builder: pick an algorithm (or let the paper's §6.3 cost model pick),
-//! a predicate, and an execution strategy, then stream the result pairs
-//! into any sink.
+//! builder: pick an algorithm (or let the paper's §6.3 cost model pick)
+//! and a predicate, then stream the result pairs into any sink.
 //!
 //! ```
 //! use unified_spatial_join::prelude::*;
@@ -81,10 +79,9 @@ pub use usj_sweep as sweep;
 pub mod prelude {
     pub use usj_core::{
         cost::{CostBasedJoin, CostEstimate, JoinPlan},
-        parallel::ParallelJoin,
         pbsm::PbsmJoin,
         pq::PqJoin,
-        query::{Algo, Execution, MemoryPlan, QueryPlan, SpatialQuery},
+        query::{Algo, MemoryPlan, QueryPlan, SpatialQuery},
         sssj::SssjJoin,
         st::StJoin,
         CatalogedInput, CollectSink, CountSink, FanoutSink, GridHistogram, JoinAlgorithm,

@@ -13,9 +13,8 @@
 //! * **one-tile skew** — everything in one PBSM tile of a far larger extent;
 //! * **diagonal chain** — each rectangle overlaps only its neighbours.
 //!
-//! Every family × {SSSJ, PBSM, PQ, ST, Auto} × {serial, parallel} × {ample,
-//! tight memory} must report the brute-force oracle's pair set within the
-//! memory limit. On top, deterministic guards in the repo's simulated
+//! Every family × {SSSJ, PBSM, PQ, ST, Auto} × {ample, tight memory} must
+//! report the brute-force oracle's pair set within the memory limit. On top, deterministic guards in the repo's simulated
 //! currency pin what "no quadratic work under memory pressure" means.
 
 use unified_spatial_join::prelude::*;
@@ -170,7 +169,7 @@ impl Prepared {
     /// Runs `algo` on its natural inputs — SSSJ and PBSM on the flat
     /// streams, PQ, ST and Auto on the trees — and returns the result with
     /// the sorted pair list.
-    fn join(&mut self, algo: Algo, execution: Execution) -> (JoinResult, Vec<(u32, u32)>) {
+    fn join(&mut self, algo: Algo) -> (JoinResult, Vec<(u32, u32)>) {
         let (l, r) = match algo {
             Algo::Sssj | Algo::Pbsm => (
                 JoinInput::Stream(&self.left),
@@ -183,9 +182,8 @@ impl Prepared {
         };
         let (res, mut pairs) = SpatialQuery::new(l, r)
             .algorithm(algo)
-            .execution(execution)
             .collect(&mut self.env)
-            .unwrap_or_else(|e| panic!("{algo:?}/{execution:?} failed: {e}"));
+            .unwrap_or_else(|e| panic!("{algo:?} failed: {e}"));
         pairs.sort_unstable();
         (res, pairs)
     }
@@ -202,16 +200,11 @@ fn every_family_algorithm_execution_and_limit_matches_the_oracle() {
     for f in families(0xADFA) {
         let want = oracle(&f);
         assert!(!want.is_empty(), "{}: the family must join", f.name);
-        for (execution, limit) in [
-            (Execution::Serial, AMPLE),
-            (Execution::Serial, TIGHT),
-            (Execution::parallel(), AMPLE),
-            (Execution::parallel(), TIGHT),
-        ] {
+        for limit in [AMPLE, TIGHT] {
             let mut p = Prepared::new(&f, limit);
             for algo in ALGOS {
-                let (res, pairs) = p.join(algo, execution);
-                let what = format!("{} / {algo:?} / {execution:?} @ {} KB", f.name, limit / KB);
+                let (res, pairs) = p.join(algo);
+                let what = format!("{} / {algo:?} @ {} KB", f.name, limit / KB);
                 assert!(
                     pairs == want,
                     "{what}: {} pairs, oracle {}",
@@ -227,39 +220,6 @@ fn every_family_algorithm_execution_and_limit_matches_the_oracle() {
             }
         }
     }
-}
-
-/// The parallel coordinator holds blocks, not data: it reads an input
-/// through one block buffer and writes each strip through another, so on
-/// the tall family — 76 KB of rectangles, read in two-page blocks into four
-/// strips — its peak at 192 KB stays below the input's bytes.
-#[test]
-fn the_parallel_coordinator_is_bounded_by_blocks_not_by_data() {
-    let f = &families(0xADFA)[0];
-    let mut env = SimEnv::new(MachineConfig::machine3());
-    let mut stream = |items: &[Item]| ItemStream::from_items_with_block(&mut env, items, 2).unwrap();
-    let (left, right) = (stream(&f.left), stream(&f.right));
-    env.set_memory_limit(TIGHT);
-    let mut pairs = Vec::new();
-    let run = ParallelJoin::new(PqJoin::default())
-        .with_threads(2)
-        .with_shards(4)
-        .run_detailed(
-            &mut env,
-            JoinInput::Stream(&left),
-            JoinInput::Stream(&right),
-            &mut |a, b| pairs.push((a, b)),
-        )
-        .unwrap();
-    pairs.sort_unstable();
-    assert!(pairs == oracle(f), "{} pairs", pairs.len());
-    let input_bytes = (f.left.len() + f.right.len()) * usj_geom::ITEM_BYTES;
-    assert!(
-        run.coordinator.memory.peak_bytes < input_bytes,
-        "coordinator peak {} for {input_bytes} input bytes",
-        run.coordinator.memory.peak_bytes
-    );
-    assert!(run.total.memory.peak_bytes <= TIGHT);
 }
 
 /// No quadratic work under memory pressure, in the simulated currency: on
@@ -278,7 +238,7 @@ fn long_on_one_axis_stays_linear_under_tight_memory() {
         let mut p = Prepared::new(&f, TIGHT);
         let items = (f.left.len() + f.right.len()) as u64;
 
-        let (pbsm, _) = p.join(Algo::Pbsm, Execution::Serial);
+        let (pbsm, _) = p.join(Algo::Pbsm);
         assert!(
             pbsm.io.pages_written <= 3 * p.input_pages(),
             "{}: PBSM wrote {} pages for {} input pages",
@@ -288,7 +248,7 @@ fn long_on_one_axis_stays_linear_under_tight_memory() {
         );
 
         for algo in [Algo::Sssj, Algo::Pq] {
-            let (res, _) = p.join(algo, Execution::Serial);
+            let (res, _) = p.join(algo);
             let tests = res.cpu.get(CpuOp::RectTest);
             assert!(
                 tests <= 64 * items,
@@ -304,7 +264,7 @@ fn long_on_one_axis_stays_linear_under_tight_memory() {
             }
         }
 
-        let (st, _) = p.join(Algo::St, Execution::Serial);
+        let (st, _) = p.join(Algo::St);
         let tests = st.cpu.get(CpuOp::RectTest);
         assert!(
             tests <= 64 * items,
@@ -332,7 +292,7 @@ fn limited_st_returns_k_distinct_oracle_pairs_on_either_long_axis() {
         let want = oracle(&f);
         for limit in [AMPLE, TIGHT] {
             let mut p = Prepared::new(&f, limit);
-            let (full, _) = p.join(Algo::St, Execution::Serial);
+            let (full, _) = p.join(Algo::St);
             for k in [1, 10, 500, want.len() as u64, want.len() as u64 + 7] {
                 let query = SpatialQuery::new(
                     JoinInput::Indexed(&p.left_tree),

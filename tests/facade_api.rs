@@ -78,7 +78,6 @@ fn query_builder_and_sinks_are_reachable_through_the_facade() {
     )
     .algorithm(Algo::Auto)
     .predicate(Predicate::Intersects)
-    .execution(Execution::Serial)
     .collect(&mut env)
     .unwrap();
     assert_eq!(result.pairs, w.reference_join_size());

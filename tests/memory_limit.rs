@@ -4,13 +4,13 @@
 //! internal memory*; these tests make `SimEnv::memory_limit` a hard, tested
 //! invariant:
 //!
-//! * every algorithm × limit × distribution × execution combination reports
+//! * every algorithm × limit × distribution combination reports
 //!   a measured `memory.peak_bytes` within the limit and the exact pair set;
 //! * a pathologically skewed dataset (every rectangle inside *one* PBSM
 //!   tile) is recursively repartitioned under a tiny limit and still matches
 //!   the brute-force oracle byte for byte;
 //! * the acceptance matrix: the NJ preset at a 4 MB limit, all algorithm ×
-//!   predicate × execution combinations, byte-identical to the
+//!   predicate combinations, byte-identical to the
 //!   unlimited-memory run.
 
 use unified_spatial_join::prelude::*;
@@ -65,23 +65,21 @@ fn collect_sorted(
     right: &ItemStream,
     algo: Algo,
     predicate: Predicate,
-    execution: Execution,
     region: Rect,
 ) -> (JoinResult, Vec<(u32, u32)>) {
     let (res, mut pairs) = SpatialQuery::new(JoinInput::Stream(left), JoinInput::Stream(right))
         .algorithm(algo)
         .predicate(predicate)
-        .execution(execution)
         .region_hint(region)
         .collect(env)
-        .unwrap_or_else(|e| panic!("{algo:?}/{predicate:?}/{execution:?} failed: {e}"));
+        .unwrap_or_else(|e| panic!("{algo:?}/{predicate:?} failed: {e}"));
     pairs.sort_unstable();
     (res, pairs)
 }
 
 /// Satellite: `memory.peak_bytes <= memory_limit` for all 4 algorithms ×
-/// {4 MB, 16 MB, 64 MB} × {uniform, skewed}, serial and parallel, with the
-/// exact pair set every time.
+/// {4 MB, 16 MB, 64 MB} × {uniform, skewed}, with the exact pair set every
+/// time.
 #[test]
 fn peak_memory_respects_the_limit_across_the_matrix() {
     let region = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
@@ -97,29 +95,20 @@ fn peak_memory_respects_the_limit_across_the_matrix() {
             let sl = ItemStream::from_items_with_block(&mut env, left, 8).unwrap();
             let sr = ItemStream::from_items_with_block(&mut env, right, 8).unwrap();
             for algo in [Algo::Sssj, Algo::Pbsm, Algo::Pq, Algo::St] {
-                for execution in [Execution::Serial, Execution::parallel()] {
-                    let (res, pairs) = collect_sorted(
-                        &mut env,
-                        &sl,
-                        &sr,
-                        algo,
-                        Predicate::Intersects,
-                        execution,
-                        region,
-                    );
-                    assert_eq!(
-                        pairs, expected,
-                        "{name}/{algo:?}/{execution:?} @ {} MB: wrong pair set",
-                        limit / MB
-                    );
-                    assert!(res.memory.peak_bytes > 0, "peak must be measured");
-                    assert!(
-                        res.memory.peak_bytes <= limit,
-                        "{name}/{algo:?}/{execution:?} @ {} MB: peak {} exceeds the limit",
-                        limit / MB,
-                        res.memory.peak_bytes
-                    );
-                }
+                let (res, pairs) =
+                    collect_sorted(&mut env, &sl, &sr, algo, Predicate::Intersects, region);
+                assert_eq!(
+                    pairs, expected,
+                    "{name}/{algo:?} @ {} MB: wrong pair set",
+                    limit / MB
+                );
+                assert!(res.memory.peak_bytes > 0, "peak must be measured");
+                assert!(
+                    res.memory.peak_bytes <= limit,
+                    "{name}/{algo:?} @ {} MB: peak {} exceeds the limit",
+                    limit / MB,
+                    res.memory.peak_bytes
+                );
             }
         }
     }
@@ -237,8 +226,7 @@ fn sssj_spills_under_pressure_and_stays_exact() {
     assert!(res.memory.peak_bytes <= limit, "peak {}", res.memory.peak_bytes);
 }
 
-/// The acceptance matrix: every algorithm × predicate × execution
-/// combination completes on the NJ preset under a 4 MB limit with
+/// The acceptance matrix: every algorithm × predicate combination completes on the NJ preset under a 4 MB limit with
 /// `memory.peak_bytes <= memory_limit` and pairs byte-identical to the
 /// unlimited-memory run.
 #[test]
@@ -261,23 +249,18 @@ fn nj_preset_at_4mb_matches_the_unlimited_run_for_every_combination() {
             Predicate::WithinDistance(eps),
             Predicate::Contains,
         ] {
-            for execution in [Execution::Serial, Execution::parallel()] {
-                let (res, pairs) = collect_sorted(
-                    &mut small, &s_roads, &s_hydro, algo, predicate, execution, region,
-                );
-                let (_, expected) = collect_sorted(
-                    &mut big, &b_roads, &b_hydro, algo, predicate, execution, region,
-                );
-                assert_eq!(
-                    pairs, expected,
-                    "{algo:?}/{predicate:?}/{execution:?}: 4 MB run diverged from unlimited"
-                );
-                assert!(
-                    res.memory.peak_bytes <= limit,
-                    "{algo:?}/{predicate:?}/{execution:?}: peak {} exceeds 4 MB",
-                    res.memory.peak_bytes
-                );
-            }
+            let (res, pairs) =
+                collect_sorted(&mut small, &s_roads, &s_hydro, algo, predicate, region);
+            let (_, expected) = collect_sorted(&mut big, &b_roads, &b_hydro, algo, predicate, region);
+            assert_eq!(
+                pairs, expected,
+                "{algo:?}/{predicate:?}: 4 MB run diverged from unlimited"
+            );
+            assert!(
+                res.memory.peak_bytes <= limit,
+                "{algo:?}/{predicate:?}: peak {} exceeds 4 MB",
+                res.memory.peak_bytes
+            );
         }
     }
 }

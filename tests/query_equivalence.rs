@@ -5,12 +5,12 @@
 //! 1. **Equivalence** — for every algorithm and two workload presets, the
 //!    builder produces a byte-identical `JoinResult` (every I/O, CPU and
 //!    memory counter) and the identical pair sequence as the direct
-//!    `JoinOperator` / `ParallelJoin` entry points, and `Algo::Auto` picks
+//!    `JoinOperator` entry points, and `Algo::Auto` picks
 //!    exactly the plan `CostBasedJoin` picks.
 //! 2. **Predicates** — `WithinDistance` agrees with a brute-force oracle on
-//!    all four algorithms, serially and in parallel.
+//!    all four algorithms.
 //! 3. **Early termination** — a LIMIT sink stops the join's I/O short of a
-//!    full run, and every algorithm × predicate × execution × sink
+//!    full run, and every algorithm × predicate × sink
 //!    combination is constructible and consistent.
 
 use unified_spatial_join::io::ItemStream;
@@ -117,34 +117,6 @@ fn builder_is_byte_identical_to_the_legacy_serial_api() {
 }
 
 #[test]
-fn builder_is_byte_identical_to_the_legacy_parallel_api() {
-    for (preset, scale) in [(Preset::NJ, 400), (Preset::NY, 800)] {
-        let (mut env, workload, _rt, _ht, rs, hs) = prepare(preset, scale, 7);
-        let legacy_join = ParallelJoin::new(PqJoin::default())
-            .with_threads(4)
-            .with_shards(6);
-        let (legacy, legacy_pairs) = legacy_join
-            .run_collect(&mut env, JoinInput::Stream(&rs), JoinInput::Stream(&hs))
-            .unwrap();
-
-        // Clean-room environment for the builder path (see the serial test).
-        let (mut env2, _w2, _rt2, _ht2, rs2, hs2) = prepare(preset, scale, 7);
-        let (result, pairs) = SpatialQuery::new(JoinInput::Stream(&rs2), JoinInput::Stream(&hs2))
-            .algorithm(Algo::Pq)
-            .execution(Execution::Parallel {
-                threads: 4,
-                shards: 6,
-            })
-            .collect(&mut env2)
-            .unwrap();
-
-        assert_eq!(result, legacy, "{preset:?}: parallel JoinResult drift");
-        assert_eq!(pairs, legacy_pairs, "{preset:?}: parallel pair drift");
-        assert_eq!(result.pairs, workload.reference_join_size());
-    }
-}
-
-#[test]
 fn auto_picks_the_same_plan_as_cost_based_join() {
     for (preset, scale) in [(Preset::NJ, 400), (Preset::NY, 800)] {
         let (mut env, _workload, rt, ht, _rs, _hs) = prepare(preset, scale, 3);
@@ -206,22 +178,13 @@ fn within_distance_matches_the_brute_force_oracle_on_all_algorithms() {
 
     for alg in JoinAlgorithm::all() {
         let (left, right) = inputs_for(alg, &rt, &ht, &rs, &hs);
-        for execution in [
-            Execution::Serial,
-            Execution::Parallel {
-                threads: 4,
-                shards: 5,
-            },
-        ] {
-            let (_, mut pairs) = SpatialQuery::new(left, right)
-                .algorithm(alg.into())
-                .predicate(Predicate::WithinDistance(eps))
-                .execution(execution)
-                .collect(&mut env)
-                .unwrap();
-            pairs.sort_unstable();
-            assert_eq!(pairs, expected, "{}/{execution:?}", alg.name());
-        }
+        let (_, mut pairs) = SpatialQuery::new(left, right)
+            .algorithm(alg.into())
+            .predicate(Predicate::WithinDistance(eps))
+            .collect(&mut env)
+            .unwrap();
+        pairs.sort_unstable();
+        assert_eq!(pairs, expected, "{}", alg.name());
     }
 }
 
@@ -255,7 +218,7 @@ fn limit_sink_stops_io_short_of_a_full_run() {
     );
 }
 
-/// Every (algorithm × predicate × execution × sink) combination is
+/// Every (algorithm × predicate × sink) combination is
 /// constructible through the builder and internally consistent: collect
 /// agrees with count, and limit truncates the same stream.
 #[test]
@@ -266,37 +229,28 @@ fn every_combination_is_constructible_and_consistent() {
     for alg in JoinAlgorithm::all() {
         let (left, right) = inputs_for(alg, &rt, &ht, &rs, &hs);
         for predicate in [Predicate::Intersects, Predicate::WithinDistance(eps)] {
-            for execution in [
-                Execution::Serial,
-                Execution::Parallel {
-                    threads: 3,
-                    shards: 4,
-                },
-            ] {
-                let q = SpatialQuery::new(left, right)
-                    .algorithm(alg.into())
-                    .predicate(predicate)
-                    .execution(execution);
-                let label = format!("{}/{predicate:?}/{execution:?}", alg.name());
+            let q = SpatialQuery::new(left, right)
+                .algorithm(alg.into())
+                .predicate(predicate);
+            let label = format!("{}/{predicate:?}", alg.name());
 
-                // count sink
-                let count = q.count(&mut env).unwrap();
-                assert!(count > 0, "{label}: empty result");
-                // collect sink
-                let (res, pairs) = q.collect(&mut env).unwrap();
-                assert_eq!(pairs.len() as u64, count, "{label}: collect/count drift");
-                assert_eq!(res.pairs, count, "{label}: result counter drift");
-                // limit sink
-                let limit = (count / 2).max(1);
-                let (res_lim, lim_pairs) = q.first(&mut env, limit).unwrap();
-                assert_eq!(lim_pairs.len() as u64, limit, "{label}: limit size");
-                assert_eq!(res_lim.pairs, limit, "{label}: limit counter");
-                assert_eq!(
-                    lim_pairs.as_slice(),
-                    &pairs[..limit as usize],
-                    "{label}: limit must be a prefix of the full stream"
-                );
-            }
+            // count sink
+            let count = q.count(&mut env).unwrap();
+            assert!(count > 0, "{label}: empty result");
+            // collect sink
+            let (res, pairs) = q.collect(&mut env).unwrap();
+            assert_eq!(pairs.len() as u64, count, "{label}: collect/count drift");
+            assert_eq!(res.pairs, count, "{label}: result counter drift");
+            // limit sink
+            let limit = (count / 2).max(1);
+            let (res_lim, lim_pairs) = q.first(&mut env, limit).unwrap();
+            assert_eq!(lim_pairs.len() as u64, limit, "{label}: limit size");
+            assert_eq!(res_lim.pairs, limit, "{label}: limit counter");
+            assert_eq!(
+                lim_pairs.as_slice(),
+                &pairs[..limit as usize],
+                "{label}: limit must be a prefix of the full stream"
+            );
         }
     }
 }
