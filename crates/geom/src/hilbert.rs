@@ -19,15 +19,78 @@ pub const HILBERT_SIDE: u32 = 1 << HILBERT_ORDER;
 ///
 /// `x` and `y` must be smaller than [`HILBERT_SIDE`]. The returned value is in
 /// `0 .. HILBERT_SIDE^2`.
+///
+/// The curve is walked four levels at a time: a 4 × 256-entry table maps the
+/// curve's orientation and the next four bits of `x` and of `y` to the next
+/// eight bits of the index and the orientation of the sub-square they lead
+/// into, so an order-16 key is four dependent table lookups.
+#[inline]
 pub fn xy_to_hilbert(x: u32, y: u32) -> u64 {
-    xy_to_hilbert_on_side(HILBERT_SIDE, x, y)
+    debug_assert!(x < HILBERT_SIDE && y < HILBERT_SIDE);
+    let mut d: u32 = 0;
+    let mut state: usize = 0;
+    let mut shift = HILBERT_ORDER;
+    while shift > 0 {
+        shift -= 4;
+        let cell = ((((x >> shift) & 0xF) << 4) | ((y >> shift) & 0xF)) as usize;
+        let step = HILBERT_TABLE[state | cell];
+        d = (d << 8) | u32::from(step & 0xFF);
+        state = usize::from(step) & 0x300;
+    }
+    u64::from(d)
 }
 
-/// [`xy_to_hilbert`] on a curve covering a `side` × `side` grid instead of
-/// the full [`HILBERT_SIDE`] grid. `side` must be a power of two; `x` and `y`
-/// must be smaller than `side`. The returned value is in `0 .. side^2`.
-/// Coarse curves keep the tests' exhaustive checks small.
-fn xy_to_hilbert_on_side(side: u32, mut x: u32, mut y: u32) -> u64 {
+// The table walks the curve four bits per axis at a time.
+const _: () = assert!(HILBERT_ORDER % 4 == 0 && HILBERT_ORDER <= 16);
+
+/// One step of [`xy_to_hilbert`], indexed by `state << 8 | x_nibble << 4 |
+/// y_nibble`: the low byte is the step's eight index bits (most significant
+/// first), bits 8–9 the state the next step starts in.
+///
+/// A state is how the remaining sub-square is oriented relative to the
+/// grid: bit 0 says its axes are swapped, bit 1 that both are mirrored —
+/// the two transforms the bit loop applies to `(x, y)` when it descends
+/// into a lower quadrant. They commute and each is its own inverse, so the
+/// orientation after any descent is the XOR of the transforms taken.
+static HILBERT_TABLE: [u16; 4 * 256] = hilbert_table();
+
+const fn hilbert_table() -> [u16; 4 * 256] {
+    let mut table = [0u16; 4 * 256];
+    let mut state = 0;
+    while state < 4 {
+        let mut cell = 0;
+        while cell < 256 {
+            let mut orient = state;
+            let mut d = 0;
+            let mut bit = 4;
+            while bit > 0 {
+                bit -= 1;
+                let (mut rx, mut ry) = ((cell >> (4 + bit)) & 1, (cell >> bit) & 1);
+                if orient & 1 != 0 {
+                    (rx, ry) = (ry, rx);
+                }
+                if orient & 2 != 0 {
+                    (rx, ry) = (rx ^ 1, ry ^ 1);
+                }
+                d = (d << 2) | ((3 * rx) ^ ry);
+                if ry == 0 {
+                    orient ^= 1 | (rx << 1);
+                }
+            }
+            table[(state << 8) | cell] = (d | (orient << 8)) as u16;
+            cell += 1;
+        }
+        state += 1;
+    }
+    table
+}
+
+/// The bit-at-a-time Hilbert walk on a `side` × `side` grid: the reference
+/// [`xy_to_hilbert`]'s table is tested against. `side` must be a power of two;
+/// `x` and `y` must be smaller than `side`. The returned value is in
+/// `0 .. side^2`. Coarse curves keep the exhaustive checks small.
+#[cfg(test)]
+pub(crate) fn xy_to_hilbert_on_side(side: u32, mut x: u32, mut y: u32) -> u64 {
     debug_assert!(side.is_power_of_two());
     debug_assert!(x < side && y < side);
     let mut rx: u32;
@@ -87,12 +150,29 @@ pub fn quantize(v: f32, lo: f32, hi: f32) -> u32 {
         return 0;
     }
     let t = ((f64::from(v) - f64::from(lo)) / (f64::from(hi) - f64::from(lo))).clamp(0.0, 1.0);
-    let cell = (t * f64::from(HILBERT_SIDE - 1)).round() as u32;
+    // Round half away from zero without a library call: `scaled` is in
+    // `[0, HILBERT_SIDE - 1]` or NaN, where the cast truncates (NaN to 0,
+    // which no fraction then rounds up), and its fraction is exact.
+    let scaled = t * f64::from(HILBERT_SIDE - 1);
+    let whole = scaled as u32;
+    let cell = whole + u32::from(scaled - f64::from(whole) >= 0.5);
     cell.min(HILBERT_SIDE - 1)
+}
+
+/// [`quantize`] rounding through `f64::round`: the reference its
+/// truncate-and-fix-up rounding must agree with.
+#[cfg(test)]
+pub(crate) fn quantize_by_round(v: f32, lo: f32, hi: f32) -> u32 {
+    if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
+        return 0;
+    }
+    let t = ((f64::from(v) - f64::from(lo)) / (f64::from(hi) - f64::from(lo))).clamp(0.0, 1.0);
+    ((t * f64::from(HILBERT_SIDE - 1)).round() as u32).min(HILBERT_SIDE - 1)
 }
 
 /// Hilbert value of a point inside the bounding box `space`, used as the
 /// bulk-loading sort key.
+#[inline]
 pub fn hilbert_value(x: f32, y: f32, space: &crate::Rect) -> u64 {
     let qx = quantize(x, space.lo.x, space.hi.x);
     let qy = quantize(y, space.lo.y, space.hi.y);
@@ -127,7 +207,64 @@ mod tests {
         assert_eq!(seen.len(), 64);
         assert!(seen.iter().all(|&d| d < 64));
         // The full-resolution entry point agrees with the dedicated function.
-        assert_eq!(xy_to_hilbert_on_side(HILBERT_SIDE, 123, 456), xy_to_hilbert(123, 456));
+        assert_eq!(
+            xy_to_hilbert_on_side(HILBERT_SIDE, 123, 456),
+            xy_to_hilbert(123, 456)
+        );
+    }
+
+    #[test]
+    fn the_table_walk_equals_the_bit_loop() {
+        let check = |x: u32, y: u32| {
+            assert_eq!(
+                xy_to_hilbert(x, y),
+                xy_to_hilbert_on_side(HILBERT_SIDE, x, y),
+                "({x}, {y})"
+            );
+        };
+        for x in 0..1 << 10 {
+            for y in 0..1 << 10 {
+                check(x, y);
+            }
+        }
+        let last = HILBERT_SIDE - 1;
+        for v in 0..HILBERT_SIDE {
+            for (x, y) in [(v, 0), (v, last), (0, v), (last, v)] {
+                check(x, y);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_rounds_half_away_from_zero_at_every_cell_boundary() {
+        let side = f64::from(HILBERT_SIDE - 1);
+        let below = |v: f32| f32::from_bits(v.to_bits() - 1);
+        let above = |v: f32| f32::from_bits(v.to_bits() + 1);
+        let mut ties = 0;
+        // Over [0, 65 535] the boundaries k + 1/2 are f32s, so most of them
+        // scale to an exact tie.
+        for (lo, hi) in [(0.0f32, 1.0f32), (-3.5, 1000.25), (0.0, 65_535.0)] {
+            for k in 0..HILBERT_SIDE - 1 {
+                // The f32 nearest the boundary between cells k and k + 1.
+                let t = (f64::from(k) + 0.5) / side;
+                let v = (f64::from(lo) + t * (f64::from(hi) - f64::from(lo))) as f32;
+                for v in [below(v), v, above(v)] {
+                    let t = (f64::from(v) - f64::from(lo)) / (f64::from(hi) - f64::from(lo));
+                    ties += u32::from((t * side).fract() == 0.5);
+                    let got = quantize(v, lo, hi);
+                    assert_eq!(got, quantize_by_round(v, lo, hi), "{v} in [{lo}, {hi}]");
+                    assert!(
+                        got == k || got == k + 1,
+                        "{v} in [{lo}, {hi}] is cell {got}"
+                    );
+                }
+            }
+        }
+        assert!(ties > HILBERT_SIDE / 2, "only {ties} exact ties");
+        assert_eq!(quantize(f32::NAN, 0.0, 1.0), 0);
+        assert_eq!(quantize(0.5, f32::NAN, 1.0), 0);
+        assert_eq!(quantize(f32::INFINITY, 0.0, 1.0), HILBERT_SIDE - 1);
+        assert_eq!(quantize(f32::NEG_INFINITY, 0.0, 1.0), 0);
     }
 
     #[test]

@@ -131,8 +131,8 @@ pub fn f32_from_order_key(key: u32) -> f32 {
 /// the tags are sorted natively, the records gathered in tag order, and only
 /// groups that tie on the high half (for [`Item::sweep_key`]: equal `lo.y`)
 /// go through `(key, cmp)`. A key that says nothing in its high half (a
-/// constant, a 32-bit Hilbert value) skips the tags and sorts by
-/// `(key, cmp)` outright.
+/// 32-bit Hilbert value) is tagged by its low half instead, so only equal
+/// keys are compared; a constant key sorts by `cmp` outright.
 pub fn sort_by_key_then<T, K, F>(v: &mut [T], key: K, cmp: F)
 where
     T: Copy,
@@ -140,21 +140,36 @@ where
     F: Fn(&T, &T) -> std::cmp::Ordering,
 {
     let full = |a: &T, b: &T| key(a).cmp(&key(b)).then_with(|| cmp(a, b));
-    let high = |t: &T| key(t) & !0xFFFF_FFFF;
     // Already in order (a partition read back from a sorted run, a chunk
     // swept a second time): one pass that an unsorted input leaves at its
     // first descent.
     if v.windows(2).all(|w| full(&w[0], &w[1]) != std::cmp::Ordering::Greater) {
         return;
     }
-    let Some(first) = v.first().map(high) else {
+    let Some(first) = v.first().map(&key) else {
         return;
     };
-    if u32::try_from(v.len()).is_err() || v.iter().all(|t| high(t) == first) {
+    // The tag holds the half of the key that varies: the high half when it
+    // does, the low half when only that one does.
+    let differs = |half: u64| v.iter().any(|t| (key(t) ^ first) & half != 0);
+    let shift = if u32::try_from(v.len()).is_err() {
+        None
+    } else if differs(!0xFFFF_FFFF) {
+        Some(0)
+    } else if differs(0xFFFF_FFFF) {
+        Some(32)
+    } else {
+        None
+    };
+    let Some(shift) = shift else {
         v.sort_unstable_by(full);
         return;
-    }
-    let mut tags: Vec<u64> = v.iter().zip(0u64..).map(|(t, i)| high(t) | i).collect();
+    };
+    let mut tags: Vec<u64> = v
+        .iter()
+        .zip(0u64..)
+        .map(|(t, i)| ((key(t) << shift) & !0xFFFF_FFFF) | i)
+        .collect();
     tags.sort_unstable();
     let mut sorted: Vec<T> = tags
         .iter()
@@ -361,8 +376,8 @@ mod tests {
 
     #[test]
     fn keyed_sort_handles_keys_without_a_high_half_and_empty_input() {
-        // A 32-bit key (a Hilbert value) and a constant key both tie on the
-        // high half everywhere: the sort is then `(key, cmp)` outright.
+        // A 32-bit key (a Hilbert value) ties on the high half everywhere and
+        // is tagged by its low half; a constant key sorts by `cmp` outright.
         let mut v: Vec<Item> = awkward_items();
         v.retain(|it| !it.rect.lo.y.is_nan());
         let mut want = v.clone();

@@ -144,6 +144,35 @@ fn hilbert_roundtrip() {
 }
 
 #[test]
+fn hilbert_table_walk_equals_the_bit_loop() {
+    forall!(4096, |g| {
+        let (x, y) = (
+            g.u32() % hilbert::HILBERT_SIDE,
+            g.u32() % hilbert::HILBERT_SIDE,
+        );
+        assert_eq!(
+            hilbert::xy_to_hilbert(x, y),
+            hilbert::xy_to_hilbert_on_side(hilbert::HILBERT_SIDE, x, y),
+            "({x}, {y})"
+        );
+    });
+}
+
+#[test]
+fn quantize_agrees_with_rounding_on_any_f32() {
+    forall!(4096, |g| {
+        let v = f32::from_bits(g.u32());
+        let lo = g.f32_in(-1000.0, 1000.0);
+        let hi = lo + g.f32_in(0.0, 2000.0);
+        assert_eq!(
+            hilbert::quantize(v, lo, hi),
+            hilbert::quantize_by_round(v, lo, hi),
+            "{v} in [{lo}, {hi}]"
+        );
+    });
+}
+
+#[test]
 fn hilbert_value_is_deterministic() {
     forall!(256, |g| {
         let x = g.f32_in(-500.0, 500.0);

@@ -79,11 +79,13 @@ pub fn bulk_load(env: &mut SimEnv, items: &[Item], config: BulkLoadConfig) -> Re
     let mut keyed: Vec<(u64, Item)> =
         items.iter().map(|it| (hilbert_key(it, &bbox), *it)).collect();
     extsort::charge_sort(env, keyed.len() as u64);
-    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp_by_lower_y(&b.1)));
+    sort_by_key_then(&mut keyed, |e| e.0, |a, b| a.1.cmp_by_lower_y(&b.1));
 
-    let mut iter = keyed.iter().map(|(_, it)| *it);
-    let mut next = move |_env: &mut SimEnv| -> Result<Option<Item>> { Ok(iter.next()) };
-    pack_from_sorted(env, &mut next, items.len() as u64, bbox, config)
+    let mut leaves = Packer::new(NodeKind::Leaf, config);
+    for (_, it) in &keyed {
+        leaves.push(leaf_entry(it));
+    }
+    leaves.build_tree(env, items.len() as u64, bbox)
 }
 
 /// Bulk loads an R-tree from an item stream, using the external mergesort to
@@ -131,9 +133,14 @@ pub fn bulk_load_stream_with_bbox(
         Item::cmp_by_lower_y,
     )?;
     // Pack nodes from the sorted stream.
-    let mut sorted_reader = sorted.reader();
-    let mut next = move |env: &mut SimEnv| -> Result<Option<Item>> { sorted_reader.next(env) };
-    pack_from_sorted(env, &mut next, input.len(), bbox, config)
+    let mut leaves = Packer::new(NodeKind::Leaf, config);
+    let mut reader = sorted.reader();
+    while let Some(view) = reader.next_view(env)? {
+        for it in view.iter() {
+            leaves.push(leaf_entry(&it));
+        }
+    }
+    leaves.build_tree(env, input.len(), bbox)
 }
 
 /// How [`bulk_load_merged`] ordered the records of the tree it built.
@@ -192,25 +199,33 @@ pub fn bulk_load_merged(
     extsort::charge_sort(env, fresh.len() as u64);
     sort_by_key_then(&mut fresh, |e| e.0, |a, b| a.1.cmp_by_lower_y(&b.1));
 
-    let mut leaves = old.leaf_cursor();
-    let mut old_head = leaves.next(env)?.map(|it| (hilbert_key(&it, &bbox), it));
-    let mut fresh = fresh.into_iter().peekable();
-    let mut next = move |env: &mut SimEnv| -> Result<Option<Item>> {
-        let take_old = match (old_head, fresh.peek()) {
-            (Some(o), Some(f)) => {
+    // Each old leaf is keyed in one pass, then merged with the fresh records
+    // that sort before each of its entries: one comparison per record
+    // placed while both sides have one left.
+    let mut leaves = Packer::new(NodeKind::Leaf, config);
+    let mut fresh = fresh.iter().peekable();
+    let mut cursor = old.leaf_cursor();
+    let mut leaf: Vec<(u64, Item)> = Vec::with_capacity(MAX_FANOUT);
+    while let Some(entries) = cursor.next_leaf(env)? {
+        leaf.clear();
+        leaf.extend(entries.iter().map(|e| {
+            let it = e.as_item();
+            (hilbert_key(&it, &bbox), it)
+        }));
+        for o in &leaf {
+            while let Some(f) = fresh.next_if(|f| {
                 env.charge(CpuOp::Compare, 1);
-                o.0.cmp(&f.0).then_with(|| o.1.cmp_by_lower_y(&f.1)) != Ordering::Greater
+                o.0.cmp(&f.0).then_with(|| o.1.cmp_by_lower_y(&f.1)) == Ordering::Greater
+            }) {
+                leaves.push(leaf_entry(&f.1));
             }
-            (old, _) => old.is_some(),
-        };
-        if !take_old {
-            return Ok(fresh.next().map(|(_, it)| it));
+            leaves.push(leaf_entry(&o.1));
         }
-        let out = old_head.map(|(_, it)| it);
-        old_head = leaves.next(env)?.map(|it| (hilbert_key(&it, &bbox), it));
-        Ok(out)
-    };
-    let tree = pack_from_sorted(env, &mut next, base.len(), bbox, config)?;
+    }
+    for (_, it) in fresh {
+        leaves.push(leaf_entry(it));
+    }
+    let tree = leaves.build_tree(env, base.len(), bbox)?;
     Ok((tree, MergedLoad::Merged))
 }
 
@@ -237,88 +252,145 @@ pub fn bounding_box(rects: impl Iterator<Item = Rect>) -> Rect {
     }
 }
 
-/// Packs one level of entries into nodes using the 75 % + 20 %-area rule and
-/// writes each node to its own freshly allocated page.
-fn pack_level(
-    env: &mut SimEnv,
-    entries: &[NodeEntry],
-    kind: NodeKind,
-    config: &BulkLoadConfig,
-) -> Result<Vec<NodeEntry>> {
-    let mut parents = Vec::new();
-    let mut i = 0;
-    while i < entries.len() {
-        let mut node = Node::new(kind);
-        let mut mbr = Rect::empty();
-        while i < entries.len() && node.len() < config.max_fanout {
-            let e = entries[i];
-            if node.len() >= config.fill_target {
-                // Beyond the fill target, admit the entry only if it does not
-                // grow the directory rectangle by more than the slack.
-                env.charge(CpuOp::RectTest, 1);
-                let area = mbr.area();
-                let grown = mbr.union(&e.rect).area();
-                let limit = if area > 0.0 {
-                    area * (1.0 + config.area_slack)
-                } else {
-                    0.0
-                };
-                if grown > limit {
-                    break;
-                }
-            }
-            mbr = mbr.union(&e.rect);
-            node.entries.push(e);
-            env.charge(CpuOp::ItemMove, 1);
-            i += 1;
-        }
-        let page = env.device.allocate(1);
-        env.device.write_page(page, &node.encode())?;
-        assert!(
-            page <= u64::from(u32::MAX),
-            "simulated volume exceeds the 32-bit page-number space of the node format"
-        );
-        parents.push(NodeEntry {
-            rect: mbr,
-            payload: page as u32,
-        });
+/// A record as the entry of a leaf.
+fn leaf_entry(it: &Item) -> NodeEntry {
+    NodeEntry {
+        rect: it.rect,
+        payload: it.id,
     }
-    Ok(parents)
 }
 
-fn pack_from_sorted(
-    env: &mut SimEnv,
-    next: &mut dyn FnMut(&mut SimEnv) -> Result<Option<Item>>,
-    num_items: u64,
-    bbox: Rect,
+/// Packs the entries of one level, pushed one at a time in order, into
+/// nodes by the 75 % + 20 %-area rule: a node closes at the fanout, or at
+/// the first entry past the fill target that would grow its directory
+/// rectangle by more than the slack.
+///
+/// A closed node is encoded at once; its page is allocated, charged and
+/// written when the level is [`finish`](Packer::finish)ed. The device so
+/// sees a loader's reads of its input and then the writes of the level, in
+/// the order and with the sequential / random classification they had when
+/// a level was collected whole before it was packed; and a read that fails
+/// mid-level leaves neither a page nor a packing charge behind.
+struct Packer {
     config: BulkLoadConfig,
-) -> Result<RTree> {
-    // Leaf level: stream the sorted items straight into packed leaves.
-    let mut leaf_entries: Vec<NodeEntry> = Vec::new();
-    while let Some(it) = next(env)? {
-        leaf_entries.push(NodeEntry {
-            rect: it.rect,
-            payload: it.id,
-        });
-    }
-    if leaf_entries.is_empty() {
-        // Degenerate tree: a single empty leaf as root.
-        let page = env.device.allocate(1);
-        env.device.write_page(page, &Node::new(NodeKind::Leaf).encode())?;
-        return Ok(RTree::from_build(page, 1, 0, vec![1], bbox));
+    /// The open node; its entry buffer is reused from node to node.
+    node: Node,
+    mbr: Rect,
+    /// Slack tests made while the open node filled up.
+    rect_tests: u64,
+    closed: Vec<ClosedNode>,
+}
+
+/// A closed node: its page image, and what the level above and the cost
+/// model need of it.
+struct ClosedNode {
+    page: Vec<u8>,
+    mbr: Rect,
+    entries: u64,
+    rect_tests: u64,
+}
+
+impl Packer {
+    fn new(kind: NodeKind, config: BulkLoadConfig) -> Self {
+        Packer {
+            config,
+            node: Node::new(kind),
+            mbr: Rect::empty(),
+            rect_tests: 0,
+            closed: Vec::new(),
+        }
     }
 
-    let mut level_counts = Vec::new();
-    let mut level = pack_level(env, &leaf_entries, NodeKind::Leaf, &config)?;
-    level_counts.push(level.len() as u64);
-    let mut height = 1;
-    while level.len() > 1 {
-        level = pack_level(env, &level, NodeKind::Internal, &config)?;
-        level_counts.push(level.len() as u64);
-        height += 1;
+    fn push(&mut self, e: NodeEntry) {
+        let len = self.node.len();
+        let grown = self.mbr.union(&e.rect);
+        if len < self.config.fill_target {
+            self.mbr = grown;
+        } else if len == self.config.max_fanout {
+            self.close();
+            self.mbr = e.rect;
+        } else {
+            // Beyond the fill target, admit the entry only if it does not
+            // grow the directory rectangle by more than the slack.
+            self.rect_tests += 1;
+            let area = self.mbr.area();
+            let limit = if area > 0.0 {
+                area * (1.0 + self.config.area_slack)
+            } else {
+                0.0
+            };
+            if grown.area() > limit {
+                self.close();
+                self.mbr = e.rect;
+            } else {
+                self.mbr = grown;
+            }
+        }
+        self.node.entries.push(e);
     }
-    let root = level[0].child_page();
-    Ok(RTree::from_build(root, height, num_items, level_counts, bbox))
+
+    /// Closes the open node; the next entry pushed opens a new one, whose
+    /// directory rectangle starts as that entry's.
+    fn close(&mut self) {
+        self.closed.push(ClosedNode {
+            page: self.node.encode(),
+            mbr: self.mbr,
+            entries: self.node.len() as u64,
+            rect_tests: std::mem::take(&mut self.rect_tests),
+        });
+        self.node.entries.clear();
+    }
+
+    /// Closes the open node, then per node: charges its slack tests and
+    /// entry moves, writes it to its own freshly allocated page, and returns
+    /// its entry for the level above.
+    fn finish(mut self, env: &mut SimEnv) -> Result<Vec<NodeEntry>> {
+        if !self.node.is_empty() {
+            self.close();
+        }
+        self.closed
+            .iter()
+            .map(|node| {
+                env.charge(CpuOp::RectTest, node.rect_tests);
+                env.charge(CpuOp::ItemMove, node.entries);
+                let page = env.device.allocate(1);
+                env.device.write_page(page, &node.page)?;
+                assert!(
+                    page <= u64::from(u32::MAX),
+                    "simulated volume exceeds the 32-bit page-number space of the node format"
+                );
+                Ok(NodeEntry {
+                    rect: node.mbr,
+                    payload: page as u32,
+                })
+            })
+            .collect()
+    }
+
+    /// Finishes this leaf level and packs the levels above it, each after
+    /// the one below is complete, so every level's nodes lie on consecutive
+    /// pages and the root is written last.
+    fn build_tree(self, env: &mut SimEnv, num_items: u64, bbox: Rect) -> Result<RTree> {
+        let config = self.config;
+        let mut level = self.finish(env)?;
+        if level.is_empty() {
+            // Degenerate tree: a single empty leaf as root.
+            let page = env.device.allocate(1);
+            env.device.write_page(page, &Node::new(NodeKind::Leaf).encode())?;
+            return Ok(RTree::from_build(page, 1, 0, vec![1], bbox));
+        }
+        let mut level_counts = vec![level.len() as u64];
+        while level.len() > 1 {
+            let mut packer = Packer::new(NodeKind::Internal, config);
+            for e in level {
+                packer.push(e);
+            }
+            level = packer.finish(env)?;
+            level_counts.push(level.len() as u64);
+        }
+        let height = level_counts.len() as u32;
+        Ok(RTree::from_build(level[0].child_page(), height, num_items, level_counts, bbox))
+    }
 }
 
 #[cfg(test)]
@@ -433,8 +505,8 @@ mod tests {
     fn leaf_items(env: &mut SimEnv, tree: &RTree) -> Vec<Item> {
         let mut cursor = tree.leaf_cursor();
         let mut out = Vec::new();
-        while let Some(it) = cursor.next(env).unwrap() {
-            out.push(it);
+        while let Some(leaf) = cursor.next_leaf(env).unwrap() {
+            out.extend(leaf.iter().map(NodeEntry::as_item));
         }
         out
     }
@@ -447,9 +519,22 @@ mod tests {
         let mut want: Vec<(u64, Item)> =
             items.iter().map(|it| (hilbert_key(it, &tree.bbox()), *it)).collect();
         want.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp_by_lower_y(&b.1)));
-        let before = env.device.stats().pages_read;
-        let got = leaf_items(&mut env, &tree);
-        assert_eq!(env.device.stats().pages_read - before, tree.num_leaves());
+        // One leaf per call, one page read per leaf, the fill the loader
+        // gave it.
+        let mut cursor = tree.leaf_cursor();
+        let mut got = Vec::new();
+        let mut leaves = 0;
+        loop {
+            let before = env.device.stats().pages_read;
+            let Some(leaf) = cursor.next_leaf(&mut env).unwrap() else {
+                break;
+            };
+            assert!((1..=MAX_FANOUT).contains(&leaf.len()));
+            got.extend(leaf.iter().map(NodeEntry::as_item));
+            assert_eq!(env.device.stats().pages_read - before, 1);
+            leaves += 1;
+        }
+        assert_eq!(leaves, tree.num_leaves());
         assert_eq!(got, want.into_iter().map(|(_, it)| it).collect::<Vec<_>>());
         let empty = bulk_load(&mut env, &[], BulkLoadConfig::default()).unwrap();
         assert!(leaf_items(&mut env, &empty).is_empty());

@@ -110,6 +110,15 @@ impl Node {
 
     /// Decodes a node from a page buffer.
     pub fn decode(buf: &[u8]) -> Result<Node> {
+        let mut entries = Vec::new();
+        let kind = Node::decode_into(buf, &mut entries)?;
+        Ok(Node { kind, entries })
+    }
+
+    /// Decodes the node in `buf` into `entries` (cleared first, its
+    /// allocation reused) and returns the node's kind:
+    /// [`decode`](Node::decode) for a reader that visits many nodes.
+    pub fn decode_into(buf: &[u8], entries: &mut Vec<NodeEntry>) -> Result<NodeKind> {
         if buf.len() < HEADER_BYTES {
             return Err(IoSimError::CorruptRecord("node page too small"));
         }
@@ -122,21 +131,19 @@ impl Node {
         if count > MAX_FANOUT || HEADER_BYTES + count * ENTRY_BYTES > buf.len() {
             return Err(IoSimError::CorruptRecord("node entry count out of range"));
         }
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = HEADER_BYTES + i * ENTRY_BYTES;
-            let f = |o: usize| f32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
-            let payload =
-                u32::from_le_bytes([buf[off + 16], buf[off + 17], buf[off + 18], buf[off + 19]]);
-            entries.push(NodeEntry {
+        let body = &buf[HEADER_BYTES..HEADER_BYTES + count * ENTRY_BYTES];
+        entries.clear();
+        entries.extend(body.chunks_exact(ENTRY_BYTES).map(|e| {
+            let f = |o: usize| f32::from_le_bytes([e[o], e[o + 1], e[o + 2], e[o + 3]]);
+            NodeEntry {
                 rect: Rect {
-                    lo: Point::new(f(off), f(off + 4)),
-                    hi: Point::new(f(off + 8), f(off + 12)),
+                    lo: Point::new(f(0), f(4)),
+                    hi: Point::new(f(8), f(12)),
                 },
-                payload,
-            });
-        }
-        Ok(Node { kind, entries })
+                payload: u32::from_le_bytes([e[16], e[17], e[18], e[19]]),
+            }
+        }));
+        Ok(kind)
     }
 }
 
@@ -199,6 +206,26 @@ mod tests {
         n.entries.push(entry(5.0, -2.0, 6.0, 0.5, 2));
         let mbr = n.mbr();
         assert_eq!(mbr, Rect::from_coords(0.0, -2.0, 6.0, 1.0));
+    }
+
+    #[test]
+    fn decode_into_reuses_the_buffer_and_keeps_only_the_new_entries() {
+        let mut full = Node::new(NodeKind::Leaf);
+        for i in 0..40 {
+            full.entries.push(entry(0.0, 0.0, i as f32, 1.0, i));
+        }
+        let mut small = Node::new(NodeKind::Internal);
+        small.entries.push(entry(1.0, 2.0, 3.0, 4.0, 9));
+        let mut entries = Vec::new();
+        assert_eq!(Node::decode_into(&full.encode(), &mut entries).unwrap(), NodeKind::Leaf);
+        assert_eq!(entries, full.entries);
+        let capacity = entries.capacity();
+        assert_eq!(
+            Node::decode_into(&small.encode(), &mut entries).unwrap(),
+            NodeKind::Internal
+        );
+        assert_eq!(entries, small.entries);
+        assert_eq!(entries.capacity(), capacity);
     }
 
     #[test]

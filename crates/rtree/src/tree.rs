@@ -140,9 +140,10 @@ impl RTree {
         read_node(env, page)
     }
 
-    /// A cursor over the leaf entries in the order the bulk loader packed
-    /// them — for a Hilbert-loaded tree, `(Hilbert value of the centre in
-    /// bbox, Item::cmp_by_lower_y)` order.
+    /// A cursor over the leaves in the order the bulk loader packed them —
+    /// for a Hilbert-loaded tree, their entries read one leaf after the
+    /// other are in `(Hilbert value of the centre in bbox,
+    /// Item::cmp_by_lower_y)` order.
     ///
     /// The loader writes every leaf, left to right, on consecutive pages
     /// before any internal node and the root last, so the leaves are the
@@ -154,7 +155,8 @@ impl RTree {
         LeafCursor {
             next: first,
             end: first + self.num_leaves(),
-            entries: Vec::new().into_iter(),
+            page: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -442,33 +444,33 @@ fn read_node(env: &mut SimEnv, page: PageId) -> Result<Node> {
     Ok(node)
 }
 
-/// Sequential reader of a tree's leaf entries; see [`RTree::leaf_cursor`].
+/// Sequential reader of a tree's leaves; see [`RTree::leaf_cursor`].
 #[derive(Debug)]
 pub struct LeafCursor {
     next: PageId,
     end: PageId,
-    entries: std::vec::IntoIter<NodeEntry>,
+    /// The bytes of the leaf page read last.
+    page: Vec<u8>,
+    /// The entries of the leaf read last.
+    entries: Vec<NodeEntry>,
 }
 
 impl LeafCursor {
-    /// The next leaf entry as an item, or `None` past the last leaf. A leaf
-    /// page is read (and charged) when the cursor reaches it; a failed read
-    /// leaves the cursor where it was.
-    pub fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
-        loop {
-            if let Some(e) = self.entries.next() {
-                return Ok(Some(e.as_item()));
-            }
-            if self.next == self.end {
-                return Ok(None);
-            }
-            let node = read_node(env, self.next)?;
-            if node.kind != NodeKind::Leaf {
-                return Err(IoSimError::CorruptRecord("leaf cursor reached an internal node"));
-            }
-            self.next += 1;
-            self.entries = node.entries.into_iter();
+    /// The entries of the next leaf, or `None` past the last leaf. Each call
+    /// reads (and charges) one leaf page into buffers the cursor reuses; a
+    /// failed read leaves the cursor where it was.
+    pub fn next_leaf(&mut self, env: &mut SimEnv) -> Result<Option<&[NodeEntry]>> {
+        if self.next == self.end {
+            return Ok(None);
         }
+        env.device.read_pages_into(self.next, 1, &mut self.page)?;
+        let kind = Node::decode_into(&self.page, &mut self.entries)?;
+        env.charge(CpuOp::ItemMove, self.entries.len() as u64);
+        if kind != NodeKind::Leaf {
+            return Err(IoSimError::CorruptRecord("leaf cursor reached an internal node"));
+        }
+        self.next += 1;
+        Ok(Some(&self.entries))
     }
 }
 
