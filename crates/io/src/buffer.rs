@@ -178,8 +178,12 @@ impl LruBufferPool {
                 }
             }
         }
-        self.cache.insert(page, (Rc::clone(&bytes), 0));
-        self.touch(page);
+        // A fresh stamp, not `touch`: the page has no LRU record yet, and
+        // a placeholder stamp would make `touch` delete another page's.
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.cache.insert(page, (Rc::clone(&bytes), stamp));
+        self.lru.insert(stamp, page);
         Ok(bytes)
     }
 
@@ -242,6 +246,98 @@ mod tests {
         // Re-reading 1 is a miss, re-reading 0 a hit.
         pool.get(&mut d, 1).unwrap();
         assert_eq!(pool.stats().misses, 4);
+    }
+
+    #[test]
+    fn the_first_page_is_evicted_like_any_other() {
+        let mut d = device_with_pages(4);
+        let mut pool = LruBufferPool::new(2);
+        for page in [0, 1, 2] {
+            pool.get(&mut d, page).unwrap();
+        }
+        // Page 0 is the least recently used: the get of 2 evicts it.
+        assert!(!pool.contains(0));
+        assert!(pool.contains(1) && pool.contains(2));
+        for page in [3, 1, 2, 3] {
+            pool.get(&mut d, page).unwrap();
+            assert!(!pool.contains(0));
+            assert_eq!(pool.resident_pages(), 2);
+        }
+        // A cycle of three pages through two slots: every get misses.
+        assert_eq!(pool.stats().misses, 7);
+        assert_eq!(pool.stats().evictions, 5);
+    }
+
+    /// The pool against a brute-force recency list (least recent first), on
+    /// random page sequences while an outside reservation of random size
+    /// comes and goes on the pool's gauge.
+    #[test]
+    fn agrees_with_a_recency_list_under_gauge_pressure() {
+        use crate::gauge::MemoryGauge;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..64 {
+            let pages = 2 + next(14);
+            let mut d = device_with_pages(pages);
+            let limit = (1 + next(8) as usize) * PAGE_SIZE;
+            let gauge = MemoryGauge::new(limit);
+            let mut pool = LruBufferPool::with_capacity_bytes_gauged(limit, &gauge);
+            let capacity = pool.capacity_pages();
+            let mut recency: Vec<PageId> = Vec::new();
+            let mut want = BufferPoolStats::default();
+            let mut pressure = None;
+            for _ in 0..200 {
+                if next(8) == 0 {
+                    drop(pressure.take());
+                    let bytes = next(limit as u64 / PAGE_SIZE as u64 + 1) as usize * PAGE_SIZE;
+                    pressure = gauge.try_reserve(bytes).ok();
+                }
+                let page = next(pages);
+                let mut free = gauge.headroom();
+                let got = pool.get(&mut d, page);
+                let ok = if let Some(i) = recency.iter().position(|&p| p == page) {
+                    want.hits += 1;
+                    recency.remove(i);
+                    recency.push(page);
+                    true
+                } else {
+                    want.misses += 1;
+                    while recency.len() >= capacity {
+                        recency.remove(0);
+                        want.evictions += 1;
+                        free += PAGE_SIZE;
+                    }
+                    while free < PAGE_SIZE && !recency.is_empty() {
+                        recency.remove(0);
+                        want.evictions += 1;
+                        free += PAGE_SIZE;
+                    }
+                    if free >= PAGE_SIZE {
+                        recency.push(page);
+                    }
+                    free >= PAGE_SIZE
+                };
+                assert_eq!(got.is_ok(), ok, "get({page})");
+                if let Ok(bytes) = got {
+                    assert_eq!(bytes[0], page as u8);
+                }
+                assert_eq!(pool.stats(), want);
+                assert_eq!(pool.resident_pages(), recency.len());
+                for p in 0..pages {
+                    assert_eq!(pool.contains(p), recency.contains(&p), "page {p}");
+                }
+                assert_eq!(
+                    gauge.current(),
+                    recency.len() * PAGE_SIZE + pressure.as_ref().map_or(0, |r| r.bytes())
+                );
+            }
+        }
     }
 
     #[test]
