@@ -159,8 +159,8 @@ fn dump_tree(env: &mut SimEnv, tree: &RTree) -> Result<ItemStream> {
     let first = tree.root() + 1 - tree.nodes();
     for page in first..=tree.root() {
         let node = tree.read_node(env, page)?;
-        if node.kind == NodeKind::Leaf {
-            for e in &node.entries {
+        if node.kind() == NodeKind::Leaf {
+            for e in node.entries() {
                 env.charge(CpuOp::ItemMove, 1);
                 writer.push(env, e.as_item())?;
             }

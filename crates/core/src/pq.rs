@@ -30,7 +30,7 @@ use std::ops::ControlFlow;
 
 use usj_geom::{Item, Rect};
 use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
-use usj_rtree::{Node, NodeKind, RTree};
+use usj_rtree::{NodeKind, NodeView, RTree};
 use usj_sweep::merge_sweep;
 
 use crate::input::JoinInput;
@@ -148,7 +148,7 @@ impl<'a> PqExtractor<'a> {
     /// Stages the data rectangles of a loaded leaf (those the prune window
     /// lets through), sorted, in a free buffer slot — whose allocation a
     /// drained leaf left behind — and queues the first of them.
-    fn stage_leaf(&mut self, env: &mut SimEnv, leaf: &Node) {
+    fn stage_leaf(&mut self, env: &mut SimEnv, leaf: &NodeView) {
         let slot = self.free_buffers.pop().unwrap_or_else(|| {
             self.buffers.push((Vec::new(), 0));
             self.buffers.len() - 1
@@ -156,8 +156,7 @@ impl<'a> PqExtractor<'a> {
         let prune = self.prune;
         let items = &mut self.buffers[slot].0;
         items.extend(
-            leaf.entries
-                .iter()
+            leaf.entries()
                 .filter(|e| match &prune {
                     None => true,
                     Some(p) => {
@@ -203,9 +202,9 @@ impl<'a> PqExtractor<'a> {
                 let Reverse(entry) = self.internal.pop().expect("peeked above");
                 let node = self.tree.read_node(env, entry.page)?;
                 self.nodes_read += 1;
-                match node.kind {
+                match node.kind() {
                     NodeKind::Internal => {
-                        for e in &node.entries {
+                        for e in node.entries() {
                             if let Some(p) = &self.prune {
                                 env.charge(CpuOp::RectTest, 1);
                                 if !e.rect.intersects(p) {

@@ -199,14 +199,14 @@ impl JoinOperator for StJoin {
             let mut data = Extents::empty();
             a_entries.clear();
             b_entries.clear();
-            for e in &node_a.entries {
+            for e in node_a.entries() {
                 let expanded = e.rect.expanded(eps);
                 if expanded.intersects(&common) {
                     data.add(&expanded);
                     a_entries.push(Item::new(expanded, e.as_item().id));
                 }
             }
-            for e in &node_b.entries {
+            for e in node_b.entries() {
                 if e.rect.intersects(&common) {
                     data.add(&e.rect);
                     b_entries.push(e.as_item());
@@ -214,7 +214,7 @@ impl JoinOperator for StJoin {
             }
             env.charge(
                 CpuOp::RectTest,
-                (node_a.entries.len() + node_b.entries.len()) as u64,
+                (node_a.len() + node_b.len()) as u64,
             );
             max_node_pair_bytes = max_node_pair_bytes
                 .max((a_entries.len() + b_entries.len()) * std::mem::size_of::<Item>());
@@ -231,7 +231,7 @@ impl JoinOperator for StJoin {
             // additionally refined with the predicate (containment is a
             // data-rectangle test — applying it to directory rectangles
             // would wrongly prune subtrees).
-            let leaf_level = node_a.kind == NodeKind::Leaf && node_b.kind == NodeKind::Leaf;
+            let leaf_level = node_a.kind() == NodeKind::Leaf && node_b.kind() == NodeKind::Leaf;
             matches.clear();
             let tests = batch_join_oriented(
                 &mut a_entries,
@@ -250,7 +250,7 @@ impl JoinOperator for StJoin {
                 (a_entries.len() + b_entries.len()) as u64,
             );
 
-            match (node_a.kind, node_b.kind) {
+            match (node_a.kind(), node_b.kind()) {
                 (NodeKind::Leaf, NodeKind::Leaf) => {
                     for &(a, b) in &matches {
                         if sink.emit(a, b).is_break() {

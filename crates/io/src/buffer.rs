@@ -6,12 +6,11 @@
 //! device (and therefore show up in the I/O statistics as page requests).
 
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 
 use crate::device::BlockDevice;
 use crate::error::Result;
 use crate::gauge::{MemoryGauge, MemoryReservation};
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{Page, PageId, PAGE_SIZE};
 
 /// Statistics kept by the buffer pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,8 +43,8 @@ impl BufferPoolStats {
 #[derive(Debug)]
 pub struct LruBufferPool {
     capacity_pages: usize,
-    /// page -> (cached bytes, LRU stamp of the most recent use)
-    cache: HashMap<PageId, (Rc<Vec<u8>>, u64)>,
+    /// page -> (the device's page, shared; LRU stamp of the most recent use)
+    cache: HashMap<PageId, (Page, u64)>,
     /// LRU stamp -> page, for O(log n) victim selection.
     lru: BTreeMap<u64, PageId>,
     next_stamp: u64,
@@ -118,18 +117,6 @@ impl LruBufferPool {
         }
     }
 
-    fn touch(&mut self, page: PageId) {
-        if let Some((_, stamp)) = self.cache.get(&page) {
-            self.lru.remove(stamp);
-        }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if let Some(entry) = self.cache.get_mut(&page) {
-            entry.1 = stamp;
-        }
-        self.lru.insert(stamp, page);
-    }
-
     fn evict_one(&mut self) -> bool {
         let Some((&stamp, &victim)) = self.lru.iter().next() else {
             return false;
@@ -148,15 +135,21 @@ impl LruBufferPool {
     }
 
     /// Fetches a page through the pool. Misses are read from `device` (one
-    /// random or sequential page request); hits cost nothing.
-    pub fn get(&mut self, device: &mut BlockDevice, page: PageId) -> Result<Rc<Vec<u8>>> {
-        if self.cache.contains_key(&page) {
+    /// random or sequential page request); hits cost nothing. Either way the
+    /// caller gets the device's page shared, not a copy of its bytes; a
+    /// resident page is charged a full [`PAGE_SIZE`] to a governed pool's
+    /// gauge.
+    pub fn get(&mut self, device: &mut BlockDevice, page: PageId) -> Result<Page> {
+        if let Some((bytes, stamp)) = self.cache.get_mut(&page) {
             self.stats.hits += 1;
-            self.touch(page);
-            return Ok(Rc::clone(&self.cache[&page].0));
+            self.lru.remove(stamp);
+            *stamp = self.next_stamp;
+            self.next_stamp += 1;
+            self.lru.insert(*stamp, page);
+            return Ok(bytes.clone());
         }
         self.stats.misses += 1;
-        let bytes = Rc::new(device.read_page(page)?);
+        let bytes = device.read_page(page)?;
         self.evict_if_full();
         // A governed pool charges the incoming page to the gauge; under
         // pressure from other working sets it sheds cached pages rather than
@@ -178,11 +171,9 @@ impl LruBufferPool {
                 }
             }
         }
-        // A fresh stamp, not `touch`: the page has no LRU record yet, and
-        // a placeholder stamp would make `touch` delete another page's.
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.cache.insert(page, (Rc::clone(&bytes), stamp));
+        self.cache.insert(page, (bytes.clone(), stamp));
         self.lru.insert(stamp, page);
         Ok(bytes)
     }

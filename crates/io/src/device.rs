@@ -229,14 +229,17 @@ impl BlockDevice {
         self.head = Some(first + n);
     }
 
-    /// Reads a single page, returning a copy of its contents.
-    pub fn read_page(&mut self, page: PageId) -> Result<Vec<u8>> {
+    /// Reads a single page as one I/O operation, returning the device's own
+    /// copy-on-write page: shared, not copied (one reference-count
+    /// increment). A later write to the page un-shares it, so what the
+    /// reader holds never changes under it.
+    pub fn read_page(&mut self, page: PageId) -> Result<Page> {
         self.check_range(page, 1)?;
         if let Some(plan) = self.faults.as_mut() {
             plan.before_read()?;
         }
         self.record(page, 1, true);
-        Ok(self.page_ref(page).bytes().to_vec())
+        Ok(self.page_ref(page).clone())
     }
 
     /// Reads `n` consecutive pages starting at `first` as one I/O operation.
@@ -531,7 +534,7 @@ mod tests {
         // The owner reads its own writes, the untouched page stays as it was.
         assert_eq!(&d.read_page(p).unwrap()[..6], b"single");
         assert_eq!(d.read_pages(p + 2, 2).unwrap(), new);
-        assert_eq!(d.read_page(p + 1).unwrap(), &old[PAGE_SIZE..2 * PAGE_SIZE]);
+        assert_eq!(&d.read_page(p + 1).unwrap()[..], &old[PAGE_SIZE..2 * PAGE_SIZE]);
         // The snapshot, and a device layered over it, still read the old bytes.
         assert_eq!(layered.read_pages(p, 4).unwrap(), old);
         for i in 0..4 {
@@ -623,8 +626,8 @@ mod tests {
             ..FaultConfig::quiet(5)
         }));
         assert_eq!(
-            d.read_page(0),
-            Err(IoSimError::DeviceFault { transient: true })
+            d.read_page(0).err(),
+            Some(IoSimError::DeviceFault { transient: true })
         );
         // The failed operation moved no data and charged no I/O.
         assert_eq!(d.stats().total_ops(), 0);

@@ -21,8 +21,9 @@ pub type PageId = u64;
 /// Cloning a page shares its storage (one reference-count increment, no
 /// byte copied); the first [`bytes_mut`](Page::bytes_mut) on a page whose
 /// storage is shared gives it a private copy. This is what makes a device
-/// snapshot cost a pointer per page, and a write after a snapshot cost the
-/// one page it hits.
+/// snapshot cost a pointer per page, a write after a snapshot cost the one
+/// page it hits, and a page read cost no copy at all: readers hold a clone
+/// and see its bytes through `Deref<Target = [u8]>`.
 #[derive(Clone)]
 pub struct Page {
     data: Arc<[u8; PAGE_SIZE]>,
@@ -54,6 +55,15 @@ impl Page {
     #[cfg(test)]
     pub(crate) fn shares_storage_with(&self, other: &Page) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
+    }
+}
+
+impl std::ops::Deref for Page {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.data[..]
     }
 }
 

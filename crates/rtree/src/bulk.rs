@@ -206,9 +206,9 @@ pub fn bulk_load_merged(
     let mut fresh = fresh.iter().peekable();
     let mut cursor = old.leaf_cursor();
     let mut leaf: Vec<(u64, Item)> = Vec::with_capacity(MAX_FANOUT);
-    while let Some(entries) = cursor.next_leaf(env)? {
+    while let Some(old_leaf) = cursor.next_leaf(env)? {
         leaf.clear();
-        leaf.extend(entries.iter().map(|e| {
+        leaf.extend(old_leaf.entries().map(|e| {
             let it = e.as_item();
             (hilbert_key(&it, &bbox), it)
         }));
@@ -506,7 +506,7 @@ mod tests {
         let mut cursor = tree.leaf_cursor();
         let mut out = Vec::new();
         while let Some(leaf) = cursor.next_leaf(env).unwrap() {
-            out.extend(leaf.iter().map(NodeEntry::as_item));
+            out.extend(leaf.entries().map(|e| e.as_item()));
         }
         out
     }
@@ -530,7 +530,7 @@ mod tests {
                 break;
             };
             assert!((1..=MAX_FANOUT).contains(&leaf.len()));
-            got.extend(leaf.iter().map(NodeEntry::as_item));
+            got.extend(leaf.entries().map(|e| e.as_item()));
             assert_eq!(env.device.stats().pages_read - before, 1);
             leaves += 1;
         }

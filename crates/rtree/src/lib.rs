@@ -12,7 +12,9 @@
 //! 6.2 of the paper identifies as the reason the depth-first ST join performs
 //! so much sequential I/O.
 //!
-//! * [`node`] — the 8 KiB on-page node format (maximum fanout 400).
+//! * [`node`] — the 8 KiB on-page node format (maximum fanout 400): the
+//!   writer's [`Node`] and the reader's [`NodeView`], which scans a node
+//!   where it lies on its page.
 //! * [`bulk`] — Hilbert bulk loading from in-memory slices or item streams,
 //!   and the rebuild of a tree from its old leaves merged with new records.
 //! * [`tree`] — the [`RTree`] handle: node access (optionally through an LRU
@@ -31,7 +33,7 @@ pub mod store;
 pub mod tree;
 
 pub use bulk::BulkLoadConfig;
-pub use node::{Node, NodeEntry, NodeKind, MAX_FANOUT};
+pub use node::{Node, NodeEntry, NodeKind, NodeView, MAX_FANOUT};
 pub use store::NodeStore;
 pub use tree::{LeafCursor, RTree, RTreeStats};
 

@@ -1,13 +1,12 @@
 //! The buffer-pool-backed node store.
 //!
-//! Every R-tree read path originally decoded nodes straight off the device
-//! ([`RTree::read_node`](crate::RTree::read_node)) or through an ad-hoc
-//! [`LruBufferPool`] owned by the ST join. A [`NodeStore`] packages the pool and the decode step into one
+//! A [`NodeStore`] packages an [`LruBufferPool`] and the node view into one
 //! reusable component: a page-addressable node cache that any traversal —
 //! the ST join, window and point selection queries, the catalog's repeated
 //! service queries — reads through. Hits cost nothing; misses are one page
 //! request on the device and show up in the I/O statistics, exactly like the
-//! paper's 22 MB ST pool.
+//! paper's 22 MB ST pool. Either way a read hands out the pool's page
+//! shared, as a [`NodeView`], so a node visit copies and allocates nothing.
 //!
 //! A store can be *governed*: created against a [`MemoryGauge`], its resident
 //! pages are charged to the environment's memory budget and shed under
@@ -16,7 +15,7 @@
 
 use usj_io::{CpuOp, LruBufferPool, MemoryGauge, PageId, Result, SimEnv};
 
-use crate::node::Node;
+use crate::node::NodeView;
 
 /// A buffer-pool-backed, page-addressable R-tree node cache.
 #[derive(Debug)]
@@ -43,10 +42,11 @@ impl NodeStore {
         }
     }
 
-    /// Reads and decodes one node through the pool.
-    pub fn read(&mut self, env: &mut SimEnv, page: PageId) -> Result<Node> {
-        let bytes = self.pool.get(&mut env.device, page)?;
-        let node = Node::decode(&bytes)?;
+    /// Reads one node through the pool, charging one `ItemMove` per entry
+    /// (the paper's cost of bringing the node's entries in, whether or not
+    /// a scan reaches them all).
+    pub fn read(&mut self, env: &mut SimEnv, page: PageId) -> Result<NodeView> {
+        let node = NodeView::new(self.pool.get(&mut env.device, page)?)?;
         env.charge(CpuOp::ItemMove, node.len() as u64);
         Ok(node)
     }

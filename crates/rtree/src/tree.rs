@@ -5,7 +5,7 @@ use std::ops::ControlFlow;
 use usj_geom::{Item, Point, Rect};
 use usj_io::{CpuOp, IoSimError, PageId, Result, SimEnv, PAGE_SIZE};
 
-use crate::node::{Node, NodeEntry, NodeKind};
+use crate::node::{NodeKind, NodeView};
 use crate::store::NodeStore;
 
 /// A bulk-loaded, read-only R-tree stored on the simulated device.
@@ -135,8 +135,8 @@ impl RTree {
         }
     }
 
-    /// Reads and decodes a node directly from the device (one page request).
-    pub fn read_node(&self, env: &mut SimEnv, page: PageId) -> Result<Node> {
+    /// Reads a node directly from the device (one page request), in place.
+    pub fn read_node(&self, env: &mut SimEnv, page: PageId) -> Result<NodeView> {
         read_node(env, page)
     }
 
@@ -155,8 +155,6 @@ impl RTree {
         LeafCursor {
             next: first,
             end: first + self.num_leaves(),
-            page: Vec::new(),
-            entries: Vec::new(),
         }
     }
 
@@ -169,12 +167,12 @@ impl RTree {
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
             let node = self.read_node(env, page)?;
-            for e in &node.entries {
-                env.charge(CpuOp::RectTest, 1);
+            env.charge(CpuOp::RectTest, node.len() as u64);
+            for e in node.entries() {
                 if !e.rect.intersects(window) {
                     continue;
                 }
-                match node.kind {
+                match node.kind() {
                     NodeKind::Leaf => out.push(e.as_item()),
                     NodeKind::Internal => stack.push(e.child_page()),
                 }
@@ -202,20 +200,23 @@ impl RTree {
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
             let node = store.read(env, page)?;
-            for e in &node.entries {
-                env.charge(CpuOp::RectTest, 1);
+            // One rectangle test per entry, charged per node; a break
+            // charges the entries tested up to it.
+            for (tested, e) in node.entries().enumerate() {
                 if !e.rect.intersects(window) {
                     continue;
                 }
-                match node.kind {
+                match node.kind() {
                     NodeKind::Leaf => {
                         if visit(e.as_item()).is_break() {
+                            env.charge(CpuOp::RectTest, tested as u64 + 1);
                             return Ok(false);
                         }
                     }
                     NodeKind::Internal => stack.push(e.child_page()),
                 }
             }
+            env.charge(CpuOp::RectTest, node.len() as u64);
         }
         Ok(true)
     }
@@ -280,8 +281,8 @@ impl RTree {
         let mut stack = vec![(self.root, all)];
         while let Some((page, candidates)) = stack.pop() {
             let node = store.read(env, page)?;
-            for e in &node.entries {
-                match node.kind {
+            for e in node.entries() {
+                match node.kind() {
                     NodeKind::Leaf => {
                         for &q in &candidates {
                             let i = q as usize;
@@ -419,8 +420,8 @@ impl RTree {
         let mut stack = vec![(self.root, self.height)];
         while let Some((page, level)) = stack.pop() {
             let node = self.read_node(env, page)?;
-            for e in &node.entries {
-                env.charge(CpuOp::RectTest, 1);
+            env.charge(CpuOp::RectTest, node.len() as u64);
+            for e in node.entries() {
                 if !e.rect.intersects(window) {
                     continue;
                 }
@@ -436,10 +437,10 @@ impl RTree {
     }
 }
 
-/// Reads and decodes the node on `page` (one page request).
-fn read_node(env: &mut SimEnv, page: PageId) -> Result<Node> {
-    let bytes = env.device.read_page(page)?;
-    let node = Node::decode(&bytes)?;
+/// Reads the node on `page` in place (one page request), charging one
+/// `ItemMove` per entry.
+fn read_node(env: &mut SimEnv, page: PageId) -> Result<NodeView> {
+    let node = NodeView::new(env.device.read_page(page)?)?;
     env.charge(CpuOp::ItemMove, node.len() as u64);
     Ok(node)
 }
@@ -449,28 +450,22 @@ fn read_node(env: &mut SimEnv, page: PageId) -> Result<Node> {
 pub struct LeafCursor {
     next: PageId,
     end: PageId,
-    /// The bytes of the leaf page read last.
-    page: Vec<u8>,
-    /// The entries of the leaf read last.
-    entries: Vec<NodeEntry>,
 }
 
 impl LeafCursor {
-    /// The entries of the next leaf, or `None` past the last leaf. Each call
-    /// reads (and charges) one leaf page into buffers the cursor reuses; a
+    /// The next leaf, or `None` past the last leaf. Each call reads (and
+    /// charges) one leaf page, shared with the device rather than copied; a
     /// failed read leaves the cursor where it was.
-    pub fn next_leaf(&mut self, env: &mut SimEnv) -> Result<Option<&[NodeEntry]>> {
+    pub fn next_leaf(&mut self, env: &mut SimEnv) -> Result<Option<NodeView>> {
         if self.next == self.end {
             return Ok(None);
         }
-        env.device.read_pages_into(self.next, 1, &mut self.page)?;
-        let kind = Node::decode_into(&self.page, &mut self.entries)?;
-        env.charge(CpuOp::ItemMove, self.entries.len() as u64);
-        if kind != NodeKind::Leaf {
+        let leaf = read_node(env, self.next)?;
+        if leaf.kind() != NodeKind::Leaf {
             return Err(IoSimError::CorruptRecord("leaf cursor reached an internal node"));
         }
         self.next += 1;
-        Ok(Some(&self.entries))
+        Ok(Some(leaf))
     }
 }
 
