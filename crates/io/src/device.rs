@@ -266,7 +266,7 @@ impl BlockDevice {
         out.clear();
         out.reserve(n as usize * PAGE_SIZE);
         for i in 0..n {
-            out.extend_from_slice(self.page_ref(first + i).bytes());
+            out.extend_from_slice(self.page_ref(first + i));
         }
         Ok(())
     }
@@ -515,7 +515,7 @@ mod tests {
 
     /// Bytes of page `p` as the snapshot holds them.
     fn snap_bytes(snap: &[Page], p: PageId) -> &[u8] {
-        snap[p as usize].bytes()
+        &snap[p as usize]
     }
 
     #[test]

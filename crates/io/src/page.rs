@@ -37,12 +37,6 @@ impl Page {
         }
     }
 
-    /// Immutable view of the page contents.
-    #[inline]
-    pub fn bytes(&self) -> &[u8] {
-        &self.data[..]
-    }
-
     /// Mutable view of the page contents; un-shares the storage first when
     /// a clone of this page still refers to it.
     #[inline]
@@ -86,8 +80,8 @@ mod tests {
     #[test]
     fn zeroed_page_has_fixed_size() {
         let p = Page::zeroed();
-        assert_eq!(p.bytes().len(), PAGE_SIZE);
-        assert!(p.bytes().iter().all(|&b| b == 0));
+        assert_eq!(p.len(), PAGE_SIZE);
+        assert!(p.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -96,8 +90,8 @@ mod tests {
         p.bytes_mut()[0] = 42;
         p.bytes_mut()[PAGE_SIZE - 1] = 7;
         let q = p.clone();
-        assert_eq!(q.bytes()[0], 42);
-        assert_eq!(q.bytes()[PAGE_SIZE - 1], 7);
+        assert_eq!(q[0], 42);
+        assert_eq!(q[PAGE_SIZE - 1], 7);
     }
 
     #[test]
@@ -108,11 +102,11 @@ mod tests {
         assert!(p.shares_storage_with(&q));
         p.bytes_mut()[0] = 2;
         assert!(!p.shares_storage_with(&q));
-        assert_eq!((p.bytes()[0], q.bytes()[0]), (2, 1));
+        assert_eq!((p[0], q[0]), (2, 1));
         // Unshared again, a further write stays in place.
-        let before = p.bytes().as_ptr();
+        let before = p.as_ptr();
         p.bytes_mut()[1] = 3;
-        assert_eq!(p.bytes().as_ptr(), before);
+        assert_eq!(p.as_ptr(), before);
     }
 
     #[test]
