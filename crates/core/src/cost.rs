@@ -11,10 +11,10 @@
 //! therefore wins only when `f` is below roughly 60 %.
 //!
 //! [`CostBasedJoin`] reproduces that decision: it estimates `f` from the
-//! index directory (or from grid histograms for non-indexed inputs), prices
-//! both strategies with the machine's actual parameters, and runs the cheaper
-//! one — PQ with subtree pruning on the indexed path, SSSJ on the sorted
-//! path.
+//! index directory (a non-indexed side is assumed fully touched: PQ sorts
+//! or reads all of it), prices both strategies with the machine's actual
+//! parameters, and runs the cheaper one — PQ with subtree pruning on the
+//! indexed path, SSSJ on the sorted path.
 
 use usj_geom::ITEM_BYTES;
 use usj_io::{MachineConfig, Result, SimEnv, PAGE_SIZE};

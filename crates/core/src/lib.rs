@@ -18,15 +18,14 @@
 //!   R-trees with an LRU buffer pool (Section 3.3).
 //! * [`multiway`] — the 3-way intersection join built by cascading PQ
 //!   (Section 4).
-//! * [`histogram`] / [`cost`] — spatial selectivity estimation and the cost
-//!   model of Section 6.3 that decides when to use the indexes ("use the
-//!   index only when the join involves less than ~60 % of the leaves").
+//! * [`cost`] — the cost model of Section 6.3 that decides when to use the
+//!   indexes ("use the index only when the join involves less than ~60 % of
+//!   the leaves").
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cost;
-pub mod histogram;
 pub mod input;
 pub mod multiway;
 mod partition;
@@ -40,7 +39,6 @@ pub mod sssj;
 pub mod st;
 
 pub use cost::{CostBasedJoin, CostEstimate, JoinPlan};
-pub use histogram::GridHistogram;
 pub use input::{CatalogedInput, JoinInput};
 pub use multiway::MultiwayJoin;
 pub use pbsm::PbsmJoin;

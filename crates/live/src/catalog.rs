@@ -37,8 +37,8 @@
 //! memtable. Device pages of persisted runs are never rewritten (compaction
 //! allocates new ones), so a snapshot stays valid however far ingestion
 //! advances — and it works unchanged on a forked worker environment layered
-//! over a device snapshot, which is how the service executes streaming
-//! joins.
+//! over a device snapshot, which is how the service executes every query
+//! over a live dataset.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -868,8 +868,8 @@ impl LiveDataset {
     /// Fully quiesces the dataset inline: drains the memtable and every
     /// frozen batch to delta runs, then folds everything into the base
     /// (regardless of the compaction threshold). Afterwards the dataset is
-    /// a single sorted base run + R-tree — the precondition for promotion
-    /// into the frozen catalog.
+    /// a single sorted base run + R-tree with no tiers, which joins and
+    /// selects exactly like a registered dataset.
     pub fn quiesce(&mut self, env: &mut SimEnv) -> Result<()> {
         self.freeze();
         while let Some(job) = self.begin_flush() {
@@ -877,20 +877,6 @@ impl LiveDataset {
             self.publish_flush(job, run);
         }
         self.compact(env)
-    }
-
-    /// Decomposes a quiesced dataset into its persisted parts (sorted base
-    /// run, R-tree, bounding box) for promotion into the frozen catalog.
-    ///
-    /// Fails with [`LiveError::NotQuiesced`] when the memtable, the flush
-    /// queue or the delta list is non-empty — call
-    /// [`quiesce`](LiveDataset::quiesce) (or drain through a background
-    /// worker) first.
-    pub fn into_frozen_parts(self) -> Result<(ItemStream, RTree, Rect)> {
-        if !self.memtable.is_empty() || !self.flushing.is_empty() || !self.deltas.is_empty() {
-            return Err(LiveError::NotQuiesced(self.name));
-        }
-        Ok((self.base, self.tree, self.bbox))
     }
 
     /// Takes a consistent generation snapshot: immutable handles of the
@@ -937,60 +923,45 @@ impl LiveDataset {
     }
 }
 
-/// Identifier of a live dataset within one [`LiveCatalog`] (its
-/// registration order).
+/// Identifier of a dataset within one service: the registered datasets
+/// of its catalog first, in registration order, then its live datasets.
+/// Ids are never reused, so an id handed out earlier never re-points at a
+/// different dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LiveId(pub u32);
+pub struct DatasetId(pub u32);
 
-/// A named registry of live datasets.
-///
-/// Slots are tombstoned rather than removed
-/// ([`take`](LiveCatalog::take) leaves a `None` behind), so a [`LiveId`]
-/// handed out earlier never silently re-points at a different dataset.
+/// A named registry of live datasets, numbered from a first id on (a
+/// service starts it after its registered datasets, so both share one
+/// [`DatasetId`] space).
 #[derive(Debug, Default)]
 pub struct LiveCatalog {
-    datasets: Vec<Option<LiveDataset>>,
+    first: u32,
+    datasets: Vec<LiveDataset>,
     by_name: HashMap<String, u32>,
 }
 
 impl LiveCatalog {
-    /// An empty registry.
+    /// An empty registry whose first dataset gets id 0.
     pub fn new() -> Self {
         LiveCatalog::default()
     }
 
+    /// An empty registry whose first dataset gets id `first`.
+    pub fn numbered_from(first: u32) -> Self {
+        LiveCatalog {
+            first,
+            ..LiveCatalog::default()
+        }
+    }
+
     /// Number of registered live datasets.
     pub fn len(&self) -> usize {
-        self.by_name.len()
+        self.datasets.len()
     }
 
     /// Returns `true` when no live dataset is registered.
     pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
-    }
-
-    /// Iterates every registered live dataset (promotion leaves holes in
-    /// the id space; those are skipped).
-    pub fn iter(&self) -> impl Iterator<Item = (LiveId, &LiveDataset)> {
-        self.datasets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|ds| (LiveId(i as u32), ds)))
-    }
-
-    /// Registers a live dataset under `name` with an initial base batch.
-    pub fn register(
-        &mut self,
-        env: &mut SimEnv,
-        name: &str,
-        base_items: &[Item],
-        config: LiveConfig,
-    ) -> Result<LiveId> {
-        if self.by_name.contains_key(name) {
-            return Err(LiveError::DuplicateDataset(name.to_string()));
-        }
-        let dataset = LiveDataset::create(env, name, base_items, config)?;
-        self.insert(dataset)
+        self.datasets.is_empty()
     }
 
     /// Registers an already-built live dataset under its own name.
@@ -1000,68 +971,36 @@ impl LiveCatalog {
     /// on the storage environment first ([`LiveDataset::create`]), its
     /// pages are made visible to readers, and only then does the catalog
     /// entry appear.
-    pub fn insert(&mut self, dataset: LiveDataset) -> Result<LiveId> {
+    pub fn insert(&mut self, dataset: LiveDataset) -> Result<DatasetId> {
         if self.by_name.contains_key(dataset.name()) {
             return Err(LiveError::DuplicateDataset(dataset.name().to_string()));
         }
-        let id = LiveId(self.datasets.len() as u32);
-        self.by_name.insert(dataset.name().to_string(), id.0);
-        self.datasets.push(Some(dataset));
-        Ok(id)
+        let idx = self.datasets.len() as u32;
+        self.by_name.insert(dataset.name().to_string(), idx);
+        self.datasets.push(dataset);
+        Ok(DatasetId(self.first + idx))
     }
 
     /// Looks a live dataset up by identifier.
-    pub fn get(&self, id: LiveId) -> Option<&LiveDataset> {
-        self.datasets.get(id.0 as usize)?.as_ref()
-    }
-
-    /// Mutable access by identifier.
-    pub fn get_mut(&mut self, id: LiveId) -> Option<&mut LiveDataset> {
-        self.datasets.get_mut(id.0 as usize)?.as_mut()
+    pub fn get(&self, id: DatasetId) -> Option<&LiveDataset> {
+        self.datasets.get(id.0.checked_sub(self.first)? as usize)
     }
 
     /// Looks a live dataset up by name.
-    pub fn lookup(&self, name: &str) -> Option<(LiveId, &LiveDataset)> {
+    pub fn lookup(&self, name: &str) -> Option<(DatasetId, &LiveDataset)> {
         let idx = *self.by_name.get(name)?;
-        Some((LiveId(idx), self.datasets[idx as usize].as_ref()?))
-    }
-
-    /// Appends records to the live dataset registered under `name`.
-    pub fn append(&mut self, env: &mut SimEnv, name: &str, items: &[Item]) -> Result<()> {
-        let idx = *self
-            .by_name
-            .get(name)
-            .ok_or_else(|| LiveError::UnknownDataset(name.to_string()))?;
-        self.datasets[idx as usize]
-            .as_mut()
-            .ok_or_else(|| LiveError::UnknownDataset(name.to_string()))?
-            .append(env, items)
+        Some((DatasetId(self.first + idx), &self.datasets[idx as usize]))
     }
 
     /// Mutable access by name (flush/compact maintenance).
     pub fn get_mut_by_name(&mut self, name: &str) -> Option<&mut LiveDataset> {
         let idx = *self.by_name.get(name)?;
-        self.datasets[idx as usize].as_mut()
-    }
-
-    /// Removes the live dataset registered under `name` and returns it
-    /// (promotion into the frozen catalog). The slot is tombstoned: other
-    /// datasets keep their [`LiveId`]s, and the name becomes free for
-    /// re-registration.
-    pub fn take(&mut self, name: &str) -> Option<(LiveId, LiveDataset)> {
-        let idx = self.by_name.remove(name)?;
-        let dataset = self.datasets[idx as usize].take()?;
-        Some((LiveId(idx), dataset))
+        self.datasets.get_mut(idx as usize)
     }
 
     /// Iterates over the registered live datasets in registration order.
     pub fn datasets(&self) -> impl Iterator<Item = &LiveDataset> {
-        self.datasets.iter().filter_map(Option::as_ref)
-    }
-
-    /// Iterates mutably over the registered live datasets (maintenance).
-    pub fn datasets_mut(&mut self) -> impl Iterator<Item = &mut LiveDataset> {
-        self.datasets.iter_mut().filter_map(Option::as_mut)
+        self.datasets.iter()
     }
 }
 
@@ -1130,6 +1069,19 @@ pub struct LiveSnapshot {
 }
 
 impl LiveSnapshot {
+    /// A snapshot with no tiers over a prepared relation: its y-sorted run,
+    /// the R-tree over it and their bounding box. This is how a registered
+    /// dataset enters a join beside a live one.
+    pub fn untiered(base: ItemStream, tree: RTree, bbox: Rect) -> Self {
+        LiveSnapshot {
+            generation: 0,
+            runs: vec![SnapshotRun { stream: base, bbox }],
+            mem_runs: Vec::new(),
+            tree,
+            bbox,
+        }
+    }
+
     /// The generation this snapshot captured.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1149,6 +1101,13 @@ impl LiveSnapshot {
     /// Persisted runs in the snapshot (base + deltas).
     pub fn run_count(&self) -> usize {
         self.runs.len()
+    }
+
+    /// Whether anything beside the base is visible: delta runs, frozen
+    /// batches or memtable items. A snapshot without tiers is exactly its
+    /// base run and the R-tree over it.
+    pub fn has_tiers(&self) -> bool {
+        self.runs.len() > 1 || !self.mem_runs.is_empty()
     }
 
     /// The persisted runs (base first), with their bounding boxes.
@@ -1376,20 +1335,33 @@ mod tests {
     fn live_catalog_registers_appends_and_rejects_duplicates() {
         let mut env = env();
         let mut catalog = LiveCatalog::new();
-        let id = catalog
-            .register(&mut env, "feed", &batch(50, 0, 10), LiveConfig::default())
-            .unwrap();
+        let create = |env: &mut SimEnv, name: &str, items: &[Item]| {
+            LiveDataset::create(env, name, items, LiveConfig::default()).unwrap()
+        };
+        let id = catalog.insert(create(&mut env, "feed", &batch(50, 0, 10))).unwrap();
         assert!(matches!(
-            catalog.register(&mut env, "feed", &[], LiveConfig::default()),
+            catalog.insert(create(&mut env, "feed", &[])),
             Err(LiveError::DuplicateDataset(_))
         ));
-        catalog.append(&mut env, "feed", &batch(20, 900, 11)).unwrap();
-        assert!(matches!(
-            catalog.append(&mut env, "nope", &[]),
-            Err(LiveError::UnknownDataset(_))
-        ));
+        let feed = catalog.get_mut_by_name("feed").unwrap();
+        feed.append(&mut env, &batch(20, 900, 11)).unwrap();
+        assert!(catalog.get_mut_by_name("nope").is_none());
         assert_eq!(catalog.get(id).unwrap().len(), 70);
         assert_eq!(catalog.lookup("feed").unwrap().1.stats().appended, 20);
+    }
+
+    #[test]
+    fn a_numbered_catalog_hands_out_ids_from_its_first() {
+        let mut env = env();
+        let mut catalog = LiveCatalog::numbered_from(3);
+        let config = LiveConfig::default();
+        let a = LiveDataset::create(&mut env, "a", &batch(5, 0, 12), config).unwrap();
+        let b = LiveDataset::create(&mut env, "b", &batch(7, 50, 13), config).unwrap();
+        let (a, b) = (catalog.insert(a).unwrap(), catalog.insert(b).unwrap());
+        assert_eq!((a, b), (DatasetId(3), DatasetId(4)));
+        assert_eq!(catalog.get(b).unwrap().len(), 7);
+        assert_eq!(catalog.lookup("a").map(|(id, _)| id), Some(a));
+        assert!(catalog.get(DatasetId(2)).is_none() && catalog.get(DatasetId(5)).is_none());
     }
 
     #[test]
@@ -1537,27 +1509,17 @@ mod tests {
         let mut ds = LiveDataset::create(&mut env, "live", &batch(60, 0, 60), tiny_config())
             .unwrap();
         ds.append_buffered(&batch(150, 9_000, 61)).unwrap();
+        assert!(ds.snapshot().has_tiers());
         ds.quiesce(&mut env).unwrap();
         assert_eq!(ds.memtable_len(), 0);
         assert_eq!(ds.pending_flush_batches(), 0);
         assert!(ds.delta_runs().is_empty());
         assert_eq!(ds.len(), 210);
-        let (base, tree, bbox) = ds.into_frozen_parts().unwrap();
-        assert_eq!(base.len(), 210);
-        assert_eq!(tree.num_items(), 210);
-        assert!(!bbox.is_empty());
-    }
-
-    #[test]
-    fn into_frozen_parts_requires_quiescence() {
-        let mut env = env();
-        let mut ds = LiveDataset::create(&mut env, "live", &batch(40, 0, 70), tiny_config())
-            .unwrap();
-        ds.append_buffered(&batch(10, 1_000, 71)).unwrap();
-        assert!(matches!(
-            ds.into_frozen_parts(),
-            Err(LiveError::NotQuiesced(_))
-        ));
+        let snap = ds.snapshot();
+        assert!(!snap.has_tiers());
+        assert_eq!(snap.runs()[0].len(), 210);
+        assert_eq!(snap.tree().num_items(), 210);
+        assert!(!snap.bbox().is_empty());
     }
 
     /// Crash simulation used by the durability tests: freeze the device
@@ -1711,30 +1673,5 @@ mod tests {
             collect_ids(&mut after2, &rec2.snapshot()),
             collect_ids(&mut env, &ds.snapshot())
         );
-    }
-
-    #[test]
-    fn take_tombstones_the_slot_and_keeps_other_ids_stable() {
-        let mut env = env();
-        let mut catalog = LiveCatalog::new();
-        let a = catalog
-            .register(&mut env, "a", &batch(10, 0, 80), LiveConfig::default())
-            .unwrap();
-        let b = catalog
-            .register(&mut env, "b", &batch(20, 100, 81), LiveConfig::default())
-            .unwrap();
-        let (taken_id, taken) = catalog.take("a").unwrap();
-        assert_eq!(taken_id, a);
-        assert_eq!(taken.len(), 10);
-        assert!(catalog.get(a).is_none(), "slot is tombstoned");
-        assert!(catalog.lookup("a").is_none());
-        assert_eq!(catalog.get(b).unwrap().len(), 20);
-        assert_eq!(catalog.len(), 1);
-        // The name is free again; the new dataset gets a fresh id.
-        let a2 = catalog
-            .register(&mut env, "a", &batch(5, 900, 82), LiveConfig::default())
-            .unwrap();
-        assert_ne!(a2, a);
-        assert_eq!(catalog.get(b).unwrap().len(), 20);
     }
 }

@@ -2,7 +2,7 @@
 //! half of the north star.
 //!
 //! Everything below this crate assumes a dataset is fully prepared (sorted
-//! run + R-tree + histogram) before the first query touches it. This crate
+//! run + R-tree) before the first query touches it. This crate
 //! adds the non-blocking path, two cooperating pieces:
 //!
 //! * [`LiveCatalog`] / [`LiveDataset`] — an LSM-style dataset handle: an
@@ -23,8 +23,12 @@
 //!   fix-up joins; the reported pair *set* is identical to offline SSSJ on
 //!   the same snapshot.
 //!
-//! The service crate wires these into its catalog and admission control
-//! (`register_live` / `append_live` / `QueryKind::StreamingJoin`).
+//! A registered dataset is the special case with no tiers, so the service
+//! crate gives both one [`DatasetId`] space and three query kinds: a join
+//! whose inputs both lack tiers runs the offline operators, any other join
+//! runs [`StreamingJoin`] over the two snapshots (a registered side enters
+//! as [`LiveSnapshot::untiered`]), and a selection reads the base tree,
+//! then each tier.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -35,12 +39,12 @@ pub mod memtable;
 pub mod streaming;
 
 pub use catalog::{
-    CompactionOutput, CompactionPlan, DeltaRun, FlushJob, LiveCatalog, LiveConfig, LiveDataset,
-    LiveId, LiveSnapshot, LiveStats, MemRun, RecoveryReport, SnapshotCursor, SnapshotRun,
+    CompactionOutput, CompactionPlan, DatasetId, DeltaRun, FlushJob, LiveCatalog, LiveConfig,
+    LiveDataset, LiveSnapshot, LiveStats, MemRun, RecoveryReport, SnapshotCursor, SnapshotRun,
 };
 pub use manifest::{Manifest, RootPointer, RunRecord};
 pub use memtable::Memtable;
-pub use streaming::{JoinSide, StreamingJoin};
+pub use streaming::StreamingJoin;
 
 // Property-based tests on the vendored `usj_proptest` harness; opt-in
 // behind the `proptest` feature like the rest of the workspace.
@@ -59,11 +63,6 @@ pub enum LiveError {
     Io(IoSimError),
     /// A live dataset name was registered twice.
     DuplicateDataset(String),
-    /// An operation referred to a live dataset the catalog does not hold.
-    UnknownDataset(String),
-    /// Promotion was attempted on a dataset still holding unpersisted or
-    /// uncompacted tiers (memtable, frozen batches or delta runs).
-    NotQuiesced(String),
     /// Durable state failed an integrity check: a manifest or root pointer
     /// with a bad magic/checksum, or a base run whose per-block checksums
     /// no longer match its pages. Unrecoverable by design — the message
@@ -77,10 +76,6 @@ impl fmt::Display for LiveError {
             LiveError::Io(e) => write!(f, "i/o: {e}"),
             LiveError::DuplicateDataset(name) => {
                 write!(f, "live dataset '{name}' is already registered")
-            }
-            LiveError::UnknownDataset(name) => write!(f, "unknown live dataset '{name}'"),
-            LiveError::NotQuiesced(name) => {
-                write!(f, "live dataset '{name}' is not quiesced (pending tiers remain)")
             }
             LiveError::Corrupted(what) => write!(f, "durable state corrupted: {what}"),
         }

@@ -2,8 +2,8 @@
 //!
 //! Offline SSSJ is *blocking*: nothing is reported until both inputs have
 //! been fully externally sorted. [`StreamingJoin`] removes the block. Each
-//! side of a [`LiveSnapshot`] is already a union of
-//! sweep-key-sorted runs, so its [`SnapshotCursor`] delivers items in
+//! side of a [`LiveSnapshot`] is already a union of sweep-key-sorted runs,
+//! so its [`SnapshotCursor`](crate::SnapshotCursor) delivers items in
 //! global lower-y order *incrementally* — pages are read on demand as the
 //! merge advances. The join pulls the two cursors through
 //! [`usj_sweep::merge_sweep`] — the spilling sweep SSSJ and PQ run — which
@@ -19,91 +19,13 @@
 
 use std::ops::ControlFlow;
 
-use usj_core::{CatalogedInput, JoinResult, MemoryStats, PairSink, Predicate};
+use usj_core::{JoinResult, MemoryStats, PairSink, Predicate};
 use usj_geom::{Item, Rect};
-use usj_io::{CpuOp, ItemStream, ItemStreamReader, SimEnv};
+use usj_io::{CpuOp, SimEnv};
 use usj_sweep::merge_sweep;
 
-use crate::catalog::{LiveSnapshot, SnapshotCursor};
+use crate::catalog::LiveSnapshot;
 use crate::Result;
-
-/// One input of a (possibly mixed) streaming join.
-///
-/// The sweep only needs items in ascending lower-y order, and
-/// both the live layer and the frozen catalog can deliver that
-/// incrementally: a [`LiveSnapshot`]'s cursor k-way-merges its sorted runs,
-/// and a cataloged dataset's persisted run is *already* y-sorted, so a
-/// plain stream reader over it is a valid side. This is what lets one join
-/// pair a live, still-ingesting dataset against a frozen registered one
-/// without materialising either.
-#[derive(Debug, Clone, Copy)]
-pub enum JoinSide<'a> {
-    /// A generation snapshot of a live dataset.
-    Live(&'a LiveSnapshot),
-    /// A y-sorted persisted run (a cataloged dataset's storage) with its
-    /// bounding box.
-    Run {
-        /// The sweep-key-sorted stream.
-        sorted: &'a ItemStream,
-        /// Bounding box of the run (sizes the sweep strips).
-        bbox: Rect,
-    },
-}
-
-impl<'a> JoinSide<'a> {
-    /// Bounding box of this side.
-    pub fn bbox(&self) -> Rect {
-        match self {
-            JoinSide::Live(snap) => snap.bbox(),
-            JoinSide::Run { bbox, .. } => *bbox,
-        }
-    }
-
-    /// Total records this side will deliver.
-    pub fn len(&self) -> u64 {
-        match self {
-            JoinSide::Live(snap) => snap.len(),
-            JoinSide::Run { sorted, .. } => sorted.len(),
-        }
-    }
-
-    /// Returns `true` when the side holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn cursor(&self) -> SideCursor {
-        match self {
-            JoinSide::Live(snap) => SideCursor::Snapshot(snap.cursor()),
-            JoinSide::Run { sorted, .. } => SideCursor::Stream(sorted.reader()),
-        }
-    }
-}
-
-impl<'a> From<&'a CatalogedInput<'a>> for JoinSide<'a> {
-    fn from(c: &'a CatalogedInput<'a>) -> Self {
-        JoinSide::Run {
-            sorted: c.sorted,
-            bbox: c.bbox,
-        }
-    }
-}
-
-/// The incremental y-ordered item source behind one [`JoinSide`].
-#[derive(Debug)]
-enum SideCursor {
-    Snapshot(SnapshotCursor),
-    Stream(ItemStreamReader),
-}
-
-impl SideCursor {
-    fn next(&mut self, env: &mut SimEnv) -> usj_io::Result<Option<Item>> {
-        match self {
-            SideCursor::Snapshot(c) => c.next(env),
-            SideCursor::Stream(r) => r.next(env),
-        }
-    }
-}
 
 /// Configuration of the streaming snapshot join.
 #[derive(Debug, Clone, Copy, Default)]
@@ -129,7 +51,9 @@ impl StreamingJoin {
     }
 
     /// Runs the join over two snapshots, reporting pairs through `sink` as
-    /// they are discovered.
+    /// they are discovered. The pair *set* equals offline SSSJ over the two
+    /// materialised snapshots; a registered dataset takes part as a snapshot
+    /// without tiers ([`LiveSnapshot::untiered`]).
     ///
     /// A `ControlFlow::Break` from the sink (LIMIT reached, cancellation)
     /// terminates the join early, skipping any outstanding fix-up I/O —
@@ -139,21 +63,6 @@ impl StreamingJoin {
         env: &mut SimEnv,
         left: &LiveSnapshot,
         right: &LiveSnapshot,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinResult> {
-        self.run_mixed(env, JoinSide::Live(left), JoinSide::Live(right), sink)
-    }
-
-    /// Runs the join over any pair of y-ordered sides — live snapshots,
-    /// cataloged persisted runs, or one of each — reporting pairs through
-    /// `sink` as they are discovered. The pair *set* equals offline SSSJ
-    /// over the two materialised inputs (the mixed differential suite
-    /// proves this).
-    pub fn run_mixed(
-        &self,
-        env: &mut SimEnv,
-        left: JoinSide<'_>,
-        right: JoinSide<'_>,
         sink: &mut dyn PairSink,
     ) -> Result<JoinResult> {
         let measurement = env.begin();
@@ -224,7 +133,7 @@ mod tests {
     use super::*;
     use crate::catalog::{LiveConfig, LiveDataset};
     use usj_core::{CollectSink, JoinInput, JoinOperator, LimitSink, SssjJoin};
-    use usj_io::MachineConfig;
+    use usj_io::{ItemStream, MachineConfig};
 
     fn env() -> SimEnv {
         SimEnv::new(MachineConfig::machine3())
@@ -324,9 +233,9 @@ mod tests {
         assert_eq!(sink.into_inner().pairs.len(), 7);
     }
 
-    /// A y-sorted persisted run + bbox — the storage a cataloged dataset
-    /// registers, built here without the service crate.
-    fn sorted_run(env: &mut SimEnv, items: &[Item]) -> (ItemStream, Rect) {
+    /// A registered dataset as the service hands it to the join: its
+    /// y-sorted persisted run and R-tree, as a snapshot without tiers.
+    fn cataloged(env: &mut SimEnv, items: &[Item]) -> LiveSnapshot {
         let stream = ItemStream::from_items_with_block(env, items, 2).unwrap();
         let (sorted, stats) = usj_io::extsort::external_sort_by_key(
             env,
@@ -335,7 +244,8 @@ mod tests {
             Item::cmp_by_lower_y,
         )
         .unwrap();
-        (sorted, stats.bbox)
+        let tree = usj_rtree::RTree::bulk_load_stream(env, &sorted).unwrap();
+        LiveSnapshot::untiered(sorted, tree, stats.bbox)
     }
 
     #[test]
@@ -343,21 +253,20 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let (run, bbox) = sorted_run(&mut env, &batch(400, 800_000, 9));
+        let cat = cataloged(&mut env, &batch(400, 800_000, 9));
 
         let mut mixed_sink = CollectSink::default();
         let mixed = StreamingJoin::default()
-            .run_mixed(
-                &mut env,
-                JoinSide::Live(&snap),
-                JoinSide::Run { sorted: &run, bbox },
-                &mut mixed_sink,
-            )
+            .run(&mut env, &snap, &cat, &mut mixed_sink)
             .unwrap();
 
         let sl = snap.to_stream(&mut env).unwrap();
         let (offline, offline_pairs) = SssjJoin::default()
-            .run_collect(&mut env, JoinInput::Stream(&sl), JoinInput::Stream(&run))
+            .run_collect(
+                &mut env,
+                JoinInput::Stream(&sl),
+                JoinInput::Stream(cat.runs()[0].stream()),
+            )
             .unwrap();
 
         assert!(mixed.pairs > 0, "the workload must actually join");
@@ -369,30 +278,20 @@ mod tests {
 
     #[test]
     fn mixed_join_sides_commute_as_pair_sets() {
-        // Run × Live delivers the same pair set as Live × Run with the ids
-        // swapped — no hidden left/right asymmetry in the adapter.
+        // Cataloged × live delivers the same pair set as live × cataloged
+        // with the ids swapped — no hidden left/right asymmetry.
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let (run, bbox) = sorted_run(&mut env, &batch(300, 700_000, 5));
+        let cat = cataloged(&mut env, &batch(300, 700_000, 5));
 
         let mut ab = CollectSink::default();
         StreamingJoin::default()
-            .run_mixed(
-                &mut env,
-                JoinSide::Live(&snap),
-                JoinSide::Run { sorted: &run, bbox },
-                &mut ab,
-            )
+            .run(&mut env, &snap, &cat, &mut ab)
             .unwrap();
         let mut ba = CollectSink::default();
         StreamingJoin::default()
-            .run_mixed(
-                &mut env,
-                JoinSide::Run { sorted: &run, bbox },
-                JoinSide::Live(&snap),
-                &mut ba,
-            )
+            .run(&mut env, &cat, &snap, &mut ba)
             .unwrap();
         let flipped: Vec<(u32, u32)> = ba.pairs.into_iter().map(|(a, b)| (b, a)).collect();
         assert_eq!(sorted(ab.pairs), sorted(flipped));
@@ -403,15 +302,10 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let (run, bbox) = sorted_run(&mut env, &batch(400, 800_000, 9));
+        let cat = cataloged(&mut env, &batch(400, 800_000, 9));
         let mut sink = LimitSink::new(CollectSink::default(), 5);
         let result = StreamingJoin::default()
-            .run_mixed(
-                &mut env,
-                JoinSide::Live(&snap),
-                JoinSide::Run { sorted: &run, bbox },
-                &mut sink,
-            )
+            .run(&mut env, &snap, &cat, &mut sink)
             .unwrap();
         assert_eq!(result.pairs, 5);
         assert_eq!(sink.into_inner().pairs.len(), 5);
@@ -436,7 +330,7 @@ mod tests {
         };
         let l = LiveDataset::create(&mut env, "l", &tall(4_000, 0, 0.0), tiny_config()).unwrap();
         let snap = l.snapshot();
-        let (run, bbox) = sorted_run(&mut env, &tall(4_000, 1_000_000, 0.5));
+        let cat = cataloged(&mut env, &tall(4_000, 1_000_000, 0.5));
 
         let base = env.device.snapshot();
         let mut worker = env.fork_with_base(base);
@@ -444,12 +338,7 @@ mod tests {
         let _standing = worker.memory.try_reserve(3_800_000).unwrap();
         let mut mixed_sink = CollectSink::default();
         let mixed = StreamingJoin::default()
-            .run_mixed(
-                &mut worker,
-                JoinSide::Live(&snap),
-                JoinSide::Run { sorted: &run, bbox },
-                &mut mixed_sink,
-            )
+            .run(&mut worker, &snap, &cat, &mut mixed_sink)
             .unwrap();
         assert!(
             mixed.sweep.spill_runs > 0,
@@ -460,7 +349,11 @@ mod tests {
 
         let sl = snap.to_stream(&mut env).unwrap();
         let (_, offline_pairs) = SssjJoin::default()
-            .run_collect(&mut env, JoinInput::Stream(&sl), JoinInput::Stream(&run))
+            .run_collect(
+                &mut env,
+                JoinInput::Stream(&sl),
+                JoinInput::Stream(cat.runs()[0].stream()),
+            )
             .unwrap();
         assert!(!offline_pairs.is_empty());
         assert_eq!(sorted(mixed_sink.pairs), sorted(offline_pairs));

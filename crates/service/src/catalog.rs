@@ -7,43 +7,38 @@
 //!    run is **persisted** on the device (SSSJ/PQ never re-sort),
 //! 2. a packed R-tree is bulk-loaded over the sorted run and persisted (ST
 //!    and the selection queries never rebuild; PQ's pruned traversal and the
-//!    §6.3 cost estimator read its directory),
-//! 3. a [`GridHistogram`] summary is recorded so selectivity estimation
-//!    works without ever rescanning the data.
+//!    §6.3 cost estimator read its directory).
 //!
 //! A registered [`Dataset`] hands joins a [`JoinInput::Cataloged`], the
-//! input variant every algorithm recognises as "already prepared". The whole
-//! catalog serializes into an on-device directory ([`Catalog::save`]) and
-//! reopens from it ([`Catalog::load`]) — including from a forked environment
-//! layered over a snapshot of this device, which is how service workers see
-//! the catalog.
+//! input variant every algorithm recognises as "already prepared" — the
+//! same shape a live dataset has once its tiers are folded away, which is
+//! why a service numbers registered and live datasets in one [`DatasetId`]
+//! space (registered first). The whole catalog serializes into an on-device
+//! directory ([`Catalog::save`]) and reopens from it ([`Catalog::load`]) —
+//! including from a forked environment layered over a snapshot of this
+//! device, which is how service workers see the catalog.
 
 use std::collections::HashMap;
 
-use usj_core::{CatalogedInput, GridHistogram, JoinInput};
+use usj_core::{CatalogedInput, JoinInput};
 use usj_geom::{Item, Rect};
 use usj_io::{extsort, IoSimError, ItemStream, PageId, SimEnv, PAGE_SIZE};
+pub use usj_live::DatasetId;
+use usj_live::LiveSnapshot;
 use usj_rtree::RTree;
 
 use crate::{Result, ServiceError};
 
-/// Default resolution of the per-dataset histogram summary: 64×64 cells.
-pub const DEFAULT_HISTOGRAM_CELLS: usize = 64;
+/// Magic number of the on-device catalog directory ("USJCAT" + version 02;
+/// version 01 directories also carried a histogram per dataset).
+const CATALOG_MAGIC: u64 = 0x0155_534a_4341_5402;
 
-/// Magic number of the on-device catalog directory ("USJCAT" + version 01).
-const CATALOG_MAGIC: u64 = 0x0155_534a_4341_5401;
-
-/// Identifier of a dataset within one [`Catalog`] (its registration order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DatasetId(pub u32);
-
-/// One registered relation: both prepared representations plus summaries.
+/// One registered relation: both prepared representations.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     name: String,
     sorted: ItemStream,
     tree: RTree,
-    histogram: GridHistogram,
     bbox: Rect,
 }
 
@@ -78,11 +73,6 @@ impl Dataset {
         &self.tree
     }
 
-    /// The grid-histogram summary recorded at registration.
-    pub fn histogram(&self) -> &GridHistogram {
-        &self.histogram
-    }
-
     /// The dataset as a join input: every algorithm skips its preparation
     /// I/O (no re-sort, no index build, no bounding-box scan).
     pub fn input(&self) -> JoinInput<'_> {
@@ -91,6 +81,12 @@ impl Dataset {
             sorted: &self.sorted,
             bbox: self.bbox,
         })
+    }
+
+    /// The dataset as a snapshot without tiers, the form in which it joins
+    /// a live dataset's snapshot in the streaming join.
+    pub(crate) fn snapshot(&self) -> LiveSnapshot {
+        LiveSnapshot::untiered(self.sorted.clone(), self.tree.clone(), self.bbox)
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
@@ -102,7 +98,6 @@ impl Dataset {
         }
         buf.extend_from_slice(&self.sorted.encode());
         buf.extend_from_slice(&self.tree.encode_meta());
-        buf.extend_from_slice(&self.histogram.encode());
     }
 
     fn decode_from(buf: &[u8]) -> Result<(Dataset, usize)> {
@@ -126,14 +121,11 @@ impl Dataset {
         off += n;
         let (tree, n) = RTree::decode_meta(buf.get(off..).ok_or_else(truncated)?)?;
         off += n;
-        let (histogram, n) = GridHistogram::decode(buf.get(off..).ok_or_else(truncated)?)?;
-        off += n;
         Ok((
             Dataset {
                 name,
                 sorted,
                 tree,
-                histogram,
                 bbox,
             },
             off,
@@ -146,26 +138,12 @@ impl Dataset {
 pub struct Catalog {
     datasets: Vec<Dataset>,
     by_name: HashMap<String, u32>,
-    histogram_cells: usize,
 }
 
 impl Catalog {
-    /// Creates an empty catalog with the default histogram resolution.
+    /// Creates an empty catalog.
     pub fn new() -> Self {
-        Catalog {
-            datasets: Vec::new(),
-            by_name: HashMap::new(),
-            histogram_cells: DEFAULT_HISTOGRAM_CELLS,
-        }
-    }
-
-    /// Sets the per-dataset histogram resolution (builder style; applies to
-    /// subsequent registrations). Clamped to the serializable range, so a
-    /// saved catalog can always be loaded back.
-    pub fn with_histogram_cells(mut self, cells_per_side: usize) -> Self {
-        self.histogram_cells =
-            cells_per_side.clamp(1, usj_core::histogram::MAX_HISTOGRAM_CELLS);
-        self
+        Catalog::default()
     }
 
     /// Number of registered datasets.
@@ -206,7 +184,7 @@ impl Catalog {
     }
 
     /// Registers a stream of records under `name`: sorts it, bulk-loads the
-    /// R-tree, records the histogram summary, and persists all three.
+    /// R-tree, and persists both.
     ///
     /// Registration I/O is charged to `env` like any other work — it is the
     /// one-time preparation cost the registered queries then never pay
@@ -229,47 +207,12 @@ impl Catalog {
             stats.bbox
         };
         let tree = RTree::bulk_load_stream(env, &sorted)?;
-        let histogram = GridHistogram::from_stream(env, bbox, self.histogram_cells, &sorted)?;
         let id = DatasetId(self.datasets.len() as u32);
         self.by_name.insert(name.to_string(), id.0);
         self.datasets.push(Dataset {
             name: name.to_string(),
             sorted,
             tree,
-            histogram,
-            bbox,
-        });
-        Ok(id)
-    }
-
-    /// Adopts an already-prepared dataset — a persisted y-sorted run and
-    /// its bulk-loaded R-tree — building only the missing histogram
-    /// summary.
-    ///
-    /// This is the promotion path from the live layer: a quiesced
-    /// [`LiveDataset`](usj_live::LiveDataset) is exactly a sorted base run
-    /// plus a packed R-tree (compaction runs the same pipeline as
-    /// [`register_stream`](Catalog::register_stream)), so promotion only
-    /// pays for the histogram scan instead of re-sorting and re-indexing.
-    pub fn adopt(
-        &mut self,
-        env: &mut SimEnv,
-        name: &str,
-        sorted: ItemStream,
-        tree: RTree,
-        bbox: Rect,
-    ) -> Result<DatasetId> {
-        if self.by_name.contains_key(name) {
-            return Err(ServiceError::DuplicateDataset(name.to_string()));
-        }
-        let histogram = GridHistogram::from_stream(env, bbox, self.histogram_cells, &sorted)?;
-        let id = DatasetId(self.datasets.len() as u32);
-        self.by_name.insert(name.to_string(), id.0);
-        self.datasets.push(Dataset {
-            name: name.to_string(),
-            sorted,
-            tree,
-            histogram,
             bbox,
         });
         Ok(id)
@@ -279,12 +222,11 @@ impl Catalog {
     /// page of the saved directory.
     ///
     /// Only *descriptors* are written (names, bounding boxes, stream extent
-    /// lists, tree handles, histograms) — the dataset pages themselves
-    /// already live on the device.
+    /// lists, tree handles) — the dataset pages themselves already live on
+    /// the device.
     pub fn save(&self, env: &mut SimEnv) -> Result<PageId> {
         let mut blob = Vec::new();
         blob.extend_from_slice(&(self.datasets.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&(self.histogram_cells as u32).to_le_bytes());
         for ds in &self.datasets {
             ds.encode_into(&mut blob);
         }
@@ -316,11 +258,8 @@ impl Catalog {
         let truncated =
             || ServiceError::Io(IoSimError::CorruptRecord("catalog directory truncated"));
         let count = u32::from_le_bytes(blob.get(0..4).ok_or_else(truncated)?.try_into().expect("len"));
-        let histogram_cells =
-            u32::from_le_bytes(blob.get(4..8).ok_or_else(truncated)?.try_into().expect("len"))
-                as usize;
-        let mut catalog = Catalog::new().with_histogram_cells(histogram_cells);
-        let mut off = 8;
+        let mut catalog = Catalog::new();
+        let mut off = 4;
         for _ in 0..count {
             let (ds, n) = Dataset::decode_from(blob.get(off..).ok_or_else(truncated)?)?;
             off += n;
@@ -366,7 +305,6 @@ mod tests {
         assert_eq!(ds.len(), 400);
         assert_eq!(ds.name(), "grid");
         assert_eq!(ds.tree().num_items(), 400);
-        assert_eq!(ds.histogram().total(), 400);
         for it in &items {
             assert!(ds.bbox().contains(&it.rect));
         }
@@ -447,6 +385,18 @@ mod tests {
         // Garbage roots are rejected.
         let junk = worker.device.allocate(1);
         assert!(Catalog::load(&mut worker, junk).is_err());
+    }
+
+    #[test]
+    fn a_directory_of_another_version_is_rejected() {
+        let mut env = env();
+        let mut catalog = Catalog::new();
+        catalog.register(&mut env, "a", &grid(4, 2.0, 0.0, 0)).unwrap();
+        let root = catalog.save(&mut env).unwrap();
+        let mut header = env.device.read_page(root).unwrap()[..16].to_vec();
+        header[0] = 0x01; // the version byte of a directory with histograms
+        env.device.write_page(root, &header).unwrap();
+        assert!(Catalog::load(&mut env, root).is_err());
     }
 
     #[test]

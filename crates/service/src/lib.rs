@@ -10,18 +10,17 @@
 //! provides the three layers:
 //!
 //! * [`catalog`] — [`Catalog::register`] persists a dataset as a y-sorted
-//!   [`ItemStream`](usj_io::ItemStream) run *plus* a bulk-loaded R-tree
-//!   *plus* a [`GridHistogram`](usj_core::GridHistogram) summary. Registered
-//!   datasets feed joins through
+//!   [`ItemStream`](usj_io::ItemStream) run *plus* a bulk-loaded R-tree.
+//!   Registered datasets feed joins through
 //!   [`JoinInput::Cataloged`](usj_core::JoinInput::Cataloged), which skips
 //!   re-sorting, index building and bounding-box scans; the whole catalog
 //!   serializes onto the device ([`Catalog::save`] / [`Catalog::load`]).
 //! * [`service`] — a [`Service`] owns a worker pool and a FIFO+priority
-//!   admission queue. Each [`QueryRequest`] (a join over two cataloged
-//!   datasets, or an index-backed window/point selection over one) is
-//!   admitted only when the shared admission gauge has headroom for its
-//!   memory estimate, then runs on a forked
-//!   [`SimEnv`](usj_io::SimEnv) layered over a read-only snapshot of the
+//!   admission queue. Each [`QueryRequest`] (a join over two datasets, or an
+//!   index-backed window/point selection over one) is admitted only when
+//!   the shared admission gauge has headroom for its memory estimate, then
+//!   runs on a forked [`SimEnv`](usj_io::SimEnv) layered over a read-only
+//!   snapshot of the
 //!   catalog device — its own I/O accounting, its own hard per-query memory
 //!   budget. Results stream through the existing
 //!   [`PairSink`](usj_core::PairSink)/`ControlFlow` machinery with `LIMIT`
@@ -39,9 +38,13 @@
 //!
 //! The service also fronts the *live* layer ([`usj_live`]):
 //! [`Service::register_live`] / [`Service::append_live`] mutate LSM-style
-//! datasets between sessions, and [`QueryRequest::streaming_join`] runs the
-//! incremental streaming sweep over generation snapshots taken at execution
-//! time — first pairs stream out before either input is fully read.
+//! datasets, numbered in the same [`DatasetId`] space after the registered
+//! ones. A live dataset is a base run + R-tree plus unindexed tiers, and a
+//! registered one is the case with no tiers, so the same three query kinds
+//! serve both: a join over tiers runs the incremental streaming sweep over
+//! generation snapshots taken at execution time — first pairs stream out
+//! before either input is fully read — and a selection reads the tree, then
+//! each tier.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -63,7 +66,10 @@ pub use service::{
     CancelToken, JoinSpec, QueryKind, QueryOutcome, QueryRequest, QueryStats, QueryStatus,
     Service, ServiceConfig, ServiceReport, ServiceStats, Session,
 };
-pub use usj_live::{LiveConfig, LiveId};
+pub use usj_live::LiveConfig;
+
+/// The id of a live dataset: a [`DatasetId`] like any other.
+pub type LiveId = DatasetId;
 pub use usj_obs::{
     ChromeTrace, Clock, HostClock, MetricsSnapshot, QueryTrace, TraceSpan, VirtualClock,
 };
@@ -82,9 +88,6 @@ pub enum ServiceError {
     DuplicateDataset(String),
     /// A query referred to a dataset the catalog does not hold.
     UnknownDataset(String),
-    /// Promotion was attempted on a live dataset still holding unpersisted
-    /// or uncompacted tiers (memtable, frozen batches or delta runs).
-    NotQuiesced(String),
     /// Durable state failed an integrity check (bubbled up from the live
     /// layer's manifest/checksum verification).
     Corrupted(String),
@@ -123,9 +126,6 @@ impl fmt::Display for ServiceError {
                 write!(f, "dataset '{name}' is already registered")
             }
             ServiceError::UnknownDataset(name) => write!(f, "unknown dataset '{name}'"),
-            ServiceError::NotQuiesced(name) => {
-                write!(f, "live dataset '{name}' is not quiesced (pending tiers remain)")
-            }
             ServiceError::Corrupted(what) => write!(f, "durable state corrupted: {what}"),
             ServiceError::WorkerPanicked(payload) => {
                 write!(f, "worker panicked while executing the query: {payload}")
@@ -163,8 +163,6 @@ impl From<usj_live::LiveError> for ServiceError {
         match e {
             usj_live::LiveError::Io(io) => ServiceError::Io(io),
             usj_live::LiveError::DuplicateDataset(name) => ServiceError::DuplicateDataset(name),
-            usj_live::LiveError::UnknownDataset(name) => ServiceError::UnknownDataset(name),
-            usj_live::LiveError::NotQuiesced(name) => ServiceError::NotQuiesced(name),
             usj_live::LiveError::Corrupted(what) => ServiceError::Corrupted(what),
         }
     }

@@ -176,8 +176,8 @@ impl Service {
     /// runs plus frozen batches summed over every live dataset).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let backlog: usize = self.with_live(|live| {
-            live.iter()
-                .map(|(_, ds)| ds.delta_runs().len() + ds.pending_flush_batches())
+            live.datasets()
+                .map(|ds| ds.delta_runs().len() + ds.pending_flush_batches())
                 .sum()
         });
         self.obs.metrics.live_backlog.set(backlog as i64);

@@ -32,8 +32,8 @@ use usj_io::{CpuCounter, IoSimError, IoStats, MemoryGauge, MemoryReservation};
 use usj_obs::{Clock, QueryTrace, TraceSpan};
 
 use crate::service::{
-    fail_batch, panic_payload, relock, us_between, QueryKind, QueryOutcome, QueryRequest,
-    QueryStats, QueryStatus, Service, ServiceReport, ServiceStats,
+    fail_batch, panic_payload, relock, us_between, QueryOutcome, QueryRequest, QueryStats,
+    QueryStatus, Service, ServiceReport, ServiceStats,
 };
 use crate::ServiceError;
 
@@ -741,10 +741,12 @@ impl Service {
     }
 
     /// Pulls pending selections compatible with the just-admitted `lead`
-    /// out of the queue to ride its scan: same dataset, window/point kind,
-    /// not cancelled, up to
+    /// out of the queue to ride its scan: same *registered* dataset,
+    /// window/point kind, not cancelled, up to
     /// [`ServiceConfig::max_scan_batch`](crate::ServiceConfig::max_scan_batch)
-    /// members.
+    /// members. The shared traversal reads the R-tree alone, so only
+    /// datasets without tiers may be coalesced; a live dataset's selections
+    /// run solo, tier by tier.
     ///
     /// Riders reserve no extra admission budget — the batch shares the
     /// leader's grant and its single `NodeStore` — so coalescing never
@@ -756,22 +758,17 @@ impl Service {
         if !self.config.shared_scans {
             return Vec::new();
         }
-        let lead_dataset = match state.entries[lead].request.as_ref().map(|r| &r.kind) {
-            Some(QueryKind::Window { dataset, .. }) | Some(QueryKind::Point { dataset, .. }) => {
-                *dataset
-            }
+        let lead_kind = state.entries[lead].request.as_ref().map(|r| r.kind);
+        let lead_dataset = match lead_kind.and_then(|kind| kind.selection()) {
+            Some((dataset, _)) if self.catalog().get(dataset).is_some() => dataset,
             _ => return Vec::new(),
         };
         let cap = self.config.max_scan_batch.max(1) - 1;
         let entries = &state.entries;
         state.pending.take_matching(cap, |idx| {
             let request = entries[idx].request.as_ref().expect("pending entries own their request");
-            let compatible = matches!(
-                request.kind,
-                QueryKind::Window { dataset, .. } | QueryKind::Point { dataset, .. }
-                    if dataset == lead_dataset
-            );
-            compatible && !request.cancel.as_ref().is_some_and(|t| t.is_cancelled())
+            request.kind.selection().is_some_and(|(dataset, _)| dataset == lead_dataset)
+                && !request.cancel.as_ref().is_some_and(|t| t.is_cancelled())
         })
     }
 

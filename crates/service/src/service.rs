@@ -41,8 +41,8 @@
 //!   requests cannot starve.
 //! * **Shared-scan batching** (opt-in via
 //!   [`ServiceConfig::with_shared_scans`]): when a window/point selection
-//!   is admitted, compatible pending selections over the same dataset are
-//!   coalesced into one R-tree traversal
+//!   over a registered dataset is admitted, compatible pending selections
+//!   over the same dataset are coalesced into one R-tree traversal
 //!   ([`RTree::multi_window_query`](usj_rtree::RTree::multi_window_query))
 //!   fanned out through per-query sinks ([`usj_core::FanoutSink`]). Every
 //!   member observes exactly the item sequence its solo traversal would
@@ -69,7 +69,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use usj_core::{
-    Algo, FanoutSink, JoinResult, MemoryStats, PairSink, Predicate, SpatialQuery,
+    Algo, CatalogedInput, FanoutSink, JoinInput, JoinResult, MemoryStats, PairSink, Predicate,
+    SpatialQuery,
 };
 use usj_geom::{Item, Point, Rect, ITEM_BYTES};
 use usj_io::{
@@ -77,11 +78,11 @@ use usj_io::{
     IoStats, MachineConfig, MemoryGauge, Page, SimEnv, PAGE_SIZE,
 };
 use usj_live::{
-    CompactionPlan, FlushJob, JoinSide, LiveCatalog, LiveConfig, LiveDataset, LiveId, LiveSnapshot,
-    LiveStats, StreamingJoin,
+    CompactionPlan, FlushJob, LiveCatalog, LiveConfig, LiveDataset, LiveSnapshot, LiveStats,
+    MemRun, SnapshotRun, StreamingJoin,
 };
 use usj_obs::{Clock, QueryTrace, Recorder, RingCollector};
-use usj_rtree::NodeStore;
+use usj_rtree::{NodeStore, RTree};
 
 use crate::catalog::{Catalog, Dataset, DatasetId};
 use crate::obs::ServiceObs;
@@ -122,9 +123,10 @@ pub struct ServiceConfig {
     /// pass (default 8). `0` disables overtaking entirely (strict
     /// priority/FIFO admission).
     pub max_overtakes: u64,
-    /// Whether compatible pending window/point selections are coalesced
-    /// into one shared R-tree scan when one of them is admitted
-    /// (default: off — per-query execution, the measurement baseline).
+    /// Whether compatible pending window/point selections over a registered
+    /// dataset are coalesced into one shared R-tree scan when one of them
+    /// is admitted (default: off — per-query execution, the measurement
+    /// baseline).
     pub shared_scans: bool,
     /// Largest number of selections one shared scan services, the admitted
     /// leader included (default 16).
@@ -285,15 +287,16 @@ impl CancelToken {
     }
 }
 
-/// The join form of a [`QueryRequest`]: which cataloged datasets, which
-/// algorithm and predicate.
+/// The join form of a [`QueryRequest`]: which datasets, which algorithm
+/// and predicate.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinSpec {
     /// Left input dataset.
     pub left: DatasetId,
     /// Right input dataset.
     pub right: DatasetId,
-    /// Join algorithm (default [`Algo::Auto`]).
+    /// Join algorithm (default [`Algo::Auto`]). A join over a dataset with
+    /// tiers runs the streaming sweep instead (see [`QueryKind`]).
     pub algo: Algo,
     /// Pair predicate (default intersection).
     pub predicate: Predicate,
@@ -312,68 +315,55 @@ impl JoinSpec {
 }
 
 /// What a [`QueryRequest`] asks for.
+///
+/// Every kind addresses datasets by [`DatasetId`], registered and live
+/// alike; how a query runs depends only on the datasets' tiers when it
+/// starts:
+///
+/// * a join whose two inputs have no tiers (registered datasets, or live
+///   ones with nothing beside their base) lowers through
+///   [`SpatialQuery`] — the chosen [`Algo`], the §6.3 estimate for
+///   `Auto`, and the plan cache when both are registered;
+/// * any other join runs the [`StreamingJoin`] over the two generation
+///   snapshots, a registered side entering as a snapshot without tiers;
+///   pairs surface while the runs are still being scanned, whatever the
+///   requested algorithm;
+/// * a selection reads the base R-tree, then each tier behind its bounding
+///   box — for a dataset without tiers, exactly the plain tree query.
 #[derive(Debug, Clone, Copy)]
 pub enum QueryKind {
-    /// A spatial join of two cataloged datasets.
+    /// A spatial join of two datasets.
     Join(JoinSpec),
-    /// An index-backed window selection: every item of `dataset`
-    /// intersecting `window`, streamed as `(id, 0)` pairs.
+    /// A window selection: every item of `dataset` intersecting `window`,
+    /// streamed as `(id, 0)` pairs.
     Window {
-        /// The cataloged dataset to select from.
+        /// The dataset to select from.
         dataset: DatasetId,
         /// The query window.
         window: Rect,
     },
-    /// An index-backed point (stabbing) selection: every item of `dataset`
-    /// containing `point`, streamed as `(id, 0)` pairs.
+    /// A point (stabbing) selection: every item of `dataset` containing
+    /// `point`, streamed as `(id, 0)` pairs.
     Point {
-        /// The cataloged dataset to select from.
+        /// The dataset to select from.
         dataset: DatasetId,
         /// The query point.
         point: Point,
     },
-    /// A streaming join over two *live* datasets
-    /// ([`Service::register_live`]): executed over generation snapshots
-    /// taken when the query starts running, emitting pairs while the
-    /// snapshot runs are still being scanned (no blocking pre-sort).
-    StreamingJoin {
-        /// Left live dataset.
-        left: LiveId,
-        /// Right live dataset.
-        right: LiveId,
-        /// Pair predicate (default intersection).
-        predicate: Predicate,
-    },
-    /// A mixed streaming join: a *live* dataset's generation snapshot
-    /// against a *cataloged* dataset's persisted y-sorted run, through the
-    /// same streaming sweep — the cataloged run is already in sweep-key
-    /// order, so it feeds the driver directly without materialising
-    /// anything. Pairs are emitted `(live_id, cataloged_id)`.
-    MixedJoin {
-        /// The live side.
-        live: LiveId,
-        /// The cataloged side.
-        dataset: DatasetId,
-        /// Pair predicate (default intersection).
-        predicate: Predicate,
-    },
-    /// A window selection over a live dataset's snapshot: the base run goes
-    /// through its R-tree while delta and in-memory runs are scanned
-    /// linearly behind their bounding boxes. Streams `(id, 0)` pairs.
-    LiveWindow {
-        /// The live dataset to select from.
-        dataset: LiveId,
-        /// The query window.
-        window: Rect,
-    },
-    /// A point (stabbing) selection over a live dataset's snapshot.
-    /// Streams `(id, 0)` pairs.
-    LivePoint {
-        /// The live dataset to select from.
-        dataset: LiveId,
-        /// The query point.
-        point: Point,
-    },
+}
+
+impl QueryKind {
+    /// The dataset and window of a selection (a point is a degenerate
+    /// window); `None` for a join.
+    pub fn selection(&self) -> Option<(DatasetId, Rect)> {
+        match *self {
+            QueryKind::Join(_) => None,
+            QueryKind::Window { dataset, window } => Some((dataset, window)),
+            QueryKind::Point { dataset, point } => {
+                Some((dataset, Rect::from_coords(point.x, point.y, point.x, point.y)))
+            }
+        }
+    }
 }
 
 /// One query submitted to the service.
@@ -436,33 +426,14 @@ impl QueryRequest {
         Self::with_kind(QueryKind::Point { dataset, point })
     }
 
-    /// A streaming-join request over two live datasets.
-    pub fn streaming_join(left: LiveId, right: LiveId) -> Self {
-        Self::with_kind(QueryKind::StreamingJoin {
-            left,
-            right,
-            predicate: Predicate::default(),
-        })
+    /// The same request as [`join`](QueryRequest::join).
+    pub fn streaming_join(left: DatasetId, right: DatasetId) -> Self {
+        Self::join(left, right)
     }
 
-    /// A mixed streaming-join request: a live dataset against a cataloged
-    /// one.
-    pub fn mixed_join(live: LiveId, dataset: DatasetId) -> Self {
-        Self::with_kind(QueryKind::MixedJoin {
-            live,
-            dataset,
-            predicate: Predicate::default(),
-        })
-    }
-
-    /// A window-selection request over a live dataset.
-    pub fn live_window(dataset: LiveId, window: Rect) -> Self {
-        Self::with_kind(QueryKind::LiveWindow { dataset, window })
-    }
-
-    /// A point-selection request over a live dataset.
-    pub fn live_point(dataset: LiveId, point: Point) -> Self {
-        Self::with_kind(QueryKind::LivePoint { dataset, point })
+    /// The same request as [`window`](QueryRequest::window).
+    pub fn live_window(dataset: DatasetId, window: Rect) -> Self {
+        Self::window(dataset, window)
     }
 
     /// Selects the join algorithm (builder style; no-op for selections).
@@ -475,14 +446,8 @@ impl QueryRequest {
 
     /// Selects the join predicate (builder style; no-op for selections).
     pub fn with_predicate(mut self, predicate: Predicate) -> Self {
-        match &mut self.kind {
-            QueryKind::Join(spec) => spec.predicate = predicate,
-            QueryKind::StreamingJoin { predicate: p, .. }
-            | QueryKind::MixedJoin { predicate: p, .. } => *p = predicate,
-            QueryKind::Window { .. }
-            | QueryKind::Point { .. }
-            | QueryKind::LiveWindow { .. }
-            | QueryKind::LivePoint { .. } => {}
+        if let QueryKind::Join(spec) = &mut self.kind {
+            spec.predicate = predicate;
         }
         self
     }
@@ -734,7 +699,8 @@ pub struct ServiceReport {
     pub stats: ServiceStats,
 }
 
-/// The concurrent query service over one frozen catalog.
+/// The concurrent query service over a frozen catalog and the live datasets
+/// registered beside it.
 ///
 /// # Example
 ///
@@ -901,29 +867,25 @@ fn query_fault_stream(idx: usize, attempt: u32) -> u64 {
     (idx as u64 & 0xffff_ffff) | (u64::from(attempt) << 32)
 }
 
-/// Reserved fault stream for the storage environment (flushes, compactions,
-/// promotions) — far outside the per-query space.
+/// Reserved fault stream for the storage environment (registrations,
+/// flushes, compactions) — far outside the per-query space.
 const STORAGE_FAULT_STREAM: u64 = u64::MAX;
 
 /// Static label for a query kind, used as trace span detail.
 fn kind_label(kind: &QueryKind) -> &'static str {
     match kind {
         QueryKind::Join(_) => "join",
-        QueryKind::StreamingJoin { .. } => "streaming_join",
-        QueryKind::MixedJoin { .. } => "mixed_join",
         QueryKind::Window { .. } => "window",
         QueryKind::Point { .. } => "point",
-        QueryKind::LiveWindow { .. } => "live_window",
-        QueryKind::LivePoint { .. } => "live_point",
     }
 }
 
 /// The live side's shared state. Three locks, deliberately independent:
 ///
 /// * `storage` — the device-owning environment. All persisted-run I/O
-///   (registration, flush writes, compaction merges, promotion) happens
-///   here. Appends, snapshot-taking and query execution never touch it, so
-///   a long merge never blocks them.
+///   (registration, flush writes, compaction merges) happens here.
+///   Appends, snapshot-taking and query execution never touch it, so a
+///   long merge never blocks them.
 /// * `live` — the catalog of [`LiveDataset`] handles: memtables, run
 ///   handles, generations. Held only for O(in-memory) operations (inserts,
 ///   claims, publications, snapshot clones) — never across device I/O.
@@ -1005,7 +967,6 @@ fn tend_live(
         let step = {
             let mut live = relock(store.live.lock());
             let Some(ds) = live.get_mut_by_name(name) else {
-                // Taken (promoted) with a tend still queued — nothing to do.
                 return Ok(());
             };
             if (full && ds.memtable_len() > 0) || ds.wants_freeze() {
@@ -1181,8 +1142,8 @@ impl Service {
     /// batch's worker forks share that snapshot, or the later one live
     /// maintenance published, which extends it without copying its pages.
     pub fn new(mut env: SimEnv, catalog: Catalog, config: ServiceConfig) -> Self {
-        // Under a fault plan, the *storage* environment (flushes,
-        // compactions, promotions) draws from its own reserved stream —
+        // Under a fault plan, the *storage* environment (registrations,
+        // flushes, compactions) draws from its own reserved stream —
         // independent of every per-query schedule and replayable on its own.
         if let Some(faults) = config.fault_plan {
             let mut storage_faults = faults;
@@ -1191,9 +1152,10 @@ impl Service {
         }
         let base = env.device.snapshot();
         let machine = env.machine.clone();
+        // Live ids continue the catalog's: one id space, two tables.
         let store = Arc::new(LiveStore {
             storage: Mutex::new(env),
-            live: Mutex::new(LiveCatalog::new()),
+            live: Mutex::new(LiveCatalog::numbered_from(catalog.len() as u32)),
             base: Mutex::new(base),
         });
         let obs = Arc::new(ServiceObs::new());
@@ -1216,7 +1178,8 @@ impl Service {
         }
     }
 
-    /// The frozen catalog.
+    /// The registered datasets (live ones are reached through
+    /// [`with_live`](Service::with_live)).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -1253,7 +1216,14 @@ impl Service {
 
     /// Registers a live dataset with an initial base batch, publishing the
     /// new device pages so queries' worker forks can read its base run.
-    pub fn register_live(&self, name: &str, base_items: &[Item], config: LiveConfig) -> Result<LiveId> {
+    /// Registered and live datasets share one namespace: a name the catalog
+    /// holds is refused.
+    pub fn register_live(
+        &self,
+        name: &str,
+        base_items: &[Item],
+        config: LiveConfig,
+    ) -> Result<DatasetId> {
         // Hold the live lock across creation so two racing registrations of
         // the same name can't both pass the duplicate check (lock order:
         // live → storage).
@@ -1262,7 +1232,7 @@ impl Service {
             .live
             .lock()
             .map_err(|_| ServiceError::LockPoisoned("live catalog"))?;
-        if live.lookup(name).is_some() {
+        if live.lookup(name).is_some() || self.catalog.lookup(name).is_some() {
             return Err(ServiceError::DuplicateDataset(name.to_string()));
         }
         let (dataset, snap) = retry_transient(&self.obs, FaultRetry::of(&self.config), || {
@@ -1310,9 +1280,9 @@ impl Service {
 
     /// Drains the named live dataset's maintenance backlog to *nothing*:
     /// waits out any queued background work, then flushes the memtable and
-    /// folds every delta into the base run. Afterwards the dataset is a
-    /// single sorted run + R-tree — the shape
-    /// [`promote_live`](Service::promote_live) requires, and the shape that makes
+    /// folds every delta into the base run. Afterwards the dataset has no
+    /// tiers — a single sorted run + R-tree that joins through
+    /// [`SpatialQuery`] like a registered dataset, and the shape that makes
     /// benchmark pair-checks deterministic.
     pub fn quiesce_live(&self, name: &str) -> Result<()> {
         if self.with_live(|live| live.lookup(name).is_none()) {
@@ -1331,37 +1301,11 @@ impl Service {
         )
     }
 
-    /// Promotes a quiesced live dataset into the frozen catalog: quiesces
-    /// it, removes it from the live side, builds the grid histogram its
-    /// frozen peers carry (the one summary the live path never maintains),
-    /// and registers the already-sorted run + R-tree under the same name.
-    /// Returns the new frozen [`DatasetId`]; subsequent queries address it
-    /// via [`QueryKind::Join`] / [`QueryKind::Window`] like any cataloged
-    /// dataset.
+    /// [`quiesce_live`](Service::quiesce_live), then the dataset's id.
     pub fn promote_live(&mut self, name: &str) -> Result<DatasetId> {
-        if self.with_live(|live| live.lookup(name).is_none()) {
-            return Err(ServiceError::UnknownDataset(name.to_string()));
-        }
-        // Refuse before touching the live side: a failed adoption after
-        // `take` would drop the dataset on the floor.
-        if self.catalog.lookup(name).is_some() {
-            return Err(ServiceError::DuplicateDataset(name.to_string()));
-        }
         self.quiesce_live(name)?;
-        let (_, dataset) = {
-            let mut live = relock(self.store.live.lock());
-            live.take(name)
-                .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))?
-        };
-        let (sorted, tree, bbox) = dataset.into_frozen_parts()?;
-        let (id, snap) = {
-            let mut storage = relock(self.store.storage.lock());
-            let id = self.catalog.adopt(&mut storage, name, sorted, tree, bbox)?;
-            let snap = storage.device.snapshot();
-            (id, snap)
-        };
-        self.store.publish_base(snap);
-        Ok(id)
+        self.with_live(|live| live.lookup(name).map(|(id, _)| id))
+            .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
     }
 
     /// The service configuration.
@@ -1383,17 +1327,20 @@ impl Service {
 
     /// The memory estimate admission control will reserve for `request`: an
     /// explicit [`memory_budget`](QueryRequest::memory_budget) clamped to
-    /// `[MIN_QUERY_BUDGET, memory_limit]`, or a size-based heuristic
-    /// (3× the input bytes with a [`JOIN_BUDGET_FLOOR`] floor for joins,
-    /// 1× for streaming joins — the streaming operator spills instead of
-    /// growing — and [`SELECTION_BUDGET`] for selections).
+    /// `[MIN_QUERY_BUDGET, memory_limit]`, or a size-based heuristic:
+    /// 3× the input bytes with a [`JOIN_BUDGET_FLOOR`] floor for a join of
+    /// two registered datasets, 1× for a join touching a live one (the
+    /// streaming operator spills instead of growing), and
+    /// [`SELECTION_BUDGET`] for selections.
     ///
     /// When the plan cache holds a *measured* peak for a join's fingerprint
     /// (recorded from earlier uncancelled, unlimited runs of the same query
     /// shape), the estimate is that peak plus a 25 % safety margin instead
     /// of the size heuristic — repeat workloads are admitted against what
     /// the query actually used, so more of them fit the shared budget
-    /// concurrently.
+    /// concurrently. Only joins of two registered datasets have
+    /// fingerprints: a live dataset can still grow past any peak measured
+    /// on it.
     pub fn admission_estimate(&self, request: &QueryRequest) -> usize {
         let limit = self.config.memory_limit;
         if let Some(bytes) = request.memory_budget {
@@ -1401,38 +1348,32 @@ impl Service {
         }
         let want = match &request.kind {
             QueryKind::Join(spec) => {
-                let measured = self.config.use_plan_cache.then(|| {
-                    let cache = relock(self.plan_cache.lock());
-                    cache.peak(&PlanKey::new(spec))
-                });
-                match measured.flatten() {
-                    Some(peak) => (peak + peak / 4).max(MIN_QUERY_BUDGET),
-                    None => {
-                        let len = |id: DatasetId| self.catalog.get(id).map_or(0, |d| d.len());
-                        let bytes = (len(spec.left) + len(spec.right)) as usize * ITEM_BYTES;
-                        (3 * bytes).max(JOIN_BUDGET_FLOOR)
+                let registered = |id: DatasetId| self.catalog.get(id).map(Dataset::len);
+                match (registered(spec.left), registered(spec.right)) {
+                    (Some(left), Some(right)) => {
+                        let measured = self.config.use_plan_cache.then(|| {
+                            let cache = relock(self.plan_cache.lock());
+                            cache.peak(&PlanKey::new(spec))
+                        });
+                        match measured.flatten() {
+                            Some(peak) => (peak + peak / 4).max(MIN_QUERY_BUDGET),
+                            None => {
+                                let bytes = (left + right) as usize * ITEM_BYTES;
+                                (3 * bytes).max(JOIN_BUDGET_FLOOR)
+                            }
+                        }
+                    }
+                    (left, right) => {
+                        let live = relock(self.store.live.lock());
+                        let len = |known: Option<u64>, id: DatasetId| {
+                            known.or_else(|| live.get(id).map(LiveDataset::len)).unwrap_or(0)
+                        };
+                        let items = len(left, spec.left) + len(right, spec.right);
+                        (items as usize * ITEM_BYTES).max(JOIN_BUDGET_FLOOR)
                     }
                 }
             }
-            QueryKind::StreamingJoin { left, right, .. } => {
-                let live = relock(self.store.live.lock());
-                let len = |id: LiveId| live.get(id).map_or(0, |d| d.len());
-                let bytes = (len(*left) + len(*right)) as usize * ITEM_BYTES;
-                bytes.max(JOIN_BUDGET_FLOOR)
-            }
-            QueryKind::MixedJoin { live, dataset, .. } => {
-                let live_len = {
-                    let catalog = relock(self.store.live.lock());
-                    catalog.get(*live).map_or(0, |d| d.len())
-                };
-                let ds_len = self.catalog.get(*dataset).map_or(0, |d| d.len());
-                let bytes = (live_len + ds_len) as usize * ITEM_BYTES;
-                bytes.max(JOIN_BUDGET_FLOOR)
-            }
-            QueryKind::Window { .. }
-            | QueryKind::Point { .. }
-            | QueryKind::LiveWindow { .. }
-            | QueryKind::LivePoint { .. } => SELECTION_BUDGET,
+            QueryKind::Window { .. } | QueryKind::Point { .. } => SELECTION_BUDGET,
         };
         want.min(limit.max(1))
     }
@@ -1581,25 +1522,12 @@ impl Service {
     ) -> Vec<QueryOutcome> {
         let members: Vec<&(usize, QueryRequest)> =
             std::iter::once(lead).chain(riders.iter()).collect();
-        let fail_all = |err: ServiceError| fail_batch(lead, riders, granted, &err);
-        let dataset_id = match &lead.1.kind {
-            QueryKind::Window { dataset, .. } | QueryKind::Point { dataset, .. } => *dataset,
-            _ => unreachable!("shared scans coalesce selections only"),
-        };
-        let windows: Vec<Rect> = members
-            .iter()
-            .map(|(_, request)| match &request.kind {
-                QueryKind::Window { window, .. } => *window,
-                QueryKind::Point { point, .. } => {
-                    Rect::from_coords(point.x, point.y, point.x, point.y)
-                }
-                _ => unreachable!("shared scans coalesce selections only"),
-            })
-            .collect();
-        let ds = match self.dataset(dataset_id) {
-            Ok(ds) => ds,
-            Err(e) => return fail_all(e),
-        };
+        let selection =
+            |request: &QueryRequest| request.kind.selection().expect("only selections coalesce");
+        let windows: Vec<Rect> = members.iter().map(|(_, request)| selection(request).1).collect();
+        // The traversal reads the tree alone: riders are collected over
+        // registered datasets only, which have no tiers beside it.
+        let ds = self.catalog.get(selection(&lead.1).0).expect("riders ride registered datasets");
 
         // The batch shares one traversal, so it draws one fault schedule —
         // keyed by the leader's index, attempt 0 (shared scans are not
@@ -1650,7 +1578,7 @@ impl Service {
             if matches!(e, IoSimError::DeviceFault { .. }) {
                 self.obs.metrics.faults_injected.inc();
             }
-            return fail_all(ServiceError::Io(e));
+            return fail_batch(lead, riders, granted, &ServiceError::Io(e));
         }
 
         let misses = store.stats().misses;
@@ -1700,13 +1628,15 @@ impl Service {
             .collect()
     }
 
-    /// Routes an admitted query to its operator. Live-reading kinds take
-    /// their generation snapshots **before** the worker environment is
-    /// built: snapshots clone run handles under the `live` lock, the
-    /// environment forks the base page slot afterwards — the reader half of
-    /// the [`LiveStore`] publication-ordering invariant, guaranteeing every
+    /// Routes an admitted query to its operator by the tiers its datasets
+    /// hold (see [`QueryKind`]). Live datasets are read through generation
+    /// snapshots taken **before** the worker environment is built:
+    /// snapshots clone run handles under the `live` lock, the environment
+    /// forks the base page slot afterwards — the reader half of the
+    /// [`LiveStore`] publication-ordering invariant, guaranteeing every
     /// visible run's pages exist in the forked base even while background
-    /// maintenance publishes concurrently.
+    /// maintenance publishes concurrently. Registered datasets are borrowed
+    /// from the immutable catalog and take no lock.
     fn dispatch(
         &self,
         kind: &QueryKind,
@@ -1714,79 +1644,24 @@ impl Service {
         fault_stream: u64,
         sink: &mut ServiceSink,
     ) -> Result<JoinResult> {
-        match kind {
-            QueryKind::Join(spec) => {
-                let mut wenv = self.worker_env(granted, fault_stream);
-                self.run_join(&mut wenv, spec, sink)
-            }
+        let QueryKind::Join(spec) = kind else {
+            let (dataset, window) = kind.selection().expect("a non-join kind is a selection");
+            let source = self.source(dataset)?;
+            let mut wenv = self.worker_env(granted, fault_stream);
+            return self.run_selection(&mut wenv, &source, window, granted, sink);
+        };
+        let (left, right) = (self.source(spec.left)?, self.source(spec.right)?);
+        let mut wenv = self.worker_env(granted, fault_stream);
+        if left.has_tiers() || right.has_tiers() {
             // Streaming joins bypass the plan cache: there is nothing to
-            // plan (one operator, no algorithm choice), and the fingerprint
-            // space of a mutating dataset is unbounded.
-            QueryKind::StreamingJoin {
-                left,
-                right,
-                predicate,
-            } => {
-                let snap_l = self.live_snapshot(*left)?;
-                let snap_r = self.live_snapshot(*right)?;
-                let mut wenv = self.worker_env(granted, fault_stream);
-                StreamingJoin::default()
-                    .with_predicate(*predicate)
-                    .run(&mut wenv, &snap_l, &snap_r, sink)
-                    .map_err(ServiceError::from)
-            }
-            QueryKind::MixedJoin {
-                live,
-                dataset,
-                predicate,
-            } => {
-                let snap = self.live_snapshot(*live)?;
-                let ds = self.dataset(*dataset)?;
-                let mut wenv = self.worker_env(granted, fault_stream);
-                StreamingJoin::default()
-                    .with_predicate(*predicate)
-                    .run_mixed(
-                        &mut wenv,
-                        JoinSide::Live(&snap),
-                        JoinSide::Run {
-                            sorted: ds.sorted(),
-                            bbox: ds.bbox(),
-                        },
-                        sink,
-                    )
-                    .map_err(ServiceError::from)
-            }
-            QueryKind::Window { dataset, window } => {
-                let mut wenv = self.worker_env(granted, fault_stream);
-                self.run_selection(&mut wenv, *dataset, *window, granted, sink)
-            }
-            QueryKind::Point { dataset, point } => {
-                let mut wenv = self.worker_env(granted, fault_stream);
-                self.run_selection(
-                    &mut wenv,
-                    *dataset,
-                    Rect::from_coords(point.x, point.y, point.x, point.y),
-                    granted,
-                    sink,
-                )
-            }
-            QueryKind::LiveWindow { dataset, window } => {
-                let snap = self.live_snapshot(*dataset)?;
-                let mut wenv = self.worker_env(granted, fault_stream);
-                self.run_live_selection(&mut wenv, &snap, *window, granted, sink)
-            }
-            QueryKind::LivePoint { dataset, point } => {
-                let snap = self.live_snapshot(*dataset)?;
-                let mut wenv = self.worker_env(granted, fault_stream);
-                self.run_live_selection(
-                    &mut wenv,
-                    &snap,
-                    Rect::from_coords(point.x, point.y, point.x, point.y),
-                    granted,
-                    sink,
-                )
-            }
+            // plan (one operator, no algorithm choice).
+            return StreamingJoin::default()
+                .with_predicate(spec.predicate)
+                .run(&mut wenv, &left.into_snapshot(), &right.into_snapshot(), sink)
+                .map_err(ServiceError::from);
         }
+        let cached = matches!((&left, &right), (Source::Registered(_), Source::Registered(_)));
+        self.run_join(&mut wenv, spec, left.input(), right.input(), cached, sink)
     }
 
     /// A fresh execution environment for one admitted query: its own I/O
@@ -1812,38 +1687,92 @@ impl Service {
         }
     }
 
-    fn dataset(&self, id: DatasetId) -> Result<&Dataset> {
-        self.catalog
-            .get(id)
-            .ok_or_else(|| ServiceError::UnknownDataset(format!("#{}", id.0)))
-    }
-
-    /// A generation snapshot of a live dataset — a consistent view that
-    /// stays valid however far ingestion and maintenance advance while the
-    /// query runs. This lookup is *on the query path* and returns
-    /// `Result`, so a poisoned catalog propagates as a typed
-    /// [`ServiceError::LockPoisoned`] instead of panicking the worker.
-    fn live_snapshot(&self, id: LiveId) -> Result<LiveSnapshot> {
+    /// A dataset as one query reads it: borrowed from the catalog when
+    /// registered, else a generation snapshot of the live dataset — a
+    /// consistent view that stays valid however far ingestion and
+    /// maintenance advance while the query runs. This lookup is *on the
+    /// query path* and returns `Result`, so a poisoned live catalog
+    /// propagates as a typed [`ServiceError::LockPoisoned`] instead of
+    /// panicking the worker.
+    fn source(&self, id: DatasetId) -> Result<Source<'_>> {
+        if let Some(ds) = self.catalog.get(id) {
+            return Ok(Source::Registered(ds));
+        }
         let live = self
             .store
             .live
             .lock()
             .map_err(|_| ServiceError::LockPoisoned("live catalog"))?;
         live.get(id)
-            .map(|ds| ds.snapshot())
-            .ok_or_else(|| ServiceError::UnknownDataset(format!("live#{}", id.0)))
+            .map(|ds| Source::Live(ds.snapshot()))
+            .ok_or_else(|| ServiceError::UnknownDataset(format!("#{}", id.0)))
     }
 
-    /// Index-backed selection over a live snapshot, tier by tier: the base
-    /// run through its R-tree, then each delta run and in-memory run
-    /// linear-scanned *only* when its bounding box intersects the window.
-    /// Emission order — base-tree order, deltas oldest-first, memory runs
-    /// last — is deterministic for a given generation, which is what the
-    /// differential tests pin down.
-    fn run_live_selection(
+    /// A join of two inputs without tiers through [`SpatialQuery`]. With
+    /// `cached` (both inputs registered, the plan cache on) the plan comes
+    /// from, and the measured peak goes to, the plan cache.
+    fn run_join(
         &self,
         wenv: &mut SimEnv,
-        snap: &LiveSnapshot,
+        spec: &JoinSpec,
+        left: JoinInput<'_>,
+        right: JoinInput<'_>,
+        cached: bool,
+        sink: &mut ServiceSink,
+    ) -> Result<JoinResult> {
+        let cached = cached && self.config.use_plan_cache;
+        let query = SpatialQuery::new(left, right)
+            .algorithm(spec.algo)
+            .predicate(spec.predicate);
+        // The reported accounting covers the query end to end on its forked
+        // environment — planning included. This is what makes the plan
+        // cache's saving visible: a cache hit skips the planner's
+        // cost-estimation I/O, so the repeat query's `JoinResult.io` is
+        // strictly smaller.
+        let measurement = wenv.begin();
+        let plan = if cached {
+            let key = PlanKey::new(spec);
+            // Get-or-insert under one guard: concurrent identical queries
+            // must not both miss and plan twice (each shape is planned
+            // exactly once per service lifetime). Planning while holding
+            // the cache lock briefly serializes concurrent *planning* —
+            // execution, the expensive part, stays fully concurrent.
+            let mut cache = relock(self.plan_cache.lock());
+            match cache.lookup(&key) {
+                Some(plan) => plan,
+                None => {
+                    let plan = query.plan(wenv)?;
+                    cache.insert(key, plan.clone());
+                    plan
+                }
+            }
+        } else {
+            query.plan(wenv)?
+        };
+        let mut result = query.execute_planned(wenv, &plan, sink)?;
+        let (io, cpu) = wenv.since(&measurement);
+        result.io = io;
+        result.cpu = cpu;
+        // Feed the admission estimator: remember the gauge peak of this
+        // fingerprint, but only from runs that went to completion —
+        // LIMIT-truncated or cancelled runs stop early and under-state the
+        // query's true footprint.
+        if cached && sink.limit.is_none() && !sink.cancelled {
+            relock(self.plan_cache.lock()).record_peak(PlanKey::new(spec), result.memory.peak_bytes);
+        }
+        Ok(result)
+    }
+
+    /// Index-backed selection, tier by tier: the base run through its
+    /// R-tree, then each delta run and in-memory run linear-scanned *only*
+    /// when its bounding box intersects the window. Emission order —
+    /// base-tree order, deltas oldest-first, memory runs last — is
+    /// deterministic for a given generation, which is what the
+    /// differential tests pin down.
+    fn run_selection(
+        &self,
+        wenv: &mut SimEnv,
+        source: &Source<'_>,
         window: Rect,
         granted: usize,
         sink: &mut ServiceSink,
@@ -1851,13 +1780,13 @@ impl Service {
         let measurement = wenv.begin();
         wenv.memory.begin_phase();
         let mut store = NodeStore::with_capacity_bytes_gauged(granted, &wenv.memory);
-        let mut alive = snap
+        let mut alive = source
             .tree()
             .window_query_via(wenv, &mut store, &window, &mut |item| {
                 sink.emit(item.id, 0)
             })?;
-        // Delta runs (runs[0] is the base the tree already covered).
-        for run in snap.runs().iter().skip(1) {
+        let (deltas, mems) = source.tiers();
+        for run in deltas {
             if !alive {
                 break;
             }
@@ -1872,7 +1801,7 @@ impl Service {
                 }
             }
         }
-        for mem in snap.mem_runs() {
+        for mem in mems {
             if !alive {
                 break;
             }
@@ -1902,88 +1831,55 @@ impl Service {
             },
         })
     }
+}
 
-    fn run_join(
-        &self,
-        wenv: &mut SimEnv,
-        spec: &JoinSpec,
-        sink: &mut ServiceSink,
-    ) -> Result<JoinResult> {
-        let left = self.dataset(spec.left)?.input();
-        let right = self.dataset(spec.right)?.input();
-        let query = SpatialQuery::new(left, right)
-            .algorithm(spec.algo)
-            .predicate(spec.predicate);
-        // The reported accounting covers the query end to end on its forked
-        // environment — planning included. This is what makes the plan
-        // cache's saving visible: a cache hit skips the planner's
-        // cost-estimation I/O, so the repeat query's `JoinResult.io` is
-        // strictly smaller.
-        let measurement = wenv.begin();
-        let plan = if self.config.use_plan_cache {
-            let key = PlanKey::new(spec);
-            // Get-or-insert under one guard: concurrent identical queries
-            // must not both miss and plan twice (each shape is planned
-            // exactly once per service lifetime). Planning while holding
-            // the cache lock briefly serializes concurrent *planning* —
-            // execution, the expensive part, stays fully concurrent.
-            let mut cache = relock(self.plan_cache.lock());
-            match cache.lookup(&key) {
-                Some(plan) => plan,
-                None => {
-                    let plan = query.plan(wenv)?;
-                    cache.insert(key, plan.clone());
-                    plan
-                }
-            }
-        } else {
-            query.plan(wenv)?
-        };
-        let mut result = query.execute_planned(wenv, &plan, sink)?;
-        let (io, cpu) = wenv.since(&measurement);
-        result.io = io;
-        result.cpu = cpu;
-        // Feed the admission estimator: remember the gauge peak of this
-        // fingerprint, but only from runs that went to completion —
-        // LIMIT-truncated or cancelled runs stop early and under-state the
-        // query's true footprint.
-        if self.config.use_plan_cache && sink.limit.is_none() && !sink.cancelled {
-            relock(self.plan_cache.lock()).record_peak(PlanKey::new(spec), result.memory.peak_bytes);
+/// One dataset as a query reads it.
+enum Source<'a> {
+    /// A registered dataset, borrowed from the immutable catalog.
+    Registered(&'a Dataset),
+    /// A live dataset's generation snapshot.
+    Live(LiveSnapshot),
+}
+
+impl Source<'_> {
+    fn tree(&self) -> &RTree {
+        match self {
+            Source::Registered(ds) => ds.tree(),
+            Source::Live(snap) => snap.tree(),
         }
-        Ok(result)
     }
 
-    fn run_selection(
-        &self,
-        wenv: &mut SimEnv,
-        dataset: DatasetId,
-        window: Rect,
-        granted: usize,
-        sink: &mut ServiceSink,
-    ) -> Result<JoinResult> {
-        let ds = self.dataset(dataset)?;
-        let measurement = wenv.begin();
-        wenv.memory.begin_phase();
-        let mut store = NodeStore::with_capacity_bytes_gauged(granted, &wenv.memory);
-        ds.tree()
-            .window_query_via(wenv, &mut store, &window, &mut |item| {
-                sink.emit(item.id, 0)
-            })?;
-        wenv.charge(CpuOp::OutputPair, sink.delivered);
-        let (io, cpu) = wenv.since(&measurement);
-        Ok(JoinResult {
-            pairs: sink.delivered,
-            io,
-            cpu,
-            index_page_requests: store.stats().misses,
-            sweep: Default::default(),
-            memory: MemoryStats {
-                priority_queue_bytes: 0,
-                sweep_structure_bytes: 0,
-                other_bytes: store.resident_pages() * PAGE_SIZE,
-                peak_bytes: wenv.memory.peak(),
-            },
-        })
+    /// Everything beside the base and its tree: delta runs, then in-memory
+    /// runs.
+    fn tiers(&self) -> (&[SnapshotRun], &[MemRun]) {
+        match self {
+            Source::Registered(_) => (&[], &[]),
+            Source::Live(snap) => (&snap.runs()[1..], snap.mem_runs()),
+        }
+    }
+
+    fn has_tiers(&self) -> bool {
+        matches!(self, Source::Live(snap) if snap.has_tiers())
+    }
+
+    /// The base as a prepared join input — the whole dataset when it has no
+    /// tiers.
+    fn input(&self) -> JoinInput<'_> {
+        match self {
+            Source::Registered(ds) => ds.input(),
+            Source::Live(snap) => JoinInput::Cataloged(CatalogedInput {
+                tree: snap.tree(),
+                sorted: snap.runs()[0].stream(),
+                bbox: snap.bbox(),
+            }),
+        }
+    }
+
+    fn into_snapshot(self) -> LiveSnapshot {
+        match self {
+            Source::Registered(ds) => ds.snapshot(),
+            Source::Live(snap) => snap,
+        }
     }
 }
 
@@ -2555,9 +2451,9 @@ mod tests {
 
         let expected = brute_pairs(&a, &b);
         let report = service.run(vec![
-            QueryRequest::streaming_join(la, lb).collecting(),
-            QueryRequest::streaming_join(la, lb),
-            QueryRequest::streaming_join(la, lb).with_limit(7).collecting(),
+            QueryRequest::join(la, lb).collecting(),
+            QueryRequest::join(la, lb),
+            QueryRequest::join(la, lb).with_limit(7).collecting(),
         ]);
         assert_eq!(report.stats.completed, 3);
         let mut collected = report.outcomes[0].pairs.clone().unwrap();
@@ -2587,7 +2483,7 @@ mod tests {
             service.append_live("nowhere", &a),
             Err(ServiceError::UnknownDataset(_))
         ));
-        let report = service.run(vec![QueryRequest::streaming_join(la, LiveId(99))]);
+        let report = service.run(vec![QueryRequest::join(la, DatasetId(99))]);
         assert!(
             matches!(
                 &report.outcomes[0].status,
@@ -2602,7 +2498,7 @@ mod tests {
     /// (partial base + chunked appends, so every tier — base run, delta
     /// runs, frozen batches, memtable — is populated) and one frozen
     /// cataloged dataset over `frozen`.
-    fn mixed_service(live: &[Item], frozen: &[Item]) -> (Service, LiveId, DatasetId) {
+    fn mixed_service(live: &[Item], frozen: &[Item]) -> (Service, DatasetId, DatasetId) {
         let (service, _, ib) = service_over(frozen, frozen, ServiceConfig::default().with_workers(2));
         let config = LiveConfig {
             flush_threshold_bytes: 40 * ITEM_BYTES,
@@ -2630,10 +2526,10 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let report = service.run(vec![
-            QueryRequest::mixed_join(la, ib).collecting(),
-            QueryRequest::mixed_join(la, ib),
-            QueryRequest::mixed_join(la, ib).with_limit(9).collecting(),
-            QueryRequest::mixed_join(la, ib).with_cancel(token),
+            QueryRequest::join(la, ib).collecting(),
+            QueryRequest::join(la, ib),
+            QueryRequest::join(la, ib).with_limit(9).collecting(),
+            QueryRequest::join(la, ib).with_cancel(token),
         ]);
         let mut collected = report.outcomes[0].pairs.clone().unwrap();
         collected.sort_unstable();
@@ -2648,6 +2544,14 @@ mod tests {
         assert!(matches!(report.outcomes[3].status, QueryStatus::Cancelled(None)));
         assert_eq!(report.stats.completed, 3);
         assert_eq!(report.stats.cancelled, 1);
+
+        // A dataset with tiers joins like the same dataset quiesced, whose
+        // join lowers to the offline operators instead.
+        service.quiesce_live("mixed").unwrap();
+        let quiesced = service.run(vec![QueryRequest::join(la, ib).collecting()]);
+        let mut pairs = quiesced.outcomes[0].pairs.clone().unwrap();
+        pairs.sort_unstable();
+        assert_eq!(pairs, collected);
     }
 
     #[test]
@@ -2658,7 +2562,7 @@ mod tests {
         let expected = brute_pairs(&a, &b);
         let token = CancelToken::new();
         let (_, report) = service.with_session(|session| {
-            session.submit(QueryRequest::mixed_join(la, ib).with_cancel(token.clone()).collecting());
+            session.submit(QueryRequest::join(la, ib).with_cancel(token.clone()).collecting());
             // Spin until the query is genuinely executing, then pull the
             // token out from under it mid-stream.
             while session.running() == 0 && session.queue_depth() > 0 {
@@ -2695,11 +2599,11 @@ mod tests {
         ];
         let mut requests: Vec<QueryRequest> = windows
             .iter()
-            .map(|w| QueryRequest::live_window(la, *w).collecting())
+            .map(|w| QueryRequest::window(la, *w).collecting())
             .collect();
         let probe = Point { x: 10.1, y: 10.1 };
-        requests.push(QueryRequest::live_point(la, probe).collecting());
-        requests.push(QueryRequest::live_window(la, windows[2]).with_limit(5).collecting());
+        requests.push(QueryRequest::point(la, probe).collecting());
+        requests.push(QueryRequest::window(la, windows[2]).with_limit(5).collecting());
         let report = service.run(requests);
         assert_eq!(report.stats.completed, 6);
         for (i, window) in windows.iter().enumerate() {
@@ -2759,7 +2663,7 @@ mod tests {
             });
             let stats = service.live_stats("live").unwrap();
             assert!(stats.flushes > 0, "maintenance never flushed");
-            let report = service.run(vec![QueryRequest::mixed_join(la, ib).collecting()]);
+            let report = service.run(vec![QueryRequest::join(la, ib).collecting()]);
             let mut pairs = report.outcomes[0].pairs.clone().unwrap();
             pairs.sort_unstable();
             pairs
@@ -2772,12 +2676,15 @@ mod tests {
 
     #[test]
     fn promotion_roundtrip_matches_a_fresh_registration() {
+        // A quiesced live dataset answers joins and windows like a freshly
+        // registered one: no tiers are left, so its joins lower through
+        // the same offline operators.
         let a = grid(11, 4.0, 0.0, 0);
         let b = grid(11, 4.0, 1.5, 100_000);
         let window = Rect::from_coords(3.0, 3.0, 25.0, 25.0);
 
-        // Promoted path: grow the dataset through live appends (background
-        // maintenance on, to exercise the worker), then promote.
+        // Grown path: grow the dataset through live appends (background
+        // maintenance on, to exercise the worker), then quiesce it.
         let mut env = SimEnv::new(MachineConfig::machine3());
         let mut catalog = Catalog::new();
         let ib = catalog.register(&mut env, "peer", &b).unwrap();
@@ -2792,77 +2699,135 @@ mod tests {
             flush_threshold_bytes: 32 * ITEM_BYTES,
             compact_after_deltas: 2,
         };
-        service.register_live("grown", &a[..30], config).unwrap();
+        let grown = service.register_live("grown", &a[..30], config).unwrap();
         for chunk in a[30..].chunks(17) {
             service.append_live("grown", chunk).unwrap();
         }
-        let promoted = service.promote_live("grown").unwrap();
-        // The dataset moved sides wholesale.
-        assert!(service.with_live(|live| live.lookup("grown").is_none()));
-        assert!(matches!(
-            service.append_live("grown", &a[..1]),
-            Err(ServiceError::UnknownDataset(_))
-        ));
-        let frozen = service.catalog().get(promoted).expect("promoted dataset");
-        assert_eq!(frozen.len(), a.len() as u64);
-        let report = service.run(vec![
-            QueryRequest::join(promoted, ib).with_algorithm(Algo::Sssj).collecting(),
-            QueryRequest::window(promoted, window).collecting(),
-        ]);
-
-        // Oracle path: register the same items directly.
-        let mut env2 = SimEnv::new(MachineConfig::machine3());
-        let mut catalog2 = Catalog::new();
-        // Promotion preserves item identity, not arrival order — the
-        // adopted run is sweep-key sorted. Register the same *set*.
-        let fresh = catalog2.register(&mut env2, "fresh", &a).unwrap();
-        let ib2 = catalog2.register(&mut env2, "peer", &b).unwrap();
-        let oracle_service = Service::new(env2, catalog2, ServiceConfig::default().with_workers(2));
-        let oracle = oracle_service.run(vec![
-            QueryRequest::join(fresh, ib2).with_algorithm(Algo::Sssj).collecting(),
-            QueryRequest::window(fresh, window).collecting(),
-        ]);
-
-        for k in 0..2 {
-            let mut got = report.outcomes[k].pairs.clone().unwrap();
-            let mut want = oracle.outcomes[k].pairs.clone().unwrap();
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "query #{k} diverged after promotion");
-        }
-        // The promoted dataset has a real histogram: its admission estimate
-        // path and planner treat it exactly like a registered peer.
-        assert!(frozen.histogram().total() > 0);
-    }
-
-    #[test]
-    fn promote_refuses_unknown_and_double_promotion() {
-        let a = grid(6, 4.0, 0.0, 0);
-        let (mut service, _, _) = {
-            let (s, x, y) = service_over(&a, &a, ServiceConfig::default());
-            (s, x, y)
-        };
+        assert_eq!(service.promote_live("grown").unwrap(), grown, "the id stays");
         assert!(matches!(
             service.promote_live("missing"),
             Err(ServiceError::UnknownDataset(_))
         ));
-        service
-            .register_live("once", &a, LiveConfig::default())
-            .unwrap();
-        service.promote_live("once").unwrap();
+        service.with_live(|live| {
+            let snap = live.get(grown).unwrap().snapshot();
+            assert!(!snap.has_tiers());
+            assert_eq!(snap.len(), a.len() as u64);
+        });
+        let requests = |ds: DatasetId, peer: DatasetId| {
+            vec![
+                QueryRequest::join(ds, peer).with_algorithm(Algo::Sssj).collecting(),
+                QueryRequest::join(ds, peer).collecting(),
+                QueryRequest::window(ds, window).collecting(),
+            ]
+        };
+        let report = service.run(requests(grown, ib));
+
+        // Oracle path: register the same items directly. Compaction keeps
+        // item identity, not arrival order, so compare pair *sets*.
+        let mut env2 = SimEnv::new(MachineConfig::machine3());
+        let mut catalog2 = Catalog::new();
+        let fresh = catalog2.register(&mut env2, "fresh", &a).unwrap();
+        let ib2 = catalog2.register(&mut env2, "peer", &b).unwrap();
+        let oracle_service = Service::new(env2, catalog2, ServiceConfig::default().with_workers(2));
+        let oracle = oracle_service.run(requests(fresh, ib2));
+
+        for k in 0..3 {
+            let mut got = report.outcomes[k].pairs.clone().unwrap();
+            let mut want = oracle.outcomes[k].pairs.clone().unwrap();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "query #{k} diverged after quiescing");
+        }
+        // The dataset still accepts appends, and its next join sees them.
+        service.append_live("grown", &grid(2, 4.0, 0.5, 900_000)).unwrap();
+        let more = service.run(vec![QueryRequest::join(grown, ib).collecting()]);
+        let got = more.outcomes[0].pairs.as_ref().unwrap().len();
+        assert!(got > report.outcomes[0].pairs.as_ref().unwrap().len());
+    }
+
+    #[test]
+    fn register_live_refuses_a_name_the_catalog_holds() {
+        let a = grid(6, 4.0, 0.0, 0);
+        let (service, _, _) = service_over(&a, &a, ServiceConfig::default());
         assert!(matches!(
-            service.promote_live("once"),
-            Err(ServiceError::UnknownDataset(_))
-        ));
-        // The name is now taken on the frozen side too.
-        assert!(matches!(
-            service.register_live("once", &a, LiveConfig::default()).map(|_| ()),
-            Ok(())
-        ));
-        assert!(matches!(
-            service.promote_live("once"),
+            service.register_live("a", &a, LiveConfig::default()),
             Err(ServiceError::DuplicateDataset(_))
         ));
+        // Live ids continue after the registered ones.
+        let live = service.register_live("c", &a, LiveConfig::default()).unwrap();
+        assert_eq!(live, DatasetId(2));
+    }
+
+    #[test]
+    fn a_grown_dataset_is_never_admitted_on_a_stale_peak() {
+        // A join over a quiesced live dataset lowers like a registered one
+        // but takes no plan-cache entry: the dataset can still grow, and a
+        // peak measured before it grew would under-admit it afterwards.
+        let a = grid(10, 4.0, 0.0, 0);
+        let b = grid(10, 4.0, 1.5, 100_000);
+        let (service, _, ib) = service_over(&a, &b, ServiceConfig::default().with_workers(1));
+        let la = service.register_live("growing", &a, LiveConfig::default()).unwrap();
+        service.quiesce_live("growing").unwrap();
+        let request = || QueryRequest::join(la, ib).with_algorithm(Algo::Sssj).collecting();
+        let first = service.run(vec![request()]);
+        let peak = first.outcomes[0].result().unwrap().memory.peak_bytes;
+        assert_eq!(first.outcomes[0].pairs.as_ref().unwrap().len(), brute_pairs(&a, &b).len());
+
+        // Grow it about 4x, quiesce, run the same join.
+        let more: Vec<Item> = (0..4)
+            .flat_map(|k| grid(10, 4.0, 0.3 * (k + 1) as f32, 1_000 * (k + 1)))
+            .collect();
+        service.append_live("growing", &more).unwrap();
+        service.quiesce_live("growing").unwrap();
+        let estimate = service.admission_estimate(&request());
+        assert_ne!(estimate, (peak + peak / 4).max(MIN_QUERY_BUDGET));
+        assert_eq!(estimate, ((5 * a.len() + b.len()) * ITEM_BYTES).max(JOIN_BUDGET_FLOOR));
+        let second = service.run(vec![request()]);
+        let mut got = second.outcomes[0].pairs.clone().unwrap();
+        got.sort_unstable();
+        let all: Vec<Item> = a.iter().chain(&more).copied().collect();
+        assert_eq!(got, brute_pairs(&all, &b));
+        assert_eq!(second.stats.plan_cache_hits + second.stats.plan_cache_misses, 0);
+    }
+
+    #[test]
+    fn admission_estimates_keep_their_per_kind_rules() {
+        // Inputs large enough to clear the join floor: every estimate is the
+        // rule of the request kind these datasets needed before live and
+        // registered datasets shared one id space.
+        let items = |n: u32, id_base: u32| -> Vec<Item> {
+            (0..n)
+                .map(|i| {
+                    let (x, y) = ((i % 300) as f32, (i / 300) as f32);
+                    Item::new(Rect::from_coords(x, y, x + 0.5, y + 0.5), id_base + i)
+                })
+                .collect()
+        };
+        let (a, b) = (items(40_000, 0), items(600, 1_000_000));
+        let (service, ia, ib) = service_over(&a, &b, ServiceConfig::default());
+        let live = items(120_000, 2_000_000);
+        let la = service.register_live("la", &live, LiveConfig::default()).unwrap();
+        let lb = service.register_live("lb", &b, LiveConfig::default()).unwrap();
+        let bytes = |n: usize| n * ITEM_BYTES;
+        let estimate = |r: QueryRequest| service.admission_estimate(&r);
+        // Registered × registered: 3x the inputs (the parent's `join`).
+        assert_eq!(estimate(QueryRequest::join(ia, ib)), 3 * bytes(40_600));
+        assert_eq!(estimate(QueryRequest::join(ib, ib)), JOIN_BUDGET_FLOOR);
+        // Live × live and live × registered: 1x the inputs (the parent's
+        // `streaming_join` and `mixed_join`), floored.
+        assert_eq!(estimate(QueryRequest::streaming_join(la, lb)), bytes(120_600));
+        assert_eq!(estimate(QueryRequest::join(la, ia)), bytes(160_000));
+        assert_eq!(estimate(QueryRequest::join(lb, ib)), JOIN_BUDGET_FLOOR);
+        // Selections, registered or live.
+        let w = Rect::from_coords(0.0, 0.0, 9.0, 9.0);
+        assert_eq!(estimate(QueryRequest::window(ia, w)), SELECTION_BUDGET);
+        assert_eq!(estimate(QueryRequest::live_window(la, w)), SELECTION_BUDGET);
+        assert_eq!(estimate(QueryRequest::point(lb, Point { x: 1.0, y: 1.0 })), SELECTION_BUDGET);
+        // An explicit budget is clamped, whatever the kind.
+        assert_eq!(
+            estimate(QueryRequest::join(la, lb).with_memory_budget(1)),
+            MIN_QUERY_BUDGET
+        );
     }
 
     #[test]

@@ -322,7 +322,7 @@ fn maintenance_survives_storage_faults_and_loses_no_records() {
     }
     service.quiesce_live("chaotic").unwrap();
 
-    let report = service.run(vec![QueryRequest::live_window(
+    let report = service.run(vec![QueryRequest::window(
         live,
         Rect::from_coords(-1000.0, -1000.0, 1000.0, 1000.0),
     )

@@ -15,7 +15,7 @@ use usj_datagen::{Preset, WorkloadSpec};
 use usj_geom::{Point, Rect};
 use usj_io::{MachineConfig, SimEnv};
 use usj_service::{
-    Catalog, CancelToken, DatasetId, QueryRequest, QueryStatus, Service, ServiceConfig,
+    CancelToken, Catalog, DatasetId, QueryKind, QueryRequest, QueryStatus, Service, ServiceConfig,
     ServiceReport,
 };
 
@@ -250,5 +250,56 @@ fn mid_batch_cancellation_yields_a_prefix_of_the_solo_answer() {
             let b = &report.outcomes[if i < 6 { i } else { i + 1 }];
             assert_eq!(r.pairs, b.pairs, "bystander query #{i} diverged (delay {delay_us}µs)");
         }
+    }
+}
+
+#[test]
+fn selections_over_a_dataset_with_tiers_see_every_tier_under_batching() {
+    // The shared traversal reads the R-tree alone. Windows and points over
+    // a live dataset whose items sit in the base, delta runs and the
+    // memtable must still each see every tier — brute force over all of
+    // them — while selections over a registered dataset in the same batch
+    // coalesce as usual.
+    let seed = 41;
+    let (service, roads, _, region) = build_service(true, 1, 700, seed);
+    let w = WorkloadSpec::preset(Preset::NJ).with_scale(700).generate(seed);
+    let config = usj_service::LiveConfig {
+        flush_threshold_bytes: 64 * usj_geom::ITEM_BYTES,
+        compact_after_deltas: 0,
+    };
+    let third = w.roads.len() / 3;
+    let live = service.register_live("roads_live", &w.roads[..third], config).unwrap();
+    for chunk in w.roads[third..].chunks(50) {
+        service.append_live("roads_live", chunk).unwrap();
+    }
+    service.with_live(|catalog| {
+        let ds = catalog.get(live).unwrap();
+        assert!(!ds.delta_runs().is_empty(), "no delta runs to read");
+        assert!(ds.memtable_len() > 0, "no memtable items to read");
+    });
+    let strip = |batch: Vec<QueryRequest>, dataset: DatasetId| {
+        batch.into_iter().map(move |mut r| {
+            r.limit = None;
+            r.kind = match r.kind {
+                QueryKind::Window { window, .. } => QueryKind::Window { dataset, window },
+                QueryKind::Point { point, .. } => QueryKind::Point { dataset, point },
+                join => join,
+            };
+            r
+        })
+    };
+    let requests: Vec<QueryRequest> = strip(selection_batch(region, roads, 7, 20), live)
+        .chain(strip(selection_batch(region, roads, 8, 20), roads))
+        .collect();
+    let report = service.run(requests.clone());
+    assert!(report.stats.shared_scans > 0, "the registered selections must coalesce");
+    for (request, outcome) in requests.iter().zip(&report.outcomes) {
+        let (_, window) = request.kind.selection().unwrap();
+        let mut want: Vec<u32> =
+            w.roads.iter().filter(|it| it.rect.intersects(&window)).map(|it| it.id).collect();
+        let mut got: Vec<u32> = outcome.pairs.as_ref().unwrap().iter().map(|p| p.0).collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "request #{} missed items", outcome.request);
     }
 }

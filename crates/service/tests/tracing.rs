@@ -5,7 +5,7 @@
 //! 1. **Tracing is invisible to execution**: the same request batch with
 //!    tracing on and off delivers byte-identical pair sets, charged I/O and
 //!    peak memory. Tracing may only *observe*.
-//! 2. **Traces are complete**: a traced streaming/mixed-join run under
+//! 2. **Traces are complete**: a traced run of joins over live datasets under
 //!    background maintenance yields a span tree with the admission wait,
 //!    the per-operator execute phases (probe, fix-up, spill marks) and the
 //!    background flush/compaction spans — and the tree exports to a
@@ -19,8 +19,8 @@ use std::sync::Arc;
 use usj_geom::{Item, Rect, ITEM_BYTES};
 use usj_io::{MachineConfig, SimEnv};
 use usj_service::{
-    Catalog, ChromeTrace, LiveConfig, LiveId, QueryRequest, QueryTrace, Service, ServiceConfig,
-    ServiceReport, TraceSpan, VirtualClock,
+    Catalog, ChromeTrace, DatasetId, LiveConfig, QueryRequest, QueryTrace, Service,
+    ServiceConfig, ServiceReport, TraceSpan, VirtualClock,
 };
 
 fn grid(n: u32, cell: f32, offset: f32, id_base: u32) -> Vec<Item> {
@@ -36,7 +36,7 @@ fn grid(n: u32, cell: f32, offset: f32, id_base: u32) -> Vec<Item> {
 /// A service with one frozen dataset plus two fragmented live datasets
 /// (small thresholds, chunked appends — flushes and compactions genuinely
 /// run during setup).
-fn live_service(config: ServiceConfig) -> (Service, LiveId, LiveId, usj_service::DatasetId) {
+fn live_service(config: ServiceConfig) -> (Service, DatasetId, DatasetId, DatasetId) {
     let a = grid(12, 4.0, 0.0, 0);
     let b = grid(12, 4.0, 1.5, 100_000);
     let mut env = SimEnv::new(MachineConfig::machine3());
@@ -58,11 +58,11 @@ fn live_service(config: ServiceConfig) -> (Service, LiveId, LiveId, usj_service:
     (service, la, lb, frozen)
 }
 
-fn join_batch(la: LiveId, lb: LiveId, frozen: usj_service::DatasetId) -> Vec<QueryRequest> {
+fn join_batch(la: DatasetId, lb: DatasetId, frozen: DatasetId) -> Vec<QueryRequest> {
     vec![
-        QueryRequest::streaming_join(la, lb).collecting(),
-        QueryRequest::mixed_join(la, frozen).collecting(),
-        QueryRequest::streaming_join(la, lb).with_limit(9).collecting(),
+        QueryRequest::join(la, lb).collecting(),
+        QueryRequest::join(la, frozen).collecting(),
+        QueryRequest::join(la, lb).with_limit(9).collecting(),
     ]
 }
 
@@ -160,7 +160,7 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
 
     let mut chrome = ChromeTrace::new();
     chrome.add_thread(0, "maintenance");
-    for outcome in &report.outcomes {
+    for (k, outcome) in report.outcomes.iter().enumerate() {
         let trace = outcome.stats.trace.as_ref().expect("tracing was on");
         // The scheduler wraps every execution under one `query` root with
         // the synthesised admission wait beside the recorded execute tree.
@@ -169,9 +169,13 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
         assert_children_inside_parents(trace);
         assert!(trace.find("admission.wait").is_some(), "shape: {}", trace.shape());
         let execute = trace.find("execute").expect("recorded execute root");
+        // `live_a` is quiesced: its join with the registered dataset has no
+        // tiers on either side and lowers to an offline operator (`Auto`
+        // picks SSSJ here), while the joins with `live_b` stream.
+        let phase = if k == 1 { "sssj.sweep" } else { "stream.probe" };
         assert!(
-            execute.find("stream.probe").is_some(),
-            "operator phases missing: {}",
+            execute.find(phase).is_some(),
+            "operator phase {phase} missing: {}",
             trace.shape()
         );
         assert!(

@@ -24,11 +24,11 @@
 //!   merge compaction, with generation snapshots) and the streaming join
 //!   that emits pairs while its inputs are still being scanned.
 //! * [`service`] — the register-once/query-many layer: a dataset
-//!   [`Catalog`](prelude::Catalog) persisting sorted runs, R-trees and
-//!   histogram summaries on the device, and a concurrent
-//!   [`Service`](prelude::Service) admitting join and window/point selection
-//!   queries against a shared memory budget with gauge-based admission
-//!   control and a plan cache.
+//!   [`Catalog`](prelude::Catalog) persisting sorted runs and R-trees on the
+//!   device, and a concurrent [`Service`](prelude::Service) admitting join,
+//!   window and point queries over registered and live datasets alike
+//!   against a shared memory budget with gauge-based admission control and
+//!   a plan cache.
 //!
 //! ## Quickstart
 //!
@@ -84,9 +84,9 @@ pub mod prelude {
         query::{Algo, MemoryPlan, QueryPlan, SpatialQuery},
         sssj::SssjJoin,
         st::StJoin,
-        CatalogedInput, CollectSink, CountSink, FanoutSink, GridHistogram, JoinAlgorithm,
-        JoinInput, JoinOperator, JoinResult, LimitSink, MemoryStats, MultiwayJoin, PairSink,
-        Predicate, SampleSink, TripleSink,
+        CatalogedInput, CollectSink, CountSink, FanoutSink, JoinAlgorithm, JoinInput, JoinOperator,
+        JoinResult, LimitSink, MemoryStats, MultiwayJoin, PairSink, Predicate, SampleSink,
+        TripleSink,
     };
     pub use usj_datagen::{Preset, Workload, WorkloadSpec};
     pub use usj_geom::{Interval, Point, Rect};

@@ -83,11 +83,9 @@ fn query_builder_and_sinks_are_reachable_through_the_facade() {
     assert_eq!(result.pairs, w.reference_join_size());
     assert_eq!(pairs.len() as u64, result.pairs);
 
-    // The memory report and the selectivity histogram are exported too.
+    // The memory report is exported too.
     let stats: MemoryStats = result.memory;
     assert!(stats.total_bytes() > 0);
-    let hist = GridHistogram::from_items(w.region, 16, &w.roads);
-    assert!(hist.total() > 0);
 
     // Multi-way joins are reachable without digging into submodules.
     let zones = RTree::bulk_load(&mut env, &w.hydro).unwrap();
