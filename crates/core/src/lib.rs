@@ -46,7 +46,7 @@ pub use pq::PqJoin;
 pub use predicate::Predicate;
 pub use query::{Algo, MemoryPlan, QueryPlan, SpatialQuery};
 pub use result::{JoinResult, MemoryStats};
-pub use sink::{CollectSink, CountSink, FanoutSink, LimitSink, PairSink, SampleSink, TripleSink};
+pub use sink::{CollectSink, CountSink, LimitSink, PairSink, SampleSink, TripleSink};
 pub use sssj::SssjJoin;
 pub use st::StJoin;
 

@@ -184,99 +184,6 @@ impl<S: PairSink> PairSink for SampleSink<S> {
     }
 }
 
-/// Fans one producing scan out to several per-query sinks.
-///
-/// A shared scan (one R-tree traversal answering N coalesced window queries,
-/// see `usj_rtree::RTree::multi_window_query`) produces `(query, pair)`
-/// events rather than bare pairs. The adapter routes each event to that
-/// query's sink and tracks which sinks are still accepting: a sink that
-/// returns `Break` (its `LIMIT` was reached, or its cancellation token
-/// fired) is **deactivated** — subsequent emissions to it are rejected
-/// without being delivered — while the remaining sinks keep consuming. The
-/// producer watches [`live`](FanoutSink::live) (or the per-emission
-/// `ControlFlow`) and stops the whole scan only when no sink remains.
-///
-/// This is what makes batched execution byte-identical to per-query
-/// execution: each member observes exactly the pair sequence it would have
-/// seen alone, including early termination.
-pub struct FanoutSink<'a> {
-    sinks: Vec<&'a mut dyn PairSink>,
-    active: Vec<bool>,
-    live: usize,
-}
-
-impl<'a> FanoutSink<'a> {
-    /// Wraps one sink per coalesced query, all initially active.
-    pub fn new(sinks: Vec<&'a mut dyn PairSink>) -> Self {
-        let live = sinks.len();
-        let active = vec![true; live];
-        FanoutSink {
-            sinks,
-            active,
-            live,
-        }
-    }
-
-    /// Number of member sinks (active or not).
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Returns `true` if the adapter wraps no sinks.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-
-    /// Number of sinks still accepting pairs.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Whether member `idx` is still accepting pairs.
-    pub fn is_active(&self, idx: usize) -> bool {
-        self.active.get(idx).copied().unwrap_or(false)
-    }
-
-    /// Offers one pair to member `idx`.
-    ///
-    /// Returns that member's flow: `Continue` if it consumed the pair,
-    /// `Break` if the member is (now) done — either it just rejected the
-    /// pair and was deactivated, or it had been deactivated earlier. A
-    /// `Break` here stops only member `idx`; the producer should consult
-    /// [`live`](FanoutSink::live) to decide whether the whole scan can stop.
-    pub fn emit_to(&mut self, idx: usize, left: u32, right: u32) -> ControlFlow<()> {
-        if !self.is_active(idx) {
-            return ControlFlow::Break(());
-        }
-        match self.sinks[idx].emit(left, right) {
-            ControlFlow::Continue(()) => ControlFlow::Continue(()),
-            ControlFlow::Break(()) => {
-                self.active[idx] = false;
-                self.live -= 1;
-                ControlFlow::Break(())
-            }
-        }
-    }
-
-    /// Deactivates member `idx` without offering it a pair (e.g. the
-    /// producer noticed its cancellation out of band).
-    pub fn close(&mut self, idx: usize) {
-        if self.is_active(idx) {
-            self.active[idx] = false;
-            self.live -= 1;
-        }
-    }
-}
-
-impl std::fmt::Debug for FanoutSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink")
-            .field("members", &self.sinks.len())
-            .field("live", &self.live)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,46 +227,6 @@ mod tests {
         let mut sink = LimitSink::new(CountSink::default(), 0);
         assert!(sink.emit(1, 2).is_break());
         assert_eq!(sink.into_inner().count, 0);
-    }
-
-    #[test]
-    fn fanout_routes_and_deactivates_per_member() {
-        let mut a = CollectSink::default();
-        let mut b = LimitSink::new(CollectSink::default(), 2);
-        let mut c = CountSink::default();
-        {
-            let mut fan = FanoutSink::new(vec![&mut a, &mut b, &mut c]);
-            assert_eq!(fan.len(), 3);
-            assert_eq!(fan.live(), 3);
-            for i in 0..4u32 {
-                assert!(fan.emit_to(0, i, i).is_continue());
-                let flow = fan.emit_to(1, i, i);
-                // Member 1 accepts two pairs, then breaks and stays broken.
-                assert_eq!(flow.is_continue(), i < 2, "pair {i}");
-                assert!(fan.emit_to(2, i, i).is_continue());
-            }
-            assert_eq!(fan.live(), 2);
-            assert!(fan.is_active(0) && !fan.is_active(1) && fan.is_active(2));
-            // Closing out of band drops the live count exactly once.
-            fan.close(2);
-            fan.close(2);
-            assert_eq!(fan.live(), 1);
-            assert!(fan.emit_to(2, 9, 9).is_break());
-            // Out-of-range members are never active.
-            assert!(!fan.is_active(7));
-            assert!(fan.emit_to(7, 0, 0).is_break());
-        }
-        assert_eq!(a.pairs.len(), 4);
-        assert_eq!(b.into_inner().pairs, vec![(0, 0), (1, 1)]);
-        assert_eq!(c.count, 4);
-    }
-
-    #[test]
-    fn empty_fanout_has_no_live_members() {
-        let fan = FanoutSink::new(Vec::new());
-        assert!(fan.is_empty());
-        assert_eq!(fan.live(), 0);
-        assert_eq!(format!("{fan:?}"), "FanoutSink { members: 0, live: 0 }");
     }
 
     #[test]

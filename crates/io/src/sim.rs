@@ -217,8 +217,8 @@ impl SimEnv {
     /// *old* gauge (which is restored on exit), so long-lived structures —
     /// live memtables, frozen flush batches — are unaffected. This is the
     /// governor of background maintenance: compaction merges run inside
-    /// `with_budget(maintenance_budget_bytes, ..)` so their transient working
-    /// sets stay bounded independently of query admission.
+    /// `with_budget(4 MiB, ..)` (the service's maintenance budget) so their
+    /// transient working sets stay bounded independently of query admission.
     pub fn with_budget<T>(&mut self, bytes: usize, f: impl FnOnce(&mut SimEnv) -> T) -> T {
         let prev_limit = self.memory_limit;
         let prev_gauge = std::mem::replace(&mut self.memory, MemoryGauge::new(bytes));

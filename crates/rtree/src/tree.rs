@@ -236,93 +236,6 @@ impl RTree {
         Ok(out)
     }
 
-    /// One shared traversal answering several window queries at once.
-    ///
-    /// A batch of compatible selections over one cataloged tree does not
-    /// need one descent per query: a single depth-first traversal descends
-    /// a node when **any** active query's window intersects it and reports
-    /// each matching leaf item as a `(query_index, item)` event through
-    /// `visit`. Each stack frame carries the *candidate set* — the queries
-    /// whose windows intersected the node's parent entry. By MBR
-    /// containment no other query can match anything below that entry, so
-    /// the total rect tests stay proportional to the **sum of the solo
-    /// traversals** (not batch size × the union of visited leaves), while
-    /// every shared page is still decoded only once.
-    ///
-    /// Per-query semantics are identical to running
-    /// [`window_query_via`](RTree::window_query_via) once per window:
-    ///
-    /// * query `i` observes exactly the items intersecting `windows[i]`, in
-    ///   exactly the order a solo traversal would deliver them (the shared
-    ///   traversal visits a superset of nodes, but the depth-first order of
-    ///   the shared nodes is unchanged, and pruned-for-`i` subtrees cannot
-    ///   contain matches for `i`);
-    /// * `visit` returning `Break` deactivates **only** query `i` — its
-    ///   `LIMIT` was reached or it was cancelled — and the traversal keeps
-    ///   serving the remaining queries;
-    /// * the traversal stops entirely (saving the remaining I/O) once every
-    ///   query is done.
-    ///
-    /// Returns the number of queries still active when the traversal
-    /// finished (i.e. those that ran to completion rather than breaking).
-    pub fn multi_window_query(
-        &self,
-        env: &mut SimEnv,
-        store: &mut NodeStore,
-        windows: &[Rect],
-        visit: &mut dyn FnMut(usize, Item) -> ControlFlow<()>,
-    ) -> Result<usize> {
-        let mut active = vec![true; windows.len()];
-        let mut live = windows.len();
-        if live == 0 {
-            return Ok(0);
-        }
-        let all: Vec<u32> = (0..windows.len() as u32).collect();
-        let mut stack = vec![(self.root, all)];
-        while let Some((page, candidates)) = stack.pop() {
-            let node = store.read(env, page)?;
-            for e in node.entries() {
-                match node.kind() {
-                    NodeKind::Leaf => {
-                        for &q in &candidates {
-                            let i = q as usize;
-                            if !active[i] {
-                                continue;
-                            }
-                            env.charge(CpuOp::RectTest, 1);
-                            if e.rect.intersects(&windows[i])
-                                && visit(i, e.as_item()).is_break()
-                            {
-                                active[i] = false;
-                                live -= 1;
-                                if live == 0 {
-                                    return Ok(0);
-                                }
-                            }
-                        }
-                    }
-                    NodeKind::Internal => {
-                        let mut down: Vec<u32> = Vec::new();
-                        for &q in &candidates {
-                            let i = q as usize;
-                            if !active[i] {
-                                continue;
-                            }
-                            env.charge(CpuOp::RectTest, 1);
-                            if e.rect.intersects(&windows[i]) {
-                                down.push(q);
-                            }
-                        }
-                        if !down.is_empty() {
-                            stack.push((e.child_page(), down));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(live)
-    }
-
     /// Point (stabbing) query through a [`NodeStore`]: every indexed item
     /// whose MBR contains `point`.
     pub fn point_query(
@@ -692,127 +605,6 @@ mod tests {
         let b = tree.window_query(&mut env, &window).unwrap();
         assert_eq!(a, b);
         assert!(RTree::decode_meta(&blob[..12]).is_err());
-    }
-
-    /// Collects one query's items through a solo `window_query_via`
-    /// traversal, optionally breaking after `limit` items (mimicking a
-    /// `LIMIT`ed or cancelled consumer).
-    fn solo(
-        env: &mut SimEnv,
-        tree: &RTree,
-        window: &Rect,
-        limit: Option<usize>,
-    ) -> Vec<u32> {
-        let mut store = NodeStore::with_capacity_bytes(1 << 20);
-        let mut got = Vec::new();
-        tree.window_query_via(env, &mut store, window, &mut |it| {
-            if limit.is_some_and(|l| got.len() >= l) {
-                return ControlFlow::Break(());
-            }
-            got.push(it.id);
-            ControlFlow::Continue(())
-        })
-        .unwrap();
-        got
-    }
-
-    #[test]
-    fn multi_window_query_is_byte_identical_to_solo_traversals() {
-        let mut env = env();
-        let items = grid_items(40);
-        let tree = RTree::bulk_load(&mut env, &items).unwrap();
-        let windows = [
-            Rect::from_coords(0.0, 0.0, 80.0, 80.0),
-            Rect::from_coords(55.0, 55.0, 180.0, 180.0),
-            Rect::from_coords(-10.0, -10.0, -1.0, -1.0), // empty result
-            Rect::from_coords(0.0, 0.0, 400.0, 400.0),   // everything
-            Rect::from_coords(120.0, 3.0, 122.0, 390.0), // thin stripe
-        ];
-        let expected: Vec<Vec<u32>> =
-            windows.iter().map(|w| solo(&mut env, &tree, w, None)).collect();
-
-        let mut store = NodeStore::with_capacity_bytes(1 << 20);
-        let mut got: Vec<Vec<u32>> = vec![Vec::new(); windows.len()];
-        env.device.reset_stats();
-        let live = tree
-            .multi_window_query(&mut env, &mut store, &windows, &mut |i, it| {
-                got[i].push(it.id);
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-        assert_eq!(live, windows.len(), "no query broke");
-        // Identical item sequences per query — order included.
-        assert_eq!(got, expected);
-        // One shared traversal reads each touched node once, while five solo
-        // cold traversals would pay for the shared prefix five times.
-        let shared_pages = env.device.stats().pages_read;
-        assert!(shared_pages <= tree.nodes());
-    }
-
-    #[test]
-    fn multi_window_query_deactivates_broken_queries_individually() {
-        let mut env = env();
-        let items = grid_items(40);
-        let tree = RTree::bulk_load(&mut env, &items).unwrap();
-        let big = Rect::from_coords(0.0, 0.0, 400.0, 400.0);
-        let windows = [big, big, Rect::from_coords(0.0, 0.0, 45.0, 45.0)];
-        // Query 0 stops after 7 items, query 2 after 3; query 1 runs dry.
-        let limits = [Some(7usize), None, Some(3)];
-        let expected: Vec<Vec<u32>> = windows
-            .iter()
-            .zip(limits)
-            .map(|(w, l)| solo(&mut env, &tree, w, l))
-            .collect();
-
-        let mut store = NodeStore::with_capacity_bytes(1 << 20);
-        let mut got: Vec<Vec<u32>> = vec![Vec::new(); windows.len()];
-        let live = tree
-            .multi_window_query(&mut env, &mut store, &windows, &mut |i, it| {
-                if limits[i].is_some_and(|l| got[i].len() >= l) {
-                    return ControlFlow::Break(());
-                }
-                got[i].push(it.id);
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-        assert_eq!(live, 1, "only the unlimited query survives");
-        assert_eq!(got, expected);
-        assert_eq!(got[0].len(), 7);
-        assert_eq!(got[2].len(), 3);
-    }
-
-    #[test]
-    fn multi_window_query_stops_entirely_when_every_query_breaks() {
-        let mut env = env();
-        let items = grid_items(60);
-        let tree = RTree::bulk_load(&mut env, &items).unwrap();
-        let windows = [tree.bbox(), tree.bbox()];
-        let mut store = NodeStore::with_capacity_bytes(1 << 20);
-        env.device.reset_stats();
-        let mut seen = [0u32; 2];
-        let live = tree
-            .multi_window_query(&mut env, &mut store, &windows, &mut |i, _| {
-                seen[i] += 1;
-                if seen[i] >= 4 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-            .unwrap();
-        assert_eq!(live, 0);
-        assert_eq!(seen, [4, 4]);
-        assert!(
-            env.device.stats().pages_read < tree.nodes(),
-            "a fully-broken batch must stop paying I/O"
-        );
-        // The empty batch is a no-op.
-        let live = tree
-            .multi_window_query(&mut env, &mut store, &[], &mut |_, _| {
-                panic!("no windows, no visits")
-            })
-            .unwrap();
-        assert_eq!(live, 0);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! paper's cost model can see moves. This suite pins, per data set × case ×
 //! store, at seed 42: an order-sensitive digest of the delivered ids, the
 //! page I/O, every charged CPU counter and the buffer pool's hits, misses
-//! and evictions. The cases are 200 windows, 50 points, 50 windows with a
-//! `LIMIT 5` (the early break) and one 16-window `multi_window_query`
-//! batch. Each runs once with a fresh gauged store per query, as the
-//! service's selections do, and once through one shared 4-page store, so
-//! that the pool evicts.
+//! and evictions. The cases are 200 windows, 50 points and 50 windows with
+//! a `LIMIT 5` (the early break). Each runs once with a fresh gauged store
+//! per query, as the service's selections do, and once through one shared
+//! 4-page store, so that the pool evicts.
 //!
 //! On a mismatch the failure message prints the observed table in the
 //! literal syntax below, so an *intended* change is a copy-paste plus an
@@ -90,12 +89,11 @@ enum Case {
     Windows,
     Points,
     Limit5,
-    Multi,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Store {
-    /// A fresh gauged 256 KB store per query (per batch for `Multi`).
+    /// A fresh gauged 256 KB store per query.
     Fresh,
     /// One 4-page store shared by every query of the case.
     Shared4,
@@ -119,7 +117,6 @@ impl Fixture {
                 })
                 .collect(),
             Case::Limit5 => windows(&mut rng, space, 50, 0.2),
-            Case::Multi => windows(&mut rng, space, 16, 0.05),
         };
         let env = &mut self.env;
         let tree = &self.tree;
@@ -168,14 +165,6 @@ impl Fixture {
                     });
                 }
             }
-            Case::Multi => run(env, &mut |env, store| {
-                tree.multi_window_query(env, store, &queries, &mut |q, it| {
-                    order.add(q, it.id);
-                    items += 1;
-                    ControlFlow::Continue(())
-                })
-                .unwrap();
-            }),
         }
         if store == Store::Shared4 {
             let s = shared.stats();
@@ -197,19 +186,17 @@ impl Fixture {
     }
 }
 
-const CASES: [(Case, Store); 8] = [
+const CASES: [(Case, Store); 6] = [
     (Case::Windows, Store::Fresh),
     (Case::Windows, Store::Shared4),
     (Case::Points, Store::Fresh),
     (Case::Points, Store::Shared4),
     (Case::Limit5, Store::Fresh),
     (Case::Limit5, Store::Shared4),
-    (Case::Multi, Store::Fresh),
-    (Case::Multi, Store::Shared4),
 ];
 
 #[rustfmt::skip]
-const GOLDENS: [(Preset, u64, [Golden; 8]); 2] = [
+const GOLDENS: [(Preset, u64, [Golden; 6]); 2] = [
     (Preset::Disk1, 200, [
         Golden { items: 3545, order: 2393824571816916260, io: [601, 0, 601], cpu: [0, 0, 174638, 174638, 0], pool: [0, 601, 0] },
         Golden { items: 3545, order: 2393824571816916260, io: [396, 0, 396], cpu: [0, 0, 174638, 174638, 0], pool: [205, 396, 392] },
@@ -217,8 +204,6 @@ const GOLDENS: [(Preset, u64, [Golden; 8]); 2] = [
         Golden { items: 122, order: 12842340207047757218, io: [67, 0, 67], cpu: [0, 0, 32096, 32096, 0], pool: [54, 67, 63] },
         Golden { items: 247, order: 14202824942944907429, io: [109, 0, 109], cpu: [0, 0, 12848, 27214, 0], pool: [0, 109, 0] },
         Golden { items: 247, order: 14202824942944907429, io: [53, 0, 53], cpu: [0, 0, 12848, 27214, 0], pool: [56, 53, 49] },
-        Golden { items: 254, order: 16333376703189292024, io: [26, 0, 26], cpu: [0, 0, 14016, 10076, 0], pool: [0, 26, 0] },
-        Golden { items: 254, order: 16333376703189292024, io: [26, 0, 26], cpu: [0, 0, 14016, 10076, 0], pool: [0, 26, 22] },
     ]),
     (Preset::NY, 20, [
         Golden { items: 5215, order: 7993940398475685951, io: [606, 0, 606], cpu: [0, 0, 184100, 184100, 0], pool: [0, 606, 0] },
@@ -227,8 +212,6 @@ const GOLDENS: [(Preset, u64, [Golden; 8]); 2] = [
         Golden { items: 59, order: 9877870538532302060, io: [72, 0, 72], cpu: [0, 0, 33750, 33750, 0], pool: [49, 72, 68] },
         Golden { items: 245, order: 15540945267605228432, io: [115, 0, 115], cpu: [0, 0, 17665, 31420, 0], pool: [0, 115, 0] },
         Golden { items: 245, order: 15540945267605228432, io: [63, 0, 63], cpu: [0, 0, 17665, 31420, 0], pool: [52, 63, 59] },
-        Golden { items: 470, order: 17321856235373086146, io: [29, 0, 29], cpu: [0, 0, 16144, 11309, 0], pool: [0, 29, 0] },
-        Golden { items: 470, order: 17321856235373086146, io: [29, 0, 29], cpu: [0, 0, 16144, 11309, 0], pool: [0, 29, 25] },
     ]),
 ];
 

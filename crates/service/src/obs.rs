@@ -29,8 +29,6 @@ pub(crate) struct Metrics {
     pub(crate) admission_grants: Arc<Counter>,
     pub(crate) admission_deferrals: Arc<Counter>,
     pub(crate) admission_overtakes: Arc<Counter>,
-    pub(crate) sharedscan_batches: Arc<Counter>,
-    pub(crate) sharedscan_riders: Arc<Counter>,
     pub(crate) faults_injected: Arc<Counter>,
     pub(crate) faults_retries: Arc<Counter>,
     pub(crate) faults_panics: Arc<Counter>,
@@ -57,8 +55,6 @@ impl Metrics {
             admission_grants: registry.counter("admission.grants"),
             admission_deferrals: registry.counter("admission.deferrals"),
             admission_overtakes: registry.counter("admission.overtakes"),
-            sharedscan_batches: registry.counter("sharedscan.batches"),
-            sharedscan_riders: registry.counter("sharedscan.riders"),
             faults_injected: registry.counter("faults.injected"),
             faults_retries: registry.counter("faults.retries"),
             faults_panics: registry.counter("faults.panics"),

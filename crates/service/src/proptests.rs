@@ -75,8 +75,7 @@ fn grants_never_exceed_the_shared_limit_under_random_mixes() {
         let config = ServiceConfig::default()
             .with_workers(workers)
             .with_memory_limit(limit)
-            .with_max_overtakes(g.u64_in(0, 6))
-            .with_shared_scans(g.bool_with(0.5));
+            .with_max_overtakes(g.u64_in(0, 6));
         let (service, a, b) = tiny_service(config);
         let requests = arb_requests(g, a, b, 24);
         let n = requests.len();

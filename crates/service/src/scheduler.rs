@@ -24,7 +24,6 @@
 //! change before deciding to park.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -32,8 +31,8 @@ use usj_io::{CpuCounter, IoSimError, IoStats, MemoryGauge, MemoryReservation};
 use usj_obs::{Clock, QueryTrace, TraceSpan};
 
 use crate::service::{
-    fail_batch, panic_payload, relock, us_between, QueryOutcome, QueryRequest, QueryStats,
-    QueryStatus, Service, ServiceReport, ServiceStats,
+    relock, us_between, QueryOutcome, QueryRequest, QueryStats, QueryStatus, Service,
+    ServiceReport, ServiceStats,
 };
 use crate::ServiceError;
 
@@ -71,7 +70,6 @@ struct Ticket {
     /// Position in the admission order; `None` for a request that left the
     /// queue without a grant.
     admission_seq: Option<u64>,
-    coalesced: bool,
 }
 
 /// Per-worker totals, folded as queries finish and merged into the report
@@ -89,8 +87,6 @@ struct AggTotals {
     max_wait: Duration,
     total_wait: Duration,
     deferrals: u64,
-    shared_scans: u64,
-    coalesced: u64,
 }
 
 impl AggTotals {
@@ -126,8 +122,6 @@ impl AggTotals {
         self.max_wait = self.max_wait.max(other.max_wait);
         self.total_wait += other.total_wait;
         self.deferrals += other.deferrals;
-        self.shared_scans += other.shared_scans;
-        self.coalesced += other.coalesced;
     }
 }
 
@@ -182,24 +176,6 @@ impl PendingQueue {
         }
         panic!("rank {rank} past the end of the pending queue");
     }
-
-    /// Removes and returns, in admission order, up to `cap` entries that
-    /// `wanted` accepts.
-    fn take_matching(&mut self, cap: usize, mut wanted: impl FnMut(usize) -> bool) -> Vec<usize> {
-        let mut taken = Vec::new();
-        for (_, fifo) in &mut self.buckets {
-            let mut pos = 0;
-            while pos < fifo.len() && taken.len() < cap {
-                if wanted(fifo[pos]) {
-                    taken.extend(fifo.remove(pos));
-                } else {
-                    pos += 1;
-                }
-            }
-        }
-        self.len -= taken.len();
-        taken
-    }
 }
 
 /// Scheduler state shared by the workers of one batch or session.
@@ -212,7 +188,7 @@ struct SessionState {
     /// How many of the `pending` requests carry a deadline — whether an
     /// admission scan needs the clock at all.
     queued_deadlines: usize,
-    /// Queries (or shared-scan batches) currently holding a reservation.
+    /// Queries currently holding a reservation.
     running: usize,
     /// Workers parked on the condvar (see [`SessionShared::park`]).
     waiters: usize,
@@ -226,7 +202,7 @@ impl SessionState {
     /// Stamps the queue exit of `idx`, which the caller has just removed
     /// from `pending` — every entry leaves the queue through here. An
     /// `admitted` entry takes the next place in the admission order.
-    fn ticket(&mut self, idx: usize, admitted: bool, coalesced: bool) -> Ticket {
+    fn ticket(&mut self, idx: usize, admitted: bool) -> Ticket {
         let entry = &self.entries[idx];
         if entry.request.as_ref().is_some_and(|r| r.deadline_us.is_some()) {
             self.queued_deadlines -= 1;
@@ -241,16 +217,15 @@ impl SessionState {
             deferrals: entry.deferrals,
             overtaken: entry.overtaken,
             admission_seq,
-            coalesced,
         }
     }
 
     /// [`ticket`](Self::ticket) for an admitted entry, moving its request
     /// out for execution off-lock.
-    fn admit(&mut self, idx: usize, coalesced: bool) -> (Ticket, (usize, QueryRequest)) {
-        let ticket = self.ticket(idx, true, coalesced);
+    fn admit(&mut self, idx: usize) -> (Ticket, QueryRequest) {
+        let ticket = self.ticket(idx, true);
         let request = self.entries[idx].request.take().expect("pending entries own their request");
-        (ticket, (idx, request))
+        (ticket, request)
     }
 }
 
@@ -287,13 +262,10 @@ impl SessionShared {
 
 /// What a worker took off the queue.
 enum Job {
-    /// An admitted query with the selections coalesced into its scan
-    /// (`rider_tickets` parallels `riders`).
+    /// An admitted query and the reservation it runs under.
     Run {
-        lead: (usize, QueryRequest),
-        lead_ticket: Ticket,
-        riders: Vec<(usize, QueryRequest)>,
-        rider_tickets: Vec<Ticket>,
+        ticket: Ticket,
+        request: QueryRequest,
         reservation: MemoryReservation,
     },
     /// A request that left the queue without a grant: cancelled while
@@ -360,7 +332,7 @@ impl Session<'_> {
         relock(self.shared.state.lock()).pending.len()
     }
 
-    /// Queries (or shared-scan batches) currently executing.
+    /// Queries currently executing.
     pub fn running(&self) -> usize {
         relock(self.shared.state.lock()).running
     }
@@ -482,20 +454,17 @@ impl Service {
             cpu: agg.cpu,
             max_queue_wait: agg.max_wait,
             total_queue_wait: agg.total_wait,
-            shared_scans: agg.shared_scans,
-            coalesced: agg.coalesced,
             max_queue_depth: state.max_queue_depth,
         };
         (value, ServiceReport { outcomes, stats })
     }
 
     /// One worker: repeatedly claim the first admissible pending request (in
-    /// priority/FIFO order, bounded overtake allowed), run it — together
-    /// with any coalesced shared-scan riders — on a forked environment,
-    /// release its budget, until the session closes and the queue drains.
+    /// priority/FIFO order, bounded overtake allowed), run it on a forked
+    /// environment, release its budget, until the session closes and the
+    /// queue drains.
     /// Returns the outcomes this worker produced and their totals.
     fn worker_loop(&self, shared: &SessionShared) -> (Vec<QueryOutcome>, AggTotals) {
-        let metrics = &self.obs.metrics;
         let clock = &shared.clock;
         let mut done = Vec::new();
         let mut agg = AggTotals::default();
@@ -505,40 +474,15 @@ impl Service {
         while let Some(job) = self.claim(shared, release) {
             match job {
                 Job::Run {
-                    lead,
-                    lead_ticket,
-                    riders,
-                    rider_tickets,
+                    ticket,
+                    request,
                     reservation,
                 } => {
                     let admitted_us = clock.now_us();
                     let granted = reservation.bytes();
-                    let outcomes = if riders.is_empty() {
-                        vec![self.execute_one(lead.0, &lead.1, granted, clock)]
-                    } else {
-                        agg.shared_scans += 1;
-                        agg.coalesced += riders.len() as u64;
-                        metrics.sharedscan_batches.inc();
-                        metrics.sharedscan_riders.add(riders.len() as u64);
-                        // Contain a panic anywhere in the shared traversal:
-                        // every member fails with the payload, the leader
-                        // keeps the grant accounting, and the reservation
-                        // drop below still runs.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            self.execute_shared_scan(&lead, &riders, granted, clock)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            metrics.faults_panics.inc();
-                            metrics.faults_injected.inc();
-                            let err = ServiceError::WorkerPanicked(panic_payload(payload.as_ref()));
-                            fail_batch(&lead, &riders, granted, &err)
-                        })
-                    };
+                    let outcome = self.execute_one(ticket.idx, &request, granted, clock);
                     drop(reservation);
-                    let tickets = std::iter::once(lead_ticket).chain(rider_tickets);
-                    for (ticket, outcome) in tickets.zip(outcomes) {
-                        done.push(self.finish(clock.as_ref(), ticket, admitted_us, outcome, &mut agg));
-                    }
+                    done.push(self.finish(clock.as_ref(), ticket, admitted_us, outcome, &mut agg));
                     release = true;
                 }
                 Job::Resolved {
@@ -683,7 +627,7 @@ impl Service {
                     let idx = state.pending.remove(rank);
                     changed = true;
                     break Some(Job::Resolved {
-                        ticket: state.ticket(idx, false, false),
+                        ticket: state.ticket(idx, false),
                         status,
                         left_us,
                     });
@@ -698,10 +642,7 @@ impl Service {
                 metrics.admission_overtakes.add(rank as u64);
             }
             let idx = state.pending.remove(rank);
-            let rider_idxs = self.collect_riders(state, idx);
-            let (lead_ticket, lead) = state.admit(idx, false);
-            let (rider_tickets, riders) =
-                rider_idxs.into_iter().map(|rider| state.admit(rider, true)).unzip();
+            let (ticket, request) = state.admit(idx);
             state.running += 1;
             metrics.admission_grants.inc();
             // This admission may have exhausted the shared budget for the
@@ -715,10 +656,8 @@ impl Service {
                 }
             }
             break Some(Job::Run {
-                lead,
-                lead_ticket,
-                riders,
-                rider_tickets,
+                ticket,
+                request,
                 reservation,
             });
         };
@@ -740,38 +679,6 @@ impl Service {
         job
     }
 
-    /// Pulls pending selections compatible with the just-admitted `lead`
-    /// out of the queue to ride its scan: same *registered* dataset,
-    /// window/point kind, not cancelled, up to
-    /// [`ServiceConfig::max_scan_batch`](crate::ServiceConfig::max_scan_batch)
-    /// members. The shared traversal reads the R-tree alone, so only
-    /// datasets without tiers may be coalesced; a live dataset's selections
-    /// run solo, tier by tier.
-    ///
-    /// Riders reserve no extra admission budget — the batch shares the
-    /// leader's grant and its single `NodeStore` — so coalescing never
-    /// increases the aggregate footprint, and pulling a rider from the
-    /// middle of the queue delays no one (the scan happens regardless);
-    /// riders therefore don't count toward anyone's overtake allowance and
-    /// may be collected from behind a starvation barrier.
-    fn collect_riders(&self, state: &mut SessionState, lead: usize) -> Vec<usize> {
-        if !self.config.shared_scans {
-            return Vec::new();
-        }
-        let lead_kind = state.entries[lead].request.as_ref().map(|r| r.kind);
-        let lead_dataset = match lead_kind.and_then(|kind| kind.selection()) {
-            Some((dataset, _)) if self.catalog().get(dataset).is_some() => dataset,
-            _ => return Vec::new(),
-        };
-        let cap = self.config.max_scan_batch.max(1) - 1;
-        let entries = &state.entries;
-        state.pending.take_matching(cap, |idx| {
-            let request = entries[idx].request.as_ref().expect("pending entries own their request");
-            request.kind.selection().is_some_and(|(dataset, _)| dataset == lead_dataset)
-                && !request.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-        })
-    }
-
     /// Assembles one finished outcome off-lock: stamps the scheduling stats
     /// its ticket carries (the queue wait ends at `left_us`, the latency
     /// now), wraps its trace, records the terminal metrics and folds it
@@ -784,13 +691,12 @@ impl Service {
         mut outcome: QueryOutcome,
         agg: &mut AggTotals,
     ) -> QueryOutcome {
-        debug_assert_eq!(ticket.idx, outcome.request, "outcomes come back in ticket order");
+        debug_assert_eq!(ticket.idx, outcome.request, "the outcome answers its ticket");
         outcome.stats.deferrals = ticket.deferrals;
         outcome.stats.overtaken = ticket.overtaken;
         outcome.stats.queue_wait = us_between(ticket.submitted_us, left_us);
         outcome.stats.latency = us_between(ticket.submitted_us, clock.now_us());
         outcome.stats.admission_seq = ticket.admission_seq;
-        outcome.stats.coalesced = ticket.coalesced;
         // Wrap the recorded execute tree (if this query was traced) under a
         // `query` root alongside the admission wait, synthesised from the
         // scheduler's own measurement — the wait predates the execute
@@ -843,10 +749,9 @@ mod tests {
         assert_eq!(queue.remove(0), 2);
         assert_eq!(order(&queue), [5, 0, 6, 1, 4]);
 
-        // Up to `cap` matches leave in admission order, from any class.
-        assert_eq!(queue.take_matching(2, |idx| idx % 2 == 0), [0, 6]);
-        assert_eq!(order(&queue), [5, 1, 4]);
-        assert_eq!(queue.take_matching(8, |_| true), [5, 1, 4]);
+        // Draining from the head empties the classes in admission order.
+        let drained: Vec<_> = (0..5).map(|_| queue.remove(0)).collect();
+        assert_eq!(drained, [5, 0, 6, 1, 4]);
         assert!(queue.is_empty());
 
         // A drained class fills again behind nothing.

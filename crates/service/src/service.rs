@@ -39,22 +39,13 @@
 //!   [`ServiceConfig::max_overtakes`] times per queue entry — after that
 //!   the entry becomes a barrier no admission scan passes, so heavy
 //!   requests cannot starve.
-//! * **Shared-scan batching** (opt-in via
-//!   [`ServiceConfig::with_shared_scans`]): when a window/point selection
-//!   over a registered dataset is admitted, compatible pending selections
-//!   over the same dataset are coalesced into one R-tree traversal
-//!   ([`RTree::multi_window_query`](usj_rtree::RTree::multi_window_query))
-//!   fanned out through per-query sinks ([`usj_core::FanoutSink`]). Every
-//!   member observes exactly the item sequence its solo traversal would
-//!   have produced; the scan's I/O is accounted once, on the batch leader.
 //! * **Background maintenance** (opt-in via
 //!   [`ServiceConfig::with_background_maintenance`]): live-dataset flushes
 //!   and merge compactions run on a dedicated worker thread instead of
 //!   inside [`Service::append_live`]. Appends return after the memtable
 //!   insert (plus an O(1) freeze past the threshold); the worker runs the
 //!   same split maintenance phases the inline path composes, against
-//!   immutable run handles, under a scoped
-//!   [`maintenance budget`](ServiceConfig::maintenance_budget_bytes), and
+//!   immutable run handles, under a scoped 4 MiB maintenance budget, and
 //!   publishes each new generation through the snapshot mechanism. The
 //!   publication order — base page snapshot first, then the run handle —
 //!   paired with the read order — run handles first, then the base — keeps
@@ -69,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use usj_core::{
-    Algo, CatalogedInput, FanoutSink, JoinInput, JoinResult, MemoryStats, PairSink, Predicate,
+    Algo, CatalogedInput, JoinInput, JoinResult, MemoryStats, PairSink, Predicate,
     SpatialQuery,
 };
 use usj_geom::{Item, Point, Rect, ITEM_BYTES};
@@ -102,6 +93,12 @@ pub const JOIN_BUDGET_FLOOR: usize = 2 * 1024 * 1024;
 /// plus traversal state).
 pub const SELECTION_BUDGET: usize = 1024 * 1024;
 
+/// Scoped memory budget for each live-maintenance step's transient working
+/// set: flush writes and compaction merges run under [`SimEnv::with_budget`]
+/// of this size, so background merges degrade (spill) at a bounded footprint
+/// instead of competing unboundedly with query admission.
+const MAINTENANCE_BUDGET: usize = 4 * 1024 * 1024;
+
 /// Per-query trace ring capacity, in events. A bounded trace drops its
 /// *oldest* events (and says how many) instead of growing without limit.
 const QUERY_TRACE_EVENTS: usize = 16 * 1024;
@@ -115,34 +112,17 @@ pub struct ServiceConfig {
     /// concurrently running queries never exceeds it (default: the paper's
     /// 24 MB free-memory figure).
     pub memory_limit: usize,
-    /// Whether completed query plans are memoized by fingerprint
-    /// (default: on).
-    pub use_plan_cache: bool,
     /// How many times a pending request may be overtaken by later
     /// admissions before it becomes a barrier the admission scan will not
     /// pass (default 8). `0` disables overtaking entirely (strict
     /// priority/FIFO admission).
     pub max_overtakes: u64,
-    /// Whether compatible pending window/point selections over a registered
-    /// dataset are coalesced into one shared R-tree scan when one of them
-    /// is admitted (default: off — per-query execution, the measurement
-    /// baseline).
-    pub shared_scans: bool,
-    /// Largest number of selections one shared scan services, the admitted
-    /// leader included (default 16).
-    pub max_scan_batch: usize,
     /// Whether live-dataset maintenance (flushes, merge compactions) runs
     /// on a dedicated background worker thread instead of inside
     /// [`Service::append_live`] (default: off — the inline baseline the
     /// interference benchmark compares against). Both modes compose the
     /// same split maintenance phases, so they produce identical runs.
     pub background_maintenance: bool,
-    /// Scoped memory budget (bytes) for each maintenance step's transient
-    /// working set — flush writes and compaction merges run under
-    /// [`SimEnv::with_budget`] of this size, so background merges degrade
-    /// (spill) at a bounded footprint instead of competing unboundedly
-    /// with query admission (default 4 MiB).
-    pub maintenance_budget_bytes: usize,
     /// Bounded retries for transient device faults
     /// ([`IoSimError::DeviceFault`]` { transient: true }`): a failed query
     /// or maintenance step is re-run up to this many times with
@@ -173,12 +153,8 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             memory_limit: usj_io::sim::DEFAULT_MEMORY_LIMIT,
-            use_plan_cache: true,
             max_overtakes: 8,
-            shared_scans: false,
-            max_scan_batch: 16,
             background_maintenance: false,
-            maintenance_budget_bytes: 4 * 1024 * 1024,
             fault_retries: 3,
             fault_backoff_us: 1_000,
             admission_timeout_us: None,
@@ -200,28 +176,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Disables the plan cache (builder style).
-    pub fn without_plan_cache(mut self) -> Self {
-        self.use_plan_cache = false;
-        self
-    }
-
     /// Sets the per-entry overtake bound (builder style).
     pub fn with_max_overtakes(mut self, max: u64) -> Self {
         self.max_overtakes = max;
-        self
-    }
-
-    /// Enables or disables shared-scan batching (builder style).
-    pub fn with_shared_scans(mut self, enabled: bool) -> Self {
-        self.shared_scans = enabled;
-        self
-    }
-
-    /// Sets the largest shared-scan batch size (builder style; clamped to
-    /// at least 1, i.e. the leader alone).
-    pub fn with_max_scan_batch(mut self, size: usize) -> Self {
-        self.max_scan_batch = size.max(1);
         self
     }
 
@@ -229,13 +186,6 @@ impl ServiceConfig {
     /// style).
     pub fn with_background_maintenance(mut self, enabled: bool) -> Self {
         self.background_maintenance = enabled;
-        self
-    }
-
-    /// Sets the scoped per-step maintenance memory budget (builder style;
-    /// clamped to at least one stream block so flush writers always fit).
-    pub fn with_maintenance_budget(mut self, bytes: usize) -> Self {
-        self.maintenance_budget_bytes = bytes.max(64 * 1024);
         self
     }
 
@@ -531,13 +481,6 @@ pub struct QueryStats {
     /// Times a later request was admitted over this one while it waited.
     /// Bounded by [`ServiceConfig::max_overtakes`] by construction.
     pub overtaken: u64,
-    /// Whether this query was serviced as a shared-scan *rider*: coalesced
-    /// into another admitted selection's traversal. Riders reserve no
-    /// admission budget of their own ([`admitted_bytes`] stays 0) and
-    /// report zero I/O — the scan is accounted once, on the leader.
-    ///
-    /// [`admitted_bytes`]: QueryStats::admitted_bytes
-    pub coalesced: bool,
     /// The per-query operator trace, when [`Service::set_tracing`] was on
     /// while this query executed: a `query` root holding the synthesised
     /// `admission.wait` leaf and the recorded `execute` span tree
@@ -619,10 +562,6 @@ pub struct ServiceStats {
     pub max_queue_wait: Duration,
     /// Sum of all queue waits.
     pub total_queue_wait: Duration,
-    /// Shared scans executed (traversals that serviced ≥ 2 queries).
-    pub shared_scans: u64,
-    /// Queries serviced as shared-scan riders.
-    pub coalesced: u64,
     /// High-water mark of the pending queue length.
     pub max_queue_depth: usize,
 }
@@ -662,12 +601,8 @@ impl ServiceStats {
     ///
     /// Timing-dependent fields (waits, deferrals, overtakes, plan-cache
     /// hit/miss *split* per query, queue depth) are deliberately excluded;
-    /// aggregate I/O is included because with the plan cache on, each join
-    /// shape is planned exactly once per batch no matter which query pays
-    /// for it. Shared-scan mode trims rider I/O by a timing-dependent
-    /// amount, so compare digests with [`shared_scans`] disabled.
-    ///
-    /// [`shared_scans`]: ServiceConfig::shared_scans
+    /// aggregate I/O is included because the plan cache plans each join
+    /// shape exactly once per batch no matter which query pays for it.
     pub fn replay_digest(&self) -> u64 {
         // FNV-1a over the stable fields, dependency-free.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -826,7 +761,7 @@ fn retry_transient<T>(
 }
 
 /// Best-effort text of a caught panic payload.
-pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -834,29 +769,6 @@ pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// Fails every member of a shared-scan batch with `err`; the leader keeps
-/// the grant accounting.
-pub(crate) fn fail_batch(
-    lead: &(usize, QueryRequest),
-    riders: &[(usize, QueryRequest)],
-    granted: usize,
-    err: &ServiceError,
-) -> Vec<QueryOutcome> {
-    std::iter::once(lead)
-        .chain(riders)
-        .enumerate()
-        .map(|(k, (idx, _))| QueryOutcome {
-            request: *idx,
-            status: QueryStatus::Failed(err.clone()),
-            pairs: None,
-            stats: QueryStats {
-                admitted_bytes: if k == 0 { granted } else { 0 },
-                ..QueryStats::default()
-            },
-        })
-        .collect()
 }
 
 /// Fault stream id for one query attempt: request index in the low half,
@@ -1163,7 +1075,7 @@ impl Service {
             Maintenance::spawn(
                 Arc::clone(&store),
                 Arc::clone(&obs),
-                config.maintenance_budget_bytes,
+                MAINTENANCE_BUDGET,
                 FaultRetry::of(&config),
             )
         });
@@ -1269,7 +1181,7 @@ impl Service {
                     &self.store,
                     &self.obs,
                     name,
-                    self.config.maintenance_budget_bytes,
+                    MAINTENANCE_BUDGET,
                     false,
                     FaultRetry::of(&self.config),
                 )?,
@@ -1295,7 +1207,7 @@ impl Service {
             &self.store,
             &self.obs,
             name,
-            self.config.maintenance_budget_bytes,
+            MAINTENANCE_BUDGET,
             true,
             FaultRetry::of(&self.config),
         )
@@ -1351,11 +1263,8 @@ impl Service {
                 let registered = |id: DatasetId| self.catalog.get(id).map(Dataset::len);
                 match (registered(spec.left), registered(spec.right)) {
                     (Some(left), Some(right)) => {
-                        let measured = self.config.use_plan_cache.then(|| {
-                            let cache = relock(self.plan_cache.lock());
-                            cache.peak(&PlanKey::new(spec))
-                        });
-                        match measured.flatten() {
+                        let measured = relock(self.plan_cache.lock()).peak(&PlanKey::new(spec));
+                        match measured {
                             Some(peak) => (peak + peak / 4).max(MIN_QUERY_BUDGET),
                             None => {
                                 let bytes = (left + right) as usize * ITEM_BYTES;
@@ -1506,128 +1415,6 @@ impl Service {
         (ran, Some(QueryTrace::from_events(&events, dropped)))
     }
 
-    /// Runs the leader and its riders as one R-tree traversal fanned out
-    /// through per-query sinks. Each member observes exactly the item
-    /// sequence its solo traversal would produce (the differential tests'
-    /// byte-identity contract); a member's `LIMIT` or cancellation
-    /// deactivates only its fan-out slot, and the traversal stops entirely
-    /// once every member has broken. The scan's I/O, CPU and peak memory
-    /// are accounted once, on the leader — riders report pair counts only.
-    pub(crate) fn execute_shared_scan(
-        &self,
-        lead: &(usize, QueryRequest),
-        riders: &[(usize, QueryRequest)],
-        granted: usize,
-        clock: &Arc<dyn Clock>,
-    ) -> Vec<QueryOutcome> {
-        let members: Vec<&(usize, QueryRequest)> =
-            std::iter::once(lead).chain(riders.iter()).collect();
-        let selection =
-            |request: &QueryRequest| request.kind.selection().expect("only selections coalesce");
-        let windows: Vec<Rect> = members.iter().map(|(_, request)| selection(request).1).collect();
-        // The traversal reads the tree alone: riders are collected over
-        // registered datasets only, which have no tiers beside it.
-        let ds = self.catalog.get(selection(&lead.1).0).expect("riders ride registered datasets");
-
-        // The batch shares one traversal, so it draws one fault schedule —
-        // keyed by the leader's index, attempt 0 (shared scans are not
-        // retried: a transient fault fails the whole batch, and each member
-        // resubmits solo if it cares).
-        let fault_stream = query_fault_stream(lead.0, 0);
-        let mut wenv = self.worker_env(granted, fault_stream);
-        let mut sinks: Vec<ServiceSink> =
-            members.iter().map(|(_, request)| ServiceSink::new(request, clock)).collect();
-        // While tracing, the whole batch records one `execute` span (the
-        // traversal happens once); the trace lands on the leader's stats,
-        // mirroring the I/O accounting.
-        let collector = self
-            .obs
-            .tracing()
-            .then(|| Arc::new(RingCollector::new(QUERY_TRACE_EVENTS)));
-        let guard = collector
-            .as_ref()
-            .map(|c| usj_obs::install(Arc::clone(c) as Arc<dyn Recorder>, Arc::clone(clock)));
-        let mut root = collector
-            .is_some()
-            .then(|| usj_obs::span_detail("execute", || format!("shared_scan x{}", members.len())));
-        let measurement = wenv.begin();
-        wenv.memory.begin_phase();
-        let mut store = NodeStore::with_capacity_bytes_gauged(granted, &wenv.memory);
-        let scanned = {
-            let slots: Vec<&mut dyn PairSink> =
-                sinks.iter_mut().map(|s| s as &mut dyn PairSink).collect();
-            let mut fanout = FanoutSink::new(slots);
-            ds.tree()
-                .multi_window_query(&mut wenv, &mut store, &windows, &mut |i, item| {
-                    fanout.emit_to(i, item.id, 0)
-                })
-        };
-        let delivered: u64 = sinks.iter().map(|s| s.delivered).sum();
-        wenv.charge(CpuOp::OutputPair, delivered);
-        let (io, cpu) = wenv.since(&measurement);
-        if let Some(span) = root.as_mut() {
-            span.add_io(io.span_io());
-        }
-        drop(root);
-        drop(guard);
-        let mut trace = collector.map(|c| {
-            let (events, dropped) = c.drain();
-            QueryTrace::from_events(&events, dropped)
-        });
-        if let Err(e) = scanned {
-            if matches!(e, IoSimError::DeviceFault { .. }) {
-                self.obs.metrics.faults_injected.inc();
-            }
-            return fail_batch(lead, riders, granted, &ServiceError::Io(e));
-        }
-
-        let misses = store.stats().misses;
-        let resident = store.resident_pages() * PAGE_SIZE;
-        let peak = wenv.memory.peak();
-        members
-            .iter()
-            .zip(sinks)
-            .enumerate()
-            .map(|(k, ((idx, _), sink))| {
-                let leader = k == 0;
-                let result = JoinResult {
-                    pairs: sink.delivered,
-                    io: if leader { io } else { IoStats::default() },
-                    cpu: if leader { cpu } else { CpuCounter::default() },
-                    index_page_requests: if leader { misses } else { 0 },
-                    sweep: Default::default(),
-                    memory: MemoryStats {
-                        priority_queue_bytes: 0,
-                        sweep_structure_bytes: 0,
-                        other_bytes: if leader { resident } else { 0 },
-                        peak_bytes: if leader { peak } else { 0 },
-                    },
-                };
-                let status = if sink.deadline_hit {
-                    self.obs.metrics.faults_deadline_exceeded.inc();
-                    QueryStatus::Failed(ServiceError::DeadlineExceeded {
-                        deadline_us: sink.deadline_us.unwrap_or(0),
-                        now_us: clock.now_us(),
-                    })
-                } else if sink.cancelled {
-                    QueryStatus::Cancelled(Some(result))
-                } else {
-                    QueryStatus::Completed(result)
-                };
-                QueryOutcome {
-                    request: *idx,
-                    status,
-                    pairs: sink.collected,
-                    stats: QueryStats {
-                        admitted_bytes: if leader { granted } else { 0 },
-                        trace: if leader { trace.take() } else { None },
-                        ..QueryStats::default()
-                    },
-                }
-            })
-            .collect()
-    }
-
     /// Routes an admitted query to its operator by the tiers its datasets
     /// hold (see [`QueryKind`]). Live datasets are read through generation
     /// snapshots taken **before** the worker environment is built:
@@ -1709,8 +1496,8 @@ impl Service {
     }
 
     /// A join of two inputs without tiers through [`SpatialQuery`]. With
-    /// `cached` (both inputs registered, the plan cache on) the plan comes
-    /// from, and the measured peak goes to, the plan cache.
+    /// `cached` (both inputs registered) the plan comes from, and the
+    /// measured peak goes to, the plan cache.
     fn run_join(
         &self,
         wenv: &mut SimEnv,
@@ -1720,7 +1507,6 @@ impl Service {
         cached: bool,
         sink: &mut ServiceSink,
     ) -> Result<JoinResult> {
-        let cached = cached && self.config.use_plan_cache;
         let query = SpatialQuery::new(left, right)
             .algorithm(spec.algo)
             .predicate(spec.predicate);
@@ -2247,85 +2033,6 @@ mod tests {
             assert!(outcome.stats.latency >= outcome.stats.queue_wait);
             assert!(outcome.stats.admission_seq.is_some());
         }
-    }
-
-    fn selection_mix(ia: DatasetId) -> Vec<QueryRequest> {
-        vec![
-            QueryRequest::window(ia, Rect::from_coords(0.0, 0.0, 30.0, 30.0)).collecting(),
-            QueryRequest::window(ia, Rect::from_coords(10.0, 10.0, 80.0, 80.0)).collecting(),
-            QueryRequest::window(ia, Rect::from_coords(0.0, 0.0, 80.0, 80.0))
-                .with_limit(5)
-                .collecting(),
-            QueryRequest::point(ia, Point::new(17.0, 22.0)).collecting(),
-            QueryRequest::window(ia, Rect::from_coords(-5.0, -5.0, -1.0, -1.0)).collecting(),
-        ]
-    }
-
-    #[test]
-    fn shared_scans_match_serial_execution_byte_for_byte() {
-        let a = grid(20, 4.0, 0.0, 0);
-        let (serial, ia, _) = service_over(&a, &a, ServiceConfig::default().with_workers(1));
-        let (batched, ib, _) = service_over(
-            &a,
-            &a,
-            ServiceConfig::default().with_workers(1).with_shared_scans(true),
-        );
-        assert_eq!(ia, ib, "identical registration order gives identical ids");
-        let serial_report = serial.run(selection_mix(ia));
-        let batched_report = batched.run(selection_mix(ib));
-
-        // One worker, everything queued up front: the whole mix rides one
-        // scan.
-        assert_eq!(batched_report.stats.shared_scans, 1);
-        assert_eq!(batched_report.stats.coalesced, 4);
-        assert_eq!(serial_report.stats.shared_scans, 0);
-
-        for (s, b) in serial_report.outcomes.iter().zip(&batched_report.outcomes) {
-            assert!(s.is_completed() && b.is_completed());
-            assert_eq!(
-                s.result().unwrap().pairs,
-                b.result().unwrap().pairs,
-                "request #{}",
-                s.request
-            );
-            assert_eq!(s.pairs, b.pairs, "request #{}: byte-identical pair lists", s.request);
-        }
-        assert_eq!(serial_report.stats.pairs, batched_report.stats.pairs);
-        // The shared scan reads the tree once instead of five times.
-        assert!(
-            batched_report.stats.io.pages_read < serial_report.stats.io.pages_read,
-            "coalescing must save I/O ({} vs {})",
-            batched_report.stats.io.pages_read,
-            serial_report.stats.io.pages_read
-        );
-        // Riders hold no budget of their own.
-        for outcome in &batched_report.outcomes {
-            if outcome.stats.coalesced {
-                assert_eq!(outcome.stats.admitted_bytes, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn shared_scans_do_not_coalesce_across_datasets_or_joins() {
-        let a = grid(12, 4.0, 0.0, 0);
-        let b = grid(12, 4.0, 1.0, 50_000);
-        let (service, ia, ib) = service_over(
-            &a,
-            &b,
-            ServiceConfig::default().with_workers(1).with_shared_scans(true),
-        );
-        let window = Rect::from_coords(0.0, 0.0, 30.0, 30.0);
-        let report = service.run(vec![
-            QueryRequest::window(ia, window),
-            QueryRequest::join(ia, ib).with_algorithm(Algo::Sssj),
-            QueryRequest::window(ib, window),
-        ]);
-        assert_eq!(report.stats.completed, 3);
-        // Nothing compatible to coalesce: different datasets, and the join
-        // never batches.
-        assert_eq!(report.stats.shared_scans, 0);
-        assert_eq!(report.stats.coalesced, 0);
     }
 
     #[test]

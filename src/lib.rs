@@ -84,7 +84,7 @@ pub mod prelude {
         query::{Algo, MemoryPlan, QueryPlan, SpatialQuery},
         sssj::SssjJoin,
         st::StJoin,
-        CatalogedInput, CollectSink, CountSink, FanoutSink, JoinAlgorithm, JoinInput, JoinOperator,
+        CatalogedInput, CollectSink, CountSink, JoinAlgorithm, JoinInput, JoinOperator,
         JoinResult, LimitSink, MemoryStats, MultiwayJoin, PairSink, Predicate, SampleSink,
         TripleSink,
     };

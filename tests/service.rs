@@ -243,7 +243,9 @@ fn catalog_persists_and_reopens_across_a_device_snapshot() {
 }
 
 /// Cancellation mid-batch: queued requests carrying a cancelled token
-/// resolve without running, while the rest of the batch completes.
+/// resolve without running, while the rest of the batch completes; a
+/// selection cancelled while the workers are busy delivers a prefix of its
+/// solo answer and leaves the selections beside it unaffected.
 #[test]
 fn cancellation_stops_queued_queries() {
     let w = workload(800, 9);
@@ -269,6 +271,39 @@ fn cancellation_stops_queued_queries() {
     for outcome in &report.outcomes[1..] {
         assert!(matches!(outcome.status, QueryStatus::Cancelled(None)), "{:?}", outcome.status);
         assert_eq!(outcome.stats.admitted_bytes, 0);
+    }
+
+    // Wherever the cancel lands — before admission, mid-traversal or after
+    // the last item — the cancelled selection's pairs are a prefix of its
+    // solo answer, and every other selection's are its solo answer.
+    let r = w.region;
+    let quarter = Rect::from_coords(r.lo.x, r.lo.y, r.lo.x + r.width() / 4.0, r.hi.y);
+    let window = |rect: Rect| QueryRequest::window(ir, rect).collecting();
+    let solo = service.run(vec![window(r), window(quarter)]);
+    let (full, bystander) = (solo.outcomes[0].pairs.clone().unwrap(), &solo.outcomes[1].pairs);
+    assert!(!full.is_empty());
+    for delay_us in [0u64, 50, 400] {
+        let token = CancelToken::new();
+        let ((), report) = service.with_session(|session| {
+            session.submit(window(quarter));
+            session.submit(window(r).with_cancel(token.clone()));
+            session.submit(window(quarter));
+            std::thread::sleep(std::time::Duration::from_micros(delay_us));
+            token.cancel();
+        });
+        let cancelled = &report.outcomes[1];
+        assert!(!matches!(cancelled.status, QueryStatus::Failed(_)), "{:?}", cancelled.status);
+        let delivered = cancelled.pairs.clone().unwrap_or_default();
+        assert!(
+            full.starts_with(&delivered),
+            "delay {delay_us}µs: {} cancelled pairs are not a prefix of the {}-pair solo answer",
+            delivered.len(),
+            full.len()
+        );
+        for i in [0, 2] {
+            assert!(report.outcomes[i].is_completed());
+            assert_eq!(&report.outcomes[i].pairs, bystander, "bystander #{i} diverged");
+        }
     }
 }
 
