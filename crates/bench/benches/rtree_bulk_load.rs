@@ -1,11 +1,12 @@
-//! Hilbert bulk loading under the two packing policies, the merged rebuild
-//! of a live compaction, and the Hilbert key on its own.
+//! Hilbert bulk loading under the two packing policies, the two phases of
+//! a live compaction (the k-way merge of its sorted runs and the merged
+//! rebuild of its tree), and the Hilbert key on its own.
 
 use std::hint::black_box;
 use usj_bench::QuickBench;
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_geom::{hilbert, Item, Rect};
-use usj_io::{ItemStream, MachineConfig, SimEnv};
+use usj_io::{extsort, ItemStream, MachineConfig, SimEnv};
 use usj_rtree::bulk::{bounding_box, bulk_load, bulk_load_merged, MergedLoad};
 use usj_rtree::BulkLoadConfig;
 
@@ -74,7 +75,34 @@ fn main() {
         .iter()
         .map(|d| ItemStream::from_items(&mut env, d).unwrap())
         .collect();
+    // The same compaction's merge phase: the base and the deltas as runs
+    // sorted by the sweep key, in 2-page blocks, merged into the new base.
+    let sorted_run = |env: &mut SimEnv, items: &[Item]| {
+        let mut items = items.to_vec();
+        items.sort_unstable_by(|a, b| {
+            a.sweep_key()
+                .cmp(&b.sweep_key())
+                .then(a.cmp_by_lower_y(b))
+        });
+        ItemStream::from_items_with_block(env, &items, 2).unwrap()
+    };
+    let sweep_runs: Vec<ItemStream> = std::iter::once(&base)
+        .chain(&deltas)
+        .map(|items| sorted_run(&mut env, items))
+        .collect();
     let device = env.device.snapshot();
+    harness.bench("merge_sorted_runs_75000_plus_4x3277", || {
+        let mut fork = env.fork_with_base(device.clone());
+        let (merged, _) = extsort::merge_sorted_runs(
+            &mut fork,
+            sweep_runs.clone(),
+            Item::sweep_key,
+            Item::cmp_by_lower_y,
+            2,
+        )
+        .unwrap();
+        black_box(merged.len())
+    });
     harness.bench("merged_compaction_75000_plus_4x3277", || {
         let mut fork = env.fork_with_base(device.clone());
         let (tree, how) =

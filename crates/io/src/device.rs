@@ -161,7 +161,9 @@ impl BlockDevice {
     /// the identifier of the first one.
     ///
     /// Allocation itself is free: the cost of actually writing the pages is
-    /// charged when they are written.
+    /// charged when they are written. On the host it is free too: every new
+    /// page is a clone of the one shared zero page ([`Page::zeroed`]), so
+    /// nothing is allocated or zeroed until a page is written.
     pub fn allocate(&mut self, n: u64) -> PageId {
         let first = self.allocated_pages();
         self.pages
@@ -189,11 +191,13 @@ impl BlockDevice {
         Ok(())
     }
 
-    /// Resolves an own (writable) page; callers must have passed
-    /// [`check_writable`](BlockDevice::check_writable) first.
-    fn page_mut(&mut self, page: PageId) -> &mut Page {
+    /// Installs `image` as own (writable) page `page`; callers must have
+    /// passed [`check_writable`](BlockDevice::check_writable) first. The
+    /// page's old storage is released, not written over: a snapshot that
+    /// shares it keeps its bytes.
+    fn install(&mut self, page: PageId, image: Page) {
         let base_len = self.base.len() as u64;
-        &mut self.pages[(page - base_len) as usize]
+        self.pages[(page - base_len) as usize] = image;
     }
 
     fn check_range(&self, first: PageId, n: u64) -> Result<()> {
@@ -271,8 +275,11 @@ impl BlockDevice {
         Ok(())
     }
 
-    /// Writes a single page (the buffer is truncated or zero-padded to the
-    /// page size) as one I/O operation.
+    /// Writes a single page (the buffer is zero-padded to the page size) as
+    /// one I/O operation.
+    ///
+    /// The page gets fresh storage built from `data` — one copy of each
+    /// byte ([`Page::from_bytes`]) — in place of what it held.
     pub fn write_page(&mut self, page: PageId, data: &[u8]) -> Result<()> {
         if data.len() > PAGE_SIZE {
             return Err(IoSimError::OffsetOutOfPage {
@@ -287,18 +294,16 @@ impl BlockDevice {
             plan.before_write(1)?;
         }
         self.record(page, 1, false);
-        let dst = self.page_mut(page).bytes_mut();
-        dst[..data.len()].copy_from_slice(data);
-        for b in dst[data.len()..].iter_mut() {
-            *b = 0;
-        }
+        self.install(page, Page::from_bytes(data));
         Ok(())
     }
 
     /// Writes `n` consecutive pages starting at `first` as one I/O operation.
     ///
     /// `data` must be at most `n * PAGE_SIZE` bytes; the tail of the last page
-    /// is zero-filled.
+    /// is zero-filled, and a page past the end of `data` becomes a clone of
+    /// the shared zero page. Like [`write_page`](BlockDevice::write_page),
+    /// every page written gets fresh storage: one copy of each byte.
     pub fn write_pages(&mut self, first: PageId, n: u64, data: &[u8]) -> Result<()> {
         if data.len() > n as usize * PAGE_SIZE {
             return Err(IoSimError::OffsetOutOfPage {
@@ -317,21 +322,10 @@ impl BlockDevice {
         };
         let written = torn.unwrap_or(n);
         self.record(first, written, false);
-        for i in 0..written as usize {
-            let dst = self.page_mut(first + i as u64).bytes_mut();
-            let start = i * PAGE_SIZE;
-            let end = ((i + 1) * PAGE_SIZE).min(data.len());
-            if start < data.len() {
-                let chunk = &data[start..end];
-                dst[..chunk.len()].copy_from_slice(chunk);
-                for b in dst[chunk.len()..].iter_mut() {
-                    *b = 0;
-                }
-            } else {
-                for b in dst.iter_mut() {
-                    *b = 0;
-                }
-            }
+        let mut chunks = data.chunks(PAGE_SIZE);
+        for page in first..first + written {
+            let image = chunks.next().map_or_else(Page::zeroed, Page::from_bytes);
+            self.install(page, image);
         }
         if torn.is_some() {
             return Err(IoSimError::DeviceFault { transient: false });
@@ -611,6 +605,112 @@ mod tests {
         // Layering keeps sharing too: a fork's base *is* the snapshot.
         let fork = BlockDevice::with_base(Arc::clone(&snap));
         assert!((0..n).all(|i| fork.page_ref(i).shares_storage_with(&snap[i as usize])));
+    }
+
+    #[test]
+    fn an_allocated_page_is_the_shared_zero_page_until_written() {
+        let mut d = BlockDevice::new();
+        let p = d.allocate(3);
+        let page = d.read_page(p + 1).unwrap();
+        assert!(page.iter().all(|&b| b == 0));
+        assert!(page.shares_storage_with(&Page::zeroed()));
+        assert!((0..3).all(|i| d.page_ref(p + i).shares_storage_with(&Page::zeroed())));
+        // A write gives the page storage of its own and leaves the zero
+        // page, and the pages around it, as they were.
+        d.write_page(p + 1, b"data").unwrap();
+        assert!(!d.page_ref(p + 1).shares_storage_with(&Page::zeroed()));
+        assert!(Page::zeroed().iter().all(|&b| b == 0));
+        assert!(d.page_ref(p).shares_storage_with(&Page::zeroed()));
+        assert!(d.page_ref(p + 2).shares_storage_with(&Page::zeroed()));
+        // A multi-page write whose data ends early leaves its last pages
+        // zero pages.
+        let q = d.allocate(3);
+        d.write_pages(q, 3, &[7u8; PAGE_SIZE]).unwrap();
+        assert!(d.read_page(q).unwrap().iter().all(|&b| b == 7));
+        assert!(d.page_ref(q + 1).shares_storage_with(&Page::zeroed()));
+        assert!(d.page_ref(q + 2).shares_storage_with(&Page::zeroed()));
+    }
+
+    #[test]
+    fn a_write_to_a_page_a_snapshot_shares_leaves_the_snapshot_bytes() {
+        let mut d = BlockDevice::new();
+        let p = d.allocate(3);
+        let old: Vec<u8> = (0..PAGE_SIZE * 3).map(|i| (i % 199 + 1) as u8).collect();
+        d.write_pages(p, 3, &old).unwrap();
+        let snap = d.snapshot();
+        let held = d.read_page(p + 2).unwrap();
+
+        d.write_page(p, &[0xAB; PAGE_SIZE]).unwrap();
+        d.write_pages(p + 1, 2, &[0xCD; PAGE_SIZE + 5]).unwrap();
+
+        assert!(d.read_page(p).unwrap().iter().all(|&b| b == 0xAB));
+        let back = d.read_pages(p + 1, 2).unwrap();
+        assert!(back[..PAGE_SIZE + 5].iter().all(|&b| b == 0xCD));
+        assert!(back[PAGE_SIZE + 5..].iter().all(|&b| b == 0));
+        // The snapshot and a reader's earlier handle keep the old bytes.
+        for i in 0..3 {
+            assert_eq!(snap_bytes(&snap, p + i as u64), &old[i * PAGE_SIZE..][..PAGE_SIZE]);
+        }
+        assert_eq!(&held[..], &old[2 * PAGE_SIZE..]);
+    }
+
+    #[test]
+    fn a_short_write_over_data_zero_fills_the_tail() {
+        let mut d = BlockDevice::new();
+        let p = d.allocate(3);
+        d.write_page(p, &[0xFF; PAGE_SIZE]).unwrap();
+        d.write_page(p, b"short").unwrap();
+        let back = d.read_page(p).unwrap();
+        assert_eq!(&back[..5], b"short");
+        assert!(back[5..].iter().all(|&b| b == 0));
+        // The same through a multi-page write: the last page's tail, and a
+        // page the data does not reach, come back zero.
+        d.write_pages(p, 3, &[0xEE; 3 * PAGE_SIZE]).unwrap();
+        d.write_pages(p, 3, &[0x11; PAGE_SIZE + 9]).unwrap();
+        let back = d.read_pages(p, 3).unwrap();
+        assert!(back[..PAGE_SIZE + 9].iter().all(|&b| b == 0x11));
+        assert!(back[PAGE_SIZE + 9..].iter().all(|&b| b == 0));
+        // An empty write clears the page.
+        d.write_page(p, &[]).unwrap();
+        assert!(d.read_page(p).unwrap().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_torn_write_commits_exactly_its_first_pages() {
+        use crate::fault::FaultConfig;
+        let n = 6u64;
+        let mut d = BlockDevice::new();
+        let p = d.allocate(n);
+        let old: Vec<u8> = (0..PAGE_SIZE * n as usize).map(|i| (i % 233 + 1) as u8).collect();
+        d.write_pages(p, n, &old).unwrap();
+        let before: Vec<Page> = (0..n).map(|i| d.page_ref(p + i).clone()).collect();
+        d.reset_stats();
+        d.install_faults(FaultPlan::new(FaultConfig {
+            torn_write: 1.0,
+            max_faults: 1,
+            ..FaultConfig::quiet(29)
+        }));
+        // The data covers three and a half pages of the six written.
+        let new = vec![0x5Au8; PAGE_SIZE * 7 / 2];
+        assert_eq!(
+            d.write_pages(p, n, &new),
+            Err(IoSimError::DeviceFault { transient: false })
+        );
+        let k = d.stats().pages_written;
+        assert!((1..n).contains(&k), "committed {k}");
+        assert_eq!(d.stats().write_ops(), 1);
+        let mut want = new.clone();
+        want.resize(PAGE_SIZE * n as usize, 0);
+        for i in 0..n {
+            let page = d.page_ref(p + i);
+            let at = i as usize * PAGE_SIZE;
+            if i < k {
+                assert_eq!(&page[..], &want[at..at + PAGE_SIZE], "page {i}");
+            } else {
+                // Not written at all: the very storage it had before.
+                assert!(page.shares_storage_with(&before[i as usize]), "page {i}");
+            }
+        }
     }
 
     #[test]

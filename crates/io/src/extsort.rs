@@ -200,100 +200,104 @@ pub fn charge_sort(env: &mut SimEnv, n: u64) {
     }
 }
 
-/// One entry of the k-way merge heap: precomputed key, record, source run.
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    key: u64,
-    item: Item,
-    run: usize,
-}
-
-impl HeapEntry {
-    /// Key-first comparison with comparator fallback on collisions.
-    #[inline]
-    fn less_than<F>(&self, other: &HeapEntry, cmp: F) -> bool
-    where
-        F: Fn(&Item, &Item) -> Ordering,
-    {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| cmp(&self.item, &other.item))
-            == Ordering::Less
-    }
-}
-
-/// Minimal binary min-heap parameterised by an external comparator.
-struct MergeHeap<F> {
-    entries: Vec<HeapEntry>,
+/// The k-way merge's heap: one `(key, run)` pair per run that still has
+/// records, ordered by the key and, on a key collision, by `cmp` over the
+/// run's head record, which lives in `heads[run]`.
+///
+/// It is a binary min-heap in which [`push`](RunHeap::push) sifts the new
+/// pair up and [`pop`](RunHeap::pop) moves the last pair to the root and
+/// sifts it down. The sifts move a hole instead of swapping pairs, but make
+/// the same comparisons in the same order and leave every pair where a
+/// swapping heap would, so the merged order (ties included) and the counts
+/// are those of the textbook heap. `Compare` and `HeapOp` are counted here
+/// and charged by the caller once per merge.
+struct RunHeap<F> {
+    slots: Vec<(u64, usize)>,
+    heads: Vec<Item>,
     cmp: F,
+    compares: u64,
+    heap_ops: u64,
 }
 
-impl<F> MergeHeap<F>
+impl<F> RunHeap<F>
 where
-    F: Fn(&Item, &Item) -> Ordering + Copy,
+    F: Fn(&Item, &Item) -> Ordering,
 {
-    fn new(cmp: F) -> Self {
-        MergeHeap {
-            entries: Vec::new(),
+    fn new(runs: usize, cmp: F) -> Self {
+        RunHeap {
+            slots: Vec::with_capacity(runs),
+            heads: vec![Item::new(Rect::empty(), 0); runs],
             cmp,
+            compares: 0,
+            heap_ops: 0,
         }
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
+    /// Key-first strict order with the comparator deciding collisions;
+    /// counts one comparison.
+    #[inline]
+    fn less(&mut self, a: (u64, usize), b: (u64, usize)) -> bool {
+        self.compares += 1;
+        match a.0.cmp(&b.0) {
+            Ordering::Equal => (self.cmp)(&self.heads[a.1], &self.heads[b.1]) == Ordering::Less,
+            o => o == Ordering::Less,
+        }
     }
 
-    fn push(&mut self, env: &mut SimEnv, e: HeapEntry) {
-        env.charge(CpuOp::HeapOp, 1);
-        self.entries.push(e);
-        let mut i = self.entries.len() - 1;
+    /// Makes `item` the head of `run` and inserts the run.
+    fn push(&mut self, key: u64, run: usize, item: Item) {
+        self.heap_ops += 1;
+        self.heads[run] = item;
+        let new = (key, run);
+        let mut i = self.slots.len();
+        self.slots.push(new);
         while i > 0 {
             let parent = (i - 1) / 2;
-            env.charge(CpuOp::Compare, 1);
-            if self.entries[i].less_than(&self.entries[parent], self.cmp) {
-                self.entries.swap(i, parent);
-                i = parent;
-            } else {
+            if !self.less(new, self.slots[parent]) {
                 break;
             }
+            self.slots[i] = self.slots[parent];
+            i = parent;
         }
+        self.slots[i] = new;
     }
 
-    fn pop(&mut self, env: &mut SimEnv) -> Option<HeapEntry> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        env.charge(CpuOp::HeapOp, 1);
-        let last = self.entries.len() - 1;
-        self.entries.swap(0, last);
-        let out = self.entries.pop();
-        let mut i = 0;
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut smallest = i;
-            if l < self.entries.len() {
-                env.charge(CpuOp::Compare, 1);
-                if self.entries[l].less_than(&self.entries[smallest], self.cmp) {
-                    smallest = l;
+    /// Removes the run whose head is least and returns it with that head.
+    fn pop(&mut self) -> Option<(usize, Item)> {
+        let root = *self.slots.first()?;
+        self.heap_ops += 1;
+        let last = self.slots.pop().expect("non-empty heap");
+        let len = self.slots.len();
+        if len > 0 {
+            let mut i = 0;
+            loop {
+                let l = 2 * i + 1;
+                if l >= len {
+                    break;
                 }
-            }
-            if r < self.entries.len() {
-                env.charge(CpuOp::Compare, 1);
-                if self.entries[r].less_than(&self.entries[smallest], self.cmp) {
-                    smallest = r;
+                let mut least = if self.less(self.slots[l], last) { l } else { i };
+                let r = l + 1;
+                if r < len {
+                    let other = if least == l { self.slots[l] } else { last };
+                    if self.less(self.slots[r], other) {
+                        least = r;
+                    }
                 }
+                if least == i {
+                    break;
+                }
+                self.slots[i] = self.slots[least];
+                i = least;
             }
-            if smallest == i {
-                break;
-            }
-            self.entries.swap(i, smallest);
-            i = smallest;
+            self.slots[i] = last;
         }
-        out
+        Some((root.1, self.heads[root.1]))
     }
 }
 
+/// Merges one group of sorted runs into one run, charging the heap's
+/// comparisons and operations once at the end — also when a read or write
+/// fails part-way, so a failed merge has charged the work it did.
 fn merge_group<K, F>(
     env: &mut SimEnv,
     group: &[ItemStream],
@@ -305,19 +309,35 @@ where
     K: Fn(&Item) -> u64 + Copy,
     F: Fn(&Item, &Item) -> Ordering + Copy,
 {
+    let mut heap = RunHeap::new(group.len(), cmp);
+    let merged = merge_into(env, group, key, &mut heap, pages_per_block);
+    env.charge(CpuOp::Compare, heap.compares);
+    env.charge(CpuOp::HeapOp, heap.heap_ops);
+    merged
+}
+
+fn merge_into<K, F>(
+    env: &mut SimEnv,
+    group: &[ItemStream],
+    key: K,
+    heap: &mut RunHeap<F>,
+    pages_per_block: u64,
+) -> Result<ItemStream>
+where
+    K: Fn(&Item) -> u64,
+    F: Fn(&Item, &Item) -> Ordering,
+{
     let mut readers: Vec<ItemStreamReader> = group.iter().map(|s| s.reader()).collect();
-    let mut heap = MergeHeap::new(cmp);
     for (run, r) in readers.iter_mut().enumerate() {
         if let Some(item) = r.next(env)? {
-            heap.push(env, HeapEntry { key: key(&item), item, run });
+            heap.push(key(&item), run, item);
         }
     }
     let mut out = ItemStreamWriter::new(env, pages_per_block);
-    while heap.len() > 0 {
-        let e = heap.pop(env).expect("non-empty heap");
-        out.push(env, e.item)?;
-        if let Some(next) = readers[e.run].next(env)? {
-            heap.push(env, HeapEntry { key: key(&next), item: next, run: e.run });
+    while let Some((run, item)) = heap.pop() {
+        out.push(env, item)?;
+        if let Some(next) = readers[run].next(env)? {
+            heap.push(key(&next), run, next);
         }
     }
     out.finish(env)

@@ -1,6 +1,6 @@
 //! Fixed-size pages of the simulated disk.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Size of a disk page in bytes.
 ///
@@ -24,16 +24,44 @@ pub type PageId = u64;
 /// snapshot cost a pointer per page, a write after a snapshot cost the one
 /// page it hits, and a page read cost no copy at all: readers hold a clone
 /// and see its bytes through `Deref<Target = [u8]>`.
+///
+/// Every zero-filled page is a clone of one shared zero page, so allocating
+/// pages allocates and zeroes nothing, and a page built from bytes
+/// ([`from_bytes`](Page::from_bytes)) costs one copy of them.
 #[derive(Clone)]
 pub struct Page {
     data: Arc<[u8; PAGE_SIZE]>,
 }
 
+/// The storage every zero-filled page shares.
+static ZERO_PAGE: OnceLock<Page> = OnceLock::new();
+
 impl Page {
-    /// Creates a zero-filled page.
+    /// A zero-filled page: a clone of the shared zero page.
     pub fn zeroed() -> Self {
+        ZERO_PAGE
+            .get_or_init(|| Page {
+                data: Arc::new([0u8; PAGE_SIZE]),
+            })
+            .clone()
+    }
+
+    /// A page holding `bytes` (at most [`PAGE_SIZE`] of them) followed by
+    /// zeros. A full page is one copy of `bytes` into fresh storage; a short
+    /// one copies the zero page first, then `bytes` over its front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than a page.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        assert!(bytes.len() <= PAGE_SIZE, "{} bytes overflow a page", bytes.len());
+        if bytes.len() < PAGE_SIZE {
+            let mut page = Page::zeroed();
+            page.bytes_mut()[..bytes.len()].copy_from_slice(bytes);
+            return page;
+        }
         Page {
-            data: Arc::new([0u8; PAGE_SIZE]),
+            data: Arc::<[u8]>::from(bytes).try_into().expect("exactly one page"),
         }
     }
 
@@ -107,6 +135,30 @@ mod tests {
         let before = p.as_ptr();
         p.bytes_mut()[1] = 3;
         assert_eq!(p.as_ptr(), before);
+    }
+
+    #[test]
+    fn zeroed_pages_share_one_storage() {
+        assert!(Page::zeroed().shares_storage_with(&Page::zeroed()));
+        assert!(Page::default().shares_storage_with(&Page::zeroed()));
+    }
+
+    #[test]
+    fn a_page_from_bytes_holds_them_then_zeros() {
+        let full: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        assert_eq!(&Page::from_bytes(&full)[..], &full[..]);
+        let short = Page::from_bytes(b"abc");
+        assert_eq!(&short[..3], b"abc");
+        assert!(short[3..].iter().all(|&b| b == 0));
+        // The short page has storage of its own; the zero page stays zero.
+        assert!(!short.shares_storage_with(&Page::zeroed()));
+        assert!(Page::zeroed().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow a page")]
+    fn a_page_from_too_many_bytes_panics() {
+        Page::from_bytes(&[0u8; PAGE_SIZE + 1]);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! records ([`ItemStream::reader_from`] starts) are never decoded at all.
 //! Bulk consumers iterate an [`ItemsView`] — a borrowed items-view over the
 //! page-resident bytes of the current block — via
-//! [`ItemStreamReader::next_view`]. Gauge reservations are per *block*: a
+//! [`ItemStreamReader::next_view`]. A writer encodes into one block buffer,
+//! zeroed once, and hands the device the bytes up to its last record, which
+//! the device copies once into the new pages. Gauge reservations are per
+//! *block*: a
 //! writer claims its block buffer once (falling back to per-record growth
 //! only when the governor is too tight for a whole block), a reader re-sizes
 //! one claim per block fill, so the gauge's atomic counters leave the
@@ -296,7 +299,9 @@ impl ItemStream {
 pub struct ItemStreamWriter {
     extents: Vec<PageId>,
     pages_per_block: u64,
-    /// Page-laid-out bytes of the block being filled.
+    /// Page-laid-out bytes of the block being filled. It only grows: bytes
+    /// past the block's last record may be left over from an earlier block,
+    /// while the page tails that pad records to page granularity stay zero.
     buf: Vec<u8>,
     items_in_buf: usize,
     /// Gauge claim on the block buffer (see the struct docs).
@@ -384,9 +389,13 @@ impl ItemStreamWriter {
         let pages_needed = (self.items_in_buf as u64).div_ceil(ITEMS_PER_PAGE as u64);
         let first = env.device.allocate(pages_needed);
         env.charge(CpuOp::ItemMove, self.items_in_buf as u64);
-        env.device.write_pages(first, pages_needed, &self.buf)?;
+        // Hand over the bytes up to the last record: the device zero-fills
+        // the rest of its page, so the bytes the buffer keeps past it (from
+        // an earlier block — the buffer is never cleared, so it is zeroed
+        // only once) are never written.
+        let used = record_offset(self.items_in_buf - 1) + ITEM_BYTES;
+        env.device.write_pages(first, pages_needed, &self.buf[..used])?;
         self.extents.push(first);
-        self.buf.clear();
         self.items_in_buf = 0;
         if !self.block_reserved {
             self.reservation.release();
@@ -557,6 +566,21 @@ mod tests {
         let data = items((ITEMS_PER_PAGE as u32) * 7 + 13);
         let s = ItemStream::from_items_with_block(&mut env, &data, 3).unwrap();
         assert_eq!(s.len() as usize, data.len());
+        assert_eq!(s.read_all(&mut env).unwrap(), data);
+    }
+
+    #[test]
+    fn a_short_last_block_writes_zeros_past_its_last_record() {
+        let mut env = env();
+        // Two full 2-page blocks, then 13 records: the last page is
+        // written from a buffer that still holds the second block's bytes.
+        let data = items((ITEMS_PER_PAGE as u32) * 4 + 13);
+        let s = ItemStream::from_items_with_block(&mut env, &data, 2).unwrap();
+        let last = env.device.read_page(s.extents()[2]).unwrap();
+        assert!(last[13 * ITEM_BYTES..].iter().all(|&b| b == 0));
+        // Full pages keep their zero tails too.
+        let full = env.device.read_page(s.extents()[1] + 1).unwrap();
+        assert!(full[ITEMS_PER_PAGE * ITEM_BYTES..].iter().all(|&b| b == 0));
         assert_eq!(s.read_all(&mut env).unwrap(), data);
     }
 

@@ -21,7 +21,7 @@ use std::cmp::Ordering;
 use usj_geom::{hilbert, sort_by_key_then, Item, Rect};
 use usj_io::{extsort, CpuOp, ItemStream, Result, SimEnv};
 
-use crate::node::{Node, NodeEntry, NodeKind, MAX_FANOUT};
+use crate::node::{Node, NodeEntry, NodeKind, NodeView, MAX_FANOUT};
 use crate::tree::RTree;
 
 /// Tuning parameters for bulk loading.
@@ -199,34 +199,106 @@ pub fn bulk_load_merged(
     extsort::charge_sort(env, fresh.len() as u64);
     sort_by_key_then(&mut fresh, |e| e.0, |a, b| a.1.cmp_by_lower_y(&b.1));
 
-    // Each old leaf is keyed in one pass, then merged with the fresh records
-    // that sort before each of its entries: one comparison per record
-    // placed while both sides have one left.
+    // Each old leaf is merged with the fresh records that fall inside it,
+    // charged as the step-by-step merge is: one comparison per record
+    // placed while both sides have one left. Only the old records that
+    // decide where a fresh one goes are keyed (see `KeyedLeaf`).
+    let step = probe_step(old.num_items(), fresh.len());
     let mut leaves = Packer::new(NodeKind::Leaf, config);
-    let mut fresh = fresh.iter().peekable();
+    let mut next = 0;
     let mut cursor = old.leaf_cursor();
-    let mut leaf: Vec<(u64, Item)> = Vec::with_capacity(MAX_FANOUT);
+    let mut leaf = KeyedLeaf::default();
     while let Some(old_leaf) = cursor.next_leaf(env)? {
-        leaf.clear();
-        leaf.extend(old_leaf.entries().map(|e| {
-            let it = e.as_item();
-            (hilbert_key(&it, &bbox), it)
-        }));
-        for o in &leaf {
-            while let Some(f) = fresh.next_if(|f| {
-                env.charge(CpuOp::Compare, 1);
-                o.0.cmp(&f.0).then_with(|| o.1.cmp_by_lower_y(&f.1)) == Ordering::Greater
-            }) {
-                leaves.push(leaf_entry(&f.1));
+        leaf.load(&old_leaf);
+        let mut start = 0;
+        let mut compares = 0;
+        while let Some(f) = fresh.get(next) {
+            let j = leaf.first_after(start, f, step, &bbox);
+            for it in &leaf.items[start..j] {
+                leaves.push(leaf_entry(it));
             }
-            leaves.push(leaf_entry(&o.1));
+            compares += (j - start) as u64;
+            start = j;
+            if j == leaf.items.len() {
+                break;
+            }
+            leaves.push(leaf_entry(&f.1));
+            compares += 1;
+            next += 1;
         }
+        // The fresh records ran out inside this leaf: the rest of it
+        // follows uncompared.
+        for it in &leaf.items[start..] {
+            leaves.push(leaf_entry(it));
+        }
+        env.charge(CpuOp::Compare, compares);
     }
-    for (_, it) in fresh {
+    for (_, it) in &fresh[next..] {
         leaves.push(leaf_entry(it));
     }
     let tree = leaves.build_tree(env, base.len(), bbox)?;
     Ok((tree, MergedLoad::Merged))
+}
+
+/// How far apart [`KeyedLeaf::first_after`] probes the old records for
+/// `old` records merged with `fresh` ones. Probing every `s`-th record
+/// keys about `old / (fresh · s) + log2 s` records per fresh one, least
+/// near `s = ln 2 · old / fresh`.
+fn probe_step(old: u64, fresh: usize) -> usize {
+    ((old as f64 / fresh.max(1) as f64 * std::f64::consts::LN_2) as usize).max(1)
+}
+
+/// The records of one old leaf, in the loader's order, with their Hilbert
+/// keys computed only on demand: [`bulk_load_merged`] places each fresh
+/// record by a search over the leaf, so only the old records the search
+/// probes are ever keyed.
+#[derive(Default)]
+struct KeyedLeaf {
+    items: Vec<Item>,
+    keys: Vec<Option<u64>>,
+}
+
+impl KeyedLeaf {
+    /// Holds the records of `leaf`, none keyed yet.
+    fn load(&mut self, leaf: &NodeView) {
+        self.items.clear();
+        self.items.extend(leaf.entries().map(|e| e.as_item()));
+        self.keys.clear();
+        self.keys.resize(self.items.len(), None);
+    }
+
+    /// Whether record `i` sorts after the keyed record `f`.
+    fn after(&mut self, i: usize, f: &(u64, Item), bbox: &Rect) -> bool {
+        let it = &self.items[i];
+        let key = *self.keys[i].get_or_insert_with(|| hilbert_key(it, bbox));
+        key.cmp(&f.0).then_with(|| it.cmp_by_lower_y(&f.1)) == Ordering::Greater
+    }
+
+    /// The first record at or past `start` that sorts after `f`, or the
+    /// leaf's length when none does. The records are in the loader's
+    /// order, so "sorts after `f`" holds from some record on: the search
+    /// probes every `step`-th record from `start`, then bisects the step
+    /// in which it starts to hold.
+    fn first_after(&mut self, start: usize, f: &(u64, Item), step: usize, bbox: &Rect) -> usize {
+        let (mut lo, mut hi) = (start, self.items.len());
+        while lo + step <= hi {
+            let probe = lo + step - 1;
+            if self.after(probe, f, bbox) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.after(mid, f, bbox) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
 }
 
 /// The bulk loader's sort key: the Hilbert value of the rectangle's centre
@@ -566,6 +638,41 @@ mod tests {
         assert_eq!(how, MergedLoad::Resorted);
         let full = bulk_load_stream_with_bbox(&mut env, &base, grown, cfg).unwrap();
         assert_eq!(leaf_items(&mut env, &resorted), leaf_items(&mut env, &full));
+    }
+
+    #[test]
+    fn a_keyed_leaf_places_a_record_where_a_linear_scan_does() {
+        let items = grid_items(12);
+        let bbox = bounding_box(items.iter().map(|it| it.rect));
+        let keyed = |it: &Item| (hilbert_key(it, &bbox), *it);
+        let mut old: Vec<(u64, Item)> = items.iter().step_by(2).map(keyed).collect();
+        old.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp_by_lower_y(&b.1)));
+        let mut leaf = KeyedLeaf {
+            items: old.iter().map(|e| e.1).collect(),
+            keys: vec![None; old.len()],
+        };
+        // Fresh records between, equal to and beyond the old ones.
+        let fresh = items.iter().skip(1).step_by(5).chain(&items[..3]).map(keyed);
+        for f in fresh {
+            for start in [0, 1, old.len() / 2, old.len() - 1, old.len()] {
+                let linear = (start..old.len())
+                    .find(|&i| {
+                        let o = &old[i];
+                        o.0.cmp(&f.0).then_with(|| o.1.cmp_by_lower_y(&f.1)) == Ordering::Greater
+                    })
+                    .unwrap_or(old.len());
+                for step in [1, 2, 3, 7, old.len(), old.len() + 5] {
+                    assert_eq!(leaf.first_after(start, &f, step, &bbox), linear, "step {step}");
+                }
+            }
+        }
+        // Only probed records were keyed, and each with its own key.
+        for (key, o) in leaf.keys.iter().zip(&old) {
+            assert!(key.map_or(true, |k| k == o.0));
+        }
+        assert_eq!(probe_step(60_000, 10_000), 4);
+        assert_eq!(probe_step(10, 0), 6);
+        assert_eq!(probe_step(1, 10_000), 1);
     }
 
     #[test]
