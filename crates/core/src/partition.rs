@@ -10,7 +10,7 @@ use std::cmp::Ordering;
 
 use usj_geom::{Extents, Item, Rect};
 use usj_io::{
-    CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView, Result, SimEnv, PAGE_SIZE,
+    CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView, Result, SimEnv,
 };
 
 use crate::input::JoinInput;
@@ -94,12 +94,6 @@ pub(crate) fn region_of(data: &Extents, eps: f32) -> Rect {
         data.bbox
     }
     .expanded(eps)
-}
-
-/// Logical block size of `partitions` distribution writers whose block
-/// buffers share a quarter of `memory_limit`.
-pub(crate) fn writer_pages_per_block(memory_limit: usize, partitions: usize) -> u64 {
-    (((memory_limit / 4) / PAGE_SIZE) / partitions).clamp(1, 8) as u64
 }
 
 /// Geometry of the tile grid: `tiles_per_side` tile columns (or rows) over

@@ -26,6 +26,8 @@
 //! input itself: folded into the bounding-box pass where one runs, taken
 //! from the first block of an input whose bounding box is already known.
 //! The grid, its scatter and that extents pass live in `crate::partition`.
+//! A partition that fits is swept along its own narrower axis by the same
+//! rule, asked of the extents its distribution folded.
 //!
 //! ## Memory-adaptive repartitioning
 //!
@@ -44,14 +46,18 @@
 //! once for a memory-bounded chunked sweep that streams one side past the
 //! other.
 
+use std::cmp::Ordering;
+
 use usj_geom::{Extents, Item, Rect, ITEM_BYTES};
-use usj_io::{CpuOp, ItemStream, ItemStreamReader, Result, SimEnv, PAGE_SIZE};
+use usj_io::{
+    writer_pages_per_block, CpuOp, ItemStream, ItemStreamReader, Result, SimEnv, PAGE_SIZE,
+};
 use usj_sweep::{
     batch_join_oriented, sweep_join_eps_with, StripedSweep, SweepJoinStats, SweepScratch,
 };
 
 use crate::input::JoinInput;
-use crate::partition::{input_extents, region_of, writer_pages_per_block, Scatter, TileGrid};
+use crate::partition::{input_extents, region_of, Scatter, TileGrid};
 use crate::predicate::Predicate;
 use crate::result::{JoinResult, MemoryStats};
 use crate::sink::PairSink;
@@ -308,8 +314,9 @@ fn reader_bound(s: &ItemStream) -> usize {
 /// How [`PbsmRun::sweep_loaded`] joins what is in the load buffers.
 #[derive(Clone, Copy)]
 enum Kernel {
-    /// A partition that fits in memory: the striped structure.
-    Striped,
+    /// A partition that fits in memory, whose rectangles the extents
+    /// describe: the striped structure, along their narrower axis.
+    Striped(Extents),
     /// A chunk pair of the fallback, whose rectangles the extents describe:
     /// the buffers themselves, copy-free, along their narrower axis.
     Batch(Extents),
@@ -368,7 +375,7 @@ impl PbsmRun<'_> {
                 self.load_right.clear();
                 left.read_all_into(env, &mut self.load_left)?;
                 right.read_all_into(env, &mut self.load_right)?;
-                self.sweep_loaded(env, path, Kernel::Striped);
+                self.sweep_loaded(env, path, Kernel::Striped(data));
                 return Ok(());
             }
             return self.split(env, path, left, right, data, depth);
@@ -390,13 +397,32 @@ impl PbsmRun<'_> {
             ..
         } = self;
         let loaded = load_left.len() + load_right.len();
-        let report = |a: &Item, b: &Item| {
+        let mut report = |a: &Item, b: &Item| {
             report_candidate(*predicate, path, &mut **sink, pairs, done, a, b)
         };
         let tests = match kernel {
-            Kernel::Striped => {
+            Kernel::Striped(data) => {
+                // The rule `batch_join_oriented` applies to the fallback's
+                // chunk pairs: along x the buffers are transposed for the
+                // sweep, and `report` gets the items back as loaded.
+                let along_x = data.cmp_x_to_y(&data.bbox) == Some(Ordering::Less);
+                if along_x {
+                    for it in load_left.iter_mut().chain(load_right.iter_mut()) {
+                        *it = it.transposed();
+                    }
+                }
                 let stats = sweep_join_eps_with::<StripedSweep, _>(
-                    load_left, load_right, 0.0, scratch, report,
+                    load_left,
+                    load_right,
+                    0.0,
+                    scratch,
+                    |a, b| {
+                        if along_x {
+                            report(&a.transposed(), &b.transposed())
+                        } else {
+                            report(a, b)
+                        }
+                    },
                 );
                 self.sweep_total.merge(&stats);
                 stats.rect_tests

@@ -61,4 +61,6 @@ pub use machine::MachineConfig;
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use sim::{ObsPhase, SimEnv};
 pub use stats::{CpuCounter, CpuOp, IoStats};
-pub use stream::{ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView};
+pub use stream::{
+    writer_pages_per_block, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView,
+};

@@ -44,6 +44,14 @@ pub const ITEMS_PER_PAGE: usize = PAGE_SIZE / ITEM_BYTES;
 /// stream-based algorithms to exploit sequential disk access.
 pub const DEFAULT_PAGES_PER_BLOCK: u64 = 64;
 
+/// Logical block size, in pages, of `writers` streams written side by side
+/// whose block buffers share a quarter of `memory_limit`: between one and
+/// eight pages each. PBSM's distribution writers and the spilling sweep's
+/// batches and shadow logs are sized by it.
+pub fn writer_pages_per_block(memory_limit: usize, writers: usize) -> u64 {
+    (((memory_limit / 4) / PAGE_SIZE) / writers).clamp(1, 8) as u64
+}
+
 /// Byte offset of record `i` within a page-laid-out block buffer.
 ///
 /// Items never straddle a page boundary: each page holds exactly

@@ -10,13 +10,21 @@
 //!    [`MemoryGauge`](usj_io::MemoryGauge).
 //! 2. When they outgrow the budget, the driver *evicts* the resident items
 //!    the sweep line will expire soonest (their fix-up window is the
-//!    shortest) and writes them to a **spill batch** on the simulated
-//!    device — sequential writes, charged like any other I/O.
+//!    shortest) — the earlier half of what is resident, then half of the
+//!    rest, until the structures fit half the budget — and writes them to a
+//!    **spill batch** on the simulated device: sequential writes, charged
+//!    like any other I/O.
 //! 3. While any batch is live, every arriving item is also appended to a
 //!    shared **shadow log**. Once the sweep line has passed every spilled
 //!    item (the *epoch* ends), each batch is read back and joined against
 //!    the portion of the log that arrived after its eviction — exactly the
 //!    intersections the in-memory sweep could no longer see.
+//!
+//! Batches and logs move in logical blocks sized from memory by
+//! [`writer_pages_per_block`]: the four streams an epoch writes side by
+//! side (two batch sides, two logs) share a quarter of the limit, one to
+//! eight pages each. One I/O then moves a block, as in the paper's
+//! external-memory model, and the smallest limits keep one-page blocks.
 //!
 //! Each missed pair is recovered exactly once: a pair `(s, z)` with `s`
 //! spilled and `z` arriving later is reported by the unique batch holding
@@ -37,7 +45,9 @@ use std::cmp::Ordering;
 use std::ops::ControlFlow;
 
 use usj_geom::{f32_order_key, Item};
-use usj_io::{CpuOp, ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv};
+use usj_io::{
+    writer_pages_per_block, CpuOp, ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv,
+};
 
 use crate::driver::{Side, SweepJoinStats};
 use crate::structure::SweepStructure;
@@ -48,10 +58,10 @@ use crate::StripedSweep;
 /// degenerates into one spill per item).
 pub const MIN_SWEEP_BUDGET: usize = 4096;
 
-/// Logical block size (in pages) of the spill batches and the shadow log.
-/// Small on purpose: the writers' block buffers are themselves charged to
-/// the gauge.
-pub(crate) const SPILL_PAGES_PER_BLOCK: u64 = 1;
+/// Streams an epoch writes side by side: a batch's two sides and the two
+/// shadow logs. Their block buffers share the block rule's quarter of the
+/// memory.
+const SPILL_WRITERS: usize = 4;
 
 /// One eviction: the spilled items of both sides, plus where in the shared
 /// shadow log the post-eviction arrivals begin.
@@ -78,12 +88,13 @@ struct SpillEpoch {
 }
 
 impl SpillEpoch {
-    /// An empty epoch with fresh shadow logs.
-    fn new(env: &mut SimEnv) -> Self {
+    /// An empty epoch with fresh shadow logs of `pages_per_block`-page
+    /// blocks.
+    fn new(env: &mut SimEnv, pages_per_block: u64) -> Self {
         SpillEpoch {
             batches: Vec::new(),
-            log_left: ItemStreamWriter::new(env, SPILL_PAGES_PER_BLOCK),
-            log_right: ItemStreamWriter::new(env, SPILL_PAGES_PER_BLOCK),
+            log_left: ItemStreamWriter::new(env, pages_per_block),
+            log_right: ItemStreamWriter::new(env, pages_per_block),
             log_left_n: 0,
             log_right_n: 0,
             max_y: f32::NEG_INFINITY,
@@ -147,11 +158,11 @@ impl SpillEpoch {
 /// whereas strips fitted to a chunk of near-identical rectangles would copy
 /// each of them into every strip.
 ///
-/// Chunking matters: an "evict everything" batch can approach the whole
-/// budget, and at epoch-close time the live structures may hold the budget
-/// again — reserving the full batch could spuriously exceed the limit,
-/// while an index grown to half the *current* headroom always fits, and
-/// the gauge is charged its real bytes. The log reader starts directly at
+/// Chunking matters: a batch that took most of the residents can approach
+/// the whole budget, and at epoch-close time the live structures may hold
+/// the budget again — reserving the full batch could spuriously exceed the
+/// limit, while an index grown to half the *current* headroom always fits,
+/// and the gauge is charged its real bytes. The log reader starts directly at
 /// the batch's suffix, so pre-eviction blocks are never re-read (they were
 /// probed in memory; re-reporting them would duplicate pairs).
 pub(crate) fn join_batch_against_log<F: FnMut(&Item, &Item)>(
@@ -218,6 +229,8 @@ pub struct SpillingSweepDriver {
     /// Sides whose input has ended, indexed by [`Side`].
     closed: [bool; 2],
     budget: usize,
+    /// Logical block size of the spill batches and shadow logs.
+    pages_per_block: u64,
     reservation: MemoryReservation,
     epoch: Option<SpillEpoch>,
     fixup_rect_tests: u64,
@@ -249,6 +262,7 @@ impl SpillingSweepDriver {
             last_y: f32::NEG_INFINITY,
             closed: [false; 2],
             budget,
+            pages_per_block: writer_pages_per_block(env.memory_limit, SPILL_WRITERS),
             reservation: env.memory.reserve_empty(),
             epoch: None,
             fixup_rect_tests: 0,
@@ -379,27 +393,24 @@ impl SpillingSweepDriver {
 
     /// Evicts the soonest-to-expire resident items until the in-memory state
     /// is at most half the budget, writing them to a new spill batch.
+    ///
+    /// Each round evicts the residents expiring at or before the median of
+    /// the expiries not yet cut at, then halves that set to its upper part,
+    /// so the rounds are logarithmic in the residents and everything goes
+    /// only when nothing less fits.
     fn spill(&mut self, env: &mut SimEnv) -> Result<()> {
         self.expiry_scratch.clear();
         self.left.resident_expiries(&mut self.expiry_scratch);
         self.right.resident_expiries(&mut self.expiry_scratch);
-        if self.expiry_scratch.is_empty() {
-            return Ok(());
-        }
-        let mid = self.expiry_scratch.len() / 2;
-        self.expiry_scratch.select_nth_unstable_by(mid, f32::total_cmp);
-        let cut = self.expiry_scratch[mid];
-
         self.evict_left.clear();
         self.evict_right.clear();
-        self.left.evict_until(cut, &mut self.evict_left);
-        self.right.evict_until(cut, &mut self.evict_right);
-        if self.left.bytes() + self.right.bytes() > self.budget / 2 {
-            // Median eviction was not enough (heavily duplicated expiries or
-            // strip-spanning copies): evict everything. `evict_until` appends
-            // to the reusable buffers, so no extra vector changes hands.
-            self.left.evict_until(f32::INFINITY, &mut self.evict_left);
-            self.right.evict_until(f32::INFINITY, &mut self.evict_right);
+        let mut rest = &mut self.expiry_scratch[..];
+        while !rest.is_empty() && self.left.bytes() + self.right.bytes() > self.budget / 2 {
+            let (_, &mut cut, later) = rest.select_nth_unstable_by(rest.len() / 2, f32::total_cmp);
+            // `evict_until` appends to the reusable buffers.
+            self.left.evict_until(cut, &mut self.evict_left);
+            self.right.evict_until(cut, &mut self.evict_right);
+            rest = later;
         }
         if self.evict_left.is_empty() && self.evict_right.is_empty() {
             return Ok(());
@@ -409,12 +420,12 @@ impl SpillingSweepDriver {
         for it in self.evict_left.iter().chain(self.evict_right.iter()) {
             batch_max_y = batch_max_y.max(it.rect.hi.y);
         }
-        let mut wl = ItemStreamWriter::new(env, SPILL_PAGES_PER_BLOCK);
+        let mut wl = ItemStreamWriter::new(env, self.pages_per_block);
         for it in &self.evict_left {
             wl.push(env, *it)?;
         }
         let left = wl.finish(env)?;
-        let mut wr = ItemStreamWriter::new(env, SPILL_PAGES_PER_BLOCK);
+        let mut wr = ItemStreamWriter::new(env, self.pages_per_block);
         for it in &self.evict_right {
             wr.push(env, *it)?;
         }
@@ -429,7 +440,7 @@ impl SpillingSweepDriver {
 
         let epoch = match &mut self.epoch {
             Some(e) => e,
-            None => self.epoch.insert(SpillEpoch::new(env)),
+            None => self.epoch.insert(SpillEpoch::new(env, self.pages_per_block)),
         };
         epoch.max_y = epoch.max_y.max(batch_max_y);
         epoch.batches.push(SpillBatch {
@@ -589,9 +600,9 @@ mod tests {
         (out, tests)
     }
 
-    /// One-page blocks, like the driver's batches and logs.
+    /// One-page blocks, like the driver's batches and logs at 64 KB.
     fn stream(env: &mut SimEnv, items: &[Item]) -> ItemStream {
-        ItemStream::from_items_with_block(env, items, SPILL_PAGES_PER_BLOCK).unwrap()
+        ItemStream::from_items_with_block(env, items, 1).unwrap()
     }
 
     /// `n` rectangles ascending in lower-y from `y0` in steps of `dy`,
@@ -689,7 +700,7 @@ mod tests {
     /// Narrow short-lived rectangles under extent-spanning long-lived ones,
     /// `dy` apart in lower-y from `y0`: evicting the soonest-to-expire half
     /// frees almost nothing (the copies of the wide ones stay), so every
-    /// spill falls through to `evict_until(∞)`.
+    /// spill halves the residents again, past the median.
     fn narrow_under_wide(n: u32, y0: f32, dy: f32, wide_height: f32, id_base: u32) -> Vec<Item> {
         (0..n)
             .map(|i| {
@@ -702,20 +713,21 @@ mod tests {
             .collect()
     }
 
-    /// Every spill of `stats` evicted far more than half the residents.
-    fn evicted_everything(stats: &SweepJoinStats) -> bool {
-        stats.spilled_items > stats.spill_runs * stats.max_resident as u64 * 3 / 4
+    /// The spills of `stats` evicted more than half the residents each, on
+    /// average: they went on past the median.
+    fn evicted_past_the_median(stats: &SweepJoinStats) -> bool {
+        stats.spilled_items > stats.spill_runs * stats.max_resident as u64 / 2
     }
 
     #[test]
-    fn evict_everything_batches_are_fixed_up_exactly() {
+    fn batches_evicted_past_the_median_are_fixed_up_exactly() {
         let mut env = env_with_memory(64 * 1024);
         let left = narrow_under_wide(900, 0.0, 0.01, 60.0, 0);
         let right = narrow_under_wide(900, 0.0, 0.01, 60.0, 10_000);
         let (pairs, stats) = run_merged(&mut env, &left, &right);
         assert_eq!(pairs, brute(&left, &right));
         assert!(stats.spill_runs > 0, "{stats:?}");
-        assert!(evicted_everything(&stats), "{stats:?}");
+        assert!(evicted_past_the_median(&stats), "{stats:?}");
         assert!(env.memory.peak() <= env.memory_limit);
     }
 
@@ -935,7 +947,7 @@ mod tests {
     fn sides_far_out_of_step_under_a_small_budget_recover_every_pair_once() {
         // Every third rectangle spans the extent and lives long; evicting
         // the soonest-to-expire half leaves their strip copies behind, so
-        // the spills fall through to `evict_until(∞)`. The right input
+        // the spills go on past the median. The right input
         // starts level with the left, a third of the way up it, or past its
         // last item — wherever it starts, every pair is recovered once.
         let left = narrow_under_wide(900, 0.0, 0.05, 30.0, 0);
@@ -947,10 +959,69 @@ mod tests {
             assert_eq!(pairs, brute(&left, &right), "offset {offset}");
             assert!(stats.spill_runs > 0, "offset {offset}: {stats:?}");
             assert!(
-                evicted_everything(&stats),
+                evicted_past_the_median(&stats),
                 "offset {offset}: median evictions only, {stats:?}"
             );
             assert!(env.memory.peak() <= env.memory_limit, "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn a_spill_the_median_leaves_over_half_the_budget_stops_at_half_not_at_empty() {
+        let mut env = env_with_memory(64 * 1024);
+        let mut driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
+        // Long-lived rectangles on one side: nothing expires before the
+        // first spill, and nothing probes them.
+        let mut items = long_lived(2_000, 0);
+        items.sort_unstable_by(Item::cmp_by_lower_y);
+        let mut pushed = 0;
+        while driver.stats.spill_runs == 0 {
+            driver
+                .push(&mut env, Side::Left, items[pushed], |_, _| {})
+                .unwrap();
+            pushed += 1;
+        }
+        let half = driver.budget / 2;
+        // The structures as they were before that spill, cut at the median
+        // of their expiries: still over half the budget.
+        let (mut left, right) = (
+            StripedSweep::with_extent(0.0, 64.0),
+            StripedSweep::with_extent(0.0, 64.0),
+        );
+        items[..pushed].iter().for_each(|it| left.insert(*it));
+        let mut expiries = Vec::new();
+        left.resident_expiries(&mut expiries);
+        let mid = expiries.len() / 2;
+        let (_, &mut median, _) = expiries.select_nth_unstable_by(mid, f32::total_cmp);
+        left.evict_until(median, &mut Vec::new());
+        let after_median = left.bytes() + right.bytes();
+        assert!(after_median > half, "{after_median} B, half the budget {half}");
+
+        let spilled = driver.stats.spilled_items;
+        assert!(
+            spilled < pushed as u64 && !driver.left.is_empty(),
+            "{spilled} of {pushed} residents evicted"
+        );
+        let after = driver.left.bytes() + driver.right.bytes();
+        assert!(after <= half, "{after} B, half the budget {half}");
+    }
+
+    #[test]
+    fn spill_blocks_are_one_page_at_64_and_128_kb_and_grow_with_memory() {
+        for (kb, pages) in [(64, 1), (128, 1), (256, 2), (3 * 1024, 8)] {
+            let mut env = env_with_memory(kb * 1024);
+            let driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
+            assert_eq!(driver.pages_per_block, pages, "{kb} KB");
+            if kb > 128 {
+                continue;
+            }
+            let (left, right) = (long_lived(1_200, 0), long_lived(1_200, 10_000));
+            env.memory.begin_phase();
+            let (pairs, stats) = run_merged(&mut env, &left, &right);
+            assert_eq!(pairs, brute(&left, &right), "{kb} KB");
+            assert!(stats.spill_runs > 0, "{kb} KB: {stats:?}");
+            let peak = env.memory.peak();
+            assert!(peak <= env.memory_limit, "{kb} KB: peak {peak}");
         }
     }
 
