@@ -12,10 +12,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use usj_bench::setup::{ExperimentConfig, PreparedWorkload};
-use usj_core::{CollectSink, JoinAlgorithm, JoinInput, SpatialQuery};
+use usj_core::{CollectSink, JoinAlgorithm, JoinInput, JoinOperator, SpatialQuery, SssjJoin};
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_io::{IoStats, ItemStream, MachineConfig, SimEnv};
-use usj_live::{LiveConfig, LiveDataset, StreamingJoin};
+use usj_live::{LiveConfig, LiveDataset};
 use usj_obs::{NoopRecorder, QueryTrace, Recorder, RingCollector, TraceSpan};
 use usj_rtree::RTree;
 use usj_sweep::SweepJoinStats;
@@ -135,7 +135,8 @@ fn recording_and_noop_runs_are_byte_identical_for_every_preset_and_algorithm() {
 }
 
 /// Ingests both sides of NJ/10 into live datasets (half registered, half
-/// appended through flushes and compactions) and runs the streaming join.
+/// appended through flushes and compactions) and joins their snapshots with
+/// SSSJ, which merges each side's runs as it sweeps.
 fn run_streaming() -> Observed {
     let w = WorkloadSpec::preset(Preset::NJ).with_scale(10).generate(42);
     let mut env = SimEnv::new(MachineConfig::machine3());
@@ -149,9 +150,15 @@ fn run_streaming() -> Observed {
         ds.append(&mut env, rest).unwrap();
         ds
     });
+    let (l, r) = (l.snapshot(), r.snapshot());
     let mut sink = CollectSink::default();
-    let result = StreamingJoin::default()
-        .run(&mut env, &l.snapshot(), &r.snapshot(), &mut sink)
+    let result = SssjJoin::default()
+        .run_with(
+            &mut env,
+            JoinInput::Cataloged(l.cataloged()),
+            JoinInput::Cataloged(r.cataloged()),
+            &mut sink,
+        )
         .expect("streaming join");
     assert_eq!(result.sweep.spill_runs, 0, "ample memory: nothing spills");
     (sink.pairs, result.io, result.memory.peak_bytes)
@@ -179,7 +186,7 @@ fn a_recorded_streaming_join_is_byte_identical_and_fits_a_query_ring() {
     assert_eq!(dropped, 0, "{} events kept", events.len());
     let trace = QueryTrace::from_events(&events, dropped);
     assert!(trace.orphan_marks.is_empty());
-    for phase in ["live.flush", "live.compaction", "stream.probe", "stream.fixup"] {
+    for phase in ["live.flush", "live.compaction", "sssj.sweep", "sssj.fixup"] {
         assert!(trace.find(phase).is_some(), "{phase} missing: {}", trace.shape());
     }
     // Every compaction is a merge of the tiers, then the tree's rebuild. The

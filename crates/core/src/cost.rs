@@ -149,15 +149,16 @@ impl CostBasedJoin {
 
         // Indexed strategy: every index page the join touches costs a random
         // read. The touched fraction is estimated from the directory
-        // rectangles; a non-indexed side is charged a full sort instead.
+        // rectangles; a non-indexed side — or a cataloged one with tiers,
+        // whose tree covers only its base — is charged a full sort instead.
         let mut indexed_secs = 0.0;
         let mut touched_pages = 0.0;
         let mut total_pages = 0.0;
         for (input, other) in [(left, right), (right, left)] {
             let tree = match input {
                 JoinInput::Indexed(tree) => Some(*tree),
-                JoinInput::Cataloged(c) => Some(c.tree),
-                JoinInput::Stream(_) | JoinInput::SortedStream(_) => None,
+                JoinInput::Cataloged(c) if !c.has_tiers() => Some(c.tree),
+                _ => None,
             };
             match tree {
                 Some(tree) => {

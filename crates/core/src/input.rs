@@ -1,28 +1,150 @@
 //! Join inputs: indexed or non-indexed relations.
 
-use usj_geom::Rect;
-use usj_io::{extsort, CpuOp, ItemStream, ItemStreamWriter, Result, SimEnv};
+use std::sync::Arc;
+
+use usj_geom::{Item, Rect};
+use usj_io::{extsort, CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, Result, SimEnv};
 use usj_rtree::{NodeKind, RTree};
 
 /// A relation registered in a dataset catalog: *both* of its prepared
 /// representations — the bulk-loaded R-tree and the y-sorted run — persisted
-/// on the device, plus the known bounding box.
+/// on the device, plus the known bounding box, and any **tiers** beside
+/// them: sorted delta runs on the device and sorted in-memory runs.
 ///
 /// This is what "register once, query many" buys: an algorithm that wants
 /// the index uses [`tree`](CatalogedInput::tree) without bulk-loading, an
 /// algorithm that wants sorted input uses [`sorted`](CatalogedInput::sorted)
-/// without re-sorting, and nobody scans for the bounding box. The handle is
-/// produced by the service crate's `Catalog`; it is a plain borrow so the
-/// core crate stays independent of the catalog implementation.
+/// without re-sorting, and nobody scans for the bounding box. A registered
+/// dataset has no tiers; a live dataset mid-ingest has them, and then the
+/// tree indexes `sorted` only, so the relation in sweep order is the merge
+/// of `sorted` with every tier. The handle is produced by the service
+/// crate's `Catalog` and the live crate's snapshots; it is a plain borrow so
+/// the core crate stays independent of both.
 #[derive(Debug, Clone, Copy)]
 pub struct CatalogedInput<'a> {
-    /// The persisted packed R-tree over the relation.
+    /// The persisted packed R-tree over `sorted`.
     pub tree: &'a RTree,
     /// The persisted stream of the relation's MBRs, sorted by lower
-    /// y-coordinate.
+    /// y-coordinate (a live dataset's base run).
     pub sorted: &'a ItemStream,
-    /// Bounding box of the relation, recorded at registration.
+    /// Bounding box of the relation, tiers included.
     pub bbox: Rect,
+    /// Sorted delta runs on the device, oldest first.
+    pub deltas: &'a [SnapshotRun],
+    /// Sorted in-memory runs, oldest first.
+    pub mem_runs: &'a [MemRun],
+}
+
+impl CatalogedInput<'_> {
+    /// Whether anything beside `sorted` holds records: then the tree does
+    /// not cover the relation, and reading it in sweep order merges runs.
+    pub fn has_tiers(&self) -> bool {
+        !self.deltas.is_empty() || !self.mem_runs.is_empty()
+    }
+}
+
+/// One persisted sweep-key-sorted run: its stream handle and bounding box
+/// (the box prunes run scans in window/point selections).
+#[derive(Debug, Clone)]
+pub struct SnapshotRun {
+    stream: ItemStream,
+    bbox: Rect,
+}
+
+impl SnapshotRun {
+    /// A persisted sorted run with the bounding box of its records.
+    pub fn new(stream: ItemStream, bbox: Rect) -> Self {
+        SnapshotRun { stream, bbox }
+    }
+
+    /// The persisted sorted run.
+    pub fn stream(&self) -> &ItemStream {
+        &self.stream
+    }
+
+    /// Bounding box of the run.
+    pub fn bbox(&self) -> Rect {
+        self.bbox
+    }
+}
+
+/// One in-memory run (a frozen flush batch or a memtable copy):
+/// sweep-key-sorted items plus their bounding box.
+#[derive(Debug, Clone)]
+pub struct MemRun {
+    items: Arc<Vec<Item>>,
+    bbox: Rect,
+}
+
+impl MemRun {
+    /// Sweep-key-sorted items with their bounding box.
+    pub fn new(items: Arc<Vec<Item>>, bbox: Rect) -> Self {
+        MemRun { items, bbox }
+    }
+
+    /// The sorted items.
+    pub fn items(&self) -> &[Item] {
+        &self.items
+    }
+
+    /// Bounding box of the run.
+    pub fn bbox(&self) -> Rect {
+        self.bbox
+    }
+}
+
+/// Streaming k-way merge of a cataloged relation's persisted and in-memory
+/// runs, delivering records in ascending sweep-key order without
+/// materialising or re-sorting anything. Run pages are read (and charged)
+/// on demand; the merge itself charges no CPU.
+#[derive(Debug)]
+pub(crate) struct RunMerge<'a> {
+    /// Persisted runs oldest (base) first, then in-memory runs oldest
+    /// first: the earliest head wins a key tie.
+    runs: Vec<MergedRun<'a>>,
+}
+
+#[derive(Debug)]
+enum MergedRun<'a> {
+    Device(ItemStreamReader),
+    Memory(std::slice::Iter<'a, Item>),
+}
+
+impl<'a> RunMerge<'a> {
+    pub(crate) fn new(c: &CatalogedInput<'a>) -> Self {
+        let deltas = c.deltas.iter().map(SnapshotRun::stream);
+        let device = std::iter::once(c.sorted).chain(deltas);
+        let memory = c.mem_runs.iter().map(|m| MergedRun::Memory(m.items().iter()));
+        RunMerge {
+            runs: device.map(|s| MergedRun::Device(s.reader())).chain(memory).collect(),
+        }
+    }
+
+    /// The next record in ascending sweep-key order, or `None` when every
+    /// run is exhausted.
+    pub(crate) fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
+        // The run count is 1 + pending deltas + pending batches — small by
+        // construction (maintenance folds them back) — so a linear scan
+        // over the heads beats heap bookkeeping. Persisted runs win key
+        // ties (oldest-first), in-memory runs only on strictly smaller.
+        let mut best: Option<(usize, u64)> = None;
+        for (i, run) in self.runs.iter_mut().enumerate() {
+            let head = match run {
+                MergedRun::Device(reader) => reader.peek(env)?,
+                MergedRun::Memory(items) => items.as_slice().first().copied(),
+            };
+            if let Some(key) = head.map(|h| h.sweep_key()) {
+                if best.map_or(true, |(_, k)| key < k) {
+                    best = Some((i, key));
+                }
+            }
+        }
+        match best.map(|(i, _)| &mut self.runs[i]) {
+            Some(MergedRun::Device(reader)) => reader.next(env),
+            Some(MergedRun::Memory(items)) => Ok(items.next().copied()),
+            None => Ok(None),
+        }
+    }
 }
 
 /// One input relation of a spatial join.
@@ -42,7 +164,9 @@ pub enum JoinInput<'a> {
     SortedStream(&'a ItemStream),
     /// The relation is registered in a dataset catalog, with a persisted
     /// index *and* a persisted sorted run: every algorithm skips its
-    /// preparation I/O (no re-sort, no index build, no bbox scan).
+    /// preparation I/O (no re-sort, no index build, no bbox scan). With
+    /// tiers, the sweep-based algorithms merge the runs without sorting and
+    /// the index-based ones index the merge.
     Cataloged(CatalogedInput<'a>),
 }
 
@@ -52,7 +176,11 @@ impl<'a> JoinInput<'a> {
         match self {
             JoinInput::Indexed(tree) => tree.num_items(),
             JoinInput::Stream(s) | JoinInput::SortedStream(s) => s.len(),
-            JoinInput::Cataloged(c) => c.sorted.len(),
+            JoinInput::Cataloged(c) => {
+                let deltas: u64 = c.deltas.iter().map(|d| d.stream.len()).sum();
+                let mem: usize = c.mem_runs.iter().map(|m| m.items.len()).sum();
+                c.sorted.len() + deltas + mem as u64
+            }
         }
     }
 
@@ -61,20 +189,10 @@ impl<'a> JoinInput<'a> {
         self.len() == 0
     }
 
-    /// Returns `true` if the relation has an R-tree.
-    pub fn is_indexed(&self) -> bool {
-        matches!(self, JoinInput::Indexed(_) | JoinInput::Cataloged(_))
-    }
-
-    /// Number of disk pages holding the relation's raw data (for indexed
-    /// inputs this is the size of the index, the quantity the paper's cost
-    /// comparison in Section 6.3 uses).
-    pub fn pages(&self) -> u64 {
-        match self {
-            JoinInput::Indexed(tree) => tree.nodes(),
-            JoinInput::Stream(s) | JoinInput::SortedStream(s) => s.pages(),
-            JoinInput::Cataloged(c) => c.tree.nodes(),
-        }
+    /// Whether the relation is a cataloged one with tiers beside its
+    /// indexed run (see [`CatalogedInput::has_tiers`]).
+    pub fn has_tiers(&self) -> bool {
+        matches!(self, JoinInput::Cataloged(c) if c.has_tiers())
     }
 
     /// Bounding box of the relation, if it is known without scanning
@@ -102,6 +220,9 @@ impl<'a> JoinInput<'a> {
     ///   order (largely sequential I/O on a bulk-loaded tree), the leaf
     ///   rectangles are written to a scratch stream, and that stream is
     ///   sorted. This is what "SSSJ ignores the index" costs.
+    /// * A `Cataloged` relation hands back its persisted run without any
+    ///   I/O — the catalog's headline saving — or, with tiers, writes the
+    ///   merge of its runs to a fresh stream.
     pub fn to_sorted_stream(
         &self,
         env: &mut SimEnv,
@@ -116,7 +237,8 @@ impl<'a> JoinInput<'a> {
                 Ok(((*s).clone(), bbox))
             }
             JoinInput::Stream(s) => {
-                let (sorted, stats) = extsort::external_sort_by_key(env, s, usj_geom::Item::sweep_key, usj_geom::Item::cmp_by_lower_y)?;
+                let (sorted, stats) =
+                    extsort::external_sort_by_key(env, s, Item::sweep_key, Item::cmp_by_lower_y)?;
                 Ok((sorted, bbox_hint.unwrap_or(stats.bbox)))
             }
             JoinInput::Indexed(tree) => {
@@ -124,14 +246,12 @@ impl<'a> JoinInput<'a> {
                 let (sorted, stats) = extsort::external_sort_by_key(
                     env,
                     &dumped,
-                    usj_geom::Item::sweep_key,
-                    usj_geom::Item::cmp_by_lower_y,
+                    Item::sweep_key,
+                    Item::cmp_by_lower_y,
                 )?;
                 Ok((sorted, bbox_hint.unwrap_or(stats.bbox)))
             }
-            // The sorted run was persisted at registration: hand it back
-            // without any I/O at all. This is the catalog's headline saving.
-            JoinInput::Cataloged(c) => Ok((c.sorted.clone(), bbox_hint.unwrap_or(c.bbox))),
+            JoinInput::Cataloged(c) => Ok((cataloged_run(env, c)?, bbox_hint.unwrap_or(c.bbox))),
         }
     }
 
@@ -141,11 +261,24 @@ impl<'a> JoinInput<'a> {
         match self {
             JoinInput::Stream(s) | JoinInput::SortedStream(s) => Ok((*s).clone()),
             JoinInput::Indexed(tree) => dump_tree(env, tree),
-            // Sorted is a perfectly good unsorted stream too, and it is
-            // already on the device.
-            JoinInput::Cataloged(c) => Ok(c.sorted.clone()),
+            // Sorted is a perfectly good unsorted stream too.
+            JoinInput::Cataloged(c) => cataloged_run(env, c),
         }
     }
+}
+
+/// A cataloged relation as one sorted stream: its persisted run, or with
+/// tiers the merge of its runs written out (charged I/O).
+fn cataloged_run(env: &mut SimEnv, c: &CatalogedInput<'_>) -> Result<ItemStream> {
+    if !c.has_tiers() {
+        return Ok(c.sorted.clone());
+    }
+    let mut writer = ItemStreamWriter::with_default_block(env);
+    let mut merge = RunMerge::new(c);
+    while let Some(item) = merge.next(env)? {
+        writer.push(env, item)?;
+    }
+    writer.finish(env)
 }
 
 /// Reads every leaf of a tree once, in page order, writing the data
@@ -186,7 +319,6 @@ fn scan_bbox(env: &mut SimEnv, s: &ItemStream) -> Result<Rect> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usj_geom::Item;
     use usj_io::MachineConfig;
 
     fn env() -> SimEnv {
@@ -203,15 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn stream_input_reports_len_and_pages() {
+    fn stream_input_reports_len_and_tiers() {
         let mut env = env();
         let data = items(1000);
         let s = ItemStream::from_items(&mut env, &data).unwrap();
         let input = JoinInput::Stream(&s);
         assert_eq!(input.len(), 1000);
         assert!(!input.is_empty());
-        assert!(!input.is_indexed());
-        assert_eq!(input.pages(), s.pages());
+        assert!(!input.has_tiers());
         assert!(input.known_bbox().is_none());
     }
 
@@ -222,8 +353,6 @@ mod tests {
         let tree = RTree::bulk_load(&mut env, &data).unwrap();
         let input = JoinInput::Indexed(&tree);
         assert_eq!(input.len(), 1000);
-        assert!(input.is_indexed());
-        assert_eq!(input.pages(), tree.nodes());
         assert_eq!(input.known_bbox(), Some(tree.bbox()));
     }
 

@@ -39,7 +39,7 @@ pub mod sssj;
 pub mod st;
 
 pub use cost::{CostBasedJoin, CostEstimate, JoinPlan};
-pub use input::{CatalogedInput, JoinInput};
+pub use input::{CatalogedInput, JoinInput, MemRun, SnapshotRun};
 pub use multiway::MultiwayJoin;
 pub use pbsm::PbsmJoin;
 pub use pq::PqJoin;

@@ -29,11 +29,12 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::ControlFlow;
 
 use usj_geom::{Item, Rect};
+use usj_io::sim::Measurement;
 use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
 use usj_rtree::{NodeKind, NodeView, RTree};
 use usj_sweep::merge_sweep;
 
-use crate::input::JoinInput;
+use crate::input::{JoinInput, RunMerge};
 use crate::predicate::Predicate;
 use crate::result::{JoinResult, MemoryStats};
 use crate::sink::PairSink;
@@ -249,36 +250,134 @@ impl<'a> PqExtractor<'a> {
     }
 }
 
-/// One sorted source feeding the sweep: either an index adapter or a reader
-/// over an already-sorted stream.
+/// One sorted source feeding the sweep: an index adapter, a reader over an
+/// already-sorted stream, or the merge of a cataloged relation's runs.
 pub(crate) enum SortedSource<'a> {
     /// The PQ index adapter over an R-tree.
     Extractor(PqExtractor<'a>),
     /// A reader over a stream that is already sorted by lower y-coordinate.
     Stream(usj_io::ItemStreamReader),
+    /// The runs of a cataloged relation with tiers, merged on the fly.
+    Merge(RunMerge<'a>),
 }
 
 impl<'a> SortedSource<'a> {
+    /// `input` in sweep order without its index, plus its bounding box
+    /// (`bbox_hint` when given): a cataloged relation's runs are read as
+    /// they are — merged when it has tiers — and anything else goes
+    /// through [`JoinInput::to_sorted_stream`].
+    pub(crate) fn sorted(
+        env: &mut SimEnv,
+        input: &JoinInput<'a>,
+        bbox_hint: Option<Rect>,
+    ) -> Result<(Self, Rect)> {
+        match input {
+            JoinInput::Cataloged(c) if c.has_tiers() => {
+                Ok((SortedSource::Merge(RunMerge::new(c)), bbox_hint.unwrap_or(c.bbox)))
+            }
+            _ => {
+                let (sorted, bbox) = input.to_sorted_stream(env, bbox_hint)?;
+                Ok((SortedSource::Stream(sorted.reader()), bbox))
+            }
+        }
+    }
+
     pub(crate) fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
         match self {
             SortedSource::Extractor(e) => e.next(env),
             SortedSource::Stream(r) => r.next(env),
+            SortedSource::Merge(m) => m.next(env),
         }
     }
 
     pub(crate) fn nodes_read(&self) -> u64 {
         match self {
             SortedSource::Extractor(e) => e.nodes_read(),
-            SortedSource::Stream(_) => 0,
+            _ => 0,
         }
     }
 
     pub(crate) fn max_queue_bytes(&self) -> usize {
         match self {
             SortedSource::Extractor(e) => e.max_bytes(),
-            SortedSource::Stream(_) => 0,
+            _ => 0,
         }
     }
+}
+
+/// The one sweep over two sorted sources that SSSJ and PQ share, each
+/// source with its bounding box: over `region_hint` (else the union of the
+/// boxes, ε-expanded), left items are ε-expanded as they leave their
+/// source, the memory-governed spilling driver sweeps both (evicting cold
+/// state to the simulated device if it outgrows the budget), every accepted
+/// pair streams into `sink`, and the pending spill epoch is fixed up — or
+/// skipped, when the sink stopped the join. The merge runs in the trace
+/// phase `phases[0]`, the fix-up in `phases[1]` (the same phase when both
+/// names are equal). The result accounts everything charged since
+/// `measurement`.
+pub(crate) fn sweep_sources(
+    env: &mut SimEnv,
+    measurement: &Measurement,
+    [(mut left, left_bbox), (mut right, right_bbox)]: [(SortedSource<'_>, Rect); 2],
+    region_hint: Option<Rect>,
+    predicate: Predicate,
+    sink: &mut dyn PairSink,
+    phases: [&'static str; 2],
+) -> Result<JoinResult> {
+    let region = region_hint
+        .unwrap_or_else(|| left_bbox.union(&right_bbox))
+        .expanded(predicate.epsilon());
+    let sweep_phase = env.obs_phase(phases[0]);
+    let (mut pairs, mut stopped) = (0u64, false);
+    let mut emit = |a: &Item, b: &Item| {
+        if !stopped && predicate.accepts(&a.rect, &b.rect) {
+            stopped = sink.emit(a.id, b.id).is_break();
+            pairs += u64::from(!stopped);
+        }
+        if stopped {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
+    let (driver, flow) = merge_sweep(
+        env,
+        |env| Ok(left.next(env)?.map(|it| predicate.expand_left(it))),
+        |env| right.next(env),
+        (region.lo.x, region.hi.x),
+        &mut emit,
+    )?;
+    let fixup_phase = if phases[1] == phases[0] {
+        sweep_phase
+    } else {
+        env.obs_close(sweep_phase);
+        env.obs_phase(phases[1])
+    };
+    let mut sweep = match flow {
+        ControlFlow::Break(()) => driver.discard(),
+        ControlFlow::Continue(()) => driver.finish(env, |a, b| {
+            let _ = emit(a, b);
+        })?,
+    };
+    env.obs_close(fixup_phase);
+    sweep.pairs = pairs;
+    env.charge(CpuOp::RectTest, sweep.rect_tests);
+    env.charge(CpuOp::OutputPair, pairs);
+
+    let (io, cpu) = env.since(measurement);
+    Ok(JoinResult {
+        pairs,
+        io,
+        cpu,
+        index_page_requests: left.nodes_read() + right.nodes_read(),
+        sweep,
+        memory: MemoryStats {
+            priority_queue_bytes: left.max_queue_bytes() + right.max_queue_bytes(),
+            sweep_structure_bytes: sweep.max_structure_bytes,
+            other_bytes: 0,
+            peak_bytes: env.memory.peak(),
+        },
+    })
 }
 
 /// Configuration of the PQ join.
@@ -340,38 +439,29 @@ impl PqJoin {
         self
     }
 
+    /// The sorted source PQ reads `input` through: the index adapter over
+    /// an R-tree, and over a cataloged relation's tree when a prune window
+    /// restricts the traversal to part of it — otherwise the relation's
+    /// sorted run is the cheapest source. A cataloged relation with tiers
+    /// is always read as the merge of its runs: its tree indexes only the
+    /// first.
     pub(crate) fn make_source<'a>(
         &self,
         env: &mut SimEnv,
         input: &JoinInput<'a>,
         prune: Option<Rect>,
     ) -> Result<(SortedSource<'a>, Rect)> {
+        let extractor = |env: &mut SimEnv, tree: &'a RTree, bbox| {
+            Ok((SortedSource::Extractor(PqExtractor::new(env, tree, prune)), bbox))
+        };
         match input {
-            JoinInput::Indexed(tree) => {
-                let bbox = tree.bbox();
-                Ok((
-                    SortedSource::Extractor(PqExtractor::new(env, tree, prune)),
-                    bbox,
-                ))
+            JoinInput::Indexed(tree) => extractor(env, tree, tree.bbox()),
+            JoinInput::Cataloged(c)
+                if !c.has_tiers() && prune.is_some_and(|window| !window.contains(&c.bbox)) =>
+            {
+                extractor(env, c.tree, c.bbox)
             }
-            JoinInput::Stream(_) | JoinInput::SortedStream(_) => {
-                let (sorted, bbox) = input.to_sorted_stream(env, self.region_hint)?;
-                Ok((SortedSource::Stream(sorted.reader()), bbox))
-            }
-            JoinInput::Cataloged(c) => {
-                // A cataloged relation has both representations persisted.
-                // Reading the sorted run sequentially is the cheapest source
-                // — unless a prune window restricts the traversal to part of
-                // the relation, in which case the index extractor reads only
-                // the touched subtrees.
-                match prune {
-                    Some(window) if !window.contains(&c.bbox) => Ok((
-                        SortedSource::Extractor(PqExtractor::new(env, c.tree, prune)),
-                        c.bbox,
-                    )),
-                    _ => Ok((SortedSource::Stream(c.sorted.reader()), c.bbox)),
-                }
-            }
+            _ => SortedSource::sorted(env, input, self.region_hint),
         }
     }
 }
@@ -391,7 +481,6 @@ impl JoinOperator for PqJoin {
         let measurement = env.begin();
         env.memory.begin_phase();
         let predicate = self.predicate;
-        let eps = predicate.epsilon();
 
         // Pruning rectangles: each side may restrict the other's traversal.
         // Under a distance predicate the prune windows grow by ε, so no
@@ -405,61 +494,17 @@ impl JoinOperator for PqJoin {
             (None, None)
         };
 
-        let (mut left_src, left_bbox) = self.make_source(env, &left, left_prune)?;
-        let (mut right_src, right_bbox) = self.make_source(env, &right, right_prune)?;
-        let region = self
-            .region_hint
-            .unwrap_or_else(|| left_bbox.union(&right_bbox))
-            .expanded(eps);
-
-        // Left items are ε-expanded as they leave their source. The
-        // memory-governed spilling driver evicts cold sweep state to the
-        // simulated device if it ever outgrows the budget.
-        let sweep_phase = env.obs_phase("pq.sweep");
-        let (mut pairs, mut stopped) = (0u64, false);
-        let mut emit = |a: &Item, b: &Item| {
-            if !stopped && predicate.accepts(&a.rect, &b.rect) {
-                stopped = sink.emit(a.id, b.id).is_break();
-                pairs += u64::from(!stopped);
-            }
-            if stopped {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        let (driver, flow) = merge_sweep(
+        let left = self.make_source(env, &left, left_prune)?;
+        let right = self.make_source(env, &right, right_prune)?;
+        sweep_sources(
             env,
-            |env| Ok(left_src.next(env)?.map(|it| predicate.expand_left(it))),
-            |env| right_src.next(env),
-            (region.lo.x, region.hi.x),
-            &mut emit,
-        )?;
-        let mut sweep = match flow {
-            ControlFlow::Break(()) => driver.discard(),
-            ControlFlow::Continue(()) => driver.finish(env, |a, b| {
-                let _ = emit(a, b);
-            })?,
-        };
-        env.obs_close(sweep_phase);
-        sweep.pairs = pairs;
-        env.charge(CpuOp::RectTest, sweep.rect_tests);
-        env.charge(CpuOp::OutputPair, pairs);
-
-        let (io, cpu) = env.since(&measurement);
-        Ok(JoinResult {
-            pairs,
-            io,
-            cpu,
-            index_page_requests: left_src.nodes_read() + right_src.nodes_read(),
-            sweep,
-            memory: MemoryStats {
-                priority_queue_bytes: left_src.max_queue_bytes() + right_src.max_queue_bytes(),
-                sweep_structure_bytes: sweep.max_structure_bytes,
-                other_bytes: 0,
-                peak_bytes: env.memory.peak(),
-            },
-        })
+            &measurement,
+            [left, right],
+            self.region_hint,
+            predicate,
+            sink,
+            ["pq.sweep"; 2],
+        )
     }
 }
 

@@ -44,6 +44,7 @@ use crate::{JoinAlgorithm, JoinOperator};
 pub enum Algo {
     /// Let the Section 6.3 cost model decide between the indexed (pruned PQ)
     /// and non-indexed (SSSJ) strategies, exactly as [`CostBasedJoin`] does.
+    /// An input with tiers, which the model does not price, runs SSSJ.
     #[default]
     Auto,
     /// Scalable Sweeping-based Spatial Join (sort + sweep, ignores indexes).
@@ -277,7 +278,9 @@ impl<'a> SpatialQuery<'a> {
     /// Resolves [`Algo::Auto`] through the cost model. Returns the concrete
     /// algorithm, the estimate (when consulted) and whether PQ should prune
     /// (the auto-selected indexed strategy prunes, mirroring
-    /// [`CostBasedJoin`]).
+    /// [`CostBasedJoin`]). An input with tiers resolves to SSSJ without an
+    /// estimate: the §6.3 model does not price tiers, and SSSJ merges the
+    /// runs as they are.
     fn resolve(
         &self,
         env: &mut SimEnv,
@@ -287,6 +290,9 @@ impl<'a> SpatialQuery<'a> {
             Algo::Pbsm => (JoinAlgorithm::Pbsm, None, None, false),
             Algo::Pq => (JoinAlgorithm::Pq, None, None, false),
             Algo::St => (JoinAlgorithm::St, None, None, false),
+            Algo::Auto if self.left.has_tiers() || self.right.has_tiers() => {
+                (JoinAlgorithm::Sssj, None, None, false)
+            }
             Algo::Auto => {
                 let est = CostBasedJoin::default().estimate(env, &self.left, &self.right)?;
                 let chosen = est.plan();

@@ -12,15 +12,13 @@
 //! structure-size check that would trigger it is still performed and
 //! reported.
 
-use std::ops::ControlFlow;
-
-use usj_geom::{Item, Rect};
-use usj_io::{CpuOp, Result, SimEnv};
-use usj_sweep::merge_sweep;
+use usj_geom::Rect;
+use usj_io::{Result, SimEnv};
 
 use crate::input::JoinInput;
+use crate::pq::{sweep_sources, SortedSource};
 use crate::predicate::Predicate;
-use crate::result::{JoinResult, MemoryStats};
+use crate::result::JoinResult;
 use crate::sink::PairSink;
 use crate::JoinOperator;
 
@@ -89,78 +87,32 @@ impl JoinOperator for SssjJoin {
     ) -> Result<JoinResult> {
         let measurement = env.begin();
         env.memory.begin_phase();
-        let predicate = self.predicate;
-        let eps = predicate.epsilon();
 
         // Phase 1: sort both inputs by lower y-coordinate. Indexed inputs are
         // deliberately treated as flat files — this is the "ignore the index"
-        // behaviour whose cost Section 6.3 quantifies.
+        // behaviour whose cost Section 6.3 quantifies. Sorted and cataloged
+        // inputs are read as they are (a cataloged one with tiers as the
+        // merge of its runs).
         let sort_phase = env.obs_phase("sssj.sort");
-        let (left_sorted, left_bbox) = left.to_sorted_stream(env, self.region_hint)?;
-        let (right_sorted, right_bbox) = right.to_sorted_stream(env, self.region_hint)?;
+        let left = SortedSource::sorted(env, &left, self.region_hint)?;
+        let right = SortedSource::sorted(env, &right, self.region_hint)?;
         env.obs_close(sort_phase);
-        let region = self
-            .region_hint
-            .unwrap_or_else(|| left_bbox.union(&right_bbox))
-            .expanded(eps);
 
-        // Phase 2: single synchronized scan over the two sorted streams. Left
-        // items are ε-expanded as they are read. The driver is the
-        // memory-governed spilling sweep: when the structures outgrow the
-        // budget it evicts cold items to the simulated device (this is the
-        // degradation path the original SSSJ's worst-case partitioning step
-        // covers; for the paper's workloads it never triggers).
-        let sweep_phase = env.obs_phase("sssj.sweep");
-        let mut lr = left_sorted.reader();
-        let mut rr = right_sorted.reader();
-        let (mut pairs, mut stopped) = (0u64, false);
-        let mut emit = |a: &Item, b: &Item| {
-            if !stopped && predicate.accepts(&a.rect, &b.rect) {
-                stopped = sink.emit(a.id, b.id).is_break();
-                pairs += u64::from(!stopped);
-            }
-            if stopped {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        let (driver, flow) = merge_sweep(
+        // Phase 2: single synchronized scan over the two sorted streams. The
+        // driver is the memory-governed spilling sweep: when the structures
+        // outgrow the budget it evicts cold items to the simulated device
+        // (this is the degradation path the original SSSJ's worst-case
+        // partitioning step covers; for the paper's workloads it never
+        // triggers), and the fix-up phase recovers their pairs.
+        sweep_sources(
             env,
-            |env| Ok(lr.next(env)?.map(|it| predicate.expand_left(it))),
-            |env| rr.next(env),
-            (region.lo.x, region.hi.x),
-            &mut emit,
-        )?;
-        env.obs_close(sweep_phase);
-        // Fix up any pending spill epoch — unless the sink stopped the join,
-        // in which case the remaining fix-up I/O is skipped entirely.
-        let fixup_phase = env.obs_phase("sssj.fixup");
-        let mut sweep = match flow {
-            ControlFlow::Break(()) => driver.discard(),
-            ControlFlow::Continue(()) => driver.finish(env, |a, b| {
-                let _ = emit(a, b);
-            })?,
-        };
-        env.obs_close(fixup_phase);
-        sweep.pairs = pairs;
-        env.charge(CpuOp::RectTest, sweep.rect_tests);
-        env.charge(CpuOp::OutputPair, pairs);
-
-        let (io, cpu) = env.since(&measurement);
-        Ok(JoinResult {
-            pairs,
-            io,
-            cpu,
-            index_page_requests: 0,
-            sweep,
-            memory: MemoryStats {
-                priority_queue_bytes: 0,
-                sweep_structure_bytes: sweep.max_structure_bytes,
-                other_bytes: 0,
-                peak_bytes: env.memory.peak(),
-            },
-        })
+            &measurement,
+            [left, right],
+            self.region_hint,
+            self.predicate,
+            sink,
+            ["sssj.sweep", "sssj.fixup"],
+        )
     }
 }
 

@@ -31,6 +31,8 @@
 //! laid out consecutively, and DFS visits all leaves of a parent in a row)
 //! are exactly what Table 4 and Figure 2 examine.
 
+use std::borrow::Cow;
+
 use usj_geom::{Extents, Item};
 use usj_io::{CpuOp, PageId, Result, SimEnv};
 use usj_rtree::{NodeKind, NodeStore, RTree};
@@ -106,6 +108,20 @@ impl StJoin {
     }
 }
 
+/// The R-tree over the whole of `input`: its own, or one bulk-loaded from
+/// its records. A cataloged relation with tiers is bulk-loaded too — its
+/// tree indexes the base run only.
+fn index<'a>(env: &mut SimEnv, input: &JoinInput<'a>) -> Result<Cow<'a, RTree>> {
+    Ok(match input {
+        JoinInput::Indexed(t) => Cow::Borrowed(*t),
+        JoinInput::Cataloged(c) if !c.has_tiers() => Cow::Borrowed(c.tree),
+        _ => {
+            let stream = input.to_stream(env)?;
+            Cow::Owned(RTree::bulk_load_stream(env, &stream)?)
+        }
+    })
+}
+
 impl JoinOperator for StJoin {
     fn name(&self) -> &'static str {
         "ST"
@@ -127,24 +143,8 @@ impl JoinOperator for StJoin {
         // equivalent of the on-the-fly index construction the paper's related
         // work discusses); the construction cost is part of this run's
         // accounting so the comparison stays honest.
-        let built_left;
-        let built_right;
-        let left_tree: &RTree = match left {
-            JoinInput::Indexed(t) => t,
-            JoinInput::Cataloged(c) => c.tree,
-            JoinInput::Stream(s) | JoinInput::SortedStream(s) => {
-                built_left = RTree::bulk_load_stream(env, s)?;
-                &built_left
-            }
-        };
-        let right_tree: &RTree = match right {
-            JoinInput::Indexed(t) => t,
-            JoinInput::Cataloged(c) => c.tree,
-            JoinInput::Stream(s) | JoinInput::SortedStream(s) => {
-                built_right = RTree::bulk_load_stream(env, s)?;
-                &built_right
-            }
-        };
+        let left_tree = index(env, &left)?;
+        let right_tree = index(env, &right)?;
 
         // The pool is governed: its configured size is clamped to the memory
         // headroom minus a slack for the per-node-pair entry vectors — 1/12

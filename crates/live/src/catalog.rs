@@ -44,7 +44,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use usj_geom::{Item, Rect};
-use usj_io::{extsort, ItemStream, ItemStreamReader, ItemStreamWriter, PageId, SimEnv, PAGE_SIZE};
+use usj_core::{CatalogedInput, JoinInput, MemRun, SnapshotRun};
+use usj_io::{extsort, ItemStream, ItemStreamWriter, PageId, SimEnv, PAGE_SIZE};
 use usj_rtree::bulk::{bulk_load_merged, BulkLoadConfig, MergedLoad};
 use usj_rtree::RTree;
 
@@ -547,7 +548,7 @@ impl LiveDataset {
     }
 
     /// The base run's R-tree (rebuilt by compaction; deltas and memtable
-    /// are *not* indexed — streaming consumers merge them by sweep key).
+    /// are *not* indexed — joins merge them by sweep key).
     pub fn tree(&self) -> &RTree {
         &self.tree
     }
@@ -889,29 +890,16 @@ impl LiveDataset {
     /// device snapshot.
     pub fn snapshot(&self) -> LiveSnapshot {
         let mut runs = Vec::with_capacity(1 + self.deltas.len());
-        runs.push(SnapshotRun {
-            stream: self.base.clone(),
-            bbox: self.bbox,
-        });
-        for d in &self.deltas {
-            runs.push(SnapshotRun {
-                stream: d.run.clone(),
-                bbox: d.bbox,
-            });
-        }
+        runs.push(SnapshotRun::new(self.base.clone(), self.bbox));
+        runs.extend(self.deltas.iter().map(|d| SnapshotRun::new(d.run.clone(), d.bbox)));
         let mut mem_runs: Vec<MemRun> = self
             .flushing
             .iter()
-            .map(|b| MemRun {
-                items: Arc::clone(&b.items),
-                bbox: b.bbox,
-            })
+            .map(|b| MemRun::new(Arc::clone(&b.items), b.bbox))
             .collect();
         if !self.memtable.is_empty() {
-            mem_runs.push(MemRun {
-                items: Arc::new(frozen_sorted(self.memtable.items())),
-                bbox: self.memtable.bbox(),
-            });
+            let items = Arc::new(frozen_sorted(self.memtable.items()));
+            mem_runs.push(MemRun::new(items, self.memtable.bbox()));
         }
         LiveSnapshot {
             generation: self.generation,
@@ -1004,56 +992,6 @@ impl LiveCatalog {
     }
 }
 
-/// One persisted run in a snapshot: its stream handle and bounding box
-/// (the box prunes run scans in window/point selections).
-#[derive(Debug, Clone)]
-pub struct SnapshotRun {
-    stream: ItemStream,
-    bbox: Rect,
-}
-
-impl SnapshotRun {
-    /// The persisted sorted run.
-    pub fn stream(&self) -> &ItemStream {
-        &self.stream
-    }
-
-    /// Bounding box of the run.
-    pub fn bbox(&self) -> Rect {
-        self.bbox
-    }
-
-    /// Records in the run.
-    pub fn len(&self) -> u64 {
-        self.stream.len()
-    }
-
-    /// Returns `true` when the run holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.stream.is_empty()
-    }
-}
-
-/// One in-memory run in a snapshot (a frozen flush batch or the memtable
-/// copy): sweep-key-sorted items plus their bounding box.
-#[derive(Debug, Clone)]
-pub struct MemRun {
-    items: Arc<Vec<Item>>,
-    bbox: Rect,
-}
-
-impl MemRun {
-    /// The sorted items.
-    pub fn items(&self) -> &[Item] {
-        &self.items
-    }
-
-    /// Bounding box of the run.
-    pub fn bbox(&self) -> Rect {
-        self.bbox
-    }
-}
-
 /// A consistent, immutable view of one live dataset at one generation.
 #[derive(Debug, Clone)]
 pub struct LiveSnapshot {
@@ -1069,19 +1007,6 @@ pub struct LiveSnapshot {
 }
 
 impl LiveSnapshot {
-    /// A snapshot with no tiers over a prepared relation: its y-sorted run,
-    /// the R-tree over it and their bounding box. This is how a registered
-    /// dataset enters a join beside a live one.
-    pub fn untiered(base: ItemStream, tree: RTree, bbox: Rect) -> Self {
-        LiveSnapshot {
-            generation: 0,
-            runs: vec![SnapshotRun { stream: base, bbox }],
-            mem_runs: Vec::new(),
-            tree,
-            bbox,
-        }
-    }
-
     /// The generation this snapshot captured.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1089,8 +1014,7 @@ impl LiveSnapshot {
 
     /// Total records in the snapshot.
     pub fn len(&self) -> u64 {
-        self.runs.iter().map(SnapshotRun::len).sum::<u64>()
-            + self.mem_runs.iter().map(|m| m.items.len() as u64).sum::<u64>()
+        JoinInput::Cataloged(self.cataloged()).len()
     }
 
     /// Returns `true` when the snapshot holds no records.
@@ -1107,7 +1031,7 @@ impl LiveSnapshot {
     /// batches or memtable items. A snapshot without tiers is exactly its
     /// base run and the R-tree over it.
     pub fn has_tiers(&self) -> bool {
-        self.runs.len() > 1 || !self.mem_runs.is_empty()
+        self.cataloged().has_tiers()
     }
 
     /// The persisted runs (base first), with their bounding boxes.
@@ -1133,87 +1057,17 @@ impl LiveSnapshot {
         self.bbox
     }
 
-    /// A streaming merge cursor over every tier, delivering records in
-    /// ascending sweep-key order *without* materialising or re-sorting
-    /// anything — this is what lets a streaming join emit pairs while the
-    /// scan is still running.
-    pub fn cursor(&self) -> SnapshotCursor {
-        SnapshotCursor {
-            readers: self.runs.iter().map(|r| r.stream.reader()).collect(),
-            mem: self
-                .mem_runs
-                .iter()
-                .map(|m| MemCursor {
-                    items: Arc::clone(&m.items),
-                    pos: 0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Materialises the merged snapshot as one sorted stream on the device
-    /// (charged I/O) — the "equivalent snapshot" an offline join runs on.
-    pub fn to_stream(&self, env: &mut SimEnv) -> Result<ItemStream> {
-        let mut writer = ItemStreamWriter::with_default_block(env);
-        let mut cursor = self.cursor();
-        while let Some(item) = cursor.next(env)? {
-            writer.push(env, item)?;
-        }
-        Ok(writer.finish(env)?)
-    }
-}
-
-/// Position in one in-memory sorted run.
-#[derive(Debug)]
-struct MemCursor {
-    items: Arc<Vec<Item>>,
-    pos: usize,
-}
-
-/// Streaming k-way merge over a snapshot's persisted and in-memory runs.
-#[derive(Debug)]
-pub struct SnapshotCursor {
-    readers: Vec<ItemStreamReader>,
-    mem: Vec<MemCursor>,
-}
-
-impl SnapshotCursor {
-    /// The next record in ascending sweep-key order, or `None` when every
-    /// tier is exhausted. Run pages are read (and charged) on demand.
-    pub fn next(&mut self, env: &mut SimEnv) -> usj_io::Result<Option<Item>> {
-        // The run count is 1 + pending deltas + pending batches — small by
-        // construction (maintenance folds them back) — so a linear scan
-        // over the heads beats heap bookkeeping. Persisted runs win key
-        // ties (oldest-first), in-memory runs only on strictly smaller.
-        let mut best: Option<(usize, u64)> = None;
-        for (i, reader) in self.readers.iter_mut().enumerate() {
-            if let Some(head) = reader.peek(env)? {
-                let key = head.sweep_key();
-                if best.map_or(true, |(_, k)| key < k) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        let mut best_mem: Option<(usize, u64)> = None;
-        for (i, m) in self.mem.iter().enumerate() {
-            if let Some(item) = m.items.get(m.pos) {
-                let key = item.sweep_key();
-                if best_mem.map_or(true, |(_, k)| key < k) {
-                    best_mem = Some((i, key));
-                }
-            }
-        }
-        if let Some((i, key)) = best_mem {
-            if best.map_or(true, |(_, k)| key < k) {
-                let m = &mut self.mem[i];
-                let item = m.items[m.pos];
-                m.pos += 1;
-                return Ok(Some(item));
-            }
-        }
-        match best {
-            Some((i, _)) => self.readers[i].next(env),
-            None => Ok(None),
+    /// The snapshot as a join input: the base run and its tree, with the
+    /// delta and in-memory runs as tiers. Every operator reads it; the
+    /// sweep-based ones merge the runs in sweep-key order as they go,
+    /// without materialising or re-sorting anything.
+    pub fn cataloged(&self) -> CatalogedInput<'_> {
+        CatalogedInput {
+            tree: &self.tree,
+            sorted: self.runs[0].stream(),
+            bbox: self.bbox,
+            deltas: &self.runs[1..],
+            mem_runs: &self.mem_runs,
         }
     }
 }
@@ -1248,15 +1102,17 @@ mod tests {
         }
     }
 
+    /// Every record of the snapshot, as the merge of its runs delivers it.
+    fn read_merged(env: &mut SimEnv, snap: &LiveSnapshot) -> Vec<Item> {
+        let input = JoinInput::Cataloged(snap.cataloged());
+        let (stream, _) = input.to_sorted_stream(env, None).unwrap();
+        stream.read_all(env).unwrap()
+    }
+
     fn collect_ids(env: &mut SimEnv, snap: &LiveSnapshot) -> Vec<u32> {
-        let mut cursor = snap.cursor();
-        let mut seen = Vec::new();
-        let mut last_key = 0u64;
-        while let Some(it) = cursor.next(env).unwrap() {
-            assert!(it.sweep_key() >= last_key, "cursor must be sorted");
-            last_key = it.sweep_key();
-            seen.push(it.id);
-        }
+        let items = read_merged(env, snap);
+        assert!(items.windows(2).all(|w| w[0].sweep_key() <= w[1].sweep_key()));
+        let mut seen: Vec<u32> = items.iter().map(|it| it.id).collect();
         seen.sort_unstable();
         seen
     }
@@ -1309,26 +1165,26 @@ mod tests {
         assert!(ds.generation() > gen_before);
 
         // The earlier snapshot still reads exactly its 150 records.
-        let mut cursor = before.cursor();
-        let mut n = 0u64;
-        while cursor.next(&mut env).unwrap().is_some() {
-            n += 1;
-        }
+        let n = read_merged(&mut env, &before).len() as u64;
         assert_eq!(n, len_before);
         assert_eq!(n, 150);
     }
 
     #[test]
-    fn to_stream_materialises_the_same_records_as_the_cursor() {
+    fn a_tiered_input_materialises_every_record_once() {
         let mut env = env();
         let mut ds =
             LiveDataset::create(&mut env, "live", &batch(80, 0, 8), tiny_config()).unwrap();
         ds.append(&mut env, &batch(70, 5_000, 9)).unwrap();
         let snap = ds.snapshot();
-        let stream = snap.to_stream(&mut env).unwrap();
-        assert_eq!(stream.len(), snap.len());
-        let items = stream.read_all(&mut env).unwrap();
-        assert!(items.windows(2).all(|w| w[0].sweep_key() <= w[1].sweep_key()));
+        assert!(snap.has_tiers());
+        let input = JoinInput::Cataloged(snap.cataloged());
+        assert_eq!(input.len(), 150);
+        let stream = input.to_stream(&mut env).unwrap();
+        let mut ids: Vec<u32> = stream.read_all(&mut env).unwrap().iter().map(|it| it.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, collect_ids(&mut env, &snap));
+        assert_eq!(ids, (0..80).chain(5_000..5_070).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -1375,12 +1231,7 @@ mod tests {
 
         let base_pages = env.device.snapshot();
         let mut worker = env.fork_with_base(base_pages);
-        let mut cursor = snap.cursor();
-        let mut n = 0u64;
-        while cursor.next(&mut worker).unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, snap.len());
+        assert_eq!(read_merged(&mut worker, &snap).len() as u64, snap.len());
     }
 
     #[test]
@@ -1517,7 +1368,7 @@ mod tests {
         assert_eq!(ds.len(), 210);
         let snap = ds.snapshot();
         assert!(!snap.has_tiers());
-        assert_eq!(snap.runs()[0].len(), 210);
+        assert_eq!(snap.runs()[0].stream().len(), 210);
         assert_eq!(snap.tree().num_items(), 210);
         assert!(!snap.bbox().is_empty());
     }

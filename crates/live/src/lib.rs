@@ -1,34 +1,28 @@
-//! Live ingestion and streaming joins: the "millions of users *writing*"
-//! half of the north star.
+//! Live ingestion: the "millions of users *writing*" half of the north
+//! star.
 //!
 //! Everything below this crate assumes a dataset is fully prepared (sorted
-//! run + R-tree) before the first query touches it. This crate
-//! adds the non-blocking path, two cooperating pieces:
+//! run + R-tree) before the first query touches it. This crate adds
+//! [`LiveCatalog`] / [`LiveDataset`] — an LSM-style dataset handle: an
+//! immutable **base run** (the same persisted representation the static
+//! catalog builds) plus an in-memory gauged **memtable** of inserts that
+//! flushes to sorted **delta runs** on the device when its reservation hits
+//! a threshold, with **merge compaction** folding the deltas back into a new
+//! base + rebuilt R-tree. Reads go through generation [`LiveSnapshot`]s —
+//! immutable unions of sorted runs plus a frozen memtable copy — so queries
+//! keep a consistent view while ingestion continues.
 //!
-//! * [`LiveCatalog`] / [`LiveDataset`] — an LSM-style dataset handle: an
-//!   immutable **base run** (the same persisted representation the static
-//!   catalog builds) plus an in-memory gauged **memtable** of inserts that
-//!   flushes to sorted **delta runs** on the device when its reservation
-//!   hits a threshold, with **merge compaction** folding the deltas back
-//!   into a new base + rebuilt R-tree. Reads go through generation
-//!   [`LiveSnapshot`]s — immutable unions of sorted runs plus a frozen
-//!   memtable copy — so queries keep a consistent view while ingestion
-//!   continues.
-//! * [`StreamingJoin`] — a pull-driven join over two snapshots: their
-//!   cursors feed [`usj_sweep::merge_sweep`], the spilling plane sweep SSSJ
-//!   and PQ run, so each arriving item is inserted into its side's resident
-//!   set and probed against the opposite side and pairs surface **as items
-//!   arrive** instead of after a blocking full sort. Memory pressure spills
-//!   residents to the device and recovers their pairs with log-suffix
-//!   fix-up joins; the reported pair *set* is identical to offline SSSJ on
-//!   the same snapshot.
-//!
-//! A registered dataset is the special case with no tiers, so the service
-//! crate gives both one [`DatasetId`] space and three query kinds: a join
-//! whose inputs both lack tiers runs the offline operators, any other join
-//! runs [`StreamingJoin`] over the two snapshots (a registered side enters
-//! as [`LiveSnapshot::untiered`]), and a selection reads the base tree,
-//! then each tier.
+//! A snapshot joins like any other relation: [`LiveSnapshot::cataloged`] is
+//! a [`usj_core::CatalogedInput`] whose tiers are the delta and in-memory
+//! runs beside the indexed base. SSSJ and PQ read it as the k-way merge of
+//! its runs, without a sort, through the spilling plane sweep they run on
+//! every input — so pairs surface while the runs are still being scanned,
+//! and memory pressure spills residents to the device and recovers their
+//! pairs with log-suffix fix-up joins. A registered dataset is the special
+//! case with no tiers, so the service crate gives both one [`DatasetId`]
+//! space and three query kinds: every join lowers through
+//! `usj_core::SpatialQuery`, and a selection reads the base tree, then each
+//! tier.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,15 +30,15 @@
 pub mod catalog;
 pub mod manifest;
 pub mod memtable;
-pub mod streaming;
+mod streaming;
 
 pub use catalog::{
     CompactionOutput, CompactionPlan, DatasetId, DeltaRun, FlushJob, LiveCatalog, LiveConfig,
-    LiveDataset, LiveSnapshot, LiveStats, MemRun, RecoveryReport, SnapshotCursor, SnapshotRun,
+    LiveDataset, LiveSnapshot, LiveStats, RecoveryReport,
 };
 pub use manifest::{Manifest, RootPointer, RunRecord};
 pub use memtable::Memtable;
-pub use streaming::StreamingJoin;
+pub use usj_core::{MemRun, SnapshotRun};
 
 // Property-based tests on the vendored `usj_proptest` harness; opt-in
 // behind the `proptest` feature like the rest of the workspace.

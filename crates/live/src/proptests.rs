@@ -1,18 +1,22 @@
 //! Property-based differential suite on the in-tree `usj_proptest` harness.
 //!
-//! The streaming operator's contract is *set equality*: over any ingestion
-//! history (random base/append splits, flush points and compaction
-//! cadences) and any memory limit (including ones that force the sweep to
-//! spill), [`StreamingJoin`] must report exactly the pair set the offline
-//! SSSJ reports on the materialised snapshot.
+//! A live snapshot joins as a cataloged input with tiers, and its contract
+//! is *set equality*: over any ingestion history (random base/append
+//! splits, flush points and compaction cadences), a tiered input joins like
+//! the same dataset quiesced, under every algorithm and predicate; and at
+//! any memory limit (including ones that force the sweep to spill) SSSJ
+//! over the merged runs reports exactly the pair set it reports on the
+//! materialised snapshot.
 
-use usj_core::{CollectSink, JoinInput, JoinOperator, LimitSink, SssjJoin};
+use usj_core::{
+    Algo, CollectSink, JoinInput, JoinOperator, LimitSink, PairSink, Predicate, SpatialQuery,
+    SssjJoin,
+};
 use usj_geom::{Item, Rect};
 use usj_io::{extsort, ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
 
-use crate::catalog::{LiveConfig, LiveDataset, LIVE_PAGES_PER_BLOCK};
-use crate::streaming::StreamingJoin;
+use crate::catalog::{LiveConfig, LiveDataset, LiveSnapshot, LIVE_PAGES_PER_BLOCK};
 
 fn env() -> SimEnv {
     SimEnv::new(MachineConfig::machine3())
@@ -88,14 +92,24 @@ fn brute(left: &[Item], right: &[Item]) -> Vec<(u32, u32)> {
     out
 }
 
-/// Offline reference: SSSJ over the materialised snapshot streams.
-fn offline_pairs(
+fn input(snap: &LiveSnapshot) -> JoinInput<'_> {
+    JoinInput::Cataloged(snap.cataloged())
+}
+
+/// SSSJ over two snapshots' merged runs, as the service runs a tiered join.
+fn streaming(
     env: &mut SimEnv,
-    l: &crate::LiveSnapshot,
-    r: &crate::LiveSnapshot,
-) -> Vec<(u32, u32)> {
-    let sl = l.to_stream(env).unwrap();
-    let sr = r.to_stream(env).unwrap();
+    l: &LiveSnapshot,
+    r: &LiveSnapshot,
+    sink: &mut dyn PairSink,
+) -> usj_core::JoinResult {
+    SssjJoin::default().run_with(env, input(l), input(r), sink).unwrap()
+}
+
+/// Offline reference: SSSJ over the materialised snapshot streams.
+fn offline_pairs(env: &mut SimEnv, l: &LiveSnapshot, r: &LiveSnapshot) -> Vec<(u32, u32)> {
+    let (sl, _) = input(l).to_sorted_stream(env, None).unwrap();
+    let (sr, _) = input(r).to_sorted_stream(env, None).unwrap();
     let (_, pairs) = SssjJoin::default()
         .run_collect(env, JoinInput::Stream(&sl), JoinInput::Stream(&sr))
         .unwrap();
@@ -103,23 +117,35 @@ fn offline_pairs(
 }
 
 #[test]
-fn streaming_join_matches_offline_sssj_across_random_ingestion_histories() {
-    forall!(48, |g| {
+fn a_tiered_join_answers_like_the_quiesced_datasets_under_every_algorithm() {
+    forall!(24, |g| {
         let mut env = env();
-        let l = arb_dataset(g, &mut env, "l", 0);
-        let r = arb_dataset(g, &mut env, "r", 1_000_000);
-        let (snap_l, snap_r) = (l.snapshot(), r.snapshot());
+        let mut l = arb_dataset(g, &mut env, "l", 0);
+        let mut r = arb_dataset(g, &mut env, "r", 1_000_000);
+        let (tiered_l, tiered_r) = (l.snapshot(), r.snapshot());
+        l.quiesce(&mut env).unwrap();
+        r.quiesce(&mut env).unwrap();
+        let (quiet_l, quiet_r) = (l.snapshot(), r.snapshot());
+        assert!(!quiet_l.has_tiers() && !quiet_r.has_tiers());
 
-        let mut sink = CollectSink::default();
-        let live = StreamingJoin::default()
-            .run(&mut env, &snap_l, &snap_r, &mut sink)
-            .unwrap();
-
-        let reference = offline_pairs(&mut env, &snap_l, &snap_r);
-        let live_sorted = sorted(sink.pairs);
-        assert!(live_sorted.windows(2).all(|w| w[0] != w[1]), "duplicate pair");
-        assert_eq!(live_sorted, reference);
-        assert_eq!(live.pairs as usize, reference.len());
+        let eps = g.f32_in(0.0, 5.0);
+        for predicate in [Predicate::Intersects, Predicate::WithinDistance(eps)] {
+            for algo in [Algo::Auto, Algo::Sssj, Algo::Pbsm, Algo::Pq, Algo::St] {
+                let mut join = |l, r| {
+                    let (res, pairs) = SpatialQuery::new(l, r)
+                        .algorithm(algo)
+                        .predicate(predicate)
+                        .collect(&mut env)
+                        .unwrap();
+                    assert_eq!(res.pairs as usize, pairs.len());
+                    sorted(pairs)
+                };
+                let tiered = join(input(&tiered_l), input(&tiered_r));
+                let quiesced = join(input(&quiet_l), input(&quiet_r));
+                assert!(tiered.windows(2).all(|w| w[0] != w[1]), "duplicate pair");
+                assert_eq!(tiered, quiesced, "{algo:?} / {predicate:?}");
+            }
+        }
     });
 }
 
@@ -195,9 +221,7 @@ fn streaming_join_matches_offline_under_random_memory_limits() {
         worker.set_memory_limit(limit);
 
         let mut sink = CollectSink::default();
-        let live = StreamingJoin::default()
-            .run(&mut worker, &snap_l, &snap_r, &mut sink)
-            .unwrap();
+        let live = streaming(&mut worker, &snap_l, &snap_r, &mut sink);
         assert_eq!(sorted(sink.pairs), reference);
         assert!(
             live.memory.peak_bytes <= limit,
@@ -265,7 +289,7 @@ fn recovery_restores_the_last_manifested_generation_at_any_crash_point() {
             LiveDataset::create(&mut after, "probe", &probe_items, LiveConfig::default()).unwrap();
         let (sl, sr) = (rec.snapshot(), probe.snapshot());
         let mut sink = CollectSink::default();
-        StreamingJoin::default().run(&mut after, &sl, &sr, &mut sink).unwrap();
+        streaming(&mut after, &sl, &sr, &mut sink);
         let streamed = sorted(sink.pairs);
         assert_eq!(streamed, brute(&durable, &probe_items));
         assert_eq!(streamed, offline_pairs(&mut after, &sl, &sr));
@@ -286,9 +310,7 @@ fn mid_stream_cancellation_emits_an_exact_prefix_of_the_pair_set() {
 
         let k = g.usize_in(0, 20);
         let mut sink = LimitSink::new(CollectSink::default(), k as u64);
-        StreamingJoin::default()
-            .run(&mut env, &snap_l, &snap_r, &mut sink)
-            .unwrap();
+        streaming(&mut env, &snap_l, &snap_r, &mut sink);
         let emitted = sorted(sink.into_inner().pairs);
         assert_eq!(emitted.len(), k.min(reference.len()));
         assert!(emitted.windows(2).all(|w| w[0] != w[1]), "duplicate pair");

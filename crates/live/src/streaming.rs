@@ -1,139 +1,22 @@
-//! The streaming spatial join over two live snapshots.
+//! Joins over live snapshots mid-ingest.
 //!
-//! Offline SSSJ is *blocking*: nothing is reported until both inputs have
-//! been fully externally sorted. [`StreamingJoin`] removes the block. Each
-//! side of a [`LiveSnapshot`] is already a union of sweep-key-sorted runs,
-//! so its [`SnapshotCursor`](crate::SnapshotCursor) delivers items in
-//! global lower-y order *incrementally* — pages are read on demand as the
-//! merge advances. The join pulls the two cursors through
-//! [`usj_sweep::merge_sweep`] — the spilling sweep SSSJ and PQ run — which
-//! inserts every arriving item into its side's resident interval structure
-//! and probes the opposite side, emitting pairs **while the scan is
-//! running**: the first pair surfaces after a handful of page reads instead
-//! of after two full sort passes.
-//!
-//! Under memory pressure residents spill to the device and their missed
-//! pairs are recovered by log-suffix fix-up joins; the reported pair *set*
-//! is identical to offline SSSJ on the same snapshot (the property-based
-//! differential suite proves this across flush points and memory limits).
-
-use std::ops::ControlFlow;
-
-use usj_core::{JoinResult, MemoryStats, PairSink, Predicate};
-use usj_geom::{Item, Rect};
-use usj_io::{CpuOp, SimEnv};
-use usj_sweep::merge_sweep;
-
-use crate::catalog::LiveSnapshot;
-use crate::Result;
-
-/// Configuration of the streaming snapshot join.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamingJoin {
-    /// Optional bounding box of the data, used to size the striped sweep
-    /// structures. When absent the union of the snapshot boxes is used.
-    pub region_hint: Option<Rect>,
-    /// The pair-selection predicate (default: MBR intersection).
-    pub predicate: Predicate,
-}
-
-impl StreamingJoin {
-    /// Sets the region hint (builder style).
-    pub fn with_region(mut self, region: Rect) -> Self {
-        self.region_hint = Some(region);
-        self
-    }
-
-    /// Sets the join predicate (builder style).
-    pub fn with_predicate(mut self, predicate: Predicate) -> Self {
-        self.predicate = predicate;
-        self
-    }
-
-    /// Runs the join over two snapshots, reporting pairs through `sink` as
-    /// they are discovered. The pair *set* equals offline SSSJ over the two
-    /// materialised snapshots; a registered dataset takes part as a snapshot
-    /// without tiers ([`LiveSnapshot::untiered`]).
-    ///
-    /// A `ControlFlow::Break` from the sink (LIMIT reached, cancellation)
-    /// terminates the join early, skipping any outstanding fix-up I/O —
-    /// exactly the early-termination contract of the offline operators.
-    pub fn run(
-        &self,
-        env: &mut SimEnv,
-        left: &LiveSnapshot,
-        right: &LiveSnapshot,
-        sink: &mut dyn PairSink,
-    ) -> Result<JoinResult> {
-        let measurement = env.begin();
-        env.memory.begin_phase();
-        let predicate = self.predicate;
-        let eps = predicate.epsilon();
-        let region = self
-            .region_hint
-            .unwrap_or_else(|| left.bbox().union(&right.bbox()))
-            .expanded(eps);
-
-        let probe_phase = env.obs_phase("stream.probe");
-        let mut lcur = left.cursor();
-        let mut rcur = right.cursor();
-        let (mut pairs, mut stopped) = (0u64, false);
-        let mut emit = |a: &Item, b: &Item| {
-            if !stopped && predicate.accepts(&a.rect, &b.rect) {
-                stopped = sink.emit(a.id, b.id).is_break();
-                pairs += u64::from(!stopped);
-            }
-            if stopped {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        let (driver, flow) = merge_sweep(
-            env,
-            |env| Ok(lcur.next(env)?.map(|it| predicate.expand_left(it))),
-            |env| rcur.next(env),
-            (region.lo.x, region.hi.x),
-            &mut emit,
-        )?;
-        env.obs_close(probe_phase);
-        // Any spill epoch still open fixes up here — unless the sink stopped
-        // the join, which skips that I/O.
-        let fixup_phase = env.obs_phase("stream.fixup");
-        let mut sweep = match flow {
-            ControlFlow::Break(()) => driver.discard(),
-            ControlFlow::Continue(()) => driver.finish(env, |a, b| {
-                let _ = emit(a, b);
-            })?,
-        };
-        env.obs_close(fixup_phase);
-        sweep.pairs = pairs;
-        env.charge(CpuOp::RectTest, sweep.rect_tests);
-        env.charge(CpuOp::OutputPair, pairs);
-
-        let (io, cpu) = env.since(&measurement);
-        Ok(JoinResult {
-            pairs,
-            io,
-            cpu,
-            index_page_requests: 0,
-            sweep,
-            memory: MemoryStats {
-                priority_queue_bytes: 0,
-                sweep_structure_bytes: sweep.max_structure_bytes,
-                other_bytes: 0,
-                peak_bytes: env.memory.peak(),
-            },
-        })
-    }
-}
+//! A snapshot enters a join as a cataloged input with tiers
+//! ([`LiveSnapshot::cataloged`](crate::LiveSnapshot::cataloged)); SSSJ
+//! reads it as the merge of its runs, with no sort, and emits pairs while
+//! the runs are still being scanned. These cases hold it to offline SSSJ
+//! over the materialised snapshot: same pair set, exactly once, under
+//! distance predicates, `LIMIT`s, either side order and memory pressure.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::catalog::{LiveConfig, LiveDataset};
-    use usj_core::{CollectSink, JoinInput, JoinOperator, LimitSink, SssjJoin};
-    use usj_io::{ItemStream, MachineConfig};
+    use crate::catalog::{LiveConfig, LiveDataset, LiveSnapshot};
+    use usj_core::{
+        CatalogedInput, CollectSink, JoinInput, JoinOperator, JoinResult, LimitSink, PairSink,
+        Predicate, SssjJoin,
+    };
+    use usj_geom::{Item, Rect};
+    use usj_io::{ItemStream, MachineConfig, SimEnv};
+    use usj_rtree::RTree;
 
     fn env() -> SimEnv {
         SimEnv::new(MachineConfig::machine3())
@@ -146,6 +29,15 @@ mod tests {
                 let x = (h % 97) as f32;
                 let y = (h % 89) as f32;
                 Item::new(Rect::from_coords(x, y, x + 3.0, y + 3.0), id_base + i)
+            })
+            .collect()
+    }
+
+    fn tall(n: u32, id_base: u32, shift: f32) -> Vec<Item> {
+        (0..n)
+            .map(|i| {
+                let x = ((i % 250) as f32) * 4.0 + shift;
+                Item::new(Rect::from_coords(x, 0.0, x + 1.0, 1_000.0), id_base + i)
             })
             .collect()
     }
@@ -166,6 +58,80 @@ mod tests {
         (l, r)
     }
 
+    /// A registered dataset's prepared representations: its y-sorted
+    /// persisted run, the R-tree over it and their bounding box.
+    struct Registered {
+        sorted: ItemStream,
+        tree: RTree,
+        bbox: Rect,
+    }
+
+    impl Registered {
+        fn new(env: &mut SimEnv, items: &[Item]) -> Self {
+            let stream = ItemStream::from_items_with_block(env, items, 2).unwrap();
+            let (sorted, stats) = usj_io::extsort::external_sort_by_key(
+                env,
+                &stream,
+                Item::sweep_key,
+                Item::cmp_by_lower_y,
+            )
+            .unwrap();
+            let tree = RTree::bulk_load_stream(env, &sorted).unwrap();
+            Registered {
+                sorted,
+                tree,
+                bbox: stats.bbox,
+            }
+        }
+
+        fn input(&self) -> JoinInput<'_> {
+            JoinInput::Cataloged(CatalogedInput {
+                tree: &self.tree,
+                sorted: &self.sorted,
+                bbox: self.bbox,
+                deltas: &[],
+                mem_runs: &[],
+            })
+        }
+    }
+
+    fn live(snap: &LiveSnapshot) -> JoinInput<'_> {
+        JoinInput::Cataloged(snap.cataloged())
+    }
+
+    fn sssj(
+        env: &mut SimEnv,
+        predicate: Predicate,
+        l: JoinInput<'_>,
+        r: JoinInput<'_>,
+        sink: &mut dyn PairSink,
+    ) -> JoinResult {
+        SssjJoin::default()
+            .with_predicate(predicate)
+            .run_with(env, l, r, sink)
+            .unwrap()
+    }
+
+    /// Offline SSSJ over both inputs materialised as one sorted stream each.
+    fn offline(
+        env: &mut SimEnv,
+        predicate: Predicate,
+        l: JoinInput<'_>,
+        r: JoinInput<'_>,
+    ) -> Vec<(u32, u32)> {
+        let (sl, _) = l.to_sorted_stream(env, None).unwrap();
+        let (sr, _) = r.to_sorted_stream(env, None).unwrap();
+        let mut sink = CollectSink::default();
+        sssj(
+            env,
+            predicate,
+            JoinInput::Stream(&sl),
+            JoinInput::Stream(&sr),
+            &mut sink,
+        );
+        sorted(sink.pairs)
+    }
+
     fn sorted(mut pairs: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
         pairs.sort_unstable();
         pairs
@@ -176,22 +142,17 @@ mod tests {
         let mut env = env();
         let (l, r) = live_pair(&mut env);
         let (snap_l, snap_r) = (l.snapshot(), r.snapshot());
+        assert!(snap_l.has_tiers() && snap_r.has_tiers());
 
         let mut live_sink = CollectSink::default();
-        let live = StreamingJoin::default()
-            .run(&mut env, &snap_l, &snap_r, &mut live_sink)
-            .unwrap();
+        let p = Predicate::default();
+        let result = sssj(&mut env, p, live(&snap_l), live(&snap_r), &mut live_sink);
+        let offline_pairs = offline(&mut env, p, live(&snap_l), live(&snap_r));
 
-        let sl = snap_l.to_stream(&mut env).unwrap();
-        let sr = snap_r.to_stream(&mut env).unwrap();
-        let (offline, offline_pairs) = SssjJoin::default()
-            .run_collect(&mut env, JoinInput::Stream(&sl), JoinInput::Stream(&sr))
-            .unwrap();
-
-        assert!(live.pairs > 0, "the workload must actually join");
-        assert_eq!(live.pairs, offline.pairs);
+        assert!(result.pairs > 0, "the workload must actually join");
+        assert_eq!(result.pairs, offline_pairs.len() as u64);
         let live_sorted = sorted(live_sink.pairs);
-        assert_eq!(live_sorted, sorted(offline_pairs));
+        assert_eq!(live_sorted, offline_pairs);
         // Exactly-once: no duplicates in the streaming output.
         assert!(live_sorted.windows(2).all(|w| w[0] != w[1]));
     }
@@ -201,23 +162,14 @@ mod tests {
         let mut env = env();
         let (l, r) = live_pair(&mut env);
         let (snap_l, snap_r) = (l.snapshot(), r.snapshot());
-        let predicate = Predicate::WithinDistance(1.5);
+        let p = Predicate::WithinDistance(1.5);
 
         let mut live_sink = CollectSink::default();
-        StreamingJoin::default()
-            .with_predicate(predicate)
-            .run(&mut env, &snap_l, &snap_r, &mut live_sink)
-            .unwrap();
-
-        let sl = snap_l.to_stream(&mut env).unwrap();
-        let sr = snap_r.to_stream(&mut env).unwrap();
-        let (_, offline_pairs) = SssjJoin::default()
-            .with_predicate(predicate)
-            .run_collect(&mut env, JoinInput::Stream(&sl), JoinInput::Stream(&sr))
-            .unwrap();
+        sssj(&mut env, p, live(&snap_l), live(&snap_r), &mut live_sink);
+        let offline_pairs = offline(&mut env, p, live(&snap_l), live(&snap_r));
 
         assert!(!offline_pairs.is_empty());
-        assert_eq!(sorted(live_sink.pairs), sorted(offline_pairs));
+        assert_eq!(sorted(live_sink.pairs), offline_pairs);
     }
 
     #[test]
@@ -226,26 +178,10 @@ mod tests {
         let (l, r) = live_pair(&mut env);
         let (snap_l, snap_r) = (l.snapshot(), r.snapshot());
         let mut sink = LimitSink::new(CollectSink::default(), 7);
-        let result = StreamingJoin::default()
-            .run(&mut env, &snap_l, &snap_r, &mut sink)
-            .unwrap();
+        let p = Predicate::default();
+        let result = sssj(&mut env, p, live(&snap_l), live(&snap_r), &mut sink);
         assert_eq!(result.pairs, 7);
         assert_eq!(sink.into_inner().pairs.len(), 7);
-    }
-
-    /// A registered dataset as the service hands it to the join: its
-    /// y-sorted persisted run and R-tree, as a snapshot without tiers.
-    fn cataloged(env: &mut SimEnv, items: &[Item]) -> LiveSnapshot {
-        let stream = ItemStream::from_items_with_block(env, items, 2).unwrap();
-        let (sorted, stats) = usj_io::extsort::external_sort_by_key(
-            env,
-            &stream,
-            Item::sweep_key,
-            Item::cmp_by_lower_y,
-        )
-        .unwrap();
-        let tree = usj_rtree::RTree::bulk_load_stream(env, &sorted).unwrap();
-        LiveSnapshot::untiered(sorted, tree, stats.bbox)
     }
 
     #[test]
@@ -253,26 +189,17 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let cat = cataloged(&mut env, &batch(400, 800_000, 9));
+        let cat = Registered::new(&mut env, &batch(400, 800_000, 9));
 
         let mut mixed_sink = CollectSink::default();
-        let mixed = StreamingJoin::default()
-            .run(&mut env, &snap, &cat, &mut mixed_sink)
-            .unwrap();
-
-        let sl = snap.to_stream(&mut env).unwrap();
-        let (offline, offline_pairs) = SssjJoin::default()
-            .run_collect(
-                &mut env,
-                JoinInput::Stream(&sl),
-                JoinInput::Stream(cat.runs()[0].stream()),
-            )
-            .unwrap();
+        let p = Predicate::default();
+        let mixed = sssj(&mut env, p, live(&snap), cat.input(), &mut mixed_sink);
+        let offline_pairs = offline(&mut env, p, live(&snap), cat.input());
 
         assert!(mixed.pairs > 0, "the workload must actually join");
-        assert_eq!(mixed.pairs, offline.pairs);
+        assert_eq!(mixed.pairs, offline_pairs.len() as u64);
         let mixed_sorted = sorted(mixed_sink.pairs);
-        assert_eq!(mixed_sorted, sorted(offline_pairs));
+        assert_eq!(mixed_sorted, offline_pairs);
         assert!(mixed_sorted.windows(2).all(|w| w[0] != w[1]));
     }
 
@@ -283,17 +210,15 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let cat = cataloged(&mut env, &batch(300, 700_000, 5));
+        let cat = Registered::new(&mut env, &batch(300, 700_000, 5));
 
+        let p = Predicate::default();
         let mut ab = CollectSink::default();
-        StreamingJoin::default()
-            .run(&mut env, &snap, &cat, &mut ab)
-            .unwrap();
+        sssj(&mut env, p, live(&snap), cat.input(), &mut ab);
         let mut ba = CollectSink::default();
-        StreamingJoin::default()
-            .run(&mut env, &cat, &snap, &mut ba)
-            .unwrap();
+        sssj(&mut env, p, cat.input(), live(&snap), &mut ba);
         let flipped: Vec<(u32, u32)> = ba.pairs.into_iter().map(|(a, b)| (b, a)).collect();
+        assert!(!flipped.is_empty());
         assert_eq!(sorted(ab.pairs), sorted(flipped));
     }
 
@@ -302,11 +227,15 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let cat = cataloged(&mut env, &batch(400, 800_000, 9));
+        let cat = Registered::new(&mut env, &batch(400, 800_000, 9));
         let mut sink = LimitSink::new(CollectSink::default(), 5);
-        let result = StreamingJoin::default()
-            .run(&mut env, &snap, &cat, &mut sink)
-            .unwrap();
+        let result = sssj(
+            &mut env,
+            Predicate::default(),
+            live(&snap),
+            cat.input(),
+            &mut sink,
+        );
         assert_eq!(result.pairs, 5);
         assert_eq!(sink.into_inner().pairs.len(), 5);
     }
@@ -320,26 +249,17 @@ mod tests {
         // so the driver's headroom-derived budget forces spilling — and the
         // fix-up joins must still recover every pair, byte for byte.
         let mut env = env();
-        let tall = |n: u32, id_base: u32, shift: f32| -> Vec<Item> {
-            (0..n)
-                .map(|i| {
-                    let x = ((i % 250) as f32) * 4.0 + shift;
-                    Item::new(Rect::from_coords(x, 0.0, x + 1.0, 1_000.0), id_base + i)
-                })
-                .collect()
-        };
         let l = LiveDataset::create(&mut env, "l", &tall(4_000, 0, 0.0), tiny_config()).unwrap();
         let snap = l.snapshot();
-        let cat = cataloged(&mut env, &tall(4_000, 1_000_000, 0.5));
+        let cat = Registered::new(&mut env, &tall(4_000, 1_000_000, 0.5));
 
         let base = env.device.snapshot();
         let mut worker = env.fork_with_base(base);
         worker.set_memory_limit(4 * 1024 * 1024);
         let _standing = worker.memory.try_reserve(3_800_000).unwrap();
         let mut mixed_sink = CollectSink::default();
-        let mixed = StreamingJoin::default()
-            .run(&mut worker, &snap, &cat, &mut mixed_sink)
-            .unwrap();
+        let p = Predicate::default();
+        let mixed = sssj(&mut worker, p, live(&snap), cat.input(), &mut mixed_sink);
         assert!(
             mixed.sweep.spill_runs > 0,
             "the squeezed 4 MB budget must force spilling: {:?}",
@@ -347,16 +267,9 @@ mod tests {
         );
         assert!(mixed.memory.peak_bytes <= 4 * 1024 * 1024);
 
-        let sl = snap.to_stream(&mut env).unwrap();
-        let (_, offline_pairs) = SssjJoin::default()
-            .run_collect(
-                &mut env,
-                JoinInput::Stream(&sl),
-                JoinInput::Stream(cat.runs()[0].stream()),
-            )
-            .unwrap();
+        let offline_pairs = offline(&mut env, p, live(&snap), cat.input());
         assert!(!offline_pairs.is_empty());
-        assert_eq!(sorted(mixed_sink.pairs), sorted(offline_pairs));
+        assert_eq!(sorted(mixed_sink.pairs), offline_pairs);
     }
 
     #[test]
@@ -367,14 +280,6 @@ mod tests {
         // memory-limited worker fork over a device snapshot — the service
         // execution model — while dataset preparation stays unconstrained.
         let mut env = env();
-        let tall = |n: u32, id_base: u32, shift: f32| -> Vec<Item> {
-            (0..n)
-                .map(|i| {
-                    let x = ((i % 250) as f32) * 4.0 + shift;
-                    Item::new(Rect::from_coords(x, 0.0, x + 1.0, 1_000.0), id_base + i)
-                })
-                .collect()
-        };
         let l = LiveDataset::create(&mut env, "l", &tall(4_000, 0, 0.0), tiny_config()).unwrap();
         let r =
             LiveDataset::create(&mut env, "r", &tall(4_000, 100_000, 0.5), tiny_config()).unwrap();
@@ -384,22 +289,17 @@ mod tests {
         let mut worker = env.fork_with_base(base);
         worker.set_memory_limit(128 * 1024);
         let mut live_sink = CollectSink::default();
-        let live = StreamingJoin::default()
-            .run(&mut worker, &snap_l, &snap_r, &mut live_sink)
-            .unwrap();
+        let p = Predicate::default();
+        let result = sssj(&mut worker, p, live(&snap_l), live(&snap_r), &mut live_sink);
         assert!(
-            live.sweep.spill_runs > 0,
+            result.sweep.spill_runs > 0,
             "the budget must force spilling: {:?}",
-            live.sweep
+            result.sweep
         );
-        assert!(live.memory.peak_bytes <= 128 * 1024);
+        assert!(result.memory.peak_bytes <= 128 * 1024);
 
-        let sl = snap_l.to_stream(&mut env).unwrap();
-        let sr = snap_r.to_stream(&mut env).unwrap();
-        let (_, offline_pairs) = SssjJoin::default()
-            .run_collect(&mut env, JoinInput::Stream(&sl), JoinInput::Stream(&sr))
-            .unwrap();
+        let offline_pairs = offline(&mut env, p, live(&snap_l), live(&snap_r));
         assert!(!offline_pairs.is_empty());
-        assert_eq!(sorted(live_sink.pairs), sorted(offline_pairs));
+        assert_eq!(sorted(live_sink.pairs), offline_pairs);
     }
 }

@@ -28,8 +28,8 @@ use std::ops::ControlFlow;
 
 use usj_core::{JoinInput, JoinOperator, PairSink, SssjJoin};
 use usj_geom::{Item, Rect};
-use usj_io::{MachineConfig, PageId, SimEnv};
-use usj_live::{CompactionPlan, FlushJob, LiveConfig, LiveDataset, LiveSnapshot, StreamingJoin};
+use usj_io::{ItemStream, MachineConfig, PageId, SimEnv};
+use usj_live::{CompactionPlan, FlushJob, LiveConfig, LiveDataset, LiveSnapshot};
 use usj_proptest::Gen;
 
 /// Steps per generated history.
@@ -101,11 +101,21 @@ fn brute_pairs(a: &[Item], b: &[Item]) -> BTreeSet<(u32, u32)> {
     out
 }
 
-/// Streams the symmetric join over two snapshots and returns its pair set.
+/// A snapshot as a join input: its base with the other runs as tiers.
+fn input(snap: &LiveSnapshot) -> JoinInput<'_> {
+    JoinInput::Cataloged(snap.cataloged())
+}
+
+/// A snapshot materialised as one sorted stream.
+fn materialise(env: &mut SimEnv, snap: &LiveSnapshot) -> ItemStream {
+    input(snap).to_sorted_stream(env, None).expect("materialise").0
+}
+
+/// Streams SSSJ over two snapshots' merged runs and returns its pair set.
 fn streaming_pairs(env: &mut SimEnv, l: &LiveSnapshot, r: &LiveSnapshot) -> BTreeSet<(u32, u32)> {
     let mut sink = Collect(Vec::new());
-    StreamingJoin::default()
-        .run(env, l, r, &mut sink)
+    SssjJoin::default()
+        .run_with(env, input(l), input(r), &mut sink)
         .expect("streaming join");
     sink.0.into_iter().collect()
 }
@@ -113,8 +123,8 @@ fn streaming_pairs(env: &mut SimEnv, l: &LiveSnapshot, r: &LiveSnapshot) -> BTre
 /// Materialises both snapshots and runs the offline SSSJ, returning its
 /// pair set — the paper-baseline oracle.
 fn offline_pairs(env: &mut SimEnv, l: &LiveSnapshot, r: &LiveSnapshot) -> BTreeSet<(u32, u32)> {
-    let sl = l.to_stream(env).expect("materialise left");
-    let sr = r.to_stream(env).expect("materialise right");
+    let sl = materialise(env, l);
+    let sr = materialise(env, r);
     let (_, pairs) = SssjJoin::default()
         .run_collect(env, JoinInput::Stream(&sl), JoinInput::Stream(&sr))
         .expect("offline SSSJ");
@@ -123,9 +133,9 @@ fn offline_pairs(env: &mut SimEnv, l: &LiveSnapshot, r: &LiveSnapshot) -> BTreeS
 
 /// Every item a snapshot holds, read back across all tiers.
 fn snapshot_ids(env: &mut SimEnv, snap: &LiveSnapshot) -> BTreeSet<u32> {
-    let mut cursor = snap.cursor();
+    let items = materialise(env, snap).read_all(env).expect("read snapshot");
     let mut out = BTreeSet::new();
-    while let Some(item) = cursor.next(env).expect("snapshot cursor") {
+    for item in items {
         assert!(out.insert(item.id), "snapshot duplicated item {}", item.id);
     }
     out
@@ -314,8 +324,8 @@ fn seeded_history_trace_shape_is_deterministic() {
         "live.compaction",
         "live.compaction.merge",
         "live.compaction.index",
-        "stream.probe",
         "sssj.sort",
+        "sssj.sweep",
     ] {
         assert!(
             trace_a.find(span).is_some(),

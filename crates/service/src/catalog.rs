@@ -24,7 +24,6 @@ use usj_core::{CatalogedInput, JoinInput};
 use usj_geom::{Item, Rect};
 use usj_io::{extsort, IoSimError, ItemStream, PageId, SimEnv, PAGE_SIZE};
 pub use usj_live::DatasetId;
-use usj_live::LiveSnapshot;
 use usj_rtree::RTree;
 
 use crate::{Result, ServiceError};
@@ -76,17 +75,18 @@ impl Dataset {
     /// The dataset as a join input: every algorithm skips its preparation
     /// I/O (no re-sort, no index build, no bounding-box scan).
     pub fn input(&self) -> JoinInput<'_> {
-        JoinInput::Cataloged(CatalogedInput {
+        JoinInput::Cataloged(self.cataloged())
+    }
+
+    /// Both prepared representations, with no tiers.
+    pub fn cataloged(&self) -> CatalogedInput<'_> {
+        CatalogedInput {
             tree: &self.tree,
             sorted: &self.sorted,
             bbox: self.bbox,
-        })
-    }
-
-    /// The dataset as a snapshot without tiers, the form in which it joins
-    /// a live dataset's snapshot in the streaming join.
-    pub(crate) fn snapshot(&self) -> LiveSnapshot {
-        LiveSnapshot::untiered(self.sorted.clone(), self.tree.clone(), self.bbox)
+            deltas: &[],
+            mem_runs: &[],
+        }
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {

@@ -41,10 +41,11 @@
 //! datasets, numbered in the same [`DatasetId`] space after the registered
 //! ones. A live dataset is a base run + R-tree plus unindexed tiers, and a
 //! registered one is the case with no tiers, so the same three query kinds
-//! serve both: a join over tiers runs the incremental streaming sweep over
-//! generation snapshots taken at execution time — first pairs stream out
-//! before either input is fully read — and a selection reads the tree, then
-//! each tier.
+//! serve both: every join lowers through [`usj_core::SpatialQuery`] over
+//! cataloged inputs, a live one taken from the generation snapshot at
+//! execution time — under `Auto`, SSSJ merges a tiered input's runs as it
+//! sweeps, so first pairs stream out before either input is fully read —
+//! and a selection reads the tree, then each tier.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -70,10 +70,9 @@ use usj_io::{
 };
 use usj_live::{
     CompactionPlan, FlushJob, LiveCatalog, LiveConfig, LiveDataset, LiveSnapshot, LiveStats,
-    MemRun, SnapshotRun, StreamingJoin,
 };
 use usj_obs::{Clock, QueryTrace, Recorder, RingCollector};
-use usj_rtree::{NodeStore, RTree};
+use usj_rtree::NodeStore;
 
 use crate::catalog::{Catalog, Dataset, DatasetId};
 use crate::obs::ServiceObs;
@@ -245,8 +244,8 @@ pub struct JoinSpec {
     pub left: DatasetId,
     /// Right input dataset.
     pub right: DatasetId,
-    /// Join algorithm (default [`Algo::Auto`]). A join over a dataset with
-    /// tiers runs the streaming sweep instead (see [`QueryKind`]).
+    /// Join algorithm (default [`Algo::Auto`], which runs SSSJ over a
+    /// dataset with tiers — see [`QueryKind`]).
     pub algo: Algo,
     /// Pair predicate (default intersection).
     pub predicate: Predicate,
@@ -267,17 +266,15 @@ impl JoinSpec {
 /// What a [`QueryRequest`] asks for.
 ///
 /// Every kind addresses datasets by [`DatasetId`], registered and live
-/// alike; how a query runs depends only on the datasets' tiers when it
-/// starts:
+/// alike, and reads each as a cataloged input — a live dataset's delta and
+/// in-memory runs as its tiers, taken from a generation snapshot when the
+/// query starts:
 ///
-/// * a join whose two inputs have no tiers (registered datasets, or live
-///   ones with nothing beside their base) lowers through
-///   [`SpatialQuery`] — the chosen [`Algo`], the §6.3 estimate for
-///   `Auto`, and the plan cache when both are registered;
-/// * any other join runs the [`StreamingJoin`] over the two generation
-///   snapshots, a registered side entering as a snapshot without tiers;
-///   pairs surface while the runs are still being scanned, whatever the
-///   requested algorithm;
+/// * a join lowers through [`SpatialQuery`] — the chosen [`Algo`], and
+///   the plan cache when both datasets are registered. `Auto` consults the
+///   §6.3 estimate over inputs without tiers and runs SSSJ over any with
+///   tiers, which merges their runs without sorting, so pairs surface
+///   while the runs are still being scanned;
 /// * a selection reads the base R-tree, then each tier behind its bounding
 ///   box — for a dataset without tiers, exactly the plain tree query.
 #[derive(Debug, Clone, Copy)]
@@ -1242,7 +1239,7 @@ impl Service {
     /// `[MIN_QUERY_BUDGET, memory_limit]`, or a size-based heuristic:
     /// 3× the input bytes with a [`JOIN_BUDGET_FLOOR`] floor for a join of
     /// two registered datasets, 1× for a join touching a live one (the
-    /// streaming operator spills instead of growing), and
+    /// sweep over its merged runs spills instead of growing), and
     /// [`SELECTION_BUDGET`] for selections.
     ///
     /// When the plan cache holds a *measured* peak for a join's fingerprint
@@ -1415,9 +1412,9 @@ impl Service {
         (ran, Some(QueryTrace::from_events(&events, dropped)))
     }
 
-    /// Routes an admitted query to its operator by the tiers its datasets
-    /// hold (see [`QueryKind`]). Live datasets are read through generation
-    /// snapshots taken **before** the worker environment is built:
+    /// Routes an admitted query to its operator (see [`QueryKind`]). Live
+    /// datasets are read through generation snapshots taken **before** the
+    /// worker environment is built:
     /// snapshots clone run handles under the `live` lock, the environment
     /// forks the base page slot afterwards — the reader half of the
     /// [`LiveStore`] publication-ordering invariant, guaranteeing every
@@ -1435,20 +1432,12 @@ impl Service {
             let (dataset, window) = kind.selection().expect("a non-join kind is a selection");
             let source = self.source(dataset)?;
             let mut wenv = self.worker_env(granted, fault_stream);
-            return self.run_selection(&mut wenv, &source, window, granted, sink);
+            return self.run_selection(&mut wenv, source.cataloged(), window, granted, sink);
         };
         let (left, right) = (self.source(spec.left)?, self.source(spec.right)?);
         let mut wenv = self.worker_env(granted, fault_stream);
-        if left.has_tiers() || right.has_tiers() {
-            // Streaming joins bypass the plan cache: there is nothing to
-            // plan (one operator, no algorithm choice).
-            return StreamingJoin::default()
-                .with_predicate(spec.predicate)
-                .run(&mut wenv, &left.into_snapshot(), &right.into_snapshot(), sink)
-                .map_err(ServiceError::from);
-        }
         let cached = matches!((&left, &right), (Source::Registered(_), Source::Registered(_)));
-        self.run_join(&mut wenv, spec, left.input(), right.input(), cached, sink)
+        self.run_join(&mut wenv, spec, left.cataloged(), right.cataloged(), cached, sink)
     }
 
     /// A fresh execution environment for one admitted query: its own I/O
@@ -1495,19 +1484,19 @@ impl Service {
             .ok_or_else(|| ServiceError::UnknownDataset(format!("#{}", id.0)))
     }
 
-    /// A join of two inputs without tiers through [`SpatialQuery`]. With
-    /// `cached` (both inputs registered) the plan comes from, and the
-    /// measured peak goes to, the plan cache.
+    /// A join through [`SpatialQuery`]. With `cached` (both inputs
+    /// registered) the plan comes from, and the measured peak goes to, the
+    /// plan cache.
     fn run_join(
         &self,
         wenv: &mut SimEnv,
         spec: &JoinSpec,
-        left: JoinInput<'_>,
-        right: JoinInput<'_>,
+        left: CatalogedInput<'_>,
+        right: CatalogedInput<'_>,
         cached: bool,
         sink: &mut ServiceSink,
     ) -> Result<JoinResult> {
-        let query = SpatialQuery::new(left, right)
+        let query = SpatialQuery::new(JoinInput::Cataloged(left), JoinInput::Cataloged(right))
             .algorithm(spec.algo)
             .predicate(spec.predicate);
         // The reported accounting covers the query end to end on its forked
@@ -1558,7 +1547,7 @@ impl Service {
     fn run_selection(
         &self,
         wenv: &mut SimEnv,
-        source: &Source<'_>,
+        source: CatalogedInput<'_>,
         window: Rect,
         granted: usize,
         sink: &mut ServiceSink,
@@ -1567,12 +1556,11 @@ impl Service {
         wenv.memory.begin_phase();
         let mut store = NodeStore::with_capacity_bytes_gauged(granted, &wenv.memory);
         let mut alive = source
-            .tree()
+            .tree
             .window_query_via(wenv, &mut store, &window, &mut |item| {
                 sink.emit(item.id, 0)
             })?;
-        let (deltas, mems) = source.tiers();
-        for run in deltas {
+        for run in source.deltas {
             if !alive {
                 break;
             }
@@ -1587,7 +1575,7 @@ impl Service {
                 }
             }
         }
-        for mem in mems {
+        for mem in source.mem_runs {
             if !alive {
                 break;
             }
@@ -1628,43 +1616,12 @@ enum Source<'a> {
 }
 
 impl Source<'_> {
-    fn tree(&self) -> &RTree {
+    /// The dataset as a cataloged input: its base run and tree, plus its
+    /// tiers when it is a live dataset mid-ingest.
+    fn cataloged(&self) -> CatalogedInput<'_> {
         match self {
-            Source::Registered(ds) => ds.tree(),
-            Source::Live(snap) => snap.tree(),
-        }
-    }
-
-    /// Everything beside the base and its tree: delta runs, then in-memory
-    /// runs.
-    fn tiers(&self) -> (&[SnapshotRun], &[MemRun]) {
-        match self {
-            Source::Registered(_) => (&[], &[]),
-            Source::Live(snap) => (&snap.runs()[1..], snap.mem_runs()),
-        }
-    }
-
-    fn has_tiers(&self) -> bool {
-        matches!(self, Source::Live(snap) if snap.has_tiers())
-    }
-
-    /// The base as a prepared join input — the whole dataset when it has no
-    /// tiers.
-    fn input(&self) -> JoinInput<'_> {
-        match self {
-            Source::Registered(ds) => ds.input(),
-            Source::Live(snap) => JoinInput::Cataloged(CatalogedInput {
-                tree: snap.tree(),
-                sorted: snap.runs()[0].stream(),
-                bbox: snap.bbox(),
-            }),
-        }
-    }
-
-    fn into_snapshot(self) -> LiveSnapshot {
-        match self {
-            Source::Registered(ds) => ds.snapshot(),
-            Source::Live(snap) => snap,
+            Source::Registered(ds) => ds.cataloged(),
+            Source::Live(snap) => snap.cataloged(),
         }
     }
 }
@@ -2259,6 +2216,56 @@ mod tests {
         let mut pairs = quiesced.outcomes[0].pairs.clone().unwrap();
         pairs.sort_unstable();
         assert_eq!(pairs, collected);
+    }
+
+    #[test]
+    fn explicit_algorithms_run_as_asked_over_tiers_and_answer_like_the_quiesced_datasets() {
+        let a = grid(12, 4.0, 0.0, 0);
+        let b = grid(12, 4.0, 1.5, 100_000);
+        let (service, la, ib) = mixed_service(&a, &b);
+        assert!(service.with_live(|l| l.get(la).unwrap().snapshot().has_tiers()));
+        service.set_tracing(true);
+        // `Auto` over tiers runs SSSJ; every explicit algorithm runs as asked.
+        let algos = [
+            (Algo::Auto, "sssj.sweep"),
+            (Algo::Sssj, "sssj.sweep"),
+            (Algo::Pbsm, "pbsm.join"),
+            (Algo::Pq, "pq.sweep"),
+            (Algo::St, "st.traverse"),
+        ];
+        let mut requests = Vec::new();
+        for predicate in [Predicate::Intersects, Predicate::WithinDistance(0.6)] {
+            for (left, right) in [(la, ib), (ib, la)] {
+                for (algo, _) in algos {
+                    requests.push(
+                        QueryRequest::join(left, right)
+                            .with_algorithm(algo)
+                            .with_predicate(predicate)
+                            .collecting(),
+                    );
+                }
+            }
+        }
+        let run = |requests: Vec<QueryRequest>| {
+            let report = service.run(requests);
+            assert_eq!(report.stats.failed, 0);
+            report
+        };
+        let tiered = run(requests.clone());
+        service.quiesce_live("mixed").unwrap();
+        let quiesced = run(requests);
+        for (k, (t, q)) in tiered.outcomes.iter().zip(&quiesced.outcomes).enumerate() {
+            let phase = algos[k % algos.len()].1;
+            let trace = t.stats.trace.as_ref().unwrap();
+            assert!(trace.find(phase).is_some(), "#{k}: no {phase} in {}", trace.shape());
+            let pairs = |o: &QueryOutcome| {
+                let mut p = o.pairs.clone().unwrap();
+                p.sort_unstable();
+                p
+            };
+            assert!(!pairs(q).is_empty());
+            assert_eq!(pairs(t), pairs(q), "request #{k}");
+        }
     }
 
     #[test]

@@ -160,7 +160,7 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
 
     let mut chrome = ChromeTrace::new();
     chrome.add_thread(0, "maintenance");
-    for (k, outcome) in report.outcomes.iter().enumerate() {
+    for outcome in &report.outcomes {
         let trace = outcome.stats.trace.as_ref().expect("tracing was on");
         // The scheduler wraps every execution under one `query` root with
         // the synthesised admission wait beside the recorded execute tree.
@@ -170,12 +170,12 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
         assert!(trace.find("admission.wait").is_some(), "shape: {}", trace.shape());
         let execute = trace.find("execute").expect("recorded execute root");
         // `live_a` is quiesced: its join with the registered dataset has no
-        // tiers on either side and lowers to an offline operator (`Auto`
-        // picks SSSJ here), while the joins with `live_b` stream.
-        let phase = if k == 1 { "sssj.sweep" } else { "stream.probe" };
+        // tiers on either side and `Auto` prices it (picking SSSJ here),
+        // while the joins with `live_b` have tiers, so `Auto` runs SSSJ over
+        // the merged runs without an estimate. Every join sweeps.
         assert!(
-            execute.find(phase).is_some(),
-            "operator phase {phase} missing: {}",
+            execute.find("sssj.sweep").is_some(),
+            "operator phase sssj.sweep missing: {}",
             trace.shape()
         );
         assert!(

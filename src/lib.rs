@@ -21,8 +21,9 @@
 //!   paper's new PQ join), the multi-way extension, and the cost model that
 //!   decides between indexed and non-indexed execution.
 //! * [`live`] — LSM-style live ingestion (memtable → sorted delta runs →
-//!   merge compaction, with generation snapshots) and the streaming join
-//!   that emits pairs while its inputs are still being scanned.
+//!   merge compaction, with generation snapshots that join as cataloged
+//!   inputs with tiers, emitting pairs while their runs are still being
+//!   scanned).
 //! * [`service`] — the register-once/query-many layer: a dataset
 //!   [`Catalog`](prelude::Catalog) persisting sorted runs and R-trees on the
 //!   device, and a concurrent [`Service`](prelude::Service) admitting join,
@@ -91,7 +92,7 @@ pub mod prelude {
     pub use usj_datagen::{Preset, Workload, WorkloadSpec};
     pub use usj_geom::{Interval, Point, Rect};
     pub use usj_io::{machine::MachineConfig, sim::SimEnv, stats::IoStats};
-    pub use usj_live::{LiveCatalog, LiveConfig, LiveDataset, LiveSnapshot, StreamingJoin};
+    pub use usj_live::{LiveCatalog, LiveConfig, LiveDataset, LiveSnapshot};
     pub use usj_obs::{
         ChromeTrace, HostClock, LogHistogram, MetricsSnapshot, QueryTrace, VirtualClock,
     };

@@ -1,0 +1,241 @@
+//! The ledger of joins over datasets with tiers, run through the service.
+//!
+//! A live dataset mid-ingest is a base run with its R-tree, sorted delta
+//! runs on the device, and sorted in-memory runs (frozen batches and the
+//! memtable). This suite joins such datasets with each other and with a
+//! registered dataset — full joins and `LIMIT` joins, under the default
+//! `Algo::Auto` and with `Algo::Sssj` forced — plus a pair of tall live
+//! datasets under a small budget, where the sweep spills and fixes up.
+//!
+//! Every row pins the pair count, a digest of the pairs in delivery order,
+//! every `IoStats` field, every `CpuOp` count, the index page requests and
+//! the measured memory peak. The numbers were recorded before tiered joins
+//! lowered through the operators of `usj_core`; the lowering must not move
+//! any of them. On a mismatch the failure message prints the observed
+//! ledger in the literal syntax below.
+
+use unified_spatial_join::geom::{Item, ITEM_BYTES};
+use unified_spatial_join::io::CpuOp;
+use unified_spatial_join::prelude::*;
+
+/// One join's observed accounting.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Row {
+    name: String,
+    pairs: u64,
+    /// FNV-1a over the delivered pairs, in delivery order.
+    order: u64,
+    /// Pages read, pages written, then sequential and random read
+    /// operations, sequential and random write operations.
+    io: [u64; 6],
+    /// `Compare`, `HeapOp`, `RectTest`, `ItemMove`, `OutputPair`.
+    cpu: [u64; 5],
+    index_pages: u64,
+    peak: usize,
+}
+
+fn row(
+    name: &str,
+    pairs: u64,
+    order: u64,
+    io: [u64; 6],
+    cpu: [u64; 5],
+    index_pages: u64,
+    peak: usize,
+) -> Row {
+    Row {
+        name: name.to_string(),
+        pairs,
+        order,
+        io,
+        cpu,
+        index_pages,
+        peak,
+    }
+}
+
+fn order_digest(pairs: &[(u32, u32)]) -> u64 {
+    let mut d: u64 = 0xcbf2_9ce4_8422_2325;
+    for (a, b) in pairs {
+        for byte in a.to_le_bytes().into_iter().chain(b.to_le_bytes()) {
+            d = (d ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    d
+}
+
+/// Deterministic scattered rectangles; every 13th is tall, so some items
+/// stay alive across many sweep positions.
+fn scatter(n: u32, id_base: u32, seed: u64) -> Vec<Item> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 24) as f32
+    };
+    (0..n)
+        .map(|i| {
+            let (x, y) = (next() * 200.0, next() * 200.0);
+            let w = 0.5 + next() * 5.0;
+            let h = if i % 13 == 0 {
+                40.0
+            } else {
+                0.5 + next() * 5.0
+            };
+            Item::new(Rect::from_coords(x, y, x + w, y + h), id_base + i)
+        })
+        .collect()
+}
+
+/// Tall columns: nothing expires, so the resident sets grow to the input.
+fn columns(n: u32, id_base: u32, shift: f32) -> Vec<Item> {
+    (0..n)
+        .map(|i| {
+            let x = ((i % 250) as f32) * 4.0 + shift;
+            Item::new(Rect::from_coords(x, 0.0, x + 1.0, 1_000.0), id_base + i)
+        })
+        .collect()
+}
+
+/// Registers `items[..base]` as a live dataset and appends the rest in
+/// 37-record calls, leaving delta runs and a memtable behind.
+fn grow(
+    service: &Service,
+    name: &str,
+    items: &[Item],
+    base: usize,
+    config: LiveConfig,
+) -> DatasetId {
+    let id = service.register_live(name, &items[..base], config).unwrap();
+    for chunk in items[base..].chunks(37) {
+        service.append_live(name, chunk).unwrap();
+    }
+    service.with_live(|live| {
+        let ds = live.get(id).unwrap();
+        assert!(!ds.delta_runs().is_empty(), "{name} must hold delta runs");
+        assert!(ds.memtable_len() > 0, "{name} must hold a memtable");
+    });
+    id
+}
+
+fn observed() -> Vec<Row> {
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let mut catalog = Catalog::new();
+    let reg = catalog
+        .register(&mut env, "reg", &scatter(900, 500_000, 3))
+        .unwrap();
+    let service = Service::new(env, catalog, ServiceConfig::default().with_workers(1));
+    let small = LiveConfig {
+        flush_threshold_bytes: 48 * ITEM_BYTES,
+        compact_after_deltas: 3,
+    };
+    let a = grow(&service, "a", &scatter(1_000, 0, 1), 300, small);
+    let b = grow(&service, "b", &scatter(850, 100_000, 2), 250, small);
+    let tall = LiveConfig {
+        flush_threshold_bytes: 700 * ITEM_BYTES,
+        compact_after_deltas: 3,
+    };
+    let ta = grow(&service, "ta", &columns(8_000, 1_000_000, 0.0), 5_000, tall);
+    let tb = grow(&service, "tb", &columns(8_000, 2_000_000, 0.5), 5_000, tall);
+
+    let mut names = Vec::new();
+    let mut requests = Vec::new();
+    for (label, left, right) in [
+        ("live×live", a, b),
+        ("live×reg", a, reg),
+        ("reg×live", reg, b),
+    ] {
+        for (algo_label, algo) in [("auto", Algo::Auto), ("sssj", Algo::Sssj)] {
+            for limit in [None, Some(40)] {
+                let mut request = QueryRequest::join(left, right)
+                    .with_algorithm(algo)
+                    .collecting();
+                let mut name = format!("{label} {algo_label}");
+                if let Some(k) = limit {
+                    request = request.with_limit(k);
+                    name += &format!(" limit {k}");
+                }
+                names.push(name);
+                requests.push(request);
+            }
+        }
+    }
+    for (algo_label, algo) in [("auto", Algo::Auto), ("sssj", Algo::Sssj)] {
+        names.push(format!("tall 512k {algo_label}"));
+        requests.push(
+            QueryRequest::join(ta, tb)
+                .with_algorithm(algo)
+                .with_memory_budget(512 * 1024)
+                .collecting(),
+        );
+    }
+
+    let report = service.run(requests);
+    assert_eq!(report.stats.failed, 0);
+    names
+        .into_iter()
+        .zip(&report.outcomes)
+        .map(|(name, outcome)| {
+            let r = outcome.result().unwrap();
+            let pairs = outcome.pairs.as_ref().unwrap();
+            assert_eq!(pairs.len() as u64, r.pairs, "{name}");
+            if name.starts_with("tall") {
+                assert!(r.sweep.spill_runs > 0, "{name} must spill: {:?}", r.sweep);
+            }
+            let io = r.io;
+            Row {
+                name,
+                pairs: r.pairs,
+                order: order_digest(pairs),
+                io: [
+                    io.pages_read,
+                    io.pages_written,
+                    io.seq_read_ops,
+                    io.rand_read_ops,
+                    io.seq_write_ops,
+                    io.rand_write_ops,
+                ],
+                cpu: CpuOp::all().map(|op| r.cpu.get(op)),
+                index_pages: r.index_page_requests,
+                peak: r.memory.peak_bytes,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn tiered_joins_charge_what_is_pinned() {
+    #[rustfmt::skip]
+    let want: Vec<Row> = vec![
+        row("live×live auto", 1384, 17000637542952665928, [9, 0, 2, 5, 0, 0], [1847, 0, 4353, 1837, 1384], 0, 43080),
+        row("live×live auto limit 40", 40, 16802868043158664245, [8, 0, 2, 4, 0, 0], [110, 0, 143, 1728, 40], 0, 41516),
+        row("live×live sssj", 1384, 17000637542952665928, [9, 0, 2, 5, 0, 0], [1847, 0, 4353, 1837, 1384], 0, 43080),
+        row("live×live sssj limit 40", 40, 16802868043158664245, [8, 0, 2, 4, 0, 0], [110, 0, 143, 1728, 40], 0, 41516),
+        row("live×reg auto", 1480, 7696885629038524491, [8, 0, 1, 4, 0, 0], [1899, 0, 5129, 1893, 1480], 0, 44188),
+        row("live×reg auto limit 40", 40, 10448453769827908105, [7, 0, 1, 3, 0, 0], [117, 0, 163, 1784, 40], 0, 42816),
+        row("live×reg sssj", 1480, 7696885629038524491, [8, 0, 1, 4, 0, 0], [1899, 0, 5129, 1893, 1480], 0, 44188),
+        row("live×reg sssj limit 40", 40, 10448453769827908105, [7, 0, 1, 3, 0, 0], [117, 0, 163, 1784, 40], 0, 42816),
+        row("reg×live auto", 1193, 8949281035224597437, [7, 0, 1, 3, 0, 0], [1747, 0, 3993, 1744, 1193], 0, 43260),
+        row("reg×live auto limit 40", 40, 4634035702925272691, [7, 0, 1, 3, 0, 0], [126, 0, 155, 1744, 40], 0, 42196),
+        row("reg×live sssj", 1193, 8949281035224597437, [7, 0, 1, 3, 0, 0], [1747, 0, 3993, 1744, 1193], 0, 43260),
+        row("reg×live sssj limit 40", 40, 4634035702925272691, [7, 0, 1, 3, 0, 0], [126, 0, 155, 1744, 40], 0, 42196),
+        row("tall 512k auto", 256000, 4714364681373281245, [134, 70, 3, 45, 15, 5], [15968, 0, 1742112, 76008, 256000], 0, 397176),
+        row("tall 512k sssj", 256000, 4714364681373281245, [134, 70, 3, 45, 15, 5], [15968, 0, 1742112, 76008, 256000], 0, 397176),
+    ];
+    let got = observed();
+    let table: String = got
+        .iter()
+        .map(|r| {
+            format!(
+                "        row({:?}, {}, {}, {:?}, {:?}, {}, {}),\n",
+                r.name, r.pairs, r.order, r.io, r.cpu, r.index_pages, r.peak
+            )
+        })
+        .collect();
+    assert!(
+        got == want,
+        "tiered join ledger mismatch; observed:\n{table}"
+    );
+}
