@@ -217,8 +217,8 @@ impl ItemStream {
 
     /// Serializes the stream *descriptor* (block size, length, extent list —
     /// not the records, which already live on the device) into a byte
-    /// buffer, for embedding in an on-device directory such as the service
-    /// catalog.
+    /// buffer, for embedding in an on-device record such as a live
+    /// dataset's manifest.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(24 + self.extents.len() * 8);
         buf.extend_from_slice(&self.pages_per_block.to_le_bytes());

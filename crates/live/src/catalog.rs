@@ -7,8 +7,11 @@
 //!    awaiting their device write, still holding their gauge reservation,
 //! 3. zero or more sorted **delta runs** on the device (each one persisted
 //!    batch, sweep-key ordered),
-//! 4. the immutable **base run** with its bulk-loaded R-tree — exactly the
-//!    representation the static catalog persists.
+//! 4. the immutable **base run** with its bulk-loaded R-tree.
+//!
+//! A dataset that never receives appends — a *sealed* one — is just the
+//! base run and its tree: that is what the service's registered datasets
+//! are. [`LiveDataset::from_stream`] builds either kind.
 //!
 //! Maintenance — persisting a frozen batch as a delta run, and merge
 //! compaction folding base + deltas into a new base with a rebuilt R-tree
@@ -53,15 +56,18 @@ use crate::manifest::{self, Manifest, RootPointer, RunRecord};
 use crate::memtable::{frozen_sorted, Memtable};
 use crate::{LiveError, Result};
 
-/// Logical block size (in pages) of live base and delta runs.
+/// Logical block size (in pages) of the runs of a dataset that receives
+/// appends: the base [`create`](LiveDataset::create) builds, every delta
+/// run and every compacted base.
 ///
-/// Much smaller than [`usj_io::stream::DEFAULT_PAGES_PER_BLOCK`] on purpose: a
-/// snapshot cursor's reader claims one block of records from the memory
-/// gauge per refill, so the block size is the streaming-read granularity.
-/// Batch-oriented runs want big blocks (fewer seeks); a live run is read
-/// incrementally by streaming joins that must coexist with the sweep
-/// structures inside a worker's admission budget, so it trades a few extra
-/// blocks for a small, steady per-cursor footprint.
+/// Much smaller than [`usj_io::stream::DEFAULT_PAGES_PER_BLOCK`] on purpose:
+/// a sweep over a tiered input merges its runs, and each run's reader
+/// claims one block of records from the memory gauge per refill. A
+/// dataset mid-ingest has one reader per run, all inside one worker's
+/// admission budget beside the sweep structures, so small blocks keep the
+/// merge's footprint small and steady at the cost of a few more reads. A
+/// sealed dataset has one run, and keeps the block size of the stream it
+/// was built from ([`from_stream`](LiveDataset::from_stream)).
 pub const LIVE_PAGES_PER_BLOCK: u64 = 2;
 
 /// Tuning knobs of a live dataset.
@@ -80,30 +86,6 @@ impl Default for LiveConfig {
             flush_threshold_bytes: 256 * 1024,
             compact_after_deltas: 4,
         }
-    }
-}
-
-/// One flushed memtable: a sweep-key-sorted run on the device.
-#[derive(Debug, Clone)]
-pub struct DeltaRun {
-    run: ItemStream,
-    bbox: Rect,
-}
-
-impl DeltaRun {
-    /// Records in the run.
-    pub fn len(&self) -> u64 {
-        self.run.len()
-    }
-
-    /// Returns `true` when the run holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.run.is_empty()
-    }
-
-    /// Bounding box of the run.
-    pub fn bbox(&self) -> Rect {
-        self.bbox
     }
 }
 
@@ -247,10 +229,11 @@ pub struct RecoveryReport {
 pub struct LiveDataset {
     name: String,
     generation: u64,
-    base: ItemStream,
+    /// Sweep-key-sorted persisted runs: the base first (its box is a
+    /// placeholder when it is empty), then the delta runs oldest first.
+    runs: Vec<SnapshotRun>,
+    /// The base run's R-tree.
     tree: RTree,
-    bbox: Rect,
-    deltas: Vec<DeltaRun>,
     flushing: VecDeque<FlushBatch>,
     memtable: Memtable,
     compacting: bool,
@@ -261,9 +244,9 @@ pub struct LiveDataset {
 }
 
 impl LiveDataset {
-    /// Creates a live dataset from an initial batch of records: externally
-    /// sorts them into the base run and bulk-loads its R-tree — the same
-    /// preparation pipeline as a static catalog registration.
+    /// Creates a live dataset from an initial batch of records, written as a
+    /// stream of [`LIVE_PAGES_PER_BLOCK`]-page blocks and prepared by
+    /// [`from_stream`](LiveDataset::from_stream).
     pub fn create(
         env: &mut SimEnv,
         name: &str,
@@ -271,28 +254,53 @@ impl LiveDataset {
         config: LiveConfig,
     ) -> Result<Self> {
         let stream = ItemStream::from_items_with_block(env, base_items, LIVE_PAGES_PER_BLOCK)?;
+        Self::from_stream(env, name, &stream, config)
+    }
+
+    /// Creates a live dataset whose base run is `stream` externally sorted
+    /// by sweep key, with the R-tree bulk-loaded over it. The sorted run
+    /// keeps `stream`'s block size. An empty stream gets a unit placeholder
+    /// box.
+    pub fn from_stream(
+        env: &mut SimEnv,
+        name: &str,
+        stream: &ItemStream,
+        config: LiveConfig,
+    ) -> Result<Self> {
         let (base, sort_stats) =
-            extsort::external_sort_by_key(env, &stream, Item::sweep_key, Item::cmp_by_lower_y)?;
+            extsort::external_sort_by_key(env, stream, Item::sweep_key, Item::cmp_by_lower_y)?;
         let bbox = if sort_stats.bbox.is_empty() {
             Rect::from_coords(0.0, 0.0, 1.0, 1.0)
         } else {
             sort_stats.bbox
         };
         let tree = RTree::bulk_load_stream(env, &base)?;
-        Ok(LiveDataset {
+        let runs = vec![SnapshotRun::new(base, bbox)];
+        Ok(Self::assemble(env, name, 0, runs, tree, config))
+    }
+
+    /// A dataset of published `runs` (base first) and the base's `tree`,
+    /// with empty volatile tiers and no durability.
+    fn assemble(
+        env: &SimEnv,
+        name: &str,
+        generation: u64,
+        runs: Vec<SnapshotRun>,
+        tree: RTree,
+        config: LiveConfig,
+    ) -> Self {
+        LiveDataset {
             name: name.to_string(),
-            generation: 0,
-            base,
+            generation,
+            runs,
             tree,
-            bbox,
-            deltas: Vec::new(),
             flushing: VecDeque::new(),
             memtable: Memtable::new(env),
             compacting: false,
             config,
             stats: LiveStats::default(),
             durable: None,
-        })
+        }
     }
 
     /// Creates a live dataset like [`create`](LiveDataset::create) and
@@ -368,29 +376,26 @@ impl LiveDataset {
             .expect("write_manifest requires enable_durability");
         // Checksums by read-back, memoized per run: persisted pages are
         // immutable, so each run pays its verify-after-write scan once.
-        let mut records = Vec::with_capacity(1 + self.deltas.len());
-        for (stream, bbox) in std::iter::once((&self.base, self.bbox))
-            .chain(self.deltas.iter().map(|d| (&d.run, d.bbox)))
-        {
-            let key = run_key(stream);
+        let mut records = Vec::with_capacity(self.runs.len());
+        for run in &self.runs {
+            let key = run_key(run.stream());
             let checksums = match durable.memo.get(&key) {
                 Some(c) => c.clone(),
                 None => {
-                    let fresh = manifest::run_checksums(env, stream)?;
+                    let fresh = manifest::run_checksums(env, run.stream())?;
                     durable.memo.insert(key, fresh.clone());
                     fresh
                 }
             };
             records.push(RunRecord {
-                stream: stream.clone(),
-                bbox,
+                run: run.clone(),
                 checksums,
             });
         }
         // Drop memo entries for runs no longer referenced (old bases and
         // folded deltas) so the memo tracks the live run set.
         let live: std::collections::HashSet<(PageId, u64)> =
-            records.iter().map(|r| run_key(&r.stream)).collect();
+            records.iter().map(|r| run_key(r.run.stream())).collect();
         durable.memo.retain(|k, _| live.contains(k));
         let mut records = records.into_iter();
         let body = Manifest {
@@ -451,16 +456,14 @@ impl LiveDataset {
             )));
         }
         let mut memo = HashMap::new();
-        memo.insert(run_key(&m.base.stream), m.base.checksums.clone());
-        let mut deltas = Vec::with_capacity(m.deltas.len());
+        memo.insert(run_key(m.base.run.stream()), m.base.checksums.clone());
+        let mut runs = Vec::with_capacity(1 + m.deltas.len());
+        runs.push(m.base.run);
         let mut dropped = 0usize;
         for (i, d) in m.deltas.iter().enumerate() {
             if manifest::verify_run(env, d)? {
-                memo.insert(run_key(&d.stream), d.checksums.clone());
-                deltas.push(DeltaRun {
-                    run: d.stream.clone(),
-                    bbox: d.bbox,
-                });
+                memo.insert(run_key(d.run.stream()), d.checksums.clone());
+                runs.push(d.run.clone());
             } else {
                 // Roll back this delta and everything younger: deltas
                 // publish in order, so the intact prefix is the newest
@@ -469,27 +472,14 @@ impl LiveDataset {
                 break;
             }
         }
-        let verified_runs = 1 + deltas.len();
-        let tree = RTree::bulk_load_stream(env, &m.base.stream)?;
-        let new_root = env.device.allocate(1);
-        let mut ds = LiveDataset {
-            name: name.to_string(),
-            generation: m.generation,
-            base: m.base.stream,
-            tree,
-            bbox: m.base.bbox,
-            deltas,
-            flushing: VecDeque::new(),
-            memtable: Memtable::new(env),
-            compacting: false,
-            config,
-            stats: LiveStats::default(),
-            durable: Some(DurableState {
-                root: new_root,
-                epoch: ptr.epoch,
-                memo,
-            }),
-        };
+        let verified_runs = runs.len();
+        let tree = RTree::bulk_load_stream(env, runs[0].stream())?;
+        let mut ds = Self::assemble(env, name, m.generation, runs, tree, config);
+        ds.durable = Some(DurableState {
+            root: env.device.allocate(1),
+            epoch: ptr.epoch,
+            memo,
+        });
         // Re-commit the verified state on the new root, so the next crash
         // recovers from *this* incarnation (and a rollback is made
         // permanent rather than rediscovered every restart).
@@ -518,8 +508,7 @@ impl LiveDataset {
 
     /// Total records visible to a snapshot taken now.
     pub fn len(&self) -> u64 {
-        self.base.len()
-            + self.deltas.iter().map(DeltaRun::len).sum::<u64>()
+        self.runs.iter().map(|r| r.stream().len()).sum::<u64>()
             + self.flushing.iter().map(|b| b.items.len() as u64).sum::<u64>()
             + self.memtable.len() as u64
     }
@@ -532,9 +521,9 @@ impl LiveDataset {
     /// Bounding box of everything visible (base, deltas, frozen batches and
     /// memtable).
     pub fn bbox(&self) -> Rect {
-        let mut bbox = self.bbox;
-        for d in &self.deltas {
-            bbox = bbox.union(&d.bbox);
+        let mut bbox = self.runs[0].bbox();
+        for d in self.delta_runs() {
+            bbox = bbox.union(&d.bbox());
         }
         for b in &self.flushing {
             if !b.bbox.is_empty() {
@@ -554,8 +543,8 @@ impl LiveDataset {
     }
 
     /// Delta runs currently awaiting compaction.
-    pub fn delta_runs(&self) -> &[DeltaRun] {
-        &self.deltas
+    pub fn delta_runs(&self) -> &[SnapshotRun] {
+        &self.runs[1..]
     }
 
     /// Reads back every record in the *published* tiers (base run plus
@@ -564,9 +553,9 @@ impl LiveDataset {
     /// preserves. The volatile tiers (memtable, frozen flush batches) are
     /// deliberately excluded; recovery oracles compare against this.
     pub fn published_items(&self, env: &mut SimEnv) -> Result<Vec<Item>> {
-        let mut out = self.base.read_all(env)?;
-        for d in &self.deltas {
-            out.extend(d.run.read_all(env)?);
+        let mut out = Vec::new();
+        for run in &self.runs {
+            out.extend(run.stream().read_all(env)?);
         }
         Ok(out)
     }
@@ -612,7 +601,7 @@ impl LiveDataset {
     /// compaction threshold and no merge is already in flight.
     pub fn wants_compaction(&self) -> bool {
         self.config.compact_after_deltas > 0
-            && self.deltas.len() >= self.config.compact_after_deltas
+            && self.delta_runs().len() >= self.config.compact_after_deltas
             && !self.compacting
     }
 
@@ -720,10 +709,7 @@ impl LiveDataset {
         );
         self.stats.flushes += 1;
         self.stats.flushed_items += run.len();
-        self.deltas.push(DeltaRun {
-            run,
-            bbox: job.bbox,
-        });
+        self.runs.push(SnapshotRun::new(run, job.bbox));
         self.generation += 1;
     }
 
@@ -736,21 +722,20 @@ impl LiveDataset {
     /// runs — publication keeps them. Returns `None` when there is nothing
     /// to fold.
     pub fn begin_compaction(&mut self) -> Option<CompactionPlan> {
-        if self.compacting || self.deltas.is_empty() {
+        if self.compacting || self.delta_runs().is_empty() {
             return None;
         }
         self.compacting = true;
         // An empty base carries a placeholder box, not its records' (delta
         // runs are never empty): leave it out, so the union is exactly the
         // box of what the merge reads.
-        let mut runs = vec![self.base.clone()];
-        let mut bbox = if self.base.is_empty() { Rect::empty() } else { self.bbox };
-        for delta in &self.deltas {
-            runs.push(delta.run.clone());
-            bbox = bbox.union(&delta.bbox);
+        let base = &self.runs[0];
+        let mut bbox = if base.stream().is_empty() { Rect::empty() } else { base.bbox() };
+        for delta in self.delta_runs() {
+            bbox = bbox.union(&delta.bbox());
         }
         Some(CompactionPlan {
-            runs,
+            runs: self.runs.iter().map(|r| r.stream().clone()).collect(),
             tree: self.tree.clone(),
             bbox,
         })
@@ -814,11 +799,9 @@ impl LiveDataset {
     /// clears the compacting mark, and bumps the generation.
     pub fn publish_compaction(&mut self, out: CompactionOutput) {
         debug_assert!(self.compacting, "publish_compaction without a claim");
-        debug_assert!(out.folded_deltas <= self.deltas.len());
-        self.base = out.base;
+        debug_assert!(out.folded_deltas < self.runs.len());
+        self.runs.splice(..=out.folded_deltas, [SnapshotRun::new(out.base, out.bbox)]);
         self.tree = out.tree;
-        self.bbox = out.bbox;
-        self.deltas.drain(..out.folded_deltas);
         self.generation += 1;
         self.compacting = false;
         self.stats.compactions += 1;
@@ -889,9 +872,6 @@ impl LiveDataset {
     /// device holds those pages — including a service worker's fork over a
     /// device snapshot.
     pub fn snapshot(&self) -> LiveSnapshot {
-        let mut runs = Vec::with_capacity(1 + self.deltas.len());
-        runs.push(SnapshotRun::new(self.base.clone(), self.bbox));
-        runs.extend(self.deltas.iter().map(|d| SnapshotRun::new(d.run.clone(), d.bbox)));
         let mut mem_runs: Vec<MemRun> = self
             .flushing
             .iter()
@@ -903,7 +883,7 @@ impl LiveDataset {
         }
         LiveSnapshot {
             generation: self.generation,
-            runs,
+            runs: self.runs.clone(),
             mem_runs,
             tree: self.tree.clone(),
             bbox: self.bbox(),
@@ -1441,11 +1421,12 @@ mod tests {
 
         // Records that must survive: the base plus the oldest delta only.
         let mut expected: Vec<u32> = (0..80).collect();
-        expected.extend(ds.deltas[0].run.read_all(&mut env).unwrap().iter().map(|it| it.id));
+        let deltas = ds.delta_runs();
+        expected.extend(deltas[0].stream().read_all(&mut env).unwrap().iter().map(|it| it.id));
         expected.sort_unstable();
 
         // Silently damage a page of the *second* delta run.
-        let victim = ds.deltas[1].run.extents()[0];
+        let victim = deltas[1].stream().extents()[0];
         env.device.write_page(victim, b"rot").unwrap();
 
         let mut after = crash(&env);
@@ -1467,7 +1448,7 @@ mod tests {
             LiveDataset::create_durable(&mut env, "live", &batch(100, 0, 98), tiny_config())
                 .unwrap();
         ds.write_manifest(&mut env).unwrap();
-        let victim = ds.base.extents()[0];
+        let victim = ds.runs[0].stream().extents()[0];
         env.device.write_page(victim, b"rot").unwrap();
         let mut after = crash(&env);
         assert!(matches!(

@@ -33,7 +33,7 @@ pub mod memtable;
 mod streaming;
 
 pub use catalog::{
-    CompactionOutput, CompactionPlan, DatasetId, DeltaRun, FlushJob, LiveCatalog, LiveConfig,
+    CompactionOutput, CompactionPlan, DatasetId, FlushJob, LiveCatalog, LiveConfig,
     LiveDataset, LiveSnapshot, LiveStats, RecoveryReport,
 };
 pub use manifest::{Manifest, RootPointer, RunRecord};

@@ -26,6 +26,7 @@
 //! policy (verify the base hard, roll torn deltas back) lives on
 //! [`LiveDataset::recover`](crate::LiveDataset::recover).
 
+use usj_core::SnapshotRun;
 use usj_geom::{Point, Rect};
 use usj_io::stream::ITEMS_PER_PAGE;
 use usj_io::{ItemStream, PageId, SimEnv, PAGE_SIZE};
@@ -72,24 +73,23 @@ pub fn run_checksums(env: &mut SimEnv, stream: &ItemStream) -> usj_io::Result<Ve
     Ok(checksums)
 }
 
-/// One persisted run as recorded in a manifest: the stream descriptor,
+/// One persisted run as recorded in a manifest: the stream descriptor with
 /// its bounding box, and one checksum per extent block.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// The run's stream descriptor (page identifiers on this device).
-    pub stream: ItemStream,
-    /// Bounding box of the run's records.
-    pub bbox: Rect,
+    /// The run (page identifiers on this device) and its bounding box.
+    pub run: SnapshotRun,
     /// Per-block FNV-1a checksums, one per extent.
     pub checksums: Vec<u64>,
 }
 
 impl RunRecord {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        let desc = self.stream.encode();
+        let desc = self.run.stream().encode();
         buf.extend_from_slice(&(desc.len() as u64).to_le_bytes());
         buf.extend_from_slice(&desc);
-        for c in [self.bbox.lo.x, self.bbox.lo.y, self.bbox.hi.x, self.bbox.hi.y] {
+        let bbox = self.run.bbox();
+        for c in [bbox.lo.x, bbox.lo.y, bbox.hi.x, bbox.hi.y] {
             buf.extend_from_slice(&c.to_le_bytes());
         }
         buf.extend_from_slice(&(self.checksums.len() as u64).to_le_bytes());
@@ -131,7 +131,10 @@ impl RunRecord {
         for _ in 0..count {
             checksums.push(read_u64(buf, off)?);
         }
-        Ok(RunRecord { stream, bbox, checksums })
+        Ok(RunRecord {
+            run: SnapshotRun::new(stream, bbox),
+            checksums,
+        })
     }
 }
 
@@ -260,8 +263,7 @@ fn read_u64(buf: &[u8], off: &mut usize) -> Result<u64> {
 pub fn record_run(env: &mut SimEnv, stream: &ItemStream, bbox: Rect) -> Result<RunRecord> {
     let checksums = run_checksums(env, stream)?;
     Ok(RunRecord {
-        stream: stream.clone(),
-        bbox,
+        run: SnapshotRun::new(stream.clone(), bbox),
         checksums,
     })
 }
@@ -269,7 +271,7 @@ pub fn record_run(env: &mut SimEnv, stream: &ItemStream, bbox: Rect) -> Result<R
 /// Verifies a recorded run against the device: recomputes every block
 /// checksum and compares. `Ok(true)` means intact.
 pub fn verify_run(env: &mut SimEnv, record: &RunRecord) -> Result<bool> {
-    let fresh = run_checksums(env, &record.stream)?;
+    let fresh = run_checksums(env, record.run.stream())?;
     Ok(fresh == record.checksums)
 }
 
@@ -305,11 +307,11 @@ mod tests {
         let blob = m.encode();
         let back = Manifest::decode(&blob).unwrap();
         assert_eq!(back.generation, 17);
-        assert_eq!(back.base.stream.len(), 300);
+        assert_eq!(back.base.run.stream().len(), 300);
         assert_eq!(back.base.checksums, m.base.checksums);
-        assert_eq!(back.base.bbox, m.base.bbox);
+        assert_eq!(back.base.run.bbox(), m.base.run.bbox());
         assert_eq!(back.deltas.len(), 1);
-        assert!(back.deltas[0].bbox.is_empty(), "empty bbox must round-trip");
+        assert!(back.deltas[0].run.bbox().is_empty(), "empty bbox must round-trip");
         assert!(verify_run(&mut env, &back.base).unwrap());
         assert!(verify_run(&mut env, &back.deltas[0]).unwrap());
     }

@@ -11,12 +11,11 @@
 mod tests {
     use crate::catalog::{LiveConfig, LiveDataset, LiveSnapshot};
     use usj_core::{
-        CatalogedInput, CollectSink, JoinInput, JoinOperator, JoinResult, LimitSink, PairSink,
-        Predicate, SssjJoin,
+        CollectSink, JoinInput, JoinOperator, JoinResult, LimitSink, PairSink, Predicate,
+        SssjJoin,
     };
     use usj_geom::{Item, Rect};
-    use usj_io::{ItemStream, MachineConfig, SimEnv};
-    use usj_rtree::RTree;
+    use usj_io::{MachineConfig, SimEnv};
 
     fn env() -> SimEnv {
         SimEnv::new(MachineConfig::machine3())
@@ -58,44 +57,13 @@ mod tests {
         (l, r)
     }
 
-    /// A registered dataset's prepared representations: its y-sorted
-    /// persisted run, the R-tree over it and their bounding box.
-    struct Registered {
-        sorted: ItemStream,
-        tree: RTree,
-        bbox: Rect,
+    /// A registered dataset: a sealed live dataset's snapshot, a base run
+    /// and its tree with no tiers.
+    fn registered(env: &mut SimEnv, items: &[Item]) -> LiveSnapshot {
+        LiveDataset::create(env, "registered", items, tiny_config()).unwrap().snapshot()
     }
 
-    impl Registered {
-        fn new(env: &mut SimEnv, items: &[Item]) -> Self {
-            let stream = ItemStream::from_items_with_block(env, items, 2).unwrap();
-            let (sorted, stats) = usj_io::extsort::external_sort_by_key(
-                env,
-                &stream,
-                Item::sweep_key,
-                Item::cmp_by_lower_y,
-            )
-            .unwrap();
-            let tree = RTree::bulk_load_stream(env, &sorted).unwrap();
-            Registered {
-                sorted,
-                tree,
-                bbox: stats.bbox,
-            }
-        }
-
-        fn input(&self) -> JoinInput<'_> {
-            JoinInput::Cataloged(CatalogedInput {
-                tree: &self.tree,
-                sorted: &self.sorted,
-                bbox: self.bbox,
-                deltas: &[],
-                mem_runs: &[],
-            })
-        }
-    }
-
-    fn live(snap: &LiveSnapshot) -> JoinInput<'_> {
+    fn cataloged(snap: &LiveSnapshot) -> JoinInput<'_> {
         JoinInput::Cataloged(snap.cataloged())
     }
 
@@ -146,8 +114,8 @@ mod tests {
 
         let mut live_sink = CollectSink::default();
         let p = Predicate::default();
-        let result = sssj(&mut env, p, live(&snap_l), live(&snap_r), &mut live_sink);
-        let offline_pairs = offline(&mut env, p, live(&snap_l), live(&snap_r));
+        let result = sssj(&mut env, p, cataloged(&snap_l), cataloged(&snap_r), &mut live_sink);
+        let offline_pairs = offline(&mut env, p, cataloged(&snap_l), cataloged(&snap_r));
 
         assert!(result.pairs > 0, "the workload must actually join");
         assert_eq!(result.pairs, offline_pairs.len() as u64);
@@ -165,8 +133,8 @@ mod tests {
         let p = Predicate::WithinDistance(1.5);
 
         let mut live_sink = CollectSink::default();
-        sssj(&mut env, p, live(&snap_l), live(&snap_r), &mut live_sink);
-        let offline_pairs = offline(&mut env, p, live(&snap_l), live(&snap_r));
+        sssj(&mut env, p, cataloged(&snap_l), cataloged(&snap_r), &mut live_sink);
+        let offline_pairs = offline(&mut env, p, cataloged(&snap_l), cataloged(&snap_r));
 
         assert!(!offline_pairs.is_empty());
         assert_eq!(sorted(live_sink.pairs), offline_pairs);
@@ -179,7 +147,7 @@ mod tests {
         let (snap_l, snap_r) = (l.snapshot(), r.snapshot());
         let mut sink = LimitSink::new(CollectSink::default(), 7);
         let p = Predicate::default();
-        let result = sssj(&mut env, p, live(&snap_l), live(&snap_r), &mut sink);
+        let result = sssj(&mut env, p, cataloged(&snap_l), cataloged(&snap_r), &mut sink);
         assert_eq!(result.pairs, 7);
         assert_eq!(sink.into_inner().pairs.len(), 7);
     }
@@ -189,12 +157,12 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let cat = Registered::new(&mut env, &batch(400, 800_000, 9));
+        let cat = registered(&mut env, &batch(400, 800_000, 9));
 
         let mut mixed_sink = CollectSink::default();
         let p = Predicate::default();
-        let mixed = sssj(&mut env, p, live(&snap), cat.input(), &mut mixed_sink);
-        let offline_pairs = offline(&mut env, p, live(&snap), cat.input());
+        let mixed = sssj(&mut env, p, cataloged(&snap), cataloged(&cat), &mut mixed_sink);
+        let offline_pairs = offline(&mut env, p, cataloged(&snap), cataloged(&cat));
 
         assert!(mixed.pairs > 0, "the workload must actually join");
         assert_eq!(mixed.pairs, offline_pairs.len() as u64);
@@ -210,13 +178,13 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let cat = Registered::new(&mut env, &batch(300, 700_000, 5));
+        let cat = registered(&mut env, &batch(300, 700_000, 5));
 
         let p = Predicate::default();
         let mut ab = CollectSink::default();
-        sssj(&mut env, p, live(&snap), cat.input(), &mut ab);
+        sssj(&mut env, p, cataloged(&snap), cataloged(&cat), &mut ab);
         let mut ba = CollectSink::default();
-        sssj(&mut env, p, cat.input(), live(&snap), &mut ba);
+        sssj(&mut env, p, cataloged(&cat), cataloged(&snap), &mut ba);
         let flipped: Vec<(u32, u32)> = ba.pairs.into_iter().map(|(a, b)| (b, a)).collect();
         assert!(!flipped.is_empty());
         assert_eq!(sorted(ab.pairs), sorted(flipped));
@@ -227,13 +195,13 @@ mod tests {
         let mut env = env();
         let (l, _) = live_pair(&mut env);
         let snap = l.snapshot();
-        let cat = Registered::new(&mut env, &batch(400, 800_000, 9));
+        let cat = registered(&mut env, &batch(400, 800_000, 9));
         let mut sink = LimitSink::new(CollectSink::default(), 5);
         let result = sssj(
             &mut env,
             Predicate::default(),
-            live(&snap),
-            cat.input(),
+            cataloged(&snap),
+            cataloged(&cat),
             &mut sink,
         );
         assert_eq!(result.pairs, 5);
@@ -251,7 +219,7 @@ mod tests {
         let mut env = env();
         let l = LiveDataset::create(&mut env, "l", &tall(4_000, 0, 0.0), tiny_config()).unwrap();
         let snap = l.snapshot();
-        let cat = Registered::new(&mut env, &tall(4_000, 1_000_000, 0.5));
+        let cat = registered(&mut env, &tall(4_000, 1_000_000, 0.5));
 
         let base = env.device.snapshot();
         let mut worker = env.fork_with_base(base);
@@ -259,7 +227,7 @@ mod tests {
         let _standing = worker.memory.try_reserve(3_800_000).unwrap();
         let mut mixed_sink = CollectSink::default();
         let p = Predicate::default();
-        let mixed = sssj(&mut worker, p, live(&snap), cat.input(), &mut mixed_sink);
+        let mixed = sssj(&mut worker, p, cataloged(&snap), cataloged(&cat), &mut mixed_sink);
         assert!(
             mixed.sweep.spill_runs > 0,
             "the squeezed 4 MB budget must force spilling: {:?}",
@@ -267,7 +235,7 @@ mod tests {
         );
         assert!(mixed.memory.peak_bytes <= 4 * 1024 * 1024);
 
-        let offline_pairs = offline(&mut env, p, live(&snap), cat.input());
+        let offline_pairs = offline(&mut env, p, cataloged(&snap), cataloged(&cat));
         assert!(!offline_pairs.is_empty());
         assert_eq!(sorted(mixed_sink.pairs), offline_pairs);
     }
@@ -290,7 +258,7 @@ mod tests {
         worker.set_memory_limit(128 * 1024);
         let mut live_sink = CollectSink::default();
         let p = Predicate::default();
-        let result = sssj(&mut worker, p, live(&snap_l), live(&snap_r), &mut live_sink);
+        let result = sssj(&mut worker, p, cataloged(&snap_l), cataloged(&snap_r), &mut live_sink);
         assert!(
             result.sweep.spill_runs > 0,
             "the budget must force spilling: {:?}",
@@ -298,7 +266,7 @@ mod tests {
         );
         assert!(result.memory.peak_bytes <= 128 * 1024);
 
-        let offline_pairs = offline(&mut env, p, live(&snap_l), live(&snap_r));
+        let offline_pairs = offline(&mut env, p, cataloged(&snap_l), cataloged(&snap_r));
         assert!(!offline_pairs.is_empty());
         assert_eq!(sorted(live_sink.pairs), offline_pairs);
     }

@@ -364,7 +364,9 @@ fn seeded_history_from_env() {
 // last committed manifest — nothing acknowledged-and-published is lost,
 // nothing is fabricated — and the history then *continues* on the
 // recovered datasets, so later joins and retained-snapshot sweeps keep
-// holding across an arbitrary number of crashes.
+// holding across an arbitrary number of crashes. Beside the two live
+// datasets sits a sealed one, built the way a registered dataset is and
+// never appended to: every crash recovers it too, with exactly its records.
 // ---------------------------------------------------------------------------
 
 /// Tuning shared by every durable actor: explicit freezes only (a huge
@@ -454,13 +456,52 @@ impl DurableActor {
     }
 }
 
-/// Simulates a process crash and restart for both actors at once (they
-/// share the device, as two datasets of one service process would).
-/// Every in-memory structure is dropped; a fresh environment is built on
-/// the device snapshot (old pages readable but immutable); each actor
-/// recovers from its root pointer and must see exactly its durable set.
-fn crash_and_recover(env: &mut SimEnv, actors: [&mut DurableActor; 2]) {
+/// A sealed durable dataset: built once from a stream of default-size
+/// blocks through `LiveDataset::from_stream`, as a registered dataset is,
+/// and never appended to.
+struct SealedActor {
+    root: PageId,
+    items: Vec<Item>,
+}
+
+impl SealedActor {
+    const NAME: &'static str = "sealed";
+
+    fn new(env: &mut SimEnv, g: &mut Gen) -> Self {
+        let items: Vec<Item> =
+            (0..g.usize_in(200, 600)).map(|i| random_item(g, 2_000_000 + i as u32)).collect();
+        let stream = ItemStream::from_items(env, &items).expect("write sealed stream");
+        let mut ds = LiveDataset::from_stream(env, Self::NAME, &stream, crash_config())
+            .expect("build sealed dataset");
+        let root = ds.enable_durability(env).expect("make sealed dataset durable");
+        SealedActor { root, items }
+    }
+
+    /// Recovers the sealed dataset on a restarted environment: its
+    /// published records must be exactly the ones it was built from, in
+    /// one run that kept its block size.
+    fn recover(&mut self, env: &mut SimEnv) {
+        let (ds, report) = LiveDataset::recover(env, Self::NAME, self.root, crash_config())
+            .expect("recover sealed dataset");
+        assert_eq!((report.verified_runs, report.dropped_deltas), (1, 0));
+        let mut got = ds.published_items(env).expect("read sealed dataset");
+        got.sort_unstable_by_key(|i| i.id);
+        assert_eq!(got, self.items, "recovery of the sealed dataset changed its records");
+        let run = ds.snapshot().runs()[0].stream().clone();
+        assert_eq!(run.pages_per_block(), usj_io::stream::DEFAULT_PAGES_PER_BLOCK);
+        self.root = ds.durable_root().expect("recovered dataset is durable");
+    }
+}
+
+/// Simulates a process crash and restart for both actors and the sealed
+/// dataset at once (they share the device, as datasets of one service
+/// process would). Every in-memory structure is dropped; a fresh
+/// environment is built on the device snapshot (old pages readable but
+/// immutable); each actor recovers from its root pointer and must see
+/// exactly its durable set.
+fn crash_and_recover(env: &mut SimEnv, actors: [&mut DurableActor; 2], sealed: &mut SealedActor) {
     let mut revived = env.fork_with_base(env.device.snapshot());
+    sealed.recover(&mut revived);
     for actor in actors {
         let (ds, report) = LiveDataset::recover(&mut revived, actor.name, actor.root, crash_config())
             .expect("recover from crash");
@@ -490,6 +531,8 @@ fn run_crash_history(seed: u64) -> (usize, usize) {
     let mut env = SimEnv::new(MachineConfig::machine3());
     let mut left = DurableActor::new(&mut env, "left", &mut g, 0);
     let mut right = DurableActor::new(&mut env, "right", &mut g, 1_000_000);
+    // Its own generator, so the live histories stay those of their seeds.
+    let mut sealed = SealedActor::new(&mut env, &mut Gen::new(!seed));
     type Retained = (LiveSnapshot, LiveSnapshot, BTreeSet<(u32, u32)>);
     let mut retained: Vec<Retained> = Vec::new();
     let (mut queries, mut crashes) = (0usize, 0usize);
@@ -499,7 +542,7 @@ fn run_crash_history(seed: u64) -> (usize, usize) {
         let step = g.usize_in(0, 12);
         // Whole-process steps first (they need both actors).
         if step == 10 {
-            crash_and_recover(&mut env, [&mut left, &mut right]);
+            crash_and_recover(&mut env, [&mut left, &mut right], &mut sealed);
             crashes += 1;
             continue;
         }
@@ -595,7 +638,7 @@ fn run_crash_history(seed: u64) -> (usize, usize) {
         actor.published = actor.shadow.iter().map(|i| i.id).collect();
         actor.commit_manifest(&mut env);
     }
-    crash_and_recover(&mut env, [&mut left, &mut right]);
+    crash_and_recover(&mut env, [&mut left, &mut right], &mut sealed);
     crashes += 1;
     assert_eq!(left.shadow.len() as u64, left.ds.len(), "post-crash length mismatch");
     assert_eq!(right.shadow.len() as u64, right.ds.len(), "post-crash length mismatch");

@@ -18,9 +18,8 @@
 //! * [`bulk`] — Hilbert bulk loading from in-memory slices or item streams,
 //!   and the rebuild of a tree from its old leaves merged with new records.
 //! * [`tree`] — the [`RTree`] handle: node access (optionally through an LRU
-//!   buffer pool), window queries, and tree statistics. The handle itself
-//!   serializes ([`RTree::encode_meta`]) so a catalog can persist trees on
-//!   the device and reopen them without rebuilding.
+//!   buffer pool), window queries, and tree statistics. A handle is not
+//!   persisted: recovery rebuilds the tree from its sorted run.
 //! * [`store`] — the [`NodeStore`]: a buffer-pool-backed node cache that the
 //!   ST join and the service's window/point selection queries read through.
 

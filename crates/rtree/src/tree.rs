@@ -251,77 +251,6 @@ impl RTree {
         )
     }
 
-    /// Serializes the tree *handle* (root page, height, item count, level
-    /// profile, bounding box — not the nodes, which already live on the
-    /// device) for embedding in an on-device directory.
-    pub fn encode_meta(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(40 + self.level_counts.len() * 8);
-        buf.extend_from_slice(&self.root.to_le_bytes());
-        buf.extend_from_slice(&self.height.to_le_bytes());
-        buf.extend_from_slice(&self.num_items.to_le_bytes());
-        buf.extend_from_slice(&(self.level_counts.len() as u32).to_le_bytes());
-        for c in &self.level_counts {
-            buf.extend_from_slice(&c.to_le_bytes());
-        }
-        for v in [self.bbox.lo.x, self.bbox.lo.y, self.bbox.hi.x, self.bbox.hi.y] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf
-    }
-
-    /// Decodes a handle produced by [`encode_meta`](RTree::encode_meta),
-    /// returning the tree and the number of bytes consumed. The handle
-    /// refers to device pages by identifier, so it is only meaningful on the
-    /// device (or a snapshot of the device) it was encoded on.
-    pub fn decode_meta(buf: &[u8]) -> Result<(RTree, usize)> {
-        let err = IoSimError::CorruptRecord("tree handle truncated");
-        let bytes = |off: usize, n: usize| buf.get(off..off + n).ok_or(err.clone());
-        let u64_at = |off: usize| -> Result<u64> {
-            Ok(u64::from_le_bytes(bytes(off, 8)?.try_into().expect("len")))
-        };
-        let u32_at = |off: usize| -> Result<u32> {
-            Ok(u32::from_le_bytes(bytes(off, 4)?.try_into().expect("len")))
-        };
-        let f32_at = |off: usize| -> Result<f32> {
-            Ok(f32::from_le_bytes(bytes(off, 4)?.try_into().expect("len")))
-        };
-        let root = u64_at(0)?;
-        let height = u32_at(8)?;
-        let num_items = u64_at(12)?;
-        let levels = u32_at(20)? as usize;
-        // Validate the level count against the buffer before allocating, so
-        // a corrupt handle errors instead of attempting an absurd
-        // allocation.
-        if levels
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(24 + 16))
-            .map_or(true, |need| need > buf.len())
-        {
-            return Err(err);
-        }
-        let mut level_counts = Vec::with_capacity(levels);
-        for i in 0..levels {
-            level_counts.push(u64_at(24 + i * 8)?);
-        }
-        let off = 24 + levels * 8;
-        let bbox = Rect::from_coords(
-            f32_at(off)?,
-            f32_at(off + 4)?,
-            f32_at(off + 8)?,
-            f32_at(off + 12)?,
-        );
-        Ok((
-            RTree {
-                root,
-                height,
-                num_items,
-                level_counts,
-                bbox,
-            },
-            off + 16,
-        ))
-    }
-
     /// Counts the leaf pages whose directory rectangle intersects `window`
     /// without descending into them (used by the cost-based join selector to
     /// estimate what fraction of the index a join would touch).
@@ -583,28 +512,6 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(got, expected, "point {p:?}");
         }
-    }
-
-    #[test]
-    fn meta_roundtrip_reopens_the_same_tree() {
-        let mut env = env();
-        let items = grid_items(35);
-        let tree = RTree::bulk_load(&mut env, &items).unwrap();
-        let mut blob = tree.encode_meta();
-        blob.extend_from_slice(b"tail");
-        let (back, consumed) = RTree::decode_meta(&blob).unwrap();
-        assert_eq!(consumed, tree.encode_meta().len());
-        assert_eq!(back.root(), tree.root());
-        assert_eq!(back.height(), tree.height());
-        assert_eq!(back.num_items(), tree.num_items());
-        assert_eq!(back.level_counts(), tree.level_counts());
-        assert_eq!(back.bbox(), tree.bbox());
-        // The reopened handle traverses the same on-device nodes.
-        let window = Rect::from_coords(0.0, 0.0, 60.0, 60.0);
-        let a = back.window_query(&mut env, &window).unwrap();
-        let b = tree.window_query(&mut env, &window).unwrap();
-        assert_eq!(a, b);
-        assert!(RTree::decode_meta(&blob[..12]).is_err());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The dataset catalog: register once, query many.
 //!
 //! [`Catalog::register`] prepares a relation the way a production spatial
-//! store would at load time, paying the preparation cost exactly once:
+//! store would at load time, paying the preparation cost exactly once: it
+//! builds a *sealed* [`LiveDataset`] — one that never receives appends —
+//! through [`LiveDataset::from_stream`]:
 //!
 //! 1. the records are externally sorted by lower y-coordinate and the sorted
 //!    run is **persisted** on the device (SSSJ/PQ never re-sort),
@@ -9,134 +11,28 @@
 //!    and the selection queries never rebuild; PQ's pruned traversal and the
 //!    §6.3 cost estimator read its directory).
 //!
-//! A registered [`Dataset`] hands joins a [`JoinInput::Cataloged`], the
-//! input variant every algorithm recognises as "already prepared" — the
-//! same shape a live dataset has once its tiers are folded away, which is
-//! why a service numbers registered and live datasets in one [`DatasetId`]
-//! space (registered first). The whole catalog serializes into an on-device
-//! directory ([`Catalog::save`]) and reopens from it ([`Catalog::load`]) —
-//! including from a forked environment layered over a snapshot of this
-//! device, which is how service workers see the catalog.
+//! The catalog keeps each dataset's [`LiveSnapshot`]: a base run and its
+//! tree with no tiers, which joins through
+//! [`JoinInput::Cataloged`](usj_core::JoinInput::Cataloged) like any live
+//! dataset — why a service numbers registered and live datasets in one
+//! [`DatasetId`] space (registered first). A registered dataset is durable
+//! the way a live one is: [`LiveDataset::enable_durability`] before
+//! [`Catalog::insert`] writes its manifest, and after a crash
+//! [`LiveDataset::recover`] rebuilds it for the next `insert`.
 
 use std::collections::HashMap;
 
-use usj_core::{CatalogedInput, JoinInput};
-use usj_geom::{Item, Rect};
-use usj_io::{extsort, IoSimError, ItemStream, PageId, SimEnv, PAGE_SIZE};
+use usj_geom::Item;
+use usj_io::{ItemStream, SimEnv};
 pub use usj_live::DatasetId;
-use usj_rtree::RTree;
+use usj_live::{LiveConfig, LiveDataset, LiveSnapshot};
 
 use crate::{Result, ServiceError};
-
-/// Magic number of the on-device catalog directory ("USJCAT" + version 02;
-/// version 01 directories also carried a histogram per dataset).
-const CATALOG_MAGIC: u64 = 0x0155_534a_4341_5402;
-
-/// One registered relation: both prepared representations.
-#[derive(Debug, Clone)]
-pub struct Dataset {
-    name: String,
-    sorted: ItemStream,
-    tree: RTree,
-    bbox: Rect,
-}
-
-impl Dataset {
-    /// The registration name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of records in the dataset.
-    pub fn len(&self) -> u64 {
-        self.sorted.len()
-    }
-
-    /// Returns `true` if the dataset holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Bounding box recorded at registration.
-    pub fn bbox(&self) -> Rect {
-        self.bbox
-    }
-
-    /// The persisted y-sorted run.
-    pub fn sorted(&self) -> &ItemStream {
-        &self.sorted
-    }
-
-    /// The persisted packed R-tree.
-    pub fn tree(&self) -> &RTree {
-        &self.tree
-    }
-
-    /// The dataset as a join input: every algorithm skips its preparation
-    /// I/O (no re-sort, no index build, no bounding-box scan).
-    pub fn input(&self) -> JoinInput<'_> {
-        JoinInput::Cataloged(self.cataloged())
-    }
-
-    /// Both prepared representations, with no tiers.
-    pub fn cataloged(&self) -> CatalogedInput<'_> {
-        CatalogedInput {
-            tree: &self.tree,
-            sorted: &self.sorted,
-            bbox: self.bbox,
-            deltas: &[],
-            mem_runs: &[],
-        }
-    }
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        let name = self.name.as_bytes();
-        buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        buf.extend_from_slice(name);
-        for v in [self.bbox.lo.x, self.bbox.lo.y, self.bbox.hi.x, self.bbox.hi.y] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&self.sorted.encode());
-        buf.extend_from_slice(&self.tree.encode_meta());
-    }
-
-    fn decode_from(buf: &[u8]) -> Result<(Dataset, usize)> {
-        let truncated = || ServiceError::Io(IoSimError::CorruptRecord("catalog entry truncated"));
-        let name_len = u16::from_le_bytes(
-            buf.get(0..2).ok_or_else(truncated)?.try_into().expect("len"),
-        ) as usize;
-        let name_bytes = buf.get(2..2 + name_len).ok_or_else(truncated)?;
-        let name = String::from_utf8(name_bytes.to_vec())
-            .map_err(|_| ServiceError::Io(IoSimError::CorruptRecord("catalog name not UTF-8")))?;
-        let mut off = 2 + name_len;
-        let mut f32_at = || -> Result<f32> {
-            let v = f32::from_le_bytes(
-                buf.get(off..off + 4).ok_or_else(truncated)?.try_into().expect("len"),
-            );
-            off += 4;
-            Ok(v)
-        };
-        let bbox = Rect::from_coords(f32_at()?, f32_at()?, f32_at()?, f32_at()?);
-        let (sorted, n) = ItemStream::decode(buf.get(off..).ok_or_else(truncated)?)?;
-        off += n;
-        let (tree, n) = RTree::decode_meta(buf.get(off..).ok_or_else(truncated)?)?;
-        off += n;
-        Ok((
-            Dataset {
-                name,
-                sorted,
-                tree,
-                bbox,
-            },
-            off,
-        ))
-    }
-}
 
 /// The dataset catalog of one simulated device.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    datasets: Vec<Dataset>,
+    datasets: Vec<LiveSnapshot>,
     by_name: HashMap<String, u32>,
 }
 
@@ -156,35 +52,28 @@ impl Catalog {
         self.datasets.is_empty()
     }
 
-    /// Iterates over the registered datasets in registration order.
-    pub fn datasets(&self) -> impl Iterator<Item = &Dataset> {
-        self.datasets.iter()
-    }
-
     /// Looks a dataset up by identifier.
-    pub fn get(&self, id: DatasetId) -> Option<&Dataset> {
+    pub fn get(&self, id: DatasetId) -> Option<&LiveSnapshot> {
         self.datasets.get(id.0 as usize)
     }
 
     /// Looks a dataset up by name.
-    pub fn lookup(&self, name: &str) -> Option<(DatasetId, &Dataset)> {
+    pub fn lookup(&self, name: &str) -> Option<(DatasetId, &LiveSnapshot)> {
         let idx = *self.by_name.get(name)?;
         Some((DatasetId(idx), &self.datasets[idx as usize]))
     }
 
     /// Registers an in-memory slice of records under `name`, materialising
-    /// it as a stream first (convenience wrapper around
-    /// [`register_stream`](Catalog::register_stream)).
+    /// it as a stream of default-size blocks first (convenience wrapper
+    /// around [`register_stream`](Catalog::register_stream)).
     pub fn register(&mut self, env: &mut SimEnv, name: &str, items: &[Item]) -> Result<DatasetId> {
-        if self.by_name.contains_key(name) {
-            return Err(ServiceError::DuplicateDataset(name.to_string()));
-        }
+        self.refuse_duplicate(name)?;
         let stream = ItemStream::from_items(env, items)?;
         self.register_stream(env, name, &stream)
     }
 
-    /// Registers a stream of records under `name`: sorts it, bulk-loads the
-    /// R-tree, and persists both.
+    /// Registers a stream of records under `name`: sorts it into a run of
+    /// the stream's block size and bulk-loads the R-tree over it.
     ///
     /// Registration I/O is charged to `env` like any other work — it is the
     /// one-time preparation cost the registered queries then never pay
@@ -196,84 +85,36 @@ impl Catalog {
         name: &str,
         stream: &ItemStream,
     ) -> Result<DatasetId> {
-        if self.by_name.contains_key(name) {
-            return Err(ServiceError::DuplicateDataset(name.to_string()));
-        }
-        let (sorted, stats) =
-            extsort::external_sort_by_key(env, stream, Item::sweep_key, Item::cmp_by_lower_y)?;
-        let bbox = if stats.bbox.is_empty() {
-            Rect::from_coords(0.0, 0.0, 1.0, 1.0)
-        } else {
-            stats.bbox
-        };
-        let tree = RTree::bulk_load_stream(env, &sorted)?;
+        self.refuse_duplicate(name)?;
+        let dataset = LiveDataset::from_stream(env, name, stream, LiveConfig::default())?;
+        self.insert(env, dataset)
+    }
+
+    /// Seals `dataset` into the catalog under its own name: folds any tiers
+    /// into its base ([`LiveDataset::quiesce`], no I/O when there are none)
+    /// and keeps its snapshot. The dataset receives no appends afterwards.
+    pub fn insert(&mut self, env: &mut SimEnv, mut dataset: LiveDataset) -> Result<DatasetId> {
+        self.refuse_duplicate(dataset.name())?;
+        dataset.quiesce(env)?;
         let id = DatasetId(self.datasets.len() as u32);
-        self.by_name.insert(name.to_string(), id.0);
-        self.datasets.push(Dataset {
-            name: name.to_string(),
-            sorted,
-            tree,
-            bbox,
-        });
+        self.by_name.insert(dataset.name().to_string(), id.0);
+        self.datasets.push(dataset.snapshot());
         Ok(id)
     }
 
-    /// Serializes the catalog directory onto the device, returning the root
-    /// page of the saved directory.
-    ///
-    /// Only *descriptors* are written (names, bounding boxes, stream extent
-    /// lists, tree handles) — the dataset pages themselves already live on
-    /// the device.
-    pub fn save(&self, env: &mut SimEnv) -> Result<PageId> {
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&(self.datasets.len() as u32).to_le_bytes());
-        for ds in &self.datasets {
-            ds.encode_into(&mut blob);
+    fn refuse_duplicate(&self, name: &str) -> Result<()> {
+        if self.by_name.contains_key(name) {
+            return Err(ServiceError::DuplicateDataset(name.to_string()));
         }
-        let pages = (blob.len() as u64).div_ceil(PAGE_SIZE as u64).max(1);
-        let root = env.device.allocate(1 + pages);
-        let mut header = Vec::with_capacity(16);
-        header.extend_from_slice(&CATALOG_MAGIC.to_le_bytes());
-        header.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        env.device.write_page(root, &header)?;
-        env.device.write_pages(root + 1, pages, &blob)?;
-        Ok(root)
-    }
-
-    /// Reopens a catalog from the directory saved at `root` — typically on a
-    /// forked environment layered over a snapshot of the device the catalog
-    /// was built on.
-    pub fn load(env: &mut SimEnv, root: PageId) -> Result<Catalog> {
-        let header = env.device.read_page(root)?;
-        let magic = u64::from_le_bytes(header[0..8].try_into().expect("page size"));
-        if magic != CATALOG_MAGIC {
-            return Err(ServiceError::Io(IoSimError::CorruptRecord(
-                "not a catalog directory page",
-            )));
-        }
-        let blob_len = u64::from_le_bytes(header[8..16].try_into().expect("page size")) as usize;
-        let pages = (blob_len as u64).div_ceil(PAGE_SIZE as u64).max(1);
-        let blob = env.device.read_pages(root + 1, pages)?;
-        let blob = &blob[..blob_len];
-        let truncated =
-            || ServiceError::Io(IoSimError::CorruptRecord("catalog directory truncated"));
-        let count = u32::from_le_bytes(blob.get(0..4).ok_or_else(truncated)?.try_into().expect("len"));
-        let mut catalog = Catalog::new();
-        let mut off = 4;
-        for _ in 0..count {
-            let (ds, n) = Dataset::decode_from(blob.get(off..).ok_or_else(truncated)?)?;
-            off += n;
-            catalog.by_name.insert(ds.name.clone(), catalog.datasets.len() as u32);
-            catalog.datasets.push(ds);
-        }
-        Ok(catalog)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usj_core::{Algo, SpatialQuery};
+    use usj_core::{Algo, JoinInput, SpatialQuery};
+    use usj_geom::Rect;
     use usj_io::MachineConfig;
 
     fn env() -> SimEnv {
@@ -303,13 +144,13 @@ mod tests {
         let id = catalog.register(&mut env, "grid", &items).unwrap();
         let ds = catalog.get(id).unwrap();
         assert_eq!(ds.len(), 400);
-        assert_eq!(ds.name(), "grid");
+        assert!(!ds.has_tiers());
         assert_eq!(ds.tree().num_items(), 400);
         for it in &items {
             assert!(ds.bbox().contains(&it.rect));
         }
         // The sorted run really is sorted.
-        let sorted = ds.sorted().read_all(&mut env).unwrap();
+        let sorted = ds.runs()[0].stream().read_all(&mut env).unwrap();
         assert!(sorted.windows(2).all(|w| w[0].rect.lo.y <= w[1].rect.lo.y));
         // Lookup by name resolves to the same dataset.
         let (lid, lds) = catalog.lookup("grid").unwrap();
@@ -343,60 +184,14 @@ mod tests {
             .map(|x| b.iter().filter(|y| x.rect.intersects(&y.rect)).count() as u64)
             .sum();
         for algo in [Algo::Auto, Algo::Sssj, Algo::Pbsm, Algo::Pq, Algo::St] {
-            let left = catalog.get(ia).unwrap().input();
-            let right = catalog.get(ib).unwrap().input();
+            let left = JoinInput::Cataloged(catalog.get(ia).unwrap().cataloged());
+            let right = JoinInput::Cataloged(catalog.get(ib).unwrap().cataloged());
             let n = SpatialQuery::new(left, right)
                 .algorithm(algo)
                 .count(&mut env)
                 .unwrap();
             assert_eq!(n, expected, "{algo:?}");
         }
-    }
-
-    #[test]
-    fn save_load_roundtrip_reopens_every_dataset() {
-        let mut env = env();
-        let a = grid(15, 3.0, 0.0, 0);
-        let b = grid(9, 5.0, 2.0, 50_000);
-        let mut catalog = Catalog::new();
-        catalog.register(&mut env, "alpha", &a).unwrap();
-        catalog.register(&mut env, "beta", &b).unwrap();
-        let root = catalog.save(&mut env).unwrap();
-
-        // Reopen on a forked worker environment over a device snapshot —
-        // exactly how service workers see the catalog.
-        let base = env.device.snapshot();
-        let mut worker = env.fork_with_base(base);
-        let reopened = Catalog::load(&mut worker, root).unwrap();
-        assert_eq!(reopened.len(), 2);
-        let (_, ds) = reopened.lookup("alpha").unwrap();
-        assert_eq!(ds.len(), a.len() as u64);
-        assert_eq!(ds.bbox(), catalog.lookup("alpha").unwrap().1.bbox());
-        assert_eq!(
-            ds.sorted().read_all(&mut worker).unwrap(),
-            catalog.lookup("alpha").unwrap().1.sorted().read_all(&mut env).unwrap()
-        );
-        // The reopened tree traverses the snapshot pages.
-        let items = ds
-            .tree()
-            .window_query(&mut worker, &ds.bbox())
-            .unwrap();
-        assert_eq!(items.len(), a.len());
-        // Garbage roots are rejected.
-        let junk = worker.device.allocate(1);
-        assert!(Catalog::load(&mut worker, junk).is_err());
-    }
-
-    #[test]
-    fn a_directory_of_another_version_is_rejected() {
-        let mut env = env();
-        let mut catalog = Catalog::new();
-        catalog.register(&mut env, "a", &grid(4, 2.0, 0.0, 0)).unwrap();
-        let root = catalog.save(&mut env).unwrap();
-        let mut header = env.device.read_page(root).unwrap()[..16].to_vec();
-        header[0] = 0x01; // the version byte of a directory with histograms
-        env.device.write_page(root, &header).unwrap();
-        assert!(Catalog::load(&mut env, root).is_err());
     }
 
     #[test]
@@ -407,7 +202,8 @@ mod tests {
         let ds = catalog.get(id).unwrap();
         assert!(ds.is_empty());
         assert!(!ds.bbox().is_empty());
-        let n = SpatialQuery::new(ds.input(), ds.input())
+        let input = || JoinInput::Cataloged(ds.cataloged());
+        let n = SpatialQuery::new(input(), input())
             .algorithm(Algo::Sssj)
             .count(&mut env)
             .unwrap();

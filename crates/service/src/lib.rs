@@ -10,11 +10,13 @@
 //! provides the three layers:
 //!
 //! * [`catalog`] — [`Catalog::register`] persists a dataset as a y-sorted
-//!   [`ItemStream`](usj_io::ItemStream) run *plus* a bulk-loaded R-tree.
-//!   Registered datasets feed joins through
+//!   [`ItemStream`](usj_io::ItemStream) run *plus* a bulk-loaded R-tree: a
+//!   sealed [`usj_live::LiveDataset`], kept as its snapshot. Registered
+//!   datasets feed joins through
 //!   [`JoinInput::Cataloged`](usj_core::JoinInput::Cataloged), which skips
-//!   re-sorting, index building and bounding-box scans; the whole catalog
-//!   serializes onto the device ([`Catalog::save`] / [`Catalog::load`]).
+//!   re-sorting, index building and bounding-box scans; a dataset made
+//!   durable before [`Catalog::insert`] recovers through the live layer's
+//!   manifest.
 //! * [`service`] — a [`Service`] owns a worker pool and a FIFO+priority
 //!   admission queue. Each [`QueryRequest`] (a join over two datasets, or an
 //!   index-backed window/point selection over one) is admitted only when
@@ -61,7 +63,7 @@ pub mod service;
 #[cfg(all(test, feature = "proptest"))]
 mod proptests;
 
-pub use catalog::{Catalog, Dataset, DatasetId};
+pub use catalog::{Catalog, DatasetId};
 pub use plan_cache::{PlanCache, PlanKey};
 pub use service::{
     CancelToken, JoinSpec, QueryKind, QueryOutcome, QueryRequest, QueryStats, QueryStatus,

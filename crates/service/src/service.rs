@@ -51,6 +51,7 @@
 //!   paired with the read order — run handles first, then the base — keeps
 //!   every visible run readable from every worker fork by construction.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,7 +75,7 @@ use usj_live::{
 use usj_obs::{Clock, QueryTrace, Recorder, RingCollector};
 use usj_rtree::NodeStore;
 
-use crate::catalog::{Catalog, Dataset, DatasetId};
+use crate::catalog::{Catalog, DatasetId};
 use crate::obs::ServiceObs;
 use crate::plan_cache::{PlanCache, PlanKey};
 pub use crate::scheduler::Session;
@@ -1257,7 +1258,7 @@ impl Service {
         }
         let want = match &request.kind {
             QueryKind::Join(spec) => {
-                let registered = |id: DatasetId| self.catalog.get(id).map(Dataset::len);
+                let registered = |id: DatasetId| self.catalog.get(id).map(LiveSnapshot::len);
                 match (registered(spec.left), registered(spec.right)) {
                     (Some(left), Some(right)) => {
                         let measured = relock(self.plan_cache.lock()).peak(&PlanKey::new(spec));
@@ -1436,7 +1437,7 @@ impl Service {
         };
         let (left, right) = (self.source(spec.left)?, self.source(spec.right)?);
         let mut wenv = self.worker_env(granted, fault_stream);
-        let cached = matches!((&left, &right), (Source::Registered(_), Source::Registered(_)));
+        let cached = matches!((&left, &right), (Cow::Borrowed(_), Cow::Borrowed(_)));
         self.run_join(&mut wenv, spec, left.cataloged(), right.cataloged(), cached, sink)
     }
 
@@ -1463,16 +1464,16 @@ impl Service {
         }
     }
 
-    /// A dataset as one query reads it: borrowed from the catalog when
-    /// registered, else a generation snapshot of the live dataset — a
-    /// consistent view that stays valid however far ingestion and
-    /// maintenance advance while the query runs. This lookup is *on the
-    /// query path* and returns `Result`, so a poisoned live catalog
-    /// propagates as a typed [`ServiceError::LockPoisoned`] instead of
-    /// panicking the worker.
-    fn source(&self, id: DatasetId) -> Result<Source<'_>> {
-        if let Some(ds) = self.catalog.get(id) {
-            return Ok(Source::Registered(ds));
+    /// A dataset as one query reads it: the registered snapshot borrowed
+    /// from the immutable catalog (no lock, no clone), else a fresh
+    /// generation snapshot of the live dataset — a consistent view that
+    /// stays valid however far ingestion and maintenance advance while the
+    /// query runs. This lookup is *on the query path* and returns `Result`,
+    /// so a poisoned live catalog propagates as a typed
+    /// [`ServiceError::LockPoisoned`] instead of panicking the worker.
+    fn source(&self, id: DatasetId) -> Result<Cow<'_, LiveSnapshot>> {
+        if let Some(snap) = self.catalog.get(id) {
+            return Ok(Cow::Borrowed(snap));
         }
         let live = self
             .store
@@ -1480,7 +1481,7 @@ impl Service {
             .lock()
             .map_err(|_| ServiceError::LockPoisoned("live catalog"))?;
         live.get(id)
-            .map(|ds| Source::Live(ds.snapshot()))
+            .map(|ds| Cow::Owned(ds.snapshot()))
             .ok_or_else(|| ServiceError::UnknownDataset(format!("#{}", id.0)))
     }
 
@@ -1604,25 +1605,6 @@ impl Service {
                 peak_bytes: wenv.memory.peak(),
             },
         })
-    }
-}
-
-/// One dataset as a query reads it.
-enum Source<'a> {
-    /// A registered dataset, borrowed from the immutable catalog.
-    Registered(&'a Dataset),
-    /// A live dataset's generation snapshot.
-    Live(LiveSnapshot),
-}
-
-impl Source<'_> {
-    /// The dataset as a cataloged input: its base run and tree, plus its
-    /// tiers when it is a live dataset mid-ingest.
-    fn cataloged(&self) -> CatalogedInput<'_> {
-        match self {
-            Source::Registered(ds) => ds.cataloged(),
-            Source::Live(snap) => snap.cataloged(),
-        }
     }
 }
 

@@ -40,8 +40,8 @@
 //! to the simulated device and recovers their missed intersections with a
 //! log-based fix-up join, keeping the memory governor's limit a hard
 //! invariant at the price of extra (charged) I/O. It is the one driver
-//! behind every externally sorted or streamed sweep — SSSJ's sorted runs,
-//! PQ's index adapters, the live layer's snapshot cursors — and
+//! behind every externally sorted or streamed sweep — SSSJ's sorted runs
+//! and the merged runs of a live snapshot, PQ's index adapters — and
 //! [`merge_sweep`] is the one loop that feeds it: two y-ordered pull
 //! sources merged on lower y, each side closed as its source ends so the
 //! residents only it could probe drain at once.

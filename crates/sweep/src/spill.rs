@@ -36,10 +36,11 @@
 //! episode counts are reported through
 //! [`SweepJoinStats::spilled_items`]/[`spill_runs`](SweepJoinStats::spill_runs).
 //!
-//! It is the one sweep behind SSSJ, PQ and the streaming join over live
-//! snapshots. All three pull two y-ordered sources through [`merge_sweep`],
-//! which feeds the driver in global lower-y order and closes each side as
-//! its source ends ([`SpillingSweepDriver::close_side`]).
+//! It is the one sweep behind SSSJ and PQ, over registered datasets and
+//! live snapshots alike (a snapshot's runs are merged into one y-ordered
+//! source). Both pull two y-ordered sources through [`merge_sweep`], which
+//! feeds the driver in global lower-y order and closes each side as its
+//! source ends ([`SpillingSweepDriver::close_side`]).
 
 use std::cmp::Ordering;
 use std::ops::ControlFlow;

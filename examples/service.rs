@@ -50,8 +50,8 @@ fn main() {
     let cat = StJoin::default()
         .run(
             &mut env,
-            catalog.get(roads).unwrap().input(),
-            catalog.get(hydro).unwrap().input(),
+            JoinInput::Cataloged(catalog.get(roads).unwrap().cataloged()),
+            JoinInput::Cataloged(catalog.get(hydro).unwrap().cataloged()),
         )
         .unwrap();
     assert_eq!(cat.pairs, uncat.pairs);

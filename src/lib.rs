@@ -25,8 +25,9 @@
 //!   inputs with tiers, emitting pairs while their runs are still being
 //!   scanned).
 //! * [`service`] — the register-once/query-many layer: a dataset
-//!   [`Catalog`](prelude::Catalog) persisting sorted runs and R-trees on the
-//!   device, and a concurrent [`Service`](prelude::Service) admitting join,
+//!   [`Catalog`](prelude::Catalog) of sealed live datasets (a sorted run and
+//!   an R-tree on the device, never appended to), and a concurrent
+//!   [`Service`](prelude::Service) admitting join,
 //!   window and point queries over registered and live datasets alike
 //!   against a shared memory budget with gauge-based admission control and
 //!   a plan cache.
@@ -98,7 +99,7 @@ pub mod prelude {
     };
     pub use usj_rtree::{NodeStore, RTree};
     pub use usj_service::{
-        CancelToken, Catalog, Dataset, DatasetId, JoinSpec, PlanCache, QueryKind, QueryOutcome,
+        CancelToken, Catalog, DatasetId, JoinSpec, PlanCache, QueryKind, QueryOutcome,
         QueryRequest, QueryStats, QueryStatus, Service, ServiceConfig, ServiceReport,
         ServiceStats, Session,
     };

@@ -11,8 +11,8 @@
 //!    within its granted budget (hence within the limit), with deferred
 //!    admissions actually recorded, and with the sum of concurrently
 //!    granted budgets bounded by the limit by construction.
-//! 3. **Service semantics** — persistence round-trips through a device
-//!    snapshot, cancellation stops queued work, and repeat queries hit the
+//! 3. **Service semantics** — a durable registered dataset survives a
+//!    crash, cancellation stops queued work, and repeat queries hit the
 //!    plan cache.
 
 use unified_spatial_join::prelude::*;
@@ -60,8 +60,8 @@ fn cataloged_st_join_charges_strictly_less_io_for_identical_pairs() {
         })
         .unwrap();
     env_c.device.reset_stats();
-    let left = catalog.get(ir).unwrap().input();
-    let right = catalog.get(ih).unwrap().input();
+    let left = JoinInput::Cataloged(catalog.get(ir).unwrap().cataloged());
+    let right = JoinInput::Cataloged(catalog.get(ih).unwrap().cataloged());
     let (cat, cat_pairs) = StJoin::default()
         .run_collect(&mut env_c, left, right)
         .unwrap();
@@ -107,8 +107,8 @@ fn cataloged_sort_based_joins_skip_the_sort() {
             env_c.unaccounted(|env| catalog.register(env, "hydro", &w.hydro)).unwrap(),
         );
         env_c.device.reset_stats();
-        let left = catalog.get(ir).unwrap().input();
-        let right = catalog.get(ih).unwrap().input();
+        let left = JoinInput::Cataloged(catalog.get(ir).unwrap().cataloged());
+        let right = JoinInput::Cataloged(catalog.get(ih).unwrap().cataloged());
         let cat = SpatialQuery::new(left, right).algorithm(algo).run(&mut env_c).unwrap();
 
         assert_eq!(cat.pairs, uncat.pairs, "{algo:?}");
@@ -209,37 +209,64 @@ fn sixteen_concurrent_requests_respect_a_16mb_shared_budget() {
     assert!(joins.windows(2).all(|p| p[0] == p[1]), "identical joins must agree");
 }
 
-/// Catalog persistence: save on the registration device, reload through a
-/// worker fork over the snapshot, query from the reloaded handle.
+/// A registered dataset survives a crash: two sealed datasets built from
+/// 64-page-block streams and made durable, crashed by forking over a device
+/// snapshot, recovered and inserted into a new catalog, answer a PQ join
+/// and a window selection through the service exactly as freshly
+/// registered copies do, and keep their block size.
 #[test]
-fn catalog_persists_and_reopens_across_a_device_snapshot() {
+fn a_registered_dataset_survives_a_crash() {
     let w = workload(800, 5);
+    let window = Rect::from_coords(
+        w.region.lo.x,
+        w.region.lo.y,
+        w.region.lo.x + w.region.width() * 0.4,
+        w.region.lo.y + w.region.height() * 0.4,
+    );
+    let answers = |env: SimEnv, catalog: Catalog| {
+        for id in [DatasetId(0), DatasetId(1)] {
+            let run = catalog.get(id).unwrap().runs()[0].stream();
+            assert_eq!(run.pages_per_block(), 64);
+        }
+        let service = Service::new(env, catalog, ServiceConfig::default().with_workers(1));
+        let report = service.run(vec![
+            QueryRequest::join(DatasetId(0), DatasetId(1))
+                .with_algorithm(Algo::Pq)
+                .collecting(),
+            QueryRequest::window(DatasetId(0), window).collecting(),
+        ]);
+        assert_eq!(report.stats.failed, 0);
+        report
+            .outcomes
+            .into_iter()
+            .map(|outcome| outcome.pairs.unwrap())
+            .collect::<Vec<_>>()
+    };
+
     let mut env = SimEnv::new(MachineConfig::machine3());
-    let mut catalog = Catalog::new();
-    catalog.register(&mut env, "roads", &w.roads).unwrap();
-    catalog.register(&mut env, "hydro", &w.hydro).unwrap();
-    let root = catalog.save(&mut env).unwrap();
+    let mut fresh = Catalog::new();
+    fresh.register(&mut env, "roads", &w.roads).unwrap();
+    fresh.register(&mut env, "hydro", &w.hydro).unwrap();
+    let want = answers(env, fresh);
+    assert!(want.iter().all(|pairs| !pairs.is_empty()));
 
-    let base = env.device.snapshot();
-    let mut worker = env.fork_with_base(base);
-    let reopened = Catalog::load(&mut worker, root).unwrap();
-    assert_eq!(reopened.len(), 2);
-
-    let (_, roads) = reopened.lookup("roads").unwrap();
-    let (_, hydro) = reopened.lookup("hydro").unwrap();
-    let reopened_count = SpatialQuery::new(roads.input(), hydro.input())
-        .algorithm(Algo::Pq)
-        .count(&mut worker)
-        .unwrap();
-    let original_count = SpatialQuery::new(
-        catalog.lookup("roads").unwrap().1.input(),
-        catalog.lookup("hydro").unwrap().1.input(),
-    )
-    .algorithm(Algo::Pq)
-    .count(&mut env)
-    .unwrap();
-    assert_eq!(reopened_count, original_count);
-    assert!(reopened_count > 0);
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let mut roots = Vec::new();
+    for (name, items) in [("roads", &w.roads), ("hydro", &w.hydro)] {
+        let stream = unified_spatial_join::io::ItemStream::from_items(&mut env, items).unwrap();
+        let mut ds = LiveDataset::from_stream(&mut env, name, &stream, LiveConfig::default())
+            .unwrap();
+        roots.push((name, ds.enable_durability(&mut env).unwrap()));
+    }
+    let mut after = env.fork_with_base(env.device.snapshot());
+    let mut recovered = Catalog::new();
+    for (name, root) in roots {
+        let (ds, report) =
+            LiveDataset::recover(&mut after, name, root, LiveConfig::default()).unwrap();
+        assert_eq!((report.verified_runs, report.dropped_deltas), (1, 0));
+        recovered.insert(&mut after, ds).unwrap();
+    }
+    assert_eq!(answers(after, recovered), want);
 }
 
 /// Cancellation mid-batch: queued requests carrying a cancelled token

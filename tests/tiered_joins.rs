@@ -13,6 +13,13 @@
 //! lowered through the operators of `usj_core`; the lowering must not move
 //! any of them. On a mismatch the failure message prints the observed
 //! ledger in the literal syntax below.
+//!
+//! A second ledger pins registered datasets: what `Catalog::register`
+//! charges and the block layout of the sorted run it leaves (64-page
+//! blocks), every algorithm joining two registered datasets, and a window
+//! and a point selection. It was recorded while a registered dataset was
+//! its own type, before registration built a sealed live dataset; a run
+//! of another block size moves its read operations.
 
 use unified_spatial_join::geom::{Item, ITEM_BYTES};
 use unified_spatial_join::io::CpuOp;
@@ -172,6 +179,22 @@ fn observed() -> Vec<Row> {
         );
     }
 
+    rows(&service, names, requests)
+}
+
+fn io_fields(io: IoStats) -> [u64; 6] {
+    [
+        io.pages_read,
+        io.pages_written,
+        io.seq_read_ops,
+        io.rand_read_ops,
+        io.seq_write_ops,
+        io.rand_write_ops,
+    ]
+}
+
+/// Runs `requests` as one batch and turns each outcome into a ledger row.
+fn rows(service: &Service, names: Vec<String>, requests: Vec<QueryRequest>) -> Vec<Row> {
     let report = service.run(requests);
     assert_eq!(report.stats.failed, 0);
     names
@@ -184,25 +207,95 @@ fn observed() -> Vec<Row> {
             if name.starts_with("tall") {
                 assert!(r.sweep.spill_runs > 0, "{name} must spill: {:?}", r.sweep);
             }
-            let io = r.io;
             Row {
                 name,
                 pairs: r.pairs,
                 order: order_digest(pairs),
-                io: [
-                    io.pages_read,
-                    io.pages_written,
-                    io.seq_read_ops,
-                    io.rand_read_ops,
-                    io.seq_write_ops,
-                    io.rand_write_ops,
-                ],
+                io: io_fields(r.io),
                 cpu: CpuOp::all().map(|op| r.cpu.get(op)),
                 index_pages: r.index_page_requests,
                 peak: r.memory.peak_bytes,
             }
         })
         .collect()
+}
+
+fn table(rows: &[Row]) -> String {
+    rows.iter()
+        .map(|r| {
+            format!(
+                "        row({:?}, {}, {}, {:?}, {:?}, {}, {}),\n",
+                r.name, r.pairs, r.order, r.io, r.cpu, r.index_pages, r.peak
+            )
+        })
+        .collect()
+}
+
+/// Registers two datasets, then runs every join algorithm over them (full
+/// and `LIMIT`) and a window and a point selection over one. The first two
+/// rows are the registrations themselves: the records, a digest of the
+/// sorted run's ids in run order, the charged I/O and CPU, the tree's node
+/// count and the gauge peak. Beside the rows come the sorted runs' block
+/// size and page count.
+fn observed_registered() -> (Vec<Row>, Vec<[u64; 2]>) {
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let mut catalog = Catalog::new();
+    let mut registrations = Vec::new();
+    let mut layouts = Vec::new();
+    for (name, items) in [("r1", scatter(900, 500_000, 3)), ("r2", scatter(700, 300_000, 4))] {
+        env.memory.begin_phase();
+        let measurement = env.begin();
+        let id = catalog.register(&mut env, name, &items).unwrap();
+        let (io, cpu) = env.since(&measurement);
+        let peak = env.memory.peak();
+        let ds = catalog.get(id).unwrap().cataloged();
+        let ids: Vec<(u32, u32)> = ds
+            .sorted
+            .read_all(&mut env)
+            .unwrap()
+            .iter()
+            .map(|it| (it.id, 0))
+            .collect();
+        registrations.push(Row {
+            name: format!("register {name}"),
+            pairs: ids.len() as u64,
+            order: order_digest(&ids),
+            io: io_fields(io),
+            cpu: CpuOp::all().map(|op| cpu.get(op)),
+            index_pages: ds.tree.nodes(),
+            peak,
+        });
+        layouts.push([ds.sorted.pages_per_block(), ds.sorted.pages()]);
+    }
+    let (r1, r2) = (catalog.lookup("r1").unwrap().0, catalog.lookup("r2").unwrap().0);
+    let service = Service::new(env, catalog, ServiceConfig::default().with_workers(1));
+
+    let mut names = Vec::new();
+    let mut requests = Vec::new();
+    for (algo_label, algo) in [
+        ("auto", Algo::Auto),
+        ("sssj", Algo::Sssj),
+        ("pq", Algo::Pq),
+        ("st", Algo::St),
+    ] {
+        for limit in [None, Some(40)] {
+            let mut request = QueryRequest::join(r1, r2).with_algorithm(algo).collecting();
+            let mut name = format!("reg×reg {algo_label}");
+            if let Some(k) = limit {
+                request = request.with_limit(k);
+                name += &format!(" limit {k}");
+            }
+            names.push(name);
+            requests.push(request);
+        }
+    }
+    names.push("reg window".to_string());
+    requests.push(QueryRequest::window(r1, Rect::from_coords(40.0, 60.0, 110.0, 90.0)).collecting());
+    names.push("reg point".to_string());
+    requests.push(QueryRequest::point(r1, Point::new(100.0, 100.0)).collecting());
+
+    registrations.extend(rows(&service, names, requests));
+    (registrations, layouts)
 }
 
 #[test]
@@ -225,17 +318,36 @@ fn tiered_joins_charge_what_is_pinned() {
         row("tall 512k sssj", 256000, 4714364681373281245, [134, 70, 3, 45, 15, 5], [15968, 0, 1742112, 76008, 256000], 0, 397176),
     ];
     let got = observed();
-    let table: String = got
-        .iter()
-        .map(|r| {
-            format!(
-                "        row({:?}, {}, {}, {:?}, {:?}, {}, {}),\n",
-                r.name, r.pairs, r.order, r.io, r.cpu, r.index_pages, r.peak
-            )
-        })
-        .collect();
     assert!(
         got == want,
-        "tiered join ledger mismatch; observed:\n{table}"
+        "tiered join ledger mismatch; observed:\n{}",
+        table(&got)
     );
+}
+
+#[test]
+fn registered_datasets_charge_what_is_pinned() {
+    #[rustfmt::skip]
+    let want: Vec<Row> = vec![
+        row("register r1", 900, 3853038206018435033, [12, 13, 0, 4, 6, 1], [18000, 0, 1100, 9003, 0], 4, 552352),
+        row("register r2", 700, 10687253720412555121, [8, 9, 0, 4, 5, 1], [14000, 0, 800, 7002, 0], 3, 545952),
+        row("reg×reg auto", 1020, 13839701360225432921, [7, 0, 0, 4, 0, 0], [1598, 0, 3326, 1605, 1020], 0, 40400),
+        row("reg×reg auto limit 40", 40, 12206749211641005429, [5, 0, 0, 2, 0, 0], [124, 0, 135, 1600, 40], 0, 39152),
+        row("reg×reg sssj", 1020, 13839701360225432921, [5, 0, 0, 2, 0, 0], [1598, 0, 3321, 1600, 1020], 0, 40400),
+        row("reg×reg sssj limit 40", 40, 12206749211641005429, [5, 0, 0, 2, 0, 0], [124, 0, 135, 1600, 40], 0, 39152),
+        row("reg×reg pq", 1020, 13839701360225432921, [5, 0, 0, 2, 0, 0], [1598, 0, 3321, 1600, 1020], 0, 40400),
+        row("reg×reg pq limit 40", 40, 12206749211641005429, [5, 0, 0, 2, 0, 0], [124, 0, 135, 1600, 40], 0, 39152),
+        row("reg×reg st", 1020, 9832052306234120693, [7, 0, 0, 7, 0, 0], [2108, 0, 19941, 3905, 1020], 7, 85572),
+        row("reg×reg st limit 40", 40, 6454573972055725377, [4, 0, 0, 4, 0, 0], [752, 0, 8754, 805, 40], 4, 77588),
+        row("reg window", 64, 13638040824507099764, [4, 0, 0, 4, 0, 0], [0, 0, 903, 903, 64], 4, 32768),
+        row("reg point", 1, 3856909303764792267, [3, 0, 0, 3, 0, 0], [0, 0, 803, 803, 1], 3, 24576),
+    ];
+    let want_layouts: Vec<[u64; 2]> = vec![[64, 3], [64, 2]];
+    let (got, layouts) = observed_registered();
+    assert!(
+        got == want,
+        "registered ledger mismatch; observed:\n{}",
+        table(&got)
+    );
+    assert_eq!(layouts, want_layouts, "sorted runs: [pages per block, pages]");
 }
