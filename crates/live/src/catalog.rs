@@ -587,11 +587,6 @@ impl LiveDataset {
         self.stats
     }
 
-    /// The configured tuning knobs.
-    pub fn config(&self) -> LiveConfig {
-        self.config
-    }
-
     /// Returns `true` when the memtable has reached the flush threshold.
     pub fn wants_freeze(&self) -> bool {
         !self.memtable.is_empty() && self.memtable.bytes() >= self.config.flush_threshold_bytes
@@ -891,87 +886,6 @@ impl LiveDataset {
     }
 }
 
-/// Identifier of a dataset within one service: the registered datasets
-/// of its catalog first, in registration order, then its live datasets.
-/// Ids are never reused, so an id handed out earlier never re-points at a
-/// different dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DatasetId(pub u32);
-
-/// A named registry of live datasets, numbered from a first id on (a
-/// service starts it after its registered datasets, so both share one
-/// [`DatasetId`] space).
-#[derive(Debug, Default)]
-pub struct LiveCatalog {
-    first: u32,
-    datasets: Vec<LiveDataset>,
-    by_name: HashMap<String, u32>,
-}
-
-impl LiveCatalog {
-    /// An empty registry whose first dataset gets id 0.
-    pub fn new() -> Self {
-        LiveCatalog::default()
-    }
-
-    /// An empty registry whose first dataset gets id `first`.
-    pub fn numbered_from(first: u32) -> Self {
-        LiveCatalog {
-            first,
-            ..LiveCatalog::default()
-        }
-    }
-
-    /// Number of registered live datasets.
-    pub fn len(&self) -> usize {
-        self.datasets.len()
-    }
-
-    /// Returns `true` when no live dataset is registered.
-    pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
-    }
-
-    /// Registers an already-built live dataset under its own name.
-    ///
-    /// This is the two-phase registration path of a service that keeps its
-    /// storage environment behind a separate lock: the dataset is created
-    /// on the storage environment first ([`LiveDataset::create`]), its
-    /// pages are made visible to readers, and only then does the catalog
-    /// entry appear.
-    pub fn insert(&mut self, dataset: LiveDataset) -> Result<DatasetId> {
-        if self.by_name.contains_key(dataset.name()) {
-            return Err(LiveError::DuplicateDataset(dataset.name().to_string()));
-        }
-        let idx = self.datasets.len() as u32;
-        self.by_name.insert(dataset.name().to_string(), idx);
-        self.datasets.push(dataset);
-        Ok(DatasetId(self.first + idx))
-    }
-
-    /// Looks a live dataset up by identifier.
-    pub fn get(&self, id: DatasetId) -> Option<&LiveDataset> {
-        self.datasets.get(id.0.checked_sub(self.first)? as usize)
-    }
-
-    /// Looks a live dataset up by name.
-    pub fn lookup(&self, name: &str) -> Option<(DatasetId, &LiveDataset)> {
-        let idx = *self.by_name.get(name)?;
-        Some((DatasetId(self.first + idx), &self.datasets[idx as usize]))
-    }
-
-    /// Mutable access by name (flush/compact maintenance).
-    pub fn get_mut_by_name(&mut self, name: &str) -> Option<&mut LiveDataset> {
-        let idx = *self.by_name.get(name)?;
-        self.datasets.get_mut(idx as usize)
-    }
-
-    /// Iterates over the registered live datasets in registration order.
-    pub fn datasets(&self) -> impl Iterator<Item = &LiveDataset> {
-        self.datasets.iter()
-    }
-}
-
 /// A consistent, immutable view of one live dataset at one generation.
 #[derive(Debug, Clone)]
 pub struct LiveSnapshot {
@@ -1000,11 +914,6 @@ impl LiveSnapshot {
     /// Returns `true` when the snapshot holds no records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Persisted runs in the snapshot (base + deltas).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
     }
 
     /// Whether anything beside the base is visible: delta runs, frozen
@@ -1165,39 +1074,6 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, collect_ids(&mut env, &snap));
         assert_eq!(ids, (0..80).chain(5_000..5_070).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn live_catalog_registers_appends_and_rejects_duplicates() {
-        let mut env = env();
-        let mut catalog = LiveCatalog::new();
-        let create = |env: &mut SimEnv, name: &str, items: &[Item]| {
-            LiveDataset::create(env, name, items, LiveConfig::default()).unwrap()
-        };
-        let id = catalog.insert(create(&mut env, "feed", &batch(50, 0, 10))).unwrap();
-        assert!(matches!(
-            catalog.insert(create(&mut env, "feed", &[])),
-            Err(LiveError::DuplicateDataset(_))
-        ));
-        let feed = catalog.get_mut_by_name("feed").unwrap();
-        feed.append(&mut env, &batch(20, 900, 11)).unwrap();
-        assert!(catalog.get_mut_by_name("nope").is_none());
-        assert_eq!(catalog.get(id).unwrap().len(), 70);
-        assert_eq!(catalog.lookup("feed").unwrap().1.stats().appended, 20);
-    }
-
-    #[test]
-    fn a_numbered_catalog_hands_out_ids_from_its_first() {
-        let mut env = env();
-        let mut catalog = LiveCatalog::numbered_from(3);
-        let config = LiveConfig::default();
-        let a = LiveDataset::create(&mut env, "a", &batch(5, 0, 12), config).unwrap();
-        let b = LiveDataset::create(&mut env, "b", &batch(7, 50, 13), config).unwrap();
-        let (a, b) = (catalog.insert(a).unwrap(), catalog.insert(b).unwrap());
-        assert_eq!((a, b), (DatasetId(3), DatasetId(4)));
-        assert_eq!(catalog.get(b).unwrap().len(), 7);
-        assert_eq!(catalog.lookup("a").map(|(id, _)| id), Some(a));
-        assert!(catalog.get(DatasetId(2)).is_none() && catalog.get(DatasetId(5)).is_none());
     }
 
     #[test]

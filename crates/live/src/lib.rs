@@ -3,14 +3,14 @@
 //!
 //! Everything below this crate assumes a dataset is fully prepared (sorted
 //! run + R-tree) before the first query touches it. This crate adds
-//! [`LiveCatalog`] / [`LiveDataset`] — an LSM-style dataset handle: an
-//! immutable **base run** (the same persisted representation the static
-//! catalog builds) plus an in-memory gauged **memtable** of inserts that
-//! flushes to sorted **delta runs** on the device when its reservation hits
-//! a threshold, with **merge compaction** folding the deltas back into a new
-//! base + rebuilt R-tree. Reads go through generation [`LiveSnapshot`]s —
-//! immutable unions of sorted runs plus a frozen memtable copy — so queries
-//! keep a consistent view while ingestion continues.
+//! [`LiveDataset`] — an LSM-style dataset handle: an immutable **base run**
+//! (the same persisted representation the static catalog builds) plus an
+//! in-memory gauged **memtable** of inserts that flushes to sorted **delta
+//! runs** on the device when its reservation hits a threshold, with
+//! **merge compaction** folding the deltas back into a new base + rebuilt
+//! R-tree. Reads go through generation [`LiveSnapshot`]s — immutable unions
+//! of sorted runs plus a frozen memtable copy — so queries keep a
+//! consistent view while ingestion continues.
 //!
 //! A snapshot joins like any other relation: [`LiveSnapshot::cataloged`] is
 //! a [`usj_core::CatalogedInput`] whose tiers are the delta and in-memory
@@ -19,10 +19,11 @@
 //! every input — so pairs surface while the runs are still being scanned,
 //! and memory pressure spills residents to the device and recovers their
 //! pairs with log-suffix fix-up joins. A registered dataset is the special
-//! case with no tiers, so the service crate gives both one [`DatasetId`]
-//! space and three query kinds: every join lowers through
-//! `usj_core::SpatialQuery`, and a selection reads the base tree, then each
-//! tier.
+//! case with no tiers: the service crate keeps both in one table of slots
+//! — a sealed slot holds a snapshot, a live slot a dataset and the snapshot
+//! it last published — so one id space and three query kinds serve both.
+//! Every join lowers through `usj_core::SpatialQuery`, and a selection reads
+//! the base tree, then each tier.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,8 +34,8 @@ pub mod memtable;
 mod streaming;
 
 pub use catalog::{
-    CompactionOutput, CompactionPlan, DatasetId, FlushJob, LiveCatalog, LiveConfig,
-    LiveDataset, LiveSnapshot, LiveStats, RecoveryReport,
+    CompactionOutput, CompactionPlan, FlushJob, LiveConfig, LiveDataset, LiveSnapshot,
+    LiveStats, RecoveryReport,
 };
 pub use manifest::{Manifest, RootPointer, RunRecord};
 pub use memtable::Memtable;
@@ -49,14 +50,12 @@ use std::fmt;
 
 use usj_io::IoSimError;
 
-/// Errors produced by the live catalog.
+/// Errors produced by live datasets.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LiveError {
     /// An error bubbled up from the simulated I/O substrate (including
     /// `MemoryLimitExceeded` when the memtable outgrows the gauge).
     Io(IoSimError),
-    /// A live dataset name was registered twice.
-    DuplicateDataset(String),
     /// Durable state failed an integrity check: a manifest or root pointer
     /// with a bad magic/checksum, or a base run whose per-block checksums
     /// no longer match its pages. Unrecoverable by design — the message
@@ -68,9 +67,6 @@ impl fmt::Display for LiveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LiveError::Io(e) => write!(f, "i/o: {e}"),
-            LiveError::DuplicateDataset(name) => {
-                write!(f, "live dataset '{name}' is already registered")
-            }
             LiveError::Corrupted(what) => write!(f, "durable state corrupted: {what}"),
         }
     }

@@ -1,5 +1,5 @@
 //! Persisted manifests and per-block run checksums: the durable half of
-//! the live catalog.
+//! live datasets.
 //!
 //! A durable [`LiveDataset`](crate::LiveDataset) keeps, on its own device,
 //! a description of its last *published* persisted state — the base run

@@ -14,26 +14,33 @@
 //! The catalog keeps each dataset's [`LiveSnapshot`]: a base run and its
 //! tree with no tiers, which joins through
 //! [`JoinInput::Cataloged`](usj_core::JoinInput::Cataloged) like any live
-//! dataset — why a service numbers registered and live datasets in one
-//! [`DatasetId`] space (registered first). A registered dataset is durable
+//! dataset — why a service turns the catalog into the sealed slots of its
+//! one dataset table, numbered in one [`DatasetId`] space with the live
+//! datasets registered after them. A registered dataset is durable
 //! the way a live one is: [`LiveDataset::enable_durability`] before
 //! [`Catalog::insert`] writes its manifest, and after a crash
 //! [`LiveDataset::recover`] rebuilds it for the next `insert`.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use usj_geom::Item;
 use usj_io::{ItemStream, SimEnv};
-pub use usj_live::DatasetId;
 use usj_live::{LiveConfig, LiveDataset, LiveSnapshot};
 
 use crate::{Result, ServiceError};
 
+/// Identifier of a dataset within one service: the registered datasets
+/// of its catalog first, in registration order, then its live datasets.
+/// Ids are never reused, so an id handed out earlier never re-points at a
+/// different dataset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct DatasetId(pub u32);
+
 /// The dataset catalog of one simulated device.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    datasets: Vec<LiveSnapshot>,
-    by_name: HashMap<String, u32>,
+    /// Each dataset's name and sealed snapshot, in registration order.
+    pub(crate) datasets: Vec<(String, Arc<LiveSnapshot>)>,
 }
 
 impl Catalog {
@@ -42,25 +49,15 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Number of registered datasets.
-    pub fn len(&self) -> usize {
-        self.datasets.len()
-    }
-
-    /// Returns `true` if no dataset is registered.
-    pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
-    }
-
     /// Looks a dataset up by identifier.
     pub fn get(&self, id: DatasetId) -> Option<&LiveSnapshot> {
-        self.datasets.get(id.0 as usize)
+        self.datasets.get(id.0 as usize).map(|(_, snap)| &**snap)
     }
 
     /// Looks a dataset up by name.
     pub fn lookup(&self, name: &str) -> Option<(DatasetId, &LiveSnapshot)> {
-        let idx = *self.by_name.get(name)?;
-        Some((DatasetId(idx), &self.datasets[idx as usize]))
+        let idx = self.datasets.iter().position(|(n, _)| n == name)?;
+        Some((DatasetId(idx as u32), &self.datasets[idx].1))
     }
 
     /// Registers an in-memory slice of records under `name`, materialising
@@ -97,13 +94,12 @@ impl Catalog {
         self.refuse_duplicate(dataset.name())?;
         dataset.quiesce(env)?;
         let id = DatasetId(self.datasets.len() as u32);
-        self.by_name.insert(dataset.name().to_string(), id.0);
-        self.datasets.push(dataset.snapshot());
+        self.datasets.push((dataset.name().to_string(), Arc::new(dataset.snapshot())));
         Ok(id)
     }
 
     fn refuse_duplicate(&self, name: &str) -> Result<()> {
-        if self.by_name.contains_key(name) {
+        if self.lookup(name).is_some() {
             return Err(ServiceError::DuplicateDataset(name.to_string()));
         }
         Ok(())

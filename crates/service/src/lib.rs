@@ -40,13 +40,14 @@
 //!
 //! The service also fronts the *live* layer ([`usj_live`]):
 //! [`Service::register_live`] / [`Service::append_live`] mutate LSM-style
-//! datasets, numbered in the same [`DatasetId`] space after the registered
-//! ones. A live dataset is a base run + R-tree plus unindexed tiers, and a
-//! registered one is the case with no tiers, so the same three query kinds
-//! serve both: every join lowers through [`usj_core::SpatialQuery`] over
-//! cataloged inputs, a live one taken from the generation snapshot at
-//! execution time — under `Auto`, SSSJ merges a tiered input's runs as it
-//! sweeps, so first pairs stream out before either input is fully read —
+//! datasets. Registered and live datasets are slots of one published table,
+//! numbered in one [`DatasetId`] space, registered ones first. A live
+//! dataset is a base run + R-tree plus unindexed tiers, and a registered
+//! one is the case with no tiers, so the same three query kinds serve
+//! both: every join lowers through [`usj_core::SpatialQuery`] over
+//! cataloged inputs, a live one taken from the snapshot its slot published
+//! at execution time — under `Auto`, SSSJ merges a tiered input's runs as
+//! it sweeps, so first pairs stream out before either input is fully read —
 //! and a selection reads the tree, then each tier.
 
 #![forbid(unsafe_code)]
@@ -165,7 +166,6 @@ impl From<usj_live::LiveError> for ServiceError {
     fn from(e: usj_live::LiveError) -> Self {
         match e {
             usj_live::LiveError::Io(io) => ServiceError::Io(io),
-            usj_live::LiveError::DuplicateDataset(name) => ServiceError::DuplicateDataset(name),
             usj_live::LiveError::Corrupted(what) => ServiceError::Corrupted(what),
         }
     }

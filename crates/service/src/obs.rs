@@ -171,12 +171,7 @@ impl Service {
     /// first updated). The `live.backlog` gauge is refreshed here (delta
     /// runs plus frozen batches summed over every live dataset).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let backlog: usize = self.with_live(|live| {
-            live.datasets()
-                .map(|ds| ds.delta_runs().len() + ds.pending_flush_batches())
-                .sum()
-        });
-        self.obs.metrics.live_backlog.set(backlog as i64);
+        self.obs.metrics.live_backlog.set(self.total_backlog() as i64);
         self.obs.registry.snapshot()
     }
 

@@ -1,9 +1,10 @@
 //! The concurrent query service: worker pool, FIFO+priority admission
 //! queue, gauge-based admission control.
 //!
-//! A [`Service`] freezes a registered [`Catalog`] behind a read-only device
-//! snapshot and executes batches of [`QueryRequest`]s on a pool of worker
-//! threads. The scheduling contract:
+//! A [`Service`] keeps one published dataset table — the sealed slots of a
+//! registered [`Catalog`], then the live datasets registered beside it —
+//! with the device pages they live on, and executes batches of
+//! [`QueryRequest`]s on a pool of worker threads. The scheduling contract:
 //!
 //! * **Admission order** is priority-then-FIFO: higher
 //!   [`priority`](QueryRequest::priority) first, submission order within a
@@ -21,9 +22,9 @@
 //!   `peak_bytes` can never exceed the granted budget, and the sum of
 //!   concurrently granted budgets can never exceed the shared limit —
 //!   admission control *bounds the aggregate footprint by construction*.
-//! * **Isolation**: every admitted query runs on
-//!   [`SimEnv::fork_with_base`] over the catalog snapshot — its own I/O
-//!   statistics and disk head, its own scratch pages, its own memory gauge.
+//! * **Isolation**: every admitted query runs on a worker environment
+//!   layered over the published device pages — its own I/O statistics and
+//!   disk head, its own scratch pages, its own memory gauge.
 //! * **Results** stream through the `PairSink`/`ControlFlow` machinery:
 //!   `LIMIT` and [`CancelToken`] cancellation genuinely stop the producing
 //!   traversal, saving I/O.
@@ -43,20 +44,20 @@
 //!   [`ServiceConfig::with_background_maintenance`]): live-dataset flushes
 //!   and merge compactions run on a dedicated worker thread instead of
 //!   inside [`Service::append_live`]. Appends return after the memtable
-//!   insert (plus an O(1) freeze past the threshold); the worker runs the
-//!   same split maintenance phases the inline path composes, against
-//!   immutable run handles, under a scoped 4 MiB maintenance budget, and
-//!   publishes each new generation through the snapshot mechanism. The
-//!   publication order — base page snapshot first, then the run handle —
-//!   paired with the read order — run handles first, then the base — keeps
-//!   every visible run readable from every worker fork by construction.
+//!   insert (plus, past the threshold, a freeze that sorts the batch the
+//!   flush will write); the worker runs the same split maintenance phases
+//!   the inline path composes, against immutable run handles, under a
+//!   scoped 4 MiB maintenance budget, and publishes each new generation:
+//!   its pages into the published table first, then its run into the
+//!   dataset's slot. A query reads a live slot's snapshot before it
+//!   re-reads the table's pages, so every run it can see is readable from
+//!   its worker fork by construction (see `LiveStore`).
 
-use std::borrow::Cow;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -69,9 +70,7 @@ use usj_io::{
     fault::derive_seed, BlockDevice, CpuCounter, CpuOp, FaultConfig, FaultPlan, IoSimError,
     IoStats, MachineConfig, MemoryGauge, Page, SimEnv, PAGE_SIZE,
 };
-use usj_live::{
-    CompactionPlan, FlushJob, LiveCatalog, LiveConfig, LiveDataset, LiveSnapshot, LiveStats,
-};
+use usj_live::{CompactionPlan, FlushJob, LiveConfig, LiveDataset, LiveSnapshot, LiveStats};
 use usj_obs::{Clock, QueryTrace, Recorder, RingCollector};
 use usj_rtree::NodeStore;
 
@@ -663,11 +662,10 @@ pub struct ServiceReport {
 /// ```
 #[derive(Debug)]
 pub struct Service {
-    /// The shared mutable state of the live (LSM) side, behind three
-    /// independent locks — see [`LiveStore`]. Shared with the background
-    /// maintenance worker when one is running.
+    /// The dataset table, the device pages and the storage environment —
+    /// see [`LiveStore`]. Shared with the background maintenance worker
+    /// when one is running.
     store: Arc<LiveStore>,
-    catalog: Catalog,
     pub(crate) config: ServiceConfig,
     /// The machine model, copied out of the storage environment so query
     /// worker forks can be built without touching the storage lock.
@@ -683,6 +681,25 @@ pub struct Service {
     pub(crate) obs: Arc<ServiceObs>,
 }
 
+/// The live datasets, each under its writer lock, for one
+/// [`Service::with_live`] call.
+#[derive(Debug)]
+pub struct LiveView<'a> {
+    datasets: Vec<(DatasetId, MutexGuard<'a, LiveSlot>)>,
+}
+
+impl LiveView<'_> {
+    /// The live dataset `id`, if there is one.
+    pub fn get(&self, id: DatasetId) -> Option<&LiveDataset> {
+        self.datasets.iter().find(|(i, _)| *i == id).map(|(_, slot)| &slot.dataset)
+    }
+
+    /// The live datasets, in registration order.
+    pub fn datasets(&self) -> impl Iterator<Item = &LiveDataset> {
+        self.datasets.iter().map(|(_, slot)| &slot.dataset)
+    }
+}
+
 /// Microseconds elapsed between two clock readings, as a [`Duration`]
 /// (clamped at zero — a swapped virtual clock never yields negative waits).
 pub(crate) fn us_between(from_us: u64, to_us: u64) -> Duration {
@@ -694,13 +711,15 @@ pub(crate) fn us_between(from_us: u64, to_us: u64) -> Duration {
 /// The service's lock-poisoning policy, from the `unwrap()` audit: worker
 /// and maintenance panics are contained with `catch_unwind` *before* they
 /// reach scheduler state, and every structure these locks protect keeps its
-/// invariants across a panic (the device is append-only, catalog and queue
-/// mutations are not interleaved with faultable I/O). Refusing service
-/// forever because some earlier thread panicked would turn one contained
-/// fault into a total outage — so scheduler, storage and observability
-/// locks *recover*, while query-path lookups whose callers return `Result`
-/// propagate [`ServiceError::LockPoisoned`] instead (see
-/// [`Service::live_snapshot`]).
+/// invariants across a panic (the device is append-only, the published
+/// table changes by whole swaps, queue mutations are not interleaved with
+/// faultable I/O). Refusing service forever because some earlier thread
+/// panicked would turn one contained fault into a total outage — so
+/// scheduler, storage, published-table and observability locks *recover*.
+/// A live dataset's writer lock is its own slot's: a panic while it is held
+/// (an append, a snapshot build) poisons that one dataset, whose queries
+/// and appends then fail with [`ServiceError::LockPoisoned`]`("live
+/// dataset")` (see [`Slot::read`]) while every other dataset keeps serving.
 pub(crate) fn relock<T>(result: std::sync::LockResult<T>) -> T {
     result.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -790,72 +809,156 @@ fn kind_label(kind: &QueryKind) -> &'static str {
     }
 }
 
-/// The live side's shared state. Three locks, deliberately independent:
+/// The service's datasets and the storage they live on, behind two locks:
 ///
 /// * `storage` — the device-owning environment. All persisted-run I/O
-///   (registration, flush writes, compaction merges) happens here.
-///   Appends, snapshot-taking and query execution never touch it, so a
-///   long merge never blocks them.
-/// * `live` — the catalog of [`LiveDataset`] handles: memtables, run
-///   handles, generations. Held only for O(in-memory) operations (inserts,
-///   claims, publications, snapshot clones) — never across device I/O.
-/// * `base` — the latest device page snapshot, forked by query workers.
+///   (registration, flush writes, compaction merges) happens here, so a
+///   long merge never blocks appends, snapshots or queries.
+/// * `published` — one [`Published`] value, taken once per query. A
+///   registration swaps in its pages and pushes its slot in one hold; a
+///   flush or compaction swaps in new pages and keeps the slots.
 ///
-/// **Publication ordering invariant**: a maintenance actor makes new pages
-/// readable *before* making the run that references them visible — it
-/// snapshots the device (under `storage`), advances `base`, and only then
-/// publishes the run handle (under `live`). Readers do the reverse: clone
-/// run handles first (a snapshot, under `live`), then fork the base.
+/// Each live dataset's [`LiveSlot`] has its own writer lock besides, held
+/// only for O(in-memory) work — never across device I/O.
 ///
-/// What that rests on is the device's sharing contract
-/// ([`BlockDevice::snapshot`](usj_io::BlockDevice::snapshot)): a snapshot
-/// is immutable and shares the storage device's pages instead of copying
-/// them, so publishing one after *every* flush and compaction costs a
-/// pointer per page; the storage device's later writes (new runs on fresh
-/// pages, a durable dataset's root pointer in place) un-share only the
-/// pages they hit and never show through a published snapshot; and pages
-/// are never freed or renumbered, so each snapshot is a prefix of every
-/// later one — every run a reader can see has its pages in the base it
-/// forks. Lock order, where nesting is needed at all, is
-/// `live` → `storage` → `base`; the maintenance loop itself holds at most
-/// one of the three at a time.
+/// **Publication order**: a maintenance actor swaps the device's snapshot
+/// into `published` while it still holds `storage`, right after the write,
+/// and only then publishes the run in the dataset's slot. Readers do the
+/// reverse — a live slot's snapshot first, then one re-read of `published`
+/// (in `Service::worker_env`) — so every run a reader can see has its pages
+/// in its fork. Pages are swapped only under `storage`, in the order they
+/// were written, so they never move backwards. This rests on the device's
+/// sharing contract ([`BlockDevice::snapshot`](usj_io::BlockDevice::snapshot)):
+/// a snapshot shares the storage device's pages instead of copying them (a
+/// pointer per page per publication), later writes un-share only the pages
+/// they hit, and pages are never freed or renumbered, so each snapshot is
+/// a prefix of every later one. Lock order is `storage` → `published`;
+/// writer locks nest in neither, and only [`Service::with_live`] holds
+/// several, taken in id order.
 #[derive(Debug)]
 struct LiveStore {
     storage: Mutex<SimEnv>,
-    live: Mutex<LiveCatalog>,
-    base: Mutex<Arc<Vec<Page>>>,
+    published: Mutex<Published>,
 }
 
-impl LiveStore {
-    /// Advances the base snapshot slot — monotonically, so two actors
-    /// racing their publications can never move readers *backwards* onto a
-    /// snapshot that lacks already-visible pages.
-    fn publish_base(&self, snap: Arc<Vec<Page>>) {
-        let mut base = relock(self.base.lock());
-        if snap.len() > base.len() {
-            *base = snap;
+/// What queries read: the device pages worker forks layer over, and every
+/// dataset by id with its name — the catalog's first, then live ones in
+/// registration order.
+#[derive(Debug)]
+struct Published {
+    pages: Arc<Vec<Page>>,
+    slots: Vec<(String, Slot)>,
+}
+
+/// One dataset of the table.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// A registered dataset: a snapshot that never changes, read with no
+    /// further lock or clone.
+    Sealed(Arc<LiveSnapshot>),
+    /// A live dataset, behind its writer lock.
+    Live(Arc<Mutex<LiveSlot>>),
+}
+
+/// A live dataset and the snapshot of its current generation.
+#[derive(Debug)]
+struct LiveSlot {
+    dataset: LiveDataset,
+    /// Built by the first reader after a change, shared by the later ones.
+    published: Option<Arc<LiveSnapshot>>,
+}
+
+impl LiveSlot {
+    /// The dataset, to change it: every `&mut` access goes through here,
+    /// and drops the published snapshot.
+    fn writer(&mut self) -> &mut LiveDataset {
+        self.published = None;
+        &mut self.dataset
+    }
+
+    fn snapshot(&mut self) -> Arc<LiveSnapshot> {
+        Arc::clone(self.published.get_or_insert_with(|| Arc::new(self.dataset.snapshot())))
+    }
+}
+
+impl Slot {
+    fn live(&self) -> Option<&Arc<Mutex<LiveSlot>>> {
+        match self {
+            Slot::Live(live) => Some(live),
+            Slot::Sealed(_) => None,
         }
     }
 
-    /// The current base snapshot for a worker fork.
-    fn fork_base(&self) -> Arc<Vec<Page>> {
-        Arc::clone(&*relock(self.base.lock()))
+    /// The dataset as a query reads it. On the query path, so a poisoned
+    /// writer refuses its own dataset's queries with a typed
+    /// [`ServiceError::LockPoisoned`] instead of panicking the worker.
+    fn read(self) -> Result<Arc<LiveSnapshot>> {
+        match self {
+            Slot::Sealed(snapshot) => Ok(snapshot),
+            Slot::Live(live) => Ok(live
+                .lock()
+                .map_err(|_| ServiceError::LockPoisoned("live dataset"))?
+                .snapshot()),
+        }
     }
 }
 
-/// One step of live maintenance, claimed under the `live` lock and executed
-/// against immutable handles on the storage environment.
+impl Published {
+    fn slot(&self, id: DatasetId) -> Result<Slot> {
+        let unknown = || ServiceError::UnknownDataset(format!("#{}", id.0));
+        self.slots.get(id.0 as usize).map(|(_, slot)| slot.clone()).ok_or_else(unknown)
+    }
+}
+
+impl LiveStore {
+    fn published(&self) -> MutexGuard<'_, Published> {
+        relock(self.published.lock())
+    }
+
+    /// Swaps the storage device's pages in, under the storage lock right
+    /// after the write they carry. The superseded pages are dropped after
+    /// the table's lock.
+    fn publish_pages(&self, storage: &SimEnv) {
+        let pages = storage.device.snapshot();
+        let _superseded = std::mem::replace(&mut self.published().pages, pages);
+    }
+
+    /// The live dataset registered as `name`, with its id.
+    fn live(&self, name: &str) -> Result<(DatasetId, Arc<Mutex<LiveSlot>>)> {
+        let published = self.published();
+        match published.slots.iter().zip(0..).find(|((n, _), _)| n == name) {
+            Some(((_, Slot::Live(live)), idx)) => Ok((DatasetId(idx), Arc::clone(live))),
+            _ => Err(ServiceError::UnknownDataset(name.to_string())),
+        }
+    }
+
+    /// Every live dataset with its id.
+    fn live_slots(&self) -> Vec<(DatasetId, Arc<Mutex<LiveSlot>>)> {
+        let published = self.published();
+        let live = published.slots.iter().zip(0..);
+        live.filter_map(|((_, slot), idx)| Some((DatasetId(idx), Arc::clone(slot.live()?)))).collect()
+    }
+}
+
+/// A live dataset's maintenance backlog: delta runs awaiting compaction
+/// plus frozen batches awaiting flush.
+fn backlog(dataset: &LiveDataset) -> usize {
+    dataset.delta_runs().len() + dataset.pending_flush_batches()
+}
+
+/// One step of live maintenance, claimed under the dataset's writer lock
+/// and executed against immutable handles on the storage environment.
 enum MaintStep {
     Flush(FlushJob),
     Compact(CompactionPlan),
 }
 
-/// Drives one dataset's maintenance to completion: claim a step under the
-/// `live` lock, run its I/O on the storage environment under the scoped
-/// maintenance budget, publish base-then-run, repeat until nothing is
-/// pending. `full` forces a terminal freeze + compaction regardless of the
-/// configured thresholds (the quiesce path); otherwise the dataset's own
-/// thresholds decide.
+/// Drives one dataset's maintenance to completion: claim a step under its
+/// writer lock, run its I/O on the storage environment under the scoped
+/// maintenance budget and publish its pages, publish its run, repeat until
+/// nothing is pending. `full` forces a terminal freeze + compaction
+/// regardless of the configured thresholds (the quiesce path); otherwise
+/// the dataset's own thresholds decide.
 ///
 /// This one function *is* live maintenance for both modes: the inline path
 /// calls it on the appending thread, the background worker calls it on its
@@ -863,8 +966,7 @@ enum MaintStep {
 fn tend_live(
     store: &LiveStore,
     obs: &ServiceObs,
-    name: &str,
-    budget: usize,
+    live: &Mutex<LiveSlot>,
     full: bool,
     retry: FaultRetry,
 ) -> Result<()> {
@@ -873,12 +975,16 @@ fn tend_live(
     // durations below are recorded unconditionally.
     let _trace = obs.install_maint();
     loop {
-        // Claim: O(in-memory) work only under the live lock.
+        // Claim: O(in-memory) work only under the writer lock, which a
+        // dataset with nothing due leaves unchanged.
         let step = {
-            let mut live = relock(store.live.lock());
-            let Some(ds) = live.get_mut_by_name(name) else {
+            let mut slot = relock(live.lock());
+            let ds = &slot.dataset;
+            let forced = full && (ds.memtable_len() > 0 || !ds.delta_runs().is_empty());
+            if !forced && !ds.maintenance_pending() {
                 return Ok(());
-            };
+            }
+            let ds = slot.writer();
             if (full && ds.memtable_len() > 0) || ds.wants_freeze() {
                 ds.freeze();
             }
@@ -894,54 +1000,42 @@ fn tend_live(
             }
         };
         // Execute: device I/O on the storage environment, inside the scoped
-        // maintenance budget; then snapshot *under the same lock hold*, so
-        // the snapshot is guaranteed to contain the step's pages.
+        // maintenance budget; then publish the pages *under the same lock
+        // hold*, before the run that needs them.
         match step {
             MaintStep::Flush(job) => {
                 let t0 = obs.now_us();
                 // Transient device faults re-run the whole flush: `begin_flush`
                 // only *peeked* the batch, so a failed attempt leaves it queued
                 // and a re-run writes a fresh run from the same records.
-                let (run, snap) = retry_transient(obs, retry, || {
+                let run = retry_transient(obs, retry, || {
                     let mut storage = relock(store.storage.lock());
-                    let run =
-                        storage.with_budget(budget, |env| LiveDataset::run_flush(env, &job))?;
-                    let snap = storage.device.snapshot();
-                    Ok((run, snap))
+                    let run = storage.with_budget(MAINTENANCE_BUDGET, |env| {
+                        LiveDataset::run_flush(env, &job)
+                    })?;
+                    store.publish_pages(&storage);
+                    Ok(run)
                 })?;
                 obs.metrics.maintenance_flushes.inc();
                 obs.metrics.maintenance_flush_us.record(obs.now_us().saturating_sub(t0));
-                // Publish: base pages first, then the run handle.
-                store.publish_base(snap);
-                let mut live = relock(store.live.lock());
-                if let Some(ds) = live.get_mut_by_name(name) {
-                    ds.publish_flush(job, run);
-                }
+                relock(live.lock()).writer().publish_flush(job, run);
             }
             MaintStep::Compact(plan) => {
                 let t0 = obs.now_us();
                 let ran = retry_transient(obs, retry, || {
                     let mut storage = relock(store.storage.lock());
-                    storage
-                        .with_budget(budget, |env| LiveDataset::run_compaction(env, &plan))
-                        .map(|out| (out, storage.device.snapshot()))
-                        .map_err(ServiceError::from)
+                    let out = storage.with_budget(MAINTENANCE_BUDGET, |env| {
+                        LiveDataset::run_compaction(env, &plan)
+                    })?;
+                    store.publish_pages(&storage);
+                    Ok(out)
                 });
                 obs.metrics.maintenance_compactions.inc();
                 obs.metrics.maintenance_compaction_us.record(obs.now_us().saturating_sub(t0));
                 match ran {
-                    Ok((out, snap)) => {
-                        store.publish_base(snap);
-                        let mut live = relock(store.live.lock());
-                        if let Some(ds) = live.get_mut_by_name(name) {
-                            ds.publish_compaction(out);
-                        }
-                    }
+                    Ok(out) => relock(live.lock()).writer().publish_compaction(out),
                     Err(e) => {
-                        let mut live = relock(store.live.lock());
-                        if let Some(ds) = live.get_mut_by_name(name) {
-                            ds.abort_compaction();
-                        }
+                        relock(live.lock()).writer().abort_compaction();
                         return Err(e);
                     }
                 }
@@ -950,77 +1044,64 @@ fn tend_live(
     }
 }
 
-/// A queued unit of background maintenance.
-#[derive(Debug)]
-enum MaintJob {
-    /// Run [`tend_live`] for the named dataset until nothing is pending.
-    Tend(String),
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// The background maintenance worker: one thread, an mpsc job queue, and an
-/// in-flight counter so [`Service::quiesce_live`] can wait for the queue to
-/// drain. Dropping it sends `Shutdown` and joins the thread — the
-/// shutdown/join discipline that keeps [`Service::into_parts`] sound.
+/// The background maintenance worker: one thread, an mpsc queue of the
+/// live datasets to tend, and an in-flight counter so
+/// [`Service::quiesce_live`] can wait for the queue to drain. Dropping it
+/// closes the queue and joins the thread — the shutdown/join discipline
+/// that keeps [`Service::into_parts`] sound.
 #[derive(Debug)]
 struct Maintenance {
-    tx: mpsc::Sender<MaintJob>,
+    /// `None` once dropped: the closed queue ends the worker's loop.
+    tx: Option<mpsc::Sender<Arc<Mutex<LiveSlot>>>>,
     /// Jobs enqueued but not yet finished, with a condvar for waiters.
     inflight: Arc<(Mutex<u64>, Condvar)>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Maintenance {
-    fn spawn(store: Arc<LiveStore>, obs: Arc<ServiceObs>, budget: usize, retry: FaultRetry) -> Self {
-        let (tx, rx) = mpsc::channel::<MaintJob>();
+    fn spawn(store: Arc<LiveStore>, obs: Arc<ServiceObs>, retry: FaultRetry) -> Self {
+        let (tx, rx) = mpsc::channel::<Arc<Mutex<LiveSlot>>>();
         let inflight = Arc::new((Mutex::new(0u64), Condvar::new()));
         let worker_inflight = Arc::clone(&inflight);
         let handle = std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
-                match job {
-                    MaintJob::Shutdown => break,
-                    MaintJob::Tend(name) => {
-                        // A maintenance error (e.g. device full) leaves the
-                        // dataset consistent with the work still pending;
-                        // the next append's tend retries it. Queries and
-                        // appends keep working off the last published
-                        // generation either way. A *panic* inside the tend
-                        // is contained the same way: the claimed step is
-                        // abandoned (its records stay in the queued tiers),
-                        // the poisoned locks recover via `relock`, and —
-                        // crucially — the in-flight count still drops, so
-                        // `wait_idle` never hangs on a dead job.
-                        let tended = catch_unwind(AssertUnwindSafe(|| {
-                            let _ = tend_live(&store, &obs, &name, budget, false, retry);
-                        }));
-                        if tended.is_err() {
-                            obs.metrics.faults_panics.inc();
-                            obs.metrics.faults_injected.inc();
-                        }
-                        let (count, cv) = &*worker_inflight;
-                        let mut n = relock(count.lock());
-                        *n -= 1;
-                        cv.notify_all();
-                    }
+            while let Ok(live) = rx.recv() {
+                // A maintenance error (e.g. device full) leaves the dataset
+                // consistent with the work still pending; the next append's
+                // tend retries it. Queries and appends keep working off the
+                // last published generation either way. A *panic* inside the
+                // tend is contained the same way: the claimed step is
+                // abandoned (its records stay in the queued tiers), the
+                // poisoned locks recover via `relock`, and — crucially — the
+                // in-flight count still drops, so `wait_idle` never hangs on
+                // a dead job.
+                let tended = catch_unwind(AssertUnwindSafe(|| {
+                    let _ = tend_live(&store, &obs, &live, false, retry);
+                }));
+                if tended.is_err() {
+                    obs.metrics.faults_panics.inc();
+                    obs.metrics.faults_injected.inc();
                 }
+                let (count, cv) = &*worker_inflight;
+                let mut n = relock(count.lock());
+                *n -= 1;
+                cv.notify_all();
             }
         });
         Maintenance {
-            tx,
+            tx: Some(tx),
             inflight,
             handle: Some(handle),
         }
     }
 
-    /// Queues a tend for `name`; the worker coalesces naturally (a tend
+    /// Queues a tend for `live`; the worker coalesces naturally (a tend
     /// drains *everything* pending, so later queued tends for the same
     /// dataset fall through as no-ops).
-    fn enqueue(&self, name: &str) {
+    fn enqueue(&self, live: Arc<Mutex<LiveSlot>>) {
         let (count, cv) = &*self.inflight;
         *relock(count.lock()) += 1;
-        if self.tx.send(MaintJob::Tend(name.to_string())).is_err() {
-            // Worker already shut down (only happens mid-drop).
+        if !self.tx.as_ref().is_some_and(|tx| tx.send(live).is_ok()) {
+            // The worker is gone.
             *relock(count.lock()) -= 1;
             cv.notify_all();
         }
@@ -1038,7 +1119,7 @@ impl Maintenance {
 
 impl Drop for Maintenance {
     fn drop(&mut self) {
-        let _ = self.tx.send(MaintJob::Shutdown);
+        drop(self.tx.take());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -1047,10 +1128,11 @@ impl Drop for Maintenance {
 
 impl Service {
     /// Creates a service over `catalog`, whose datasets live on `env`'s
-    /// device. The device is snapshotted here — the catalog is frozen for
-    /// the service's lifetime and queries never mutate it — and every
-    /// batch's worker forks share that snapshot, or the later one live
-    /// maintenance published, which extends it without copying its pages.
+    /// device: the catalog's snapshots become the sealed slots of the
+    /// service's dataset table, and the device's pages the first ones
+    /// published. Queries never mutate either; every batch's worker forks
+    /// share those pages, or the later ones registration and live
+    /// maintenance published, which extend them without copying.
     pub fn new(mut env: SimEnv, catalog: Catalog, config: ServiceConfig) -> Self {
         // Under a fault plan, the *storage* environment (registrations,
         // flushes, compactions) draws from its own reserved stream —
@@ -1060,26 +1142,20 @@ impl Service {
             storage_faults.seed = derive_seed(faults.seed, STORAGE_FAULT_STREAM);
             env.install_faults(FaultPlan::new(storage_faults));
         }
-        let base = env.device.snapshot();
+        let sealed = catalog.datasets.into_iter();
+        let slots = sealed.map(|(name, snapshot)| (name, Slot::Sealed(snapshot))).collect();
+        let published = Published { pages: env.device.snapshot(), slots };
         let machine = env.machine.clone();
-        // Live ids continue the catalog's: one id space, two tables.
         let store = Arc::new(LiveStore {
             storage: Mutex::new(env),
-            live: Mutex::new(LiveCatalog::numbered_from(catalog.len() as u32)),
-            base: Mutex::new(base),
+            published: Mutex::new(published),
         });
         let obs = Arc::new(ServiceObs::new());
         let maintenance = config.background_maintenance.then(|| {
-            Maintenance::spawn(
-                Arc::clone(&store),
-                Arc::clone(&obs),
-                MAINTENANCE_BUDGET,
-                FaultRetry::of(&config),
-            )
+            Maintenance::spawn(Arc::clone(&store), Arc::clone(&obs), FaultRetry::of(&config))
         });
         Service {
             store,
-            catalog,
             config,
             machine,
             plan_cache: Mutex::new(PlanCache::new()),
@@ -1088,26 +1164,21 @@ impl Service {
         }
     }
 
-    /// The registered datasets (live ones are reached through
-    /// [`with_live`](Service::with_live)).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Runs `f` against the live (LSM-style) side of the catalog, under its
-    /// lock. With background maintenance on, the view is a consistent point
-    /// in time but maintenance may publish a new generation the moment the
-    /// closure returns — don't cache tier shapes across calls.
-    pub fn with_live<T>(&self, f: impl FnOnce(&LiveCatalog) -> T) -> T {
-        // The deref is load-bearing: without it, inference unifies
-        // `relock`'s T with `LiveCatalog` instead of the guard.
-        #[allow(clippy::explicit_auto_deref)]
-        f(&*relock(self.store.live.lock()))
+    /// Runs `f` against the live datasets, each under its writer lock. With
+    /// background maintenance on, the view is a consistent point in time
+    /// but maintenance may publish a new generation the moment the closure
+    /// returns — don't cache tier shapes across calls.
+    pub fn with_live<T>(&self, f: impl FnOnce(&LiveView<'_>) -> T) -> T {
+        let slots = self.store.live_slots();
+        let datasets = slots.iter().map(|(id, live)| (*id, relock(live.lock()))).collect();
+        let view = LiveView { datasets };
+        f(&view)
     }
 
     /// Lifetime counters for the named live dataset, if it exists.
     pub fn live_stats(&self, name: &str) -> Option<LiveStats> {
-        self.with_live(|live| live.lookup(name).map(|(_, ds)| ds.stats()))
+        let live = self.store.live(name).ok();
+        live.map(|(_, live)| relock(live.lock()).dataset.stats())
     }
 
     /// The named live dataset's *observed maintenance backlog*: delta runs
@@ -1118,41 +1189,40 @@ impl Service {
     /// (post-hoc stats deltas can't tell "ran during compaction" from "ran
     /// just after").
     pub fn live_backlog(&self, name: &str) -> Option<usize> {
-        self.with_live(|live| {
-            live.lookup(name)
-                .map(|(_, ds)| ds.delta_runs().len() + ds.pending_flush_batches())
-        })
+        let live = self.store.live(name).ok();
+        live.map(|(_, live)| backlog(&relock(live.lock()).dataset))
     }
 
-    /// Registers a live dataset with an initial base batch, publishing the
-    /// new device pages so queries' worker forks can read its base run.
-    /// Registered and live datasets share one namespace: a name the catalog
-    /// holds is refused.
+    /// The backlog of every live dataset, summed.
+    pub(crate) fn total_backlog(&self) -> usize {
+        let slots = self.store.live_slots();
+        slots.iter().map(|(_, live)| backlog(&relock(live.lock()).dataset)).sum()
+    }
+
+    /// Registers a live dataset with an initial base batch. Its pages and
+    /// its slot are published in one swap, so no query can name it before
+    /// its base run is readable. Registered and live datasets share one
+    /// namespace: a name the table holds is refused.
     pub fn register_live(
         &self,
         name: &str,
         base_items: &[Item],
         config: LiveConfig,
     ) -> Result<DatasetId> {
-        // Hold the live lock across creation so two racing registrations of
-        // the same name can't both pass the duplicate check (lock order:
-        // live → storage).
-        let mut live = self
-            .store
-            .live
-            .lock()
-            .map_err(|_| ServiceError::LockPoisoned("live catalog"))?;
-        if live.lookup(name).is_some() || self.catalog.lookup(name).is_some() {
+        // Registrations hold the storage lock throughout, so no other one
+        // can take the name between the check and the push.
+        let mut storage = relock(self.store.storage.lock());
+        if self.store.published().slots.iter().any(|(n, _)| n == name) {
             return Err(ServiceError::DuplicateDataset(name.to_string()));
         }
-        let (dataset, snap) = retry_transient(&self.obs, FaultRetry::of(&self.config), || {
-            let mut storage = relock(self.store.storage.lock());
-            let dataset = LiveDataset::create(&mut storage, name, base_items, config)?;
-            let snap = storage.device.snapshot();
-            Ok((dataset, snap))
+        let dataset = retry_transient(&self.obs, FaultRetry::of(&self.config), || {
+            Ok(LiveDataset::create(&mut storage, name, base_items, config)?)
         })?;
-        self.store.publish_base(snap);
-        Ok(live.insert(dataset)?)
+        let slot = Slot::Live(Arc::new(Mutex::new(LiveSlot { dataset, published: None })));
+        let mut published = self.store.published();
+        published.pages = storage.device.snapshot();
+        published.slots.push((name.to_string(), slot));
+        Ok(DatasetId(published.slots.len() as u32 - 1))
     }
 
     /// Appends records to a registered live dataset. The records land in the
@@ -1161,28 +1231,16 @@ impl Service {
     /// handed to the background maintenance worker, per
     /// [`ServiceConfig::background_maintenance`].
     pub fn append_live(&self, name: &str, items: &[Item]) -> Result<()> {
-        let pending = {
-            let mut live = self
-                .store
-                .live
-                .lock()
-                .map_err(|_| ServiceError::LockPoisoned("live catalog"))?;
-            let Some(ds) = live.get_mut_by_name(name) else {
-                return Err(ServiceError::UnknownDataset(name.to_string()));
-            };
-            ds.append_buffered(items)?
-        };
+        let (_, live) = self.store.live(name)?;
+        let pending = live
+            .lock()
+            .map_err(|_| ServiceError::LockPoisoned("live dataset"))?
+            .writer()
+            .append_buffered(items)?;
         if pending {
             match &self.maintenance {
-                Some(worker) => worker.enqueue(name),
-                None => tend_live(
-                    &self.store,
-                    &self.obs,
-                    name,
-                    MAINTENANCE_BUDGET,
-                    false,
-                    FaultRetry::of(&self.config),
-                )?,
+                Some(worker) => worker.enqueue(live),
+                None => self.tend(&live, false)?,
             }
         }
         Ok(())
@@ -1195,27 +1253,22 @@ impl Service {
     /// [`SpatialQuery`] like a registered dataset, and the shape that makes
     /// benchmark pair-checks deterministic.
     pub fn quiesce_live(&self, name: &str) -> Result<()> {
-        if self.with_live(|live| live.lookup(name).is_none()) {
-            return Err(ServiceError::UnknownDataset(name.to_string()));
-        }
+        let (_, live) = self.store.live(name)?;
         if let Some(worker) = &self.maintenance {
             worker.wait_idle();
         }
-        tend_live(
-            &self.store,
-            &self.obs,
-            name,
-            MAINTENANCE_BUDGET,
-            true,
-            FaultRetry::of(&self.config),
-        )
+        self.tend(&live, true)
+    }
+
+    /// [`tend_live`] on this service's store.
+    fn tend(&self, live: &Mutex<LiveSlot>, full: bool) -> Result<()> {
+        tend_live(&self.store, &self.obs, live, full, FaultRetry::of(&self.config))
     }
 
     /// [`quiesce_live`](Service::quiesce_live), then the dataset's id.
     pub fn promote_live(&mut self, name: &str) -> Result<DatasetId> {
         self.quiesce_live(name)?;
-        self.with_live(|live| live.lookup(name).map(|(id, _)| id))
-            .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
+        Ok(self.store.live(name)?.0)
     }
 
     /// The service configuration.
@@ -1223,16 +1276,22 @@ impl Service {
         &self.config
     }
 
-    /// Dissolves the service, returning the environment and catalog (e.g. to
-    /// register more datasets and build a new service). Shuts down and joins
-    /// the background maintenance worker first, so the store has exactly one
-    /// owner left.
+    /// Dissolves the service, returning the environment and the catalog of
+    /// its sealed datasets (e.g. to register more datasets and build a new
+    /// service). Shuts down and joins the background maintenance worker
+    /// first, so the store has exactly one owner left.
     pub fn into_parts(mut self) -> (SimEnv, Catalog) {
         drop(self.maintenance.take());
         let store = Arc::try_unwrap(self.store)
             .unwrap_or_else(|_| panic!("maintenance worker joined; no other store owners remain"));
-        let env = relock(store.storage.into_inner());
-        (env, self.catalog)
+        let slots = relock(store.published.into_inner()).slots.into_iter();
+        let datasets = slots
+            .filter_map(|(name, slot)| match slot {
+                Slot::Sealed(snapshot) => Some((name, snapshot)),
+                Slot::Live(_) => None,
+            })
+            .collect();
+        (relock(store.storage.into_inner()), Catalog { datasets })
     }
 
     /// The memory estimate admission control will reserve for `request`: an
@@ -1258,25 +1317,21 @@ impl Service {
         }
         let want = match &request.kind {
             QueryKind::Join(spec) => {
-                let registered = |id: DatasetId| self.catalog.get(id).map(LiveSnapshot::len);
-                match (registered(spec.left), registered(spec.right)) {
-                    (Some(left), Some(right)) => {
-                        let measured = relock(self.plan_cache.lock()).peak(&PlanKey::new(spec));
-                        match measured {
-                            Some(peak) => (peak + peak / 4).max(MIN_QUERY_BUDGET),
-                            None => {
-                                let bytes = (left + right) as usize * ITEM_BYTES;
-                                (3 * bytes).max(JOIN_BUDGET_FLOOR)
-                            }
-                        }
-                    }
-                    (left, right) => {
-                        let live = relock(self.store.live.lock());
-                        let len = |known: Option<u64>, id: DatasetId| {
-                            known.or_else(|| live.get(id).map(LiveDataset::len)).unwrap_or(0)
+                // Only a join of two registered datasets records a peak, and
+                // ids are never reused: a peak says both are registered.
+                let measured = relock(self.plan_cache.lock()).peak(&PlanKey::new(spec));
+                match measured {
+                    Some(peak) => (peak + peak / 4).max(MIN_QUERY_BUDGET),
+                    None => {
+                        let slots = {
+                            let published = self.store.published();
+                            [spec.left, spec.right].map(|id| published.slot(id).ok())
                         };
-                        let items = len(left, spec.left) + len(right, spec.right);
-                        (items as usize * ITEM_BYTES).max(JOIN_BUDGET_FLOOR)
+                        let sealed = slots.iter().all(|s| matches!(s, Some(Slot::Sealed(_))));
+                        let read = slots.into_iter().flatten().filter_map(|slot| slot.read().ok());
+                        let items: u64 = read.map(|snapshot| snapshot.len()).sum();
+                        let bytes = items as usize * ITEM_BYTES;
+                        (if sealed { 3 * bytes } else { bytes }).max(JOIN_BUDGET_FLOOR)
                     }
                 }
             }
@@ -1413,15 +1468,9 @@ impl Service {
         (ran, Some(QueryTrace::from_events(&events, dropped)))
     }
 
-    /// Routes an admitted query to its operator (see [`QueryKind`]). Live
-    /// datasets are read through generation snapshots taken **before** the
-    /// worker environment is built:
-    /// snapshots clone run handles under the `live` lock, the environment
-    /// forks the base page slot afterwards — the reader half of the
-    /// [`LiveStore`] publication-ordering invariant, guaranteeing every
-    /// visible run's pages exist in the forked base even while background
-    /// maintenance publishes concurrently. Registered datasets are borrowed
-    /// from the immutable catalog and take no lock.
+    /// Routes an admitted query to its operator (see [`QueryKind`]), its
+    /// datasets read from the published table, taken once ([`Slot::read`]),
+    /// and its worker environment built afterwards.
     fn dispatch(
         &self,
         kind: &QueryKind,
@@ -1431,28 +1480,43 @@ impl Service {
     ) -> Result<JoinResult> {
         let QueryKind::Join(spec) = kind else {
             let (dataset, window) = kind.selection().expect("a non-join kind is a selection");
-            let source = self.source(dataset)?;
-            let mut wenv = self.worker_env(granted, fault_stream);
+            let (slot, pages) = {
+                let published = self.store.published();
+                (published.slot(dataset)?, Arc::clone(&published.pages))
+            };
+            let live = slot.live().is_some();
+            let source = slot.read()?;
+            let mut wenv = self.worker_env(pages, live, granted, fault_stream);
             return self.run_selection(&mut wenv, source.cataloged(), window, granted, sink);
         };
-        let (left, right) = (self.source(spec.left)?, self.source(spec.right)?);
-        let mut wenv = self.worker_env(granted, fault_stream);
-        let cached = matches!((&left, &right), (Cow::Borrowed(_), Cow::Borrowed(_)));
-        self.run_join(&mut wenv, spec, left.cataloged(), right.cataloged(), cached, sink)
+        let (slots, pages) = {
+            let published = self.store.published();
+            let slots = [published.slot(spec.left)?, published.slot(spec.right)?];
+            (slots, Arc::clone(&published.pages))
+        };
+        let live = slots.iter().any(|slot| slot.live().is_some());
+        let [left, right] = slots;
+        let (left, right) = (left.read()?, right.read()?);
+        let mut wenv = self.worker_env(pages, live, granted, fault_stream);
+        self.run_join(&mut wenv, spec, left.cataloged(), right.cataloged(), !live, sink)
     }
 
     /// A fresh execution environment for one admitted query: its own I/O
     /// accounting, a hard memory limit of the granted budget, and a device
-    /// layered over the *current* published base snapshot. Under a
-    /// configured fault plan the device also draws a fault schedule seeded
-    /// by `fault_stream` — unique per (query, retry attempt), so every
-    /// attempt sees an independent, replayable schedule. With no plan
-    /// configured this is byte-identical to the fault-free build.
-    fn worker_env(&self, granted: usize, fault_stream: u64) -> SimEnv {
-        let mut device = BlockDevice::with_base(self.store.fork_base());
+    /// layered over the published pages — `pages`, read with the query's
+    /// slots, or re-read now when a source is `live`: *after* its snapshot,
+    /// the reader half of the [`LiveStore`] publication order (a query over
+    /// sealed datasets takes no second lock). Under a configured fault plan
+    /// the device also draws a fault schedule seeded by `fault_stream` —
+    /// unique per (query, retry attempt), so every attempt sees an
+    /// independent, replayable schedule. With no plan configured this is
+    /// byte-identical to the fault-free build.
+    fn worker_env(&self, pages: Arc<Vec<Page>>, live: bool, granted: usize, stream: u64) -> SimEnv {
+        let pages = if live { Arc::clone(&self.store.published().pages) } else { pages };
+        let mut device = BlockDevice::with_base(pages);
         if let Some(faults) = self.config.fault_plan {
             let mut query_faults = faults;
-            query_faults.seed = derive_seed(faults.seed, fault_stream);
+            query_faults.seed = derive_seed(faults.seed, stream);
             device.install_faults(FaultPlan::new(query_faults));
         }
         SimEnv {
@@ -1462,27 +1526,6 @@ impl Service {
             memory_limit: granted,
             memory: MemoryGauge::new(granted),
         }
-    }
-
-    /// A dataset as one query reads it: the registered snapshot borrowed
-    /// from the immutable catalog (no lock, no clone), else a fresh
-    /// generation snapshot of the live dataset — a consistent view that
-    /// stays valid however far ingestion and maintenance advance while the
-    /// query runs. This lookup is *on the query path* and returns `Result`,
-    /// so a poisoned live catalog propagates as a typed
-    /// [`ServiceError::LockPoisoned`] instead of panicking the worker.
-    fn source(&self, id: DatasetId) -> Result<Cow<'_, LiveSnapshot>> {
-        if let Some(snap) = self.catalog.get(id) {
-            return Ok(Cow::Borrowed(snap));
-        }
-        let live = self
-            .store
-            .live
-            .lock()
-            .map_err(|_| ServiceError::LockPoisoned("live catalog"))?;
-        live.get(id)
-            .map(|ds| Cow::Owned(ds.snapshot()))
-            .ok_or_else(|| ServiceError::UnknownDataset(format!("#{}", id.0)))
     }
 
     /// A join through [`SpatialQuery`]. With `cached` (both inputs
@@ -2090,10 +2133,8 @@ mod tests {
         for chunk in b[30..].chunks(53) {
             service.append_live("live_b", chunk).unwrap();
         }
-        assert_eq!(
-            service.with_live(|live| live.lookup("live_a").map(|(id, _)| id)),
-            Some(la)
-        );
+        // Live ids follow the two registered ones, in registration order.
+        assert_eq!((la, lb), (DatasetId(2), DatasetId(3)));
 
         let expected = brute_pairs(&a, &b);
         let report = service.run(vec![
@@ -2452,6 +2493,48 @@ mod tests {
         // Live ids continue after the registered ones.
         let live = service.register_live("c", &a, LiveConfig::default()).unwrap();
         assert_eq!(live, DatasetId(2));
+    }
+
+    #[test]
+    fn a_live_dataset_publishes_one_snapshot_per_change() {
+        let a = grid(10, 4.0, 0.0, 0);
+        let (service, ia, _) = service_over(&a, &a, ServiceConfig::default().with_workers(1));
+        let config = LiveConfig {
+            flush_threshold_bytes: 40 * ITEM_BYTES,
+            compact_after_deltas: 0,
+        };
+        let la = service.register_live("live", &a[..50], config).unwrap();
+        service.append_live("live", &a[50..60]).unwrap();
+        let read = |id| {
+            let slot = service.store.published().slot(id).unwrap();
+            slot.read().unwrap()
+        };
+        // Two queries of an unchanged dataset share one snapshot, live or
+        // sealed.
+        let (first, second) = (read(la), read(la));
+        assert!(Arc::ptr_eq(&first, &second), "an unchanged dataset rebuilt its snapshot");
+        assert!(Arc::ptr_eq(&read(ia), &read(ia)));
+        assert_eq!(second.len(), 60);
+
+        // An append drops it; the next reader sees the appended records.
+        service.append_live("live", &a[60..70]).unwrap();
+        let third = read(la);
+        assert!(!Arc::ptr_eq(&second, &third));
+        assert_eq!(third.len(), 70);
+        assert_eq!(service.live_stats("live").unwrap().flushes, 0);
+
+        // A flush publishes the pages it wrote: the storage device's pages
+        // at the end of the flush are exactly the published ones.
+        service.append_live("live", &a[70..]).unwrap();
+        assert_eq!(service.live_stats("live").unwrap().flushes, 1);
+        let storage = relock(service.store.storage.lock());
+        let written = storage.device.snapshot();
+        let published = Arc::clone(&service.store.published().pages);
+        assert_eq!(published.len(), written.len());
+        assert!(published.iter().zip(written.iter()).all(|(p, w)| p[..] == w[..]));
+        drop(storage);
+        assert_eq!(read(la).len(), 100);
+        assert_eq!(read(la).runs().len(), 2, "the flushed run is visible");
     }
 
     #[test]

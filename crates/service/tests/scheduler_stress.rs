@@ -9,22 +9,26 @@
 //! untimed wait), selections with deadline-carrying requests lingering in
 //! the queue (the timed wait), and an oversubscribed join mix under a
 //! tight budget, queued as one batch so that it is oversubscribed whatever
-//! the timing (deferral → park → wake on release).
+//! the timing (deferral → park → wake on release). A fourth registers live
+//! datasets while the submitters query them: every id a registration has
+//! returned must be readable at once, from every worker fork.
 //!
 //! A hang cannot be unwound out of a scoped worker pool, so a watchdog
 //! thread exits the process with a failure if a shape has not drained in
 //! [`WATCHDOG`]. Debug builds (tier-1) run a tenth of the release size;
 //! `USJ_SEED` picks the traffic, and is printed for replay.
 
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 use usj_core::Algo;
 use usj_datagen::rng::SmallRng;
-use usj_geom::{Item, Rect};
+use usj_geom::{Item, Rect, ITEM_BYTES};
 use usj_io::{MachineConfig, SimEnv};
 use usj_service::{
-    Catalog, DatasetId, QueryRequest, Service, ServiceConfig, ServiceReport, Session,
+    Catalog, DatasetId, LiveConfig, QueryRequest, QueryStatus, Service, ServiceConfig,
+    ServiceReport, Session,
 };
 
 const WATCHDOG: Duration = Duration::from_secs(30);
@@ -40,18 +44,25 @@ fn seed() -> u64 {
     seed
 }
 
-fn service(memory_limit: usize) -> (Service, DatasetId) {
-    let items: Vec<Item> = (0..400)
+/// The registered dataset every shape queries: a 20 × 20 grid of boxes.
+fn grid() -> Vec<Item> {
+    (0..400)
         .map(|i| {
             let (x, y) = ((i % 20) as f32 * 4.0, (i / 20) as f32 * 4.0);
             Item::new(Rect::from_coords(x, y, x + 3.0, y + 3.0), i)
         })
-        .collect();
+        .collect()
+}
+
+fn service_with(config: ServiceConfig) -> (Service, DatasetId) {
     let mut env = SimEnv::new(MachineConfig::machine3());
     let mut catalog = Catalog::new();
-    let id = catalog.register(&mut env, "grid", &items).unwrap();
-    let config = ServiceConfig::default().with_workers(WORKERS).with_memory_limit(memory_limit);
-    (Service::new(env, catalog, config), id)
+    let id = catalog.register(&mut env, "grid", &grid()).unwrap();
+    (Service::new(env, catalog, config.with_workers(WORKERS)), id)
+}
+
+fn service(memory_limit: usize) -> (Service, DatasetId) {
+    service_with(ServiceConfig::default().with_memory_limit(memory_limit))
 }
 
 /// Runs `f`; exits the process with a failure if it has not returned
@@ -168,4 +179,114 @@ fn oversubscribed_joins_wake_deferred_workers_on_release() {
     assert_eq!(report.stats.completed, total);
     assert!(report.stats.deferrals > 0, "the budget was never oversubscribed");
     assert!(report.stats.peak_admitted_bytes <= 4 * 1024 * 1024);
+}
+
+#[test]
+fn registrations_racing_queries_are_readable_at_once() {
+    const LIVE: usize = 8;
+    let seed = seed();
+    let config = ServiceConfig::default().with_background_maintenance(true);
+    let (service, sealed) = service_with(config);
+    // Scattered boxes, a few flushes and a compaction per dataset.
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let data: Vec<Vec<Item>> = (0..LIVE as u32)
+        .map(|k| {
+            (0..600)
+                .map(|i| {
+                    let (x, y) = (rng.gen_range_f32(0.0, 78.0), rng.gen_range_f32(0.0, 78.0));
+                    Item::new(Rect::from_coords(x, y, x + 2.0, y + 2.0), 10_000 * (k + 1) + i)
+                })
+                .collect()
+        })
+        .collect();
+    let config = LiveConfig {
+        flush_threshold_bytes: 96 * ITEM_BYTES,
+        compact_after_deltas: 2,
+    };
+    let returned = Mutex::new(Vec::<DatasetId>::new());
+    let registered = AtomicBool::new(false);
+    let rounds = AtomicU64::new(0);
+    let report = watched("registrations beside queries", || {
+        let ((), report) = service.with_session(|session| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for (k, items) in data.iter().enumerate() {
+                        let name = format!("live{k}");
+                        let id = service.register_live(&name, &items[..200], config).unwrap();
+                        returned.lock().unwrap().push(id);
+                        // Let queries naming the new id run before the
+                        // appends, whose flushes publish pages of their own:
+                        // a round that started after the push names it, and
+                        // an idle session has run it.
+                        let pushed = rounds.load(Ordering::Acquire);
+                        while rounds.load(Ordering::Acquire) <= pushed + SUBMITTERS {
+                            std::thread::yield_now();
+                        }
+                        let until = Instant::now() + Duration::from_millis(100);
+                        while session.queue_depth() + session.running() > 0 && Instant::now() < until
+                        {
+                            std::thread::yield_now();
+                        }
+                        for chunk in items[200..].chunks(25) {
+                            service.append_live(&name, chunk).unwrap();
+                            std::thread::yield_now();
+                        }
+                    }
+                    registered.store(true, Ordering::Release);
+                });
+                for thread in 0..SUBMITTERS {
+                    let (returned, registered, rounds) = (&returned, &registered, &rounds);
+                    scope.spawn(move || {
+                        let mut rng = SmallRng::seed_from_u64(seed ^ (thread + 1));
+                        let mut done = 0;
+                        while done < 50 || !registered.load(Ordering::Acquire) {
+                            // Back-pressure: a short queue keeps the rounds
+                            // close to the registrations.
+                            while session.queue_depth() > 32 {
+                                std::thread::yield_now();
+                            }
+                            let live = returned.lock().unwrap().clone();
+                            session.submit(window(&mut rng, sealed));
+                            for &id in &live {
+                                session.submit(window(&mut rng, id));
+                            }
+                            if let Some(&newest) = live.last().filter(|_| done % 4 == 0) {
+                                session.submit(QueryRequest::join(newest, sealed));
+                            }
+                            done += 1;
+                            rounds.fetch_add(1, Ordering::AcqRel);
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+            while session.queue_depth() + session.running() > 0 {
+                std::thread::yield_now();
+            }
+        });
+        report
+    });
+    for outcome in &report.outcomes {
+        assert!(
+            matches!(outcome.status, QueryStatus::Completed(_)),
+            "request #{}: {:?}",
+            outcome.request,
+            outcome.status
+        );
+    }
+    let live = returned.into_inner().unwrap();
+    assert_eq!(live.len(), LIVE);
+    let peer = grid();
+    for (k, (&id, items)) in live.iter().zip(&data).enumerate() {
+        service.quiesce_live(&format!("live{k}")).unwrap();
+        let report = service.run(vec![QueryRequest::join(id, sealed).collecting()]);
+        let mut got = report.outcomes[0].pairs.clone().expect("a completed, collecting join");
+        got.sort_unstable();
+        let mut want: Vec<(u32, u32)> = items
+            .iter()
+            .flat_map(|a| peer.iter().filter(|b| a.rect.intersects(&b.rect)).map(|b| (a.id, b.id)))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(got, want, "live{k} diverged from brute force after quiescing");
+    }
 }

@@ -93,7 +93,7 @@ pub mod prelude {
     pub use usj_datagen::{Preset, Workload, WorkloadSpec};
     pub use usj_geom::{Interval, Point, Rect};
     pub use usj_io::{machine::MachineConfig, sim::SimEnv, stats::IoStats};
-    pub use usj_live::{LiveCatalog, LiveConfig, LiveDataset, LiveSnapshot};
+    pub use usj_live::{LiveConfig, LiveDataset, LiveSnapshot};
     pub use usj_obs::{
         ChromeTrace, HostClock, LogHistogram, MetricsSnapshot, QueryTrace, VirtualClock,
     };
