@@ -74,6 +74,10 @@ pub const LIVE_PAGES_PER_BLOCK: u64 = 2;
 #[derive(Debug, Clone, Copy)]
 pub struct LiveConfig {
     /// Memtable footprint (bytes) that triggers a flush to a delta run.
+    /// The footprint compared with it is the memtable's reserved capacity
+    /// ([`Memtable::bytes`](crate::Memtable::bytes)), not its length, so a
+    /// freeze fires at the first capacity doubling past the threshold: at
+    /// 64 KiB, once the 2 049th item is buffered (capacity 4 096).
     pub flush_threshold_bytes: usize,
     /// Delta-run count that triggers automatic compaction (0 disables
     /// auto-compaction; [`LiveDataset::compact`] can still be called).

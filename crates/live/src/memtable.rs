@@ -41,7 +41,10 @@ impl Memtable {
     }
 
     /// Gauged footprint of the buffer (its reserved capacity, not just the
-    /// occupied prefix — honest about what the allocator holds).
+    /// occupied prefix — honest about what the allocator holds). This is
+    /// the number [`LiveDataset::wants_freeze`](crate::LiveDataset::wants_freeze)
+    /// compares with the flush threshold, so a freeze fires at the first
+    /// capacity doubling past it rather than at the threshold itself.
     pub fn bytes(&self) -> usize {
         self.items.capacity() * ITEM_BYTES
     }

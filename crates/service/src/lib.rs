@@ -29,7 +29,7 @@
 //!   and [`CancelToken`] cancellation, and per-query plus service-wide
 //!   [`ServiceStats`] roll up like
 //!   [`JoinResult`](usj_core::JoinResult).
-//! * [`plan_cache`] — completed [`QueryPlan`](usj_core::QueryPlan)s are
+//! * the plan cache — completed [`QueryPlan`](usj_core::QueryPlan)s are
 //!   memoized by query fingerprint, so repeat queries skip the planner's
 //!   cost-estimation I/O (the `Algo::Auto` directory probes). The cache
 //!   also remembers each fingerprint's measured memory-gauge peak from
@@ -54,10 +54,14 @@
 #![deny(missing_docs)]
 
 pub mod catalog;
+mod executor;
+mod faults;
 mod obs;
-pub mod plan_cache;
+mod plan_cache;
+mod request;
 mod scheduler;
 pub mod service;
+mod store;
 
 // Property-based tests on the vendored `usj_proptest` harness; opt-in
 // behind the `proptest` feature like the rest of the workspace.
@@ -65,7 +69,6 @@ pub mod service;
 mod proptests;
 
 pub use catalog::{Catalog, DatasetId};
-pub use plan_cache::{PlanCache, PlanKey};
 pub use service::{
     CancelToken, JoinSpec, QueryKind, QueryOutcome, QueryRequest, QueryStats, QueryStatus,
     Service, ServiceConfig, ServiceReport, ServiceStats, Session,

@@ -17,8 +17,7 @@ use std::collections::HashMap;
 
 use usj_core::{Algo, Predicate, QueryPlan};
 
-use crate::catalog::DatasetId;
-use crate::service::JoinSpec;
+use crate::request::JoinSpec;
 
 /// The fingerprint of a join query: everything that determines its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,16 +51,6 @@ impl PlanKey {
             predicate_kind,
             epsilon_bits,
         }
-    }
-
-    /// The left dataset of the fingerprinted query.
-    pub fn left(&self) -> DatasetId {
-        DatasetId(self.left)
-    }
-
-    /// The right dataset of the fingerprinted query.
-    pub fn right(&self) -> DatasetId {
-        DatasetId(self.right)
     }
 }
 
@@ -116,16 +105,6 @@ impl PlanCache {
         self.peaks.get(key).copied()
     }
 
-    /// Number of distinct plans held.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Returns `true` if no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
     /// Lookups satisfied from the cache.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -140,6 +119,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::DatasetId;
 
     fn spec(left: u32, right: u32, algo: Algo) -> JoinSpec {
         JoinSpec {
@@ -162,8 +142,6 @@ mod tests {
         let mut eps2 = eps;
         eps2.predicate = Predicate::WithinDistance(0.25);
         assert_ne!(PlanKey::new(&eps), PlanKey::new(&eps2));
-        assert_eq!(a.left(), DatasetId(0));
-        assert_eq!(a.right(), DatasetId(1));
     }
 
     #[test]
@@ -174,8 +152,6 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         // A real QueryPlan requires an environment; structural behaviour is
         // covered by the service tests — here only the bookkeeping.
-        assert!(cache.is_empty());
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]

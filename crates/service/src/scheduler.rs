@@ -27,13 +27,13 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use usj_io::{CpuCounter, IoSimError, IoStats, MemoryGauge, MemoryReservation};
+use usj_io::{IoSimError, MemoryGauge, MemoryReservation};
 use usj_obs::{Clock, QueryTrace, TraceSpan};
 
-use crate::service::{
-    relock, us_between, QueryOutcome, QueryRequest, QueryStats, QueryStatus, Service,
-    ServiceReport, ServiceStats,
+use crate::request::{
+    QueryOutcome, QueryRequest, QueryStats, QueryStatus, ServiceReport, ServiceStats,
 };
+use crate::service::{relock, Service};
 use crate::ServiceError;
 
 /// How long a worker parks at most while a queued request can expire with
@@ -72,57 +72,10 @@ struct Ticket {
     admission_seq: Option<u64>,
 }
 
-/// Per-worker totals, folded as queries finish and merged into the report
-/// once the workers have exited.
-#[derive(Default)]
-struct AggTotals {
-    admitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    pairs: u64,
-    io: IoStats,
-    cpu: CpuCounter,
-    peak_query_bytes: usize,
-    max_wait: Duration,
-    total_wait: Duration,
-    deferrals: u64,
-}
-
-impl AggTotals {
-    fn fold(&mut self, outcome: &QueryOutcome) {
-        if outcome.stats.admission_seq.is_some() {
-            self.admitted += 1;
-        }
-        match &outcome.status {
-            QueryStatus::Completed(_) => self.completed += 1,
-            QueryStatus::Cancelled(_) => self.cancelled += 1,
-            QueryStatus::Failed(_) => self.failed += 1,
-        }
-        if let Some(result) = outcome.result() {
-            self.pairs += result.pairs;
-            self.io.merge(&result.io);
-            self.cpu.merge(&result.cpu);
-            self.peak_query_bytes = self.peak_query_bytes.max(result.memory.peak_bytes);
-        }
-        self.max_wait = self.max_wait.max(outcome.stats.queue_wait);
-        self.total_wait += outcome.stats.queue_wait;
-        self.deferrals += outcome.stats.deferrals;
-    }
-
-    fn merge(&mut self, other: &AggTotals) {
-        self.admitted += other.admitted;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.cancelled += other.cancelled;
-        self.pairs += other.pairs;
-        self.io.merge(&other.io);
-        self.cpu.merge(&other.cpu);
-        self.peak_query_bytes = self.peak_query_bytes.max(other.peak_query_bytes);
-        self.max_wait = self.max_wait.max(other.max_wait);
-        self.total_wait += other.total_wait;
-        self.deferrals += other.deferrals;
-    }
+/// Microseconds elapsed between two clock readings, as a [`Duration`]
+/// (clamped at zero — a swapped virtual clock never yields negative waits).
+fn us_between(from_us: u64, to_us: u64) -> Duration {
+    Duration::from_micros(to_us.saturating_sub(from_us))
 }
 
 /// Entry indices awaiting admission, in admission order: priority
@@ -421,11 +374,20 @@ impl Service {
         });
 
         let state = relock(shared.state.into_inner());
+        let cache = relock(self.plan_cache.lock());
+        let mut stats = ServiceStats {
+            memory_limit: self.config.memory_limit,
+            workers,
+            plan_cache_hits: cache.hits() - cache_hits_before,
+            plan_cache_misses: cache.misses() - cache_misses_before,
+            peak_admitted_bytes: shared.gauge.peak(),
+            max_queue_depth: state.max_queue_depth,
+            ..ServiceStats::default()
+        };
         let n = state.entries.len();
-        let mut agg = AggTotals::default();
         let mut slots: Vec<Option<QueryOutcome>> = std::iter::repeat_with(|| None).take(n).collect();
-        for (outcomes, totals) in finished {
-            agg.merge(&totals);
+        for (outcomes, folded) in finished {
+            stats.merge(&folded);
             for outcome in outcomes {
                 let idx = outcome.request;
                 slots[idx] = Some(outcome);
@@ -435,27 +397,6 @@ impl Service {
             .into_iter()
             .map(|slot| slot.expect("every request resolves to an outcome"))
             .collect();
-        let cache = relock(self.plan_cache.lock());
-        let stats = ServiceStats {
-            memory_limit: self.config.memory_limit,
-            workers,
-            submitted: n as u64,
-            admitted: agg.admitted,
-            completed: agg.completed,
-            failed: agg.failed,
-            cancelled: agg.cancelled,
-            deferrals: agg.deferrals,
-            plan_cache_hits: cache.hits() - cache_hits_before,
-            plan_cache_misses: cache.misses() - cache_misses_before,
-            peak_admitted_bytes: shared.gauge.peak(),
-            peak_query_bytes: agg.peak_query_bytes,
-            pairs: agg.pairs,
-            io: agg.io,
-            cpu: agg.cpu,
-            max_queue_wait: agg.max_wait,
-            total_queue_wait: agg.total_wait,
-            max_queue_depth: state.max_queue_depth,
-        };
         (value, ServiceReport { outcomes, stats })
     }
 
@@ -463,11 +404,11 @@ impl Service {
     /// priority/FIFO order, bounded overtake allowed), run it on a forked
     /// environment, release its budget, until the session closes and the
     /// queue drains.
-    /// Returns the outcomes this worker produced and their totals.
-    fn worker_loop(&self, shared: &SessionShared) -> (Vec<QueryOutcome>, AggTotals) {
+    /// Returns the outcomes this worker produced and their roll-up.
+    fn worker_loop(&self, shared: &SessionShared) -> (Vec<QueryOutcome>, ServiceStats) {
         let clock = &shared.clock;
         let mut done = Vec::new();
-        let mut agg = AggTotals::default();
+        let mut agg = ServiceStats::default();
         // Whether the previous job ran under a reservation: its bytes are
         // back on the gauge by the time `claim` gives its slot back.
         let mut release = false;
@@ -682,14 +623,14 @@ impl Service {
     /// Assembles one finished outcome off-lock: stamps the scheduling stats
     /// its ticket carries (the queue wait ends at `left_us`, the latency
     /// now), wraps its trace, records the terminal metrics and folds it
-    /// into the worker's totals.
+    /// into the worker's roll-up.
     fn finish(
         &self,
         clock: &dyn Clock,
         ticket: Ticket,
         left_us: u64,
         mut outcome: QueryOutcome,
-        agg: &mut AggTotals,
+        agg: &mut ServiceStats,
     ) -> QueryOutcome {
         debug_assert_eq!(ticket.idx, outcome.request, "the outcome answers its ticket");
         outcome.stats.deferrals = ticket.deferrals;

@@ -99,9 +99,8 @@ pub mod prelude {
     };
     pub use usj_rtree::{NodeStore, RTree};
     pub use usj_service::{
-        CancelToken, Catalog, DatasetId, JoinSpec, PlanCache, QueryKind, QueryOutcome,
-        QueryRequest, QueryStats, QueryStatus, Service, ServiceConfig, ServiceReport,
-        ServiceStats, Session,
+        CancelToken, Catalog, DatasetId, JoinSpec, QueryKind, QueryOutcome, QueryRequest,
+        QueryStats, QueryStatus, Service, ServiceConfig, ServiceReport, ServiceStats, Session,
     };
     pub use usj_sweep::{ForwardSweep, StripedSweep, SweepScratch, SweepStructure};
 }
