@@ -86,7 +86,7 @@ impl Service {
                 match measured {
                     Some(peak) => (peak + peak / 4).max(MIN_QUERY_BUDGET),
                     None => {
-                        let reads = [spec.left, spec.right].map(|id| self.store.read(&[id]));
+                        let reads = [spec.left, spec.right].map(|id| self.store.read([id]));
                         let sealed = reads.iter().all(|read| matches!(read, Ok((_, _, true))));
                         let read = reads.iter().flatten().map(|(sources, _, _)| &sources[0]);
                         let items: u64 = read.map(|snapshot| snapshot.len()).sum();
@@ -217,11 +217,11 @@ impl Service {
     ) -> Result<JoinResult> {
         let QueryKind::Join(spec) = kind else {
             let (dataset, window) = kind.selection().expect("a non-join kind is a selection");
-            let (sources, pages, _) = self.store.read(&[dataset])?;
+            let (sources, pages, _) = self.store.read([dataset])?;
             let mut wenv = self.worker_env(pages, granted, fault_stream);
             return self.run_selection(&mut wenv, sources[0].cataloged(), window, granted, sink);
         };
-        let (sources, pages, sealed) = self.store.read(&[spec.left, spec.right])?;
+        let (sources, pages, sealed) = self.store.read([spec.left, spec.right])?;
         let (left, right) = (sources[0].cataloged(), sources[1].cataloged());
         let mut wenv = self.worker_env(pages, granted, fault_stream);
         self.run_join(&mut wenv, spec, left, right, sealed, sink)

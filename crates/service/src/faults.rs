@@ -53,9 +53,8 @@ pub(crate) fn fault_plan(mut faults: FaultConfig, stream: u64) -> FaultPlan {
 
 /// Runs `f` (given the attempt number, 0 first), retrying transient device
 /// faults per `retry` with exponential backoff on `clock`. Every observed
-/// device fault bumps `faults.injected`; every re-run bumps
-/// `faults.retries`. Non-transient errors (torn writes included) surface
-/// immediately.
+/// device fault bumps `faults.injected`, every re-run `faults.retries`;
+/// other errors (torn writes included) surface immediately.
 pub(crate) fn retry_transient<T>(
     obs: &ServiceObs,
     clock: &dyn Clock,

@@ -282,9 +282,8 @@ impl Service {
             env.install_faults(fault_plan(faults, STORAGE_FAULT_STREAM));
         }
         let machine = env.machine.clone();
-        let obs = Arc::new(ServiceObs::new());
-        let retry = FaultRetry::of(&config);
-        let store = Arc::new(LiveStore::new(env, catalog, Arc::clone(&obs), retry));
+        let store = Arc::new(LiveStore::new(env, catalog, FaultRetry::of(&config)));
+        let obs = Arc::clone(&store.obs);
         let maintenance =
             config.background_maintenance.then(|| Maintenance::spawn(Arc::clone(&store)));
         Service {

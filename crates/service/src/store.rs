@@ -53,8 +53,8 @@ const MAINTENANCE_BUDGET: usize = 4 * 1024 * 1024;
 pub(crate) struct LiveStore {
     storage: Mutex<SimEnv>,
     published: Mutex<Published>,
-    /// The hub maintenance records into, and whose clock retries wait on.
-    obs: Arc<ServiceObs>,
+    /// The service's observability hub, which maintenance records into.
+    pub(crate) obs: Arc<ServiceObs>,
     /// How registrations and maintenance steps retry transient faults.
     retry: FaultRetry,
 }
@@ -68,9 +68,8 @@ struct Published {
     slots: Vec<(String, Slot)>,
 }
 
-/// What [`LiveStore::read`] returns: the datasets' snapshots in order, the
-/// pages the query's fork layers over, and whether every one is sealed.
-pub(crate) type Reading = (Vec<Arc<LiveSnapshot>>, Arc<Vec<Page>>, bool);
+/// What [`LiveStore::read`] returns for `N` datasets.
+pub(crate) type Reading<const N: usize> = ([Arc<LiveSnapshot>; N], Arc<Vec<Page>>, bool);
 
 /// One dataset of the table.
 #[derive(Debug, Clone)]
@@ -130,22 +129,25 @@ impl Slot {
     }
 }
 
+/// The values of `results`, or the first error among them.
+fn all_ok<T, const N: usize>(results: [Result<T>; N]) -> Result<[T; N]> {
+    if let Some(Err(e)) = results.iter().find(|r| r.is_err()) {
+        return Err(e.clone());
+    }
+    Ok(results.map(|r| r.expect("no result is an error")))
+}
+
 impl LiveStore {
     /// A store over `env`: `catalog`'s datasets become the table's sealed
     /// slots, and the device's pages the first ones published.
-    pub(crate) fn new(
-        env: SimEnv,
-        catalog: Catalog,
-        obs: Arc<ServiceObs>,
-        retry: FaultRetry,
-    ) -> Self {
+    pub(crate) fn new(env: SimEnv, catalog: Catalog, retry: FaultRetry) -> Self {
         let sealed = catalog.datasets.into_iter();
         let slots = sealed.map(|(name, snapshot)| (name, Slot::Sealed(snapshot))).collect();
         let published = Published { pages: env.device.snapshot(), slots };
         LiveStore {
             storage: Mutex::new(env),
             published: Mutex::new(published),
-            obs,
+            obs: Arc::new(ServiceObs::new()),
             retry,
         }
     }
@@ -166,22 +168,22 @@ impl LiveStore {
         relock(self.published.lock())
     }
 
-    /// What one query over `ids` reads. The slots come from one hold of
-    /// the table; a live slot's snapshot is read after it, and then the
-    /// pages once more — the reader half of the publication order. A query
-    /// over sealed datasets takes the table's lock once.
-    pub(crate) fn read(&self, ids: &[DatasetId]) -> Result<Reading> {
+    /// What one query over `ids` reads, without allocating: their snapshots,
+    /// the pages its worker fork layers over, and whether all are sealed.
+    /// The slots come from one hold of the table; a live slot's snapshot is
+    /// read after it, then the pages once more: the reader half of the
+    /// publication order. A query over sealed datasets locks the table once.
+    pub(crate) fn read<const N: usize>(&self, ids: [DatasetId; N]) -> Result<Reading<N>> {
         let (slots, pages) = {
             let published = self.published();
-            let slot = |&id: &DatasetId| match published.slots.get(id.0 as usize) {
+            let slot = |id: DatasetId| match published.slots.get(id.0 as usize) {
                 Some((_, slot)) => Ok(slot.clone()),
                 None => Err(ServiceError::UnknownDataset(format!("#{}", id.0))),
             };
-            let slots: Result<Vec<Slot>> = ids.iter().map(slot).collect();
-            (slots?, Arc::clone(&published.pages))
+            (all_ok(ids.map(slot))?, Arc::clone(&published.pages))
         };
         let sealed = slots.iter().all(|slot| slot.live().is_none());
-        let sources = slots.into_iter().map(Slot::read).collect::<Result<_>>()?;
+        let sources = all_ok(slots.map(Slot::read))?;
         let pages = if sealed { pages } else { Arc::clone(&self.published().pages) };
         Ok((sources, pages, sealed))
     }
@@ -426,8 +428,8 @@ mod tests {
         let la = service.register_live("live", &a[..50], config).unwrap();
         service.append_live("live", &a[50..60]).unwrap();
         let read = |id| {
-            let (mut sources, _, _) = service.store.read(&[id]).unwrap();
-            sources.pop().unwrap()
+            let ([source], _, _) = service.store.read([id]).unwrap();
+            source
         };
         // Two queries of an unchanged dataset share one snapshot, live or
         // sealed.
