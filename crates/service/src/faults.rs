@@ -43,7 +43,6 @@ pub(crate) fn query_fault_stream(idx: usize, attempt: u32) -> u64 {
 /// flushes, compactions) — far outside the per-query space.
 pub(crate) const STORAGE_FAULT_STREAM: u64 = u64::MAX;
 
-
 /// The plan `faults` draws on `stream`: its rates, with a seed derived for
 /// the stream, so every stream replays its own independent schedule.
 pub(crate) fn fault_plan(mut faults: FaultConfig, stream: u64) -> FaultPlan {
