@@ -266,6 +266,12 @@ fn a_recorded_spilling_join_marks_each_fixup_epoch_and_is_byte_identical() {
         let expire = trace.mark_values("sweep.expire");
         assert!(expire.len() <= epochs.len() + 1, "{alg:?}: {expire:?}");
         assert_eq!(expire.iter().sum::<u64>(), pushed - sweep.spilled_items, "{alg:?}");
+        // Beside each epoch's mark, one carrying the arrivals it kept out
+        // of its shadow logs: some, and never more than were pushed.
+        let skipped = trace.mark_values("sweep.log_skipped");
+        assert_eq!(skipped.len(), epochs.len(), "{alg:?}: {skipped:?}");
+        let skipped: u64 = skipped.iter().sum();
+        assert!(skipped > 0 && skipped < pushed, "{alg:?}: {skipped} of {pushed}");
     }
 }
 

@@ -192,17 +192,7 @@ impl ItemStream {
     /// containing `start` pays for the records in front of it — and the
     /// skipped records at the front of that block are never even decoded.
     pub fn reader_from(&self, start: u64) -> ItemStreamReader {
-        let items_per_block = self.pages_per_block * ITEMS_PER_PAGE as u64;
-        let (block, delivered, skip) = if start >= self.len {
-            // Exhausted from the outset: no block needs reading at all.
-            (self.extents.len(), self.len, 0)
-        } else {
-            (
-                (start / items_per_block) as usize,
-                start / items_per_block * items_per_block,
-                start % items_per_block,
-            )
-        };
+        let (block, delivered, skip) = self.position(start);
         ItemStreamReader {
             stream: self.clone(),
             next_block: block,
@@ -212,6 +202,23 @@ impl ItemStream {
             reservation: None,
             items_delivered: delivered,
             pending_skip: skip,
+        }
+    }
+
+    /// Where a reader starting at record `start` begins: the block to read
+    /// first, the records in front of that block, and the records to step
+    /// over inside it.
+    fn position(&self, start: u64) -> (usize, u64, u64) {
+        let items_per_block = self.pages_per_block * ITEMS_PER_PAGE as u64;
+        if start >= self.len {
+            // Exhausted from the outset: no block needs reading at all.
+            (self.extents.len(), self.len, 0)
+        } else {
+            (
+                (start / items_per_block) as usize,
+                start / items_per_block * items_per_block,
+                start % items_per_block,
+            )
         }
     }
 
@@ -451,9 +458,12 @@ pub struct ItemStreamReader {
 }
 
 impl ItemStreamReader {
-    /// Number of records already returned by [`ItemStreamReader::next`].
+    /// The reader's position: records already returned by
+    /// [`ItemStreamReader::next`] or stepped over by a
+    /// [`reader_from`](ItemStream::reader_from) start or a
+    /// [`skip_to`](ItemStreamReader::skip_to).
     pub fn items_delivered(&self) -> u64 {
-        self.items_delivered
+        self.items_delivered + self.pending_skip
     }
 
     /// Returns the next record, or `None` at end of stream.
@@ -475,6 +485,29 @@ impl ItemStreamReader {
         }
         let off = record_offset(self.pos);
         Ok(Some(Item::decode(&self.block[off..off + ITEM_BYTES])))
+    }
+
+    /// Moves the reader forward so that the next record delivered is record
+    /// `record` (clamped to the stream length); a target at or behind the
+    /// reader's position is a no-op. The records stepped over count as
+    /// delivered but are never decoded: a target inside the resident block
+    /// costs no I/O, and the blocks wholly in front of the target are never
+    /// read.
+    pub fn skip_to(&mut self, record: u64) {
+        let record = record.min(self.stream.len);
+        let at = self.items_delivered();
+        if record <= at {
+            return;
+        }
+        let resident = (self.in_block - self.pos) as u64;
+        if record - at <= resident {
+            self.pos += (record - at) as usize;
+            self.items_delivered = record;
+            return;
+        }
+        (self.next_block, self.items_delivered, self.pending_skip) = self.stream.position(record);
+        self.in_block = 0;
+        self.pos = 0;
     }
 
     /// Returns a borrowed view over every not-yet-delivered record of the
@@ -667,6 +700,41 @@ mod tests {
                 io.pages_read
             );
         }
+    }
+
+    #[test]
+    fn skip_to_reads_only_the_blocks_it_delivers_from() {
+        let mut env = env();
+        // 5 blocks of 2 pages each plus a partial tail.
+        let data = items((ITEMS_PER_PAGE as u32) * 10 + 7);
+        let s = ItemStream::from_items_with_block(&mut env, &data, 2).unwrap();
+        let ipb = 2 * ITEMS_PER_PAGE as u64;
+        let mut r = s.reader_from(5);
+        let m = env.begin();
+        let read = |env: &SimEnv| env.since(&m).0.pages_read;
+        assert_eq!(r.next(&mut env).unwrap(), Some(data[5]));
+        // Forward inside the resident block, then behind the position: no
+        // I/O, and the backward target changes nothing.
+        r.skip_to(ipb - 1);
+        r.skip_to(3);
+        assert_eq!(r.items_delivered(), ipb - 1);
+        assert_eq!(r.next(&mut env).unwrap(), Some(data[ipb as usize - 1]));
+        assert_eq!(read(&env), 2);
+        // Over two whole blocks, mid-block: only the target block is read.
+        r.skip_to(ipb * 3 + 17);
+        assert_eq!(r.next(&mut env).unwrap(), Some(data[ipb as usize * 3 + 17]));
+        assert_eq!(read(&env), 4);
+        // Past the end: exhausted, nothing read.
+        r.skip_to(s.len() + 5);
+        assert_eq!(r.items_delivered(), s.len());
+        assert_eq!(r.next(&mut env).unwrap(), None);
+        assert_eq!(read(&env), 4);
+        // A fresh mid-block reader that has not read yet skips like one that has.
+        let mut fresh = s.reader_from(ipb + 3);
+        assert_eq!(fresh.items_delivered(), ipb + 3);
+        fresh.skip_to(ipb + 10);
+        assert_eq!(fresh.items_delivered(), ipb + 10);
+        assert_eq!(fresh.next(&mut env).unwrap(), Some(data[ipb as usize + 10]));
     }
 
     #[test]

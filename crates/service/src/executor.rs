@@ -324,23 +324,27 @@ impl Service {
             .window_query_via(wenv, &mut store, &window, &mut |item| {
                 sink.emit(item.id, 0)
             })?;
-        let deltas = source.deltas.iter().map(|run| (run.bbox(), Some(run.stream()), &[][..]));
-        let mem_runs = source.mem_runs.iter().map(|mem| (mem.bbox(), None, mem.items()));
-        for (bbox, stream, items) in deltas.chain(mem_runs) {
-            if !alive {
-                break;
-            }
-            if !bbox.intersects(&window) {
-                continue;
-            }
-            let (mut reader, mut items) = (stream.map(ItemStream::reader), items.iter().copied());
-            while let Some(item) = match &mut reader {
-                Some(reader) => reader.next(wenv)?,
-                None => items.next(),
-            } {
-                if item.rect.intersects(&window) && sink.emit(item.id, 0).is_break() {
-                    alive = false;
+        // A sealed dataset has no tiers to scan.
+        if source.has_tiers() {
+            let deltas = source.deltas.iter().map(|run| (run.bbox(), Some(run.stream()), &[][..]));
+            let mem_runs = source.mem_runs.iter().map(|mem| (mem.bbox(), None, mem.items()));
+            for (bbox, stream, items) in deltas.chain(mem_runs) {
+                if !alive {
                     break;
+                }
+                if !bbox.intersects(&window) {
+                    continue;
+                }
+                let reader = stream.map(ItemStream::reader);
+                let (mut reader, mut items) = (reader, items.iter().copied());
+                while let Some(item) = match &mut reader {
+                    Some(reader) => reader.next(wenv)?,
+                    None => items.next(),
+                } {
+                    if item.rect.intersects(&window) && sink.emit(item.id, 0).is_break() {
+                        alive = false;
+                        break;
+                    }
                 }
             }
         }

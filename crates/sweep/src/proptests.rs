@@ -10,7 +10,7 @@ use usj_proptest::{forall, Gen};
 
 use crate::soa::oracle::QuadHeap;
 use crate::soa::{ExpiryEntry, ExpiryHeap};
-use crate::spill::{join_batch_against_log, nested_loop_fixup};
+use crate::spill::{join_pieces_against_log, nested_loop_fixup, Piece};
 use crate::{
     batch_join, batch_join_oriented, merge_sweep, sweep_join, ForwardSweep, ListSweep, Side,
     StripedSweep, SweepJoinStats, SweepStructure,
@@ -197,9 +197,31 @@ fn soa_kernel_stats_invariants_hold_on_arbitrary_sweeps() {
 
 #[test]
 fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
-    forall!(32, |g| {
-        let left = arb_items(g, 120, 0);
-        let right = arb_items(g, 120, 10_000);
+    forall!(48, |g| {
+        // Friendly draws, or edge coordinates — some of the extremes made
+        // infinite — under an extent they overrun or an infinite one: the
+        // strips and the reach cells clamp what falls outside.
+        let (left, right, extent) = match g.bool_with(0.5) {
+            false => (arb_items(g, 120, 0), arb_items(g, 120, 10_000), (-100.0, 130.0)),
+            true => {
+                let inf = g.bool_with(0.5);
+                let extent = [(-3.0, 3.0), (f32::NEG_INFINITY, f32::INFINITY)][g.usize_in(0, 2)];
+                let (l, r) = (arb_edge_items(g, 120, 0), arb_edge_items(g, 120, 10_000));
+                // `f32::MAX * 2.0` is infinite.
+                let big = |v: f32| if inf && v.abs() == f32::MAX { v * 2.0 } else { v };
+                let widen = |items: Vec<Item>| -> Vec<Item> {
+                    items
+                        .into_iter()
+                        .map(|it| {
+                            let (lo, hi) = (it.rect.lo, it.rect.hi);
+                            let (x0, y0, x1, y1) = (big(lo.x), big(lo.y), big(hi.x), big(hi.y));
+                            Item::new(Rect::from_coords(x0, y0, x1, y1), it.id)
+                        })
+                        .collect()
+                };
+                (widen(l), widen(r), extent)
+            }
+        };
         // A 64 KB environment forces the driver to spill on the denser
         // draws; the pair set must stay exact either way.
         let mut env = SimEnv::new(MachineConfig::machine3()).with_memory_limit(64 * 1024);
@@ -214,14 +236,8 @@ fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
             out.push((a.id, b.id));
             ControlFlow::Continue(())
         };
-        let (driver, _) = merge_sweep(
-            &mut env,
-            |_| Ok(l.next()),
-            |_| Ok(r.next()),
-            (-100.0, 130.0),
-            &mut emit,
-        )
-        .unwrap();
+        let (driver, _) =
+            merge_sweep(&mut env, |_| Ok(l.next()), |_| Ok(r.next()), extent, &mut emit).unwrap();
         driver
             .finish(&mut env, |a, b| {
                 let _ = emit(a, b);
@@ -240,41 +256,63 @@ fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
 #[test]
 fn sweep_fixup_matches_the_nested_loop_on_random_spill_histories() {
     forall!(48, |g| {
-        // A spill history as the fix-up sees it: a batch in no particular
-        // order (eviction is strip by strip), the other side's log in
-        // ascending lower-y, and an eviction point anywhere in it. The
-        // suffix after that point arrived after every spilled item, so it
-        // starts at or above their lower edges — anywhere from level with
-        // the highest of them to past their tops.
-        let spilled = arb_items(g, 200, 0);
-        let mut log = arb_items(g, 400, 10_000);
-        log.sort_unstable_by(Item::cmp_by_lower_y);
-        let start = g.usize_in(0, log.len() + 2) as u64;
-        let floor = spilled.iter().map(|s| s.rect.lo.y).fold(f32::NEG_INFINITY, f32::max);
-        if let Some(first) = log.get(start as usize) {
-            let lift = (floor - first.rect.lo.y).max(0.0);
-            for z in &mut log[start as usize..] {
-                let (lo, hi) = (z.rect.lo, z.rect.hi);
-                z.rect = Rect::from_coords(lo.x, lo.y + lift, hi.x, hi.y + lift);
-            }
-        }
-        let side = [Side::Left, Side::Right][g.usize_in(0, 2)];
+        // Spill epochs as the fix-up sees them, for each side: up to four
+        // batch sides in no particular order (eviction is strip by strip),
+        // the other side's log in ascending lower-y, and eviction points
+        // that never go back. The log from a batch side's eviction point on
+        // arrived after it, so it starts at or above its lower edges —
+        // anywhere from level with the highest of them to past their tops.
+        // Memory held elsewhere leaves budgets from ample down to
+        // `MIN_SWEEP_BUDGET`, so pieces take several passes.
         let limit = [64 * 1024, 256 * 1024, 16 * 1024 * 1024][g.usize_in(0, 3)];
-
+        let held = [0, limit / 2, limit - 16 * 1024][g.usize_in(0, 3)];
         let mut env = SimEnv::new(MachineConfig::machine3()).with_memory_limit(limit);
-        let s = ItemStream::from_items_with_block(&mut env, &spilled, 1).unwrap();
-        let l = ItemStream::from_items_with_block(&mut env, &log, 1).unwrap();
-        let want = nested_loop_fixup(&mut env, &s, &l, start, side);
-        env.memory.begin_phase();
-        let mut got = Vec::new();
-        let mut report = |a: &Item, b: &Item| got.push((a.id, b.id));
-        join_batch_against_log(&mut env, &s, &l, start, side, (-100.0, 130.0), &mut report)
-            .unwrap();
-        got.sort_unstable();
-        assert_eq!(got, want, "{side:?} from {start} of {}", log.len());
-        let peak = env.memory.peak();
-        assert!(peak <= limit, "gauge peak {peak} over limit {limit}");
-        assert_eq!(env.memory.current(), 0, "the fix-up leaked its claim");
+        for side in [Side::Left, Side::Right] {
+            let base = side as u32 * 100_000;
+            let mut log = arb_items(g, 400, base + 50_000);
+            log.sort_unstable_by(Item::cmp_by_lower_y);
+            let mut batches = Vec::new();
+            let mut start = 0;
+            for b in 0..g.usize_in(1, 5) {
+                start = g.usize_in(start, log.len() + 2);
+                let spilled = arb_items(g, 60, base + b as u32 * 1_000);
+                let floor = spilled.iter().map(|s| s.rect.lo.y).fold(f32::NEG_INFINITY, f32::max);
+                if let Some(first) = log.get(start) {
+                    let lift = (floor - first.rect.lo.y).max(0.0);
+                    for z in &mut log[start..] {
+                        let (lo, hi) = (z.rect.lo, z.rect.hi);
+                        z.rect = Rect::from_coords(lo.x, lo.y + lift, hi.x, hi.y + lift);
+                    }
+                }
+                batches.push((spilled, start as u64));
+            }
+            let l = ItemStream::from_items_with_block(&mut env, &log, 1).unwrap();
+            let mut pieces = Vec::new();
+            let mut want = Vec::new();
+            for (spilled, log_start) in &batches {
+                let items = ItemStream::from_items_with_block(&mut env, spilled, 1).unwrap();
+                want.extend(nested_loop_fixup(&mut env, &items, &l, *log_start, side));
+                pieces.push(Piece {
+                    items,
+                    log_start: *log_start,
+                });
+            }
+            want.sort_unstable();
+
+            let elsewhere = env.memory.try_reserve(held).unwrap();
+            env.memory.begin_phase();
+            let mut got = Vec::new();
+            let mut report = |a: &Item, b: &Item| got.push((a.id, b.id));
+            join_pieces_against_log(&mut env, &pieces, &l, side, (-100.0, 130.0), &mut report)
+                .unwrap();
+            got.sort_unstable();
+            let starts: Vec<u64> = pieces.iter().map(|p| p.log_start).collect();
+            assert_eq!(got, want, "{side:?} from {starts:?} of {}", log.len());
+            let peak = env.memory.peak();
+            assert!(peak <= limit, "gauge peak {peak} over limit {limit}");
+            assert_eq!(env.memory.current(), held, "the fix-up leaked its claim");
+            drop(elsewhere);
+        }
     });
 }
 

@@ -14,10 +14,13 @@
 //!    rest, until the structures fit half the budget — and writes them to a
 //!    **spill batch** on the simulated device: sequential writes, charged
 //!    like any other I/O.
-//! 3. While any batch is live, every arriving item is also appended to a
-//!    shared **shadow log**. Once the sweep line has passed every spilled
-//!    item (the *epoch* ends), each batch is read back and joined against
-//!    the portion of the log that arrived after its eviction — exactly the
+//! 3. While any batch is live, an arrival is appended to its side's
+//!    **shadow log** if some x-cell under it holds a spilled rectangle of
+//!    the other side that reaches its lower y (the *reach*, charged with
+//!    the structures; what spills later was probed in memory). Once the
+//!    sweep line has passed every spilled item (the *epoch* ends), each log
+//!    is streamed once past one index, into which each batch side is
+//!    loaded where the log reaches its eviction — exactly the
 //!    intersections the in-memory sweep could no longer see.
 //!
 //! Batches and logs move in logical blocks sized from memory by
@@ -43,14 +46,16 @@
 //! source ends ([`SpillingSweepDriver::close_side`]).
 
 use std::cmp::Ordering;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
-use usj_geom::{f32_order_key, Item};
+use usj_geom::{f32_order_key, Item, ITEM_BYTES};
+use usj_io::stream::ITEMS_PER_PAGE;
 use usj_io::{
     writer_pages_per_block, CpuOp, ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv,
 };
 
 use crate::driver::{Side, SweepJoinStats};
+use crate::striped::{inv_span, strip_index};
 use crate::structure::SweepStructure;
 use crate::StripedSweep;
 
@@ -64,26 +69,60 @@ pub const MIN_SWEEP_BUDGET: usize = 4096;
 /// memory.
 const SPILL_WRITERS: usize = 4;
 
-/// One eviction: the spilled items of both sides, plus where in the shared
-/// shadow log the post-eviction arrivals begin.
+/// Budget bytes per reach cell: the reach of both sides, one `f32` per cell
+/// each, takes a sixteenth of the sweep budget — up to 8 192 cells (64 KB),
+/// the count measured on `join_spill`'s budget of about 1 MB.
+const BUDGET_PER_REACH_CELL: usize = 128;
+const MAX_REACH_CELLS: usize = 8192;
+
+/// One batch side: the spilled items, and where in the other side's shadow
+/// log the arrivals after their eviction begin.
 #[derive(Debug)]
-struct SpillBatch {
-    left: ItemStream,
-    right: ItemStream,
-    log_left_start: u64,
-    log_right_start: u64,
+pub(crate) struct Piece {
+    pub(crate) items: ItemStream,
+    pub(crate) log_start: u64,
 }
 
-/// The live spill state: open batches and the shared shadow log of every
-/// arrival since the first of them. Ends (and is fixed up) once the sweep
-/// line passes `max_y`.
+/// Equal x-cells over the driver's extent, numbered like the strips of a
+/// [`StripedSweep`]: coordinates outside it clamp onto the border cells.
+#[derive(Debug, Clone, Copy)]
+struct Cells {
+    x_lo: f32,
+    inv_span: f64,
+    n: usize,
+}
+
+impl Cells {
+    /// The cells under `item`'s x-projection; none when its upper x is NaN
+    /// (such an item meets nothing).
+    fn under(&self, item: &Item) -> Range<usize> {
+        let cell = |x| strip_index(self.x_lo, self.inv_span, self.n, x);
+        let first = cell(item.rect.lo.x);
+        first..(cell(item.rect.hi.x) + 1).max(first)
+    }
+
+    /// Bytes of an epoch's reach: one `f32` per cell and side.
+    fn reach_bytes(&self) -> usize {
+        2 * self.n * std::mem::size_of::<f32>()
+    }
+}
+
+/// The live spill state: batch sides awaiting their fix-up and the shadow
+/// logs of arrivals that can meet them. Ends once the sweep passes `max_y`.
 #[derive(Debug)]
 struct SpillEpoch {
-    batches: Vec<SpillBatch>,
-    log_left: ItemStreamWriter,
-    log_right: ItemStreamWriter,
-    log_left_n: u64,
-    log_right_n: u64,
+    /// Per spilled side (indexed by [`Side`]), its batch sides in eviction
+    /// order, which is log-start order.
+    pieces: [Vec<Piece>; 2],
+    batches: usize,
+    /// Per arriving side, its shadow log and the entries in it.
+    logs: [ItemStreamWriter; 2],
+    logged: [u64; 2],
+    /// Arrivals the reach kept out of the logs.
+    skipped: u64,
+    cells: Cells,
+    /// Per spilled side, the largest upper y of its items over each cell.
+    reach: [Vec<f32>; 2],
     /// Largest upper y-coordinate among all spilled items of the epoch.
     max_y: f32,
 }
@@ -91,117 +130,142 @@ struct SpillEpoch {
 impl SpillEpoch {
     /// An empty epoch with fresh shadow logs of `pages_per_block`-page
     /// blocks.
-    fn new(env: &mut SimEnv, pages_per_block: u64) -> Self {
+    fn new(env: &mut SimEnv, pages_per_block: u64, cells: Cells) -> Self {
         SpillEpoch {
-            batches: Vec::new(),
-            log_left: ItemStreamWriter::new(env, pages_per_block),
-            log_right: ItemStreamWriter::new(env, pages_per_block),
-            log_left_n: 0,
-            log_right_n: 0,
+            pieces: [Vec::new(), Vec::new()],
+            batches: 0,
+            logs: [0; 2].map(|_| ItemStreamWriter::new(env, pages_per_block)),
+            logged: [0; 2],
+            skipped: 0,
+            cells,
+            reach: [0; 2].map(|_| vec![f32::NEG_INFINITY; cells.n]),
             max_y: f32::NEG_INFINITY,
         }
     }
 
-    /// Shadow-logs one arrival on `side`.
+    /// Writes `side`'s half of a new batch and raises the side's reach.
+    fn spill(&mut self, env: &mut SimEnv, side: Side, items: &[Item], ppb: u64) -> Result<()> {
+        if items.is_empty() {
+            return Ok(());
+        }
+        let mut writer = ItemStreamWriter::new(env, ppb);
+        writer.extend(env, items)?;
+        let reach = &mut self.reach[side as usize];
+        for it in items {
+            self.max_y = self.max_y.max(it.rect.hi.y);
+            for y in &mut reach[self.cells.under(it)] {
+                *y = y.max(it.rect.hi.y);
+            }
+        }
+        self.pieces[side as usize].push(Piece {
+            items: writer.finish(env)?,
+            log_start: self.logged[side.other() as usize],
+        });
+        Ok(())
+    }
+
+    /// Shadow-logs an arrival on `side` if the other side's reach meets it.
     fn log(&mut self, env: &mut SimEnv, side: Side, item: Item) -> Result<()> {
-        match side {
-            Side::Left => {
-                self.log_left.push(env, item)?;
-                self.log_left_n += 1;
-            }
-            Side::Right => {
-                self.log_right.push(env, item)?;
-                self.log_right_n += 1;
-            }
+        let reach = &self.reach[side.other() as usize][self.cells.under(&item)];
+        if reach.iter().any(|&y| y >= item.rect.lo.y) {
+            self.logs[side as usize].push(env, item)?;
+            self.logged[side as usize] += 1;
+        } else {
+            self.skipped += 1;
         }
         Ok(())
     }
 
-    /// Closes the epoch: joins every batch against its shadow-log suffix
-    /// (see [`join_batch_against_log`]) and returns the rectangle tests
-    /// that took. `x_extent` is the extent of the evicting structures.
+    /// Closes the epoch: streams each shadow log once past the other side's
+    /// batch sides (see [`join_pieces_against_log`]), returning the tests.
     fn fixup<F: FnMut(&Item, &Item)>(
         self,
         env: &mut SimEnv,
         x_extent: (f32, f32),
         report: &mut F,
     ) -> Result<u64> {
-        let log_left = self.log_left.finish(env)?;
-        let log_right = self.log_right.finish(env)?;
+        let [left, right] = self.logs;
+        let logs = [left.finish(env)?, right.finish(env)?];
         let mut tests = 0;
-        for b in self.batches {
-            for (spilled, log, from, side) in [
-                (&b.left, &log_right, b.log_right_start, Side::Left),
-                (&b.right, &log_left, b.log_left_start, Side::Right),
-            ] {
-                tests += join_batch_against_log(env, spilled, log, from, side, x_extent, report)?;
-            }
+        for side in [Side::Left, Side::Right] {
+            let (pieces, log) = (&self.pieces[side as usize], &logs[side.other() as usize]);
+            tests += join_pieces_against_log(env, pieces, log, side, x_extent, report)?;
         }
         Ok(tests)
     }
 }
 
-/// Joins one spilled batch side against the shadow-log entries that arrived
-/// after its eviction, returning the number of rectangle tests performed.
+/// Joins one side's spilled pieces, in log-start order, against the other
+/// side's shadow log, returning the number of rectangle tests performed.
 ///
-/// This is a sweep of its own, never a nested loop: the batch is read back
-/// in memory-governed chunks, each chunk is loaded into a [`StripedSweep`]
-/// over `x_extent`, and the log suffix streams past it with
-/// `expire_before(z.lo.y)` + `query(z)`. Every log entry of the suffix was
-/// pushed after every spilled item, so it starts at or above their lower
-/// edges: a spilled item the expiry keeps and the probe finds in x-range
-/// overlaps the entry, and reading stops as soon as the chunk has fully
-/// expired.
-///
-/// `x_extent` is the extent of the structures the batch was evicted from,
-/// not the chunk's own: under the strips the items lived in, an index over
-/// part of them is never larger than the structure that held all of them,
-/// whereas strips fitted to a chunk of near-identical rectangles would copy
-/// each of them into every strip.
-///
-/// Chunking matters: a batch that took most of the residents can approach
-/// the whole budget, and at epoch-close time the live structures may hold
-/// the budget again — reserving the full batch could spuriously exceed the
-/// limit, while an index grown to half the *current* headroom always fits,
-/// and the gauge is charged its real bytes. The log reader starts directly at
-/// the batch's suffix, so pre-eviction blocks are never re-read (they were
-/// probed in memory; re-reporting them would duplicate pairs).
-pub(crate) fn join_batch_against_log<F: FnMut(&Item, &Item)>(
+/// One reader streams the log past a [`StripedSweep`] over `x_extent` (the
+/// evicting structures', so the index is never larger than they were) with
+/// `expire_before(z.lo.y)` + `query(z)`; a piece joins the index when the
+/// reader reaches its start. Every entry from there on was pushed after the
+/// piece's items, so it starts at or above their lower edges, and the
+/// entries before it were probed in memory. While the index is empty the
+/// reader skips to the next piece's start. The index grows to half the
+/// headroom left beside the log's block and a piece's, charged its real
+/// bytes: a piece that does not fit is resumed by a later pass from its
+/// own start, once what this pass holds has expired.
+pub(crate) fn join_pieces_against_log<F: FnMut(&Item, &Item)>(
     env: &mut SimEnv,
-    spilled: &ItemStream,
+    pieces: &[Piece],
     log: &ItemStream,
-    log_start: u64,
     spilled_side: Side,
     x_extent: (f32, f32),
     report: &mut F,
 ) -> Result<u64> {
-    if spilled.is_empty() || log.len() <= log_start {
-        return Ok(0);
-    }
+    let block = |p: &Piece| p.items.len().min(p.items.pages_per_block() * ITEMS_PER_PAGE as u64);
     let mut rect_tests = 0u64;
     let mut claim = env.memory.reserve_empty();
-    let mut spilled_reader = spilled.reader();
-    while spilled_reader.peek(env)?.is_some() {
+    // The first piece not loaded in full, and its reader once a pass has
+    // loaded part of it.
+    let (mut next, mut resume) = (0, None);
+    while let Some(first) = pieces.get(next).filter(|p| p.log_start < log.len()) {
         claim.release();
-        // Peeking primed both readers: the headroom is net of their blocks,
-        // and half of it leaves room for the one insert (and the strip
-        // re-tune it may trigger) that takes the index past its budget.
-        let mut reader = log.reader_from(log_start);
-        reader.peek(env)?;
-        let budget = (env.memory.headroom() / 2).max(MIN_SWEEP_BUDGET);
-        let mut index = StripedSweep::with_extent(x_extent.0, x_extent.1);
-        while index.bytes() <= budget {
-            match spilled_reader.next(env)? {
-                Some(s) => index.insert(s),
-                None => break,
-            }
+        if resume.get_or_insert_with(|| first.items.reader()).peek(env)?.is_none() {
+            (next, resume) = (next + 1, None);
+            continue;
         }
-        claim.try_set(index.bytes())?;
-        while let Some(z) = reader.next(env)? {
-            index.expire_before(z.rect.lo.y);
-            if index.is_empty() {
-                break;
+        // Peeking primed both readers: the headroom is net of their blocks,
+        // and half of what is left beside a later piece's block leaves room
+        // for the one insert (and the strip re-tune it may trigger) that
+        // takes the index past its budget.
+        let mut reader = log.reader_from(first.log_start);
+        reader.peek(env)?;
+        let later = pieces[next + 1..].iter().map(block).max().unwrap_or(0) as usize;
+        let budget =
+            (env.memory.headroom().saturating_sub(later * ITEM_BYTES) / 2).max(MIN_SWEEP_BUDGET);
+        let (mut index, mut full) = (StripedSweep::with_extent(x_extent.0, x_extent.1), false);
+        loop {
+            let reached = |p: &Piece| p.log_start <= reader.items_delivered();
+            while !full && pieces.get(next).is_some_and(reached) {
+                let mut items = resume.take().unwrap_or_else(|| pieces[next].items.reader());
+                full = loop {
+                    if index.bytes() > budget {
+                        break true;
+                    }
+                    match items.next(env)? {
+                        Some(s) => index.insert(s),
+                        None => break false,
+                    }
+                };
+                match full {
+                    true => resume = Some(items),
+                    false => next += 1,
+                }
+                claim.try_set(index.bytes())?;
             }
+            if index.is_empty() {
+                match pieces.get(next) {
+                    Some(p) if !full && p.log_start < log.len() => reader.skip_to(p.log_start),
+                    _ => break,
+                }
+                continue;
+            }
+            let Some(z) = reader.next(env)? else { break };
+            index.expire_before(z.rect.lo.y);
             index.query(&z, |s| match spilled_side {
                 Side::Left => report(s, &z),
                 Side::Right => report(&z, s),
@@ -232,6 +296,8 @@ pub struct SpillingSweepDriver {
     budget: usize,
     /// Logical block size of the spill batches and shadow logs.
     pages_per_block: u64,
+    /// The x-cells of an epoch's reach, sized from the budget.
+    cells: Cells,
     reservation: MemoryReservation,
     epoch: Option<SpillEpoch>,
     fixup_rect_tests: u64,
@@ -256,14 +322,18 @@ impl SpillingSweepDriver {
     /// to the sweep as well.
     pub fn new(env: &SimEnv, x_lo: f32, x_hi: f32) -> Self {
         let budget = (env.memory.headroom() / 2).max(MIN_SWEEP_BUDGET);
+        let left = StripedSweep::with_extent(x_lo, x_hi);
+        let (x_lo, x_hi) = left.extent();
+        let n = (budget / BUDGET_PER_REACH_CELL).clamp(1, MAX_REACH_CELLS);
         SpillingSweepDriver {
-            left: StripedSweep::with_extent(x_lo, x_hi),
+            left,
             right: StripedSweep::with_extent(x_lo, x_hi),
             stats: SweepJoinStats::default(),
             last_y: f32::NEG_INFINITY,
             closed: [false; 2],
             budget,
             pages_per_block: writer_pages_per_block(env.memory_limit, SPILL_WRITERS),
+            cells: Cells { x_lo, inv_span: inv_span(x_lo, x_hi, n), n },
             reservation: env.memory.reserve_empty(),
             epoch: None,
             fixup_rect_tests: 0,
@@ -276,7 +346,7 @@ impl SpillingSweepDriver {
 
     /// Spill batches of the current epoch still awaiting their fix-up join.
     pub fn open_batches(&self) -> usize {
-        self.epoch.as_ref().map_or(0, |e| e.batches.len())
+        self.epoch.as_ref().map_or(0, |e| e.batches)
     }
 
     /// Advances the sweep line to `item.rect.lo.y` and processes `item` from
@@ -328,12 +398,18 @@ impl SpillingSweepDriver {
         }
         self.note_sizes();
 
-        if self.left.bytes() + self.right.bytes() > self.budget {
+        if self.charged() > self.budget {
             self.spill(env)?;
         }
-        self.reservation
-            .try_set(self.left.bytes() + self.right.bytes())?;
+        self.reservation.try_set(self.charged())?;
         Ok(())
+    }
+
+    /// Bytes charged to the gauge and held against the budget: the
+    /// structures, and the reach while an epoch is open.
+    fn charged(&self) -> usize {
+        let reach = self.epoch.as_ref().map_or(0, |_| self.cells.reach_bytes());
+        self.left.bytes() + self.right.bytes() + reach
     }
 
     /// Declares `side`'s input ended. Nothing can probe the opposite
@@ -366,8 +442,11 @@ impl SpillingSweepDriver {
         let Some(epoch) = self.epoch.take() else {
             return Ok(());
         };
+        // The reach goes with the epoch.
+        self.reservation.try_set(self.charged())?;
         self.mark_expired();
-        usj_obs::instant("sweep.fixup_epoch", epoch.batches.len() as u64);
+        usj_obs::instant("sweep.fixup_epoch", epoch.batches as u64);
+        usj_obs::instant("sweep.log_skipped", epoch.skipped);
         self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), report)?;
         Ok(())
     }
@@ -392,8 +471,9 @@ impl SpillingSweepDriver {
         self.stats.max_resident = self.stats.max_resident.max(resident);
     }
 
-    /// Evicts the soonest-to-expire resident items until the in-memory state
-    /// is at most half the budget, writing them to a new spill batch.
+    /// Evicts the soonest-to-expire resident items until the in-memory state,
+    /// with the epoch's reach, is at most half the budget, writing them to a
+    /// new spill batch.
     ///
     /// Each round evicts the residents expiring at or before the median of
     /// the expiries not yet cut at, then halves that set to its upper part,
@@ -405,8 +485,9 @@ impl SpillingSweepDriver {
         self.right.resident_expiries(&mut self.expiry_scratch);
         self.evict_left.clear();
         self.evict_right.clear();
+        let half = (self.budget / 2).saturating_sub(self.cells.reach_bytes());
         let mut rest = &mut self.expiry_scratch[..];
-        while !rest.is_empty() && self.left.bytes() + self.right.bytes() > self.budget / 2 {
+        while !rest.is_empty() && self.left.bytes() + self.right.bytes() > half {
             let (_, &mut cut, later) = rest.select_nth_unstable_by(rest.len() / 2, f32::total_cmp);
             // `evict_until` appends to the reusable buffers.
             self.left.evict_until(cut, &mut self.evict_left);
@@ -417,39 +498,17 @@ impl SpillingSweepDriver {
             return Ok(());
         }
 
-        let mut batch_max_y = f32::NEG_INFINITY;
-        for it in self.evict_left.iter().chain(self.evict_right.iter()) {
-            batch_max_y = batch_max_y.max(it.rect.hi.y);
-        }
-        let mut wl = ItemStreamWriter::new(env, self.pages_per_block);
-        for it in &self.evict_left {
-            wl.push(env, *it)?;
-        }
-        let left = wl.finish(env)?;
-        let mut wr = ItemStreamWriter::new(env, self.pages_per_block);
-        for it in &self.evict_right {
-            wr.push(env, *it)?;
-        }
-        let right = wr.finish(env)?;
-
-        self.stats.spilled_items += (self.evict_left.len() + self.evict_right.len()) as u64;
+        let spilled = (self.evict_left.len() + self.evict_right.len()) as u64;
+        self.stats.spilled_items += spilled;
         self.stats.spill_runs += 1;
-        usj_obs::instant(
-            "sweep.spill",
-            (self.evict_left.len() + self.evict_right.len()) as u64,
-        );
-
+        usj_obs::instant("sweep.spill", spilled);
         let epoch = match &mut self.epoch {
             Some(e) => e,
-            None => self.epoch.insert(SpillEpoch::new(env, self.pages_per_block)),
+            None => self.epoch.insert(SpillEpoch::new(env, self.pages_per_block, self.cells)),
         };
-        epoch.max_y = epoch.max_y.max(batch_max_y);
-        epoch.batches.push(SpillBatch {
-            left,
-            right,
-            log_left_start: epoch.log_left_n,
-            log_right_start: epoch.log_right_n,
-        });
+        epoch.spill(env, Side::Left, &self.evict_left, self.pages_per_block)?;
+        epoch.spill(env, Side::Right, &self.evict_right, self.pages_per_block)?;
+        epoch.batches += 1;
         Ok(())
     }
 
@@ -580,8 +639,9 @@ mod tests {
     use usj_geom::Rect;
     use usj_io::MachineConfig;
 
-    /// Runs the sweep fix-up and returns its pairs (sorted, and checked to
-    /// be duplicate-free) with the rectangle tests it counted.
+    /// Runs the sweep fix-up of one batch side and returns its pairs
+    /// (sorted, and checked to be duplicate-free) with the rectangle tests
+    /// it counted.
     fn sweep_fixup(
         env: &mut SimEnv,
         spilled: &ItemStream,
@@ -591,9 +651,12 @@ mod tests {
     ) -> (Vec<(u32, u32)>, u64) {
         let mut out = Vec::new();
         let mut report = |a: &Item, b: &Item| out.push((a.id, b.id));
+        let piece = [Piece {
+            items: spilled.clone(),
+            log_start,
+        }];
         let tests =
-            join_batch_against_log(env, spilled, log, log_start, side, (0.0, 64.0), &mut report)
-                .unwrap();
+            join_pieces_against_log(env, &piece, log, side, (0.0, 64.0), &mut report).unwrap();
         let n = out.len();
         out.sort_unstable();
         out.dedup();
@@ -1041,24 +1104,25 @@ mod tests {
         );
     }
 
-    /// Values of the `sweep.expire` and `sweep.fixup_epoch` marks a recorded
-    /// `run_merged` emitted.
-    fn recorded_marks(
+    /// Values of the marks `names` a recorded `run_merged` emitted, with its
+    /// pairs and statistics.
+    fn recorded_marks<const N: usize>(
         memory: usize,
         left: &[Item],
         right: &[Item],
-    ) -> ([Vec<u64>; 2], SweepJoinStats) {
+        names: [&str; N],
+    ) -> ([Vec<u64>; N], Vec<(u32, u32)>, SweepJoinStats) {
         use std::sync::Arc;
         use usj_obs::{Event, HostClock, RingCollector};
         let mut env = env_with_memory(memory);
         let ring = Arc::new(RingCollector::new(64 * 1024));
-        let stats = {
+        let (pairs, stats) = {
             let _g = usj_obs::install(ring.clone(), Arc::new(HostClock::new()));
-            run_merged(&mut env, left, right).1
+            run_merged(&mut env, left, right)
         };
         let (events, dropped) = ring.drain();
         assert_eq!(dropped, 0);
-        let values = ["sweep.expire", "sweep.fixup_epoch"].map(|want| {
+        let values = names.map(|want| {
             events
                 .iter()
                 .filter_map(|e| match e {
@@ -1067,16 +1131,18 @@ mod tests {
                 })
                 .collect()
         });
-        (values, stats)
+        (values, pairs, stats)
     }
+
+    const MARKS: [&str; 2] = ["sweep.expire", "sweep.fixup_epoch"];
 
     #[test]
     fn expiry_is_marked_once_per_spill_epoch_and_close_not_once_per_push() {
         // Lockstep short-lived rectangles: nearly every push expires
         // something, and nothing spills — one mark, at close, carrying all
         // of it: both sides close, so every pushed item expires.
-        let ([expire, epochs], stats) =
-            recorded_marks(16 * 1024 * 1024, &lockstep(2_000, 0), &lockstep(2_000, 100_000));
+        let (left, right) = (lockstep(2_000, 0), lockstep(2_000, 100_000));
+        let ([expire, epochs], _, stats) = recorded_marks(16 * 1024 * 1024, &left, &right, MARKS);
         assert_eq!(stats.spill_runs, 0);
         assert!(epochs.is_empty());
         assert_eq!(expire, [4_000], "{stats:?}");
@@ -1098,9 +1164,37 @@ mod tests {
                 })
                 .collect()
         };
-        let ([expire, epochs], stats) = recorded_marks(64 * 1024, &mk(0), &mk(10_000));
+        let ([expire, epochs], _, stats) = recorded_marks(64 * 1024, &mk(0), &mk(10_000), MARKS);
         assert!(stats.spill_runs > 0, "{stats:?}");
         assert_eq!((expire.len(), epochs.len()), (2, 1), "{expire:?} {epochs:?}");
+    }
+
+    #[test]
+    fn arrivals_no_spilled_item_reaches_are_not_logged_and_no_pair_is_lost() {
+        // Long-lived rectangles on the left half of the extent spill; half
+        // the right side arrives over the right half, where no spilled
+        // rectangle reaches, and is kept out of the log — yet the pairs are
+        // brute force's. The left side's own late arrivals are logged.
+        let left: Vec<Item> = long_lived(900, 0)
+            .into_iter()
+            .map(|it| {
+                let (lo, hi) = (it.rect.lo, it.rect.hi);
+                item(lo.x * 0.8, lo.y, hi.x * 0.8, hi.y, it.id)
+            })
+            .collect();
+        let right: Vec<Item> = (0..900u32)
+            .map(|i| {
+                let (x, y) = ((i % 2) as f32 * 34.0 + (i % 29) as f32, i as f32 * 0.01);
+                item(x, y, x + 1.0, y + 2.0, 10_000 + i)
+            })
+            .collect();
+        let names = ["sweep.log_skipped", "sweep.fixup_epoch"];
+        let ([skipped, epochs], pairs, stats) = recorded_marks(64 * 1024, &left, &right, names);
+        assert_eq!(pairs, brute(&left, &right));
+        assert!(stats.spill_runs > 0, "{stats:?}");
+        assert_eq!(skipped.len(), epochs.len(), "one mark per closed epoch");
+        let skipped: u64 = skipped.iter().sum();
+        assert!(skipped >= 300, "{skipped} arrivals kept out of the logs");
     }
 
     #[test]

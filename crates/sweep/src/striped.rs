@@ -87,7 +87,7 @@ const STRIP_HEADER_BYTES: usize = 120;
 /// mutably borrowed. The scale is precomputed once per layout: a multiply on
 /// the insert/query path instead of an `f64` division.
 #[inline]
-fn strip_index(x_lo: f32, inv_span: f64, n: usize, x: f32) -> usize {
+pub(crate) fn strip_index(x_lo: f32, inv_span: f64, n: usize, x: f32) -> usize {
     // The float-to-integer cast truncates towards zero, saturates at the
     // type's bounds and sends NaN to zero: for the non-negative offsets it
     // is the floor, negative ones clamp to strip 0 either way, and `min`
@@ -99,7 +99,7 @@ fn strip_index(x_lo: f32, inv_span: f64, n: usize, x: f32) -> usize {
 
 /// The strip scale for `n` strips over `[x_lo, x_hi]`.
 #[inline]
-fn inv_span(x_lo: f32, x_hi: f32, n: usize) -> f64 {
+pub(crate) fn inv_span(x_lo: f32, x_hi: f32, n: usize) -> f64 {
     n as f64 / (f64::from(x_hi) - f64::from(x_lo))
 }
 
