@@ -45,6 +45,7 @@ pub mod error;
 pub mod extsort;
 pub mod fault;
 pub mod gauge;
+pub mod ledger;
 pub mod machine;
 pub mod page;
 pub mod sim;

@@ -28,6 +28,7 @@
 
 use usj_core::SnapshotRun;
 use usj_geom::{Point, Rect};
+use usj_io::ledger::Fnv1a;
 use usj_io::stream::ITEMS_PER_PAGE;
 use usj_io::{ItemStream, PageId, SimEnv, PAGE_SIZE};
 
@@ -39,17 +40,6 @@ const ROOT_MAGIC: u64 = 0x5553_4a52_4f4f_5431; // "USJROOT1"
 const MANIFEST_MAGIC: u64 = 0x5553_4a4d_414e_4931; // "USJMANI1"
 /// Encoding version of both structures.
 const VERSION: u64 = 1;
-
-/// 64-bit FNV-1a over a byte slice — the checksum used for manifest
-/// bodies, root pointers and run blocks.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Computes the per-block checksums of a persisted run by reading its
 /// pages back from the device (charged I/O — this is deliberate
@@ -67,7 +57,7 @@ pub fn run_checksums(env: &mut SimEnv, stream: &ItemStream) -> usj_io::Result<Ve
         let in_block = remaining.min(items_per_block);
         let pages = in_block.div_ceil(ITEMS_PER_PAGE as u64);
         env.device.read_pages_into(first, pages, &mut buf)?;
-        checksums.push(fnv1a(&buf));
+        checksums.push(Fnv1a::of(&buf));
         remaining -= in_block;
     }
     Ok(checksums)
@@ -162,7 +152,7 @@ impl Manifest {
         for d in &self.deltas {
             d.encode_into(&mut buf);
         }
-        let sum = fnv1a(&buf);
+        let sum = Fnv1a::of(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
         buf
     }
@@ -175,7 +165,7 @@ impl Manifest {
         }
         let (body, trailer) = buf.split_at(buf.len() - 8);
         let stored = u64::from_le_bytes(trailer.try_into().expect("checked length"));
-        if fnv1a(body) != stored {
+        if Fnv1a::of(body) != stored {
             return Err(LiveError::Corrupted("manifest checksum mismatch".into()));
         }
         let mut off = 0usize;
@@ -220,7 +210,7 @@ impl RootPointer {
         buf.extend_from_slice(&self.first.to_le_bytes());
         buf.extend_from_slice(&self.pages.to_le_bytes());
         buf.extend_from_slice(&self.bytes.to_le_bytes());
-        let sum = fnv1a(&buf);
+        let sum = Fnv1a::of(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
         buf
     }
@@ -231,7 +221,7 @@ impl RootPointer {
             return Err(LiveError::Corrupted("root pointer truncated".into()));
         }
         let stored = u64::from_le_bytes(page[48..56].try_into().expect("checked length"));
-        if fnv1a(&page[..48]) != stored {
+        if Fnv1a::of(&page[..48]) != stored {
             return Err(LiveError::Corrupted("root pointer checksum mismatch".into()));
         }
         let mut off = 0usize;

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use usj_core::{Algo, JoinResult, Predicate};
 use usj_geom::{Point, Rect};
+use usj_io::ledger::Fnv1a;
 use usj_io::{CpuCounter, IoStats};
 use usj_obs::QueryTrace;
 
@@ -402,24 +403,21 @@ impl ServiceStats {
     /// aggregate I/O is included because the plan cache plans each join
     /// shape exactly once per batch no matter which query pays for it.
     pub fn replay_digest(&self) -> u64 {
-        // FNV-1a over the stable fields, dependency-free.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.submitted);
-        eat(self.admitted);
-        eat(self.completed);
-        eat(self.failed);
-        eat(self.cancelled);
-        eat(self.pairs);
-        eat(self.io.pages_read);
-        eat(self.io.pages_written);
-        eat(self.plan_cache_misses);
-        h
+        let mut h = Fnv1a::default();
+        for v in [
+            self.submitted,
+            self.admitted,
+            self.completed,
+            self.failed,
+            self.cancelled,
+            self.pairs,
+            self.io.pages_read,
+            self.io.pages_written,
+            self.plan_cache_misses,
+        ] {
+            h.write(&v.to_le_bytes());
+        }
+        h.finish()
     }
 
     /// Folds one resolved request into the roll-up: its resolution, wait

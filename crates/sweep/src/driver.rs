@@ -9,10 +9,11 @@
 //!    intersecting pair), and
 //! 3. inserts the item into its own input's structure.
 //!
-//! The driver is deliberately push-based: SSSJ feeds it from two sorted
-//! streams, PQ feeds it from the priority-queue index adapters, PBSM feeds it
-//! per partition, and ST feeds it with the entries of two R-tree nodes — the
-//! exact reuse of "a few standard operations" the paper advertises.
+//! The driver is push-based and holds everything in memory. PBSM feeds it
+//! per fitting partition ([`sweep_join_eps_with`]) and the multiway join
+//! feeds its cascade through it; [`sweep_join`] runs it over two slices.
+//! SSSJ and PQ sweep through [`crate::merge_sweep`] and the spilling driver
+//! instead, and ST joins node pairs with [`crate::batch_join_oriented`].
 
 use usj_geom::{f32_order_key, sort_by_lower_y, Item};
 

@@ -25,10 +25,11 @@
 //! oracles and the wall-clock baseline of the `sweep_structures` bench, not
 //! part of the crate's API.
 //!
-//! The [`SweepDriver`] consumes two y-sorted item sequences (in-memory slices
-//! or, in the join crate, streams extracted from R-trees) and produces the
-//! intersecting pairs plus detailed operation counts, which the simulation
-//! environment later converts into CPU time. Two *small* in-memory batches —
+//! The [`SweepDriver`] consumes two in-memory y-sorted item sequences and
+//! produces the intersecting pairs plus detailed operation counts, which the
+//! simulation environment later converts into CPU time. PBSM's fitting
+//! partitions ([`sweep_join_eps_with`]) and the §4 multiway cascade drive it;
+//! [`sweep_join`] wraps it for callers holding two slices. Two *small* in-memory batches —
 //! the entries of two R-tree nodes, two chunks of an unsplittable PBSM
 //! partition — skip the structures altogether: [`batch_join`] sweeps them
 //! with a moving window over the sorted batches themselves, and

@@ -20,6 +20,7 @@
 use unified_spatial_join::prelude::*;
 use usj_datagen::rng::SmallRng;
 use usj_geom::Item;
+use usj_io::ledger::{self, Row};
 use usj_io::{CpuOp, ItemStream};
 
 const KB: usize = 1024;
@@ -429,54 +430,26 @@ fn sssj_sizes_its_sweep_budget_after_the_readers_are_primed() {
 }
 
 /// The spilling sweep's cost where it spills: SSSJ's and PQ's spill volume,
-/// spill episodes, rectangle tests and page I/O on the tall family at
+/// spill episodes, charged CPU and page I/O on the tall family at
 /// [`TIGHT`] and at 256 KB, and on the crossing family at 80 KB, where both
-/// spill (at 96 KB neither does). SSSJ reads presorted one-page-block
-/// streams, so the pin is its sweep's and not its external sort's (which
-/// needs more than 80 KB to sort these inputs); PQ reads the trees. A
-/// change to how the sweep evicts, or to the blocks its spill batches and
-/// shadow logs are written in, moves these numbers.
-///
-/// Recorded first under the rule that evicted every resident once the
-/// median was not enough and wrote one-page blocks at every limit, in the
-/// order of the table: 2 528 / 2 530 / 2 705 / 2 708 / 1 818 / 1 226
-/// items spilled in 1 / 1 / 1 / 1 / 3 / 2 runs, with 65 131 / 61 331 /
-/// 61 514 / 57 678 / 75 657 / 74 229 rectangle tests and page I/O
-/// 31/11/25/17, 23/11/15/19, 30/10/26/14, 22/10/14/18, 33/15/20/28 and
-/// 30/14/12/32. On the tall family, evicting only down to half the budget
-/// spills less and writes fewer pages, at the price of more in-memory
-/// tests on these small inputs, and the 256 KB rows read and write
-/// two-page blocks. On the crossing family PQ spills more, in three
-/// smaller batches where it wrote two.
-///
-/// Re-recorded when the fix-up began to stream each shadow log once per
-/// epoch and to log only the arrivals a spilled rectangle can still meet
-/// (the old rows: 1 897 / 1 899 / 2 030 / 2 032 / 1 374 / 1 392 items,
-/// 77 606 / 73 706 / 67 360 / 63 443 / 79 107 / 75 292 tests, page I/O
-/// 29/9/24/14, 21/9/14/16, 28/8/18/12, 20/8/6/16, 31/15/18/28 and
-/// 28/16/16/28). Fewer arrivals are logged, so every row writes and tests
-/// less, and the crossing rows read their logs once. The summary of what
-/// the spilled rectangles reach is charged against the sweep budget, so at
-/// 256 KB a spill evicts further (2 030 → 2 368 items) and reads one page
-/// more. No row's random operations rise.
+/// spill (at 96 KB neither does), pinned in `ledgers/adversarial_spill.ledger`.
+/// SSSJ reads presorted one-page-block streams, so the pin is its sweep's
+/// and not its external sort's (which needs more than 80 KB to sort these
+/// inputs); PQ reads the trees. A change to how the sweep evicts, or to the
+/// blocks its spill batches and shadow logs are written in, moves these
+/// numbers.
 #[test]
 fn spill_volume_and_io_are_pinned_where_the_sweeps_spill() {
-    /// (family, limit in KB, algorithm, spilled items, spill runs,
-    /// rectangle tests, [pages read, pages written, sequential ops,
-    /// random ops])
-    type Row = (&'static str, usize, Algo, u64, u64, u64, [u64; 4]);
-    #[rustfmt::skip]
-    const WANT: [Row; 6] = [
-        ("tall", 192, Algo::Sssj, 1897, 1, 67333, [27, 7, 22, 12]),
-        ("tall", 192, Algo::Pq, 1899, 1, 63500, [19, 7, 10, 16]),
-        ("tall", 256, Algo::Sssj, 2368, 1, 64419, [29, 9, 20, 12]),
-        ("tall", 256, Algo::Pq, 2371, 1, 60927, [21, 9, 8, 16]),
-        ("crossing", 80, Algo::Sssj, 1374, 3, 79104, [31, 9, 15, 25]),
-        ("crossing", 80, Algo::Pq, 1392, 3, 75280, [24, 11, 7, 28]),
-    ];
     let families = families(0xADFA);
-    let mut observed: Vec<Row> = Vec::new();
-    for (name, kb, algo, ..) in WANT {
+    let mut got = Vec::new();
+    for (name, kb, algo) in [
+        ("tall", 192, Algo::Sssj),
+        ("tall", 192, Algo::Pq),
+        ("tall", 256, Algo::Sssj),
+        ("tall", 256, Algo::Pq),
+        ("crossing", 80, Algo::Sssj),
+        ("crossing", 80, Algo::Pq),
+    ] {
         let f = families.iter().find(|f| f.name == name).unwrap();
         let want = oracle(f);
         let mut p = Prepared::new(f, AMPLE);
@@ -485,10 +458,16 @@ fn spill_volume_and_io_are_pinned_where_the_sweeps_spill() {
             items.sort_unstable_by(Item::cmp_by_lower_y);
             ItemStream::from_items_with_block(env, &items, 1).unwrap()
         };
-        let (left, right) = (presorted(&mut p.env, &f.left), presorted(&mut p.env, &f.right));
+        let (left, right) = (
+            presorted(&mut p.env, &f.left),
+            presorted(&mut p.env, &f.right),
+        );
         p.env.set_memory_limit(kb * KB);
         let (l, r) = match algo {
-            Algo::Sssj => (JoinInput::SortedStream(&left), JoinInput::SortedStream(&right)),
+            Algo::Sssj => (
+                JoinInput::SortedStream(&left),
+                JoinInput::SortedStream(&right),
+            ),
             _ => (
                 JoinInput::Indexed(&p.left_tree),
                 JoinInput::Indexed(&p.right_tree),
@@ -500,29 +479,17 @@ fn spill_volume_and_io_are_pinned_where_the_sweeps_spill() {
             .unwrap_or_else(|e| panic!("{name} / {algo:?} @ {kb} KB failed: {e}"));
         pairs.sort_unstable();
         assert!(pairs == want, "{name} / {algo:?} @ {kb} KB: wrong pairs");
-        assert!(res.memory.peak_bytes <= kb * KB, "{name} / {algo:?} @ {kb} KB");
-        let io = &res.io;
-        observed.push((
-            name,
-            kb,
-            algo,
-            res.sweep.spilled_items,
-            res.sweep.spill_runs,
-            res.cpu.get(CpuOp::RectTest),
-            [
-                io.pages_read,
-                io.pages_written,
-                io.seq_read_ops + io.seq_write_ops,
-                io.rand_read_ops + io.rand_write_ops,
-            ],
-        ));
+        assert!(
+            res.memory.peak_bytes <= kb * KB,
+            "{name} / {algo:?} @ {kb} KB"
+        );
+        got.push(
+            Row::new(format!("{name} {kb} KB {algo:?}"))
+                .with("sweep.spilled_items", res.sweep.spilled_items)
+                .with("sweep.spill_runs", res.sweep.spill_runs)
+                .cpu(&res.cpu)
+                .io(&res.io),
+        );
     }
-    assert!(
-        observed == WANT,
-        "spill volume or I/O moved; observed:\n{}",
-        observed
-            .iter()
-            .map(|row| format!("        {row:?},\n"))
-            .collect::<String>()
-    );
+    ledger::check(include_str!("ledgers/adversarial_spill.ledger"), &got);
 }
