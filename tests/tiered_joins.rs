@@ -4,8 +4,10 @@
 //! runs on the device, and sorted in-memory runs (frozen batches and the
 //! memtable). This suite joins such datasets with each other and with a
 //! registered dataset — full joins and `LIMIT` joins, under the default
-//! `Algo::Auto` and with `Algo::Sssj` forced — plus a pair of tall live
-//! datasets under a small budget, where the sweep spills and fixes up.
+//! `Algo::Auto` and with `Algo::Sssj` forced, and two live datasets under
+//! `Algo::Pbsm` and `Algo::St`, which write the merge of a side's runs out
+//! first — plus a pair of tall live datasets under a small budget, where
+//! the sweep spills and fixes up.
 //!
 //! Every row of `ledgers/tiered_joins.ledger` pins the pair count, a digest
 //! of the pairs in delivery order and an order-insensitive one (`set`: a
@@ -101,12 +103,20 @@ fn observed() -> Vec<Row> {
 
     let mut names = Vec::new();
     let mut requests = Vec::new();
-    for (label, left, right) in [
-        ("live×live", a, b),
-        ("live×reg", a, reg),
-        ("reg×live", reg, b),
+    let sweeps = [("auto", Algo::Auto), ("sssj", Algo::Sssj)];
+    // PBSM and ST read a tiered side as the merge of its runs, written out.
+    let all = [
+        ("auto", Algo::Auto),
+        ("sssj", Algo::Sssj),
+        ("pbsm", Algo::Pbsm),
+        ("st", Algo::St),
+    ];
+    for (label, left, right, algos) in [
+        ("live×live", a, b, &all[..]),
+        ("live×reg", a, reg, &sweeps[..]),
+        ("reg×live", reg, b, &sweeps[..]),
     ] {
-        for (algo_label, algo) in [("auto", Algo::Auto), ("sssj", Algo::Sssj)] {
+        for &(algo_label, algo) in algos {
             for limit in [None, Some(40)] {
                 let mut request = QueryRequest::join(left, right)
                     .with_algorithm(algo)
