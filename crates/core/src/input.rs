@@ -1,9 +1,15 @@
 //! Join inputs: indexed or non-indexed relations.
+//!
+//! A cataloged relation with tiers is read in sweep order as the
+//! `usj_io::merge::Merge` of its runs, the same counted merge the external
+//! sort uses: a live dataset's sorted runs need no sort, only a merge.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use usj_geom::{Item, Rect};
-use usj_io::{extsort, CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, Result, SimEnv};
+use usj_io::merge::{Merge, Run};
+use usj_io::{extsort, CpuOp, ItemStream, ItemStreamWriter, Result, SimEnv};
 use usj_rtree::{NodeKind, RTree};
 
 /// A relation registered in a dataset catalog: *both* of its prepared
@@ -35,11 +41,29 @@ pub struct CatalogedInput<'a> {
     pub mem_runs: &'a [MemRun],
 }
 
-impl CatalogedInput<'_> {
+/// The runs of a cataloged relation merged in sweep order.
+pub(crate) type TierMerge<'a> = Merge<'a, fn(&Item) -> u64, fn(&Item, &Item) -> Ordering>;
+
+impl<'a> CatalogedInput<'a> {
     /// Whether anything beside `sorted` holds records: then the tree does
     /// not cover the relation, and reading it in sweep order merges runs.
     pub fn has_tiers(&self) -> bool {
         !self.deltas.is_empty() || !self.mem_runs.is_empty()
+    }
+
+    /// The relation in sweep order, without a sort: `usj_io`'s k-way merge
+    /// of `sorted`, then the deltas, then the in-memory runs. Run pages are
+    /// read (and charged) as the merge reaches them, and the merge charges
+    /// its heap's work.
+    pub(crate) fn merge(&self) -> TierMerge<'a> {
+        let deltas = self.deltas.iter().map(SnapshotRun::stream);
+        let device = std::iter::once(self.sorted).chain(deltas).map(Run::device);
+        let memory = self.mem_runs.iter().map(|m| Run::memory(m.items()));
+        Merge::new(
+            device.chain(memory).collect(),
+            Item::sweep_key,
+            Item::cmp_by_lower_y,
+        )
     }
 }
 
@@ -90,60 +114,6 @@ impl MemRun {
     /// Bounding box of the run.
     pub fn bbox(&self) -> Rect {
         self.bbox
-    }
-}
-
-/// Streaming k-way merge of a cataloged relation's persisted and in-memory
-/// runs, delivering records in ascending sweep-key order without
-/// materialising or re-sorting anything. Run pages are read (and charged)
-/// on demand; the merge itself charges no CPU.
-#[derive(Debug)]
-pub(crate) struct RunMerge<'a> {
-    /// Persisted runs oldest (base) first, then in-memory runs oldest
-    /// first: the earliest head wins a key tie.
-    runs: Vec<MergedRun<'a>>,
-}
-
-#[derive(Debug)]
-enum MergedRun<'a> {
-    Device(ItemStreamReader),
-    Memory(std::slice::Iter<'a, Item>),
-}
-
-impl<'a> RunMerge<'a> {
-    pub(crate) fn new(c: &CatalogedInput<'a>) -> Self {
-        let deltas = c.deltas.iter().map(SnapshotRun::stream);
-        let device = std::iter::once(c.sorted).chain(deltas);
-        let memory = c.mem_runs.iter().map(|m| MergedRun::Memory(m.items().iter()));
-        RunMerge {
-            runs: device.map(|s| MergedRun::Device(s.reader())).chain(memory).collect(),
-        }
-    }
-
-    /// The next record in ascending sweep-key order, or `None` when every
-    /// run is exhausted.
-    pub(crate) fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
-        // The run count is 1 + pending deltas + pending batches — small by
-        // construction (maintenance folds them back) — so a linear scan
-        // over the heads beats heap bookkeeping. Persisted runs win key
-        // ties (oldest-first), in-memory runs only on strictly smaller.
-        let mut best: Option<(usize, u64)> = None;
-        for (i, run) in self.runs.iter_mut().enumerate() {
-            let head = match run {
-                MergedRun::Device(reader) => reader.peek(env)?,
-                MergedRun::Memory(items) => items.as_slice().first().copied(),
-            };
-            if let Some(key) = head.map(|h| h.sweep_key()) {
-                if best.map_or(true, |(_, k)| key < k) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        match best.map(|(i, _)| &mut self.runs[i]) {
-            Some(MergedRun::Device(reader)) => reader.next(env),
-            Some(MergedRun::Memory(items)) => Ok(items.next().copied()),
-            None => Ok(None),
-        }
     }
 }
 
@@ -273,12 +243,8 @@ fn cataloged_run(env: &mut SimEnv, c: &CatalogedInput<'_>) -> Result<ItemStream>
     if !c.has_tiers() {
         return Ok(c.sorted.clone());
     }
-    let mut writer = ItemStreamWriter::with_default_block(env);
-    let mut merge = RunMerge::new(c);
-    while let Some(item) = merge.next(env)? {
-        writer.push(env, item)?;
-    }
-    writer.finish(env)
+    let out = ItemStreamWriter::with_default_block(env);
+    c.merge().write(env, out)
 }
 
 /// Reads every leaf of a tree once, in page order, writing the data
@@ -363,8 +329,12 @@ mod tests {
         let s = ItemStream::from_items(&mut env, &data).unwrap();
         let tree = RTree::bulk_load(&mut env, &data).unwrap();
 
-        let (from_stream, bbox1) = JoinInput::Stream(&s).to_sorted_stream(&mut env, None).unwrap();
-        let (from_tree, bbox2) = JoinInput::Indexed(&tree).to_sorted_stream(&mut env, None).unwrap();
+        let (from_stream, bbox1) = JoinInput::Stream(&s)
+            .to_sorted_stream(&mut env, None)
+            .unwrap();
+        let (from_tree, bbox2) = JoinInput::Indexed(&tree)
+            .to_sorted_stream(&mut env, None)
+            .unwrap();
 
         let a = from_stream.read_all(&mut env).unwrap();
         let b = from_tree.read_all(&mut env).unwrap();
@@ -392,7 +362,9 @@ mod tests {
         let s = ItemStream::from_items(&mut env, &data).unwrap();
         let tree = RTree::bulk_load(&mut env, &data).unwrap();
         let hint = Rect::from_coords(-5.0, -5.0, 500.0, 500.0);
-        let (_, b1) = JoinInput::Stream(&s).to_sorted_stream(&mut env, Some(hint)).unwrap();
+        let (_, b1) = JoinInput::Stream(&s)
+            .to_sorted_stream(&mut env, Some(hint))
+            .unwrap();
         let (_, b2) = JoinInput::Indexed(&tree)
             .to_sorted_stream(&mut env, Some(hint))
             .unwrap();

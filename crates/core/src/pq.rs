@@ -34,7 +34,7 @@ use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
 use usj_rtree::{NodeKind, NodeView, RTree};
 use usj_sweep::merge_sweep;
 
-use crate::input::{JoinInput, RunMerge};
+use crate::input::{JoinInput, TierMerge};
 use crate::predicate::Predicate;
 use crate::result::{JoinResult, MemoryStats};
 use crate::sink::PairSink;
@@ -258,7 +258,7 @@ pub(crate) enum SortedSource<'a> {
     /// A reader over a stream that is already sorted by lower y-coordinate.
     Stream(usj_io::ItemStreamReader),
     /// The runs of a cataloged relation with tiers, merged on the fly.
-    Merge(RunMerge<'a>),
+    Merge(TierMerge<'a>),
 }
 
 impl<'a> SortedSource<'a> {
@@ -273,7 +273,7 @@ impl<'a> SortedSource<'a> {
     ) -> Result<(Self, Rect)> {
         match input {
             JoinInput::Cataloged(c) if c.has_tiers() => {
-                Ok((SortedSource::Merge(RunMerge::new(c)), bbox_hint.unwrap_or(c.bbox)))
+                Ok((SortedSource::Merge(c.merge()), bbox_hint.unwrap_or(c.bbox)))
             }
             _ => {
                 let (sorted, bbox) = input.to_sorted_stream(env, bbox_hint)?;

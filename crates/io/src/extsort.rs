@@ -13,10 +13,11 @@ use std::cmp::Ordering;
 use usj_geom::{sort_by_key_then, Item, Rect};
 
 use crate::error::Result;
+use crate::merge::{Merge, Run};
 use crate::page::PAGE_SIZE;
 use crate::sim::SimEnv;
 use crate::stats::CpuOp;
-use crate::stream::{ItemStream, ItemStreamReader, ItemStreamWriter};
+use crate::stream::{ItemStream, ItemStreamWriter};
 
 /// Statistics describing one external sort.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -39,24 +40,6 @@ pub struct SortStats {
 /// values instead of walking the multi-field float comparator.
 pub fn external_sort_by_lower_y(env: &mut SimEnv, input: &ItemStream) -> Result<ItemStream> {
     external_sort_by_key(env, input, |it| it.sweep_key(), Item::cmp_by_lower_y).map(|(s, _)| s)
-}
-
-/// Sorts `input` with an arbitrary comparator, returning the sorted stream
-/// and the sort statistics.
-///
-/// Prefer [`external_sort_by_key`] when a `u64` key that agrees with the
-/// comparator's leading fields is available — the run-formation sort and the
-/// merge heap then compare precomputed keys and only fall back to the
-/// comparator on collisions.
-pub fn external_sort_by<F>(
-    env: &mut SimEnv,
-    input: &ItemStream,
-    cmp: F,
-) -> Result<(ItemStream, SortStats)>
-where
-    F: Fn(&Item, &Item) -> Ordering + Copy,
-{
-    external_sort_by_key(env, input, |_| 0, cmp)
 }
 
 /// One record of the keyed run buffer: the precomputed key and the record.
@@ -131,7 +114,7 @@ where
 ///
 /// This is the merge phase of [`external_sort_by_key`], for callers whose
 /// inputs are sorted to begin with (an LSM compaction folding sorted tiers):
-/// a k-way merge whose fan-in is limited by the memory available for one
+/// a k-way [`Merge`] whose fan-in is limited by the memory available for one
 /// logical block per run plus one output block, repeated level by level
 /// while more runs remain than the fan-in. No run yields an empty stream; a
 /// single run is returned as it is, without a copy.
@@ -157,7 +140,9 @@ where
                 next_level.push(group[0].clone());
                 continue;
             }
-            next_level.push(merge_group(env, group, key, cmp, pages_per_block)?);
+            let runs = group.iter().map(Run::device).collect();
+            let out = ItemStreamWriter::new(env, pages_per_block);
+            next_level.push(Merge::new(runs, key, cmp).write(env, out)?);
         }
         runs = next_level;
     }
@@ -167,20 +152,10 @@ where
     }
 }
 
-/// Sorts a buffer in memory, charging the deterministic CPU counters for the
-/// comparisons and record moves a real quicksort would perform.
-pub fn sort_in_memory<F>(env: &mut SimEnv, buffer: &mut [Item], cmp: F)
-where
-    F: Fn(&Item, &Item) -> Ordering + Copy,
-{
-    charge_sort(env, buffer.len() as u64);
-    buffer.sort_unstable_by(cmp);
-}
-
 /// Sorts a keyed run buffer by `(key, cmp)` through the workspace's one
-/// keyed in-memory sort ([`sort_by_key_then`]). Same deterministic CPU
-/// charges as [`sort_in_memory`] — how the host orders the buffer changes
-/// wall-clock, not the simulated cost model.
+/// keyed in-memory sort ([`sort_by_key_then`]), charged by [`charge_sort`]
+/// — how the host orders the buffer changes wall-clock, not the simulated
+/// cost model.
 fn sort_entries_in_memory<F>(env: &mut SimEnv, buffer: &mut [SortEntry], cmp: F)
 where
     F: Fn(&Item, &Item) -> Ordering + Copy,
@@ -200,149 +175,6 @@ pub fn charge_sort(env: &mut SimEnv, n: u64) {
     }
 }
 
-/// The k-way merge's heap: one `(key, run)` pair per run that still has
-/// records, ordered by the key and, on a key collision, by `cmp` over the
-/// run's head record, which lives in `heads[run]`.
-///
-/// It is a binary min-heap in which [`push`](RunHeap::push) sifts the new
-/// pair up and [`pop`](RunHeap::pop) moves the last pair to the root and
-/// sifts it down. The sifts move a hole instead of swapping pairs, but make
-/// the same comparisons in the same order and leave every pair where a
-/// swapping heap would, so the merged order (ties included) and the counts
-/// are those of the textbook heap. `Compare` and `HeapOp` are counted here
-/// and charged by the caller once per merge.
-struct RunHeap<F> {
-    slots: Vec<(u64, usize)>,
-    heads: Vec<Item>,
-    cmp: F,
-    compares: u64,
-    heap_ops: u64,
-}
-
-impl<F> RunHeap<F>
-where
-    F: Fn(&Item, &Item) -> Ordering,
-{
-    fn new(runs: usize, cmp: F) -> Self {
-        RunHeap {
-            slots: Vec::with_capacity(runs),
-            heads: vec![Item::new(Rect::empty(), 0); runs],
-            cmp,
-            compares: 0,
-            heap_ops: 0,
-        }
-    }
-
-    /// Key-first strict order with the comparator deciding collisions;
-    /// counts one comparison.
-    #[inline]
-    fn less(&mut self, a: (u64, usize), b: (u64, usize)) -> bool {
-        self.compares += 1;
-        match a.0.cmp(&b.0) {
-            Ordering::Equal => (self.cmp)(&self.heads[a.1], &self.heads[b.1]) == Ordering::Less,
-            o => o == Ordering::Less,
-        }
-    }
-
-    /// Makes `item` the head of `run` and inserts the run.
-    fn push(&mut self, key: u64, run: usize, item: Item) {
-        self.heap_ops += 1;
-        self.heads[run] = item;
-        let new = (key, run);
-        let mut i = self.slots.len();
-        self.slots.push(new);
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !self.less(new, self.slots[parent]) {
-                break;
-            }
-            self.slots[i] = self.slots[parent];
-            i = parent;
-        }
-        self.slots[i] = new;
-    }
-
-    /// Removes the run whose head is least and returns it with that head.
-    fn pop(&mut self) -> Option<(usize, Item)> {
-        let root = *self.slots.first()?;
-        self.heap_ops += 1;
-        let last = self.slots.pop().expect("non-empty heap");
-        let len = self.slots.len();
-        if len > 0 {
-            let mut i = 0;
-            loop {
-                let l = 2 * i + 1;
-                if l >= len {
-                    break;
-                }
-                let mut least = if self.less(self.slots[l], last) { l } else { i };
-                let r = l + 1;
-                if r < len {
-                    let other = if least == l { self.slots[l] } else { last };
-                    if self.less(self.slots[r], other) {
-                        least = r;
-                    }
-                }
-                if least == i {
-                    break;
-                }
-                self.slots[i] = self.slots[least];
-                i = least;
-            }
-            self.slots[i] = last;
-        }
-        Some((root.1, self.heads[root.1]))
-    }
-}
-
-/// Merges one group of sorted runs into one run, charging the heap's
-/// comparisons and operations once at the end — also when a read or write
-/// fails part-way, so a failed merge has charged the work it did.
-fn merge_group<K, F>(
-    env: &mut SimEnv,
-    group: &[ItemStream],
-    key: K,
-    cmp: F,
-    pages_per_block: u64,
-) -> Result<ItemStream>
-where
-    K: Fn(&Item) -> u64 + Copy,
-    F: Fn(&Item, &Item) -> Ordering + Copy,
-{
-    let mut heap = RunHeap::new(group.len(), cmp);
-    let merged = merge_into(env, group, key, &mut heap, pages_per_block);
-    env.charge(CpuOp::Compare, heap.compares);
-    env.charge(CpuOp::HeapOp, heap.heap_ops);
-    merged
-}
-
-fn merge_into<K, F>(
-    env: &mut SimEnv,
-    group: &[ItemStream],
-    key: K,
-    heap: &mut RunHeap<F>,
-    pages_per_block: u64,
-) -> Result<ItemStream>
-where
-    K: Fn(&Item) -> u64,
-    F: Fn(&Item, &Item) -> Ordering,
-{
-    let mut readers: Vec<ItemStreamReader> = group.iter().map(|s| s.reader()).collect();
-    for (run, r) in readers.iter_mut().enumerate() {
-        if let Some(item) = r.next(env)? {
-            heap.push(key(&item), run, item);
-        }
-    }
-    let mut out = ItemStreamWriter::new(env, pages_per_block);
-    while let Some((run, item)) = heap.pop() {
-        out.push(env, item)?;
-        if let Some(next) = readers[run].next(env)? {
-            heap.push(key(&next), run, next);
-        }
-    }
-    out.finish(env)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,9 +191,13 @@ mod tests {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         (0..n)
             .map(|i| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let y = ((state >> 33) % 1_000_000) as f32 / 100.0;
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let x = ((state >> 33) % 1_000_000) as f32 / 100.0;
                 Item::new(Rect::from_coords(x, y, x + 1.0, y + 1.0), i)
             })
@@ -377,7 +213,8 @@ mod tests {
         let mut env = env_with_memory(4 * 1024 * 1024);
         let data = random_items(1000, 1);
         let s = ItemStream::from_items(&mut env, &data).unwrap();
-        let (sorted, stats) = external_sort_by(&mut env, &s, Item::cmp_by_lower_y).unwrap();
+        let (sorted, stats) =
+            external_sort_by_key(&mut env, &s, Item::sweep_key, Item::cmp_by_lower_y).unwrap();
         let out = sorted.read_all(&mut env).unwrap();
         assert_eq!(out.len(), data.len());
         assert!(is_sorted_by_y(&out));
@@ -396,11 +233,15 @@ mod tests {
         let mut env = env_with_memory(64 * 1024);
         let data = random_items(10_000, 2);
         let s = ItemStream::from_items_with_block(&mut env, &data, 2).unwrap();
-        let (sorted, stats) = external_sort_by(&mut env, &s, Item::cmp_by_lower_y).unwrap();
+        let (sorted, stats) =
+            external_sort_by_key(&mut env, &s, Item::sweep_key, Item::cmp_by_lower_y).unwrap();
         let out = sorted.read_all(&mut env).unwrap();
         assert_eq!(out.len(), data.len());
         assert!(is_sorted_by_y(&out));
-        assert!(stats.initial_runs > 1, "expected multiple runs, got {stats:?}");
+        assert!(
+            stats.initial_runs > 1,
+            "expected multiple runs, got {stats:?}"
+        );
         assert!(stats.merge_passes >= 1);
         // The multiset of ids must be preserved.
         let mut in_ids: Vec<u32> = data.iter().map(|i| i.id).collect();
@@ -428,7 +269,7 @@ mod tests {
         let data = random_items(500, 4);
         let s = ItemStream::from_items(&mut env, &data).unwrap();
         let (sorted, _) =
-            external_sort_by(&mut env, &s, |a, b| b.id.cmp(&a.id)).unwrap();
+            external_sort_by_key(&mut env, &s, |_| 0, |a, b| b.id.cmp(&a.id)).unwrap();
         let out = sorted.read_all(&mut env).unwrap();
         assert!(out.windows(2).all(|w| w[0].id >= w[1].id));
     }

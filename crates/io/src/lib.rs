@@ -32,6 +32,9 @@
 //!   block size.
 //! * [`extsort`] — external multiway mergesort over item streams, used by
 //!   SSSJ's preprocessing and by R-tree bulk loading.
+//! * [`merge::Merge`] — the one k-way merge of sorted runs, on the device or
+//!   in memory: the external sort's merge passes, a live compaction's merge
+//!   and every join over a relation with tiers pull from it.
 //! * [`sim::SimEnv`] — bundles a device, a machine model and the CPU counter
 //!   into the single environment value the join algorithms operate on.
 
@@ -47,6 +50,7 @@ pub mod fault;
 pub mod gauge;
 pub mod ledger;
 pub mod machine;
+pub mod merge;
 pub mod page;
 pub mod sim;
 pub mod stats;

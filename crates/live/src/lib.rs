@@ -15,7 +15,8 @@
 //! A snapshot joins like any other relation: [`LiveSnapshot::cataloged`] is
 //! a [`usj_core::CatalogedInput`] whose tiers are the delta and in-memory
 //! runs beside the indexed base. SSSJ and PQ read it as the k-way merge of
-//! its runs, without a sort, through the spilling plane sweep they run on
+//! its runs (`usj_io::merge::Merge`, charged like the external sort's
+//! merge), without a sort, through the spilling plane sweep they run on
 //! every input — so pairs surface while the runs are still being scanned,
 //! and memory pressure spills residents to the device and recovers their
 //! pairs with log-suffix fix-up joins. A registered dataset is the special

@@ -12,7 +12,8 @@ use usj_core::{
     Algo, CollectSink, JoinInput, JoinOperator, LimitSink, PairSink, Predicate, SpatialQuery,
     SssjJoin,
 };
-use usj_geom::{Item, Rect};
+use usj_geom::{sort_by_lower_y, Item, Rect};
+use usj_io::merge::{Merge, Run};
 use usj_io::{extsort, ItemStream, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
 
@@ -151,28 +152,47 @@ fn a_tiered_join_answers_like_the_quiesced_datasets_under_every_algorithm() {
 
 #[test]
 fn merge_of_k_sorted_runs_equals_the_sort_of_their_concatenation() {
-    // What lets compaction merge its tiers instead of sorting them: zero to
-    // seven runs (empty ones included), corners snapped to a coarse grid so
-    // equal sweep keys meet within and across runs, and budgets on both
+    // What lets compaction merge its tiers instead of sorting them, and a
+    // join read a live dataset's device and memory runs without a sort: zero
+    // to seven runs (empty ones included), corners snapped to a coarse grid
+    // so equal sweep keys meet within and across runs, and budgets on both
     // sides of the merge fan-in.
     forall!(48, |g| {
         let limit = [64 * 1024, 4 * 1024 * 1024][g.usize_in(0, 2)];
         let mut env = env().with_memory_limit(limit);
-        let mut all = Vec::new();
-        let runs: Vec<ItemStream> = (0..g.usize_in(0, 8))
+        let items: Vec<Vec<Item>> = (0..g.usize_in(0, 8))
             .map(|k| {
                 let mut run = arb_items(g, 300, k as u32 * 10_000);
                 for it in &mut run {
                     let (lo, hi) = (it.rect.lo, it.rect.hi);
-                    it.rect = Rect::from_coords(lo.x.floor(), (lo.y / 8.0).floor() * 8.0, hi.x, hi.y);
+                    it.rect =
+                        Rect::from_coords(lo.x.floor(), (lo.y / 8.0).floor() * 8.0, hi.x, hi.y);
                 }
-                run.sort_unstable_by(|a, b| {
-                    a.sweep_key().cmp(&b.sweep_key()).then_with(|| a.cmp_by_lower_y(b))
-                });
-                all.extend_from_slice(&run);
-                ItemStream::from_items_with_block(&mut env, &run, LIVE_PAGES_PER_BLOCK).unwrap()
+                sort_by_lower_y(&mut run);
+                run
             })
             .collect();
+        let all = items.concat();
+        let runs: Vec<ItemStream> = items
+            .iter()
+            .map(|run| {
+                ItemStream::from_items_with_block(&mut env, run, LIVE_PAGES_PER_BLOCK).unwrap()
+            })
+            .collect();
+        // The same runs, each read from the device or from memory at random.
+        let mixed = items
+            .iter()
+            .zip(&runs)
+            .map(|(run, s)| {
+                if g.bool_with(0.5) {
+                    Run::memory(run)
+                } else {
+                    Run::device(s)
+                }
+            })
+            .collect();
+        let mut mixed = Merge::new(mixed, Item::sweep_key, Item::cmp_by_lower_y);
+        let mixed: Vec<Item> = std::iter::from_fn(|| mixed.next(&mut env).unwrap()).collect();
         let k = runs.len();
         let (merged, passes) = extsort::merge_sorted_runs(
             &mut env,
@@ -188,7 +208,9 @@ fn merge_of_k_sorted_runs_equals_the_sort_of_their_concatenation() {
         let (sorted, _) =
             extsort::external_sort_by_key(&mut env, &concat, Item::sweep_key, Item::cmp_by_lower_y)
                 .unwrap();
-        assert_eq!(merged.read_all(&mut env).unwrap(), sorted.read_all(&mut env).unwrap());
+        let sorted = sorted.read_all(&mut env).unwrap();
+        assert_eq!(merged.read_all(&mut env).unwrap(), sorted);
+        assert_eq!(mixed, sorted);
         // Fan-in 2 at 64 KB (two 16 KB blocks in half the budget), ample at 4 MB.
         let fan_in = if limit == 64 * 1024 { 2 } else { 128 };
         let mut levels = 0;

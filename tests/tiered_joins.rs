@@ -13,7 +13,9 @@
 //! of the pairs in delivery order and an order-insensitive one (`set`: a
 //! change of delivery order alone moves `order`, never `set`), every
 //! `IoStats` field, every `CpuOp` count, the index page requests and the
-//! measured memory peak.
+//! measured memory peak. A tiered side is read through `usj_io`'s one
+//! k-way merge, which charges its heap's `HeapOp` and `Compare` as the
+//! external sort's merge does, so those two counters include it.
 //!
 //! `ledgers/tiered_registered.ledger` pins registered datasets: what
 //! `Catalog::register` charges and the block layout of the sorted run it
