@@ -12,9 +12,11 @@
 //! sifts move a hole instead of swapping pairs, but make the same
 //! comparisons in the same order and leave every pair where a swapping heap
 //! would, so the merged order (ties included) and the counts are those of
-//! the textbook heap. Each push and pop charges one `HeapOp` and each
-//! comparison one `Compare` as it is made, so a merge that fails part-way,
-//! or that its consumer stops, has charged exactly the work it did.
+//! the textbook heap. Each push and pop counts one `HeapOp` and each
+//! comparison one `Compare`. Every call to [`Merge::next`] charges what it
+//! counted before it returns, and [`Merge::write`] charges once for the
+//! whole merge, error or not, so a merge that fails part-way, or that its
+//! consumer stops, has charged exactly the work it did.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -69,6 +71,9 @@ pub struct Merge<'a, K, F> {
     refill: Range<usize>,
     key: K,
     cmp: F,
+    /// Comparisons and heap operations counted but not yet charged.
+    compares: u64,
+    heap_ops: u64,
 }
 
 impl<'a, K, F> Merge<'a, K, F>
@@ -86,36 +91,58 @@ where
             runs,
             key,
             cmp,
+            compares: 0,
+            heap_ops: 0,
         }
     }
 
     /// The next record in merge order, or `None` when every run is
     /// exhausted.
     pub fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
+        let next = self.step(env);
+        self.charge(env);
+        next
+    }
+
+    /// Drains the merge into `out` and finishes it, charging the merge's
+    /// work once, also when a read or write fails part-way.
+    pub fn write(mut self, env: &mut SimEnv, mut out: ItemStreamWriter) -> Result<ItemStream> {
+        let mut drain = || {
+            while let Some(item) = self.step(env)? {
+                out.push(env, item)?;
+            }
+            Ok(())
+        };
+        let drained = drain();
+        self.charge(env);
+        drained?;
+        out.finish(env)
+    }
+
+    /// [`next`](Merge::next) without the charge.
+    fn step(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
         for run in std::mem::replace(&mut self.refill, 0..0) {
             if let Some(item) = self.runs[run].next(env)? {
-                self.push(env, run, item);
+                self.push(run, item);
             }
         }
-        Ok(self.pop(env).map(|run| {
+        Ok(self.pop().map(|run| {
             self.refill = run..run + 1;
             self.heads[run]
         }))
     }
 
-    /// Drains the merge into `out` and finishes it.
-    pub fn write(mut self, env: &mut SimEnv, mut out: ItemStreamWriter) -> Result<ItemStream> {
-        while let Some(item) = self.next(env)? {
-            out.push(env, item)?;
-        }
-        out.finish(env)
+    /// Charges the work counted since the last charge.
+    fn charge(&mut self, env: &mut SimEnv) {
+        env.charge(CpuOp::Compare, std::mem::take(&mut self.compares));
+        env.charge(CpuOp::HeapOp, std::mem::take(&mut self.heap_ops));
     }
 
     /// Key-first strict order with the comparator deciding collisions;
-    /// charges one comparison.
+    /// counts one comparison.
     #[inline]
-    fn less(&self, env: &mut SimEnv, a: (u64, usize), b: (u64, usize)) -> bool {
-        env.charge(CpuOp::Compare, 1);
+    fn less(&mut self, a: (u64, usize), b: (u64, usize)) -> bool {
+        self.compares += 1;
         match a.0.cmp(&b.0) {
             Ordering::Equal => (self.cmp)(&self.heads[a.1], &self.heads[b.1]) == Ordering::Less,
             o => o == Ordering::Less,
@@ -123,15 +150,15 @@ where
     }
 
     /// Makes `item` the head of `run` and inserts the run.
-    fn push(&mut self, env: &mut SimEnv, run: usize, item: Item) {
-        env.charge(CpuOp::HeapOp, 1);
+    fn push(&mut self, run: usize, item: Item) {
+        self.heap_ops += 1;
         self.heads[run] = item;
         let new = ((self.key)(&item), run);
         let mut i = self.slots.len();
         self.slots.push(new);
         while i > 0 {
             let parent = (i - 1) / 2;
-            if !self.less(env, new, self.slots[parent]) {
+            if !self.less(new, self.slots[parent]) {
                 break;
             }
             self.slots[i] = self.slots[parent];
@@ -141,9 +168,9 @@ where
     }
 
     /// Removes the run whose head is least and returns it.
-    fn pop(&mut self, env: &mut SimEnv) -> Option<usize> {
+    fn pop(&mut self) -> Option<usize> {
         let root = *self.slots.first()?;
-        env.charge(CpuOp::HeapOp, 1);
+        self.heap_ops += 1;
         let last = self.slots.pop().expect("non-empty heap");
         let len = self.slots.len();
         if len > 0 {
@@ -153,15 +180,11 @@ where
                 if l >= len {
                     break;
                 }
-                let mut least = if self.less(env, self.slots[l], last) {
-                    l
-                } else {
-                    i
-                };
+                let mut least = if self.less(self.slots[l], last) { l } else { i };
                 let r = l + 1;
                 if r < len {
                     let other = if least == l { self.slots[l] } else { last };
-                    if self.less(env, self.slots[r], other) {
+                    if self.less(self.slots[r], other) {
                         least = r;
                     }
                 }
