@@ -308,7 +308,11 @@ mod tests {
         let est = CostBasedJoin::default()
             .estimate(&mut env, &JoinInput::Indexed(&ta), &JoinInput::Indexed(&tb))
             .unwrap();
-        assert!(est.touched_fraction < 0.5, "fraction {}", est.touched_fraction);
+        assert!(
+            est.touched_fraction < 0.5,
+            "fraction {}",
+            est.touched_fraction
+        );
         assert_eq!(est.plan(), JoinPlan::Indexed);
 
         // Running the chosen plan produces the correct result.

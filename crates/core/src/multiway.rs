@@ -223,9 +223,7 @@ pub fn three_way_join(
             });
         }
         sweep_claim.try_set(
-            first.bytes()
-                + second.bytes()
-                + composites.len() * std::mem::size_of::<(u32, u32)>(),
+            first.bytes() + second.bytes() + composites.len() * std::mem::size_of::<(u32, u32)>(),
         )?;
     }
     // Remaining c items may still match composites already in the structure.
@@ -243,9 +241,7 @@ pub fn three_way_join(
             }
         });
         sweep_claim.try_set(
-            first.bytes()
-                + second.bytes()
-                + composites.len() * std::mem::size_of::<(u32, u32)>(),
+            first.bytes() + second.bytes() + composites.len() * std::mem::size_of::<(u32, u32)>(),
         )?;
         c_next = c_src.next(env)?;
     }
@@ -287,7 +283,9 @@ mod tests {
         let mut n = 0;
         for x in a {
             for y in b {
-                let Some(i) = x.rect.intersection(&y.rect) else { continue };
+                let Some(i) = x.rect.intersection(&y.rect) else {
+                    continue;
+                };
                 for z in c {
                     if i.intersects(&z.rect) {
                         n += 1;
@@ -303,9 +301,13 @@ mod tests {
         let mut state = seed as u64 * 2654435761 + 1;
         (0..n)
             .map(|i| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let x = ((state >> 33) % 1000) as f32 / 10.0;
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let y = ((state >> 33) % 1000) as f32 / 10.0;
                 Item::new(Rect::from_coords(x, y, x + size, y + size), id_base + i)
             })

@@ -397,9 +397,8 @@ impl PbsmRun<'_> {
             ..
         } = self;
         let loaded = load_left.len() + load_right.len();
-        let mut report = |a: &Item, b: &Item| {
-            report_candidate(*predicate, path, &mut **sink, pairs, done, a, b)
-        };
+        let mut report =
+            |a: &Item, b: &Item| report_candidate(*predicate, path, &mut **sink, pairs, done, a, b);
         let tests = match kernel {
             Kernel::Striped(data) => {
                 // The rule `batch_join_oriented` applies to the fallback's
@@ -556,7 +555,12 @@ mod tests {
 
     fn grid_and_crossers(n: u32) -> (Vec<Item>, Vec<Item>) {
         let horiz: Vec<Item> = (0..n)
-            .map(|i| Item::new(Rect::from_coords(0.0, i as f32, n as f32, i as f32 + 0.1), i))
+            .map(|i| {
+                Item::new(
+                    Rect::from_coords(0.0, i as f32, n as f32, i as f32 + 0.1),
+                    i,
+                )
+            })
             .collect();
         let vert: Vec<Item> = (0..n)
             .map(|i| {

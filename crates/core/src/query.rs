@@ -161,7 +161,12 @@ impl MemoryPlan {
 
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} join, {} predicate", self.algorithm.name(), self.predicate.name())?;
+        write!(
+            f,
+            "{} join, {} predicate",
+            self.algorithm.name(),
+            self.predicate.name()
+        )?;
         if let (Some(cost), Some(chosen)) = (&self.cost, &self.chosen) {
             write!(
                 f,
@@ -400,11 +405,7 @@ impl<'a> SpatialQuery<'a> {
 
     /// Executes the query with a `LIMIT`: collects at most `limit` pairs,
     /// stopping the join — and its I/O — as soon as they are found.
-    pub fn first(
-        &self,
-        env: &mut SimEnv,
-        limit: u64,
-    ) -> Result<(JoinResult, Vec<(u32, u32)>)> {
+    pub fn first(&self, env: &mut SimEnv, limit: u64) -> Result<(JoinResult, Vec<(u32, u32)>)> {
         let mut sink = LimitSink::new(CollectSink::default(), limit);
         let res = self.execute(env, &mut sink)?;
         Ok((res, sink.into_inner().pairs))
@@ -494,7 +495,12 @@ mod tests {
         // Big boxes on the left, small boxes on the right: half the small
         // boxes sit inside a big one, half straddle the border.
         let big: Vec<Item> = (0..5)
-            .map(|i| Item::new(Rect::from_coords(i as f32 * 10.0, 0.0, i as f32 * 10.0 + 8.0, 8.0), i))
+            .map(|i| {
+                Item::new(
+                    Rect::from_coords(i as f32 * 10.0, 0.0, i as f32 * 10.0 + 8.0, 8.0),
+                    i,
+                )
+            })
             .collect();
         let small: Vec<Item> = (0..10)
             .map(|i| {
@@ -585,8 +591,8 @@ mod tests {
         let ta = RTree::bulk_load(&mut e, &a).unwrap();
         let tb = RTree::bulk_load(&mut e, &b).unwrap();
         assert!(ta.nodes() + tb.nodes() > 10, "trees must span many pages");
-        let q = SpatialQuery::new(JoinInput::Indexed(&ta), JoinInput::Indexed(&tb))
-            .algorithm(Algo::Pq);
+        let q =
+            SpatialQuery::new(JoinInput::Indexed(&ta), JoinInput::Indexed(&tb)).algorithm(Algo::Pq);
         let full = q.run(&mut e).unwrap();
         assert!(full.pairs > 10);
         let (limited, pairs) = q.first(&mut e, 7).unwrap();

@@ -241,7 +241,10 @@ where
     let l = &mut scratch.left;
     let r = &mut scratch.right;
     l.clear();
-    l.extend(left.iter().map(|it| Item::new(it.rect.expanded(eps), it.id)));
+    l.extend(
+        left.iter()
+            .map(|it| Item::new(it.rect.expanded(eps), it.id)),
+    );
     r.clear();
     r.extend_from_slice(right);
     sort_by_lower_y(l);
@@ -345,10 +348,7 @@ mod tests {
 
     #[test]
     fn identical_inputs_report_full_cross_product_of_overlaps() {
-        let a = vec![
-            item(0.0, 0.0, 1.0, 1.0, 1),
-            item(0.5, 0.5, 1.5, 1.5, 2),
-        ];
+        let a = vec![item(0.0, 0.0, 1.0, 1.0, 1), item(0.5, 0.5, 1.5, 1.5, 2)];
         let expected = brute(&a, &a);
         assert_eq!(expected.len(), 4);
         assert_eq!(run::<ForwardSweep>(&a, &a), expected);
@@ -362,10 +362,7 @@ mod tests {
             item(0.0, 0.0, 1.0, 1.0, 2),
             item(0.0, 5.0, 1.0, 6.0, 3),
         ];
-        let right = vec![
-            item(0.5, 5.5, 0.6, 5.6, 10),
-            item(0.5, 0.5, 0.6, 0.6, 11),
-        ];
+        let right = vec![item(0.5, 5.5, 0.6, 5.6, 10), item(0.5, 0.5, 0.6, 0.6, 11)];
         assert_eq!(run::<StripedSweep>(&left, &right), brute(&left, &right));
     }
 

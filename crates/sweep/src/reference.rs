@@ -133,7 +133,11 @@ impl EagerStripedSweep {
 
 impl SweepStructure for EagerStripedSweep {
     fn with_extent(x_lo: f32, x_hi: f32) -> Self {
-        let (x_lo, x_hi) = if x_hi > x_lo { (x_lo, x_hi) } else { (x_lo, x_lo + 1.0) };
+        let (x_lo, x_hi) = if x_hi > x_lo {
+            (x_lo, x_hi)
+        } else {
+            (x_lo, x_lo + 1.0)
+        };
         EagerStripedSweep {
             strips: vec![Vec::new(); EAGER_STRIPS],
             x_lo,
@@ -178,7 +182,10 @@ impl SweepStructure for EagerStripedSweep {
     }
 
     fn query<F: FnMut(&Item)>(&mut self, query: &Item, mut report: F) {
-        let (first, last) = (self.strip_of(query.rect.lo.x), self.strip_of(query.rect.hi.x));
+        let (first, last) = (
+            self.strip_of(query.rect.lo.x),
+            self.strip_of(query.rect.hi.x),
+        );
         let q_home = self.strip_of(query.rect.lo.x);
         let qx = query.rect.x_interval();
         for s in first..=last {

@@ -216,7 +216,11 @@ pub(crate) fn join_pieces_against_log<F: FnMut(&Item, &Item)>(
     x_extent: (f32, f32),
     report: &mut F,
 ) -> Result<u64> {
-    let block = |p: &Piece| p.items.len().min(p.items.pages_per_block() * ITEMS_PER_PAGE as u64);
+    let block = |p: &Piece| {
+        p.items
+            .len()
+            .min(p.items.pages_per_block() * ITEMS_PER_PAGE as u64)
+    };
     let mut rect_tests = 0u64;
     let mut claim = env.memory.reserve_empty();
     // The first piece not loaded in full, and its reader once a pass has
@@ -224,7 +228,11 @@ pub(crate) fn join_pieces_against_log<F: FnMut(&Item, &Item)>(
     let (mut next, mut resume) = (0, None);
     while let Some(first) = pieces.get(next).filter(|p| p.log_start < log.len()) {
         claim.release();
-        if resume.get_or_insert_with(|| first.items.reader()).peek(env)?.is_none() {
+        if resume
+            .get_or_insert_with(|| first.items.reader())
+            .peek(env)?
+            .is_none()
+        {
             (next, resume) = (next + 1, None);
             continue;
         }
@@ -333,7 +341,11 @@ impl SpillingSweepDriver {
             closed: [false; 2],
             budget,
             pages_per_block: writer_pages_per_block(env.memory_limit, SPILL_WRITERS),
-            cells: Cells { x_lo, inv_span: inv_span(x_lo, x_hi, n), n },
+            cells: Cells {
+                x_lo,
+                inv_span: inv_span(x_lo, x_hi, n),
+                n,
+            },
             reservation: env.memory.reserve_empty(),
             epoch: None,
             fixup_rect_tests: 0,
@@ -504,7 +516,9 @@ impl SpillingSweepDriver {
         usj_obs::instant("sweep.spill", spilled);
         let epoch = match &mut self.epoch {
             Some(e) => e,
-            None => self.epoch.insert(SpillEpoch::new(env, self.pages_per_block, self.cells)),
+            None => self
+                .epoch
+                .insert(SpillEpoch::new(env, self.pages_per_block, self.cells)),
         };
         epoch.spill(env, Side::Left, &self.evict_left, self.pages_per_block)?;
         epoch.spill(env, Side::Right, &self.evict_right, self.pages_per_block)?;
@@ -858,8 +872,14 @@ mod tests {
             out.push((a.id, b.id));
             ControlFlow::Continue(())
         };
-        let (driver, _) =
-            merge_sweep(env, |_| Ok(l.next()), |_| Ok(r.next()), (0.0, 64.0), &mut emit).unwrap();
+        let (driver, _) = merge_sweep(
+            env,
+            |_| Ok(l.next()),
+            |_| Ok(r.next()),
+            (0.0, 64.0),
+            &mut emit,
+        )
+        .unwrap();
         let stats = driver
             .finish(env, |a, b| {
                 let _ = emit(a, b);
@@ -894,7 +914,10 @@ mod tests {
         assert_eq!(pairs, brute(&left, &right));
         assert!(stats.spill_runs > 0, "a 32 KB budget must spill: {stats:?}");
         assert!(stats.spilled_items > 0);
-        assert!(io.pages_written > 0, "spill batches are written to the device");
+        assert!(
+            io.pages_written > 0,
+            "spill batches are written to the device"
+        );
         assert!(io.pages_read > 0, "fix-ups read the spilled items back");
         // The in-memory state stayed near the budget. A single push may
         // overshoot before the spill reacts, and that push may additionally
@@ -1003,7 +1026,10 @@ mod tests {
         let (io, _) = env.since(&m);
         assert_eq!(pairs, brute(&left, &right));
         assert!(stats.spill_runs > 0, "a 64 KB budget must spill: {stats:?}");
-        assert!(io.pages_written > 0, "spill batches are written to the device");
+        assert!(
+            io.pages_written > 0,
+            "spill batches are written to the device"
+        );
         assert!(io.pages_read > 0, "fix-ups read the spilled items back");
     }
 
@@ -1059,7 +1085,10 @@ mod tests {
         let (_, &mut median, _) = expiries.select_nth_unstable_by(mid, f32::total_cmp);
         left.evict_until(median, &mut Vec::new());
         let after_median = left.bytes() + right.bytes();
-        assert!(after_median > half, "{after_median} B, half the budget {half}");
+        assert!(
+            after_median > half,
+            "{after_median} B, half the budget {half}"
+        );
 
         let spilled = driver.stats.spilled_items;
         assert!(
@@ -1166,7 +1195,11 @@ mod tests {
         };
         let ([expire, epochs], _, stats) = recorded_marks(64 * 1024, &mk(0), &mk(10_000), MARKS);
         assert!(stats.spill_runs > 0, "{stats:?}");
-        assert_eq!((expire.len(), epochs.len()), (2, 1), "{expire:?} {epochs:?}");
+        assert_eq!(
+            (expire.len(), epochs.len()),
+            (2, 1),
+            "{expire:?} {epochs:?}"
+        );
     }
 
     #[test]
@@ -1237,7 +1270,9 @@ mod tests {
         let mut env = env_with_memory(16 * 1024 * 1024);
         let mut driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
         let (above, below) = (item(0.0, 5.0, 1.0, 6.0, 1), item(0.0, 4.0, 1.0, 6.0, 2));
-        driver.push(&mut env, Side::Right, above, |_, _| {}).unwrap();
+        driver
+            .push(&mut env, Side::Right, above, |_, _| {})
+            .unwrap();
         let _ = driver.push(&mut env, Side::Left, below, |_, _| {});
     }
 }
