@@ -13,12 +13,18 @@
 //!   identical pair sequence, rectangle tests and resident high-water mark,
 //!   on the friendly workloads and on the coordinate-edge and
 //!   degenerate-window families of `families/mod.rs` (shared with the
-//!   workspace's `tests/st_coordinate_edges.rs`, which runs them through ST).
+//!   workspace's `tests/st_coordinate_edges.rs`, which runs them through ST);
+//! * [`merge_sweep`] — the spilling sweep SSSJ and PQ run — against
+//!   `sweep_join::<StripedSweep>` under an ample budget: identical pair
+//!   sequence and rectangle tests on the same families.
 
-use usj_geom::Item;
+use std::ops::ControlFlow;
+
+use usj_geom::{sort_by_lower_y, Item};
+use usj_io::{MachineConfig, SimEnv};
 use usj_sweep::{
-    batch_join, sweep_join, EagerStripedSweep, ForwardSweep, ListSweep, Side, StripedSweep,
-    SweepDriver, SweepJoinStats, SweepStructure,
+    batch_join, merge_sweep, sweep_join, EagerStripedSweep, ForwardSweep, ListSweep, Side,
+    StripedSweep, SweepDriver, SweepJoinStats, SweepStructure,
 };
 
 mod families;
@@ -180,16 +186,7 @@ fn batch(left: &[Item], right: &[Item], total: &mut SweepJoinStats) -> (Vec<(u32
 
 #[test]
 fn batch_join_is_the_forward_driver_on_friendly_and_killer_inputs() {
-    let mut inputs: Vec<Family> = (0..6u64)
-        .map(|seed| Family {
-            name: "workload",
-            left: workload(seed, 300, 0),
-            right: workload(seed ^ 0xBA7C, 280, 100_000),
-            nan: false,
-        })
-        .collect();
-    inputs.extend(families());
-    for f in &inputs {
+    for f in &friendly_and_killer_inputs() {
         let (want_seq, want) = forward_driver(&f.left, &f.right);
         let mut total = SweepJoinStats::default();
         let (seq, tests) = batch(&f.left, &f.right, &mut total);
@@ -256,5 +253,73 @@ fn every_kernel_matches_brute_force_on_the_killer_families() {
         let (window, _) = batch(&f.left, &f.right, &mut SweepJoinStats::default());
         assert_eq!(sorted(window), want, "{}: batch", f.name);
         assert!(!want.is_empty(), "{}: the family must join", f.name);
+    }
+}
+
+/// The friendly workloads and the killer families.
+fn friendly_and_killer_inputs() -> Vec<Family> {
+    let mut inputs: Vec<Family> = (0..6u64)
+        .map(|seed| Family {
+            name: "workload",
+            left: workload(seed, 300, 0),
+            right: workload(seed ^ 0xBA7C, 280, 100_000),
+            nan: false,
+        })
+        .collect();
+    inputs.extend(families());
+    inputs
+}
+
+#[test]
+fn merge_sweep_under_an_ample_budget_is_the_in_memory_striped_sweep() {
+    for f in friendly_and_killer_inputs() {
+        let mut want_seq = Vec::new();
+        let want =
+            sweep_join::<StripedSweep, _>(&f.left, &f.right, |a, b| want_seq.push((a.id, b.id)));
+        // The sorted copies and the x-extent `sweep_join` sweeps over.
+        let (mut l, mut r) = (f.left.clone(), f.right.clone());
+        sort_by_lower_y(&mut l);
+        sort_by_lower_y(&mut r);
+        let (mut x_lo, mut x_hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for it in l.iter().chain(&r) {
+            x_lo = x_lo.min(it.rect.lo.x);
+            x_hi = x_hi.max(it.rect.hi.x);
+        }
+        if !x_lo.is_finite() || !x_hi.is_finite() {
+            (x_lo, x_hi) = (0.0, 1.0);
+        }
+
+        let mut env = SimEnv::new(MachineConfig::machine3()).with_memory_limit(64 << 20);
+        let (mut l, mut r) = (l.into_iter(), r.into_iter());
+        let mut seq = Vec::new();
+        let mut emit = |a: &Item, b: &Item| {
+            seq.push((a.id, b.id));
+            ControlFlow::Continue(())
+        };
+        let (driver, flow) = merge_sweep(
+            &mut env,
+            |_| Ok(l.next()),
+            |_| Ok(r.next()),
+            (x_lo, x_hi),
+            &mut emit,
+        )
+        .unwrap();
+        assert!(flow.is_continue());
+        let stats = driver
+            .finish(&mut env, |_, _| panic!("nothing spilled"))
+            .unwrap();
+        assert_eq!(stats.spill_runs, 0, "{}", f.name);
+        assert_eq!(seq, want_seq, "{}: pairs or their order", f.name);
+        assert_eq!(
+            stats.rect_tests, want.rect_tests,
+            "{}: rectangle tests",
+            f.name
+        );
+        assert_eq!(
+            (stats.left_items, stats.right_items),
+            (want.left_items, want.right_items),
+            "{}",
+            f.name
+        );
     }
 }
