@@ -10,21 +10,16 @@
 //! is the fraction of the index the join actually has to touch. The index
 //! therefore wins only when `f` is below roughly 60 %.
 //!
-//! [`CostBasedJoin`] reproduces that decision: it estimates `f` from the
-//! index directory (a non-indexed side is assumed fully touched: PQ sorts
-//! or reads all of it), prices both strategies with the machine's actual
-//! parameters, and runs the cheaper one — PQ with subtree pruning on the
-//! indexed path, SSSJ on the sorted path.
+//! [`estimate`] reproduces that decision: it estimates `f` from the index
+//! directory (a non-indexed side is assumed fully touched: PQ sorts or
+//! reads all of it) and prices both strategies with the machine's actual
+//! parameters. `SpatialQuery` under `Algo::Auto` runs the cheaper one — PQ
+//! with subtree pruning on the indexed path, SSSJ on the sorted path.
 
 use usj_geom::ITEM_BYTES;
 use usj_io::{MachineConfig, Result, SimEnv, PAGE_SIZE};
 
 use crate::input::JoinInput;
-use crate::pq::PqJoin;
-use crate::result::JoinResult;
-use crate::sink::{CountSink, PairSink};
-use crate::sssj::SssjJoin;
-use crate::JoinOperator;
 
 /// The execution strategy chosen by the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,16 +66,20 @@ pub fn crossover_fraction(machine: &MachineConfig) -> f64 {
     (6.0 * seq / rand).min(1.0)
 }
 
-/// The cost-based algorithm selector.
+/// Estimates the indexed and the non-indexed strategy for joining `left`
+/// with `right`.
+///
+/// The estimate itself is cheap: for indexed inputs it inspects only the
+/// directory levels of the trees (`leaves_intersecting`), for non-indexed
+/// inputs it assumes the whole relation participates.
 ///
 /// # Example
 ///
-/// The selector estimates the indexed (PQ with pruning) and non-indexed
-/// (SSSJ) strategies and runs the cheaper one, returning which plan it
-/// picked alongside the estimate and the join result.
+/// A localized probe set touches only a fraction of the big index's
+/// leaves, and `Algo::Auto` runs the plan the estimate names.
 ///
 /// ```
-/// use usj_core::{CostBasedJoin, JoinInput};
+/// use usj_core::{cost, JoinInput, SpatialQuery};
 /// use usj_geom::{Item, Rect};
 /// use usj_io::{MachineConfig, SimEnv};
 /// use usj_rtree::RTree;
@@ -92,149 +91,102 @@ pub fn crossover_fraction(machine: &MachineConfig) -> f64 {
 ///         Item::new(Rect::from_coords(x, y, x + 0.9, y + 0.9), i)
 ///     })
 ///     .collect();
-/// // A localized probe set: only one corner of the grid participates.
 /// let probes = vec![Item::new(Rect::from_coords(0.1, 0.1, 1.5, 1.5), 9000)];
 ///
 /// let left = RTree::bulk_load(&mut env, &grid).unwrap();
 /// let right = RTree::bulk_load(&mut env, &probes).unwrap();
-/// let (plan, estimate, result) = CostBasedJoin::default()
-///     .run(&mut env, JoinInput::Indexed(&left), JoinInput::Indexed(&right))
-///     .unwrap();
-/// // The unforced plan is whatever the estimate says is cheaper, and the
-/// // localized probe touches only a fraction of the big index's leaves.
-/// assert_eq!(plan, estimate.plan());
+/// let (l, r) = (JoinInput::Indexed(&left), JoinInput::Indexed(&right));
+/// let estimate = cost::estimate(&mut env, &l, &r).unwrap();
 /// assert!(estimate.touched_fraction < 1.0);
+/// let query = SpatialQuery::new(l, r);
+/// assert_eq!(query.plan(&mut env).unwrap().chosen, Some(estimate.plan()));
 /// // The probe overlaps the 2x2 block of cells (0..=1, 0..=1).
-/// assert_eq!(result.pairs, 4);
+/// assert_eq!(query.count(&mut env).unwrap(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostBasedJoin {
-    /// Force a specific plan instead of estimating (useful for experiments).
-    pub force_plan: Option<JoinPlan>,
-}
+pub fn estimate(
+    env: &mut SimEnv,
+    left: &JoinInput<'_>,
+    right: &JoinInput<'_>,
+) -> Result<CostEstimate> {
+    let machine = env.machine.clone();
+    let seq_page = machine.read_transfer_secs(PAGE_SIZE as u64);
+    let rand_page = machine.random_access_secs() + seq_page;
 
-impl CostBasedJoin {
-    /// Estimates both strategies for the given inputs.
-    ///
-    /// The estimate itself is cheap: for indexed inputs it inspects only the
-    /// directory levels of the trees (`leaves_intersecting`), for non-indexed
-    /// inputs it assumes the whole relation participates.
-    pub fn estimate(
-        &self,
-        env: &mut SimEnv,
-        left: &JoinInput<'_>,
-        right: &JoinInput<'_>,
-    ) -> Result<CostEstimate> {
-        let machine = env.machine.clone();
-        let seq_page = machine.read_transfer_secs(PAGE_SIZE as u64);
-        let rand_page = machine.random_access_secs() + seq_page;
+    // Non-indexed strategy: sort both relations and sweep. Following
+    // Section 6.3: three read passes and two write passes over the raw
+    // data, all sequential. A side that is *already* sorted (a
+    // `SortedStream`, or a cataloged relation whose sorted run is
+    // persisted) skips the sort entirely and pays only the sweep's one
+    // read pass.
+    let data_pages = |input: &JoinInput<'_>| -> f64 {
+        (input.len() as f64 * ITEM_BYTES as f64 / PAGE_SIZE as f64).ceil()
+    };
+    let sorted_side_secs = |input: &JoinInput<'_>| -> f64 {
+        let pages = data_pages(input);
+        match input {
+            JoinInput::SortedStream(_) | JoinInput::Cataloged(_) => pages * seq_page,
+            _ => 3.0 * pages * seq_page + 2.0 * pages * seq_page * machine.write_penalty,
+        }
+    };
+    let non_indexed_secs = sorted_side_secs(left) + sorted_side_secs(right);
 
-        // Non-indexed strategy: sort both relations and sweep. Following
-        // Section 6.3: three read passes and two write passes over the raw
-        // data, all sequential. A side that is *already* sorted (a
-        // `SortedStream`, or a cataloged relation whose sorted run is
-        // persisted) skips the sort entirely and pays only the sweep's one
-        // read pass.
-        let data_pages = |input: &JoinInput<'_>| -> f64 {
-            (input.len() as f64 * ITEM_BYTES as f64 / PAGE_SIZE as f64).ceil()
+    // Indexed strategy: every index page the join touches costs a random
+    // read. The touched fraction is estimated from the directory
+    // rectangles; a non-indexed side — or a cataloged one with tiers,
+    // whose tree covers only its base — is charged a full sort instead.
+    let mut indexed_secs = 0.0;
+    let mut touched_pages = 0.0;
+    let mut total_pages = 0.0;
+    for (input, other) in [(left, right), (right, left)] {
+        let tree = match input {
+            JoinInput::Indexed(tree) => Some(*tree),
+            JoinInput::Cataloged(c) if !c.has_tiers() => Some(c.tree),
+            _ => None,
         };
-        let sorted_side_secs = |input: &JoinInput<'_>| -> f64 {
-            let pages = data_pages(input);
-            match input {
-                JoinInput::SortedStream(_) | JoinInput::Cataloged(_) => pages * seq_page,
-                _ => 3.0 * pages * seq_page + 2.0 * pages * seq_page * machine.write_penalty,
+        match tree {
+            Some(tree) => {
+                let frac = match other.known_bbox() {
+                    Some(bbox) => {
+                        let touched = tree.leaves_intersecting(env, &bbox)? as f64;
+                        (touched / tree.num_leaves().max(1) as f64).clamp(0.0, 1.0)
+                    }
+                    // Without knowledge of the other side, assume the
+                    // whole index participates (the conservative choice).
+                    None => 1.0,
+                };
+                let pages = frac * tree.nodes() as f64;
+                indexed_secs += pages * rand_page;
+                touched_pages += pages;
+                total_pages += tree.nodes() as f64;
             }
-        };
-        let non_indexed_secs = sorted_side_secs(left) + sorted_side_secs(right);
-
-        // Indexed strategy: every index page the join touches costs a random
-        // read. The touched fraction is estimated from the directory
-        // rectangles; a non-indexed side — or a cataloged one with tiers,
-        // whose tree covers only its base — is charged a full sort instead.
-        let mut indexed_secs = 0.0;
-        let mut touched_pages = 0.0;
-        let mut total_pages = 0.0;
-        for (input, other) in [(left, right), (right, left)] {
-            let tree = match input {
-                JoinInput::Indexed(tree) => Some(*tree),
-                JoinInput::Cataloged(c) if !c.has_tiers() => Some(c.tree),
-                _ => None,
-            };
-            match tree {
-                Some(tree) => {
-                    let frac = match other.known_bbox() {
-                        Some(bbox) => {
-                            let touched = tree.leaves_intersecting(env, &bbox)? as f64;
-                            (touched / tree.num_leaves().max(1) as f64).clamp(0.0, 1.0)
-                        }
-                        // Without knowledge of the other side, assume the
-                        // whole index participates (the conservative choice).
-                        None => 1.0,
-                    };
-                    let pages = frac * tree.nodes() as f64;
-                    indexed_secs += pages * rand_page;
-                    touched_pages += pages;
-                    total_pages += tree.nodes() as f64;
-                }
-                None => {
-                    // This side has no index: PQ sorts it exactly as SSSJ
-                    // would (or reads it straight if it is already sorted).
-                    let pages = data_pages(input);
-                    indexed_secs += sorted_side_secs(input);
-                    touched_pages += pages;
-                    total_pages += pages;
-                }
+            None => {
+                // This side has no index: PQ sorts it exactly as SSSJ
+                // would (or reads it straight if it is already sorted).
+                let pages = data_pages(input);
+                indexed_secs += sorted_side_secs(input);
+                touched_pages += pages;
+                total_pages += pages;
             }
         }
-        let touched_fraction = if total_pages > 0.0 {
-            touched_pages / total_pages
-        } else {
-            0.0
-        };
-
-        Ok(CostEstimate {
-            indexed_secs,
-            non_indexed_secs,
-            touched_fraction,
-            crossover_fraction: crossover_fraction(&machine),
-        })
     }
+    let touched_fraction = if total_pages > 0.0 {
+        touched_pages / total_pages
+    } else {
+        0.0
+    };
 
-    /// Estimates, picks the cheaper strategy and runs it, streaming the
-    /// output pairs to `sink`.
-    pub fn run_with(
-        &self,
-        env: &mut SimEnv,
-        left: JoinInput<'_>,
-        right: JoinInput<'_>,
-        sink: &mut dyn PairSink,
-    ) -> Result<(JoinPlan, CostEstimate, JoinResult)> {
-        let estimate = self.estimate(env, &left, &right)?;
-        let plan = self.force_plan.unwrap_or_else(|| estimate.plan());
-        let result = match plan {
-            JoinPlan::Indexed => PqJoin::default()
-                .with_pruning()
-                .run_with(env, left, right, sink)?,
-            JoinPlan::NonIndexed => SssjJoin::default().run_with(env, left, right, sink)?,
-        };
-        Ok((plan, estimate, result))
-    }
-
-    /// Estimates, picks the cheaper strategy and runs it, discarding the
-    /// output pairs.
-    pub fn run(
-        &self,
-        env: &mut SimEnv,
-        left: JoinInput<'_>,
-        right: JoinInput<'_>,
-    ) -> Result<(JoinPlan, CostEstimate, JoinResult)> {
-        self.run_with(env, left, right, &mut CountSink::default())
-    }
+    Ok(CostEstimate {
+        indexed_secs,
+        non_indexed_secs,
+        touched_fraction,
+        crossover_fraction: crossover_fraction(&machine),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{JoinOperator, PqJoin, SpatialQuery, SssjJoin};
     use usj_geom::{Item, Rect};
     use usj_io::{ItemStream, MachineConfig};
     use usj_rtree::RTree;
@@ -287,9 +239,7 @@ mod tests {
         let b = grid(30, 6.0, 0.0, 100_000);
         let ta = RTree::bulk_load(&mut env, &a).unwrap();
         let tb = RTree::bulk_load(&mut env, &b).unwrap();
-        let est = CostBasedJoin::default()
-            .estimate(&mut env, &JoinInput::Indexed(&ta), &JoinInput::Indexed(&tb))
-            .unwrap();
+        let est = estimate(&mut env, &JoinInput::Indexed(&ta), &JoinInput::Indexed(&tb)).unwrap();
         // Both relations cover the same region, so the join touches
         // essentially the whole index and the sequential strategy wins.
         assert!(est.touched_fraction > 0.9);
@@ -305,9 +255,7 @@ mod tests {
         let b = grid(8, 3.0, 0.0, 100_000);
         let ta = RTree::bulk_load(&mut env, &a).unwrap();
         let tb = RTree::bulk_load(&mut env, &b).unwrap();
-        let est = CostBasedJoin::default()
-            .estimate(&mut env, &JoinInput::Indexed(&ta), &JoinInput::Indexed(&tb))
-            .unwrap();
+        let est = estimate(&mut env, &JoinInput::Indexed(&ta), &JoinInput::Indexed(&tb)).unwrap();
         assert!(
             est.touched_fraction < 0.5,
             "fraction {}",
@@ -315,11 +263,14 @@ mod tests {
         );
         assert_eq!(est.plan(), JoinPlan::Indexed);
 
-        // Running the chosen plan produces the correct result.
-        let (plan, _, res) = CostBasedJoin::default()
-            .run(&mut env, JoinInput::Indexed(&ta), JoinInput::Indexed(&tb))
+        // `Algo::Auto` runs the operator the plan names, and it is right.
+        let (l, r) = (JoinInput::Indexed(&ta), JoinInput::Indexed(&tb));
+        let res = SpatialQuery::new(l, r).run(&mut env).unwrap();
+        let pq = PqJoin::default()
+            .with_pruning()
+            .run(&mut env, l, r)
             .unwrap();
-        assert_eq!(plan, JoinPlan::Indexed);
+        assert_eq!(res, pq);
         let brute: u64 = a
             .iter()
             .map(|x| b.iter().filter(|y| x.rect.intersects(&y.rect)).count() as u64)
@@ -328,25 +279,19 @@ mod tests {
     }
 
     #[test]
-    fn forced_plans_are_respected_and_agree_on_results() {
+    fn the_operators_of_both_plans_agree_on_results() {
         let mut env = env();
         let a = grid(25, 4.0, 0.0, 0);
         let b = grid(25, 4.0, 1.0, 100_000);
         let ta = RTree::bulk_load(&mut env, &a).unwrap();
         let tb = RTree::bulk_load(&mut env, &b).unwrap();
-        let (plan_i, _, res_i) = CostBasedJoin {
-            force_plan: Some(JoinPlan::Indexed),
-        }
-        .run(&mut env, JoinInput::Indexed(&ta), JoinInput::Indexed(&tb))
-        .unwrap();
-        let (plan_s, _, res_s) = CostBasedJoin {
-            force_plan: Some(JoinPlan::NonIndexed),
-        }
-        .run(&mut env, JoinInput::Indexed(&ta), JoinInput::Indexed(&tb))
-        .unwrap();
-        assert_eq!(plan_i, JoinPlan::Indexed);
-        assert_eq!(plan_s, JoinPlan::NonIndexed);
-        assert_eq!(res_i.pairs, res_s.pairs);
+        let (l, r) = (JoinInput::Indexed(&ta), JoinInput::Indexed(&tb));
+        let indexed = PqJoin::default()
+            .with_pruning()
+            .run(&mut env, l, r)
+            .unwrap();
+        let sorted = SssjJoin::default().run(&mut env, l, r).unwrap();
+        assert_eq!(indexed.pairs, sorted.pairs);
     }
 
     #[test]
@@ -356,9 +301,7 @@ mod tests {
         let sa = ItemStream::from_items(&mut env, &a).unwrap();
         let b = grid(30, 4.0, 1.0, 100_000);
         let sb = ItemStream::from_items(&mut env, &b).unwrap();
-        let est = CostBasedJoin::default()
-            .estimate(&mut env, &JoinInput::Stream(&sa), &JoinInput::Stream(&sb))
-            .unwrap();
+        let est = estimate(&mut env, &JoinInput::Stream(&sa), &JoinInput::Stream(&sb)).unwrap();
         // With no index anywhere, both strategies degenerate to the same
         // sort-based cost.
         assert!((est.indexed_secs - est.non_indexed_secs).abs() < 1e-9);

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use usj_geom::{Item, Rect};
 use usj_io::merge::{Merge, Run};
+use usj_io::stream::{DEFAULT_PAGES_PER_BLOCK, ITEMS_PER_PAGE};
 use usj_io::{extsort, CpuOp, ItemStream, ItemStreamWriter, Result, SimEnv};
 use usj_rtree::{NodeKind, RTree};
 
@@ -49,6 +50,13 @@ impl<'a> CatalogedInput<'a> {
     /// not cover the relation, and reading it in sweep order merges runs.
     pub fn has_tiers(&self) -> bool {
         !self.deltas.is_empty() || !self.mem_runs.is_empty()
+    }
+
+    /// Number of records over `sorted` and every tier.
+    pub(crate) fn len(&self) -> u64 {
+        let deltas: u64 = self.deltas.iter().map(|d| d.stream.len()).sum();
+        let mem: usize = self.mem_runs.iter().map(|m| m.items.len()).sum();
+        self.sorted.len() + deltas + mem as u64
     }
 
     /// The relation in sweep order, without a sort: `usj_io`'s k-way merge
@@ -146,11 +154,7 @@ impl<'a> JoinInput<'a> {
         match self {
             JoinInput::Indexed(tree) => tree.num_items(),
             JoinInput::Stream(s) | JoinInput::SortedStream(s) => s.len(),
-            JoinInput::Cataloged(c) => {
-                let deltas: u64 = c.deltas.iter().map(|d| d.stream.len()).sum();
-                let mem: usize = c.mem_runs.iter().map(|m| m.items.len()).sum();
-                c.sorted.len() + deltas + mem as u64
-            }
+            JoinInput::Cataloged(c) => c.len(),
         }
     }
 
@@ -238,12 +242,15 @@ impl<'a> JoinInput<'a> {
 }
 
 /// A cataloged relation as one sorted stream: its persisted run, or with
-/// tiers the merge of its runs written out (charged I/O).
+/// tiers the merge of its runs written out (charged I/O), in blocks of the
+/// default size or of the whole merge if that is smaller: the writer holds
+/// a block's buffer from its first record on.
 fn cataloged_run(env: &mut SimEnv, c: &CatalogedInput<'_>) -> Result<ItemStream> {
     if !c.has_tiers() {
         return Ok(c.sorted.clone());
     }
-    let out = ItemStreamWriter::with_default_block(env);
+    let pages = c.len().div_ceil(ITEMS_PER_PAGE as u64);
+    let out = ItemStreamWriter::new(env, pages.clamp(1, DEFAULT_PAGES_PER_BLOCK));
     c.merge().write(env, out)
 }
 

@@ -38,7 +38,7 @@ pub mod sink;
 pub mod sssj;
 pub mod st;
 
-pub use cost::{CostBasedJoin, CostEstimate, JoinPlan};
+pub use cost::{CostEstimate, JoinPlan};
 pub use input::{CatalogedInput, JoinInput, MemRun, SnapshotRun};
 pub use multiway::MultiwayJoin;
 pub use pbsm::PbsmJoin;

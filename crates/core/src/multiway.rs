@@ -12,6 +12,8 @@
 //! Output triples stream through a [`TripleSink`], so LIMIT-style early
 //! termination works across the whole cascade.
 
+use std::cmp::Ordering;
+
 use usj_geom::Item;
 use usj_io::{CpuOp, Result, SimEnv};
 use usj_sweep::{Side, StripedSweep, SweepDriver};
@@ -132,10 +134,13 @@ pub fn three_way_join(
     // are produced in ascending lower-y order and feed the second sweep
     // together with the items of c.
     let mut first: SweepDriver<StripedSweep> = SweepDriver::new(region.lo.x, region.hi.x);
-    let mut second: SweepDriver<StripedSweep> = SweepDriver::new(region.lo.x, region.hi.x);
-
-    // Composite bookkeeping: composite id -> (a_id, b_id).
-    let mut composites: Vec<(u32, u32)> = Vec::new();
+    let mut cascade = Cascade {
+        sweep: SweepDriver::new(region.lo.x, region.hi.x),
+        composites: Vec::new(),
+        sink,
+        triples: 0,
+        done: false,
+    };
 
     // The cascaded sweeps run on the plain in-memory driver (no spilling
     // mode for the 3-way cascade yet), so their structures and the composite
@@ -144,115 +149,70 @@ pub fn three_way_join(
     // and the reported peak stays a true measurement.
     let mut sweep_claim = env.memory.reserve_empty();
 
-    let mut triples = 0u64;
-    let mut intermediate = 0u64;
-    let mut done = false;
-
     let mut a_next = a_src.next(env)?;
     let mut b_next = b_src.next(env)?;
     let mut c_next = c_src.next(env)?;
 
-    while !done && (a_next.is_some() || b_next.is_some()) {
-        // Which of the two first-join inputs supplies the next event?
-        let take_a = match (&a_next, &b_next) {
+    while !cascade.done {
+        // Which of the two first-join inputs supplies the next event, if
+        // either has one left?
+        let first_side = match (&a_next, &b_next) {
             (Some(x), Some(y)) => {
                 env.charge(CpuOp::Compare, 1);
-                x.cmp_by_lower_y(y) != std::cmp::Ordering::Greater
-            }
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let event = if take_a {
-            a_next.take().expect("checked above")
-        } else {
-            b_next.take().expect("checked above")
-        };
-        let event_y = event.rect.lo.y;
-
-        // Before advancing the first sweep past event_y, feed every c item
-        // that lies below it into the second sweep so its events stay sorted.
-        while let Some(citem) = c_next {
-            env.charge(CpuOp::Compare, 1);
-            if citem.rect.lo.y > event_y {
-                c_next = Some(citem);
-                break;
-            }
-            second.push(Side::Right, citem, |comp, cit| {
-                if done {
-                    return;
+                match x.cmp_by_lower_y(y) {
+                    Ordering::Greater => Some(Side::Right),
+                    _ => Some(Side::Left),
                 }
-                let (aid, bid) = composites[comp.id as usize];
-                if sink.emit(aid, bid, cit.id).is_break() {
-                    done = true;
-                } else {
-                    triples += 1;
+            }
+            (Some(_), None) => Some(Side::Left),
+            (None, Some(_)) => Some(Side::Right),
+            (None, None) => None,
+        };
+        match first_side {
+            Some(side) => {
+                let (next, src) = match side {
+                    Side::Left => (&mut a_next, &mut a_src),
+                    Side::Right => (&mut b_next, &mut b_src),
+                };
+                let event = next.take().expect("matched above");
+                // Before advancing the first sweep past the event, feed every
+                // c item that lies below it into the second sweep so its
+                // events stay sorted.
+                while let Some(citem) = c_next {
+                    env.charge(CpuOp::Compare, 1);
+                    if citem.rect.lo.y > event.rect.lo.y {
+                        break;
+                    }
+                    cascade.push(Side::Right, citem);
+                    c_next = c_src.next(env)?;
                 }
-            });
+                // Every pair the first sweep reports becomes a composite
+                // rectangle pushed into the second sweep at once (its lower
+                // y is exactly the event's, so ordering is preserved).
+                first.push(side, event, |x, y| cascade.push_composite(x, y));
+                *next = src.next(env)?;
+            }
+            // The first join is done; the rest of c may still match
+            // composites already in the structure.
+            None => {
+                let Some(citem) = c_next else { break };
+                cascade.push(Side::Right, citem);
+            }
+        }
+        sweep_claim.try_set(first.bytes() + cascade.bytes())?;
+        if first_side.is_none() {
             c_next = c_src.next(env)?;
         }
-
-        // Advance the first sweep; every reported pair becomes a composite
-        // rectangle pushed into the second sweep immediately (its lower-y is
-        // exactly event_y, so ordering is preserved).
-        let mut produced: Vec<(Item, Item)> = Vec::new();
-        if take_a {
-            first.push(Side::Left, event, |x, y| produced.push((*x, *y)));
-            a_next = a_src.next(env)?;
-        } else {
-            first.push(Side::Right, event, |x, y| produced.push((*x, *y)));
-            b_next = b_src.next(env)?;
-        }
-        for (ia, ib) in produced {
-            intermediate += 1;
-            let inter = ia
-                .rect
-                .intersection(&ib.rect)
-                .expect("reported pairs always intersect");
-            let comp_id = composites.len() as u32;
-            composites.push((ia.id, ib.id));
-            second.push(Side::Left, Item::new(inter, comp_id), |comp, cit| {
-                if done {
-                    return;
-                }
-                let (aid, bid) = composites[comp.id as usize];
-                if sink.emit(aid, bid, cit.id).is_break() {
-                    done = true;
-                } else {
-                    triples += 1;
-                }
-            });
-        }
-        sweep_claim.try_set(
-            first.bytes() + second.bytes() + composites.len() * std::mem::size_of::<(u32, u32)>(),
-        )?;
-    }
-    // Remaining c items may still match composites already in the structure.
-    while !done {
-        let Some(citem) = c_next else { break };
-        second.push(Side::Right, citem, |comp, cit| {
-            if done {
-                return;
-            }
-            let (aid, bid) = composites[comp.id as usize];
-            if sink.emit(aid, bid, cit.id).is_break() {
-                done = true;
-            } else {
-                triples += 1;
-            }
-        });
-        sweep_claim.try_set(
-            first.bytes() + second.bytes() + composites.len() * std::mem::size_of::<(u32, u32)>(),
-        )?;
-        c_next = c_src.next(env)?;
     }
 
-    env.charge(CpuOp::OutputPair, triples);
+    env.charge(CpuOp::OutputPair, cascade.triples);
+    let composites = cascade.composites.len();
     let first_stats = first.finish();
-    let second_stats = second.finish();
+    let second_stats = cascade.sweep.finish();
     let (io, _) = env.since(&measurement);
     Ok(MultiwayResult {
-        triples,
-        intermediate_pairs: intermediate,
+        triples: cascade.triples,
+        intermediate_pairs: composites as u64,
         index_page_requests: a_src.nodes_read() + b_src.nodes_read() + c_src.nodes_read(),
         io,
         memory: MemoryStats {
@@ -261,10 +221,62 @@ pub fn three_way_join(
                 + c_src.max_queue_bytes(),
             sweep_structure_bytes: first_stats.max_structure_bytes
                 + second_stats.max_structure_bytes,
-            other_bytes: composites.len() * std::mem::size_of::<(u32, u32)>(),
+            other_bytes: composites * std::mem::size_of::<(u32, u32)>(),
             peak_bytes: env.memory.peak(),
         },
     })
+}
+
+/// The second sweep of the cascade: composites of the first sweep's pairs
+/// on the left, the third input on the right. Every pair it reports is a
+/// triple, handed to the sink until the sink stops the cascade.
+struct Cascade<'s> {
+    sweep: SweepDriver<StripedSweep>,
+    /// Composite id -> (a_id, b_id).
+    composites: Vec<(u32, u32)>,
+    sink: &'s mut dyn TripleSink,
+    triples: u64,
+    done: bool,
+}
+
+impl Cascade<'_> {
+    /// Pushes `item` on `side` and emits the triples it completes.
+    fn push(&mut self, side: Side, item: Item) {
+        let Cascade {
+            sweep,
+            composites,
+            sink,
+            triples,
+            done,
+        } = self;
+        sweep.push(side, item, |comp, c| {
+            if *done {
+                return;
+            }
+            let (a, b) = composites[comp.id as usize];
+            if sink.emit(a, b, c.id).is_break() {
+                *done = true;
+            } else {
+                *triples += 1;
+            }
+        });
+    }
+
+    /// Pushes the intersection of the first sweep's pair `(a, b)`.
+    fn push_composite(&mut self, a: &Item, b: &Item) {
+        let inter = a
+            .rect
+            .intersection(&b.rect)
+            .expect("reported pairs always intersect");
+        let id = self.composites.len() as u32;
+        self.composites.push((a.id, b.id));
+        self.push(Side::Left, Item::new(inter, id));
+    }
+
+    /// Bytes of the second sweep's structures and the composite table.
+    fn bytes(&self) -> usize {
+        self.sweep.bytes() + self.composites.len() * std::mem::size_of::<(u32, u32)>()
+    }
 }
 
 #[cfg(test)]

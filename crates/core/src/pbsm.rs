@@ -52,9 +52,7 @@ use usj_geom::{Extents, Item, Rect, ITEM_BYTES};
 use usj_io::{
     writer_pages_per_block, CpuOp, ItemStream, ItemStreamReader, Result, SimEnv, PAGE_SIZE,
 };
-use usj_sweep::{
-    batch_join_oriented, sweep_join_eps_with, StripedSweep, SweepJoinStats, SweepScratch,
-};
+use usj_sweep::{batch_join_oriented, sweep_join_in_place, StripedSweep, SweepJoinStats};
 
 use crate::input::JoinInput;
 use crate::partition::{input_extents, region_of, Scatter, TileGrid};
@@ -142,6 +140,25 @@ impl PbsmJoin {
         self.predicate = predicate;
         self
     }
+
+    /// The top-level partition count over `total_bytes` of input under
+    /// `memory_limit` — the one rule behind both the join and the
+    /// planner's estimate.
+    ///
+    /// Both partitions of a pair must fit in memory together with the sweep
+    /// working space, so each is sized to a quarter of the internal memory
+    /// (unless [`partitions`](PbsmJoin::partitions) fixes the count). The
+    /// fan-out is additionally capped so the distribution writers' block
+    /// buffers (one logical block per partition) fit in that same quarter,
+    /// and at the tile columns there are to deal — partitions that end up
+    /// overfull are split recursively instead.
+    pub(crate) fn partition_count(&self, memory_limit: usize, total_bytes: u64) -> usize {
+        let quarter = (memory_limit / 4).max(1);
+        self.partitions
+            .unwrap_or_else(|| total_bytes.div_ceil(quarter as u64).max(1) as usize)
+            .min((quarter / PAGE_SIZE).max(1))
+            .min(self.tiles_per_side)
+    }
 }
 
 /// Recursion limit of the repartitioning (beyond it the chunked fallback
@@ -151,6 +168,9 @@ pub(crate) const MAX_SPLIT_DEPTH: usize = 8;
 
 /// Fan-out of one repartitioning level.
 pub(crate) const SPLIT_PARTITIONS: usize = 4;
+
+/// A partition is loaded when `ENVELOPE` times its bytes fit in memory.
+pub(crate) const ENVELOPE: usize = 3;
 
 /// Logical block size (in pages) of the sub-partition scratch streams.
 const SPLIT_PAGES_PER_BLOCK: u64 = 2;
@@ -190,20 +210,8 @@ impl JoinOperator for PbsmJoin {
         )?;
         let region = region_of(&data, eps);
 
-        // Partition count: both partitions of a pair must fit in memory
-        // together with the sweep working space, so size each partition to a
-        // quarter of the internal memory. The fan-out is additionally capped
-        // so the distribution writers' block buffers (one logical block per
-        // partition) fit in that same quarter, and at the tile columns there
-        // are to deal — partitions that end up overfull are split
-        // recursively below instead.
         let total_bytes = left_stream.data_bytes() + right_stream.data_bytes();
-        let max_fanout = ((env.memory_limit / 4) / PAGE_SIZE).max(1);
-        let partitions = self
-            .partitions
-            .unwrap_or_else(|| ((total_bytes as usize).div_ceil(env.memory_limit / 4)).max(1))
-            .min(max_fanout)
-            .min(self.tiles_per_side);
+        let partitions = self.partition_count(env.memory_limit, total_bytes);
         let writer_ppb = writer_pages_per_block(env.memory_limit, partitions);
         let grid = TileGrid::new(region, &data, self.tiles_per_side, partitions);
 
@@ -237,7 +245,6 @@ impl JoinOperator for PbsmJoin {
             sink,
             load_left: Vec::new(),
             load_right: Vec::new(),
-            scratch: SweepScratch::new(),
         };
         let join_phase = env.obs_phase("pbsm.join");
         let mut path = vec![(grid, 0usize)];
@@ -336,8 +343,6 @@ struct PbsmRun<'a> {
     /// vectors per partition.
     load_left: Vec<Item>,
     load_right: Vec<Item>,
-    /// Reusable sorted-copy buffers of the per-partition sweeps.
-    scratch: SweepScratch,
 }
 
 impl PbsmRun<'_> {
@@ -361,16 +366,16 @@ impl PbsmRun<'_> {
         if self.done || left.is_empty() || right.is_empty() {
             return Ok(());
         }
-        // In-memory envelope: the partition vectors, the sweep's sorted
-        // copies and its resident sets — 3× the data.
+        // In-memory envelope: `ENVELOPE`× the data, for the load buffers
+        // (the sweep sorts them in place) and the sweep's resident sets.
         let bytes = (left.data_bytes() + right.data_bytes()) as usize;
-        let envelope = 3 * bytes + reader_bound(left) + reader_bound(right);
+        let envelope = ENVELOPE * bytes + reader_bound(left) + reader_bound(right);
         if depth < MAX_SPLIT_DEPTH {
             if env.memory.headroom() >= envelope {
-                // Claim the vectors/copies/resident-set share; the stream
+                // Claim the buffers' and resident sets' share; the stream
                 // readers charge their own block buffers on top (the
                 // envelope above left room for them).
-                let _claim = env.memory.try_reserve(3 * bytes)?;
+                let _claim = env.memory.try_reserve(ENVELOPE * bytes)?;
                 self.load_left.clear();
                 self.load_right.clear();
                 left.read_all_into(env, &mut self.load_left)?;
@@ -393,7 +398,6 @@ impl PbsmRun<'_> {
             done,
             load_left,
             load_right,
-            scratch,
             ..
         } = self;
         let loaded = load_left.len() + load_right.len();
@@ -410,19 +414,14 @@ impl PbsmRun<'_> {
                         *it = it.transposed();
                     }
                 }
-                let stats = sweep_join_eps_with::<StripedSweep, _>(
-                    load_left,
-                    load_right,
-                    0.0,
-                    scratch,
-                    |a, b| {
+                let stats =
+                    sweep_join_in_place::<StripedSweep, _>(load_left, load_right, |a, b| {
                         if along_x {
                             report(&a.transposed(), &b.transposed())
                         } else {
                             report(a, b)
                         }
-                    },
-                );
+                    });
                 self.sweep_total.merge(&stats);
                 stats.rect_tests
             }

@@ -4,7 +4,7 @@
 //! The paper's central claim is *unification* — one algorithm serving indexed
 //! and non-indexed inputs alike. This module lifts that unification to the
 //! API: instead of choosing between `SssjJoin`/`PbsmJoin`/`PqJoin`/`StJoin`,
-//! and `CostBasedJoin` by hand, callers describe the query
+//! by hand, callers describe the query
 //! once and let the builder lower it:
 //!
 //! ```text
@@ -28,9 +28,9 @@ use std::fmt;
 use usj_geom::Rect;
 use usj_io::{Result, SimEnv};
 
-use crate::cost::{CostBasedJoin, CostEstimate, JoinPlan};
+use crate::cost::{self, CostEstimate, JoinPlan};
 use crate::input::JoinInput;
-use crate::pbsm::{PbsmJoin, MAX_SPLIT_DEPTH, SPLIT_PARTITIONS};
+use crate::pbsm::{PbsmJoin, ENVELOPE, MAX_SPLIT_DEPTH, SPLIT_PARTITIONS};
 use crate::pq::PqJoin;
 use crate::predicate::Predicate;
 use crate::result::JoinResult;
@@ -43,7 +43,7 @@ use crate::{JoinAlgorithm, JoinOperator};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algo {
     /// Let the Section 6.3 cost model decide between the indexed (pruned PQ)
-    /// and non-indexed (SSSJ) strategies, exactly as [`CostBasedJoin`] does.
+    /// and non-indexed (SSSJ) strategies with [`cost::estimate`].
     /// An input with tiers, which the model does not price, runs SSSJ.
     #[default]
     Auto,
@@ -107,11 +107,10 @@ pub struct MemoryPlan {
 
 impl MemoryPlan {
     /// Computes the heuristic for `algorithm` over inputs of the given total
-    /// and smaller-side byte sizes, mirroring the runtime sizing rules:
-    /// PBSM partitions of a quarter of memory with the fan-out capped by the
-    /// distribution writers (one page each in a quarter of memory) and by
-    /// the tile columns a one-axis grid has to deal, a partition admitted
-    /// when its 3× in-memory envelope fits the full memory, and — uniform
+    /// and smaller-side byte sizes, with the runtime sizing rules: PBSM's
+    /// own partition count (`PbsmJoin::partition_count`), a partition
+    /// admitted when its [`ENVELOPE`]× in-memory envelope fits the full
+    /// memory, and — uniform
     /// data shrinks at every split, so the non-shrinking rule never cuts
     /// the recursion short — one [`SPLIT_PARTITIONS`]-way split per level
     /// up to [`MAX_SPLIT_DEPTH`]; for SSSJ/PQ a sweep budget of half the
@@ -129,15 +128,8 @@ impl MemoryPlan {
         };
         match algorithm {
             JoinAlgorithm::Pbsm => {
-                let quarter = (memory_limit / 4).max(1) as u64;
-                let max_fanout = ((memory_limit / 4) / usj_io::PAGE_SIZE).max(1) as u64;
-                let columns = PbsmJoin::default().tiles_per_side as u64;
-                let partitions = total_bytes
-                    .div_ceil(quarter)
-                    .max(1)
-                    .min(max_fanout)
-                    .min(columns);
-                let mut need = 3 * total_bytes / partitions;
+                let partitions = PbsmJoin::default().partition_count(memory_limit, total_bytes);
+                let mut need = ENVELOPE as u64 * total_bytes / partitions as u64;
                 let budget = memory_limit.max(1) as u64;
                 while need > budget && (plan.partition_depth as usize) < MAX_SPLIT_DEPTH {
                     plan.partition_depth += 1;
@@ -282,10 +274,9 @@ impl<'a> SpatialQuery<'a> {
 
     /// Resolves [`Algo::Auto`] through the cost model. Returns the concrete
     /// algorithm, the estimate (when consulted) and whether PQ should prune
-    /// (the auto-selected indexed strategy prunes, mirroring
-    /// [`CostBasedJoin`]). An input with tiers resolves to SSSJ without an
-    /// estimate: the §6.3 model does not price tiers, and SSSJ merges the
-    /// runs as they are.
+    /// (the auto-selected indexed strategy prunes). An input with tiers
+    /// resolves to SSSJ without an estimate: the §6.3 model does not price
+    /// tiers, and SSSJ merges the runs as they are.
     fn resolve(
         &self,
         env: &mut SimEnv,
@@ -299,7 +290,7 @@ impl<'a> SpatialQuery<'a> {
                 (JoinAlgorithm::Sssj, None, None, false)
             }
             Algo::Auto => {
-                let est = CostBasedJoin::default().estimate(env, &self.left, &self.right)?;
+                let est = cost::estimate(env, &self.left, &self.right)?;
                 let chosen = est.plan();
                 let alg = match chosen {
                     JoinPlan::Indexed => JoinAlgorithm::Pq,
@@ -479,14 +470,18 @@ mod tests {
         let tb = RTree::bulk_load(&mut e, &b).unwrap();
         let q = SpatialQuery::new(JoinInput::Indexed(&ta), JoinInput::Indexed(&tb));
         let plan = q.plan(&mut e).unwrap();
-        let (legacy_plan, legacy_est, legacy_res) = CostBasedJoin::default()
-            .run(&mut e, JoinInput::Indexed(&ta), JoinInput::Indexed(&tb))
-            .unwrap();
-        assert_eq!(plan.chosen, Some(legacy_plan));
-        assert_eq!(plan.cost.unwrap(), legacy_est);
+        let est =
+            cost::estimate(&mut e, &JoinInput::Indexed(&ta), &JoinInput::Indexed(&tb)).unwrap();
+        assert_eq!(plan.chosen, Some(est.plan()));
+        assert_eq!(plan.chosen, Some(JoinPlan::Indexed));
+        assert_eq!(plan.cost.unwrap(), est);
         assert_eq!(plan.algorithm, JoinAlgorithm::Pq);
         let res = q.run(&mut e).unwrap();
-        assert_eq!(res, legacy_res, "auto execution must match CostBasedJoin");
+        let pq = PqJoin::default()
+            .with_pruning()
+            .run(&mut e, JoinInput::Indexed(&ta), JoinInput::Indexed(&tb))
+            .unwrap();
+        assert_eq!(res, pq, "auto execution must be the pruned PQ join");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The plane-sweep join driver.
+//! The plane-sweep join driver: the one sweep loop of the workspace.
 //!
 //! The driver consumes two sequences of items sorted by ascending lower
 //! y-coordinate and maintains one interval structure per input. For every
@@ -9,15 +9,24 @@
 //!    intersecting pair), and
 //! 3. inserts the item into its own input's structure.
 //!
-//! The driver is push-based and holds everything in memory. PBSM feeds it
-//! per fitting partition ([`sweep_join_eps_with`]) and the multiway join
-//! feeds its cascade through it; [`sweep_join`] runs it over two slices.
-//! SSSJ and PQ sweep through [`crate::merge_sweep`] and the spilling driver
-//! instead, and ST joins node pairs with [`crate::batch_join_oriented`].
+//! Who drives it:
+//!
+//! * [`sweep_join_in_place`] sorts two slices and pushes them through it —
+//!   PBSM's fitting partitions, on their load buffers; [`sweep_join`] does
+//!   the same over copies of two borrowed slices;
+//! * the §4 multiway cascade pushes both of its sweeps through it;
+//! * the [`SpillingSweepDriver`](crate::SpillingSweepDriver) holds one and
+//!   runs its steps with the spill discipline in between — the sweep SSSJ
+//!   and PQ reach through [`crate::merge_sweep`].
+//!
+//! ST joins node pairs with [`crate::batch_join_oriented`] instead, which
+//! needs no structure at all.
+
+use std::cmp::Ordering;
 
 use usj_geom::{f32_order_key, sort_by_lower_y, Item};
 
-use crate::structure::{SweepStats, SweepStructure};
+use crate::structure::SweepStructure;
 
 /// Which of the two join inputs an item belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,13 +88,20 @@ impl SweepJoinStats {
     }
 }
 
-/// A streaming plane-sweep join over two y-sorted inputs.
+/// A streaming plane-sweep join over two y-sorted inputs: the crate's one
+/// probe / insert / expire / statistics loop.
+///
+/// [`push`](SweepDriver::push) is the whole in-memory sweep. The spilling
+/// driver holds a `SweepDriver<StripedSweep>` and drives the same steps one
+/// at a time (`advance`, `expire`, `probe_insert`), with its spill
+/// discipline between them.
 #[derive(Debug)]
 pub struct SweepDriver<S: SweepStructure> {
-    left: S,
-    right: S,
-    stats: SweepJoinStats,
-    last_y: f32,
+    pub(crate) left: S,
+    pub(crate) right: S,
+    pub(crate) stats: SweepJoinStats,
+    /// The sweep line: the lower y of the last item pushed.
+    pub(crate) last_y: f32,
 }
 
 impl<S: SweepStructure> SweepDriver<S> {
@@ -110,39 +126,52 @@ impl<S: SweepStructure> SweepDriver<S> {
     ///
     /// Items must be pushed in ascending lower-y order across *both* sides;
     /// this is asserted in debug builds.
-    pub fn push<F: FnMut(&Item, &Item)>(&mut self, side: Side, item: Item, mut report: F) {
+    pub fn push<F: FnMut(&Item, &Item)>(&mut self, side: Side, item: Item, report: F) {
         let y = item.rect.lo.y;
+        self.advance(y);
+        self.expire([y, y]);
+        self.probe_insert(side, item, report);
+    }
+
+    /// Moves the sweep line to `y`, which must not lie below it (asserted
+    /// in debug builds).
+    pub(crate) fn advance(&mut self, y: f32) {
         // The keyed sort's order: a NaN lower y sorts last.
         debug_assert!(
             f32_order_key(y) >= f32_order_key(self.last_y),
             "sweep inputs must be pushed in ascending lower-y order"
         );
         self.last_y = y;
-        self.left.expire_before(y);
-        self.right.expire_before(y);
+    }
+
+    /// Expires each structure before its cut, indexed by [`Side`].
+    pub(crate) fn expire(&mut self, [left, right]: [f32; 2]) {
+        self.left.expire_before(left);
+        self.right.expire_before(right);
+    }
+
+    /// Probes the other side's structure with `item`, reporting each
+    /// partner, inserts `item` into its own side's and notes the sizes.
+    pub(crate) fn probe_insert<F: FnMut(&Item, &Item)>(
+        &mut self,
+        side: Side,
+        item: Item,
+        mut report: F,
+    ) {
         match side {
             Side::Left => {
-                self.right.query(&item, |other| {
-                    report(&item, other);
-                });
+                self.right.query(&item, |other| report(&item, other));
                 self.left.insert(item);
                 self.stats.left_items += 1;
             }
             Side::Right => {
-                self.left.query(&item, |other| {
-                    report(other, &item);
-                });
+                self.left.query(&item, |other| report(other, &item));
                 self.right.insert(item);
                 self.stats.right_items += 1;
             }
         }
-        self.note_sizes();
-    }
-
-    fn note_sizes(&mut self) {
-        let bytes = self.bytes();
         let resident = self.left.len() + self.right.len();
-        self.stats.max_structure_bytes = self.stats.max_structure_bytes.max(bytes);
+        self.stats.max_structure_bytes = self.stats.max_structure_bytes.max(self.bytes());
         self.stats.max_resident = self.stats.max_resident.max(resident);
     }
 
@@ -153,140 +182,79 @@ impl<S: SweepStructure> SweepDriver<S> {
         self.left.bytes() + self.right.bytes()
     }
 
-    /// Registers `n` reported pairs in the statistics. The driver does not
-    /// count them itself because callers may suppress duplicates (PBSM) or
-    /// fan the output into further joins (multi-way PQ).
-    pub fn add_pairs(&mut self, n: u64) {
-        self.stats.pairs += n;
-    }
-
     /// Final statistics (rectangle-test counts are pulled from the
-    /// structures).
+    /// structures). The driver does not count pairs: its callers suppress
+    /// duplicates (PBSM) or fan the output into further joins (the
+    /// multiway cascade).
     pub fn finish(self) -> SweepJoinStats {
         let mut stats = self.stats;
         stats.rect_tests = self.left.stats().rect_tests + self.right.stats().rect_tests;
         stats
-    }
-
-    /// Combined statistics of the two interval structures.
-    pub fn structure_stats(&self) -> SweepStats {
-        self.left.stats().combined(&self.right.stats())
     }
 }
 
 /// Joins two in-memory slices, reporting intersecting `(left, right)` item
 /// pairs to a callback.
 ///
-/// Inputs that are not sorted are handled by sorting copies first, so the
-/// function is safe to call on arbitrary slices (PBSM partitions arrive
-/// unsorted, for example). Returns the join statistics.
+/// The inputs may be in any order: the sweep runs over sorted copies (see
+/// [`sweep_join_in_place`]). Returns the join statistics.
 pub fn sweep_join<S, F>(left: &[Item], right: &[Item], report: F) -> SweepJoinStats
 where
     S: SweepStructure,
     F: FnMut(&Item, &Item),
 {
-    sweep_join_eps::<S, F>(left, right, 0.0, report)
+    sweep_join_in_place::<S, F>(&mut left.to_vec(), &mut right.to_vec(), report)
 }
 
-/// Reusable sorted-copy buffers for [`sweep_join_eps_with`].
+/// Sorts both slices by lower y in place and sweeps them against each
+/// other over their joint x-extent, reporting every intersecting
+/// `(left, right)` pair. Returns the join statistics, pairs counted.
 ///
-/// One in-memory sweep needs a sorted copy of each input. Callers that run
-/// many sweeps in a row (PBSM joins one per partition, ST one per node pair)
-/// keep a scratch around so the copies stop allocating fresh vectors.
-#[derive(Debug, Default)]
-pub struct SweepScratch {
-    left: Vec<Item>,
-    right: Vec<Item>,
-}
-
-impl SweepScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        SweepScratch::default()
-    }
-}
-
-/// [`sweep_join`] with ε-expansion of the left input.
-///
-/// Every left rectangle is grown by `eps` on all sides before the sweep, so
-/// the reported pairs are exactly the pairs whose Chebyshev (L∞) distance is
-/// at most `eps` — the within-distance join predicate. The callback receives
-/// the *expanded* left item; with `eps == 0.0` this is identical to
-/// [`sweep_join`].
-///
-/// Expanding only one side keeps the test symmetric (`d(a, b) <= eps` is
-/// symmetric) while shifting every left sort key by the same constant, which
-/// preserves the sorted order the sweep relies on.
-pub fn sweep_join_eps<S, F>(left: &[Item], right: &[Item], eps: f32, report: F) -> SweepJoinStats
-where
-    S: SweepStructure,
-    F: FnMut(&Item, &Item),
-{
-    sweep_join_eps_with::<S, F>(left, right, eps, &mut SweepScratch::new(), report)
-}
-
-/// [`sweep_join_eps`] with caller-provided scratch buffers for the sorted
-/// input copies (see [`SweepScratch`]).
-pub fn sweep_join_eps_with<S, F>(
-    left: &[Item],
-    right: &[Item],
-    eps: f32,
-    scratch: &mut SweepScratch,
+/// PBSM sweeps its partition-load buffers with it, so a partition is
+/// sorted where it was loaded instead of being copied first.
+pub fn sweep_join_in_place<S, F>(
+    left: &mut [Item],
+    right: &mut [Item],
     mut report: F,
 ) -> SweepJoinStats
 where
     S: SweepStructure,
     F: FnMut(&Item, &Item),
 {
-    let l = &mut scratch.left;
-    let r = &mut scratch.right;
-    l.clear();
-    l.extend(
-        left.iter()
-            .map(|it| Item::new(it.rect.expanded(eps), it.id)),
-    );
-    r.clear();
-    r.extend_from_slice(right);
-    sort_by_lower_y(l);
-    sort_by_lower_y(r);
-
+    sort_by_lower_y(left);
+    sort_by_lower_y(right);
     let (mut x_lo, mut x_hi) = (f32::INFINITY, f32::NEG_INFINITY);
-    for it in l.iter().chain(r.iter()) {
+    for it in left.iter().chain(right.iter()) {
         x_lo = x_lo.min(it.rect.lo.x);
         x_hi = x_hi.max(it.rect.hi.x);
     }
     if !x_lo.is_finite() || !x_hi.is_finite() {
-        x_lo = 0.0;
-        x_hi = 1.0;
+        (x_lo, x_hi) = (0.0, 1.0);
     }
 
     let mut driver: SweepDriver<S> = SweepDriver::new(x_lo, x_hi);
-    let mut li = 0;
-    let mut ri = 0;
+    let (mut l, mut r) = (left.iter().peekable(), right.iter().peekable());
     let mut pairs = 0u64;
-    while li < l.len() || ri < r.len() {
-        let take_left = match (l.get(li), r.get(ri)) {
-            (Some(a), Some(b)) => a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
+    let mut counted = |a: &Item, b: &Item| {
+        pairs += 1;
+        report(a, b);
+    };
+    loop {
+        let side = match (l.peek(), r.peek()) {
+            (Some(a), Some(b)) if a.cmp_by_lower_y(b) == Ordering::Greater => Side::Right,
+            (Some(_), _) => Side::Left,
+            (None, Some(_)) => Side::Right,
             (None, None) => break,
         };
-        if take_left {
-            driver.push(Side::Left, l[li], |a, b| {
-                pairs += 1;
-                report(a, b);
-            });
-            li += 1;
-        } else {
-            driver.push(Side::Right, r[ri], |a, b| {
-                pairs += 1;
-                report(a, b);
-            });
-            ri += 1;
-        }
+        let next = match side {
+            Side::Left => l.next(),
+            Side::Right => r.next(),
+        };
+        driver.push(side, *next.expect("peeked above"), &mut counted);
     }
-    driver.add_pairs(pairs);
-    driver.finish()
+    let mut stats = driver.finish();
+    stats.pairs = pairs;
+    stats
 }
 
 #[cfg(test)]
@@ -398,27 +366,6 @@ mod tests {
         let right = vec![item(1.0, 1.0, 2.0, 2.0, 2)];
         assert_eq!(run::<ForwardSweep>(&left, &right), vec![(1, 2)]);
         assert_eq!(run::<StripedSweep>(&left, &right), vec![(1, 2)]);
-    }
-
-    #[test]
-    fn eps_expansion_reports_near_pairs() {
-        // Two unit squares a gap of 1.0 apart in x: disjoint under the plain
-        // intersect join, within distance under eps >= 1.0.
-        let left = vec![item(0.0, 0.0, 1.0, 1.0, 1)];
-        let right = vec![item(2.0, 0.0, 3.0, 1.0, 2)];
-        assert_eq!(run::<StripedSweep>(&left, &right), vec![]);
-        let mut near = Vec::new();
-        sweep_join_eps::<StripedSweep, _>(&left, &right, 1.0, |a, b| near.push((a.id, b.id)));
-        assert_eq!(near, vec![(1, 2)]);
-        // The callback sees the expanded left rectangle.
-        sweep_join_eps::<StripedSweep, _>(&left, &right, 1.5, |a, b| {
-            assert_eq!(a.rect.lo.x, -1.5);
-            assert_eq!(b.rect.lo.x, 2.0);
-        });
-        // Below the gap, still nothing.
-        let mut far = Vec::new();
-        sweep_join_eps::<StripedSweep, _>(&left, &right, 0.5, |a, b| far.push((a.id, b.id)));
-        assert!(far.is_empty());
     }
 
     #[test]

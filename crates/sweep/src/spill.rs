@@ -1,10 +1,12 @@
 //! The external *spilling* plane-sweep driver and the merge that feeds it.
 //!
-//! [`SweepDriver`](crate::SweepDriver) keeps both interval structures fully
+//! [`SweepDriver`] keeps both interval structures fully
 //! in memory — fine for the paper's real-life workloads, where Table 3 shows
 //! the sweep state staying far below 1 % of the data, but a silent budget
 //! violation on adversarial inputs (many long-lived rectangles alive at the
-//! same sweep position). This driver enforces the memory-governor budget:
+//! same sweep position). This driver holds one and runs its steps — expire,
+//! probe and insert — with a spill discipline between them that enforces
+//! the memory-governor budget:
 //!
 //! 1. The in-memory structures register their bytes with the environment's
 //!    [`MemoryGauge`](usj_io::MemoryGauge).
@@ -43,18 +45,20 @@
 //! live snapshots alike (a snapshot's runs are merged into one y-ordered
 //! source). Both pull two y-ordered sources through [`merge_sweep`], which
 //! feeds the driver in global lower-y order and closes each side as its
-//! source ends ([`SpillingSweepDriver::close_side`]).
+//! source ends ([`SpillingSweepDriver::close_side`]). A closed side's cut
+//! is `f32::INFINITY`: the driver passes it through the in-memory driver's
+//! expire step, so the structure only that side probed drains at once.
 
 use std::cmp::Ordering;
 use std::ops::{ControlFlow, Range};
 
-use usj_geom::{f32_order_key, Item, ITEM_BYTES};
+use usj_geom::{Item, ITEM_BYTES};
 use usj_io::stream::ITEMS_PER_PAGE;
 use usj_io::{
     writer_pages_per_block, CpuOp, ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv,
 };
 
-use crate::driver::{Side, SweepJoinStats};
+use crate::driver::{Side, SweepDriver, SweepJoinStats};
 use crate::striped::{inv_span, strip_index};
 use crate::structure::SweepStructure;
 use crate::StripedSweep;
@@ -286,19 +290,16 @@ pub(crate) fn join_pieces_against_log<F: FnMut(&Item, &Item)>(
 
 /// A memory-governed streaming plane-sweep join over two y-sorted inputs.
 ///
-/// The drop-in external sibling of
-/// [`SweepDriver<StripedSweep>`](crate::SweepDriver): same push-based
-/// protocol, but `push` takes the environment (evictions and fix-ups perform
-/// simulated I/O) and the in-memory state never exceeds the budget derived
-/// from the gauge's headroom at construction. Items must arrive in
-/// ascending lower-y order across both sides; [`merge_sweep`] feeds it from
-/// two sorted sources.
+/// The in-memory [`SweepDriver<StripedSweep>`](crate::SweepDriver) plus
+/// its spill discipline: same push-based protocol, but `push` takes the
+/// environment (evictions and fix-ups perform simulated I/O) and the
+/// in-memory state never exceeds the budget derived from the gauge's
+/// headroom at construction. Items must arrive in ascending lower-y order
+/// across both sides; [`merge_sweep`] feeds it from two sorted sources.
 #[derive(Debug)]
 pub struct SpillingSweepDriver {
-    left: StripedSweep,
-    right: StripedSweep,
-    stats: SweepJoinStats,
-    last_y: f32,
+    /// The sweep itself: structures, sweep line and statistics.
+    sweep: SweepDriver<StripedSweep>,
     /// Sides whose input has ended, indexed by [`Side`].
     closed: [bool; 2],
     budget: usize,
@@ -330,14 +331,11 @@ impl SpillingSweepDriver {
     /// to the sweep as well.
     pub fn new(env: &SimEnv, x_lo: f32, x_hi: f32) -> Self {
         let budget = (env.memory.headroom() / 2).max(MIN_SWEEP_BUDGET);
-        let left = StripedSweep::with_extent(x_lo, x_hi);
-        let (x_lo, x_hi) = left.extent();
+        let sweep = SweepDriver::<StripedSweep>::new(x_lo, x_hi);
+        let (x_lo, x_hi) = sweep.left.extent();
         let n = (budget / BUDGET_PER_REACH_CELL).clamp(1, MAX_REACH_CELLS);
         SpillingSweepDriver {
-            left,
-            right: StripedSweep::with_extent(x_lo, x_hi),
-            stats: SweepJoinStats::default(),
-            last_y: f32::NEG_INFINITY,
+            sweep,
             closed: [false; 2],
             budget,
             pages_per_block: writer_pages_per_block(env.memory_limit, SPILL_WRITERS),
@@ -376,13 +374,8 @@ impl SpillingSweepDriver {
         mut report: F,
     ) -> Result<()> {
         let y = item.rect.lo.y;
-        // The keyed sort's order: a NaN lower y sorts last.
-        debug_assert!(
-            f32_order_key(y) >= f32_order_key(self.last_y),
-            "sweep inputs must be pushed in ascending lower-y order"
-        );
+        self.sweep.advance(y);
         debug_assert!(!self.closed[side as usize], "push on a closed side");
-        self.last_y = y;
         self.expire();
 
         // Close the epoch once every spilled item has expired.
@@ -396,20 +389,7 @@ impl SpillingSweepDriver {
             epoch.log(env, side, item)?;
         }
 
-        match side {
-            Side::Left => {
-                self.right.query(&item, |other| report(&item, other));
-                self.left.insert(item);
-                self.stats.left_items += 1;
-            }
-            Side::Right => {
-                self.left.query(&item, |other| report(other, &item));
-                self.right.insert(item);
-                self.stats.right_items += 1;
-            }
-        }
-        self.note_sizes();
-
+        self.sweep.probe_insert(side, item, &mut report);
         if self.charged() > self.budget {
             self.spill(env)?;
         }
@@ -421,7 +401,7 @@ impl SpillingSweepDriver {
     /// structures, and the reach while an epoch is open.
     fn charged(&self) -> usize {
         let reach = self.epoch.as_ref().map_or(0, |_| self.cells.reach_bytes());
-        self.left.bytes() + self.right.bytes() + reach
+        self.sweep.bytes() + reach
     }
 
     /// Declares `side`'s input ended. Nothing can probe the opposite
@@ -437,16 +417,11 @@ impl SpillingSweepDriver {
     /// Expires each structure at the sweep line — or entirely, once the
     /// side whose arrivals probe it has closed.
     fn expire(&mut self) {
-        let cut = |prober: Side| {
-            if self.closed[prober as usize] {
-                f32::INFINITY
-            } else {
-                self.last_y
-            }
+        let cut = |prober: Side| match self.closed[prober as usize] {
+            true => f32::INFINITY,
+            false => self.sweep.last_y,
         };
-        let (left_cut, right_cut) = (cut(Side::Right), cut(Side::Left));
-        self.left.expire_before(left_cut);
-        self.right.expire_before(right_cut);
+        self.sweep.expire([cut(Side::Right), cut(Side::Left)]);
     }
 
     /// Fixes up the open spill epoch, if any, reporting its pairs.
@@ -459,7 +434,7 @@ impl SpillingSweepDriver {
         self.mark_expired();
         usj_obs::instant("sweep.fixup_epoch", epoch.batches as u64);
         usj_obs::instant("sweep.log_skipped", epoch.skipped);
-        self.fixup_rect_tests += epoch.fixup(env, self.left.extent(), report)?;
+        self.fixup_rect_tests += epoch.fixup(env, self.sweep.left.extent(), report)?;
         Ok(())
     }
 
@@ -469,18 +444,11 @@ impl SpillingSweepDriver {
     /// join's events and pushes the join's own spans out of a bounded trace
     /// ring.
     fn mark_expired(&mut self) {
-        let total = self.left.stats().expirations + self.right.stats().expirations;
+        let total = self.sweep.left.stats().expirations + self.sweep.right.stats().expirations;
         if total > self.expirations_marked {
             usj_obs::instant("sweep.expire", total - self.expirations_marked);
             self.expirations_marked = total;
         }
-    }
-
-    fn note_sizes(&mut self) {
-        let bytes = self.left.bytes() + self.right.bytes();
-        let resident = self.left.len() + self.right.len();
-        self.stats.max_structure_bytes = self.stats.max_structure_bytes.max(bytes);
-        self.stats.max_resident = self.stats.max_resident.max(resident);
     }
 
     /// Evicts the soonest-to-expire resident items until the in-memory state,
@@ -492,18 +460,19 @@ impl SpillingSweepDriver {
     /// so the rounds are logarithmic in the residents and everything goes
     /// only when nothing less fits.
     fn spill(&mut self, env: &mut SimEnv) -> Result<()> {
+        let SweepDriver { left, right, .. } = &mut self.sweep;
         self.expiry_scratch.clear();
-        self.left.resident_expiries(&mut self.expiry_scratch);
-        self.right.resident_expiries(&mut self.expiry_scratch);
+        left.resident_expiries(&mut self.expiry_scratch);
+        right.resident_expiries(&mut self.expiry_scratch);
         self.evict_left.clear();
         self.evict_right.clear();
         let half = (self.budget / 2).saturating_sub(self.cells.reach_bytes());
         let mut rest = &mut self.expiry_scratch[..];
-        while !rest.is_empty() && self.left.bytes() + self.right.bytes() > half {
+        while !rest.is_empty() && left.bytes() + right.bytes() > half {
             let (_, &mut cut, later) = rest.select_nth_unstable_by(rest.len() / 2, f32::total_cmp);
             // `evict_until` appends to the reusable buffers.
-            self.left.evict_until(cut, &mut self.evict_left);
-            self.right.evict_until(cut, &mut self.evict_right);
+            left.evict_until(cut, &mut self.evict_left);
+            right.evict_until(cut, &mut self.evict_right);
             rest = later;
         }
         if self.evict_left.is_empty() && self.evict_right.is_empty() {
@@ -511,8 +480,8 @@ impl SpillingSweepDriver {
         }
 
         let spilled = (self.evict_left.len() + self.evict_right.len()) as u64;
-        self.stats.spilled_items += spilled;
-        self.stats.spill_runs += 1;
+        self.sweep.stats.spilled_items += spilled;
+        self.sweep.stats.spill_runs += 1;
         usj_obs::instant("sweep.spill", spilled);
         let epoch = match &mut self.epoch {
             Some(e) => e,
@@ -534,8 +503,7 @@ impl SpillingSweepDriver {
         mut report: F,
     ) -> Result<SweepJoinStats> {
         self.fixup(env, &mut report)?;
-        self.mark_expired();
-        Ok(self.stats_snapshot())
+        Ok(self.discard())
     }
 
     /// Abandons any pending spill state *without* reading it back — the
@@ -543,13 +511,8 @@ impl SpillingSweepDriver {
     /// the fix-up I/O is saved).
     pub fn discard(mut self) -> SweepJoinStats {
         self.mark_expired();
-        self.stats_snapshot()
-    }
-
-    fn stats_snapshot(&self) -> SweepJoinStats {
-        let mut stats = self.stats;
-        stats.rect_tests =
-            self.left.stats().rect_tests + self.right.stats().rect_tests + self.fixup_rect_tests;
+        let mut stats = self.sweep.finish();
+        stats.rect_tests += self.fixup_rect_tests;
         stats
     }
 }
@@ -1065,7 +1028,7 @@ mod tests {
         let mut items = long_lived(2_000, 0);
         items.sort_unstable_by(Item::cmp_by_lower_y);
         let mut pushed = 0;
-        while driver.stats.spill_runs == 0 {
+        while driver.sweep.stats.spill_runs == 0 {
             driver
                 .push(&mut env, Side::Left, items[pushed], |_, _| {})
                 .unwrap();
@@ -1090,12 +1053,12 @@ mod tests {
             "{after_median} B, half the budget {half}"
         );
 
-        let spilled = driver.stats.spilled_items;
+        let spilled = driver.sweep.stats.spilled_items;
         assert!(
-            spilled < pushed as u64 && !driver.left.is_empty(),
+            spilled < pushed as u64 && !driver.sweep.left.is_empty(),
             "{spilled} of {pushed} residents evicted"
         );
-        let after = driver.left.bytes() + driver.right.bytes();
+        let after = driver.sweep.left.bytes() + driver.sweep.right.bytes();
         assert!(after <= half, "{after} B, half the budget {half}");
     }
 
@@ -1239,17 +1202,17 @@ mod tests {
         for it in &l {
             driver.push(&mut env, Side::Left, *it, |_, _| {}).unwrap();
         }
-        assert!(!driver.left.is_empty());
+        assert!(!driver.sweep.left.is_empty());
         driver.close_side(Side::Right);
         assert!(
-            driver.left.is_empty(),
+            driver.sweep.left.is_empty(),
             "no future right arrivals can probe the left residents"
         );
         // Later left arrivals are drained by the next push, never probed.
         let late = item(0.0, 5.0, 64.0, 500.0, 999);
         driver.push(&mut env, Side::Left, late, |_, _| {}).unwrap();
         driver.push(&mut env, Side::Left, late, |_, _| {}).unwrap();
-        assert_eq!(driver.left.len(), 1);
+        assert_eq!(driver.sweep.left.len(), 1);
     }
 
     #[test]

@@ -21,19 +21,6 @@ pub struct SweepStats {
     pub max_bytes: usize,
 }
 
-impl SweepStats {
-    /// Component-wise sum of two counters.
-    pub fn combined(&self, other: &SweepStats) -> SweepStats {
-        SweepStats {
-            rect_tests: self.rect_tests + other.rect_tests,
-            inserts: self.inserts + other.inserts,
-            expirations: self.expirations + other.expirations,
-            max_resident: self.max_resident.max(other.max_resident),
-            max_bytes: self.max_bytes.max(other.max_bytes),
-        }
-    }
-}
-
 /// A dynamic set of x-intervals (rectangles cut by the current sweep line).
 ///
 /// The structure stores the full [`Item`] so that matches can be reported

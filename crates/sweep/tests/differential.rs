@@ -23,8 +23,8 @@ use std::ops::ControlFlow;
 use usj_geom::{sort_by_lower_y, Item};
 use usj_io::{MachineConfig, SimEnv};
 use usj_sweep::{
-    batch_join, merge_sweep, sweep_join, EagerStripedSweep, ForwardSweep, ListSweep, Side,
-    StripedSweep, SweepDriver, SweepJoinStats, SweepStructure,
+    batch_join, merge_sweep, sweep_join, ForwardSweep, ListSweep, Side, StripedSweep, SweepDriver,
+    SweepJoinStats, SweepStructure,
 };
 
 mod families;
@@ -56,16 +56,12 @@ fn soa_striped_kernel_reports_the_exact_list_sweep_pair_set() {
         let right = workload(seed.wrapping_mul(77) ^ 0x00C0_FFEE, 400, 100_000);
         let mut reference = pair_sequence::<ListSweep>(&left, &right);
         let mut optimized = pair_sequence::<StripedSweep>(&left, &right);
-        let mut pre_pr = pair_sequence::<EagerStripedSweep>(&left, &right);
         let raw_len = optimized.len();
         reference.sort_unstable();
         optimized.sort_unstable();
         optimized.dedup();
-        pre_pr.sort_unstable();
         assert_eq!(raw_len, optimized.len(), "seed {seed}: duplicate pairs");
         assert_eq!(optimized, reference, "seed {seed}");
-        // The preserved pre-PR striped baseline agrees too.
-        assert_eq!(pre_pr, reference, "seed {seed}: pre-PR striped baseline");
     }
 }
 

@@ -80,7 +80,7 @@ pub use usj_sweep as sweep;
 /// [`SpatialQuery`](usj_core::SpatialQuery) builder.
 pub mod prelude {
     pub use usj_core::{
-        cost::{CostBasedJoin, CostEstimate, JoinPlan},
+        cost::{CostEstimate, JoinPlan},
         pbsm::PbsmJoin,
         pq::PqJoin,
         query::{Algo, MemoryPlan, QueryPlan, SpatialQuery},
@@ -102,5 +102,5 @@ pub mod prelude {
         CancelToken, Catalog, DatasetId, JoinSpec, QueryKind, QueryOutcome, QueryRequest,
         QueryStats, QueryStatus, Service, ServiceConfig, ServiceReport, ServiceStats, Session,
     };
-    pub use usj_sweep::{ForwardSweep, StripedSweep, SweepScratch, SweepStructure};
+    pub use usj_sweep::{ForwardSweep, StripedSweep, SweepStructure};
 }

@@ -3,7 +3,7 @@
 //! through the facade crate's public API only.
 
 use unified_spatial_join::io::ItemStream;
-use unified_spatial_join::join::{multiway::three_way_join, JoinAlgorithm};
+use unified_spatial_join::join::{cost, multiway::three_way_join, JoinAlgorithm};
 use unified_spatial_join::prelude::*;
 
 fn prepare(
@@ -92,9 +92,14 @@ fn mixed_representation_joins_are_supported_by_pq_only_path() {
 #[test]
 fn cost_based_selector_picks_a_plan_and_returns_correct_results() {
     let (mut env, workload, rt, ht, _rs, _hs) = prepare(Preset::NJ, 300, 4);
-    let (plan, estimate, result) = CostBasedJoin::default()
-        .run(&mut env, JoinInput::Indexed(&rt), JoinInput::Indexed(&ht))
-        .unwrap();
+    let (left, right) = (JoinInput::Indexed(&rt), JoinInput::Indexed(&ht));
+    let estimate = cost::estimate(&mut env, &left, &right).unwrap();
+    let query = SpatialQuery::new(left, right);
+    let plan = query.plan(&mut env).unwrap().chosen.unwrap();
+    assert_eq!(plan, estimate.plan());
+    let result = query.run(&mut env).unwrap();
+    let sssj = SssjJoin::default().run(&mut env, left, right).unwrap();
+    assert_eq!(result, sssj);
     assert_eq!(result.pairs, workload.reference_join_size());
     // Road and hydro cover the same region, so the whole index participates
     // and the sort-based plan should be chosen on a modern-ratio disk.

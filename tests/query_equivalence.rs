@@ -5,8 +5,8 @@
 //! 1. **Equivalence** — for every algorithm and two workload presets, the
 //!    builder produces a byte-identical `JoinResult` (every I/O, CPU and
 //!    memory counter) and the identical pair sequence as the direct
-//!    `JoinOperator` entry points, and `Algo::Auto` picks
-//!    exactly the plan `CostBasedJoin` picks.
+//!    `JoinOperator` entry points, and `Algo::Auto` picks exactly the plan
+//!    `cost::estimate` names and runs its operator.
 //! 2. **Predicates** — `WithinDistance` agrees with a brute-force oracle on
 //!    all four algorithms.
 //! 3. **Early termination** — a LIMIT sink stops the join's I/O short of a
@@ -14,7 +14,7 @@
 //!    combination is constructible and consistent.
 
 use unified_spatial_join::io::ItemStream;
-use unified_spatial_join::join::JoinAlgorithm;
+use unified_spatial_join::join::{cost, JoinAlgorithm};
 use unified_spatial_join::prelude::*;
 
 type Prepared = (SimEnv, Workload, RTree, RTree, ItemStream, ItemStream);
@@ -120,9 +120,14 @@ fn builder_is_byte_identical_to_the_legacy_serial_api() {
 fn auto_picks_the_same_plan_as_cost_based_join() {
     for (preset, scale) in [(Preset::NJ, 400), (Preset::NY, 800)] {
         let (mut env, _workload, rt, ht, _rs, _hs) = prepare(preset, scale, 3);
-        let (legacy_plan, legacy_est, legacy_res) = CostBasedJoin::default()
-            .run(&mut env, JoinInput::Indexed(&rt), JoinInput::Indexed(&ht))
-            .unwrap();
+        let (left, right) = (JoinInput::Indexed(&rt), JoinInput::Indexed(&ht));
+        let legacy_est = cost::estimate(&mut env, &left, &right).unwrap();
+        let legacy_plan = legacy_est.plan();
+        let legacy_res = match legacy_plan {
+            JoinPlan::Indexed => PqJoin::default().with_pruning().run(&mut env, left, right),
+            JoinPlan::NonIndexed => SssjJoin::default().run(&mut env, left, right),
+        }
+        .unwrap();
 
         // Clean-room environment for the builder path (see the serial test).
         let (mut env2, _w2, rt2, ht2, _rs2, _hs2) = prepare(preset, scale, 3);
