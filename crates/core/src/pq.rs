@@ -452,7 +452,10 @@ impl PqJoin {
         prune: Option<Rect>,
     ) -> Result<(SortedSource<'a>, Rect)> {
         let extractor = |env: &mut SimEnv, tree: &'a RTree, bbox| {
-            Ok((SortedSource::Extractor(PqExtractor::new(env, tree, prune)), bbox))
+            Ok((
+                SortedSource::Extractor(PqExtractor::new(env, tree, prune)),
+                bbox,
+            ))
         };
         match input {
             JoinInput::Indexed(tree) => extractor(env, tree, tree.bbox()),
@@ -550,7 +553,9 @@ mod tests {
             extracted.push(it);
         }
         assert_eq!(extracted.len(), items.len());
-        assert!(extracted.windows(2).all(|w| w[0].rect.lo.y <= w[1].rect.lo.y));
+        assert!(extracted
+            .windows(2)
+            .all(|w| w[0].rect.lo.y <= w[1].rect.lo.y));
         // Optimal page requests: every node exactly once.
         assert_eq!(ex.nodes_read(), tree.nodes());
         assert_eq!(env.device.stats().pages_read, tree.nodes());
@@ -644,7 +649,11 @@ mod tests {
         let ta = RTree::bulk_load(&mut env, &a).unwrap();
         let tempty = RTree::bulk_load(&mut env, &[]).unwrap();
         let res = PqJoin::default()
-            .run(&mut env, JoinInput::Indexed(&ta), JoinInput::Indexed(&tempty))
+            .run(
+                &mut env,
+                JoinInput::Indexed(&ta),
+                JoinInput::Indexed(&tempty),
+            )
             .unwrap();
         assert_eq!(res.pairs, 0);
     }

@@ -130,7 +130,12 @@ mod tests {
         // n horizontal segments and n vertical segments arranged so every
         // vertical crosses every horizontal in a band.
         let horiz: Vec<Item> = (0..n)
-            .map(|i| Item::new(Rect::from_coords(0.0, i as f32, n as f32, i as f32 + 0.1), i))
+            .map(|i| {
+                Item::new(
+                    Rect::from_coords(0.0, i as f32, n as f32, i as f32 + 0.1),
+                    i,
+                )
+            })
             .collect();
         let vert: Vec<Item> = (0..n)
             .map(|i| {

@@ -16,8 +16,8 @@ use usj_datagen::{Preset, WorkloadSpec};
 use usj_geom::{Point, Rect};
 use usj_io::{CpuCounter, IoStats, MachineConfig, SimEnv};
 use usj_service::{
-    CancelToken, Catalog, DatasetId, LiveConfig, QueryRequest, QueryStatus, Service,
-    ServiceConfig, ServiceStats,
+    CancelToken, Catalog, DatasetId, LiveConfig, QueryRequest, QueryStatus, Service, ServiceConfig,
+    ServiceStats,
 };
 
 const REQUESTS: usize = 96;
@@ -123,7 +123,9 @@ fn the_batch_roll_up_is_a_fold_of_its_outcomes() {
     });
     // A 4 MB budget under two workers: joins wait for each other, so the
     // batch records deferrals.
-    let config = ServiceConfig::default().with_workers(2).with_memory_limit(4 << 20);
+    let config = ServiceConfig::default()
+        .with_workers(2)
+        .with_memory_limit(4 << 20);
     let service = Service::new(env, catalog, config);
     // A live dataset with every tier: a base, delta runs and a memtable.
     let live_config = LiveConfig {
@@ -131,7 +133,9 @@ fn the_batch_roll_up_is_a_fold_of_its_outcomes() {
         compact_after_deltas: 0,
     };
     let half = w.hydro.len() / 2;
-    let live = service.register_live("live", &w.hydro[..half], live_config).unwrap();
+    let live = service
+        .register_live("live", &w.hydro[..half], live_config)
+        .unwrap();
     for chunk in w.hydro[half..].chunks(97) {
         service.append_live("live", chunk).unwrap();
     }
@@ -158,9 +162,15 @@ fn the_batch_roll_up_is_a_fold_of_its_outcomes() {
     let stats = &report.stats;
 
     // Every resolution the roll-up counts is present.
-    assert!(stats.completed > 0 && stats.failed >= 2 && stats.cancelled >= 2, "{stats}");
+    assert!(
+        stats.completed > 0 && stats.failed >= 2 && stats.cancelled >= 2,
+        "{stats}"
+    );
     assert!(stats.deferrals > 0, "{stats}");
-    assert!(report.outcomes.iter().any(|o| o.result().is_some_and(|r| r.pairs == 3)));
+    assert!(report
+        .outcomes
+        .iter()
+        .any(|o| o.result().is_some_and(|r| r.pairs == 3)));
 
     let mut admitted = 0;
     let (mut completed, mut failed, mut cancelled) = (0, 0, 0);
@@ -186,7 +196,12 @@ fn the_batch_roll_up_is_a_fold_of_its_outcomes() {
     }
     assert_eq!(stats.submitted, report.outcomes.len() as u64);
     assert_eq!(
-        (stats.admitted, stats.completed, stats.failed, stats.cancelled),
+        (
+            stats.admitted,
+            stats.completed,
+            stats.failed,
+            stats.cancelled
+        ),
         (admitted, completed, failed, cancelled)
     );
     assert_eq!(stats.pairs, pairs);
