@@ -17,6 +17,8 @@ use std::sync::Arc;
 use unified_spatial_join::io::ledger::{self, Row};
 use unified_spatial_join::io::{ItemStream, Page};
 use unified_spatial_join::prelude::*;
+use usj_datagen::rng::SmallRng;
+use usj_geom::Item;
 
 struct Fixture {
     env: SimEnv,
@@ -93,14 +95,11 @@ impl Fixture {
     fn observe(&self, preset: Preset, algo: Algo, limit: usize) -> Row {
         let mut pairs = Vec::new();
         let res = self.run(algo, limit, &mut |l: u32, r: u32| pairs.push((l, r)));
-        Row::new(format!("{preset:?} {} KB {algo:?}", limit / 1024))
-            .with("pairs", res.pairs)
-            .digests(&pairs)
-            .with("sweep.rect_tests", res.sweep.rect_tests)
-            .with("sweep.max_resident", res.sweep.max_resident as u64)
-            .with("sweep.spilled_items", res.sweep.spilled_items)
-            .cpu(&res.cpu)
-            .io(&res.io)
+        observed(
+            format!("{preset:?} {} KB {algo:?}", limit / 1024),
+            &res,
+            &pairs,
+        )
     }
 }
 
@@ -149,4 +148,94 @@ fn limited_st_reads_the_same_pages() {
         }
     }
     ledger::check(include_str!("ledgers/kernel_limited_st.ledger"), &got);
+}
+
+/// A tall pair: thin rectangles 20–200 long along the sweep axis in a
+/// 1 000-unit square, like the benchmark's `join_spill` family.
+fn tall_pair(left: usize, right: usize) -> (Vec<Item>, Vec<Item>) {
+    let mut rng = SmallRng::seed_from_u64(42);
+    let mut side = |n: usize, first_id: u32| -> Vec<Item> {
+        (0..n)
+            .map(|i| {
+                let w = rng.gen_range_f32(0.01, 0.1);
+                let h = rng.gen_range_f32(20.0, 200.0);
+                let x = rng.gen_f32() * (1000.0 - w);
+                let y = rng.gen_f32() * (1000.0 - h);
+                Item::new(Rect::from_coords(x, y, x + w, y + h), first_id + i as u32)
+            })
+            .collect()
+    };
+    (side(left, 0), side(right, 0x4000_0000))
+}
+
+/// Sorts that end in several runs, feeding the sweep: SSSJ over the
+/// streams and over the dumped trees, the same SSSJ stopped by a `LIMIT`,
+/// and PQ with the stream side sorted, on DISK1-6/200 at 4 MB, where the
+/// roads form three runs; and SSSJ on a tall pair at 3 MB, whose sweep is
+/// expected to outgrow its budget. Pinned in `ledgers/sorted_runs.ledger`
+/// with the same counters as the kernel rows.
+#[test]
+fn sorts_that_end_in_several_runs_are_pinned() {
+    const MB3: usize = 3 << 20;
+    const MB4: usize = 4 << 20;
+    let fx = fixture(Preset::Disk1_6);
+    let mut got = Vec::new();
+    let streams = (
+        JoinInput::Stream(&fx.left_stream),
+        JoinInput::Stream(&fx.right_stream),
+    );
+    let trees = (
+        JoinInput::Indexed(&fx.left_tree),
+        JoinInput::Indexed(&fx.right_tree),
+    );
+    let mixed = (
+        JoinInput::Stream(&fx.left_stream),
+        JoinInput::Indexed(&fx.right_tree),
+    );
+    for (label, algo, (left, right), limit) in [
+        ("streams", Algo::Sssj, streams, None),
+        ("trees", Algo::Sssj, trees, None),
+        ("streams limit 100", Algo::Sssj, streams, Some(100)),
+        ("stream x tree", Algo::Pq, mixed, None),
+    ] {
+        let mut env = fx.env.fork_with_base(Arc::clone(&fx.base));
+        env.set_memory_limit(MB4);
+        let mut pairs = Vec::new();
+        let mut collect = |l: u32, r: u32| pairs.push((l, r));
+        let mut limited = LimitSink::new(&mut collect, limit.unwrap_or(u64::MAX));
+        let res = SpatialQuery::new(left, right)
+            .algorithm(algo)
+            .execute(&mut env, &mut limited)
+            .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+        got.push(observed(
+            format!("Disk1_6 4096 KB {algo:?} {label}"),
+            &res,
+            &pairs,
+        ));
+    }
+
+    let (left, right) = tall_pair(120_000, 40_000);
+    let mut env = SimEnv::new(MachineConfig::machine3());
+    let [left, right] = [&left, &right]
+        .map(|items| env.unaccounted(|env| ItemStream::from_items(env, items).unwrap()));
+    env.set_memory_limit(MB3);
+    let mut pairs = Vec::new();
+    let res = SpatialQuery::new(JoinInput::Stream(&left), JoinInput::Stream(&right))
+        .algorithm(Algo::Sssj)
+        .execute(&mut env, &mut |l: u32, r: u32| pairs.push((l, r)))
+        .unwrap();
+    got.push(observed("tall 3072 KB Sssj streams".into(), &res, &pairs));
+    ledger::check(include_str!("ledgers/sorted_runs.ledger"), &got);
+}
+
+/// The ledger row of one join that emitted `pairs`.
+fn observed(label: String, res: &JoinResult, pairs: &[(u32, u32)]) -> Row {
+    Row::new(label)
+        .with("pairs", res.pairs)
+        .digests(pairs)
+        .with("sweep.rect_tests", res.sweep.rect_tests)
+        .with("sweep.max_resident", res.sweep.max_resident as u64)
+        .with("sweep.spilled_items", res.sweep.spilled_items)
+        .cpu(&res.cpu)
+        .io(&res.io)
 }
