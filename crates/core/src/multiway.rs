@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 
 use usj_geom::Item;
-use usj_io::{CpuOp, Result, SimEnv};
+use usj_io::{CpuCounter, CpuOp, Result, SimEnv};
 use usj_sweep::{Side, StripedSweep, SweepDriver};
 
 use crate::input::JoinInput;
@@ -38,6 +38,9 @@ pub struct MultiwayResult {
     pub index_page_requests: u64,
     /// I/O performed by the whole cascade.
     pub io: usj_io::IoStats,
+    /// CPU work charged by the whole cascade, both sweeps' rectangle tests
+    /// included.
+    pub cpu: CpuCounter,
     /// Maximum internal memory used by the queues and sweep structures.
     pub memory: MemoryStats,
 }
@@ -209,12 +212,17 @@ pub fn three_way_join(
     let composites = cascade.composites.len();
     let first_stats = first.finish();
     let second_stats = cascade.sweep.finish();
-    let (io, _) = env.since(&measurement);
+    env.charge(
+        CpuOp::RectTest,
+        first_stats.rect_tests + second_stats.rect_tests,
+    );
+    let (io, cpu) = env.since(&measurement);
     Ok(MultiwayResult {
         triples: cascade.triples,
         intermediate_pairs: composites as u64,
         index_page_requests: a_src.nodes_read() + b_src.nodes_read() + c_src.nodes_read(),
         io,
+        cpu,
         memory: MemoryStats {
             priority_queue_bytes: a_src.max_queue_bytes()
                 + b_src.max_queue_bytes()

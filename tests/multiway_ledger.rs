@@ -83,7 +83,7 @@ fn the_cascade_charges_what_is_pinned() {
                 .run_with(&mut env, a, b, c, &mut sink)
                 .unwrap_or_else(|e| panic!("{inputs} limit {limit:?} failed: {e}"));
             let (io, cpu) = env.since(&m);
-            assert_eq!(io, res.io);
+            assert_eq!((io, cpu), (res.io, res.cpu));
             assert_eq!(res.triples, sink.triples.len() as u64);
             let mut sorted = sink.triples.clone();
             sorted.sort_unstable();
