@@ -121,8 +121,7 @@ fn the_batch_roll_up_is_a_fold_of_its_outcomes() {
             catalog.register(env, "hydro", &w.hydro).unwrap(),
         )
     });
-    // A 4 MB budget under two workers: joins wait for each other, so the
-    // batch records deferrals.
+    // A 4 MB budget under two workers.
     let config = ServiceConfig::default()
         .with_workers(2)
         .with_memory_limit(4 << 20);
@@ -148,7 +147,16 @@ fn the_batch_roll_up_is_a_fold_of_its_outcomes() {
     );
     let token = CancelToken::new();
     token.cancel();
-    let mut requests = mixed_batch(11, roads, hydro, w.region);
+    // Two 3 MB joins at the head of the queue, which `Service::run` fills
+    // before any worker starts: admitting the first leaves the second at
+    // the head with 1 MB of headroom, a deferral whatever the threads'
+    // timing.
+    let heavy = QueryRequest::join(roads, hydro)
+        .with_algorithm(Algo::Sssj)
+        .with_priority(4)
+        .with_memory_budget(3 << 20);
+    let mut requests = vec![heavy.clone(), heavy];
+    requests.extend(mixed_batch(11, roads, hydro, w.region));
     requests.extend([
         QueryRequest::join(roads, live).with_algorithm(Algo::Sssj),
         QueryRequest::join(live, hydro).with_limit(25),
