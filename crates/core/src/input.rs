@@ -42,8 +42,14 @@ pub struct CatalogedInput<'a> {
     pub mem_runs: &'a [MemRun],
 }
 
-/// The runs of a cataloged relation merged in sweep order.
-pub(crate) type TierMerge<'a> = Merge<'a, fn(&Item) -> u64, fn(&Item, &Item) -> Ordering>;
+/// Sorted runs merged in sweep order: a cataloged relation's tiers, or
+/// the last level of a sort.
+pub(crate) type SweepMerge<'a> = Merge<'a, fn(&Item) -> u64, fn(&Item, &Item) -> Ordering>;
+
+/// The merge of `runs`, each sorted in sweep order, in sweep order.
+pub(crate) fn sweep_merge(runs: Vec<Run<'_>>) -> SweepMerge<'_> {
+    Merge::new(runs, Item::sweep_key, Item::cmp_by_lower_y)
+}
 
 impl<'a> CatalogedInput<'a> {
     /// Whether anything beside `sorted` holds records: then the tree does
@@ -63,15 +69,11 @@ impl<'a> CatalogedInput<'a> {
     /// of `sorted`, then the deltas, then the in-memory runs. Run pages are
     /// read (and charged) as the merge reaches them, and the merge charges
     /// its heap's work.
-    pub(crate) fn merge(&self) -> TierMerge<'a> {
+    pub(crate) fn merge(&self) -> SweepMerge<'a> {
         let deltas = self.deltas.iter().map(SnapshotRun::stream);
         let device = std::iter::once(self.sorted).chain(deltas).map(Run::device);
         let memory = self.mem_runs.iter().map(|m| Run::memory(m.items()));
-        Merge::new(
-            device.chain(memory).collect(),
-            Item::sweep_key,
-            Item::cmp_by_lower_y,
-        )
+        sweep_merge(device.chain(memory).collect())
     }
 }
 
@@ -202,30 +204,40 @@ impl<'a> JoinInput<'a> {
         env: &mut SimEnv,
         bbox_hint: Option<Rect>,
     ) -> Result<(ItemStream, Rect)> {
+        let (mut runs, bbox) = self.sorted_runs(env, bbox_hint, false)?;
+        Ok((
+            runs.pop().expect("a written last merge leaves one run"),
+            bbox,
+        ))
+    }
+
+    /// [`to_sorted_stream`](JoinInput::to_sorted_stream), except that with
+    /// `last_merge_streams` a `Stream` or `Indexed` relation's sort stops
+    /// at its last level ([`extsort::sort_to_runs`] with the merge fan-in):
+    /// the relation in sweep order is then the merge of the runs returned.
+    /// Any other relation is one run.
+    pub(crate) fn sorted_runs(
+        &self,
+        env: &mut SimEnv,
+        bbox_hint: Option<Rect>,
+        last_merge_streams: bool,
+    ) -> Result<(Vec<ItemStream>, Rect)> {
         match self {
             JoinInput::SortedStream(s) => {
                 let bbox = match bbox_hint {
                     Some(b) => b,
                     None => scan_bbox(env, s)?,
                 };
-                Ok(((*s).clone(), bbox))
+                Ok((vec![(*s).clone()], bbox))
             }
-            JoinInput::Stream(s) => {
-                let (sorted, stats) =
-                    extsort::external_sort_by_key(env, s, Item::sweep_key, Item::cmp_by_lower_y)?;
-                Ok((sorted, bbox_hint.unwrap_or(stats.bbox)))
-            }
+            JoinInput::Stream(s) => sort_runs(env, s, bbox_hint, last_merge_streams),
             JoinInput::Indexed(tree) => {
                 let dumped = dump_tree(env, tree)?;
-                let (sorted, stats) = extsort::external_sort_by_key(
-                    env,
-                    &dumped,
-                    Item::sweep_key,
-                    Item::cmp_by_lower_y,
-                )?;
-                Ok((sorted, bbox_hint.unwrap_or(stats.bbox)))
+                sort_runs(env, &dumped, bbox_hint, last_merge_streams)
             }
-            JoinInput::Cataloged(c) => Ok((cataloged_run(env, c)?, bbox_hint.unwrap_or(c.bbox))),
+            JoinInput::Cataloged(c) => {
+                Ok((vec![cataloged_run(env, c)?], bbox_hint.unwrap_or(c.bbox)))
+            }
         }
     }
 
@@ -239,6 +251,24 @@ impl<'a> JoinInput<'a> {
             JoinInput::Cataloged(c) => cataloged_run(env, c),
         }
     }
+}
+
+/// `s` sorted in sweep order into one run, or with `last_merge_streams`
+/// into the runs of the sort's last merge, plus `bbox_hint` or the box the
+/// sort gathered.
+fn sort_runs(
+    env: &mut SimEnv,
+    s: &ItemStream,
+    bbox_hint: Option<Rect>,
+    last_merge_streams: bool,
+) -> Result<(Vec<ItemStream>, Rect)> {
+    let k = if last_merge_streams {
+        extsort::merge_fan_in(env.memory_limit, s.pages_per_block())
+    } else {
+        1
+    };
+    let (runs, stats) = extsort::sort_to_runs(env, s, Item::sweep_key, Item::cmp_by_lower_y, k)?;
+    Ok((runs, bbox_hint.unwrap_or(stats.bbox)))
 }
 
 /// A cataloged relation as one sorted stream: its persisted run, or with

@@ -128,9 +128,11 @@ pub fn three_way_join(
     env.memory.begin_phase();
     let pq = PqJoin::default();
 
-    let (mut a_src, a_bbox) = pq.make_source(env, &a, None)?;
-    let (mut b_src, b_bbox) = pq.make_source(env, &b, None)?;
-    let (mut c_src, c_bbox) = pq.make_source(env, &c, None)?;
+    // Every sorted input writes its sort's last merge: the cascade's sweeps
+    // are not planned against the merges' reader blocks.
+    let (mut a_src, a_bbox) = pq.make_source(env, &a, None, false)?;
+    let (mut b_src, b_bbox) = pq.make_source(env, &b, None, false)?;
+    let (mut c_src, c_bbox) = pq.make_source(env, &c, None, false)?;
     let region = a_bbox.union(&b_bbox).union(&c_bbox);
 
     // First sweep joins a and b; its output pairs (intersection rectangles)

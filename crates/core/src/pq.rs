@@ -29,16 +29,18 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::ControlFlow;
 
 use usj_geom::{Item, Rect};
+use usj_io::merge::Run;
 use usj_io::sim::Measurement;
 use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
 use usj_rtree::{NodeKind, NodeView, RTree};
 use usj_sweep::merge_sweep;
 
-use crate::input::{JoinInput, TierMerge};
+use crate::input::{sweep_merge, JoinInput, SweepMerge};
 use crate::predicate::Predicate;
+use crate::query::SweepPlan;
 use crate::result::{JoinResult, MemoryStats};
 use crate::sink::PairSink;
-use crate::JoinOperator;
+use crate::{JoinAlgorithm, JoinOperator};
 
 /// Total order wrapper for `f32` priority-queue keys.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,35 +253,40 @@ impl<'a> PqExtractor<'a> {
 }
 
 /// One sorted source feeding the sweep: an index adapter, a reader over an
-/// already-sorted stream, or the merge of a cataloged relation's runs.
+/// already-sorted stream, or a merge of sorted runs.
 pub(crate) enum SortedSource<'a> {
     /// The PQ index adapter over an R-tree.
     Extractor(PqExtractor<'a>),
     /// A reader over a stream that is already sorted by lower y-coordinate.
     Stream(usj_io::ItemStreamReader),
-    /// The runs of a cataloged relation with tiers, merged on the fly.
-    Merge(TierMerge<'a>),
+    /// The runs of a cataloged relation with tiers, or of a sort's last
+    /// level, merged on the fly.
+    Merge(SweepMerge<'a>),
 }
 
 impl<'a> SortedSource<'a> {
     /// `input` in sweep order without its index, plus its bounding box
     /// (`bbox_hint` when given): a cataloged relation's runs are read as
     /// they are — merged when it has tiers — and anything else goes
-    /// through [`JoinInput::to_sorted_stream`].
+    /// through [`JoinInput::sorted_runs`], whose runs are merged when
+    /// `last_merge_streams` left the sort's last merge to the sweep.
     pub(crate) fn sorted(
         env: &mut SimEnv,
         input: &JoinInput<'a>,
         bbox_hint: Option<Rect>,
+        last_merge_streams: bool,
     ) -> Result<(Self, Rect)> {
-        match input {
-            JoinInput::Cataloged(c) if c.has_tiers() => {
-                Ok((SortedSource::Merge(c.merge()), bbox_hint.unwrap_or(c.bbox)))
-            }
-            _ => {
-                let (sorted, bbox) = input.to_sorted_stream(env, bbox_hint)?;
-                Ok((SortedSource::Stream(sorted.reader()), bbox))
+        if let JoinInput::Cataloged(c) = input {
+            if c.has_tiers() {
+                return Ok((SortedSource::Merge(c.merge()), bbox_hint.unwrap_or(c.bbox)));
             }
         }
+        let (mut runs, bbox) = input.sorted_runs(env, bbox_hint, last_merge_streams)?;
+        let source = match runs.len() {
+            1 => SortedSource::Stream(runs.pop().expect("one run").reader()),
+            _ => SortedSource::Merge(sweep_merge(runs.iter().map(Run::device).collect())),
+        };
+        Ok((source, bbox))
     }
 
     pub(crate) fn next(&mut self, env: &mut SimEnv) -> Result<Option<Item>> {
@@ -444,12 +451,14 @@ impl PqJoin {
     /// restricts the traversal to part of it — otherwise the relation's
     /// sorted run is the cheapest source. A cataloged relation with tiers
     /// is always read as the merge of its runs: its tree indexes only the
-    /// first.
+    /// first. A stream is sorted, and with `last_merge_streams` read as the
+    /// merge of its sort's last level.
     pub(crate) fn make_source<'a>(
         &self,
         env: &mut SimEnv,
         input: &JoinInput<'a>,
         prune: Option<Rect>,
+        last_merge_streams: bool,
     ) -> Result<(SortedSource<'a>, Rect)> {
         let extractor = |env: &mut SimEnv, tree: &'a RTree, bbox| {
             Ok((
@@ -464,7 +473,7 @@ impl PqJoin {
             {
                 extractor(env, c.tree, c.bbox)
             }
-            _ => SortedSource::sorted(env, input, self.region_hint),
+            _ => SortedSource::sorted(env, input, self.region_hint, last_merge_streams),
         }
     }
 }
@@ -497,8 +506,10 @@ impl JoinOperator for PqJoin {
             (None, None)
         };
 
-        let left = self.make_source(env, &left, left_prune)?;
-        let right = self.make_source(env, &right, right_prune)?;
+        let streamed =
+            SweepPlan::new(JoinAlgorithm::Pq, env.memory_limit, [&left, &right]).streamed;
+        let left = self.make_source(env, &left, left_prune, streamed[0])?;
+        let right = self.make_source(env, &right, right_prune, streamed[1])?;
         sweep_sources(
             env,
             &measurement,

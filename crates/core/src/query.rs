@@ -25,8 +25,9 @@
 
 use std::fmt;
 
-use usj_geom::Rect;
-use usj_io::{Result, SimEnv};
+use usj_geom::{Rect, ITEM_BYTES};
+use usj_io::stream::DEFAULT_PAGES_PER_BLOCK;
+use usj_io::{extsort, Result, SimEnv, PAGE_SIZE};
 
 use crate::cost::{self, CostEstimate, JoinPlan};
 use crate::input::JoinInput;
@@ -106,20 +107,19 @@ pub struct MemoryPlan {
 }
 
 impl MemoryPlan {
-    /// Computes the heuristic for `algorithm` over inputs of the given total
-    /// and smaller-side byte sizes, with the runtime sizing rules: PBSM's
-    /// own partition count (`PbsmJoin::partition_count`), a partition
-    /// admitted when its [`ENVELOPE`]× in-memory envelope fits the full
-    /// memory, and — uniform
+    /// Computes the heuristic for `algorithm` over `left` and `right` with
+    /// the runtime sizing rules: PBSM's own partition count
+    /// (`PbsmJoin::partition_count`), a partition admitted when its
+    /// [`ENVELOPE`]× in-memory envelope fits the full memory, and — uniform
     /// data shrinks at every split, so the non-shrinking rule never cuts
     /// the recursion short — one [`SPLIT_PARTITIONS`]-way split per level
-    /// up to [`MAX_SPLIT_DEPTH`]; for SSSJ/PQ a sweep budget of half the
-    /// memory left once both input readers hold their block buffers.
+    /// up to [`MAX_SPLIT_DEPTH`]; for SSSJ/PQ the [`SweepPlan`]'s worst
+    /// case.
     fn estimate(
         algorithm: JoinAlgorithm,
         memory_limit: usize,
-        total_bytes: u64,
-        smaller_bytes: u64,
+        left: &JoinInput<'_>,
+        right: &JoinInput<'_>,
     ) -> MemoryPlan {
         let mut plan = MemoryPlan {
             memory_limit,
@@ -128,6 +128,7 @@ impl MemoryPlan {
         };
         match algorithm {
             JoinAlgorithm::Pbsm => {
+                let total_bytes = (left.len() + right.len()) * ITEM_BYTES as u64;
                 let partitions = PbsmJoin::default().partition_count(memory_limit, total_bytes);
                 let mut need = ENVELOPE as u64 * total_bytes / partitions as u64;
                 let budget = memory_limit.max(1) as u64;
@@ -137,17 +138,127 @@ impl MemoryPlan {
                 }
             }
             JoinAlgorithm::Sssj | JoinAlgorithm::Pq => {
-                // Worst case the whole smaller side is alive at one sweep
-                // position; the driver's budget is half of what the two
-                // input readers' block buffers leave free.
-                let block = usj_io::stream::DEFAULT_PAGES_PER_BLOCK * usj_io::PAGE_SIZE as u64;
-                let readers = smaller_bytes.min(block) + (total_bytes - smaller_bytes).min(block);
-                let budget = (memory_limit as u64).saturating_sub(readers) / 2;
-                plan.spill_estimate_bytes = smaller_bytes.saturating_sub(budget);
+                plan.spill_estimate_bytes =
+                    SweepPlan::new(algorithm, memory_limit, [left, right]).spill_estimate_bytes();
             }
             JoinAlgorithm::St => {}
         }
         plan
+    }
+}
+
+/// How SSSJ or PQ feeds its sweep under a memory limit, fixed before
+/// anything runs: which sides' sorts leave their last merge to the sweep
+/// instead of writing it and reading it back.
+///
+/// The plan's worst case is the whole smaller side alive at one sweep
+/// position, against a sweep budget of half of what the sides' reader
+/// blocks leave free. A side whose sort ends in more than one run streams
+/// them when, with one reader block charged per streamed run, the streamed
+/// runs' blocks of both sides still fit the half of memory the sort's
+/// merge fan-in is sized by and the worst case still fits; otherwise its
+/// sort writes its last merge. Left is decided first. A sweep that spills
+/// costs more than the saved pass, so where the sweep is expected to
+/// spill, every last merge is written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SweepPlan {
+    memory_limit: usize,
+    sides: [SweepSide; 2],
+    /// Per side, whether its sort stops at its last level and the sweep
+    /// reads that level's merge.
+    pub(crate) streamed: [bool; 2],
+}
+
+/// One input of the sweep as the plan sees it.
+#[derive(Debug, Clone, Copy)]
+struct SweepSide {
+    items: u64,
+    /// Block size, in pages, of the runs of the side's sort; `None` when
+    /// the side reaches the sweep unsorted by the join.
+    sort_block: Option<u64>,
+}
+
+impl SweepSide {
+    fn bytes(&self) -> u64 {
+        self.items * ITEM_BYTES as u64
+    }
+
+    /// Runs of the side's sort's last merge under `memory_limit` (one for
+    /// a side the join does not sort).
+    fn last_level_runs(&self, memory_limit: usize) -> u64 {
+        self.sort_block.map_or(1, |pages| {
+            extsort::last_level_runs(self.items, memory_limit, pages)
+        })
+    }
+
+    /// Bytes of the side's reader blocks: one block of its sort's runs per
+    /// run the sweep merges when `streamed`, otherwise one block (of the
+    /// default size for a side the join does not sort).
+    fn reader_bytes(&self, memory_limit: usize, streamed: bool) -> u64 {
+        let pages = self.sort_block.unwrap_or(DEFAULT_PAGES_PER_BLOCK);
+        let blocks = if streamed {
+            self.last_level_runs(memory_limit)
+        } else {
+            1
+        };
+        self.bytes().min(blocks * pages * PAGE_SIZE as u64)
+    }
+}
+
+impl SweepPlan {
+    /// The plan of `algorithm` (SSSJ or PQ) over `inputs` under
+    /// `memory_limit`. SSSJ sorts streams and dumped trees, PQ streams
+    /// only; a sorted stream or a cataloged relation is read as it is.
+    pub(crate) fn new(
+        algorithm: JoinAlgorithm,
+        memory_limit: usize,
+        inputs: [&JoinInput<'_>; 2],
+    ) -> SweepPlan {
+        let sides = inputs.map(|input| SweepSide {
+            items: input.len(),
+            sort_block: match input {
+                JoinInput::Stream(s) => Some(s.pages_per_block()),
+                JoinInput::Indexed(_) if algorithm == JoinAlgorithm::Sssj => {
+                    Some(DEFAULT_PAGES_PER_BLOCK)
+                }
+                _ => None,
+            },
+        });
+        let mut plan = SweepPlan {
+            memory_limit,
+            sides,
+            streamed: [false; 2],
+        };
+        for (side, s) in sides.iter().enumerate() {
+            if s.last_level_runs(memory_limit) < 2 {
+                continue;
+            }
+            let mut trial = plan;
+            trial.streamed[side] = true;
+            if trial.reader_bytes(true) <= (memory_limit / 2) as u64
+                && trial.spill_estimate_bytes() == 0
+            {
+                plan = trial;
+            }
+        }
+        plan
+    }
+
+    /// Bytes of the reader blocks of the sides that stream their last
+    /// merge when `streamed_only`, else of both sides'.
+    fn reader_bytes(&self, streamed_only: bool) -> u64 {
+        (0..2)
+            .filter(|&s| self.streamed[s] || !streamed_only)
+            .map(|s| self.sides[s].reader_bytes(self.memory_limit, self.streamed[s]))
+            .sum()
+    }
+
+    /// The worst case's spill: the bytes by which the smaller side exceeds
+    /// half of what the reader blocks leave free.
+    fn spill_estimate_bytes(&self) -> u64 {
+        let budget = (self.memory_limit as u64).saturating_sub(self.reader_bytes(false)) / 2;
+        let smaller = self.sides[0].bytes().min(self.sides[1].bytes());
+        smaller.saturating_sub(budget)
     }
 }
 
@@ -330,14 +441,7 @@ impl<'a> SpatialQuery<'a> {
     /// work.
     pub fn plan(&self, env: &mut SimEnv) -> Result<QueryPlan> {
         let (algorithm, cost, chosen, _) = self.resolve(env)?;
-        let left_bytes = self.left.len() * usj_geom::ITEM_BYTES as u64;
-        let right_bytes = self.right.len() * usj_geom::ITEM_BYTES as u64;
-        let memory = MemoryPlan::estimate(
-            algorithm,
-            env.memory_limit,
-            left_bytes + right_bytes,
-            left_bytes.min(right_bytes),
-        );
+        let memory = MemoryPlan::estimate(algorithm, env.memory_limit, &self.left, &self.right);
         Ok(QueryPlan {
             algorithm,
             predicate: self.predicate,
@@ -529,6 +633,56 @@ mod tests {
             pairs.sort_unstable();
             assert_eq!(pairs, expected, "{algo:?}");
         }
+    }
+
+    #[test]
+    fn a_last_merge_streams_only_while_the_sweep_is_expected_to_fit() {
+        // At 4 MB a sort forms runs of 65 536 records and merges up to four
+        // runs of 64-page blocks at once.
+        let limit = 4 << 20;
+        let mut e = env().with_memory_limit(limit);
+        let rows = |n: u32| grid(n, 1.0, 0.0, 0);
+        let [three_runs, small, large] = [390, 140, 245].map(|n| {
+            let items = rows(n);
+            ItemStream::from_items(&mut e, &items).unwrap()
+        });
+        let plan = |l: &ItemStream, r: &ItemStream| {
+            SweepPlan::new(
+                JoinAlgorithm::Sssj,
+                limit,
+                [&JoinInput::Stream(l), &JoinInput::Stream(r)],
+            )
+        };
+        // Three runs' blocks and the small side's block leave room for the
+        // small side to be all resident: the three runs stream.
+        let fits = plan(&three_runs, &small);
+        assert_eq!(fits.streamed, [true, false]);
+        assert_eq!(fits.spill_estimate_bytes(), 0);
+        // With the large side, two more blocks would not leave it room, so
+        // the last merge is written and the worst case still fits.
+        let written = plan(&three_runs, &large);
+        assert_eq!(written.streamed, [false, false]);
+        assert_eq!(written.spill_estimate_bytes(), 0);
+        // PQ sorts a stream as SSSJ does, but never an indexed side.
+        let tree = RTree::bulk_load(&mut e, &rows(140)).unwrap();
+        let mixed = [&JoinInput::Stream(&three_runs), &JoinInput::Indexed(&tree)];
+        assert_eq!(
+            SweepPlan::new(JoinAlgorithm::Pq, limit, mixed).streamed,
+            [true, false]
+        );
+        assert_eq!(
+            SweepPlan::new(JoinAlgorithm::Sssj, limit, mixed).streamed,
+            [true, false]
+        );
+        let trees = [&JoinInput::Indexed(&tree), &JoinInput::Indexed(&tree)];
+        assert_eq!(
+            SweepPlan::new(JoinAlgorithm::Pq, limit, trees).streamed,
+            [false, false]
+        );
+        // The query plan reports the same worst case.
+        let q = SpatialQuery::new(JoinInput::Stream(&three_runs), JoinInput::Stream(&large));
+        let memory = q.algorithm(Algo::Sssj).plan(&mut e).unwrap().memory;
+        assert_eq!(memory.spill_estimate_bytes, written.spill_estimate_bytes());
     }
 
     #[test]

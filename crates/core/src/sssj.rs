@@ -5,9 +5,13 @@
 //! performs a single synchronized scan over the two sorted streams while
 //! maintaining one interval structure per input. For the real-life data sets
 //! of the evaluation the structures always fit in memory, so the algorithm is
-//! exactly "sort + one sweep": two sequential read passes, one
-//! non-sequential read pass (merging) and two sequential write passes over
-//! the data. The worst-case partitioning step of the original algorithm is
+//! exactly "sort + one sweep": one sequential read pass and one sequential
+//! write pass form the sorted runs, and the sweep reads them once — a
+//! single run sequentially, several through their merge, one non-sequential
+//! read pass. The sort's last merge is not written back unless the plan
+//! expects the sweep to need the memory the runs' reader blocks would take
+//! (`query::SweepPlan`); then the merge costs one more write and read pass.
+//! The worst-case partitioning step of the original algorithm is
 //! never triggered by these workloads and is therefore not modelled; the
 //! structure-size check that would trigger it is still performed and
 //! reported.
@@ -18,9 +22,10 @@ use usj_io::{Result, SimEnv};
 use crate::input::JoinInput;
 use crate::pq::{sweep_sources, SortedSource};
 use crate::predicate::Predicate;
+use crate::query::SweepPlan;
 use crate::result::JoinResult;
 use crate::sink::PairSink;
-use crate::JoinOperator;
+use crate::{JoinAlgorithm, JoinOperator};
 
 /// Configuration of the SSSJ join.
 ///
@@ -92,10 +97,14 @@ impl JoinOperator for SssjJoin {
         // deliberately treated as flat files — this is the "ignore the index"
         // behaviour whose cost Section 6.3 quantifies. Sorted and cataloged
         // inputs are read as they are (a cataloged one with tiers as the
-        // merge of its runs).
+        // merge of its runs). A sort whose last merge the plan leaves to the
+        // sweep stops at its last level, and the sweep reads that level's
+        // merge instead of a written stream.
+        let streamed =
+            SweepPlan::new(JoinAlgorithm::Sssj, env.memory_limit, [&left, &right]).streamed;
         let sort_phase = env.obs_phase("sssj.sort");
-        let left = SortedSource::sorted(env, &left, self.region_hint)?;
-        let right = SortedSource::sorted(env, &right, self.region_hint)?;
+        let left = SortedSource::sorted(env, &left, self.region_hint, streamed[0])?;
+        let right = SortedSource::sorted(env, &right, self.region_hint, streamed[1])?;
         env.obs_close(sort_phase);
 
         // Phase 2: single synchronized scan over the two sorted streams. The

@@ -6,7 +6,14 @@
 //! is the classic external-memory multiway mergesort: sorted runs of at most
 //! the available internal memory are formed in one sequential pass, then
 //! merged with a k-way merge whose fan-in is limited by the number of logical
-//! blocks that fit in memory.
+//! blocks that fit in memory, level by level.
+//!
+//! [`sort_to_runs`] is the one sort: it stops as soon as at most `k` runs
+//! are left. With `k = 1` the last level is merged and written like every
+//! other ([`external_sort_by_key`]); with `k` the fan-in it stops at the
+//! last level and leaves that merge to its consumer, which reads the runs
+//! through a [`Merge`] instead of a written stream.
+//! [`last_level_runs`] says ahead of time how many runs that is.
 
 use std::cmp::Ordering;
 
@@ -24,7 +31,8 @@ use crate::stream::{ItemStream, ItemStreamWriter};
 pub struct SortStats {
     /// Number of initial sorted runs formed.
     pub initial_runs: u64,
-    /// Number of merge passes performed (0 if a single run sufficed).
+    /// Number of written merge passes (0 if the runs formed were few
+    /// enough).
     pub merge_passes: u64,
     /// Records sorted.
     pub items: u64,
@@ -45,16 +53,62 @@ pub fn external_sort_by_lower_y(env: &mut SimEnv, input: &ItemStream) -> Result<
 /// One record of the keyed run buffer: the precomputed key and the record.
 type SortEntry = (u64, Item);
 
+/// Records in one run formed under `memory_limit`: a keyed run buffer of
+/// half the memory, at least 1 024 records. Capacity is sized by the
+/// *keyed* entry (32 bytes — honest accounting for the resident keys).
+fn run_capacity(memory_limit: usize) -> usize {
+    ((memory_limit / 2) / std::mem::size_of::<SortEntry>()).max(1024)
+}
+
+/// Fan-in of a merge of `pages_per_block`-page runs under `memory_limit`:
+/// one logical block per run in half the memory, at least two.
+pub fn merge_fan_in(memory_limit: usize, pages_per_block: u64) -> usize {
+    ((memory_limit / 2) / (pages_per_block as usize * PAGE_SIZE)).max(2)
+}
+
+/// The runs of the last merge of a sort of `n` records in
+/// `pages_per_block`-page blocks under `memory_limit`: what
+/// [`sort_to_runs`] leaves with `k` the [`merge_fan_in`]. One when run
+/// formation makes a single run (or none, for an empty input).
+pub fn last_level_runs(n: u64, memory_limit: usize, pages_per_block: u64) -> u64 {
+    let fan_in = merge_fan_in(memory_limit, pages_per_block) as u64;
+    let mut runs = n.div_ceil(run_capacity(memory_limit) as u64).max(1);
+    while runs > fan_in {
+        runs = runs.div_ceil(fan_in);
+    }
+    runs
+}
+
 /// Sorts `input` by `(key, cmp)`: the precomputed `u64` key decides first and
 /// `cmp` breaks key collisions, so `cmp` must refine the key's order (true
 /// for any comparator whose leading fields the key packs). Returns the
-/// sorted stream and the sort statistics.
+/// sorted stream and the sort statistics: [`sort_to_runs`] with `k = 1`.
 pub fn external_sort_by_key<K, F>(
     env: &mut SimEnv,
     input: &ItemStream,
     key: K,
     cmp: F,
 ) -> Result<(ItemStream, SortStats)>
+where
+    K: Fn(&Item) -> u64 + Copy,
+    F: Fn(&Item, &Item) -> Ordering + Copy,
+{
+    let (mut runs, stats) = sort_to_runs(env, input, key, cmp, 1)?;
+    Ok((runs.pop().expect("one run is left"), stats))
+}
+
+/// Sorts `input` by `(key, cmp)` (see [`external_sort_by_key`]) into at
+/// most `k` sorted runs of `input`'s block size: forms the runs, then
+/// merges written levels while more than `k` are left. An empty input
+/// leaves one empty run. Their merge in the same order is the sorted
+/// stream `k = 1` would have written, ties included.
+pub fn sort_to_runs<K, F>(
+    env: &mut SimEnv,
+    input: &ItemStream,
+    key: K,
+    cmp: F,
+    k: usize,
+) -> Result<(Vec<ItemStream>, SortStats)>
 where
     K: Fn(&Item) -> u64 + Copy,
     F: Fn(&Item, &Item) -> Ordering + Copy,
@@ -69,13 +123,9 @@ where
     // Run formation: fill half the internal memory, sort, write out. The run
     // buffer (keys + records) is the sort's dominant working set, so it is
     // claimed from the memory governor up front (the stream reader and run
-    // writer buffers charge themselves). Capacity is sized by the *keyed*
-    // entry (32 bytes — honest accounting for the resident keys), so runs
-    // are ~38 % shorter than the pre-key 20-byte sizing; inputs whose size
-    // falls between the two thresholds at a given memory limit form one
-    // more run and pay one more (charged) merge pass.
+    // writer buffers charge themselves).
     let entry_bytes = std::mem::size_of::<SortEntry>();
-    let run_capacity = ((env.memory_limit / 2) / entry_bytes).max(1024);
+    let run_capacity = run_capacity(env.memory_limit);
     let buffer_capacity = run_capacity.min(input.len() as usize + 1);
     let run_reservation = env.memory.try_reserve(buffer_capacity * entry_bytes)?;
     let mut runs: Vec<ItemStream> = Vec::new();
@@ -102,10 +152,13 @@ where
     }
     drop(run_reservation);
     stats.initial_runs = runs.len() as u64;
+    if runs.is_empty() {
+        runs.push(ItemStreamWriter::new(env, pages_per_block).finish(env)?);
+    }
 
-    let (sorted, merge_passes) = merge_sorted_runs(env, runs, key, cmp, pages_per_block)?;
+    let (runs, merge_passes) = merge_levels(env, runs, key, cmp, pages_per_block, k)?;
     stats.merge_passes = merge_passes;
-    Ok((sorted, stats))
+    Ok((runs, stats))
 }
 
 /// Merges `runs`, each already sorted by `(key, cmp)`, into one sorted
@@ -113,14 +166,12 @@ where
 /// merge passes performed.
 ///
 /// This is the merge phase of [`external_sort_by_key`], for callers whose
-/// inputs are sorted to begin with (an LSM compaction folding sorted tiers):
-/// a k-way [`Merge`] whose fan-in is limited by the memory available for one
-/// logical block per run plus one output block, repeated level by level
-/// while more runs remain than the fan-in. No run yields an empty stream; a
-/// single run is returned as it is, without a copy.
+/// inputs are sorted to begin with (an LSM compaction folding sorted tiers).
+/// No run yields an empty stream; a single run is returned as it is,
+/// without a copy.
 pub fn merge_sorted_runs<K, F>(
     env: &mut SimEnv,
-    mut runs: Vec<ItemStream>,
+    runs: Vec<ItemStream>,
     key: K,
     cmp: F,
     pages_per_block: u64,
@@ -129,10 +180,32 @@ where
     K: Fn(&Item) -> u64 + Copy,
     F: Fn(&Item, &Item) -> Ordering + Copy,
 {
-    let block_bytes = (pages_per_block as usize) * PAGE_SIZE;
-    let fan_in = ((env.memory_limit / 2) / block_bytes).max(2);
+    let (mut runs, merge_passes) = merge_levels(env, runs, key, cmp, pages_per_block, 1)?;
+    match runs.pop() {
+        Some(run) => Ok((run, merge_passes)),
+        None => Ok((ItemStreamWriter::new(env, pages_per_block).finish(env)?, 0)),
+    }
+}
+
+/// The merge levels of the sort: while more than `k` runs are left, a
+/// k-way [`Merge`] of each [`merge_fan_in`] consecutive runs (a lone run
+/// at the end passes as it is) is written as one run of the next level.
+/// Returns the runs left and the levels written.
+fn merge_levels<K, F>(
+    env: &mut SimEnv,
+    mut runs: Vec<ItemStream>,
+    key: K,
+    cmp: F,
+    pages_per_block: u64,
+    k: usize,
+) -> Result<(Vec<ItemStream>, u64)>
+where
+    K: Fn(&Item) -> u64 + Copy,
+    F: Fn(&Item, &Item) -> Ordering + Copy,
+{
+    let fan_in = merge_fan_in(env.memory_limit, pages_per_block);
     let mut merge_passes = 0;
-    while runs.len() > 1 {
+    while runs.len() > k.max(1) {
         merge_passes += 1;
         let mut next_level: Vec<ItemStream> = Vec::new();
         for group in runs.chunks(fan_in) {
@@ -146,10 +219,7 @@ where
         }
         runs = next_level;
     }
-    match runs.pop() {
-        Some(run) => Ok((run, merge_passes)),
-        None => Ok((ItemStreamWriter::new(env, pages_per_block).finish(env)?, 0)),
-    }
+    Ok((runs, merge_passes))
 }
 
 /// Sorts a keyed run buffer by `(key, cmp)` through the workspace's one
@@ -286,6 +356,52 @@ mod tests {
         assert!(io.pages_written > 0);
         assert!(cpu.get(CpuOp::Compare) > 0);
         assert!(cpu.get(CpuOp::HeapOp) > 0);
+    }
+
+    #[test]
+    fn the_planned_last_level_is_what_the_sort_leaves() {
+        // Limits from the smallest a sort of each block size runs in.
+        let kb = 1024;
+        for (limit, pages_per_block) in [(64, 1), (64, 2), (96, 1), (128, 2), (256, 4), (640, 8)] {
+            let limit = limit * kb;
+            for n in [0, 1, 1_023, 1_025, 5_000, 20_000, 45_000] {
+                let what = format!("n {n}, limit {limit}, {pages_per_block}-page blocks");
+                let mut env = env_with_memory(limit);
+                let data = random_items(n, 7);
+                let s =
+                    ItemStream::from_items_with_block(&mut env, &data, pages_per_block).unwrap();
+                let fan_in = merge_fan_in(limit, pages_per_block);
+                let (runs, stats) =
+                    sort_to_runs(&mut env, &s, Item::sweep_key, Item::cmp_by_lower_y, fan_in)
+                        .unwrap();
+                assert_eq!(
+                    runs.len() as u64,
+                    last_level_runs(n as u64, limit, pages_per_block),
+                    "{what}"
+                );
+
+                // Their merge is the stream the sort writes with k = 1, one
+                // written pass later unless the runs formed were the last
+                // level.
+                let (sorted, written) =
+                    external_sort_by_key(&mut env, &s, Item::sweep_key, Item::cmp_by_lower_y)
+                        .unwrap();
+                let last_pass = u64::from(runs.len() > 1);
+                assert_eq!(
+                    written.merge_passes,
+                    stats.merge_passes + last_pass,
+                    "{what}"
+                );
+                let mut merge = Merge::new(
+                    runs.iter().map(Run::device).collect(),
+                    Item::sweep_key,
+                    Item::cmp_by_lower_y,
+                );
+                let merged: Vec<Item> =
+                    std::iter::from_fn(|| merge.next(&mut env).unwrap()).collect();
+                assert_eq!(merged, sorted.read_all(&mut env).unwrap(), "{what}");
+            }
+        }
     }
 
     #[test]
