@@ -9,7 +9,9 @@ use usj_io::{extsort, ItemStream, MachineConfig, SimEnv};
 use usj_rtree::RTree;
 
 fn main() {
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(400).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(400)
+        .generate(42);
     println!("sorted_access ({} road MBRs)", workload.roads.len());
     let harness = QuickBench::new();
 

@@ -26,7 +26,9 @@ fn scattered(n: u32, id_base: u32, seed: u32) -> Vec<Item> {
 }
 
 fn main() {
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(400).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(400)
+        .generate(42);
     println!("rtree_bulk_load ({} MBRs)", workload.roads.len());
     let harness = QuickBench::new();
     for (name, cfg) in [
@@ -79,11 +81,7 @@ fn main() {
     // sorted by the sweep key, in 2-page blocks, merged into the new base.
     let sorted_run = |env: &mut SimEnv, items: &[Item]| {
         let mut items = items.to_vec();
-        items.sort_unstable_by(|a, b| {
-            a.sweep_key()
-                .cmp(&b.sweep_key())
-                .then(a.cmp_by_lower_y(b))
-        });
+        items.sort_unstable_by(|a, b| a.sweep_key().cmp(&b.sweep_key()).then(a.cmp_by_lower_y(b)));
         ItemStream::from_items_with_block(env, &items, 2).unwrap()
     };
     let sweep_runs: Vec<ItemStream> = std::iter::once(&base)

@@ -7,16 +7,16 @@ use std::hint::black_box;
 use usj_bench::QuickBench;
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_geom::{hilbert::hilbert_value, Item};
-use usj_sweep::{
-    batch_join, sweep_join, ForwardSweep, ListSweep, StripedSweep, SweepJoinStats,
-};
+use usj_sweep::{batch_join, sweep_join, ForwardSweep, ListSweep, StripedSweep, SweepJoinStats};
 
 /// Entries per batch side: two of them are the 183-entry node pair ST
 /// averages on the repo benchmark's `join_tiger`.
 const NODE_ENTRIES: usize = 92;
 
 fn main() {
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(400).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(400)
+        .generate(42);
     println!(
         "sweep_structures ({} x {} MBRs)",
         workload.roads.len(),
@@ -51,7 +51,9 @@ fn main() {
     // Node-pair batches: both relations in Hilbert order (what bulk loading
     // packs leaves from), cut into node-sized runs, each run of roads paired
     // with the run of hydrography at the same relative position.
-    let workload = WorkloadSpec::preset(Preset::Disk1).with_scale(100).generate(42);
+    let workload = WorkloadSpec::preset(Preset::Disk1)
+        .with_scale(100)
+        .generate(42);
     let region = workload.region;
     let hilbert_runs = |items: &[Item]| -> Vec<Vec<Item>> {
         let mut sorted = items.to_vec();
@@ -67,7 +69,10 @@ fn main() {
         .enumerate()
         .map(|(i, run)| (run.clone(), hydro[i * hydro.len() / roads.len()].clone()))
         .collect();
-    println!("node_pair_batches ({} pairs of {NODE_ENTRIES} + {NODE_ENTRIES})", node_pairs.len());
+    println!(
+        "node_pair_batches ({} pairs of {NODE_ENTRIES} + {NODE_ENTRIES})",
+        node_pairs.len()
+    );
     harness.bench("node_pairs_forward_driver", || {
         let mut pairs = 0;
         for (a, b) in &node_pairs {

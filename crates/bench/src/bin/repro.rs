@@ -36,7 +36,9 @@ fn parse_config(args: &[String]) -> ExperimentConfig {
             }
             "--presets" => {
                 i += 1;
-                let list = args.get(i).unwrap_or_else(|| die("--presets expects a list"));
+                let list = args
+                    .get(i)
+                    .unwrap_or_else(|| die("--presets expects a list"));
                 cfg.presets = list
                     .split(',')
                     .map(|name| {

@@ -22,7 +22,14 @@ pub fn table2(cfg: &ExperimentConfig) {
     println!("\n== Table 2: data sets (scale divisor {}) ==", cfg.scale);
     println!(
         "{:<10} {:>12} {:>10} {:>10} | {:>12} {:>10} {:>10} | {:>12}",
-        "Data set", "Road objs", "Data MB", "Rtree MB", "Hydro objs", "Data MB", "Rtree MB", "Output"
+        "Data set",
+        "Road objs",
+        "Data MB",
+        "Rtree MB",
+        "Hydro objs",
+        "Data MB",
+        "Rtree MB",
+        "Output"
     );
     for &preset in &cfg.presets {
         let mut p = PreparedWorkload::build(preset, cfg, MachineConfig::machine3());
@@ -47,7 +54,10 @@ pub fn table2(cfg: &ExperimentConfig) {
 /// Table 3: maximal memory usage of the PQ join — the priority queues
 /// (including staged leaf buffers) and the sweep-line structure.
 pub fn table3(cfg: &ExperimentConfig) {
-    println!("\n== Table 3: PQ memory usage in MB (scale divisor {}) ==", cfg.scale);
+    println!(
+        "\n== Table 3: PQ memory usage in MB (scale divisor {}) ==",
+        cfg.scale
+    );
     println!(
         "{:<10} {:>16} {:>16} {:>10} {:>14}",
         "Data set", "Priority queue", "Sweep structure", "Total", "% of data"
@@ -55,8 +65,7 @@ pub fn table3(cfg: &ExperimentConfig) {
     for &preset in &cfg.presets {
         let mut p = PreparedWorkload::build(preset, cfg, MachineConfig::machine3());
         let res = p.run_indexed(&PqJoin::default());
-        let data_bytes =
-            p.workload.road_stats().data_bytes + p.workload.hydro_stats().data_bytes;
+        let data_bytes = p.workload.road_stats().data_bytes + p.workload.hydro_stats().data_bytes;
         let total = res.memory.priority_queue_bytes + res.memory.sweep_structure_bytes;
         println!(
             "{:<10} {:>16.3} {:>16.3} {:>10.3} {:>13.2}%",
@@ -67,7 +76,9 @@ pub fn table3(cfg: &ExperimentConfig) {
             100.0 * total as f64 / data_bytes as f64,
         );
     }
-    println!("(paper: PQ total grows from 0.41 MB on NJ to 5.19 MB on DISK1-6, always < 1% of the data)");
+    println!(
+        "(paper: PQ total grows from 0.41 MB on NJ to 5.19 MB on DISK1-6, always < 1% of the data)"
+    );
 }
 
 /// One data set of Table 4.
@@ -106,7 +117,10 @@ pub fn table4_rows(cfg: &ExperimentConfig) -> Vec<Table4Row> {
 
 /// Prints Table 4 ([`table4_rows`]).
 pub fn table4(cfg: &ExperimentConfig) {
-    println!("\n== Table 4: page requests during joining (scale divisor {}) ==", cfg.scale);
+    println!(
+        "\n== Table 4: page requests during joining (scale divisor {}) ==",
+        cfg.scale
+    );
     println!(
         "{:<10} {:>12} {:>12} {:>8} {:>12} {:>8}",
         "Data set", "Lower bound", "PQ total", "PQ avg", "ST total", "ST avg"
@@ -163,7 +177,9 @@ pub fn fig2(cfg: &ExperimentConfig, observed: bool) {
     if observed {
         println!("(paper: observed times diverge from the estimates — ST gains from the sequential layout of bulk-loaded trees, most visibly on Machine 3)");
     } else {
-        println!("(paper: under the all-random estimate there is no clear winner between PQ and ST)");
+        println!(
+            "(paper: under the all-random estimate there is no clear winner between PQ and ST)"
+        );
     }
 }
 
@@ -379,7 +395,10 @@ pub fn ablation_buffer(cfg: &ExperimentConfig) {
     println!("\n== Ablation: ST buffer-pool size (Sec. 6.2) ==");
     let preset = *cfg.presets.last().unwrap_or(&Preset::Disk1);
     println!("data set: {}", preset.name());
-    println!("{:>12} {:>14} {:>14} {:>10}", "pool", "page requests", "lower bound", "ratio");
+    println!(
+        "{:>12} {:>14} {:>14} {:>10}",
+        "pool", "page requests", "lower bound", "ratio"
+    );
     for pool_mb in [22.0f64, 4.0, 1.0, 0.25, 0.0625] {
         let mut p = PreparedWorkload::build(preset, cfg, MachineConfig::machine3());
         let lower = p.roads_tree.nodes() + p.hydro_tree.nodes();
@@ -394,7 +413,9 @@ pub fn ablation_buffer(cfg: &ExperimentConfig) {
             res.index_page_requests as f64 / lower as f64
         );
     }
-    println!("(paper: once the trees exceed the pool, every page is requested 1.14-1.63x on average)");
+    println!(
+        "(paper: once the trees exceed the pool, every page is requested 1.14-1.63x on average)"
+    );
 }
 
 /// Ablation: PBSM tile-grid resolution (32x32 vs 128x128).
@@ -410,7 +431,9 @@ pub fn ablation_tiles(cfg: &ExperimentConfig) {
         let mut p = PreparedWorkload::build(preset, cfg, MachineConfig::machine3());
         let region = p.workload.region;
         let res = p.run_streams(
-            &PbsmJoin::default().with_tiles_per_side(tiles).with_region(region),
+            &PbsmJoin::default()
+                .with_tiles_per_side(tiles)
+                .with_region(region),
         );
         println!(
             "{:>5}x{:<3} {:>12} {:>18.3} {:>14}",

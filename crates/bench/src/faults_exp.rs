@@ -33,9 +33,7 @@ use usj_datagen::WorkloadSpec;
 use usj_geom::{Item, Rect};
 use usj_io::{fault::derive_seed, FaultConfig, FaultPlan, MachineConfig, SimEnv};
 use usj_live::{LiveConfig, LiveDataset};
-use usj_service::{
-    Catalog, QueryRequest, Service, ServiceConfig, ServiceError, QueryStatus,
-};
+use usj_service::{Catalog, QueryRequest, QueryStatus, Service, ServiceConfig, ServiceError};
 
 use crate::setup::ExperimentConfig;
 
@@ -136,8 +134,12 @@ fn service_over(
     let mut catalog = Catalog::new();
     let (roads, hydro) = env.unaccounted(|env| {
         (
-            catalog.register(env, "roads", &workload.roads).expect("register roads"),
-            catalog.register(env, "hydro", &workload.hydro).expect("register hydro"),
+            catalog
+                .register(env, "roads", &workload.roads)
+                .expect("register roads"),
+            catalog
+                .register(env, "hydro", &workload.hydro)
+                .expect("register hydro"),
         )
     });
     (Service::new(env, catalog, config), roads, hydro)
@@ -169,8 +171,12 @@ fn panic_probe(seed: u64) -> (u64, u64, usize) {
     let mut catalog = Catalog::new();
     let (a, b) = env.unaccounted(|env| {
         (
-            catalog.register(env, "pa", &probe_grid(0, 0.0)).expect("register pa"),
-            catalog.register(env, "pb", &probe_grid(10_000, 3.0)).expect("register pb"),
+            catalog
+                .register(env, "pa", &probe_grid(0, 0.0))
+                .expect("register pa"),
+            catalog
+                .register(env, "pb", &probe_grid(10_000, 3.0))
+                .expect("register pb"),
         )
     });
     let service = Service::new(
@@ -204,7 +210,11 @@ fn panic_probe(seed: u64) -> (u64, u64, usize) {
     let snap = service.metrics_snapshot();
     let panics = snap.counter("faults.panics").unwrap_or(0);
     assert!(panics >= 1, "panic probe must record faults.panics");
-    (snap.counter("faults.injected").unwrap_or(0), panics, gauge_after)
+    (
+        snap.counter("faults.injected").unwrap_or(0),
+        panics,
+        gauge_after,
+    )
 }
 
 /// The durability loop: ingest under write/torn-write faults, crash at the
@@ -286,7 +296,9 @@ fn crash_loop(cfg: &ExperimentConfig, items: &[Item]) -> (u64, usize) {
             got, acked,
             "round {round}: recovery lost or fabricated acknowledged records"
         );
-        root = recovered.durable_root().expect("recovered dataset stays durable");
+        root = recovered
+            .durable_root()
+            .expect("recovered dataset stays durable");
         ds = recovered;
     }
     (faulted_rounds, acked.len())
@@ -322,7 +334,9 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
     );
     let mut rows = Vec::new();
     for &preset in &cfg.presets {
-        let workload = WorkloadSpec::preset(preset).with_scale(cfg.scale).generate(cfg.seed);
+        let workload = WorkloadSpec::preset(preset)
+            .with_scale(cfg.scale)
+            .generate(cfg.seed);
         let start = Instant::now();
 
         let chaos_config = ServiceConfig::default()
@@ -360,12 +374,14 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
             stats.submitted,
             "{preset}: every chaos request must resolve"
         );
-        assert_eq!(gauge_after, 0, "{preset}: failures must not leak admission bytes");
+        assert_eq!(
+            gauge_after, 0,
+            "{preset}: failures must not leak admission bytes"
+        );
 
         // 2. Deadline probe: an already-expired deadline is a typed,
         //    deterministic failure — never a hang.
-        let deadline_report =
-            chaos.run(vec![QueryRequest::join(roads, hydro).with_deadline_us(0)]);
+        let deadline_report = chaos.run(vec![QueryRequest::join(roads, hydro).with_deadline_us(0)]);
         assert!(
             matches!(
                 deadline_report.outcomes[0].status,
@@ -388,8 +404,7 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
         );
         let faulted_pairs = sorted_pairs(faulted_join.outcomes[0].pairs.as_ref());
         let clean_pairs = sorted_pairs(clean_join.outcomes[0].pairs.as_ref());
-        let pairs_match =
-            faulted_join.outcomes[0].is_completed() && faulted_pairs == clean_pairs;
+        let pairs_match = faulted_join.outcomes[0].is_completed() && faulted_pairs == clean_pairs;
         assert!(
             pairs_match,
             "{preset}: faulted service diverged from the fault-free twin \
@@ -400,7 +415,10 @@ pub fn faults_bench(cfg: &ExperimentConfig) -> Vec<FaultsBenchRow> {
 
         // 4. Panic containment probe + the durability crash loop.
         let (probe_injected, probe_panics, probe_gauge) = panic_probe(derive_seed(cfg.seed, 2));
-        assert_eq!(probe_gauge, 0, "{preset}: contained panic must release its grant");
+        assert_eq!(
+            probe_gauge, 0,
+            "{preset}: contained panic must release its grant"
+        );
         let crash_items = &workload.roads[..workload.roads.len().min(600)];
         let (faulted_rounds, records_acknowledged) = crash_loop(cfg, crash_items);
 
@@ -484,8 +502,14 @@ mod tests {
         assert_eq!(row.completed + row.failed, row.requests);
         assert_eq!(row.gauge_after_bytes, 0);
         assert!(row.pairs_match);
-        assert!(row.panics >= 1, "the panic probe guarantees a contained panic");
-        assert!(row.deadline_exceeded >= 1, "the deadline probe guarantees a miss");
+        assert!(
+            row.panics >= 1,
+            "the panic probe guarantees a contained panic"
+        );
+        assert!(
+            row.deadline_exceeded >= 1,
+            "the deadline probe guarantees a miss"
+        );
         assert!(row.records_acknowledged > 0);
     }
 }

@@ -117,7 +117,10 @@ fn recording_and_noop_runs_are_byte_identical_for_every_preset_and_algorithm() {
             // The phases that read their input say so.
             for phase in ["sssj.sort", "pbsm.partition", "pq.sweep", "st.traverse"] {
                 if let Some(span) = trace.find(phase) {
-                    assert!(span.io.pages_read > 0, "{preset:?}: {phase} reads its input");
+                    assert!(
+                        span.io.pages_read > 0,
+                        "{preset:?}: {phase} reads its input"
+                    );
                 }
             }
             // SSSJ and PQ run the spilling sweep, which marks expiry once at
@@ -125,9 +128,15 @@ fn recording_and_noop_runs_are_byte_identical_for_every_preset_and_algorithm() {
             // pushed expires. Nothing spills here: no fix-up epoch.
             if matches!(alg, JoinAlgorithm::Sssj | JoinAlgorithm::Pq) {
                 let cfg = ExperimentConfig::quick();
-                let w = WorkloadSpec::preset(preset).with_scale(cfg.scale).generate(cfg.seed);
+                let w = WorkloadSpec::preset(preset)
+                    .with_scale(cfg.scale)
+                    .generate(cfg.seed);
                 let pushed = (w.roads.len() + w.hydro.len()) as u64;
-                assert_eq!(trace.mark_values("sweep.expire"), [pushed], "{preset:?}/{alg:?}");
+                assert_eq!(
+                    trace.mark_values("sweep.expire"),
+                    [pushed],
+                    "{preset:?}/{alg:?}"
+                );
                 assert!(trace.mark_values("sweep.fixup_epoch").is_empty());
             }
         }
@@ -180,20 +189,30 @@ fn a_recorded_streaming_join_is_byte_identical_and_fits_a_query_ring() {
         );
         run_streaming()
     };
-    assert_eq!(bare, recorded, "recording changed pairs, I/O or peak memory");
+    assert_eq!(
+        bare, recorded,
+        "recording changed pairs, I/O or peak memory"
+    );
 
     let (events, dropped) = ring.drain();
     assert_eq!(dropped, 0, "{} events kept", events.len());
     let trace = QueryTrace::from_events(&events, dropped);
     assert!(trace.orphan_marks.is_empty());
     for phase in ["live.flush", "live.compaction", "sssj.sweep", "sssj.fixup"] {
-        assert!(trace.find(phase).is_some(), "{phase} missing: {}", trace.shape());
+        assert!(
+            trace.find(phase).is_some(),
+            "{phase} missing: {}",
+            trace.shape()
+        );
     }
     // Every compaction is a merge of the tiers, then the tree's rebuild. The
     // rebuild re-sorts the base only when appends grow its box; the half of
     // NJ registered first already spans the region, so none does.
-    let compactions: Vec<&TraceSpan> =
-        trace.roots.iter().filter(|s| s.name == "live.compaction").collect();
+    let compactions: Vec<&TraceSpan> = trace
+        .roots
+        .iter()
+        .filter(|s| s.name == "live.compaction")
+        .collect();
     assert!(!compactions.is_empty());
     for c in &compactions {
         let phases: Vec<&str> = c.children.iter().map(|p| p.name.as_str()).collect();
@@ -211,11 +230,16 @@ fn a_recorded_streaming_join_is_byte_identical_and_fits_a_query_ring() {
 /// DISK1/200 under 128 KB, where both sweeps spill. Returns what a recorder
 /// must not move, then the items pushed and the sweep's statistics.
 fn run_spilling(alg: JoinAlgorithm) -> (Observed, u64, SweepJoinStats) {
-    let w = WorkloadSpec::preset(Preset::Disk1).with_scale(200).generate(42);
+    let w = WorkloadSpec::preset(Preset::Disk1)
+        .with_scale(200)
+        .generate(42);
     let mut env = SimEnv::new(MachineConfig::machine3());
     let (roads, hydro) = env.unaccounted(|env| {
         let stream = |env: &mut SimEnv, items| ItemStream::from_items_with_block(env, items, 2);
-        (stream(env, &w.roads).unwrap(), stream(env, &w.hydro).unwrap())
+        (
+            stream(env, &w.roads).unwrap(),
+            stream(env, &w.hydro).unwrap(),
+        )
     });
     let (roads_tree, hydro_tree) = env.unaccounted(|env| {
         (
@@ -224,7 +248,10 @@ fn run_spilling(alg: JoinAlgorithm) -> (Observed, u64, SweepJoinStats) {
         )
     });
     let (left, right) = match alg {
-        JoinAlgorithm::Pq => (JoinInput::Indexed(&roads_tree), JoinInput::Indexed(&hydro_tree)),
+        JoinAlgorithm::Pq => (
+            JoinInput::Indexed(&roads_tree),
+            JoinInput::Indexed(&hydro_tree),
+        ),
         _ => (JoinInput::Stream(&roads), JoinInput::Stream(&hydro)),
     };
     env.set_memory_limit(128 * 1024);
@@ -234,7 +261,11 @@ fn run_spilling(alg: JoinAlgorithm) -> (Observed, u64, SweepJoinStats) {
         .execute(&mut env, &mut sink)
         .expect("join");
     let pushed = (w.roads.len() + w.hydro.len()) as u64;
-    ((sink.pairs, result.io, result.memory.peak_bytes), pushed, result.sweep)
+    (
+        (sink.pairs, result.io, result.memory.peak_bytes),
+        pushed,
+        result.sweep,
+    )
 }
 
 #[test]
@@ -255,7 +286,10 @@ fn a_recorded_spilling_join_marks_each_fixup_epoch_and_is_byte_identical() {
         assert_eq!(dropped, 0, "{alg:?}: {} events kept", events.len());
         let trace = QueryTrace::from_events(&events, dropped);
         let (_, pushed, sweep) = recorded;
-        assert!(sweep.spill_runs > 0, "{alg:?}: 128 KB must spill: {sweep:?}");
+        assert!(
+            sweep.spill_runs > 0,
+            "{alg:?}: 128 KB must spill: {sweep:?}"
+        );
         // One mark per closed epoch, carrying its batches: every batch is
         // fixed up exactly once.
         let epochs = trace.mark_values("sweep.fixup_epoch");
@@ -265,13 +299,20 @@ fn a_recorded_spilling_join_marks_each_fixup_epoch_and_is_byte_identical() {
         // carry every item the sweep did not spill.
         let expire = trace.mark_values("sweep.expire");
         assert!(expire.len() <= epochs.len() + 1, "{alg:?}: {expire:?}");
-        assert_eq!(expire.iter().sum::<u64>(), pushed - sweep.spilled_items, "{alg:?}");
+        assert_eq!(
+            expire.iter().sum::<u64>(),
+            pushed - sweep.spilled_items,
+            "{alg:?}"
+        );
         // Beside each epoch's mark, one carrying the arrivals it kept out
         // of its shadow logs: some, and never more than were pushed.
         let skipped = trace.mark_values("sweep.log_skipped");
         assert_eq!(skipped.len(), epochs.len(), "{alg:?}: {skipped:?}");
         let skipped: u64 = skipped.iter().sum();
-        assert!(skipped > 0 && skipped < pushed, "{alg:?}: {skipped} of {pushed}");
+        assert!(
+            skipped > 0 && skipped < pushed,
+            "{alg:?}: {skipped} of {pushed}"
+        );
     }
 }
 

@@ -12,7 +12,9 @@ fn env() -> SimEnv {
 }
 
 fn tiny_workload() -> usj_datagen::Workload {
-    WorkloadSpec::preset(Preset::NJ).with_scale(400).generate(11)
+    WorkloadSpec::preset(Preset::NJ)
+        .with_scale(400)
+        .generate(11)
 }
 
 #[test]
@@ -42,7 +44,8 @@ fn all_four_algorithms_agree_on_a_tiger_like_workload() {
         };
         let res = alg.run(&mut env, left, right).unwrap();
         assert_eq!(
-            res.pairs, expected,
+            res.pairs,
+            expected,
             "{} disagrees with the reference join",
             alg.name()
         );
@@ -82,7 +85,9 @@ fn pq_and_st_agree_on_indexed_inputs_and_report_page_requests() {
 #[test]
 fn identical_pair_sets_not_just_counts() {
     let mut env = env();
-    let w = WorkloadSpec::preset(Preset::NJ).with_scale(1_000).generate(3);
+    let w = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(1_000)
+        .generate(3);
     let roads_tree = RTree::bulk_load(&mut env, &w.roads).unwrap();
     let hydro_tree = RTree::bulk_load(&mut env, &w.hydro).unwrap();
     let roads_stream = ItemStream::from_items(&mut env, &w.roads).unwrap();
@@ -116,7 +121,12 @@ fn identical_pair_sets_not_just_counts() {
             JoinInput::Indexed(&hydro_tree),
         )
         .unwrap();
-    for v in [&mut pq_pairs, &mut sssj_pairs, &mut pbsm_pairs, &mut st_pairs] {
+    for v in [
+        &mut pq_pairs,
+        &mut sssj_pairs,
+        &mut pbsm_pairs,
+        &mut st_pairs,
+    ] {
         v.sort_unstable();
         v.dedup();
     }

@@ -109,7 +109,9 @@ impl JoinAlgorithm {
         left: JoinInput<'_>,
         right: JoinInput<'_>,
     ) -> Result<JoinResult> {
-        SpatialQuery::new(left, right).algorithm(self.into()).run(env)
+        SpatialQuery::new(left, right)
+            .algorithm(self.into())
+            .run(env)
     }
 }
 
@@ -138,7 +140,12 @@ pub trait JoinOperator {
 
     /// Runs the join discarding the output pairs (the paper measures the
     /// filter step excluding output writing).
-    fn run(&self, env: &mut SimEnv, left: JoinInput<'_>, right: JoinInput<'_>) -> Result<JoinResult> {
+    fn run(
+        &self,
+        env: &mut SimEnv,
+        left: JoinInput<'_>,
+        right: JoinInput<'_>,
+    ) -> Result<JoinResult> {
         self.run_with(env, left, right, &mut CountSink::default())
     }
 

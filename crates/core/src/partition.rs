@@ -9,9 +9,7 @@
 use std::cmp::Ordering;
 
 use usj_geom::{Extents, Item, Rect};
-use usj_io::{
-    CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView, Result, SimEnv,
-};
+use usj_io::{CpuOp, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView, Result, SimEnv};
 
 use crate::input::JoinInput;
 
@@ -182,7 +180,11 @@ impl<'g> Scatter<'g> {
     }
 
     /// Replicates every item into each partition whose tiles it overlaps.
-    pub(crate) fn extend(&mut self, env: &mut SimEnv, items: impl Iterator<Item = Item>) -> Result<()> {
+    pub(crate) fn extend(
+        &mut self,
+        env: &mut SimEnv,
+        items: impl Iterator<Item = Item>,
+    ) -> Result<()> {
         for it in items {
             let targets = self.grid.partitions_of(&it.rect);
             env.charge(CpuOp::ItemMove, targets.len() as u64);

@@ -111,7 +111,10 @@ mod tests {
 
     #[test]
     fn selectivity_handles_empty_input() {
-        let r = JoinResult { pairs: 10, ..JoinResult::default() };
+        let r = JoinResult {
+            pairs: 10,
+            ..JoinResult::default()
+        };
         assert_eq!(r.selectivity(0), 0.0);
         assert_eq!(r.selectivity(20), 0.5);
     }

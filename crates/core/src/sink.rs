@@ -237,6 +237,9 @@ mod tests {
         }
         assert_eq!(sink.seen(), 10);
         assert_eq!(sink.kept(), 4);
-        assert_eq!(sink.into_inner().pairs, vec![(0, 0), (3, 3), (6, 6), (9, 9)]);
+        assert_eq!(
+            sink.into_inner().pairs,
+            vec![(0, 0), (3, 3), (6, 6), (9, 9)]
+        );
     }
 }

@@ -173,7 +173,11 @@ impl JoinOperator for StJoin {
         let traverse_phase = env.obs_phase("st.traverse");
         let mut stack: Vec<(PageId, PageId)> = Vec::new();
         env.charge(CpuOp::RectTest, 1);
-        if left_tree.bbox().expanded(eps).intersects(&right_tree.bbox()) {
+        if left_tree
+            .bbox()
+            .expanded(eps)
+            .intersects(&right_tree.bbox())
+        {
             stack.push((left_tree.root(), right_tree.root()));
         }
         // The entry vectors and the match list of a node pair, reused by
@@ -212,10 +216,7 @@ impl JoinOperator for StJoin {
                     b_entries.push(e.as_item());
                 }
             }
-            env.charge(
-                CpuOp::RectTest,
-                (node_a.len() + node_b.len()) as u64,
-            );
+            env.charge(CpuOp::RectTest, (node_a.len() + node_b.len()) as u64);
             max_node_pair_bytes = max_node_pair_bytes
                 .max((a_entries.len() + b_entries.len()) * std::mem::size_of::<Item>());
             // Three times the entry vectors, which the sweep sorts in place
@@ -245,10 +246,7 @@ impl JoinOperator for StJoin {
                 },
             );
             env.charge(CpuOp::RectTest, tests);
-            env.charge(
-                CpuOp::Compare,
-                (a_entries.len() + b_entries.len()) as u64,
-            );
+            env.charge(CpuOp::Compare, (a_entries.len() + b_entries.len()) as u64);
 
             match (node_a.kind(), node_b.kind()) {
                 (NodeKind::Leaf, NodeKind::Leaf) => {
@@ -302,8 +300,7 @@ impl JoinOperator for StJoin {
             memory: MemoryStats {
                 priority_queue_bytes: 0,
                 sweep_structure_bytes: sweep_total.max_structure_bytes,
-                other_bytes: max_node_pair_bytes
-                    + store.resident_pages() * usj_io::PAGE_SIZE,
+                other_bytes: max_node_pair_bytes + store.resident_pages() * usj_io::PAGE_SIZE,
                 peak_bytes: env.memory.peak(),
             },
         })
@@ -428,7 +425,10 @@ mod tests {
             .run(&mut env, JoinInput::Indexed(&ta), JoinInput::Indexed(&tb))
             .unwrap();
         assert_eq!(res.pairs, 0);
-        assert!(res.index_page_requests <= 2, "only the roots may be touched");
+        assert!(
+            res.index_page_requests <= 2,
+            "only the roots may be touched"
+        );
     }
 
     #[test]

@@ -150,7 +150,11 @@ impl TigerLikeGenerator {
             // Streets run mostly along the axes; give each a slight skew so
             // MBRs are not all perfectly degenerate.
             let horizontal = self.rng.gen_bool(0.5);
-            let (w, h) = if horizontal { (len, thick) } else { (thick, len) };
+            let (w, h) = if horizontal {
+                (len, thick)
+            } else {
+                (thick, len)
+            };
             let lo = self.clamp_point(Point::new(center.x - w * 0.5, center.y - h * 0.5));
             let hi = self.clamp_point(Point::new(center.x + w * 0.5, center.y + h * 0.5));
             out.push(Item::new(Rect::from_corners(lo, hi), first_id + i as u32));
@@ -170,7 +174,9 @@ impl TigerLikeGenerator {
         while (out.len() as u64) < river_target {
             let mut pos = self.random_county_point();
             let mut heading: f32 = self.rng.gen_range_f32(0.0, std::f32::consts::TAU);
-            let steps = cfg.river_segments.min((river_target - out.len() as u64) as usize);
+            let steps = cfg
+                .river_segments
+                .min((river_target - out.len() as u64) as usize);
             for _ in 0..steps {
                 heading += self.rng.gen_range_f32(-0.5, 0.5);
                 let len = cfg.river_segment_len * self.rng.gen_range_f32(0.6, 1.4);
@@ -264,9 +270,8 @@ mod tests {
         let mut g = TigerLikeGenerator::new(3, region(200.0), 20_000, GeneratorConfig::default());
         let roads = g.roads(20_000, 0);
         let hydro = g.hydro(5_000, 100_000);
-        let avg = |v: &[Item]| -> f64 {
-            v.iter().map(|it| it.rect.area()).sum::<f64>() / v.len() as f64
-        };
+        let avg =
+            |v: &[Item]| -> f64 { v.iter().map(|it| it.rect.area()).sum::<f64>() / v.len() as f64 };
         assert!(
             avg(&hydro) > 3.0 * avg(&roads),
             "hydro MBRs should be larger on average: {} vs {}",
@@ -296,7 +301,10 @@ mod tests {
         }
         let frac = occupied.iter().filter(|&&o| o).count() as f64 / (cells * cells) as f64;
         assert!(frac < 0.9, "road data looks uniform (occupancy {frac})");
-        assert!(frac > 0.05, "road data collapsed into a point (occupancy {frac})");
+        assert!(
+            frac > 0.05,
+            "road data collapsed into a point (occupancy {frac})"
+        );
     }
 
     #[test]

@@ -107,7 +107,10 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_by_size() {
-        let sizes: Vec<u64> = Preset::all().iter().map(|p| p.paper_road_objects()).collect();
+        let sizes: Vec<u64> = Preset::all()
+            .iter()
+            .map(|p| p.paper_road_objects())
+            .collect();
         assert!(sizes.windows(2).all(|w| w[0] < w[1]));
     }
 

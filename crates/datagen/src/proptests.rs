@@ -29,7 +29,9 @@ fn every_generated_rectangle_is_valid_and_inside_the_region() {
 fn ids_are_unique_within_a_workload() {
     forall!(16, |g| {
         let seed = g.u64_in(0, 1_000);
-        let w = WorkloadSpec::preset(Preset::NJ).with_scale(1_000).generate(seed);
+        let w = WorkloadSpec::preset(Preset::NJ)
+            .with_scale(1_000)
+            .generate(seed);
         let mut ids: Vec<u32> = w.roads.iter().chain(w.hydro.iter()).map(|i| i.id).collect();
         let n = ids.len();
         ids.sort_unstable();
@@ -43,7 +45,9 @@ fn relation_size_ratio_matches_table2() {
     forall!(16, |g| {
         let seed = g.u64_in(0, 100);
         let preset = Preset::small()[g.usize_in(0, 3)];
-        let w = WorkloadSpec::preset(preset).with_scale(1_000).generate(seed);
+        let w = WorkloadSpec::preset(preset)
+            .with_scale(1_000)
+            .generate(seed);
         let paper_ratio = preset.paper_road_objects() as f64 / preset.paper_hydro_objects() as f64;
         let ours = w.roads.len() as f64 / w.hydro.len() as f64;
         assert!(

@@ -121,8 +121,10 @@ impl Workload {
         let w = region.width().max(f32::MIN_POSITIVE);
         let h = region.height().max(f32::MIN_POSITIVE);
         let cell_of = |x: f32, y: f32| -> (usize, usize) {
-            let cx = (((x - region.lo.x) / w) * cells as f32).clamp(0.0, cells as f32 - 1.0) as usize;
-            let cy = (((y - region.lo.y) / h) * cells as f32).clamp(0.0, cells as f32 - 1.0) as usize;
+            let cx =
+                (((x - region.lo.x) / w) * cells as f32).clamp(0.0, cells as f32 - 1.0) as usize;
+            let cy =
+                (((y - region.lo.y) / h) * cells as f32).clamp(0.0, cells as f32 - 1.0) as usize;
             (cx, cy)
         };
         let mut grid: Vec<Vec<&Item>> = vec![Vec::new(); cells * cells];
@@ -208,7 +210,9 @@ mod tests {
 
     #[test]
     fn road_and_hydro_ids_never_collide() {
-        let w = WorkloadSpec::preset(Preset::NY).with_scale(1_000).generate(2);
+        let w = WorkloadSpec::preset(Preset::NY)
+            .with_scale(1_000)
+            .generate(2);
         let max_road = w.roads.iter().map(|i| i.id).max().unwrap();
         let min_hydro = w.hydro.iter().map(|i| i.id).min().unwrap();
         assert!(max_road < HYDRO_ID_BASE);
@@ -228,7 +232,9 @@ mod tests {
 
     #[test]
     fn dataset_stats_match_item_count() {
-        let w = WorkloadSpec::preset(Preset::NJ).with_scale(1_000).generate(3);
+        let w = WorkloadSpec::preset(Preset::NJ)
+            .with_scale(1_000)
+            .generate(3);
         let s = w.road_stats();
         assert_eq!(s.objects, w.roads.len() as u64);
         assert_eq!(s.data_bytes, (w.roads.len() * ITEM_BYTES) as u64);
@@ -251,11 +257,18 @@ mod tests {
 
     #[test]
     fn reference_join_matches_brute_force_on_tiny_workload() {
-        let w = WorkloadSpec::preset(Preset::NJ).with_scale(3_000).generate(9);
+        let w = WorkloadSpec::preset(Preset::NJ)
+            .with_scale(3_000)
+            .generate(9);
         let brute: u64 = w
             .roads
             .iter()
-            .map(|r| w.hydro.iter().filter(|h| r.rect.intersects(&h.rect)).count() as u64)
+            .map(|r| {
+                w.hydro
+                    .iter()
+                    .filter(|h| r.rect.intersects(&h.rect))
+                    .count() as u64
+            })
             .sum();
         assert_eq!(w.reference_join_size(), brute);
     }
@@ -263,7 +276,9 @@ mod tests {
     #[test]
     fn region_grows_with_preset_size() {
         let nj = WorkloadSpec::preset(Preset::NJ).with_scale(100).region();
-        let d16 = WorkloadSpec::preset(Preset::Disk1_6).with_scale(100).region();
+        let d16 = WorkloadSpec::preset(Preset::Disk1_6)
+            .with_scale(100)
+            .region();
         assert!(d16.area() > 10.0 * nj.area());
     }
 }

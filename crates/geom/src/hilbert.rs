@@ -286,7 +286,8 @@ mod tests {
         for d in 0..4096u64 {
             let (x0, y0) = hilbert_to_xy(d);
             let (x1, y1) = hilbert_to_xy(d + 1);
-            let dist = (i64::from(x0) - i64::from(x1)).abs() + (i64::from(y0) - i64::from(y1)).abs();
+            let dist =
+                (i64::from(x0) - i64::from(x1)).abs() + (i64::from(y0) - i64::from(y1)).abs();
             assert_eq!(dist, 1, "indices {d} and {} are not adjacent", d + 1);
         }
     }

@@ -143,7 +143,9 @@ where
     // Already in order (a partition read back from a sorted run, a chunk
     // swept a second time): one pass that an unsorted input leaves at its
     // first descent.
-    if v.windows(2).all(|w| full(&w[0], &w[1]) != std::cmp::Ordering::Greater) {
+    if v.windows(2)
+        .all(|w| full(&w[0], &w[1]) != std::cmp::Ordering::Greater)
+    {
         return;
     }
     let Some(first) = v.first().map(&key) else {

@@ -31,7 +31,8 @@ pub mod rect;
 pub use extents::Extents;
 pub use interval::Interval;
 pub use item::{
-    f32_from_order_key, f32_order_key, sort_by_key_then, sort_by_lower_y, Item, ObjectId, ITEM_BYTES,
+    f32_from_order_key, f32_order_key, sort_by_key_then, sort_by_lower_y, Item, ObjectId,
+    ITEM_BYTES,
 };
 pub use point::Point;
 pub use rect::Rect;

@@ -30,8 +30,8 @@ fn rect_intersection_is_symmetric() {
 fn rect_intersects_iff_both_projections_overlap() {
     forall!(256, |g| {
         let (a, b) = (arb_rect(g), arb_rect(g));
-        let expected = a.x_interval().overlaps(&b.x_interval())
-            && a.y_interval().overlaps(&b.y_interval());
+        let expected =
+            a.x_interval().overlaps(&b.x_interval()) && a.y_interval().overlaps(&b.y_interval());
         assert_eq!(a.intersects(&b), expected);
     });
 }

@@ -25,7 +25,10 @@ impl Rect {
     /// (`lo.x <= hi.x && lo.y <= hi.y`).
     #[inline]
     pub fn new(lo: Point, hi: Point) -> Self {
-        debug_assert!(lo.x <= hi.x && lo.y <= hi.y, "rectangle corners out of order");
+        debug_assert!(
+            lo.x <= hi.x && lo.y <= hi.y,
+            "rectangle corners out of order"
+        );
         Rect { lo, hi }
     }
 
@@ -335,7 +338,10 @@ mod tests {
         let a = r(1.0, 2.0, 3.0, 7.0);
         assert_eq!(a.transposed(), r(2.0, 1.0, 7.0, 3.0));
         assert_eq!(a.transposed().transposed(), a);
-        assert_eq!((a.transposed().width(), a.transposed().height()), (5.0, 2.0));
+        assert_eq!(
+            (a.transposed().width(), a.transposed().height()),
+            (5.0, 2.0)
+        );
         assert!(Rect::empty().transposed().is_empty());
     }
 

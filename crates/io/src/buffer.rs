@@ -62,7 +62,10 @@ impl LruBufferPool {
     ///
     /// Panics if `capacity_pages` is zero.
     pub fn new(capacity_pages: usize) -> Self {
-        assert!(capacity_pages > 0, "buffer pool must hold at least one page");
+        assert!(
+            capacity_pages > 0,
+            "buffer pool must hold at least one page"
+        );
         LruBufferPool {
             capacity_pages,
             cache: HashMap::with_capacity(capacity_pages),

@@ -78,7 +78,9 @@ impl CostModel {
     pub fn observed(&self, io: &IoStats, cpu: &CpuCounter) -> CostBreakdown {
         let seeks = (io.rand_read_ops + io.rand_write_ops) as f64;
         let io_secs = seeks * self.machine.random_access_secs()
-            + self.machine.read_transfer_secs(io.pages_read * PAGE_SIZE as u64)
+            + self
+                .machine
+                .read_transfer_secs(io.pages_read * PAGE_SIZE as u64)
             + self
                 .machine
                 .write_transfer_secs(io.pages_written * PAGE_SIZE as u64);
@@ -160,8 +162,14 @@ mod tests {
 
     #[test]
     fn breakdown_total_and_combine() {
-        let a = CostBreakdown { cpu_secs: 1.0, io_secs: 2.0 };
-        let b = CostBreakdown { cpu_secs: 0.5, io_secs: 0.25 };
+        let a = CostBreakdown {
+            cpu_secs: 1.0,
+            io_secs: 2.0,
+        };
+        let b = CostBreakdown {
+            cpu_secs: 0.5,
+            io_secs: 0.25,
+        };
         assert_eq!(a.total_secs(), 3.0);
         let c = a.combined(&b);
         assert_eq!(c.cpu_secs, 1.5);
@@ -172,8 +180,16 @@ mod tests {
     fn writes_are_charged_with_penalty_in_observed() {
         let model = CostModel::new(MachineConfig::machine3());
         let cpu = CpuCounter::new();
-        let reads = IoStats { seq_read_ops: 10, pages_read: 1000, ..Default::default() };
-        let writes = IoStats { seq_write_ops: 10, pages_written: 1000, ..Default::default() };
+        let reads = IoStats {
+            seq_read_ops: 10,
+            pages_read: 1000,
+            ..Default::default()
+        };
+        let writes = IoStats {
+            seq_write_ops: 10,
+            pages_written: 1000,
+            ..Default::default()
+        };
         let r = model.observed(&reads, &cpu).io_secs;
         let w = model.observed(&writes, &cpu).io_secs;
         assert!((w / r - 1.5).abs() < 1e-9);

@@ -528,7 +528,10 @@ mod tests {
         // The owner reads its own writes, the untouched page stays as it was.
         assert_eq!(&d.read_page(p).unwrap()[..6], b"single");
         assert_eq!(d.read_pages(p + 2, 2).unwrap(), new);
-        assert_eq!(&d.read_page(p + 1).unwrap()[..], &old[PAGE_SIZE..2 * PAGE_SIZE]);
+        assert_eq!(
+            &d.read_page(p + 1).unwrap()[..],
+            &old[PAGE_SIZE..2 * PAGE_SIZE]
+        );
         // The snapshot, and a device layered over it, still read the old bytes.
         assert_eq!(layered.read_pages(p, 4).unwrap(), old);
         for i in 0..4 {
@@ -571,7 +574,10 @@ mod tests {
         assert_eq!(&back[cut..], &old[cut..]);
         // … the snapshot none of them: only the torn prefix was un-shared.
         for i in 0..4usize {
-            assert_eq!(snap_bytes(&snap, p + i as u64), &old[i * PAGE_SIZE..][..PAGE_SIZE]);
+            assert_eq!(
+                snap_bytes(&snap, p + i as u64),
+                &old[i * PAGE_SIZE..][..PAGE_SIZE]
+            );
             assert_eq!(
                 d.page_ref(p + i as u64).shares_storage_with(&snap[i]),
                 i >= committed,
@@ -649,7 +655,10 @@ mod tests {
         assert!(back[PAGE_SIZE + 5..].iter().all(|&b| b == 0));
         // The snapshot and a reader's earlier handle keep the old bytes.
         for i in 0..3 {
-            assert_eq!(snap_bytes(&snap, p + i as u64), &old[i * PAGE_SIZE..][..PAGE_SIZE]);
+            assert_eq!(
+                snap_bytes(&snap, p + i as u64),
+                &old[i * PAGE_SIZE..][..PAGE_SIZE]
+            );
         }
         assert_eq!(&held[..], &old[2 * PAGE_SIZE..]);
     }
@@ -681,7 +690,9 @@ mod tests {
         let n = 6u64;
         let mut d = BlockDevice::new();
         let p = d.allocate(n);
-        let old: Vec<u8> = (0..PAGE_SIZE * n as usize).map(|i| (i % 233 + 1) as u8).collect();
+        let old: Vec<u8> = (0..PAGE_SIZE * n as usize)
+            .map(|i| (i % 233 + 1) as u8)
+            .collect();
         d.write_pages(p, n, &old).unwrap();
         let before: Vec<Page> = (0..n).map(|i| d.page_ref(p + i).clone()).collect();
         d.reset_stats();

@@ -59,10 +59,16 @@ impl fmt::Display for IoSimError {
                 write!(f, "page {page} out of bounds (allocated: {allocated})")
             }
             IoSimError::OffsetOutOfPage { offset, len } => {
-                write!(f, "access of {len} bytes at offset {offset} exceeds the page size")
+                write!(
+                    f,
+                    "access of {len} bytes at offset {offset} exceeds the page size"
+                )
             }
             IoSimError::MemoryLimitExceeded { required, limit } => {
-                write!(f, "internal-memory limit exceeded: need {required} bytes, limit {limit}")
+                write!(
+                    f,
+                    "internal-memory limit exceeded: need {required} bytes, limit {limit}"
+                )
             }
             IoSimError::ReadOnlyPage { page } => {
                 write!(f, "page {page} belongs to the read-only base snapshot")
@@ -70,7 +76,11 @@ impl fmt::Display for IoSimError {
             IoSimError::CorruptRecord(what) => write!(f, "corrupt record: {what}"),
             IoSimError::InvalidStreamState(what) => write!(f, "invalid stream state: {what}"),
             IoSimError::DeviceFault { transient } => {
-                let kind = if *transient { "transient" } else { "torn write" };
+                let kind = if *transient {
+                    "transient"
+                } else {
+                    "torn write"
+                };
                 write!(f, "injected device fault ({kind})")
             }
         }
@@ -88,11 +98,20 @@ mod tests {
 
     #[test]
     fn errors_render_human_readable_messages() {
-        let e = IoSimError::PageOutOfBounds { page: 7, allocated: 3 };
+        let e = IoSimError::PageOutOfBounds {
+            page: 7,
+            allocated: 3,
+        };
         assert!(e.to_string().contains("page 7"));
-        let e = IoSimError::MemoryLimitExceeded { required: 10, limit: 5 };
+        let e = IoSimError::MemoryLimitExceeded {
+            required: 10,
+            limit: 5,
+        };
         assert!(e.to_string().contains("limit 5"));
-        let e = IoSimError::OffsetOutOfPage { offset: 9000, len: 20 };
+        let e = IoSimError::OffsetOutOfPage {
+            offset: 9000,
+            len: 20,
+        };
         assert!(e.to_string().contains("9000"));
         let e = IoSimError::CorruptRecord("bad header");
         assert!(e.to_string().contains("bad header"));

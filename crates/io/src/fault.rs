@@ -91,7 +91,10 @@ impl Default for FaultConfig {
 impl FaultConfig {
     /// A plan that never fires (useful as a base for struct update syntax).
     pub fn quiet(seed: u64) -> Self {
-        FaultConfig { seed, ..FaultConfig::default() }
+        FaultConfig {
+            seed,
+            ..FaultConfig::default()
+        }
     }
 }
 
@@ -286,19 +289,33 @@ mod tests {
             fired
         };
         let with_writes = fire_ops(chatty(7));
-        let without_writes = fire_ops(FaultConfig { write_fault: 0.0, torn_write: 0.0, ..chatty(7) });
+        let without_writes = fire_ops(FaultConfig {
+            write_fault: 0.0,
+            torn_write: 0.0,
+            ..chatty(7)
+        });
         assert_eq!(with_writes, without_writes);
         assert!(!with_writes.is_empty());
     }
 
     #[test]
     fn torn_writes_only_apply_to_multi_page_ops() {
-        let mut plan = FaultPlan::new(FaultConfig { torn_write: 1.0, ..FaultConfig::quiet(1) });
+        let mut plan = FaultPlan::new(FaultConfig {
+            torn_write: 1.0,
+            ..FaultConfig::quiet(1)
+        });
         for _ in 0..50 {
-            assert_eq!(plan.before_write(1).unwrap(), None, "single-page writes are atomic");
+            assert_eq!(
+                plan.before_write(1).unwrap(),
+                None,
+                "single-page writes are atomic"
+            );
         }
         let k = plan.before_write(8).unwrap().expect("torn at rate 1.0");
-        assert!((1..8).contains(&k), "torn prefix {k} must be a strict nonempty prefix");
+        assert!(
+            (1..8).contains(&k),
+            "torn prefix {k} must be a strict nonempty prefix"
+        );
     }
 
     #[test]
@@ -321,7 +338,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "injected device fault panic")]
     fn panic_domain_panics() {
-        let mut plan = FaultPlan::new(FaultConfig { panic: 1.0, ..FaultConfig::quiet(2) });
+        let mut plan = FaultPlan::new(FaultConfig {
+            panic: 1.0,
+            ..FaultConfig::quiet(2)
+        });
         let _ = plan.before_read();
     }
 
@@ -337,8 +357,20 @@ mod tests {
 
     #[test]
     fn stats_merge_sums_counters() {
-        let mut a = FaultStats { ops: 1, read_faults: 2, write_faults: 3, torn_writes: 4, panics: 5 };
-        let b = FaultStats { ops: 10, read_faults: 20, write_faults: 30, torn_writes: 40, panics: 50 };
+        let mut a = FaultStats {
+            ops: 1,
+            read_faults: 2,
+            write_faults: 3,
+            torn_writes: 4,
+            panics: 5,
+        };
+        let b = FaultStats {
+            ops: 10,
+            read_faults: 20,
+            write_faults: 30,
+            torn_writes: 40,
+            panics: 50,
+        };
         a.merge(&b);
         assert_eq!(a.ops, 11);
         assert_eq!(a.injected(), 2 + 3 + 4 + 5 + 20 + 30 + 40 + 50);

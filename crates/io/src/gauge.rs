@@ -94,9 +94,7 @@ impl MemoryGauge {
     /// measured phase. Every join algorithm calls this on entry so that
     /// `JoinResult::memory.peak_bytes` covers exactly that join.
     pub fn begin_phase(&self) {
-        self.inner
-            .peak
-            .store(self.current(), Ordering::Relaxed);
+        self.inner.peak.store(self.current(), Ordering::Relaxed);
     }
 
     /// Creates an empty reservation (0 bytes) that can be grown later.
@@ -239,7 +237,10 @@ mod tests {
         let err = g.try_reserve(21).unwrap_err();
         assert!(matches!(
             err,
-            IoSimError::MemoryLimitExceeded { required: 101, limit: 100 }
+            IoSimError::MemoryLimitExceeded {
+                required: 101,
+                limit: 100
+            }
         ));
         // Exactly reaching the limit is allowed.
         let _b = g.try_reserve(20).unwrap();

@@ -54,14 +54,20 @@ impl Page {
     ///
     /// Panics if `bytes` is longer than a page.
     pub fn from_bytes(bytes: &[u8]) -> Self {
-        assert!(bytes.len() <= PAGE_SIZE, "{} bytes overflow a page", bytes.len());
+        assert!(
+            bytes.len() <= PAGE_SIZE,
+            "{} bytes overflow a page",
+            bytes.len()
+        );
         if bytes.len() < PAGE_SIZE {
             let mut page = Page::zeroed();
             page.bytes_mut()[..bytes.len()].copy_from_slice(bytes);
             return page;
         }
         Page {
-            data: Arc::<[u8]>::from(bytes).try_into().expect("exactly one page"),
+            data: Arc::<[u8]>::from(bytes)
+                .try_into()
+                .expect("exactly one page"),
         }
     }
 

@@ -335,7 +335,10 @@ impl ItemStreamWriter {
 
     /// Starts a new stream with an explicit logical block size (in pages).
     pub fn new(env: &mut SimEnv, pages_per_block: u64) -> Self {
-        assert!(pages_per_block > 0, "logical block must be at least one page");
+        assert!(
+            pages_per_block > 0,
+            "logical block must be at least one page"
+        );
         ItemStreamWriter {
             extents: Vec::new(),
             pages_per_block,
@@ -409,7 +412,8 @@ impl ItemStreamWriter {
         // an earlier block — the buffer is never cleared, so it is zeroed
         // only once) are never written.
         let used = record_offset(self.items_in_buf - 1) + ITEM_BYTES;
-        env.device.write_pages(first, pages_needed, &self.buf[..used])?;
+        env.device
+            .write_pages(first, pages_needed, &self.buf[..used])?;
         self.extents.push(first);
         self.items_in_buf = 0;
         if !self.block_reserved {
@@ -546,8 +550,10 @@ impl ItemStreamReader {
         match &mut self.reservation {
             Some(r) => r.try_set(in_this_block as usize * ITEM_BYTES)?,
             None => {
-                self.reservation =
-                    Some(env.memory.try_reserve(in_this_block as usize * ITEM_BYTES)?)
+                self.reservation = Some(
+                    env.memory
+                        .try_reserve(in_this_block as usize * ITEM_BYTES)?,
+                )
             }
         }
         let first = self.stream.extents[self.next_block];
@@ -828,7 +834,9 @@ mod tests {
                 viewed.push(view.get(i));
             }
             // The iterator decodes the same records as indexed access.
-            assert!(view.iter().eq(viewed[viewed.len() - view.len()..].iter().copied()));
+            assert!(view
+                .iter()
+                .eq(viewed[viewed.len() - view.len()..].iter().copied()));
         }
 
         assert_eq!(owned, data);
@@ -902,7 +910,10 @@ mod tests {
         let cap = buf.capacity();
         sb.read_all_into(&mut env, &mut buf).unwrap();
         assert_eq!(buf, b);
-        assert!(buf.capacity() >= cap, "read_all_into must not shrink the buffer");
+        assert!(
+            buf.capacity() >= cap,
+            "read_all_into must not shrink the buffer"
+        );
     }
 
     #[test]
@@ -917,7 +928,8 @@ mod tests {
             block_payload,
             "the first record claims the whole block"
         );
-        w.extend(&mut env, &items(ITEMS_PER_PAGE as u32 * 2)).unwrap();
+        w.extend(&mut env, &items(ITEMS_PER_PAGE as u32 * 2))
+            .unwrap();
         assert_eq!(
             env.memory.current(),
             block_payload,

@@ -46,8 +46,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use usj_geom::{Item, Rect};
 use usj_core::{CatalogedInput, JoinInput, MemRun, SnapshotRun};
+use usj_geom::{Item, Rect};
 use usj_io::{extsort, ItemStream, ItemStreamWriter, PageId, SimEnv, PAGE_SIZE};
 use usj_rtree::bulk::{bulk_load_merged, BulkLoadConfig, MergedLoad};
 use usj_rtree::RTree;
@@ -208,7 +208,10 @@ struct DurableState {
 /// extent page and its length (pages are never rewritten, so the pair is
 /// stable and unique per run).
 fn run_key(stream: &ItemStream) -> (PageId, u64) {
-    (stream.extents().first().copied().unwrap_or(u64::MAX), stream.len())
+    (
+        stream.extents().first().copied().unwrap_or(u64::MAX),
+        stream.len(),
+    )
 }
 
 /// What [`LiveDataset::recover`] found and did.
@@ -513,7 +516,11 @@ impl LiveDataset {
     /// Total records visible to a snapshot taken now.
     pub fn len(&self) -> u64 {
         self.runs.iter().map(|r| r.stream().len()).sum::<u64>()
-            + self.flushing.iter().map(|b| b.items.len() as u64).sum::<u64>()
+            + self
+                .flushing
+                .iter()
+                .map(|b| b.items.len() as u64)
+                .sum::<u64>()
             + self.memtable.len() as u64
     }
 
@@ -729,7 +736,11 @@ impl LiveDataset {
         // runs are never empty): leave it out, so the union is exactly the
         // box of what the merge reads.
         let base = &self.runs[0];
-        let mut bbox = if base.stream().is_empty() { Rect::empty() } else { base.bbox() };
+        let mut bbox = if base.stream().is_empty() {
+            Rect::empty()
+        } else {
+            base.bbox()
+        };
         for delta in self.delta_runs() {
             bbox = bbox.union(&delta.bbox());
         }
@@ -799,7 +810,8 @@ impl LiveDataset {
     pub fn publish_compaction(&mut self, out: CompactionOutput) {
         debug_assert!(self.compacting, "publish_compaction without a claim");
         debug_assert!(out.folded_deltas < self.runs.len());
-        self.runs.splice(..=out.folded_deltas, [SnapshotRun::new(out.base, out.bbox)]);
+        self.runs
+            .splice(..=out.folded_deltas, [SnapshotRun::new(out.base, out.bbox)]);
         self.tree = out.tree;
         self.generation += 1;
         self.compacting = false;
@@ -1004,7 +1016,9 @@ mod tests {
 
     fn collect_ids(env: &mut SimEnv, snap: &LiveSnapshot) -> Vec<u32> {
         let items = read_merged(env, snap);
-        assert!(items.windows(2).all(|w| w[0].sweep_key() <= w[1].sweep_key()));
+        assert!(items
+            .windows(2)
+            .all(|w| w[0].sweep_key() <= w[1].sweep_key()));
         let mut seen: Vec<u32> = items.iter().map(|it| it.id).collect();
         seen.sort_unstable();
         seen
@@ -1029,8 +1043,8 @@ mod tests {
     #[test]
     fn flush_threshold_creates_delta_runs_and_compaction_folds_them() {
         let mut env = env();
-        let mut ds = LiveDataset::create(&mut env, "live", &batch(100, 0, 3), tiny_config())
-            .unwrap();
+        let mut ds =
+            LiveDataset::create(&mut env, "live", &batch(100, 0, 3), tiny_config()).unwrap();
         // Enough appends to cross the flush threshold several times; the
         // third flush triggers auto-compaction (compact_after_deltas = 3).
         ds.append(&mut env, &batch(400, 50_000, 4)).unwrap();
@@ -1074,7 +1088,12 @@ mod tests {
         let input = JoinInput::Cataloged(snap.cataloged());
         assert_eq!(input.len(), 150);
         let stream = input.to_stream(&mut env).unwrap();
-        let mut ids: Vec<u32> = stream.read_all(&mut env).unwrap().iter().map(|it| it.id).collect();
+        let mut ids: Vec<u32> = stream
+            .read_all(&mut env)
+            .unwrap()
+            .iter()
+            .map(|it| it.id)
+            .collect();
         ids.sort_unstable();
         assert_eq!(ids, collect_ids(&mut env, &snap));
         assert_eq!(ids, (0..80).chain(5_000..5_070).collect::<Vec<u32>>());
@@ -1145,8 +1164,8 @@ mod tests {
     #[test]
     fn appends_during_a_claimed_compaction_survive_publication() {
         let mut env = env();
-        let mut ds = LiveDataset::create(&mut env, "live", &batch(100, 0, 40), tiny_config())
-            .unwrap();
+        let mut ds =
+            LiveDataset::create(&mut env, "live", &batch(100, 0, 40), tiny_config()).unwrap();
         // Two delta runs, no compaction yet.
         ds.append_buffered(&batch(64, 10_000, 41)).unwrap();
         ds.append_buffered(&batch(64, 20_000, 42)).unwrap();
@@ -1195,8 +1214,8 @@ mod tests {
     #[test]
     fn snapshot_sees_frozen_batches_and_stays_isolated() {
         let mut env = env();
-        let mut ds = LiveDataset::create(&mut env, "live", &batch(50, 0, 50), tiny_config())
-            .unwrap();
+        let mut ds =
+            LiveDataset::create(&mut env, "live", &batch(50, 0, 50), tiny_config()).unwrap();
         ds.append_buffered(&batch(80, 5_000, 51)).unwrap();
         assert!(ds.pending_flush_batches() > 0);
         let snap = ds.snapshot();
@@ -1217,8 +1236,8 @@ mod tests {
     #[test]
     fn quiesce_folds_everything_into_the_base() {
         let mut env = env();
-        let mut ds = LiveDataset::create(&mut env, "live", &batch(60, 0, 60), tiny_config())
-            .unwrap();
+        let mut ds =
+            LiveDataset::create(&mut env, "live", &batch(60, 0, 60), tiny_config()).unwrap();
         ds.append_buffered(&batch(150, 9_000, 61)).unwrap();
         assert!(ds.snapshot().has_tiers());
         ds.quiesce(&mut env).unwrap();
@@ -1261,8 +1280,7 @@ mod tests {
         ds.append_buffered(&batch(40, 90_000, 92)).unwrap();
 
         let mut after = crash(&env);
-        let (rec, report) =
-            LiveDataset::recover(&mut after, "live", root, tiny_config()).unwrap();
+        let (rec, report) = LiveDataset::recover(&mut after, "live", root, tiny_config()).unwrap();
         assert_eq!(report.generation, generation);
         assert_eq!(report.dropped_deltas, 0);
         assert_eq!(report.verified_runs, 1 + rec.delta_runs().len());
@@ -1288,7 +1306,8 @@ mod tests {
         // Several delta runs, no compaction in the way (freeze+publish
         // manually; how the memtable splits batches is irrelevant here).
         for (i, seed) in [(0u32, 95u32), (1, 96), (2, 97)] {
-            ds.append_buffered(&batch(64, 10_000 + i * 1_000, seed)).unwrap();
+            ds.append_buffered(&batch(64, 10_000 + i * 1_000, seed))
+                .unwrap();
             ds.freeze();
             while let Some(job) = ds.begin_flush() {
                 let run = LiveDataset::run_flush(&mut env, &job).unwrap();
@@ -1302,7 +1321,14 @@ mod tests {
         // Records that must survive: the base plus the oldest delta only.
         let mut expected: Vec<u32> = (0..80).collect();
         let deltas = ds.delta_runs();
-        expected.extend(deltas[0].stream().read_all(&mut env).unwrap().iter().map(|it| it.id));
+        expected.extend(
+            deltas[0]
+                .stream()
+                .read_all(&mut env)
+                .unwrap()
+                .iter()
+                .map(|it| it.id),
+        );
         expected.sort_unstable();
 
         // Silently damage a page of the *second* delta run.
@@ -1310,8 +1336,7 @@ mod tests {
         env.device.write_page(victim, b"rot").unwrap();
 
         let mut after = crash(&env);
-        let (rec, report) =
-            LiveDataset::recover(&mut after, "live", root, tiny_config()).unwrap();
+        let (rec, report) = LiveDataset::recover(&mut after, "live", root, tiny_config()).unwrap();
         assert_eq!(
             report.dropped_deltas,
             delta_count - 1,

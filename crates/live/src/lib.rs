@@ -35,8 +35,8 @@ pub mod memtable;
 mod streaming;
 
 pub use catalog::{
-    CompactionOutput, CompactionPlan, FlushJob, LiveConfig, LiveDataset, LiveSnapshot,
-    LiveStats, RecoveryReport,
+    CompactionOutput, CompactionPlan, FlushJob, LiveConfig, LiveDataset, LiveSnapshot, LiveStats,
+    RecoveryReport,
 };
 pub use manifest::{Manifest, RootPointer, RunRecord};
 pub use memtable::Memtable;

@@ -96,7 +96,9 @@ impl RunRecord {
         let (stream, consumed) = ItemStream::decode(desc)
             .map_err(|e| LiveError::Corrupted(format!("run descriptor: {e}")))?;
         if consumed != desc_len {
-            return Err(LiveError::Corrupted("run descriptor length mismatch".into()));
+            return Err(LiveError::Corrupted(
+                "run descriptor length mismatch".into(),
+            ));
         }
         *off += desc_len;
         let mut coords = [0f32; 4];
@@ -182,7 +184,11 @@ impl Manifest {
         for _ in 0..delta_count {
             deltas.push(RunRecord::decode_from(body, &mut off)?);
         }
-        Ok(Manifest { generation, base, deltas })
+        Ok(Manifest {
+            generation,
+            base,
+            deltas,
+        })
     }
 }
 
@@ -222,14 +228,18 @@ impl RootPointer {
         }
         let stored = u64::from_le_bytes(page[48..56].try_into().expect("checked length"));
         if Fnv1a::of(&page[..48]) != stored {
-            return Err(LiveError::Corrupted("root pointer checksum mismatch".into()));
+            return Err(LiveError::Corrupted(
+                "root pointer checksum mismatch".into(),
+            ));
         }
         let mut off = 0usize;
         if read_u64(page, &mut off)? != ROOT_MAGIC {
             return Err(LiveError::Corrupted("root pointer magic mismatch".into()));
         }
         if read_u64(page, &mut off)? != VERSION {
-            return Err(LiveError::Corrupted("root pointer version unsupported".into()));
+            return Err(LiveError::Corrupted(
+                "root pointer version unsupported".into(),
+            ));
         }
         Ok(RootPointer {
             epoch: read_u64(page, &mut off)?,
@@ -245,7 +255,9 @@ fn read_u64(buf: &[u8], off: &mut usize) -> Result<u64> {
         .get(*off..*off + 8)
         .ok_or_else(|| LiveError::Corrupted("record truncated".into()))?;
     *off += 8;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("checked length")))
+    Ok(u64::from_le_bytes(
+        bytes.try_into().expect("checked length"),
+    ))
 }
 
 /// Builds a run record for a stream already on `env`'s device, computing
@@ -301,7 +313,10 @@ mod tests {
         assert_eq!(back.base.checksums, m.base.checksums);
         assert_eq!(back.base.run.bbox(), m.base.run.bbox());
         assert_eq!(back.deltas.len(), 1);
-        assert!(back.deltas[0].run.bbox().is_empty(), "empty bbox must round-trip");
+        assert!(
+            back.deltas[0].run.bbox().is_empty(),
+            "empty bbox must round-trip"
+        );
         assert!(verify_run(&mut env, &back.base).unwrap());
         assert!(verify_run(&mut env, &back.deltas[0]).unwrap());
     }
@@ -329,13 +344,21 @@ mod tests {
 
     #[test]
     fn root_pointer_roundtrip_and_corruption_detection() {
-        let root = RootPointer { epoch: 3, first: 99, pages: 2, bytes: 12_345 };
+        let root = RootPointer {
+            epoch: 3,
+            first: 99,
+            pages: 2,
+            bytes: 12_345,
+        };
         let page = root.encode();
         assert!(page.len() <= PAGE_SIZE, "root must fit one page");
         assert_eq!(RootPointer::decode(&page).unwrap(), root);
         let mut bad = page.clone();
         bad[20] ^= 1;
-        assert!(matches!(RootPointer::decode(&bad), Err(LiveError::Corrupted(_))));
+        assert!(matches!(
+            RootPointer::decode(&bad),
+            Err(LiveError::Corrupted(_))
+        ));
         // A zeroed page (never-written root) is rejected, not misparsed.
         assert!(RootPointer::decode(&vec![0u8; PAGE_SIZE]).is_err());
     }

@@ -137,7 +137,9 @@ mod tests {
 
         let drained = mem.drain_sorted();
         assert_eq!(drained.len(), 100);
-        assert!(drained.windows(2).all(|w| w[0].sweep_key() <= w[1].sweep_key()));
+        assert!(drained
+            .windows(2)
+            .all(|w| w[0].sweep_key() <= w[1].sweep_key()));
         assert!(mem.is_empty());
         assert_eq!(env.memory.current(), 0, "drain releases the reservation");
     }
@@ -154,7 +156,9 @@ mod tests {
 
         let (items, bbox, reservation) = mem.freeze();
         assert_eq!(items.len(), 50);
-        assert!(items.windows(2).all(|w| w[0].sweep_key() <= w[1].sweep_key()));
+        assert!(items
+            .windows(2)
+            .all(|w| w[0].sweep_key() <= w[1].sweep_key()));
         assert!(!bbox.is_empty());
         assert!(mem.is_empty());
         assert!(mem.bbox().is_empty());

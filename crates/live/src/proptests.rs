@@ -104,7 +104,9 @@ fn streaming(
     r: &LiveSnapshot,
     sink: &mut dyn PairSink,
 ) -> usj_core::JoinResult {
-    SssjJoin::default().run_with(env, input(l), input(r), sink).unwrap()
+    SssjJoin::default()
+        .run_with(env, input(l), input(r), sink)
+        .unwrap()
 }
 
 /// Offline reference: SSSJ over the materialised snapshot streams.
@@ -298,12 +300,22 @@ fn recovery_restores_the_last_manifested_generation_at_any_crash_point() {
         // device image (old pages readable, immutable).
         let mut after = env.fork_with_base(env.device.snapshot());
         let (rec, report) = LiveDataset::recover(&mut after, "d", root, config).unwrap();
-        assert_eq!(report.dropped_deltas, 0, "clean crash must not drop verified deltas");
+        assert_eq!(
+            report.dropped_deltas, 0,
+            "clean crash must not drop verified deltas"
+        );
 
         let expect: BTreeSet<u32> = durable.iter().map(|i| i.id).collect();
-        let got: BTreeSet<u32> =
-            rec.published_items(&mut after).unwrap().iter().map(|i| i.id).collect();
-        assert_eq!(got, expect, "recovery lost or fabricated manifested records");
+        let got: BTreeSet<u32> = rec
+            .published_items(&mut after)
+            .unwrap()
+            .iter()
+            .map(|i| i.id)
+            .collect();
+        assert_eq!(
+            got, expect,
+            "recovery lost or fabricated manifested records"
+        );
 
         // Pair-set equality against an independent probe dataset.
         let probe_items = arb_items(g, 60, 1_000_000);
@@ -337,7 +349,10 @@ fn mid_stream_cancellation_emits_an_exact_prefix_of_the_pair_set() {
         assert_eq!(emitted.len(), k.min(reference.len()));
         assert!(emitted.windows(2).all(|w| w[0] != w[1]), "duplicate pair");
         for p in &emitted {
-            assert!(reference.binary_search(p).is_ok(), "{p:?} not a result pair");
+            assert!(
+                reference.binary_search(p).is_ok(),
+                "{p:?} not a result pair"
+            );
         }
     });
 }

@@ -11,8 +11,7 @@
 mod tests {
     use crate::catalog::{LiveConfig, LiveDataset, LiveSnapshot};
     use usj_core::{
-        CollectSink, JoinInput, JoinOperator, JoinResult, LimitSink, PairSink, Predicate,
-        SssjJoin,
+        CollectSink, JoinInput, JoinOperator, JoinResult, LimitSink, PairSink, Predicate, SssjJoin,
     };
     use usj_geom::{Item, Rect};
     use usj_io::{MachineConfig, SimEnv};
@@ -60,7 +59,9 @@ mod tests {
     /// A registered dataset: a sealed live dataset's snapshot, a base run
     /// and its tree with no tiers.
     fn registered(env: &mut SimEnv, items: &[Item]) -> LiveSnapshot {
-        LiveDataset::create(env, "registered", items, tiny_config()).unwrap().snapshot()
+        LiveDataset::create(env, "registered", items, tiny_config())
+            .unwrap()
+            .snapshot()
     }
 
     fn cataloged(snap: &LiveSnapshot) -> JoinInput<'_> {
@@ -114,7 +115,13 @@ mod tests {
 
         let mut live_sink = CollectSink::default();
         let p = Predicate::default();
-        let result = sssj(&mut env, p, cataloged(&snap_l), cataloged(&snap_r), &mut live_sink);
+        let result = sssj(
+            &mut env,
+            p,
+            cataloged(&snap_l),
+            cataloged(&snap_r),
+            &mut live_sink,
+        );
         let offline_pairs = offline(&mut env, p, cataloged(&snap_l), cataloged(&snap_r));
 
         assert!(result.pairs > 0, "the workload must actually join");
@@ -133,7 +140,13 @@ mod tests {
         let p = Predicate::WithinDistance(1.5);
 
         let mut live_sink = CollectSink::default();
-        sssj(&mut env, p, cataloged(&snap_l), cataloged(&snap_r), &mut live_sink);
+        sssj(
+            &mut env,
+            p,
+            cataloged(&snap_l),
+            cataloged(&snap_r),
+            &mut live_sink,
+        );
         let offline_pairs = offline(&mut env, p, cataloged(&snap_l), cataloged(&snap_r));
 
         assert!(!offline_pairs.is_empty());
@@ -147,7 +160,13 @@ mod tests {
         let (snap_l, snap_r) = (l.snapshot(), r.snapshot());
         let mut sink = LimitSink::new(CollectSink::default(), 7);
         let p = Predicate::default();
-        let result = sssj(&mut env, p, cataloged(&snap_l), cataloged(&snap_r), &mut sink);
+        let result = sssj(
+            &mut env,
+            p,
+            cataloged(&snap_l),
+            cataloged(&snap_r),
+            &mut sink,
+        );
         assert_eq!(result.pairs, 7);
         assert_eq!(sink.into_inner().pairs.len(), 7);
     }
@@ -161,7 +180,13 @@ mod tests {
 
         let mut mixed_sink = CollectSink::default();
         let p = Predicate::default();
-        let mixed = sssj(&mut env, p, cataloged(&snap), cataloged(&cat), &mut mixed_sink);
+        let mixed = sssj(
+            &mut env,
+            p,
+            cataloged(&snap),
+            cataloged(&cat),
+            &mut mixed_sink,
+        );
         let offline_pairs = offline(&mut env, p, cataloged(&snap), cataloged(&cat));
 
         assert!(mixed.pairs > 0, "the workload must actually join");
@@ -227,7 +252,13 @@ mod tests {
         let _standing = worker.memory.try_reserve(3_800_000).unwrap();
         let mut mixed_sink = CollectSink::default();
         let p = Predicate::default();
-        let mixed = sssj(&mut worker, p, cataloged(&snap), cataloged(&cat), &mut mixed_sink);
+        let mixed = sssj(
+            &mut worker,
+            p,
+            cataloged(&snap),
+            cataloged(&cat),
+            &mut mixed_sink,
+        );
         assert!(
             mixed.sweep.spill_runs > 0,
             "the squeezed 4 MB budget must force spilling: {:?}",
@@ -258,7 +289,13 @@ mod tests {
         worker.set_memory_limit(128 * 1024);
         let mut live_sink = CollectSink::default();
         let p = Predicate::default();
-        let result = sssj(&mut worker, p, cataloged(&snap_l), cataloged(&snap_r), &mut live_sink);
+        let result = sssj(
+            &mut worker,
+            p,
+            cataloged(&snap_l),
+            cataloged(&snap_r),
+            &mut live_sink,
+        );
         assert!(
             result.sweep.spill_runs > 0,
             "the budget must force spilling: {:?}",

@@ -41,7 +41,10 @@ fn scattered(n: u32, id_base: u32, seed: u32) -> Vec<Item> {
     (0..n)
         .map(|i| {
             let h = i.wrapping_add(seed).wrapping_mul(2_654_435_761);
-            let (x, y) = ((h % 100_003) as f32 / 100.0, (h / 7 % 100_019) as f32 / 100.0);
+            let (x, y) = (
+                (h % 100_003) as f32 / 100.0,
+                (h / 7 % 100_019) as f32 / 100.0,
+            );
             let (w, h) = ((h % 13) as f32 * 0.25, (h % 11) as f32 * 0.25);
             Item::new(Rect::from_coords(x, y, x + w, y + h), id_base + i)
         })
@@ -69,8 +72,7 @@ fn sort_of_concatenation(env: &mut SimEnv, ds: &LiveDataset) -> (Vec<Item>, RTre
     }
     let concat = concat.finish(env).unwrap();
     let (sorted, stats) =
-        extsort::external_sort_by_key(env, &concat, Item::sweep_key, Item::cmp_by_lower_y)
-            .unwrap();
+        extsort::external_sort_by_key(env, &concat, Item::sweep_key, Item::cmp_by_lower_y).unwrap();
     let tree = RTree::bulk_load_stream(env, &sorted).unwrap();
     (sorted.read_all(env).unwrap(), tree, stats.bbox)
 }
@@ -295,7 +297,10 @@ fn equal_sweep_keys_across_base_and_deltas_merge_in_comparator_order() {
             .map(|i| {
                 let (x, y) = ((i % 5) as f32, (i % 3) as f32);
                 let grow = ((i + id_base) % 4) as f32;
-                Item::new(Rect::from_coords(x, y, x + 1.0 + grow, y + 1.0), id_base + i)
+                Item::new(
+                    Rect::from_coords(x, y, x + 1.0 + grow, y + 1.0),
+                    id_base + i,
+                )
             })
             .collect()
     };
@@ -330,8 +335,12 @@ fn more_deltas_than_the_merge_fan_in_merge_level_by_level() {
         .map(|k| scattered(500, 100_000 * (k + 1), 31 * k))
         .collect();
     let ds = dataset(&mut env, &scattered(3_000, 0, 5), &deltas);
-    let runs: Vec<ItemStream> =
-        ds.snapshot().runs().iter().map(|r| r.stream().clone()).collect();
+    let runs: Vec<ItemStream> = ds
+        .snapshot()
+        .runs()
+        .iter()
+        .map(|r| r.stream().clone())
+        .collect();
     let (_, passes) = extsort::merge_sorted_runs(
         &mut env,
         runs,
@@ -353,7 +362,12 @@ fn one_compaction_reads_and_writes_what_a_merge_and_a_bulk_load_must() {
         .map(|k| scattered(3_277, 1_000_000 * (k + 1), 7 * k))
         .collect();
     let mut ds = dataset(&mut env, &scattered(75_000, 0, 3), &deltas);
-    let input_pages: u64 = ds.snapshot().runs().iter().map(|r| r.stream().pages()).sum();
+    let input_pages: u64 = ds
+        .snapshot()
+        .runs()
+        .iter()
+        .map(|r| r.stream().pages())
+        .sum();
 
     let m = env.begin();
     ds.compact(&mut env).unwrap();
@@ -370,7 +384,11 @@ fn one_compaction_reads_and_writes_what_a_merge_and_a_bulk_load_must() {
     // data: 1 518 and 1 304 pages on this input.)
     assert!(io.pages_read <= 4 * input_pages, "{io:?}");
     assert!(io.pages_written <= 3 * input_pages + nodes, "{io:?}");
-    assert_eq!((io.pages_read, io.pages_written, nodes), (869, 871, 222), "{io:?}");
+    assert_eq!(
+        (io.pages_read, io.pages_written, nodes),
+        (869, 871, 222),
+        "{io:?}"
+    );
 }
 
 #[test]

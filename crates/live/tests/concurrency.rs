@@ -62,7 +62,9 @@ struct Actor {
 
 impl Actor {
     fn new(env: &mut SimEnv, name: &str, g: &mut Gen, id_base: u32) -> Self {
-        let base: Vec<Item> = (0..g.usize_in(8, 48)).map(|i| random_item(g, id_base + i as u32)).collect();
+        let base: Vec<Item> = (0..g.usize_in(8, 48))
+            .map(|i| random_item(g, id_base + i as u32))
+            .collect();
         let config = LiveConfig {
             // Small enough that histories cross it repeatedly.
             flush_threshold_bytes: 24 * usj_geom::ITEM_BYTES,
@@ -108,7 +110,10 @@ fn input(snap: &LiveSnapshot) -> JoinInput<'_> {
 
 /// A snapshot materialised as one sorted stream.
 fn materialise(env: &mut SimEnv, snap: &LiveSnapshot) -> ItemStream {
-    input(snap).to_sorted_stream(env, None).expect("materialise").0
+    input(snap)
+        .to_sorted_stream(env, None)
+        .expect("materialise")
+        .0
 }
 
 /// Streams SSSJ over two snapshots' merged runs and returns its pair set.
@@ -154,7 +159,11 @@ fn run_history(seed: u64) -> usize {
     let mut queries = 0usize;
 
     for _ in 0..STEPS {
-        let actor = if g.bool_with(0.5) { &mut left } else { &mut right };
+        let actor = if g.bool_with(0.5) {
+            &mut left
+        } else {
+            &mut right
+        };
         match g.usize_in(0, 10) {
             // Append a small batch (memtable only; freezes past threshold).
             0..=2 => {
@@ -211,14 +220,28 @@ fn run_history(seed: u64) -> usize {
                 // whatever tier each record currently sits in.
                 let expect_l: BTreeSet<u32> = left.shadow.iter().map(|i| i.id).collect();
                 let expect_r: BTreeSet<u32> = right.shadow.iter().map(|i| i.id).collect();
-                assert_eq!(snapshot_ids(&mut env, &sl), expect_l, "left snapshot lost items");
-                assert_eq!(snapshot_ids(&mut env, &sr), expect_r, "right snapshot lost items");
+                assert_eq!(
+                    snapshot_ids(&mut env, &sl),
+                    expect_l,
+                    "left snapshot lost items"
+                );
+                assert_eq!(
+                    snapshot_ids(&mut env, &sr),
+                    expect_r,
+                    "right snapshot lost items"
+                );
 
                 let expected = brute_pairs(&left.shadow, &right.shadow);
                 let streamed = streaming_pairs(&mut env, &sl, &sr);
-                assert_eq!(streamed, expected, "streaming join diverged from shadow model");
+                assert_eq!(
+                    streamed, expected,
+                    "streaming join diverged from shadow model"
+                );
                 let offline = offline_pairs(&mut env, &sl, &sr);
-                assert_eq!(streamed, offline, "streaming join diverged from offline SSSJ");
+                assert_eq!(
+                    streamed, offline,
+                    "streaming join diverged from offline SSSJ"
+                );
                 queries += 1;
 
                 if retained.len() < RETAINED_SNAPSHOTS {
@@ -267,7 +290,10 @@ fn run_history(seed: u64) -> usize {
 fn check_seed(seed: u64) {
     println!("concurrency history seed {seed:#018x} (replay: USJ_SEED={seed})");
     let queries = run_history(seed);
-    assert!(queries > 0, "seed {seed:#x}: history never hit a query step");
+    assert!(
+        queries > 0,
+        "seed {seed:#x}: history never hit a query step"
+    );
 }
 
 #[test]
@@ -334,9 +360,16 @@ fn seeded_history_trace_shape_is_deterministic() {
     }
     // Both ways of rebuilding the tree: early appends grow the base's box and
     // re-sort it, later ones land inside and merge the old leaves.
-    let compactions = trace_a.roots.iter().filter(|s| s.name == "live.compaction").count();
+    let compactions = trace_a
+        .roots
+        .iter()
+        .filter(|s| s.name == "live.compaction")
+        .count();
     let resorts = trace_a.mark_values("live.compaction.resort").len();
-    assert!(0 < resorts && resorts < compactions, "{resorts} of {compactions} re-sorted");
+    assert!(
+        0 < resorts && resorts < compactions,
+        "{resorts} of {compactions} re-sorted"
+    );
 }
 
 /// CI passes a run-unique seed through `USJ_SEED` (and prints it with
@@ -374,7 +407,10 @@ fn seeded_history_from_env() {
 /// gauge-dependent points, so the model knows exactly which ids each
 /// flush publishes) and scheduler-driven compaction.
 fn crash_config() -> LiveConfig {
-    LiveConfig { flush_threshold_bytes: 1 << 30, compact_after_deltas: 0 }
+    LiveConfig {
+        flush_threshold_bytes: 1 << 30,
+        compact_after_deltas: 0,
+    }
 }
 
 /// A durable dataset under test plus a tier-accurate shadow model.
@@ -401,8 +437,9 @@ struct DurableActor {
 
 impl DurableActor {
     fn new(env: &mut SimEnv, name: &'static str, g: &mut Gen, id_base: u32) -> Self {
-        let base: Vec<Item> =
-            (0..g.usize_in(8, 48)).map(|i| random_item(g, id_base + i as u32)).collect();
+        let base: Vec<Item> = (0..g.usize_in(8, 48))
+            .map(|i| random_item(g, id_base + i as u32))
+            .collect();
         let (ds, root) = LiveDataset::create_durable(env, name, &base, crash_config())
             .expect("create durable dataset");
         let published: BTreeSet<u32> = base.iter().map(|i| i.id).collect();
@@ -435,9 +472,16 @@ impl DurableActor {
     fn finish_flush(&mut self, env: &mut SimEnv) {
         if let Some(job) = self.inflight_flush.take() {
             let run = LiveDataset::run_flush(env, &job).expect("run flush");
-            let written: BTreeSet<u32> =
-                run.read_all(env).expect("read flushed run").iter().map(|i| i.id).collect();
-            let batch = self.frozen.pop_front().expect("model missed the claimed batch");
+            let written: BTreeSet<u32> = run
+                .read_all(env)
+                .expect("read flushed run")
+                .iter()
+                .map(|i| i.id)
+                .collect();
+            let batch = self
+                .frozen
+                .pop_front()
+                .expect("model missed the claimed batch");
             assert_eq!(
                 written,
                 batch.iter().copied().collect::<BTreeSet<u32>>(),
@@ -468,12 +512,15 @@ impl SealedActor {
     const NAME: &'static str = "sealed";
 
     fn new(env: &mut SimEnv, g: &mut Gen) -> Self {
-        let items: Vec<Item> =
-            (0..g.usize_in(200, 600)).map(|i| random_item(g, 2_000_000 + i as u32)).collect();
+        let items: Vec<Item> = (0..g.usize_in(200, 600))
+            .map(|i| random_item(g, 2_000_000 + i as u32))
+            .collect();
         let stream = ItemStream::from_items(env, &items).expect("write sealed stream");
         let mut ds = LiveDataset::from_stream(env, Self::NAME, &stream, crash_config())
             .expect("build sealed dataset");
-        let root = ds.enable_durability(env).expect("make sealed dataset durable");
+        let root = ds
+            .enable_durability(env)
+            .expect("make sealed dataset durable");
         SealedActor { root, items }
     }
 
@@ -486,9 +533,15 @@ impl SealedActor {
         assert_eq!((report.verified_runs, report.dropped_deltas), (1, 0));
         let mut got = ds.published_items(env).expect("read sealed dataset");
         got.sort_unstable_by_key(|i| i.id);
-        assert_eq!(got, self.items, "recovery of the sealed dataset changed its records");
+        assert_eq!(
+            got, self.items,
+            "recovery of the sealed dataset changed its records"
+        );
         let run = ds.snapshot().runs()[0].stream().clone();
-        assert_eq!(run.pages_per_block(), usj_io::stream::DEFAULT_PAGES_PER_BLOCK);
+        assert_eq!(
+            run.pages_per_block(),
+            usj_io::stream::DEFAULT_PAGES_PER_BLOCK
+        );
         self.root = ds.durable_root().expect("recovered dataset is durable");
     }
 }
@@ -503,9 +556,13 @@ fn crash_and_recover(env: &mut SimEnv, actors: [&mut DurableActor; 2], sealed: &
     let mut revived = env.fork_with_base(env.device.snapshot());
     sealed.recover(&mut revived);
     for actor in actors {
-        let (ds, report) = LiveDataset::recover(&mut revived, actor.name, actor.root, crash_config())
-            .expect("recover from crash");
-        assert_eq!(report.dropped_deltas, 0, "clean crash must not drop verified deltas");
+        let (ds, report) =
+            LiveDataset::recover(&mut revived, actor.name, actor.root, crash_config())
+                .expect("recover from crash");
+        assert_eq!(
+            report.dropped_deltas, 0,
+            "clean crash must not drop verified deltas"
+        );
         let got = snapshot_ids(&mut revived, &ds.snapshot());
         assert_eq!(
             got, actor.durable,
@@ -513,7 +570,10 @@ fn crash_and_recover(env: &mut SimEnv, actors: [&mut DurableActor; 2], sealed: &
             actor.name
         );
         actor.ds = ds;
-        actor.root = actor.ds.durable_root().expect("recovered dataset is durable");
+        actor.root = actor
+            .ds
+            .durable_root()
+            .expect("recovered dataset is durable");
         let durable = &actor.durable;
         actor.shadow.retain(|i| durable.contains(&i.id));
         actor.mem.clear();
@@ -562,7 +622,10 @@ fn run_crash_history(seed: u64) -> (usize, usize) {
             }
             let expected = brute_pairs(&left.shadow, &right.shadow);
             let streamed = streaming_pairs(&mut env, &sl, &sr);
-            assert_eq!(streamed, expected, "streaming join diverged from shadow model");
+            assert_eq!(
+                streamed, expected,
+                "streaming join diverged from shadow model"
+            );
             assert_eq!(
                 streamed,
                 offline_pairs(&mut env, &sl, &sr),
@@ -640,8 +703,16 @@ fn run_crash_history(seed: u64) -> (usize, usize) {
     }
     crash_and_recover(&mut env, [&mut left, &mut right], &mut sealed);
     crashes += 1;
-    assert_eq!(left.shadow.len() as u64, left.ds.len(), "post-crash length mismatch");
-    assert_eq!(right.shadow.len() as u64, right.ds.len(), "post-crash length mismatch");
+    assert_eq!(
+        left.shadow.len() as u64,
+        left.ds.len(),
+        "post-crash length mismatch"
+    );
+    assert_eq!(
+        right.shadow.len() as u64,
+        right.ds.len(),
+        "post-crash length mismatch"
+    );
 
     let final_expected = brute_pairs(&left.shadow, &right.shadow);
     let (fl, fr) = (left.ds.snapshot(), right.ds.snapshot());
@@ -667,8 +738,14 @@ fn run_crash_history(seed: u64) -> (usize, usize) {
 fn check_crash_seed(seed: u64) {
     println!("crash history seed {seed:#018x} (replay: USJ_SEED={seed})");
     let (queries, crashes) = run_crash_history(seed);
-    assert!(queries > 0, "seed {seed:#x}: crash history never hit a query step");
-    assert!(crashes > 1, "seed {seed:#x}: crash history never crashed mid-run");
+    assert!(
+        queries > 0,
+        "seed {seed:#x}: crash history never hit a query step"
+    );
+    assert!(
+        crashes > 1,
+        "seed {seed:#x}: crash history never crashed mid-run"
+    );
 }
 
 #[test]

@@ -43,7 +43,9 @@ pub struct HostClock {
 impl HostClock {
     /// A clock anchored at the moment of the call.
     pub fn new() -> Self {
-        HostClock { origin: Instant::now() }
+        HostClock {
+            origin: Instant::now(),
+        }
     }
 }
 
@@ -87,7 +89,10 @@ impl VirtualClock {
     /// Panics if `t_us` would move the clock backwards.
     pub fn set(&self, t_us: u64) {
         let prev = self.now_us.swap(t_us, Ordering::Relaxed);
-        assert!(prev <= t_us, "VirtualClock moved backwards: {prev} -> {t_us}");
+        assert!(
+            prev <= t_us,
+            "VirtualClock moved backwards: {prev} -> {t_us}"
+        );
     }
 }
 
@@ -134,7 +139,10 @@ mod tests {
         let dyn_clock: Arc<dyn Clock> = c.clone();
         let host_before = Instant::now();
         dyn_clock.wait_us(5_000_000); // five virtual seconds
-        assert!(host_before.elapsed().as_secs() < 1, "must not sleep for real");
+        assert!(
+            host_before.elapsed().as_secs() < 1,
+            "must not sleep for real"
+        );
         assert_eq!(c.now_us(), 5_000_000);
     }
 

@@ -115,7 +115,10 @@ pub fn span_detail(name: &'static str, detail: impl FnOnce() -> String) -> SpanG
     if enabled() {
         open_span_with(name, Some(detail()))
     } else {
-        SpanGuard { id: None, io: SpanIo::default() }
+        SpanGuard {
+            id: None,
+            io: SpanIo::default(),
+        }
     }
 }
 
@@ -123,7 +126,10 @@ fn open_span(name: &'static str, detail: Option<String>) -> SpanGuard {
     if enabled() {
         open_span_with(name, detail)
     } else {
-        SpanGuard { id: None, io: SpanIo::default() }
+        SpanGuard {
+            id: None,
+            io: SpanIo::default(),
+        }
     }
 }
 
@@ -131,14 +137,26 @@ fn open_span_with(name: &'static str, detail: Option<String>) -> SpanGuard {
     CTX.with(|c| {
         let mut slot = c.borrow_mut();
         let Some(ctx) = slot.as_mut() else {
-            return SpanGuard { id: None, io: SpanIo::default() };
+            return SpanGuard {
+                id: None,
+                io: SpanIo::default(),
+            };
         };
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let parent = ctx.stack.last().copied();
         let t_us = ctx.clock.now_us();
         ctx.stack.push(id);
-        ctx.push_event(Event::SpanBegin { id, parent, name, detail, t_us });
-        SpanGuard { id: Some(id), io: SpanIo::default() }
+        ctx.push_event(Event::SpanBegin {
+            id,
+            parent,
+            name,
+            detail,
+            t_us,
+        });
+        SpanGuard {
+            id: Some(id),
+            io: SpanIo::default(),
+        }
     })
 }
 
@@ -150,7 +168,12 @@ pub fn instant(name: &'static str, value: u64) {
         let Some(ctx) = slot.as_mut() else { return };
         let parent = ctx.stack.last().copied();
         let t_us = ctx.clock.now_us();
-        ctx.push_event(Event::Instant { name, parent, t_us, value });
+        ctx.push_event(Event::Instant {
+            name,
+            parent,
+            t_us,
+            value,
+        });
     });
 }
 
@@ -207,7 +230,10 @@ mod tests {
         assert!(!enabled());
         let mut s = span("orphan");
         assert!(!s.is_recording());
-        s.add_io(SpanIo { pages_read: 1, ..SpanIo::default() });
+        s.add_io(SpanIo {
+            pages_read: 1,
+            ..SpanIo::default()
+        });
         instant("orphan.instant", 7);
         drop(s);
         assert!(!enabled());
@@ -224,7 +250,10 @@ mod tests {
         clock.advance(5);
         {
             let mut inner = span_detail("inner", || "d".to_string());
-            inner.add_io(SpanIo { pages_read: 3, ..SpanIo::default() });
+            inner.add_io(SpanIo {
+                pages_read: 3,
+                ..SpanIo::default()
+            });
             instant("mark", 42);
             clock.advance(10);
         }
@@ -236,28 +265,52 @@ mod tests {
         let (events, dropped) = ring.drain();
         assert_eq!(dropped, 0);
         assert_eq!(events.len(), 5);
-        let Event::SpanBegin { id: outer_id, parent: None, name: "outer", t_us: 0, .. } =
-            &events[0]
+        let Event::SpanBegin {
+            id: outer_id,
+            parent: None,
+            name: "outer",
+            t_us: 0,
+            ..
+        } = &events[0]
         else {
             panic!("unexpected first event {:?}", events[0]);
         };
-        let Event::SpanBegin { id: inner_id, parent: Some(p), detail: Some(d), t_us: 5, .. } =
-            &events[1]
+        let Event::SpanBegin {
+            id: inner_id,
+            parent: Some(p),
+            detail: Some(d),
+            t_us: 5,
+            ..
+        } = &events[1]
         else {
             panic!("unexpected second event {:?}", events[1]);
         };
         assert_eq!(p, outer_id);
         assert_eq!(d, "d");
-        let Event::Instant { name: "mark", parent: Some(ip), value: 42, .. } = &events[2] else {
+        let Event::Instant {
+            name: "mark",
+            parent: Some(ip),
+            value: 42,
+            ..
+        } = &events[2]
+        else {
             panic!("unexpected third event {:?}", events[2]);
         };
         assert_eq!(ip, inner_id);
-        let Event::SpanEnd { id: e1, t_us: 15, io } = &events[3] else {
+        let Event::SpanEnd {
+            id: e1,
+            t_us: 15,
+            io,
+        } = &events[3]
+        else {
             panic!("unexpected fourth event {:?}", events[3]);
         };
         assert_eq!(e1, inner_id);
         assert_eq!(io.pages_read, 3);
-        let Event::SpanEnd { id: e2, t_us: 16, .. } = &events[4] else {
+        let Event::SpanEnd {
+            id: e2, t_us: 16, ..
+        } = &events[4]
+        else {
             panic!("unexpected fifth event {:?}", events[4]);
         };
         assert_eq!(e2, outer_id);
@@ -270,7 +323,10 @@ mod tests {
         let outer = install(ring.clone(), clock);
         {
             let inner = install(Arc::new(NoopRecorder), Arc::new(VirtualClock::new()));
-            assert!(!enabled(), "no-op recorder behaves exactly like no recorder");
+            assert!(
+                !enabled(),
+                "no-op recorder behaves exactly like no recorder"
+            );
             let s = span("hidden");
             assert!(!s.is_recording());
             drop(s);

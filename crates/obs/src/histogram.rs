@@ -183,7 +183,21 @@ mod tests {
         // Every value maps to a bucket whose hi edge is >= the value, and
         // bucket indexes are monotone in the value.
         let mut prev_idx = 0;
-        for &v in &[0u64, 1, 5, 15, 16, 17, 31, 32, 100, 1_000, 65_535, 1 << 40, u64::MAX] {
+        for &v in &[
+            0u64,
+            1,
+            5,
+            15,
+            16,
+            17,
+            31,
+            32,
+            100,
+            1_000,
+            65_535,
+            1 << 40,
+            u64::MAX,
+        ] {
             let idx = bucket_of(v);
             assert!(idx >= prev_idx, "bucket order broke at {v}");
             assert!(bucket_hi(idx) >= v, "hi edge below value at {v}");
@@ -217,7 +231,14 @@ mod tests {
         }
         samples.sort_unstable();
         let mut prev = 0;
-        for &(q, _) in &[(0.01, ()), (0.25, ()), (0.50, ()), (0.95, ()), (0.99, ()), (1.0, ())] {
+        for &(q, _) in &[
+            (0.01, ()),
+            (0.25, ()),
+            (0.50, ()),
+            (0.95, ()),
+            (0.99, ()),
+            (1.0, ()),
+        ] {
             let exact = exact_nearest_rank(&samples, q);
             let approx = h.quantile(q);
             assert!(approx >= exact, "q={q}: {approx} < exact {exact}");
@@ -228,7 +249,11 @@ mod tests {
             assert!(approx >= prev, "quantiles must be monotone in q");
             prev = approx;
         }
-        assert_eq!(h.quantile(1.0), *samples.last().unwrap(), "p100 is the exact max");
+        assert_eq!(
+            h.quantile(1.0),
+            *samples.last().unwrap(),
+            "p100 is the exact max"
+        );
     }
 
     #[test]

@@ -135,7 +135,11 @@ impl MetricsRegistry {
             .iter()
             .map(|(&name, h)| (name.to_string(), HistogramSummary::of(h)))
             .collect();
-        MetricsSnapshot { counters, gauges, histograms }
+        MetricsSnapshot {
+            counters,
+            gauges,
+            histograms,
+        }
     }
 }
 
@@ -187,7 +191,10 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Value of the named counter, if registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
     }
 
     /// Value of the named gauge, if registered.
@@ -197,7 +204,10 @@ impl MetricsSnapshot {
 
     /// Summary of the named histogram, if registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, s)| s)
+        self.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| s)
     }
 
     /// Hand-rolled JSON rendering; `indent` spaces prefix every line (so

@@ -9,7 +9,7 @@
 use usj_proptest::forall;
 
 use crate::histogram::LogHistogram;
-use crate::recorder::{Event, RingCollector, Recorder};
+use crate::recorder::{Event, Recorder, RingCollector};
 
 /// Exact nearest-rank percentile over a sorted sample — the code shape
 /// the bench crates used before the histogram replaced it.
@@ -37,7 +37,10 @@ fn histogram_quantiles_bracket_exact_nearest_rank() {
         for q in [0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0] {
             let exact = exact_nearest_rank(&samples, q);
             let approx = h.quantile(q);
-            assert!(approx >= exact, "q={q}: approx {approx} below exact {exact}");
+            assert!(
+                approx >= exact,
+                "q={q}: approx {approx} below exact {exact}"
+            );
             assert!(
                 approx <= exact + exact / 16 + 1,
                 "q={q}: approx {approx} beyond the 1/16-relative bound over exact {exact}"
@@ -71,6 +74,10 @@ fn ring_collector_never_exceeds_capacity_and_accounts_every_event() {
             assert!(ring.len() <= cap, "ring exceeded its bound");
         }
         let (events, dropped) = ring.drain();
-        assert_eq!(events.len() as u64 + dropped, pushed, "kept + dropped == pushed");
+        assert_eq!(
+            events.len() as u64 + dropped,
+            pushed,
+            "kept + dropped == pushed"
+        );
     });
 }

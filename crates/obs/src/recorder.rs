@@ -189,7 +189,13 @@ mod tests {
     use super::*;
 
     fn begin(id: u64, t_us: u64) -> Event {
-        Event::SpanBegin { id, parent: None, name: "t", detail: None, t_us }
+        Event::SpanBegin {
+            id,
+            parent: None,
+            name: "t",
+            detail: None,
+            t_us,
+        }
     }
 
     #[test]
@@ -221,11 +227,26 @@ mod tests {
 
     #[test]
     fn span_io_merges_field_wise() {
-        let a = SpanIo { pages_read: 1, pages_written: 2, seq_ops: 3, rand_ops: 4 };
-        let b = SpanIo { pages_read: 10, pages_written: 20, seq_ops: 30, rand_ops: 40 };
+        let a = SpanIo {
+            pages_read: 1,
+            pages_written: 2,
+            seq_ops: 3,
+            rand_ops: 4,
+        };
+        let b = SpanIo {
+            pages_read: 10,
+            pages_written: 20,
+            seq_ops: 30,
+            rand_ops: 40,
+        };
         assert_eq!(
             a.merged(&b),
-            SpanIo { pages_read: 11, pages_written: 22, seq_ops: 33, rand_ops: 44 }
+            SpanIo {
+                pages_read: 11,
+                pages_written: 22,
+                seq_ops: 33,
+                rand_ops: 44
+            }
         );
         assert!(SpanIo::default().is_zero());
         assert!(!a.is_zero());

@@ -164,7 +164,13 @@ impl QueryTrace {
 
         for ev in events {
             match ev {
-                Event::SpanBegin { id, parent, name, detail, t_us } => {
+                Event::SpanBegin {
+                    id,
+                    parent,
+                    name,
+                    detail,
+                    t_us,
+                } => {
                     order.push(*id);
                     nodes.insert(
                         *id,
@@ -188,9 +194,17 @@ impl QueryTrace {
                         node.span.io = *io;
                     }
                 }
-                Event::Instant { name, parent, t_us, value } => {
-                    let mark =
-                        TraceMark { name: (*name).to_string(), t_us: *t_us, value: *value };
+                Event::Instant {
+                    name,
+                    parent,
+                    t_us,
+                    value,
+                } => {
+                    let mark = TraceMark {
+                        name: (*name).to_string(),
+                        t_us: *t_us,
+                        value: *value,
+                    };
                     match parent.and_then(|p| nodes.get_mut(&p)) {
                         Some(node) => node.span.marks.push(mark),
                         None => orphan_marks.push(mark),
@@ -210,7 +224,11 @@ impl QueryTrace {
                 None => roots.insert(0, node.span),
             }
         }
-        QueryTrace { roots, orphan_marks, dropped_events }
+        QueryTrace {
+            roots,
+            orphan_marks,
+            dropped_events,
+        }
     }
 
     /// Total spans in the tree.
@@ -230,7 +248,12 @@ impl QueryTrace {
     /// (orphan marks are not included).
     pub fn mark_values(&self, name: &str) -> Vec<u64> {
         fn walk(span: &TraceSpan, name: &str, out: &mut Vec<u64>) {
-            out.extend(span.marks.iter().filter(|m| m.name == name).map(|m| m.value));
+            out.extend(
+                span.marks
+                    .iter()
+                    .filter(|m| m.name == name)
+                    .map(|m| m.value),
+            );
             span.children.iter().for_each(|c| walk(c, name, out));
         }
         let mut out = Vec::new();
@@ -395,7 +418,11 @@ mod tests {
             clock.advance(10);
             {
                 let mut sort = span("sssj.sort");
-                sort.add_io(SpanIo { pages_read: 8, seq_ops: 2, ..SpanIo::default() });
+                sort.add_io(SpanIo {
+                    pages_read: 8,
+                    seq_ops: 2,
+                    ..SpanIo::default()
+                });
                 clock.advance(20);
             }
             {
@@ -434,14 +461,30 @@ mod tests {
     #[test]
     fn unended_spans_close_at_the_stream_maximum() {
         let events = vec![
-            Event::SpanBegin { id: 1, parent: None, name: "open", detail: None, t_us: 5 },
-            Event::Instant { name: "tick", parent: Some(1), t_us: 9, value: 1 },
+            Event::SpanBegin {
+                id: 1,
+                parent: None,
+                name: "open",
+                detail: None,
+                t_us: 5,
+            },
+            Event::Instant {
+                name: "tick",
+                parent: Some(1),
+                t_us: 9,
+                value: 1,
+            },
         ];
         let trace = QueryTrace::from_events(&events, 3);
         assert_eq!(trace.dropped_events, 3);
         assert_eq!(trace.roots[0].end_us, 9);
         // A mark whose parent was dropped by the ring becomes an orphan.
-        let orphan = vec![Event::Instant { name: "lost", parent: Some(99), t_us: 1, value: 0 }];
+        let orphan = vec![Event::Instant {
+            name: "lost",
+            parent: Some(99),
+            t_us: 1,
+            value: 0,
+        }];
         let t2 = QueryTrace::from_events(&orphan, 0);
         assert_eq!(t2.orphan_marks.len(), 1);
         assert_eq!(t2.span_count(), 0);
@@ -468,7 +511,10 @@ mod tests {
         assert!(doc.trim_end().ends_with(']'));
         assert!(doc.contains("\"ph\": \"X\""));
         assert!(doc.contains("\"tid\": 7"));
-        assert!(doc.contains("\"dur\": 0"), "marks export as zero-duration events");
+        assert!(
+            doc.contains("\"dur\": 0"),
+            "marks export as zero-duration events"
+        );
     }
 
     #[test]

@@ -76,8 +76,10 @@ impl BulkLoadConfig {
 pub fn bulk_load(env: &mut SimEnv, items: &[Item], config: BulkLoadConfig) -> Result<RTree> {
     let config = config.normalized();
     let bbox = bounding_box(items.iter().map(|it| it.rect));
-    let mut keyed: Vec<(u64, Item)> =
-        items.iter().map(|it| (hilbert_key(it, &bbox), *it)).collect();
+    let mut keyed: Vec<(u64, Item)> = items
+        .iter()
+        .map(|it| (hilbert_key(it, &bbox), *it))
+        .collect();
     extsort::charge_sort(env, keyed.len() as u64);
     sort_by_key_then(&mut keyed, |e| e.0, |a, b| a.1.cmp_by_lower_y(&b.1));
 
@@ -179,10 +181,18 @@ pub fn bulk_load_merged(
     config: BulkLoadConfig,
 ) -> Result<(RTree, MergedLoad)> {
     let added_len: usize = added.iter().map(|run| run.len() as usize).sum();
-    debug_assert_eq!(old.num_items() + added_len as u64, base.len(), "base = old ∪ added");
+    debug_assert_eq!(
+        old.num_items() + added_len as u64,
+        base.len(),
+        "base = old ∪ added"
+    );
     let same_box = rect_bits(&old.bbox()) == rect_bits(&bbox);
     let reservation = (same_box && old.num_items() > 0)
-        .then(|| env.memory.try_reserve(added_len * std::mem::size_of::<(u64, Item)>()).ok())
+        .then(|| {
+            env.memory
+                .try_reserve(added_len * std::mem::size_of::<(u64, Item)>())
+                .ok()
+        })
         .flatten();
     let Some(_reservation) = reservation else {
         let tree = bulk_load_stream_with_bbox(env, base, bbox, config)?;
@@ -448,7 +458,8 @@ impl Packer {
         if level.is_empty() {
             // Degenerate tree: a single empty leaf as root.
             let page = env.device.allocate(1);
-            env.device.write_page(page, &Node::new(NodeKind::Leaf).encode())?;
+            env.device
+                .write_page(page, &Node::new(NodeKind::Leaf).encode())?;
             return Ok(RTree::from_build(page, 1, 0, vec![1], bbox));
         }
         let mut level_counts = vec![level.len() as u64];
@@ -461,7 +472,13 @@ impl Packer {
             level_counts.push(level.len() as u64);
         }
         let height = level_counts.len() as u32;
-        Ok(RTree::from_build(level[0].child_page(), height, num_items, level_counts, bbox))
+        Ok(RTree::from_build(
+            level[0].child_page(),
+            height,
+            num_items,
+            level_counts,
+            bbox,
+        ))
     }
 }
 
@@ -480,7 +497,10 @@ mod tests {
             for j in 0..n_side {
                 let x = i as f32 * 10.0;
                 let y = j as f32 * 10.0;
-                out.push(Item::new(Rect::from_coords(x, y, x + 5.0, y + 5.0), i * n_side + j));
+                out.push(Item::new(
+                    Rect::from_coords(x, y, x + 5.0, y + 5.0),
+                    i * n_side + j,
+                ));
             }
         }
         out
@@ -588,8 +608,10 @@ mod tests {
         let mut env = env();
         let items = grid_items(40);
         let tree = bulk_load(&mut env, &items, BulkLoadConfig::default()).unwrap();
-        let mut want: Vec<(u64, Item)> =
-            items.iter().map(|it| (hilbert_key(it, &tree.bbox()), *it)).collect();
+        let mut want: Vec<(u64, Item)> = items
+            .iter()
+            .map(|it| (hilbert_key(it, &tree.bbox()), *it))
+            .collect();
         want.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp_by_lower_y(&b.1)));
         // One leaf per call, one page read per leaf, the fill the loader
         // gave it.
@@ -652,7 +674,12 @@ mod tests {
             keys: vec![None; old.len()],
         };
         // Fresh records between, equal to and beyond the old ones.
-        let fresh = items.iter().skip(1).step_by(5).chain(&items[..3]).map(keyed);
+        let fresh = items
+            .iter()
+            .skip(1)
+            .step_by(5)
+            .chain(&items[..3])
+            .map(keyed);
         for f in fresh {
             for start in [0, 1, old.len() / 2, old.len() - 1, old.len()] {
                 let linear = (start..old.len())
@@ -662,7 +689,11 @@ mod tests {
                     })
                     .unwrap_or(old.len());
                 for step in [1, 2, 3, 7, old.len(), old.len() + 5] {
-                    assert_eq!(leaf.first_after(start, &f, step, &bbox), linear, "step {step}");
+                    assert_eq!(
+                        leaf.first_after(start, &f, step, &bbox),
+                        linear,
+                        "step {step}"
+                    );
                 }
             }
         }

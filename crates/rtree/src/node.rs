@@ -93,7 +93,10 @@ impl Node {
     ///
     /// Panics if the node holds more than [`MAX_FANOUT`] entries.
     pub fn encode(&self) -> Vec<u8> {
-        assert!(self.entries.len() <= MAX_FANOUT, "node overflows the fanout");
+        assert!(
+            self.entries.len() <= MAX_FANOUT,
+            "node overflows the fanout"
+        );
         let mut buf = vec![0u8; PAGE_SIZE];
         buf[0] = match self.kind {
             NodeKind::Leaf => 0,
@@ -210,7 +213,8 @@ impl NodeView {
     /// Directory rectangle: the union of all entry rectangles, folded in
     /// page order as [`Node::mbr`] folds them.
     pub fn mbr(&self) -> Rect {
-        self.entries().fold(Rect::empty(), |acc, e| acc.union(&e.rect))
+        self.entries()
+            .fold(Rect::empty(), |acc, e| acc.union(&e.rect))
     }
 }
 
@@ -251,7 +255,10 @@ mod tests {
         let buf = n.encode();
         assert_eq!(buf.len(), PAGE_SIZE);
         let mut entries = Vec::new();
-        assert_eq!(Node::decode_into(&buf, &mut entries).unwrap(), NodeKind::Leaf);
+        assert_eq!(
+            Node::decode_into(&buf, &mut entries).unwrap(),
+            NodeKind::Leaf
+        );
         assert_eq!(entries, n.entries);
         let view = NodeView::new(page_of(&buf)).unwrap();
         assert_eq!(view.kind(), NodeKind::Leaf);
@@ -300,7 +307,10 @@ mod tests {
         let mut small = Node::new(NodeKind::Internal);
         small.entries.push(entry(1.0, 2.0, 3.0, 4.0, 9));
         let mut entries = Vec::new();
-        assert_eq!(Node::decode_into(&full.encode(), &mut entries).unwrap(), NodeKind::Leaf);
+        assert_eq!(
+            Node::decode_into(&full.encode(), &mut entries).unwrap(),
+            NodeKind::Leaf
+        );
         assert_eq!(entries, full.entries);
         let capacity = entries.capacity();
         assert_eq!(

@@ -107,7 +107,10 @@ fn arb_coord(g: &mut Gen) -> f32 {
 /// The bits of an entry: NaN coordinates compare equal to themselves.
 fn entry_bits(e: &NodeEntry) -> ([u32; 4], u32) {
     let r = e.rect;
-    ([r.lo.x, r.lo.y, r.hi.x, r.hi.y].map(f32::to_bits), e.payload)
+    (
+        [r.lo.x, r.lo.y, r.hi.x, r.hi.y].map(f32::to_bits),
+        e.payload,
+    )
 }
 
 fn rect_bits(r: Rect) -> [u32; 4] {

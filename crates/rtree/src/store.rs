@@ -111,7 +111,10 @@ mod tests {
     fn gauged_store_respects_the_memory_budget() {
         let mut env = env().with_memory_limit(4 * PAGE_SIZE);
         let tree = RTree::bulk_load(&mut env, &items(4000)).unwrap();
-        assert!(tree.nodes() > 8, "tree must span more pages than the budget");
+        assert!(
+            tree.nodes() > 8,
+            "tree must span more pages than the budget"
+        );
         let mut store = NodeStore::with_capacity_bytes_gauged(1 << 20, &env.memory);
         assert!(store.capacity_pages() <= 4);
         let first = tree.root() + 1 - tree.nodes();

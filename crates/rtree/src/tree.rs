@@ -304,7 +304,9 @@ impl LeafCursor {
         }
         let leaf = read_node(env, self.next)?;
         if leaf.kind() != NodeKind::Leaf {
-            return Err(IoSimError::CorruptRecord("leaf cursor reached an internal node"));
+            return Err(IoSimError::CorruptRecord(
+                "leaf cursor reached an internal node",
+            ));
         }
         self.next += 1;
         Ok(Some(leaf))
@@ -459,9 +461,15 @@ mod tests {
         assert!(first_pass > 0);
 
         // The repeat query is served from the store.
-        let again = tree.window_query_pooled(&mut env, &mut store, &window).unwrap();
+        let again = tree
+            .window_query_pooled(&mut env, &mut store, &window)
+            .unwrap();
         assert_eq!(again.len(), pooled.len());
-        assert_eq!(env.device.stats().pages_read, first_pass, "repeat must be all hits");
+        assert_eq!(
+            env.device.stats().pages_read,
+            first_pass,
+            "repeat must be all hits"
+        );
     }
 
     #[test]
@@ -496,7 +504,11 @@ mod tests {
         let items = grid_items(30);
         let tree = RTree::bulk_load(&mut env, &items).unwrap();
         let mut store = NodeStore::with_capacity_bytes(1 << 20);
-        for p in [Point::new(12.0, 42.0), Point::new(7.0, 7.0), Point::new(-3.0, 4.0)] {
+        for p in [
+            Point::new(12.0, 42.0),
+            Point::new(7.0, 7.0),
+            Point::new(-3.0, 4.0),
+        ] {
             let mut got: Vec<u32> = tree
                 .point_query(&mut env, &mut store, &p)
                 .unwrap()

@@ -94,7 +94,8 @@ impl Catalog {
         self.refuse_duplicate(dataset.name())?;
         dataset.quiesce(env)?;
         let id = DatasetId(self.datasets.len() as u32);
-        self.datasets.push((dataset.name().to_string(), Arc::new(dataset.snapshot())));
+        self.datasets
+            .push((dataset.name().to_string(), Arc::new(dataset.snapshot())));
         Ok(id)
     }
 

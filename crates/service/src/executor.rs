@@ -128,7 +128,10 @@ impl Service {
             if now_us >= deadline_us {
                 metrics.faults_deadline_exceeded.inc();
                 return outcome(
-                    QueryStatus::Failed(ServiceError::DeadlineExceeded { deadline_us, now_us }),
+                    QueryStatus::Failed(ServiceError::DeadlineExceeded {
+                        deadline_us,
+                        now_us,
+                    }),
                     None,
                     None,
                 );
@@ -191,7 +194,10 @@ impl Service {
             return (self.dispatch(kind, granted, fault_stream, sink), None);
         }
         let collector = Arc::new(RingCollector::new(QUERY_TRACE_EVENTS));
-        let guard = usj_obs::install(Arc::clone(&collector) as Arc<dyn Recorder>, Arc::clone(clock));
+        let guard = usj_obs::install(
+            Arc::clone(&collector) as Arc<dyn Recorder>,
+            Arc::clone(clock),
+        );
         let ran = {
             let mut root = usj_obs::span_detail("execute", || kind_label(kind).to_string());
             let ran = self.dispatch(kind, granted, fault_stream, sink);
@@ -297,7 +303,8 @@ impl Service {
         // LIMIT-truncated or cancelled runs stop early and under-state the
         // query's true footprint.
         if cached && sink.limit.is_none() && !sink.cancelled {
-            relock(self.plan_cache.lock()).record_peak(PlanKey::new(spec), result.memory.peak_bytes);
+            relock(self.plan_cache.lock())
+                .record_peak(PlanKey::new(spec), result.memory.peak_bytes);
         }
         Ok(result)
     }
@@ -321,13 +328,17 @@ impl Service {
         let mut store = NodeStore::with_capacity_bytes_gauged(granted, &wenv.memory);
         let mut alive = source
             .tree
-            .window_query_via(wenv, &mut store, &window, &mut |item| {
-                sink.emit(item.id, 0)
-            })?;
+            .window_query_via(wenv, &mut store, &window, &mut |item| sink.emit(item.id, 0))?;
         // A sealed dataset has no tiers to scan.
         if source.has_tiers() {
-            let deltas = source.deltas.iter().map(|run| (run.bbox(), Some(run.stream()), &[][..]));
-            let mem_runs = source.mem_runs.iter().map(|mem| (mem.bbox(), None, mem.items()));
+            let deltas = source
+                .deltas
+                .iter()
+                .map(|run| (run.bbox(), Some(run.stream()), &[][..]));
+            let mem_runs = source
+                .mem_runs
+                .iter()
+                .map(|mem| (mem.bbox(), None, mem.items()));
             for (bbox, stream, items) in deltas.chain(mem_runs) {
                 if !alive {
                     break;

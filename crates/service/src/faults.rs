@@ -27,7 +27,8 @@ impl FaultRetry {
     /// Backoff before retry attempt `n` (1-based): `base << (n-1)`,
     /// shift-capped so a misconfigured retry count cannot overflow.
     fn backoff_for(&self, attempt: u32) -> u64 {
-        self.backoff_us.saturating_mul(1u64 << attempt.saturating_sub(1).min(16))
+        self.backoff_us
+            .saturating_mul(1u64 << attempt.saturating_sub(1).min(16))
     }
 }
 

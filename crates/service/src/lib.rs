@@ -70,8 +70,8 @@ mod proptests;
 
 pub use catalog::{Catalog, DatasetId};
 pub use service::{
-    CancelToken, JoinSpec, QueryKind, QueryOutcome, QueryRequest, QueryStats, QueryStatus,
-    Service, ServiceConfig, ServiceReport, ServiceStats, Session,
+    CancelToken, JoinSpec, QueryKind, QueryOutcome, QueryRequest, QueryStats, QueryStatus, Service,
+    ServiceConfig, ServiceReport, ServiceStats, Session,
 };
 pub use usj_live::LiveConfig;
 
@@ -137,11 +137,23 @@ impl fmt::Display for ServiceError {
             ServiceError::WorkerPanicked(payload) => {
                 write!(f, "worker panicked while executing the query: {payload}")
             }
-            ServiceError::DeadlineExceeded { deadline_us, now_us } => {
-                write!(f, "deadline exceeded: deadline {deadline_us}us, noticed at {now_us}us")
+            ServiceError::DeadlineExceeded {
+                deadline_us,
+                now_us,
+            } => {
+                write!(
+                    f,
+                    "deadline exceeded: deadline {deadline_us}us, noticed at {now_us}us"
+                )
             }
-            ServiceError::AdmissionTimeout { timeout_us, waited_us } => {
-                write!(f, "admission timed out after {waited_us}us (timeout {timeout_us}us)")
+            ServiceError::AdmissionTimeout {
+                timeout_us,
+                waited_us,
+            } => {
+                write!(
+                    f,
+                    "admission timed out after {waited_us}us (timeout {timeout_us}us)"
+                )
             }
             ServiceError::LockPoisoned(which) => {
                 write!(f, "lock '{which}' poisoned by a panic in another thread")

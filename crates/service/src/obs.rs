@@ -171,7 +171,10 @@ impl Service {
     /// first updated). The `live.backlog` gauge is refreshed here (delta
     /// runs plus frozen batches summed over every live dataset).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.metrics.live_backlog.set(self.total_backlog() as i64);
+        self.obs
+            .metrics
+            .live_backlog
+            .set(self.total_backlog() as i64);
         self.obs.registry.snapshot()
     }
 

@@ -179,9 +179,15 @@ fn admission_is_fifo_within_a_priority_class_without_overtaking() {
             .collect();
         admitted.sort_unstable();
         let order: Vec<usize> = admitted.into_iter().map(|(_, i)| i).collect();
-        assert_eq!(order, expected, "admission order is not (priority desc, submission asc)");
+        assert_eq!(
+            order, expected,
+            "admission order is not (priority desc, submission asc)"
+        );
         assert_eq!(report.stats.cancelled as usize, n - expected.len());
-        assert_eq!(report.stats.deferrals, 0, "every budget fits: nothing is ever deferred");
+        assert_eq!(
+            report.stats.deferrals, 0,
+            "every budget fits: nothing is ever deferred"
+        );
         assert!(report.outcomes.iter().all(|o| o.stats.queue_wait.is_zero()));
     });
 
@@ -277,7 +283,9 @@ fn promotion_roundtrip_is_indistinguishable_from_fresh_registration() {
             flush_threshold_bytes: g.usize_in(8, 64) * usj_geom::ITEM_BYTES,
             compact_after_deltas: g.usize_in(0, 4),
         };
-        service.register_live("grown", &items[..split], config).unwrap();
+        service
+            .register_live("grown", &items[..split], config)
+            .unwrap();
         let mut rest = &items[split..];
         while !rest.is_empty() {
             let take = g.usize_in(1, rest.len() + 1).min(rest.len());
@@ -309,8 +317,14 @@ fn promotion_roundtrip_is_indistinguishable_from_fresh_registration() {
         let got = service.run(requests(promoted, peer_grown));
         let want = oracle.run(requests(fresh, peer_fresh));
         for k in 0..3 {
-            let mut g_pairs = got.outcomes[k].pairs.clone().expect("quiesced query collected");
-            let mut w_pairs = want.outcomes[k].pairs.clone().expect("oracle query collected");
+            let mut g_pairs = got.outcomes[k]
+                .pairs
+                .clone()
+                .expect("quiesced query collected");
+            let mut w_pairs = want.outcomes[k]
+                .pairs
+                .clone()
+                .expect("oracle query collected");
             g_pairs.sort_unstable();
             w_pairs.sort_unstable();
             assert_eq!(g_pairs, w_pairs, "query #{k} diverged after quiescing");

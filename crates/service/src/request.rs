@@ -113,9 +113,10 @@ impl QueryKind {
         match *self {
             QueryKind::Join(_) => None,
             QueryKind::Window { dataset, window } => Some((dataset, window)),
-            QueryKind::Point { dataset, point } => {
-                Some((dataset, Rect::from_coords(point.x, point.y, point.x, point.y)))
-            }
+            QueryKind::Point { dataset, point } => Some((
+                dataset,
+                Rect::from_coords(point.x, point.y, point.x, point.y),
+            )),
         }
     }
 }

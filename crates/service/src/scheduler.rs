@@ -115,7 +115,9 @@ impl PendingQueue {
 
     /// Every queued entry, in admission order.
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.buckets.iter().flat_map(|(_, fifo)| fifo.iter().copied())
+        self.buckets
+            .iter()
+            .flat_map(|(_, fifo)| fifo.iter().copied())
     }
 
     /// Removes and returns the entry at `rank` (O(1) at the head).
@@ -157,7 +159,11 @@ impl SessionState {
     /// `admitted` entry takes the next place in the admission order.
     fn ticket(&mut self, idx: usize, admitted: bool) -> Ticket {
         let entry = &self.entries[idx];
-        if entry.request.as_ref().is_some_and(|r| r.deadline_us.is_some()) {
+        if entry
+            .request
+            .as_ref()
+            .is_some_and(|r| r.deadline_us.is_some())
+        {
             self.queued_deadlines -= 1;
         }
         let admission_seq = admitted.then(|| {
@@ -177,7 +183,10 @@ impl SessionState {
     /// out for execution off-lock.
     fn admit(&mut self, idx: usize) -> (Ticket, QueryRequest) {
         let ticket = self.ticket(idx, true);
-        let request = self.entries[idx].request.take().expect("pending entries own their request");
+        let request = self.entries[idx]
+            .request
+            .take()
+            .expect("pending entries own their request");
         (ticket, request)
     }
 }
@@ -355,8 +364,9 @@ impl Service {
         };
 
         let (value, finished) = std::thread::scope(|scope| {
-            let pool: Vec<_> =
-                (0..workers).map(|_| scope.spawn(|| self.worker_loop(&shared))).collect();
+            let pool: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| self.worker_loop(&shared)))
+                .collect();
             let value = f(&session);
             let wake = {
                 let mut state = relock(shared.state.lock());
@@ -368,7 +378,11 @@ impl Service {
             }
             let finished: Vec<_> = pool
                 .into_iter()
-                .map(|worker| worker.join().expect("query panics are contained inside the worker"))
+                .map(|worker| {
+                    worker
+                        .join()
+                        .expect("query panics are contained inside the worker")
+                })
                 .collect();
             (value, finished)
         });
@@ -385,7 +399,8 @@ impl Service {
             ..ServiceStats::default()
         };
         let n = state.entries.len();
-        let mut slots: Vec<Option<QueryOutcome>> = std::iter::repeat_with(|| None).take(n).collect();
+        let mut slots: Vec<Option<QueryOutcome>> =
+            std::iter::repeat_with(|| None).take(n).collect();
         for (outcomes, folded) in finished {
             stats.merge(&folded);
             for outcome in outcomes {
@@ -491,7 +506,10 @@ impl Service {
             let mut picked: Option<(usize, Exit)> = None;
             for (rank, idx) in state.pending.iter().enumerate() {
                 let entry = &mut state.entries[idx];
-                let request = entry.request.as_ref().expect("pending entries own their request");
+                let request = entry
+                    .request
+                    .as_ref()
+                    .expect("pending entries own their request");
                 if request.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
                     picked = Some((rank, Err((QueryStatus::Cancelled(None), None))));
                     break;
@@ -527,7 +545,10 @@ impl Service {
                             let waited_us = scan_now.saturating_sub(entry.submitted_us);
                             if waited_us >= timeout_us {
                                 metrics.faults_admission_timeouts.inc();
-                                let err = ServiceError::AdmissionTimeout { timeout_us, waited_us };
+                                let err = ServiceError::AdmissionTimeout {
+                                    timeout_us,
+                                    waited_us,
+                                };
                                 picked =
                                     Some((rank, Err((QueryStatus::Failed(err), Some(scan_now)))));
                                 break;
@@ -632,7 +653,10 @@ impl Service {
         mut outcome: QueryOutcome,
         agg: &mut ServiceStats,
     ) -> QueryOutcome {
-        debug_assert_eq!(ticket.idx, outcome.request, "the outcome answers its ticket");
+        debug_assert_eq!(
+            ticket.idx, outcome.request,
+            "the outcome answers its ticket"
+        );
         outcome.stats.deferrals = ticket.deferrals;
         outcome.stats.overtaken = ticket.overtaken;
         outcome.stats.queue_wait = us_between(ticket.submitted_us, left_us);
@@ -645,10 +669,16 @@ impl Service {
         if let Some(trace) = outcome.stats.trace.take() {
             let wait_us = u64::try_from(outcome.stats.queue_wait.as_micros()).unwrap_or(u64::MAX);
             let exec_start = trace.roots.first().map_or(0, |r| r.start_us);
-            let end = trace.roots.iter().map(|r| r.end_us).max().unwrap_or(exec_start);
+            let end = trace
+                .roots
+                .iter()
+                .map(|r| r.end_us)
+                .max()
+                .unwrap_or(exec_start);
             let start = exec_start.saturating_sub(wait_us);
             let mut root = TraceSpan::leaf("query", start, end);
-            root.children.push(TraceSpan::leaf("admission.wait", start, exec_start));
+            root.children
+                .push(TraceSpan::leaf("admission.wait", start, exec_start));
             root.children.extend(trace.roots);
             outcome.stats.trace = Some(QueryTrace {
                 roots: vec![root],
@@ -663,8 +693,12 @@ impl Service {
             QueryStatus::Failed(_) => metrics.queries_failed.inc(),
         }
         let as_us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        metrics.queue_wait_us.record(as_us(outcome.stats.queue_wait));
-        metrics.query_latency_us.record(as_us(outcome.stats.latency));
+        metrics
+            .queue_wait_us
+            .record(as_us(outcome.stats.queue_wait));
+        metrics
+            .query_latency_us
+            .record(as_us(outcome.stats.latency));
         agg.fold(&outcome);
         outcome
     }

@@ -239,7 +239,10 @@ pub struct LiveView<'a> {
 impl LiveView<'_> {
     /// The live dataset `id`, if there is one.
     pub fn get(&self, id: DatasetId) -> Option<&LiveDataset> {
-        self.datasets.iter().find(|(i, _)| *i == id).map(|(_, slot)| slot.dataset())
+        self.datasets
+            .iter()
+            .find(|(i, _)| *i == id)
+            .map(|(_, slot)| slot.dataset())
     }
 
     /// The live datasets, in registration order.
@@ -284,8 +287,9 @@ impl Service {
         let machine = env.machine.clone();
         let store = Arc::new(LiveStore::new(env, catalog, FaultRetry::of(&config)));
         let obs = Arc::clone(&store.obs);
-        let maintenance =
-            config.background_maintenance.then(|| Maintenance::spawn(Arc::clone(&store)));
+        let maintenance = config
+            .background_maintenance
+            .then(|| Maintenance::spawn(Arc::clone(&store)));
         Service {
             store,
             config,
@@ -302,7 +306,10 @@ impl Service {
     /// returns — don't cache tier shapes across calls.
     pub fn with_live<T>(&self, f: impl FnOnce(&LiveView<'_>) -> T) -> T {
         let slots = self.store.live_slots();
-        let datasets = slots.iter().map(|(id, live)| (*id, relock(live.lock()))).collect();
+        let datasets = slots
+            .iter()
+            .map(|(id, live)| (*id, relock(live.lock())))
+            .collect();
         let view = LiveView { datasets };
         f(&view)
     }
@@ -328,7 +335,10 @@ impl Service {
     /// The backlog of every live dataset, summed.
     pub(crate) fn total_backlog(&self) -> usize {
         let slots = self.store.live_slots();
-        slots.iter().map(|(_, live)| backlog(relock(live.lock()).dataset())).sum()
+        slots
+            .iter()
+            .map(|(_, live)| backlog(relock(live.lock()).dataset()))
+            .sum()
     }
 
     /// Registers a live dataset with an initial base batch. Its pages and

@@ -51,7 +51,12 @@ fn joins_and_selections_complete_with_correct_counts() {
     assert_eq!(report.stats.completed, 4);
     assert_eq!(report.stats.failed, 0);
     for outcome in &report.outcomes[..3] {
-        assert_eq!(outcome.result().unwrap().pairs, expected, "join #{}", outcome.request);
+        assert_eq!(
+            outcome.result().unwrap().pairs,
+            expected,
+            "join #{}",
+            outcome.request
+        );
     }
     assert_eq!(report.outcomes[3].result().unwrap().pairs, in_window);
     assert!(report.outcomes[3].result().unwrap().index_page_requests > 0);
@@ -63,11 +68,16 @@ fn collected_pairs_match_count_only_runs() {
     let a = grid(10, 4.0, 0.0, 0);
     let (service, ia, _) = service_over(&a, &a, ServiceConfig::default());
     let report = service.run(vec![
-        QueryRequest::join(ia, ia).with_algorithm(Algo::Pq).collecting(),
+        QueryRequest::join(ia, ia)
+            .with_algorithm(Algo::Pq)
+            .collecting(),
         QueryRequest::join(ia, ia).with_algorithm(Algo::Pq),
     ]);
     let collected = report.outcomes[0].pairs.as_ref().unwrap();
-    assert_eq!(collected.len() as u64, report.outcomes[1].result().unwrap().pairs);
+    assert_eq!(
+        collected.len() as u64,
+        report.outcomes[1].result().unwrap().pairs
+    );
     assert!(report.outcomes[1].pairs.is_none());
 }
 
@@ -102,7 +112,10 @@ fn pre_cancelled_requests_never_run() {
         QueryRequest::join(ia, ia).with_cancel(token.clone()),
         QueryRequest::join(ia, ia),
     ]);
-    assert!(matches!(report.outcomes[0].status, QueryStatus::Cancelled(None)));
+    assert!(matches!(
+        report.outcomes[0].status,
+        QueryStatus::Cancelled(None)
+    ));
     assert!(report.outcomes[1].is_completed());
     assert_eq!(report.stats.cancelled, 1);
     assert_eq!(report.stats.completed, 1);
@@ -119,7 +132,10 @@ fn unknown_datasets_fail_cleanly() {
     ]);
     for outcome in &report.outcomes {
         assert!(
-            matches!(&outcome.status, QueryStatus::Failed(ServiceError::UnknownDataset(_))),
+            matches!(
+                &outcome.status,
+                QueryStatus::Failed(ServiceError::UnknownDataset(_))
+            ),
             "{:?}",
             outcome.status
         );
@@ -134,8 +150,12 @@ fn priorities_admit_before_fifo_order() {
     let (service, ia, _) = service_over(&a, &a, ServiceConfig::default().with_workers(1));
     let report = service.run(vec![
         QueryRequest::join(ia, ia).with_algorithm(Algo::Sssj),
-        QueryRequest::join(ia, ia).with_algorithm(Algo::Sssj).with_priority(5),
-        QueryRequest::join(ia, ia).with_algorithm(Algo::Sssj).with_priority(5),
+        QueryRequest::join(ia, ia)
+            .with_algorithm(Algo::Sssj)
+            .with_priority(5),
+        QueryRequest::join(ia, ia)
+            .with_algorithm(Algo::Sssj)
+            .with_priority(5),
     ]);
     // The priority-5 requests waited less than the priority-0 one which
     // was submitted first but admitted last.
@@ -153,7 +173,9 @@ fn admission_respects_the_shared_budget_and_records_deferrals() {
     let (service, ia, ib) = service_over(
         &a,
         &a,
-        ServiceConfig::default().with_workers(4).with_memory_limit(limit),
+        ServiceConfig::default()
+            .with_workers(4)
+            .with_memory_limit(limit),
     );
     // Each request demands 3 MB of the 4 MB budget: only one runs at a
     // time even though four workers are free.
@@ -166,7 +188,10 @@ fn admission_respects_the_shared_budget_and_records_deferrals() {
         .collect();
     let report = service.run(requests);
     assert_eq!(report.stats.completed, 6);
-    assert!(report.stats.deferrals > 0, "free workers must have deferred");
+    assert!(
+        report.stats.deferrals > 0,
+        "free workers must have deferred"
+    );
     assert!(report.stats.peak_admitted_bytes <= limit);
     for outcome in &report.outcomes {
         assert_eq!(outcome.stats.admitted_bytes, 3 * 1024 * 1024);
@@ -183,7 +208,9 @@ fn unadmittable_requests_fail_instead_of_deadlocking() {
     let (service, ia, _) = service_over(
         &a,
         &a,
-        ServiceConfig::default().with_workers(2).with_memory_limit(0),
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_memory_limit(0),
     );
     let report = service.run(vec![
         QueryRequest::join(ia, ia),
@@ -208,7 +235,9 @@ fn unadmittable_requests_fail_instead_of_deadlocking() {
     let (tight, ib, _) = service_over(
         &b,
         &b,
-        ServiceConfig::default().with_workers(1).with_memory_limit(8 * 1024),
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_memory_limit(8 * 1024),
     );
     let report = tight.run(vec![QueryRequest::join(ib, ib).with_algorithm(Algo::Sssj)]);
     assert!(
@@ -245,7 +274,10 @@ fn plan_cache_reuses_plans_across_identical_queries() {
     // probes, so they charge strictly less I/O.
     let first = report.outcomes[0].result().unwrap().io.pages_read;
     let repeat = report.outcomes[1].result().unwrap().io.pages_read;
-    assert!(repeat < first, "cached plan must save I/O ({repeat} vs {first})");
+    assert!(
+        repeat < first,
+        "cached plan must save I/O ({repeat} vs {first})"
+    );
 }
 
 #[test]
@@ -255,9 +287,7 @@ fn point_selection_matches_brute_force() {
     let p = Point::new(17.0, 22.0);
     let expected = a
         .iter()
-        .filter(|it| {
-            it.rect.contains(&Rect::from_coords(p.x, p.y, p.x, p.y))
-        })
+        .filter(|it| it.rect.contains(&Rect::from_coords(p.x, p.y, p.x, p.y)))
         .count() as u64;
     let report = service.run(vec![QueryRequest::point(ia, p).collecting()]);
     let outcome = &report.outcomes[0];
@@ -315,7 +345,10 @@ fn overtakes_are_bounded_and_stamped() {
     };
     let mut requests = vec![heavy(), heavy()];
     for _ in 0..6 {
-        requests.push(QueryRequest::window(ia, Rect::from_coords(0.0, 0.0, 10.0, 10.0)));
+        requests.push(QueryRequest::window(
+            ia,
+            Rect::from_coords(0.0, 0.0, 10.0, 10.0),
+        ));
     }
     let report = service.run(requests);
     assert_eq!(report.stats.completed, 8);
@@ -340,7 +373,9 @@ fn queue_wait_is_anchored_at_first_enqueue() {
     let (service, ia, _) = service_over(
         &a,
         &a,
-        ServiceConfig::default().with_workers(2).with_memory_limit(limit),
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_memory_limit(limit),
     );
     // Both demand 3 of the 4 MB: strictly serialized by the gauge even
     // though two workers are free, so the second's queue wait covers
@@ -422,7 +457,10 @@ fn streaming_joins_run_over_live_datasets_through_the_service() {
     let mut collected = report.outcomes[0].pairs.clone().unwrap();
     collected.sort_unstable();
     assert_eq!(collected, expected);
-    assert_eq!(report.outcomes[1].result().unwrap().pairs, expected.len() as u64);
+    assert_eq!(
+        report.outcomes[1].result().unwrap().pairs,
+        expected.len() as u64
+    );
     // LIMIT truncates the stream to an exact prefix of true pairs.
     let limited = report.outcomes[2].pairs.as_ref().unwrap();
     assert_eq!(limited.len(), 7.min(expected.len()));
@@ -468,7 +506,9 @@ fn mixed_service(live: &[Item], frozen: &[Item]) -> (Service, DatasetId, Dataset
         compact_after_deltas: 3,
     };
     let split = live.len() / 3;
-    let la = service.register_live("mixed", &live[..split], config).unwrap();
+    let la = service
+        .register_live("mixed", &live[..split], config)
+        .unwrap();
     for chunk in live[split..].chunks(29) {
         service.append_live("mixed", chunk).unwrap();
     }
@@ -481,9 +521,11 @@ fn mixed_joins_match_brute_force_including_limit_and_cancellation() {
     let b = grid(12, 4.0, 1.5, 100_000);
     let (service, la, ib) = mixed_service(&a, &b);
     // The live side genuinely spans tiers when the join runs.
-    assert!(service.live_backlog("mixed").unwrap_or(0) > 0 || {
-        service.with_live(|l| l.get(la).unwrap().memtable_len() > 0)
-    });
+    assert!(
+        service.live_backlog("mixed").unwrap_or(0) > 0 || {
+            service.with_live(|l| l.get(la).unwrap().memtable_len() > 0)
+        }
+    );
 
     let expected = brute_pairs(&a, &b);
     let token = CancelToken::new();
@@ -497,14 +539,20 @@ fn mixed_joins_match_brute_force_including_limit_and_cancellation() {
     let mut collected = report.outcomes[0].pairs.clone().unwrap();
     collected.sort_unstable();
     assert_eq!(collected, expected, "mixed join diverged from brute force");
-    assert_eq!(report.outcomes[1].result().unwrap().pairs, expected.len() as u64);
+    assert_eq!(
+        report.outcomes[1].result().unwrap().pairs,
+        expected.len() as u64
+    );
     // LIMIT truncates the stream to an exact prefix of true pairs.
     let limited = report.outcomes[2].pairs.as_ref().unwrap();
     assert_eq!(limited.len(), 9.min(expected.len()));
     for p in limited {
         assert!(expected.binary_search(p).is_ok(), "{p:?} not a result pair");
     }
-    assert!(matches!(report.outcomes[3].status, QueryStatus::Cancelled(None)));
+    assert!(matches!(
+        report.outcomes[3].status,
+        QueryStatus::Cancelled(None)
+    ));
     assert_eq!(report.stats.completed, 3);
     assert_eq!(report.stats.cancelled, 1);
 
@@ -556,7 +604,11 @@ fn explicit_algorithms_run_as_asked_over_tiers_and_answer_like_the_quiesced_data
     for (k, (t, q)) in tiered.outcomes.iter().zip(&quiesced.outcomes).enumerate() {
         let phase = algos[k % algos.len()].1;
         let trace = t.stats.trace.as_ref().unwrap();
-        assert!(trace.find(phase).is_some(), "#{k}: no {phase} in {}", trace.shape());
+        assert!(
+            trace.find(phase).is_some(),
+            "#{k}: no {phase} in {}",
+            trace.shape()
+        );
         let pairs = |o: &QueryOutcome| {
             let mut p = o.pairs.clone().unwrap();
             p.sort_unstable();
@@ -575,7 +627,11 @@ fn mixed_join_cancellation_stops_the_stream_partway() {
     let expected = brute_pairs(&a, &b);
     let token = CancelToken::new();
     let (_, report) = service.with_session(|session| {
-        session.submit(QueryRequest::join(la, ib).with_cancel(token.clone()).collecting());
+        session.submit(
+            QueryRequest::join(la, ib)
+                .with_cancel(token.clone())
+                .collecting(),
+        );
         // Spin until the query is genuinely executing, then pull the
         // token out from under it mid-stream.
         while session.running() == 0 && session.queue_depth() > 0 {
@@ -616,7 +672,11 @@ fn live_selections_cover_every_tier_and_match_brute_force() {
         .collect();
     let probe = Point { x: 10.1, y: 10.1 };
     requests.push(QueryRequest::point(la, probe).collecting());
-    requests.push(QueryRequest::window(la, windows[2]).with_limit(5).collecting());
+    requests.push(
+        QueryRequest::window(la, windows[2])
+            .with_limit(5)
+            .collecting(),
+    );
     let report = service.run(requests);
     assert_eq!(report.stats.completed, 6);
     for (i, window) in windows.iter().enumerate() {
@@ -637,7 +697,10 @@ fn live_selections_cover_every_tier_and_match_brute_force() {
         assert_eq!(got, expected, "window #{i} diverged from brute force");
     }
     let probe_rect = Rect::from_coords(probe.x, probe.y, probe.x, probe.y);
-    let hits = a.iter().filter(|it| it.rect.intersects(&probe_rect)).count();
+    let hits = a
+        .iter()
+        .filter(|it| it.rect.intersects(&probe_rect))
+        .count();
     assert_eq!(report.outcomes[4].pairs.as_ref().unwrap().len(), hits);
     assert_eq!(report.outcomes[5].pairs.as_ref().unwrap().len(), 5);
 }
@@ -716,7 +779,11 @@ fn promotion_roundtrip_matches_a_fresh_registration() {
     for chunk in a[30..].chunks(17) {
         service.append_live("grown", chunk).unwrap();
     }
-    assert_eq!(service.promote_live("grown").unwrap(), grown, "the id stays");
+    assert_eq!(
+        service.promote_live("grown").unwrap(),
+        grown,
+        "the id stays"
+    );
     assert!(matches!(
         service.promote_live("missing"),
         Err(ServiceError::UnknownDataset(_))
@@ -728,7 +795,9 @@ fn promotion_roundtrip_matches_a_fresh_registration() {
     });
     let requests = |ds: DatasetId, peer: DatasetId| {
         vec![
-            QueryRequest::join(ds, peer).with_algorithm(Algo::Sssj).collecting(),
+            QueryRequest::join(ds, peer)
+                .with_algorithm(Algo::Sssj)
+                .collecting(),
             QueryRequest::join(ds, peer).collecting(),
             QueryRequest::window(ds, window).collecting(),
         ]
@@ -752,7 +821,9 @@ fn promotion_roundtrip_matches_a_fresh_registration() {
         assert_eq!(got, want, "query #{k} diverged after quiescing");
     }
     // The dataset still accepts appends, and its next join sees them.
-    service.append_live("grown", &grid(2, 4.0, 0.5, 900_000)).unwrap();
+    service
+        .append_live("grown", &grid(2, 4.0, 0.5, 900_000))
+        .unwrap();
     let more = service.run(vec![QueryRequest::join(grown, ib).collecting()]);
     let got = more.outcomes[0].pairs.as_ref().unwrap().len();
     assert!(got > report.outcomes[0].pairs.as_ref().unwrap().len());
@@ -767,7 +838,9 @@ fn register_live_refuses_a_name_the_catalog_holds() {
         Err(ServiceError::DuplicateDataset(_))
     ));
     // Live ids continue after the registered ones.
-    let live = service.register_live("c", &a, LiveConfig::default()).unwrap();
+    let live = service
+        .register_live("c", &a, LiveConfig::default())
+        .unwrap();
     assert_eq!(live, DatasetId(2));
 }
 
@@ -779,12 +852,21 @@ fn a_grown_dataset_is_never_admitted_on_a_stale_peak() {
     let a = grid(10, 4.0, 0.0, 0);
     let b = grid(10, 4.0, 1.5, 100_000);
     let (service, _, ib) = service_over(&a, &b, ServiceConfig::default().with_workers(1));
-    let la = service.register_live("growing", &a, LiveConfig::default()).unwrap();
+    let la = service
+        .register_live("growing", &a, LiveConfig::default())
+        .unwrap();
     service.quiesce_live("growing").unwrap();
-    let request = || QueryRequest::join(la, ib).with_algorithm(Algo::Sssj).collecting();
+    let request = || {
+        QueryRequest::join(la, ib)
+            .with_algorithm(Algo::Sssj)
+            .collecting()
+    };
     let first = service.run(vec![request()]);
     let peak = first.outcomes[0].result().unwrap().memory.peak_bytes;
-    assert_eq!(first.outcomes[0].pairs.as_ref().unwrap().len(), brute_pairs(&a, &b).len());
+    assert_eq!(
+        first.outcomes[0].pairs.as_ref().unwrap().len(),
+        brute_pairs(&a, &b).len()
+    );
 
     // Grow it about 4x, quiesce, run the same join.
     let more: Vec<Item> = (0..4)
@@ -794,13 +876,19 @@ fn a_grown_dataset_is_never_admitted_on_a_stale_peak() {
     service.quiesce_live("growing").unwrap();
     let estimate = service.admission_estimate(&request());
     assert_ne!(estimate, (peak + peak / 4).max(MIN_QUERY_BUDGET));
-    assert_eq!(estimate, ((5 * a.len() + b.len()) * ITEM_BYTES).max(JOIN_BUDGET_FLOOR));
+    assert_eq!(
+        estimate,
+        ((5 * a.len() + b.len()) * ITEM_BYTES).max(JOIN_BUDGET_FLOOR)
+    );
     let second = service.run(vec![request()]);
     let mut got = second.outcomes[0].pairs.clone().unwrap();
     got.sort_unstable();
     let all: Vec<Item> = a.iter().chain(&more).copied().collect();
     assert_eq!(got, brute_pairs(&all, &b));
-    assert_eq!(second.stats.plan_cache_hits + second.stats.plan_cache_misses, 0);
+    assert_eq!(
+        second.stats.plan_cache_hits + second.stats.plan_cache_misses,
+        0
+    );
 }
 
 #[test]
@@ -819,8 +907,12 @@ fn admission_estimates_keep_their_per_kind_rules() {
     let (a, b) = (items(40_000, 0), items(600, 1_000_000));
     let (service, ia, ib) = service_over(&a, &b, ServiceConfig::default());
     let live = items(120_000, 2_000_000);
-    let la = service.register_live("la", &live, LiveConfig::default()).unwrap();
-    let lb = service.register_live("lb", &b, LiveConfig::default()).unwrap();
+    let la = service
+        .register_live("la", &live, LiveConfig::default())
+        .unwrap();
+    let lb = service
+        .register_live("lb", &b, LiveConfig::default())
+        .unwrap();
     let bytes = |n: usize| n * ITEM_BYTES;
     let estimate = |r: QueryRequest| service.admission_estimate(&r);
     // Registered × registered: 3x the inputs (the parent's `join`).
@@ -828,14 +920,20 @@ fn admission_estimates_keep_their_per_kind_rules() {
     assert_eq!(estimate(QueryRequest::join(ib, ib)), JOIN_BUDGET_FLOOR);
     // Live × live and live × registered: 1x the inputs (the parent's
     // `streaming_join` and `mixed_join`), floored.
-    assert_eq!(estimate(QueryRequest::streaming_join(la, lb)), bytes(120_600));
+    assert_eq!(
+        estimate(QueryRequest::streaming_join(la, lb)),
+        bytes(120_600)
+    );
     assert_eq!(estimate(QueryRequest::join(la, ia)), bytes(160_000));
     assert_eq!(estimate(QueryRequest::join(lb, ib)), JOIN_BUDGET_FLOOR);
     // Selections, registered or live.
     let w = Rect::from_coords(0.0, 0.0, 9.0, 9.0);
     assert_eq!(estimate(QueryRequest::window(ia, w)), SELECTION_BUDGET);
     assert_eq!(estimate(QueryRequest::live_window(la, w)), SELECTION_BUDGET);
-    assert_eq!(estimate(QueryRequest::point(lb, Point { x: 1.0, y: 1.0 })), SELECTION_BUDGET);
+    assert_eq!(
+        estimate(QueryRequest::point(lb, Point { x: 1.0, y: 1.0 })),
+        SELECTION_BUDGET
+    );
     // An explicit budget is clamped, whatever the kind.
     assert_eq!(
         estimate(QueryRequest::join(la, lb).with_memory_budget(1)),
@@ -885,8 +983,7 @@ fn truncated_runs_never_poison_admission_estimates() {
     assert!(limited.outcomes[0].is_completed());
     let repeat = service.run(vec![QueryRequest::join(ia, ib).with_algorithm(Algo::Sssj)]);
     assert_eq!(
-        repeat.outcomes[0].stats.admitted_bytes,
-        limited.outcomes[0].stats.admitted_bytes,
+        repeat.outcomes[0].stats.admitted_bytes, limited.outcomes[0].stats.admitted_bytes,
         "a truncated run must not shrink the next admission"
     );
 }

@@ -103,7 +103,10 @@ impl LiveSlot {
     }
 
     fn snapshot(&mut self) -> Arc<LiveSnapshot> {
-        Arc::clone(self.published.get_or_insert_with(|| Arc::new(self.dataset.snapshot())))
+        Arc::clone(
+            self.published
+                .get_or_insert_with(|| Arc::new(self.dataset.snapshot())),
+        )
     }
 }
 
@@ -142,8 +145,13 @@ impl LiveStore {
     /// slots, and the device's pages the first ones published.
     pub(crate) fn new(env: SimEnv, catalog: Catalog, retry: FaultRetry) -> Self {
         let sealed = catalog.datasets.into_iter();
-        let slots = sealed.map(|(name, snapshot)| (name, Slot::Sealed(snapshot))).collect();
-        let published = Published { pages: env.device.snapshot(), slots };
+        let slots = sealed
+            .map(|(name, snapshot)| (name, Slot::Sealed(snapshot)))
+            .collect();
+        let published = Published {
+            pages: env.device.snapshot(),
+            slots,
+        };
         LiveStore {
             storage: Mutex::new(env),
             published: Mutex::new(published),
@@ -184,7 +192,11 @@ impl LiveStore {
         };
         let sealed = slots.iter().all(|slot| slot.live().is_none());
         let sources = all_ok(slots.map(Slot::read))?;
-        let pages = if sealed { pages } else { Arc::clone(&self.published().pages) };
+        let pages = if sealed {
+            pages
+        } else {
+            Arc::clone(&self.published().pages)
+        };
         Ok((sources, pages, sealed))
     }
 
@@ -205,7 +217,10 @@ impl LiveStore {
         let dataset = retry_transient(&self.obs, self.obs.clock().as_ref(), self.retry, |_| {
             Ok(LiveDataset::create(&mut storage, name, items, config)?)
         })?;
-        let slot = Slot::Live(Arc::new(Mutex::new(LiveSlot { dataset, published: None })));
+        let slot = Slot::Live(Arc::new(Mutex::new(LiveSlot {
+            dataset,
+            published: None,
+        })));
         let mut published = self.published();
         published.pages = storage.device.snapshot();
         published.slots.push((name.to_string(), slot));
@@ -229,7 +244,12 @@ impl LiveStore {
     /// The live dataset registered as `name`, with its id.
     pub(crate) fn live(&self, name: &str) -> Result<(DatasetId, Arc<Mutex<LiveSlot>>)> {
         let published = self.published();
-        match published.slots.iter().zip(0..).find(|((n, _), _)| n == name) {
+        match published
+            .slots
+            .iter()
+            .zip(0..)
+            .find(|((n, _), _)| n == name)
+        {
             Some(((_, Slot::Live(live)), idx)) => Ok((DatasetId(idx), Arc::clone(live))),
             _ => Err(ServiceError::UnknownDataset(name.to_string())),
         }
@@ -239,7 +259,8 @@ impl LiveStore {
     pub(crate) fn live_slots(&self) -> Vec<(DatasetId, Arc<Mutex<LiveSlot>>)> {
         let published = self.published();
         let live = published.slots.iter().zip(0..);
-        live.filter_map(|((_, slot), idx)| Some((DatasetId(idx), Arc::clone(slot.live()?)))).collect()
+        live.filter_map(|((_, slot), idx)| Some((DatasetId(idx), Arc::clone(slot.live()?))))
+            .collect()
     }
 }
 
@@ -307,14 +328,18 @@ pub(crate) fn tend_live(store: &LiveStore, live: &Mutex<LiveSlot>, full: bool) -
                 // and a re-run writes a fresh run from the same records.
                 let run = store.write(|env| LiveDataset::run_flush(env, &job))?;
                 obs.metrics.maintenance_flushes.inc();
-                obs.metrics.maintenance_flush_us.record(obs.now_us().saturating_sub(t0));
+                obs.metrics
+                    .maintenance_flush_us
+                    .record(obs.now_us().saturating_sub(t0));
                 relock(live.lock()).writer().publish_flush(job, run);
             }
             MaintStep::Compact(plan) => {
                 let t0 = obs.now_us();
                 let ran = store.write(|env| LiveDataset::run_compaction(env, &plan));
                 obs.metrics.maintenance_compactions.inc();
-                obs.metrics.maintenance_compaction_us.record(obs.now_us().saturating_sub(t0));
+                obs.metrics
+                    .maintenance_compaction_us
+                    .record(obs.now_us().saturating_sub(t0));
                 match ran {
                     Ok(out) => relock(live.lock()).writer().publish_compaction(out),
                     Err(e) => {
@@ -434,7 +459,10 @@ mod tests {
         // Two queries of an unchanged dataset share one snapshot, live or
         // sealed.
         let (first, second) = (read(la), read(la));
-        assert!(Arc::ptr_eq(&first, &second), "an unchanged dataset rebuilt its snapshot");
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "an unchanged dataset rebuilt its snapshot"
+        );
         assert!(Arc::ptr_eq(&read(ia), &read(ia)));
         assert_eq!(second.len(), 60);
 
@@ -453,7 +481,10 @@ mod tests {
         let written = storage.device.snapshot();
         let published = Arc::clone(&service.store.published().pages);
         assert_eq!(published.len(), written.len());
-        assert!(published.iter().zip(written.iter()).all(|(p, w)| p[..] == w[..]));
+        assert!(published
+            .iter()
+            .zip(written.iter())
+            .all(|(p, w)| p[..] == w[..]));
         drop(storage);
         assert_eq!(read(la).len(), 100);
         assert_eq!(read(la).runs().len(), 2, "the flushed run is visible");

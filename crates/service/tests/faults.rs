@@ -28,13 +28,17 @@ fn grid(n: u32, cell: f32, offset: f32, id_base: u32) -> Vec<Item> {
         .map(|i| {
             let x = (i % n) as f32 * cell + offset;
             let y = (i / n) as f32 * cell + offset;
-            Item::new(Rect::from_coords(x, y, x + cell * 1.4, y + cell * 1.4), id_base + i)
+            Item::new(
+                Rect::from_coords(x, y, x + cell * 1.4, y + cell * 1.4),
+                id_base + i,
+            )
         })
         .collect()
 }
 
-fn service_over(config: ServiceConfig) -> (Service, usj_service::DatasetId, usj_service::DatasetId)
-{
+fn service_over(
+    config: ServiceConfig,
+) -> (Service, usj_service::DatasetId, usj_service::DatasetId) {
     let a = grid(14, 4.0, 0.0, 0);
     let b = grid(14, 4.0, 1.5, 100_000);
     let mut env = SimEnv::new(MachineConfig::machine3());
@@ -86,8 +90,15 @@ fn transient_faults_are_retried_to_byte_identical_answers() {
     chaos_svc.set_clock(Arc::new(VirtualClock::new()));
     let chaos = chaos_svc.run(join_batch(ia, ib));
 
-    assert_eq!(chaos.stats.completed, 4, "retries must absorb transient faults");
-    assert_eq!(pair_sets(&clean), pair_sets(&chaos), "answers must be byte-identical");
+    assert_eq!(
+        chaos.stats.completed, 4,
+        "retries must absorb transient faults"
+    );
+    assert_eq!(
+        pair_sets(&clean),
+        pair_sets(&chaos),
+        "answers must be byte-identical"
+    );
 
     let snap = chaos_svc.metrics_snapshot();
     assert!(
@@ -129,8 +140,14 @@ fn fault_schedules_and_backoff_replay_exactly_from_the_seed() {
     };
     let first = run_once();
     let second = run_once();
-    assert!(first.1.unwrap_or(0) > 0, "seed 0xd15c_0bee must inject at these rates");
-    assert_eq!(first, second, "same seed ⇒ same faults, same retries, same total backoff");
+    assert!(
+        first.1.unwrap_or(0) > 0,
+        "seed 0xd15c_0bee must inject at these rates"
+    );
+    assert_eq!(
+        first, second,
+        "same seed ⇒ same faults, same retries, same total backoff"
+    );
 }
 
 #[test]
@@ -141,14 +158,21 @@ fn injected_panics_fail_only_their_query_and_the_service_survives() {
         ..FaultConfig::quiet(0xdead_9090)
     };
     let (service, ia, ib) = service_over(
-        ServiceConfig::default().with_workers(2).with_fault_plan(faults),
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_fault_plan(faults),
     );
     let report = service.run(join_batch(ia, ib));
     let panicked: Vec<usize> = report
         .outcomes
         .iter()
         .enumerate()
-        .filter(|(_, o)| matches!(o.status, QueryStatus::Failed(ServiceError::WorkerPanicked(_))))
+        .filter(|(_, o)| {
+            matches!(
+                o.status,
+                QueryStatus::Failed(ServiceError::WorkerPanicked(_))
+            )
+        })
         .map(|(k, _)| k)
         .collect();
     let completed = report
@@ -156,8 +180,15 @@ fn injected_panics_fail_only_their_query_and_the_service_survives() {
         .iter()
         .filter(|o| matches!(o.status, QueryStatus::Completed(_)))
         .count();
-    assert!(!panicked.is_empty(), "seeded plan must inject at least one panic");
-    assert_eq!(panicked.len() + completed, 4, "every query resolves, none hangs or vanishes");
+    assert!(
+        !panicked.is_empty(),
+        "seeded plan must inject at least one panic"
+    );
+    assert_eq!(
+        panicked.len() + completed,
+        4,
+        "every query resolves, none hangs or vanishes"
+    );
 
     let snap = service.metrics_snapshot();
     assert_eq!(snap.counter("faults.panics"), Some(panicked.len() as u64));
@@ -173,12 +204,19 @@ fn injected_panics_fail_only_their_query_and_the_service_survives() {
             .map(|o| matches!(o.status, QueryStatus::Completed(_)))
             .collect::<Vec<bool>>()
     };
-    assert_eq!(statuses(&report), statuses(&after), "fault schedules must replay exactly");
+    assert_eq!(
+        statuses(&report),
+        statuses(&after),
+        "fault schedules must replay exactly"
+    );
     let (clean_svc, ca, cb) = service_over(ServiceConfig::default().with_workers(1));
     let clean = clean_svc.run(join_batch(ca, cb));
     for (k, (chaotic, reference)) in pair_sets(&after).iter().zip(pair_sets(&clean)).enumerate() {
         if statuses(&after)[k] {
-            assert_eq!(chaotic, &reference, "surviving query {k} must answer exactly");
+            assert_eq!(
+                chaotic, &reference,
+                "surviving query {k} must answer exactly"
+            );
         }
     }
 }
@@ -193,14 +231,20 @@ fn no_failure_mode_leaks_admission_gauge_bytes() {
         panic: 1.0,
         ..FaultConfig::quiet(7)
     };
-    let (service, ia, ib) =
-        service_over(ServiceConfig::default().with_workers(2).with_fault_plan(faults));
+    let (service, ia, ib) = service_over(
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_fault_plan(faults),
+    );
 
     let cancelled_token = CancelToken::new();
     cancelled_token.cancel();
     let ((), report) = service.with_session(|session| {
         session.submit(QueryRequest::join(ia, ib));
-        session.submit(QueryRequest::window(ia, Rect::from_coords(0.0, 0.0, 9.0, 9.0)));
+        session.submit(QueryRequest::window(
+            ia,
+            Rect::from_coords(0.0, 0.0, 9.0, 9.0),
+        ));
         session.submit(QueryRequest::join(ib, ia).with_cancel(cancelled_token.clone()));
         session.submit(QueryRequest::join(ia, ib).with_deadline_us(0));
         // Wait for every submitted query to resolve, then read the gauge:
@@ -219,14 +263,20 @@ fn no_failure_mode_leaks_admission_gauge_bytes() {
         session.submit(QueryRequest::join(ia, ib));
     });
     let statuses: Vec<&QueryStatus> = report.outcomes.iter().map(|o| &o.status).collect();
-    assert!(matches!(statuses[2], QueryStatus::Cancelled(_)), "{statuses:?}");
+    assert!(
+        matches!(statuses[2], QueryStatus::Cancelled(_)),
+        "{statuses:?}"
+    );
     assert!(matches!(
         statuses[3],
         QueryStatus::Failed(ServiceError::DeadlineExceeded { deadline_us: 0, .. })
     ));
     for k in [0, 1, 4] {
         assert!(
-            matches!(statuses[k], QueryStatus::Failed(ServiceError::WorkerPanicked(_))),
+            matches!(
+                statuses[k],
+                QueryStatus::Failed(ServiceError::WorkerPanicked(_))
+            ),
             "query {k}: {statuses:?}"
         );
     }
@@ -258,7 +308,10 @@ fn an_expired_deadline_is_a_typed_deterministic_failure() {
         report.outcomes[0].status
     );
     assert!(report.outcomes[0].pairs.is_none());
-    assert!(matches!(report.outcomes[1].status, QueryStatus::Completed(_)));
+    assert!(matches!(
+        report.outcomes[1].status,
+        QueryStatus::Completed(_)
+    ));
     let snap = service.metrics_snapshot();
     assert!(snap.counter("faults.deadline_exceeded").unwrap_or(0) >= 1);
 }
@@ -334,7 +387,17 @@ fn maintenance_survives_storage_faults_and_loses_no_records() {
         "{:?}",
         outcome.status
     );
-    assert_eq!(pairs.len(), items.len(), "maintenance under faults lost or duplicated records");
-    let retries = service.metrics_snapshot().counter("faults.retries").unwrap_or(0);
-    assert!(retries > 0, "the storage stream drew no fault: nothing was survived");
+    assert_eq!(
+        pairs.len(),
+        items.len(),
+        "maintenance under faults lost or duplicated records"
+    );
+    let retries = service
+        .metrics_snapshot()
+        .counter("faults.retries")
+        .unwrap_or(0);
+    assert!(
+        retries > 0,
+        "the storage stream drew no fault: nothing was survived"
+    );
 }

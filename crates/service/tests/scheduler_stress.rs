@@ -36,10 +36,17 @@ const WORKERS: usize = 4;
 const SUBMITTERS: u64 = 2;
 
 /// Selections per shape (joins are a tenth of it in the join mix).
-const REQUESTS: u64 = if cfg!(debug_assertions) { 2_000 } else { 20_000 };
+const REQUESTS: u64 = if cfg!(debug_assertions) {
+    2_000
+} else {
+    20_000
+};
 
 fn seed() -> u64 {
-    let seed = std::env::var("USJ_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5eed_cafe);
+    let seed = std::env::var("USJ_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x5eed_cafe);
     println!("scheduler stress seed {seed} (replay: USJ_SEED={seed})");
     seed
 }
@@ -109,9 +116,17 @@ fn trickle(
         while session.queue_depth() + session.running() > 0 {
             std::thread::yield_now();
         }
-        assert_eq!(session.admission_bytes_in_use(), 0, "a drained session holds no grant");
+        assert_eq!(
+            session.admission_bytes_in_use(),
+            0,
+            "a drained session holds no grant"
+        );
     });
-    assert_eq!(report.outcomes.len() as u64, SUBMITTERS * per_thread, "every request resolves");
+    assert_eq!(
+        report.outcomes.len() as u64,
+        SUBMITTERS * per_thread,
+        "every request resolves"
+    );
     report
 }
 
@@ -125,7 +140,9 @@ fn trickled_selections_never_strand_a_parked_worker() {
     let seed = seed();
     let (service, dataset) = service(24 * 1024 * 1024);
     let report = watched("plain selections", || {
-        trickle(&service, seed, REQUESTS / SUBMITTERS, |rng, _| window(rng, dataset))
+        trickle(&service, seed, REQUESTS / SUBMITTERS, |rng, _| {
+            window(rng, dataset)
+        })
     });
     assert_eq!(report.stats.completed, REQUESTS);
 }
@@ -142,7 +159,9 @@ fn queued_deadlines_keep_the_timed_wait_path_live() {
         trickle(&service, seed, REQUESTS / SUBMITTERS, |rng, k| {
             let request = window(rng, dataset);
             if k % 256 == 7 {
-                request.with_deadline_us(u64::MAX / 2).with_memory_budget(limit)
+                request
+                    .with_deadline_us(u64::MAX / 2)
+                    .with_memory_budget(limit)
             } else {
                 request.with_priority(1)
             }
@@ -177,7 +196,10 @@ fn oversubscribed_joins_wake_deferred_workers_on_release() {
         .collect();
     let report = watched("oversubscribed join mix", || service.run(requests));
     assert_eq!(report.stats.completed, total);
-    assert!(report.stats.deferrals > 0, "the budget was never oversubscribed");
+    assert!(
+        report.stats.deferrals > 0,
+        "the budget was never oversubscribed"
+    );
     assert!(report.stats.peak_admitted_bytes <= 4 * 1024 * 1024);
 }
 
@@ -194,7 +216,10 @@ fn registrations_racing_queries_are_readable_at_once() {
             (0..600)
                 .map(|i| {
                     let (x, y) = (rng.gen_range_f32(0.0, 78.0), rng.gen_range_f32(0.0, 78.0));
-                    Item::new(Rect::from_coords(x, y, x + 2.0, y + 2.0), 10_000 * (k + 1) + i)
+                    Item::new(
+                        Rect::from_coords(x, y, x + 2.0, y + 2.0),
+                        10_000 * (k + 1) + i,
+                    )
                 })
                 .collect()
         })
@@ -223,7 +248,8 @@ fn registrations_racing_queries_are_readable_at_once() {
                             std::thread::yield_now();
                         }
                         let until = Instant::now() + Duration::from_millis(100);
-                        while session.queue_depth() + session.running() > 0 && Instant::now() < until
+                        while session.queue_depth() + session.running() > 0
+                            && Instant::now() < until
                         {
                             std::thread::yield_now();
                         }
@@ -280,13 +306,23 @@ fn registrations_racing_queries_are_readable_at_once() {
     for (k, (&id, items)) in live.iter().zip(&data).enumerate() {
         service.quiesce_live(&format!("live{k}")).unwrap();
         let report = service.run(vec![QueryRequest::join(id, sealed).collecting()]);
-        let mut got = report.outcomes[0].pairs.clone().expect("a completed, collecting join");
+        let mut got = report.outcomes[0]
+            .pairs
+            .clone()
+            .expect("a completed, collecting join");
         got.sort_unstable();
         let mut want: Vec<(u32, u32)> = items
             .iter()
-            .flat_map(|a| peer.iter().filter(|b| a.rect.intersects(&b.rect)).map(|b| (a.id, b.id)))
+            .flat_map(|a| {
+                peer.iter()
+                    .filter(|b| a.rect.intersects(&b.rect))
+                    .map(|b| (a.id, b.id))
+            })
             .collect();
         want.sort_unstable();
-        assert_eq!(got, want, "live{k} diverged from brute force after quiescing");
+        assert_eq!(
+            got, want,
+            "live{k} diverged from brute force after quiescing"
+        );
     }
 }

@@ -19,8 +19,8 @@ use std::sync::Arc;
 use usj_geom::{Item, Rect, ITEM_BYTES};
 use usj_io::{MachineConfig, SimEnv};
 use usj_service::{
-    Catalog, ChromeTrace, DatasetId, LiveConfig, QueryRequest, QueryTrace, Service,
-    ServiceConfig, ServiceReport, TraceSpan, VirtualClock,
+    Catalog, ChromeTrace, DatasetId, LiveConfig, QueryRequest, QueryTrace, Service, ServiceConfig,
+    ServiceReport, TraceSpan, VirtualClock,
 };
 
 fn grid(n: u32, cell: f32, offset: f32, id_base: u32) -> Vec<Item> {
@@ -28,7 +28,10 @@ fn grid(n: u32, cell: f32, offset: f32, id_base: u32) -> Vec<Item> {
         .map(|i| {
             let x = (i % n) as f32 * cell + offset;
             let y = (i / n) as f32 * cell + offset;
-            Item::new(Rect::from_coords(x, y, x + cell * 1.4, y + cell * 1.4), id_base + i)
+            Item::new(
+                Rect::from_coords(x, y, x + cell * 1.4, y + cell * 1.4),
+                id_base + i,
+            )
         })
         .collect()
 }
@@ -47,8 +50,12 @@ fn live_service(config: ServiceConfig) -> (Service, DatasetId, DatasetId, Datase
         flush_threshold_bytes: 40 * ITEM_BYTES,
         compact_after_deltas: 2,
     };
-    let la = service.register_live("live_a", &a[..60], live_config).unwrap();
-    let lb = service.register_live("live_b", &b[..30], live_config).unwrap();
+    let la = service
+        .register_live("live_a", &a[..60], live_config)
+        .unwrap();
+    let lb = service
+        .register_live("live_b", &b[..30], live_config)
+        .unwrap();
     for chunk in a[60..].chunks(37) {
         service.append_live("live_a", chunk).unwrap();
     }
@@ -76,7 +83,12 @@ fn execution_fingerprint(report: &ServiceReport) -> Vec<Fingerprint> {
         .iter()
         .map(|o| {
             let r = o.result().expect("all queries complete in this suite");
-            (o.pairs.clone(), r.io.pages_read, r.io.pages_written, r.memory.peak_bytes)
+            (
+                o.pairs.clone(),
+                r.io.pages_read,
+                r.io.pages_written,
+                r.memory.peak_bytes,
+            )
         })
         .collect()
 }
@@ -115,7 +127,10 @@ fn tracing_is_byte_invisible_to_execution() {
     traced_svc.set_tracing(true);
     let traced = traced_svc.run(join_batch(la, lb, frozen));
 
-    assert_eq!(execution_fingerprint(&plain), execution_fingerprint(&traced));
+    assert_eq!(
+        execution_fingerprint(&plain),
+        execution_fingerprint(&traced)
+    );
     assert_eq!(plain.stats.replay_digest(), traced.stats.replay_digest());
     assert!(plain.outcomes.iter().all(|o| o.stats.trace.is_none()));
     assert!(traced.outcomes.iter().all(|o| o.stats.trace.is_some()));
@@ -167,7 +182,11 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
         assert_eq!(trace.roots.len(), 1, "shape: {}", trace.shape());
         assert_eq!(trace.roots[0].name, "query");
         assert_children_inside_parents(trace);
-        assert!(trace.find("admission.wait").is_some(), "shape: {}", trace.shape());
+        assert!(
+            trace.find("admission.wait").is_some(),
+            "shape: {}",
+            trace.shape()
+        );
         let execute = trace.find("execute").expect("recorded execute root");
         // `live_a` is quiesced: its join with the registered dataset has no
         // tiers on either side and `Auto` prices it (picking SSSJ here),
@@ -194,9 +213,16 @@ fn traced_joins_under_background_maintenance_yield_full_span_trees() {
         maint.shape()
     );
     let compaction = maint.find("live.compaction").unwrap_or_else(|| {
-        panic!("compact_after_deltas=2 under chunked appends must compact: {}", maint.shape())
+        panic!(
+            "compact_after_deltas=2 under chunked appends must compact: {}",
+            maint.shape()
+        )
     });
-    let phases: Vec<&str> = compaction.children.iter().map(|c| c.name.as_str()).collect();
+    let phases: Vec<&str> = compaction
+        .children
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
     assert_eq!(phases, ["live.compaction.merge", "live.compaction.index"]);
     assert_children_inside_parents(&maint);
     chrome.add_trace(0, &maint);
@@ -229,8 +255,15 @@ fn virtual_clock_makes_waits_and_trace_shapes_deterministic() {
     };
     let first = run_once();
     let second = run_once();
-    assert_eq!(first, second, "identical runs must produce identical trace shapes");
-    assert!(first[0].starts_with("query(admission.wait,execute("), "{}", first[0]);
+    assert_eq!(
+        first, second,
+        "identical runs must produce identical trace shapes"
+    );
+    assert!(
+        first[0].starts_with("query(admission.wait,execute("),
+        "{}",
+        first[0]
+    );
 }
 
 #[test]
@@ -243,14 +276,19 @@ fn metrics_snapshot_reports_admission_queue_and_maintenance_activity() {
     assert_eq!(snap.counter("queries.submitted"), Some(3));
     assert_eq!(snap.counter("queries.completed"), Some(3));
     assert_eq!(snap.counter("admission.grants"), Some(3));
-    assert!(snap.gauge("queue.depth") == Some(0), "drained batch leaves no queue");
+    assert!(
+        snap.gauge("queue.depth") == Some(0),
+        "drained batch leaves no queue"
+    );
     assert!(snap.gauge("queue.depth.peak").unwrap_or(0) >= 1);
     assert!(snap.gauge("live.backlog").unwrap_or(-1) >= 0);
     // Inline maintenance ran during the chunked appends.
     assert!(snap.counter("maintenance.flushes").unwrap_or(0) > 0);
     let waits = snap.histogram("queue.wait_us").expect("wait histogram");
     assert_eq!(waits.count, 3);
-    let latency = snap.histogram("query.latency_us").expect("latency histogram");
+    let latency = snap
+        .histogram("query.latency_us")
+        .expect("latency histogram");
     assert_eq!(latency.count, 3);
     assert!(latency.p50 <= latency.p95 && latency.p95 <= latency.p99);
 
@@ -273,7 +311,11 @@ fn metrics_snapshot_reports_admission_queue_and_maintenance_activity() {
     assert_eq!(report.stats.completed, 200);
     let snap = service.metrics_snapshot();
     assert_eq!(snap.counter("queries.submitted"), Some(203));
-    assert_eq!(snap.gauge("queue.depth"), Some(0), "a drained open session leaves no queue");
+    assert_eq!(
+        snap.gauge("queue.depth"),
+        Some(0),
+        "a drained open session leaves no queue"
+    );
     assert!(snap.gauge("queue.depth.peak").unwrap_or(0) >= 1);
 }
 
@@ -291,22 +333,34 @@ fn metric_names_are_fixed_at_construction_and_the_counts_add_up() {
     let before = service.metrics_snapshot();
     assert_eq!(before.counter("queries.submitted"), Some(0));
     assert_eq!(before.counter("faults.panics"), Some(0));
-    assert_eq!(before.histogram("query.latency_us").map(|h| h.count), Some(0));
+    assert_eq!(
+        before.histogram("query.latency_us").map(|h| h.count),
+        Some(0)
+    );
 
     // A mixed batch: joins, selections, one cancelled in the queue, one
     // that fails (unknown dataset).
     let token = usj_service::CancelToken::new();
     token.cancel();
     let mut batch = join_batch(la, lb, frozen);
-    batch.push(QueryRequest::window(frozen, Rect::from_coords(0.0, 0.0, 20.0, 20.0)));
-    batch.push(QueryRequest::window(frozen, Rect::from_coords(5.0, 5.0, 9.0, 9.0)).with_cancel(token));
+    batch.push(QueryRequest::window(
+        frozen,
+        Rect::from_coords(0.0, 0.0, 20.0, 20.0),
+    ));
+    batch.push(
+        QueryRequest::window(frozen, Rect::from_coords(5.0, 5.0, 9.0, 9.0)).with_cancel(token),
+    );
     batch.push(QueryRequest::join(frozen, usj_service::DatasetId(99)));
     let submitted = batch.len() as u64;
     let report = service.run(batch);
     assert_eq!((report.stats.cancelled, report.stats.failed), (1, 1));
 
     let after = service.metrics_snapshot();
-    assert_eq!(names(&before), names(&after), "a batch must not add or drop a metric name");
+    assert_eq!(
+        names(&before),
+        names(&after),
+        "a batch must not add or drop a metric name"
+    );
     let counter = |name: &str| after.counter(name).unwrap();
     assert_eq!(counter("queries.submitted"), submitted);
     assert_eq!(
@@ -315,5 +369,8 @@ fn metric_names_are_fixed_at_construction_and_the_counts_add_up() {
     );
     assert_eq!(counter("admission.grants"), report.stats.admitted);
     assert_eq!(after.histogram("queue.wait_us").unwrap().count, submitted);
-    assert_eq!(after.histogram("query.latency_us").unwrap().count, submitted);
+    assert_eq!(
+        after.histogram("query.latency_us").unwrap().count,
+        submitted
+    );
 }

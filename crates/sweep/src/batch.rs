@@ -329,7 +329,12 @@ mod tests {
         for (seed, shape) in SHAPES.into_iter().enumerate() {
             let (left, right) = (
                 side(seed as u64, 300, shape, 0),
-                side(seed as u64 + 100, 200, (shape.0 * 0.5, shape.1 * 1.5), 10_000),
+                side(
+                    seed as u64 + 100,
+                    200,
+                    (shape.0 * 0.5, shape.1 * 1.5),
+                    10_000,
+                ),
             );
             let want = brute(&left, &right);
             assert!(!want.is_empty());
@@ -347,7 +352,10 @@ mod tests {
             assert_eq!(along_y, want, "{shape:?} along y");
             assert_eq!(along_x, want, "{shape:?} along x");
             assert_eq!(x_stats.rect_tests, x_tests);
-            assert_eq!((x_stats.pairs, y_stats.pairs), (want.len() as u64, want.len() as u64));
+            assert_eq!(
+                (x_stats.pairs, y_stats.pairs),
+                (want.len() as u64, want.len() as u64)
+            );
             assert_eq!(
                 (x_stats.left_items, x_stats.right_items),
                 (y_stats.left_items, y_stats.right_items)
@@ -376,7 +384,12 @@ mod tests {
                 false => batch_join(&mut l, &mut r, &mut stats, |_, _| {}),
             }
         };
-        assert!(20 * count(true) < count(false), "{} / {}", count(true), count(false));
+        assert!(
+            20 * count(true) < count(false),
+            "{} / {}",
+            count(true),
+            count(false)
+        );
     }
 
     #[test]
@@ -395,10 +408,16 @@ mod tests {
         let data = extents(&left, &right);
         assert_eq!(data.cmp_x_to_y(&data.bbox), Some(Ordering::Less));
         let mut reported = 0;
-        batch_join_oriented(&mut l, &mut r, &data, &mut SweepJoinStats::default(), |a, b| {
-            assert_eq!((bits(a), bits(b)), (original(a), original(b)));
-            reported += 1;
-        });
+        batch_join_oriented(
+            &mut l,
+            &mut r,
+            &data,
+            &mut SweepJoinStats::default(),
+            |a, b| {
+                assert_eq!((bits(a), bits(b)), (original(a), original(b)));
+                reported += 1;
+            },
+        );
         assert!(reported > 0);
         // The slices come back permuted, never changed.
         let sorted = |v: &[Item]| {
@@ -425,7 +444,10 @@ mod tests {
         let grid = |first_id: u32, offset: f32| -> Vec<Item> {
             (0..100u32)
                 .map(|i| {
-                    let (x, y) = ((i % 10) as f32 * 4.0 + offset, (i / 10) as f32 * 4.0 + offset);
+                    let (x, y) = (
+                        (i % 10) as f32 * 4.0 + offset,
+                        (i / 10) as f32 * 4.0 + offset,
+                    );
                     Item::new(Rect::from_coords(x, y, x + 3.0, y + 3.0), first_id + i)
                 })
                 .collect()

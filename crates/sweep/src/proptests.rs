@@ -202,13 +202,23 @@ fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
         // infinite — under an extent they overrun or an infinite one: the
         // strips and the reach cells clamp what falls outside.
         let (left, right, extent) = match g.bool_with(0.5) {
-            false => (arb_items(g, 120, 0), arb_items(g, 120, 10_000), (-100.0, 130.0)),
+            false => (
+                arb_items(g, 120, 0),
+                arb_items(g, 120, 10_000),
+                (-100.0, 130.0),
+            ),
             true => {
                 let inf = g.bool_with(0.5);
                 let extent = [(-3.0, 3.0), (f32::NEG_INFINITY, f32::INFINITY)][g.usize_in(0, 2)];
                 let (l, r) = (arb_edge_items(g, 120, 0), arb_edge_items(g, 120, 10_000));
                 // `f32::MAX * 2.0` is infinite.
-                let big = |v: f32| if inf && v.abs() == f32::MAX { v * 2.0 } else { v };
+                let big = |v: f32| {
+                    if inf && v.abs() == f32::MAX {
+                        v * 2.0
+                    } else {
+                        v
+                    }
+                };
                 let widen = |items: Vec<Item>| -> Vec<Item> {
                     items
                         .into_iter()
@@ -236,8 +246,14 @@ fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
             out.push((a.id, b.id));
             ControlFlow::Continue(())
         };
-        let (driver, _) =
-            merge_sweep(&mut env, |_| Ok(l.next()), |_| Ok(r.next()), extent, &mut emit).unwrap();
+        let (driver, _) = merge_sweep(
+            &mut env,
+            |_| Ok(l.next()),
+            |_| Ok(r.next()),
+            extent,
+            &mut emit,
+        )
+        .unwrap();
         driver
             .finish(&mut env, |a, b| {
                 let _ = emit(a, b);
@@ -276,7 +292,10 @@ fn sweep_fixup_matches_the_nested_loop_on_random_spill_histories() {
             for b in 0..g.usize_in(1, 5) {
                 start = g.usize_in(start, log.len() + 2);
                 let spilled = arb_items(g, 60, base + b as u32 * 1_000);
-                let floor = spilled.iter().map(|s| s.rect.lo.y).fold(f32::NEG_INFINITY, f32::max);
+                let floor = spilled
+                    .iter()
+                    .map(|s| s.rect.lo.y)
+                    .fold(f32::NEG_INFINITY, f32::max);
                 if let Some(first) = log.get(start) {
                     let lift = (floor - first.rect.lo.y).max(0.0);
                     for z in &mut log[start..] {
@@ -412,7 +431,9 @@ fn the_oriented_batch_join_matches_brute_force_whatever_the_extents_say() {
         let mut data = Extents::empty();
         match g.usize_in(0, 3) {
             0 => left.iter().chain(&right).for_each(|it| data.add(&it.rect)),
-            1 => arb_edge_items(g, 8, 0).iter().for_each(|it| data.add(&it.rect)),
+            1 => arb_edge_items(g, 8, 0)
+                .iter()
+                .for_each(|it| data.add(&it.rect)),
             _ => {}
         }
         let (mut l, mut r) = (left.clone(), right.clone());

@@ -133,7 +133,11 @@ impl StripedSweep {
     /// Panics if `strips == 0`.
     pub fn with_strips(x_lo: f32, x_hi: f32, strips: usize) -> Self {
         assert!(strips > 0, "strip count must be positive");
-        let (x_lo, x_hi) = if x_hi > x_lo { (x_lo, x_hi) } else { (x_lo, x_lo + 1.0) };
+        let (x_lo, x_hi) = if x_hi > x_lo {
+            (x_lo, x_hi)
+        } else {
+            (x_lo, x_lo + 1.0)
+        };
         StripedSweep {
             strips: vec![SoaBuf::default(); strips],
             heap: ExpiryHeap::default(),

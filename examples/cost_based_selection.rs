@@ -12,7 +12,9 @@ use unified_spatial_join::join::cost::crossover_fraction;
 use unified_spatial_join::prelude::*;
 
 fn main() {
-    let workload = WorkloadSpec::preset(Preset::Disk1).with_scale(200).generate(7);
+    let workload = WorkloadSpec::preset(Preset::Disk1)
+        .with_scale(200)
+        .generate(7);
     let region = workload.region;
     println!(
         "country-wide roads: {} MBRs; machine 3 crossover fraction: {:.2}",
@@ -68,7 +70,11 @@ fn main() {
             estimate.touched_fraction,
             estimate.indexed_secs,
             estimate.non_indexed_secs,
-            format!("{:?} ({} pairs)", plan.chosen.expect("auto plan"), result.pairs)
+            format!(
+                "{:?} ({} pairs)",
+                plan.chosen.expect("auto plan"),
+                result.pairs
+            )
         );
     }
     println!("\n(Small windows touch a small fraction of the road index, so the indexed plan wins; country-wide joins fall back to the sort-based SSSJ.)");

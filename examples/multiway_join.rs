@@ -16,7 +16,9 @@ use unified_spatial_join::prelude::*;
 
 fn main() {
     // Roads and hydrography from the standard generator.
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(200).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(200)
+        .generate(42);
 
     // A third relation: coarse administrative "zones" covering parts of the
     // region (generated as large lake-like boxes).
@@ -61,9 +63,15 @@ fn main() {
         .expect("3-way join");
 
     println!("\n3-way join (roads ⋈ hydro) ⋈ zones");
-    println!("  intermediate road-hydro pairs : {}", result.intermediate_pairs);
+    println!(
+        "  intermediate road-hydro pairs : {}",
+        result.intermediate_pairs
+    );
     println!("  final triples                 : {}", result.triples);
-    println!("  index page requests           : {}", result.index_page_requests);
+    println!(
+        "  index page requests           : {}",
+        result.index_page_requests
+    );
     println!(
         "  working memory                : {:.3} MB",
         result.memory.total_bytes() as f64 / (1024.0 * 1024.0)

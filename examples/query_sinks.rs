@@ -13,7 +13,9 @@
 use unified_spatial_join::prelude::*;
 
 fn main() {
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(100).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(100)
+        .generate(42);
     let mut env = SimEnv::new(MachineConfig::machine3());
     let (roads_tree, hydro_tree) = env.unaccounted(|env| {
         (

@@ -9,7 +9,9 @@ use unified_spatial_join::prelude::*;
 
 fn main() {
     // 1. Generate a small New-Jersey-like workload (roads + hydrography MBRs).
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(100).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(100)
+        .generate(42);
     println!(
         "workload {}: {} road MBRs, {} hydrography MBRs",
         workload.name,

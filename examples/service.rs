@@ -17,15 +17,21 @@ use unified_spatial_join::prelude::*;
 
 fn main() {
     let machine = MachineConfig::machine3();
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(400).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(400)
+        .generate(42);
     let region = workload.region;
 
     // ---- Register once -------------------------------------------------
     let mut env = SimEnv::new(machine);
     let mut catalog = Catalog::new();
     let m = env.begin();
-    let roads = catalog.register(&mut env, "roads", &workload.roads).unwrap();
-    let hydro = catalog.register(&mut env, "hydro", &workload.hydro).unwrap();
+    let roads = catalog
+        .register(&mut env, "roads", &workload.roads)
+        .unwrap();
+    let hydro = catalog
+        .register(&mut env, "hydro", &workload.hydro)
+        .unwrap();
     let (reg_io, _) = env.since(&m);
     println!(
         "registered {} + {} objects: {} pages written once (sorted runs + R-trees)",
@@ -94,7 +100,11 @@ fn main() {
             .with_predicate(Predicate::WithinDistance(0.001))
             .with_memory_budget(6 * 1024 * 1024),
     );
-    requests.push(QueryRequest::window(roads, window).with_limit(25).collecting());
+    requests.push(
+        QueryRequest::window(roads, window)
+            .with_limit(25)
+            .collecting(),
+    );
     requests.push(QueryRequest::point(roads, region.center()).collecting());
 
     let report = service.run(requests);
@@ -114,7 +124,10 @@ fn main() {
         );
     }
     assert_eq!(report.stats.completed, report.stats.submitted);
-    assert!(report.stats.plan_cache_hits >= 2, "repeat Auto joins hit the plan cache");
+    assert!(
+        report.stats.plan_cache_hits >= 2,
+        "repeat Auto joins hit the plan cache"
+    );
     assert!(report.stats.peak_admitted_bytes <= 16 * 1024 * 1024);
 
     // Identical Auto joins agree.
@@ -123,7 +136,10 @@ fn main() {
         .map(|o| o.result().unwrap().pairs)
         .collect();
     assert!(auto_pairs.windows(2).all(|w| w[0] == w[1]));
-    println!("\nall {} queries served from one registration — register once, query many.", report.stats.completed);
+    println!(
+        "\nall {} queries served from one registration — register once, query many.",
+        report.stats.completed
+    );
 
     // ---- Live data, the same three query kinds --------------------------
     // A live dataset is a base run + R-tree plus unindexed tiers; it shares
@@ -134,7 +150,9 @@ fn main() {
     let live = service
         .register_live("roads_live", &workload.roads[..half], LiveConfig::default())
         .unwrap();
-    service.append_live("roads_live", &workload.roads[half..]).unwrap();
+    service
+        .append_live("roads_live", &workload.roads[half..])
+        .unwrap();
     let live_report = service.run(vec![
         QueryRequest::join(live, hydro),
         QueryRequest::window(live, window),

@@ -86,9 +86,8 @@ pub mod prelude {
         query::{Algo, MemoryPlan, QueryPlan, SpatialQuery},
         sssj::SssjJoin,
         st::StJoin,
-        CatalogedInput, CollectSink, CountSink, JoinAlgorithm, JoinInput, JoinOperator,
-        JoinResult, LimitSink, MemoryStats, MultiwayJoin, PairSink, Predicate, SampleSink,
-        TripleSink,
+        CatalogedInput, CollectSink, CountSink, JoinAlgorithm, JoinInput, JoinOperator, JoinResult,
+        LimitSink, MemoryStats, MultiwayJoin, PairSink, Predicate, SampleSink, TripleSink,
     };
     pub use usj_datagen::{Preset, Workload, WorkloadSpec};
     pub use usj_geom::{Interval, Point, Rect};

@@ -18,7 +18,9 @@ fn prepare(
     ItemStream,
     ItemStream,
 ) {
-    let workload = WorkloadSpec::preset(preset).with_scale(scale).generate(seed);
+    let workload = WorkloadSpec::preset(preset)
+        .with_scale(scale)
+        .generate(seed);
     let mut env = SimEnv::new(MachineConfig::machine3());
     let (rt, ht, rs, hs) = env.unaccounted(|env| {
         (

@@ -68,18 +68,18 @@ fn join_algorithms_and_results_are_reachable_through_the_facade() {
 
 #[test]
 fn query_builder_and_sinks_are_reachable_through_the_facade() {
-    let w = WorkloadSpec::preset(Preset::NJ).with_scale(2_000).generate(10);
+    let w = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(2_000)
+        .generate(10);
     let mut env = SimEnv::new(MachineConfig::machine3());
     let tree = RTree::bulk_load(&mut env, &w.roads).unwrap();
     let hydro_tree = RTree::bulk_load(&mut env, &w.hydro).unwrap();
-    let (result, pairs) = SpatialQuery::new(
-        JoinInput::Indexed(&tree),
-        JoinInput::Indexed(&hydro_tree),
-    )
-    .algorithm(Algo::Auto)
-    .predicate(Predicate::Intersects)
-    .collect(&mut env)
-    .unwrap();
+    let (result, pairs) =
+        SpatialQuery::new(JoinInput::Indexed(&tree), JoinInput::Indexed(&hydro_tree))
+            .algorithm(Algo::Auto)
+            .predicate(Predicate::Intersects)
+            .collect(&mut env)
+            .unwrap();
     assert_eq!(result.pairs, w.reference_join_size());
     assert_eq!(pairs.len() as u64, result.pairs);
 
@@ -107,7 +107,9 @@ type JoinResultAlias = unified_spatial_join::join::JoinResult;
 /// deprecated `SpatialJoin` shim has been removed (closures are sinks).
 #[test]
 fn closure_sinks_replace_the_removed_spatial_join_shim() {
-    let w = WorkloadSpec::preset(Preset::NJ).with_scale(4_000).generate(1);
+    let w = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(4_000)
+        .generate(1);
     let mut env = SimEnv::new(MachineConfig::machine3());
     let tree = RTree::bulk_load(&mut env, &w.roads).unwrap();
     let hydro_tree = RTree::bulk_load(&mut env, &w.hydro).unwrap();

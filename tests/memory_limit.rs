@@ -85,8 +85,16 @@ fn peak_memory_respects_the_limit_across_the_matrix() {
     let region = Rect::from_coords(0.0, 0.0, 1000.0, 1000.0);
     let cluster = Rect::from_coords(100.0, 100.0, 104.0, 104.0);
     let datasets = [
-        ("uniform", uniform(1500, region, 7, 0), uniform(1500, region, 8, 1_000_000)),
-        ("skewed", skewed(1500, cluster, 9, 0), skewed(1500, cluster, 10, 1_000_000)),
+        (
+            "uniform",
+            uniform(1500, region, 7, 0),
+            uniform(1500, region, 8, 1_000_000),
+        ),
+        (
+            "skewed",
+            skewed(1500, cluster, 9, 0),
+            skewed(1500, cluster, 10, 1_000_000),
+        ),
     ];
     for (name, left, right) in &datasets {
         let expected = brute_pairs(left, right, Predicate::Intersects);
@@ -98,7 +106,8 @@ fn peak_memory_respects_the_limit_across_the_matrix() {
                 let (res, pairs) =
                     collect_sorted(&mut env, &sl, &sr, algo, Predicate::Intersects, region);
                 assert_eq!(
-                    pairs, expected,
+                    pairs,
+                    expected,
                     "{name}/{algo:?} @ {} MB: wrong pair set",
                     limit / MB
                 );
@@ -142,7 +151,10 @@ fn one_tile_skew_is_repartitioned_recursively_and_exactly() {
         .run_collect(&mut env, JoinInput::Stream(&sl), JoinInput::Stream(&sr))
         .unwrap();
     pairs.sort_unstable();
-    assert_eq!(pairs, oracle, "skewed PBSM must match the brute-force oracle");
+    assert_eq!(
+        pairs, oracle,
+        "skewed PBSM must match the brute-force oracle"
+    );
     assert!(
         limited.memory.peak_bytes <= tiny,
         "peak {} exceeds the tiny limit",
@@ -221,9 +233,17 @@ fn sssj_spills_under_pressure_and_stays_exact() {
         .unwrap();
     pairs.sort_unstable();
     assert_eq!(pairs, expected);
-    assert!(res.sweep.spill_runs > 0, "the sweep must have spilled: {:?}", res.sweep);
+    assert!(
+        res.sweep.spill_runs > 0,
+        "the sweep must have spilled: {:?}",
+        res.sweep
+    );
     assert!(res.sweep.spilled_items > 0);
-    assert!(res.memory.peak_bytes <= limit, "peak {}", res.memory.peak_bytes);
+    assert!(
+        res.memory.peak_bytes <= limit,
+        "peak {}",
+        res.memory.peak_bytes
+    );
 }
 
 /// The acceptance matrix: every algorithm × predicate combination completes on the NJ preset under a 4 MB limit with
@@ -231,7 +251,9 @@ fn sssj_spills_under_pressure_and_stays_exact() {
 /// unlimited-memory run.
 #[test]
 fn nj_preset_at_4mb_matches_the_unlimited_run_for_every_combination() {
-    let workload = WorkloadSpec::preset(Preset::NJ).with_scale(500).generate(42);
+    let workload = WorkloadSpec::preset(Preset::NJ)
+        .with_scale(500)
+        .generate(42);
     let region = workload.region;
     let eps = region.width() * 0.002;
     let limit = 4 * MB;
@@ -251,7 +273,8 @@ fn nj_preset_at_4mb_matches_the_unlimited_run_for_every_combination() {
         ] {
             let (res, pairs) =
                 collect_sorted(&mut small, &s_roads, &s_hydro, algo, predicate, region);
-            let (_, expected) = collect_sorted(&mut big, &b_roads, &b_hydro, algo, predicate, region);
+            let (_, expected) =
+                collect_sorted(&mut big, &b_roads, &b_hydro, algo, predicate, region);
             assert_eq!(
                 pairs, expected,
                 "{algo:?}/{predicate:?}: 4 MB run diverged from unlimited"
@@ -282,7 +305,11 @@ fn st_completes_with_a_full_buffer_pool_at_a_quarter_megabyte() {
     let res = StJoin::default()
         .run(&mut small, JoinInput::Indexed(&tl), JoinInput::Indexed(&tr))
         .unwrap();
-    assert!(res.memory.peak_bytes <= limit, "peak {}", res.memory.peak_bytes);
+    assert!(
+        res.memory.peak_bytes <= limit,
+        "peak {}",
+        res.memory.peak_bytes
+    );
 
     let mut big = env_with(256 * MB);
     let bl = usj_rtree::RTree::bulk_load(&mut big, &left).unwrap();

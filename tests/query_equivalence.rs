@@ -20,7 +20,9 @@ use unified_spatial_join::prelude::*;
 type Prepared = (SimEnv, Workload, RTree, RTree, ItemStream, ItemStream);
 
 fn prepare(preset: Preset, scale: u64, seed: u64) -> Prepared {
-    let workload = WorkloadSpec::preset(preset).with_scale(scale).generate(seed);
+    let workload = WorkloadSpec::preset(preset)
+        .with_scale(scale)
+        .generate(seed);
     let mut env = SimEnv::new(MachineConfig::machine3());
     let (roads_tree, hydro_tree, roads_stream, hydro_stream) = env.unaccounted(|env| {
         (
@@ -31,7 +33,14 @@ fn prepare(preset: Preset, scale: u64, seed: u64) -> Prepared {
         )
     });
     env.device.reset_stats();
-    (env, workload, roads_tree, hydro_tree, roads_stream, hydro_stream)
+    (
+        env,
+        workload,
+        roads_tree,
+        hydro_tree,
+        roads_stream,
+        hydro_stream,
+    )
 }
 
 /// The natural input representation of an algorithm, as in the paper's setup.
@@ -109,7 +118,12 @@ fn builder_is_byte_identical_to_the_legacy_serial_api() {
                 .collect(&mut env2)
                 .unwrap();
 
-            assert_eq!(result, legacy, "{preset:?}/{}: JoinResult drift", alg.name());
+            assert_eq!(
+                result,
+                legacy,
+                "{preset:?}/{}: JoinResult drift",
+                alg.name()
+            );
             assert_eq!(pairs, legacy_pairs, "{preset:?}/{}: pair drift", alg.name());
             assert_eq!(result.pairs, workload.reference_join_size());
         }
@@ -196,11 +210,7 @@ fn within_distance_matches_the_brute_force_oracle_on_all_algorithms() {
 #[test]
 fn limit_sink_stops_io_short_of_a_full_run() {
     let (mut env, _workload, rt, ht, _rs, _hs) = prepare(Preset::NY, 60, 5);
-    let q = SpatialQuery::new(
-        JoinInput::Indexed(&rt),
-        JoinInput::Indexed(&ht),
-    )
-    .algorithm(Algo::Pq);
+    let q = SpatialQuery::new(JoinInput::Indexed(&rt), JoinInput::Indexed(&ht)).algorithm(Algo::Pq);
 
     let full = q.run(&mut env).unwrap();
     assert!(full.pairs > 100);

@@ -18,7 +18,9 @@
 use unified_spatial_join::prelude::*;
 
 fn workload(scale: u64, seed: u64) -> Workload {
-    WorkloadSpec::preset(Preset::NJ).with_scale(scale).generate(seed)
+    WorkloadSpec::preset(Preset::NJ)
+        .with_scale(scale)
+        .generate(seed)
 }
 
 fn sorted(mut pairs: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
@@ -44,7 +46,11 @@ fn cataloged_st_join_charges_strictly_less_io_for_identical_pairs() {
     });
     env_u.device.reset_stats();
     let (uncat, uncat_pairs) = StJoin::default()
-        .run_collect(&mut env_u, JoinInput::Stream(&roads), JoinInput::Stream(&hydro))
+        .run_collect(
+            &mut env_u,
+            JoinInput::Stream(&roads),
+            JoinInput::Stream(&hydro),
+        )
         .unwrap();
 
     // Cataloged: registration pays the preparation once; the query itself
@@ -68,7 +74,11 @@ fn cataloged_st_join_charges_strictly_less_io_for_identical_pairs() {
 
     assert!(cat.pairs > 0);
     assert_eq!(cat.pairs, uncat.pairs);
-    assert_eq!(sorted(cat_pairs), sorted(uncat_pairs), "pair sets must be identical");
+    assert_eq!(
+        sorted(cat_pairs),
+        sorted(uncat_pairs),
+        "pair sets must be identical"
+    );
     let cat_io = cat.io.pages_read + cat.io.pages_written;
     let uncat_io = uncat.io.pages_read + uncat.io.pages_written;
     assert!(
@@ -103,13 +113,20 @@ fn cataloged_sort_based_joins_skip_the_sort() {
         let mut env_c = SimEnv::new(MachineConfig::machine3());
         let mut catalog = Catalog::new();
         let (ir, ih) = (
-            env_c.unaccounted(|env| catalog.register(env, "roads", &w.roads)).unwrap(),
-            env_c.unaccounted(|env| catalog.register(env, "hydro", &w.hydro)).unwrap(),
+            env_c
+                .unaccounted(|env| catalog.register(env, "roads", &w.roads))
+                .unwrap(),
+            env_c
+                .unaccounted(|env| catalog.register(env, "hydro", &w.hydro))
+                .unwrap(),
         );
         env_c.device.reset_stats();
         let left = JoinInput::Cataloged(catalog.get(ir).unwrap().cataloged());
         let right = JoinInput::Cataloged(catalog.get(ih).unwrap().cataloged());
-        let cat = SpatialQuery::new(left, right).algorithm(algo).run(&mut env_c).unwrap();
+        let cat = SpatialQuery::new(left, right)
+            .algorithm(algo)
+            .run(&mut env_c)
+            .unwrap();
 
         assert_eq!(cat.pairs, uncat.pairs, "{algo:?}");
         let cat_io = cat.io.pages_read + cat.io.pages_written;
@@ -138,7 +155,9 @@ fn sixteen_concurrent_requests_respect_a_16mb_shared_budget() {
     let service = Service::new(
         env,
         catalog,
-        ServiceConfig::default().with_workers(4).with_memory_limit(limit),
+        ServiceConfig::default()
+            .with_workers(4)
+            .with_memory_limit(limit),
     );
 
     // 16 mixed requests (joins across all algorithms + window selections),
@@ -180,13 +199,20 @@ fn sixteen_concurrent_requests_respect_a_16mb_shared_budget() {
     );
     // The admission gauge bounds the sum of concurrently granted budgets.
     assert!(report.stats.peak_admitted_bytes <= limit);
-    assert!(report.stats.peak_admitted_bytes >= per_query, "something ran");
+    assert!(
+        report.stats.peak_admitted_bytes >= per_query,
+        "something ran"
+    );
     // Per-worker budget semantics: every query's *measured* peak stays
     // within its granted budget, hence within the shared limit.
     let mut total_grants = 0usize;
     for outcome in &report.outcomes {
         let result = outcome.result().expect("completed");
-        let expected_grant = if outcome.request == 0 { heavy } else { per_query };
+        let expected_grant = if outcome.request == 0 {
+            heavy
+        } else {
+            per_query
+        };
         assert_eq!(outcome.stats.admitted_bytes, expected_grant);
         assert!(
             result.memory.peak_bytes <= outcome.stats.admitted_bytes,
@@ -206,7 +232,10 @@ fn sixteen_concurrent_requests_respect_a_16mb_shared_budget() {
         .filter(|i| i % 4 == 0)
         .map(|i| report.outcomes[i].result().unwrap().pairs)
         .collect();
-    assert!(joins.windows(2).all(|p| p[0] == p[1]), "identical joins must agree");
+    assert!(
+        joins.windows(2).all(|p| p[0] == p[1]),
+        "identical joins must agree"
+    );
 }
 
 /// A registered dataset survives a crash: two sealed datasets built from
@@ -254,8 +283,8 @@ fn a_registered_dataset_survives_a_crash() {
     let mut roots = Vec::new();
     for (name, items) in [("roads", &w.roads), ("hydro", &w.hydro)] {
         let stream = unified_spatial_join::io::ItemStream::from_items(&mut env, items).unwrap();
-        let mut ds = LiveDataset::from_stream(&mut env, name, &stream, LiveConfig::default())
-            .unwrap();
+        let mut ds =
+            LiveDataset::from_stream(&mut env, name, &stream, LiveConfig::default()).unwrap();
         roots.push((name, ds.enable_durability(&mut env).unwrap()));
     }
     let mut after = env.fork_with_base(env.device.snapshot());
@@ -296,7 +325,11 @@ fn cancellation_stops_queued_queries() {
     assert_eq!(report.stats.completed, 1);
     assert_eq!(report.stats.cancelled, 4);
     for outcome in &report.outcomes[1..] {
-        assert!(matches!(outcome.status, QueryStatus::Cancelled(None)), "{:?}", outcome.status);
+        assert!(
+            matches!(outcome.status, QueryStatus::Cancelled(None)),
+            "{:?}",
+            outcome.status
+        );
         assert_eq!(outcome.stats.admitted_bytes, 0);
     }
 
@@ -307,7 +340,10 @@ fn cancellation_stops_queued_queries() {
     let quarter = Rect::from_coords(r.lo.x, r.lo.y, r.lo.x + r.width() / 4.0, r.hi.y);
     let window = |rect: Rect| QueryRequest::window(ir, rect).collecting();
     let solo = service.run(vec![window(r), window(quarter)]);
-    let (full, bystander) = (solo.outcomes[0].pairs.clone().unwrap(), &solo.outcomes[1].pairs);
+    let (full, bystander) = (
+        solo.outcomes[0].pairs.clone().unwrap(),
+        &solo.outcomes[1].pairs,
+    );
     assert!(!full.is_empty());
     for delay_us in [0u64, 50, 400] {
         let token = CancelToken::new();
@@ -319,7 +355,11 @@ fn cancellation_stops_queued_queries() {
             token.cancel();
         });
         let cancelled = &report.outcomes[1];
-        assert!(!matches!(cancelled.status, QueryStatus::Failed(_)), "{:?}", cancelled.status);
+        assert!(
+            !matches!(cancelled.status, QueryStatus::Failed(_)),
+            "{:?}",
+            cancelled.status
+        );
         let delivered = cancelled.pairs.clone().unwrap_or_default();
         assert!(
             full.starts_with(&delivered),
@@ -329,7 +369,10 @@ fn cancellation_stops_queued_queries() {
         );
         for i in [0, 2] {
             assert!(report.outcomes[i].is_completed());
-            assert_eq!(&report.outcomes[i].pairs, bystander, "bystander #{i} diverged");
+            assert_eq!(
+                &report.outcomes[i].pairs, bystander,
+                "bystander #{i} diverged"
+            );
         }
     }
 }
