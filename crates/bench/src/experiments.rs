@@ -1,12 +1,12 @@
 //! The experiments: one function per table/figure of the paper.
 
 use usj_core::{
-    cost::crossover_fraction, Algo, CostEstimate, JoinAlgorithm, JoinInput, JoinOperator, PbsmJoin,
-    PqJoin, SpatialQuery, SssjJoin, StJoin,
+    cost::crossover_fraction, Algo, CostEstimate, JoinAlgorithm, JoinInput, JoinOperator,
+    JoinResult, PbsmJoin, PqJoin, QueryPlan, SpatialQuery, SssjJoin, StJoin,
 };
 use usj_datagen::{Preset, WorkloadSpec};
 use usj_geom::Rect;
-use usj_io::{CostBreakdown, MachineConfig, SimEnv};
+use usj_io::{CostBreakdown, CpuCounter, IoStats, MachineConfig, SimEnv};
 use usj_rtree::{bulk::bulk_load, BulkLoadConfig, RTree};
 use usj_sweep::{sweep_join, ForwardSweep, StripedSweep};
 
@@ -240,25 +240,40 @@ pub fn fig3(cfg: &ExperimentConfig) {
 /// Window fractions of the Section 6.3 experiment, widest first.
 const CROSSOVER_WINDOWS: [f32; 6] = [1.0, 0.6, 0.4, 0.25, 0.1, 0.05];
 
-/// One window of the Section 6.3 experiment.
+/// One window of the Section 6.3 experiment as it ran: the `Algo::Auto`
+/// plan with what resolving it charged, and both strategies' runs with the
+/// pairs each reported.
 #[derive(Debug, Clone)]
-pub struct CrossoverRow {
+pub struct CrossoverRun {
     /// Fraction of the region's area the hydrography is clipped to.
     pub window_frac: f32,
-    /// The `Algo::Auto` planner's estimate (its `plan()` is the decision).
-    pub estimate: CostEstimate,
-    /// Observed simulated seconds of the pruned PQ join.
-    pub pq_secs: f64,
-    /// Observed simulated seconds of SSSJ on the same inputs.
-    pub sssj_secs: f64,
+    /// The `Algo::Auto` plan of the join.
+    pub plan: QueryPlan,
+    /// I/O charged by resolving the plan (the directory probe).
+    pub plan_io: IoStats,
+    /// CPU charged by resolving the plan.
+    pub plan_cpu: CpuCounter,
+    /// The pruned PQ join (the indexed plan).
+    pub pq: JoinResult,
+    /// The pairs the pruned PQ join reported, in order.
+    pub pq_pairs: Vec<(u32, u32)>,
+    /// SSSJ on the same inputs (the non-indexed plan).
+    pub sssj: JoinResult,
+    /// The pairs SSSJ reported, in order.
+    pub sssj_pairs: Vec<(u32, u32)>,
 }
 
-/// Computes Section 6.3 on Machine 3: the cost-based decision between
-/// indexed and non-indexed execution on a localized join (hydrography of
-/// one "state" against the roads of the whole `preset`), one row per window
-/// fraction from 100 % down to 5 %.
-pub fn crossover_rows(cfg: &ExperimentConfig, preset: Preset) -> Vec<CrossoverRow> {
-    let machine = MachineConfig::machine3();
+/// Runs Section 6.3 on `machine`: the cost-based decision between indexed
+/// and non-indexed execution on a localized join (hydrography of one
+/// "state" against the roads of the whole `preset`), one run per window
+/// fraction from 100 % down to 5 %. Both trees are built unaccounted; each
+/// window plans under `Algo::Auto`, then runs pruned PQ and SSSJ on the
+/// same device.
+pub fn crossover_runs(
+    cfg: &ExperimentConfig,
+    preset: Preset,
+    machine: &MachineConfig,
+) -> Vec<CrossoverRun> {
     let workload = WorkloadSpec::preset(preset)
         .with_scale(cfg.scale)
         .generate(cfg.seed);
@@ -286,45 +301,71 @@ pub fn crossover_rows(cfg: &ExperimentConfig, preset: Preset) -> Vec<CrossoverRo
                     RTree::bulk_load(env, &clipped).unwrap(),
                 )
             });
-            env.device.reset_stats();
-
-            // The builder's Auto planner is the Section 6.3 selector.
-            let plan = SpatialQuery::new(
+            let (left, right) = (
                 JoinInput::Indexed(&roads_tree),
                 JoinInput::Indexed(&hydro_tree),
-            )
-            .algorithm(Algo::Auto)
-            .plan(&mut env)
-            .expect("query plan");
-            let estimate = plan.cost.expect("auto plans carry the cost estimate");
+            );
+
+            // The builder's Auto planner is the Section 6.3 selector. Each
+            // step starts with the disk head parked, as a fresh run would.
+            env.device.reset_stats();
+            let m = env.begin();
+            let plan = SpatialQuery::new(left, right)
+                .algorithm(Algo::Auto)
+                .plan(&mut env)
+                .expect("query plan");
+            let (plan_io, plan_cpu) = env.since(&m);
 
             // Run both strategies to see what the right call was.
+            let mut pq_pairs = Vec::new();
             env.device.reset_stats();
-            env.cpu = usj_io::CpuCounter::new();
             let pq = PqJoin::default()
                 .with_pruning()
-                .run(
-                    &mut env,
-                    JoinInput::Indexed(&roads_tree),
-                    JoinInput::Indexed(&hydro_tree),
-                )
+                .run_with(&mut env, left, right, &mut |l, r| pq_pairs.push((l, r)))
                 .expect("pq");
+            let mut sssj_pairs = Vec::new();
             env.device.reset_stats();
-            env.cpu = usj_io::CpuCounter::new();
             let sssj = SssjJoin::default()
-                .run(
-                    &mut env,
-                    JoinInput::Indexed(&roads_tree),
-                    JoinInput::Indexed(&hydro_tree),
-                )
+                .run_with(&mut env, left, right, &mut |l, r| sssj_pairs.push((l, r)))
                 .expect("sssj");
             assert_eq!(pq.pairs, sssj.pairs, "both strategies must agree");
-            CrossoverRow {
+            CrossoverRun {
                 window_frac,
-                estimate,
-                pq_secs: pq.observed_cost(&machine).total_secs(),
-                sssj_secs: sssj.observed_cost(&machine).total_secs(),
+                plan,
+                plan_io,
+                plan_cpu,
+                pq,
+                pq_pairs,
+                sssj,
+                sssj_pairs,
             }
+        })
+        .collect()
+}
+
+/// One window of the Section 6.3 experiment.
+#[derive(Debug, Clone)]
+pub struct CrossoverRow {
+    /// Fraction of the region's area the hydrography is clipped to.
+    pub window_frac: f32,
+    /// The `Algo::Auto` planner's estimate (its `plan()` is the decision).
+    pub estimate: CostEstimate,
+    /// Observed simulated seconds of the pruned PQ join.
+    pub pq_secs: f64,
+    /// Observed simulated seconds of SSSJ on the same inputs.
+    pub sssj_secs: f64,
+}
+
+/// [`crossover_runs`] on Machine 3, one row per window.
+pub fn crossover_rows(cfg: &ExperimentConfig, preset: Preset) -> Vec<CrossoverRow> {
+    let machine = MachineConfig::machine3();
+    crossover_runs(cfg, preset, &machine)
+        .into_iter()
+        .map(|run| CrossoverRow {
+            window_frac: run.window_frac,
+            estimate: run.plan.cost.expect("auto plans carry the cost estimate"),
+            pq_secs: run.pq.observed_cost(&machine).total_secs(),
+            sssj_secs: run.sssj.observed_cost(&machine).total_secs(),
         })
         .collect()
 }
