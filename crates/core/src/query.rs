@@ -294,11 +294,12 @@ impl fmt::Display for QueryPlan {
                 self.memory.spill_estimate_bytes as f64 / (1024.0 * 1024.0)
             )?;
         }
-        write!(
-            f,
-            " ({} MB memory limit)",
-            self.memory.memory_limit / (1024 * 1024)
-        )
+        let limit = self.memory.memory_limit;
+        if limit < 1 << 20 {
+            write!(f, " ({} KB memory limit)", limit >> 10)
+        } else {
+            write!(f, " ({} MB memory limit)", limit >> 20)
+        }
     }
 }
 

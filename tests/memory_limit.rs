@@ -434,4 +434,5 @@ fn query_plans_report_partition_depth_and_spill_estimates() {
         .unwrap();
     let text = format!("{plan}");
     assert!(text.contains("repartitioning"), "{text}");
+    assert!(text.ends_with("(64 KB memory limit)"), "{text}");
 }
