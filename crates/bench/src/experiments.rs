@@ -1,7 +1,7 @@
 //! The experiments: one function per table/figure of the paper.
 
 use usj_core::{
-    cost::crossover_fraction, Algo, CostEstimate, JoinAlgorithm, JoinInput, JoinOperator,
+    cost::crossover_fraction, Algo, CostEstimate, JoinAlgorithm, JoinInput, JoinOperator, JoinPlan,
     JoinResult, PbsmJoin, PqJoin, QueryPlan, SpatialQuery, SssjJoin, StJoin,
 };
 use usj_datagen::{Preset, WorkloadSpec};
@@ -350,59 +350,92 @@ pub struct CrossoverRow {
     pub window_frac: f32,
     /// The `Algo::Auto` planner's estimate (its `plan()` is the decision).
     pub estimate: CostEstimate,
-    /// Observed simulated seconds of the pruned PQ join.
+    /// What the pruned PQ join charged, in observed simulated seconds.
+    pub pq: CostBreakdown,
+    /// What SSSJ on the same inputs charged.
+    pub sssj: CostBreakdown,
+    /// `pq`'s total.
     pub pq_secs: f64,
-    /// Observed simulated seconds of SSSJ on the same inputs.
+    /// `sssj`'s total.
     pub sssj_secs: f64,
 }
 
-/// [`crossover_runs`] on Machine 3, one row per window.
-pub fn crossover_rows(cfg: &ExperimentConfig, preset: Preset) -> Vec<CrossoverRow> {
-    let machine = MachineConfig::machine3();
-    crossover_runs(cfg, preset, &machine)
+impl CrossoverRow {
+    /// The chosen plan's charge over the cheaper plan's: 1 when
+    /// `Algo::Auto` picked the plan that charged less.
+    pub fn regret(&self) -> f64 {
+        let chosen = match self.estimate.plan() {
+            JoinPlan::Indexed => self.pq_secs,
+            JoinPlan::NonIndexed => self.sssj_secs,
+        };
+        chosen / self.pq_secs.min(self.sssj_secs)
+    }
+}
+
+/// [`crossover_runs`] on `machine`, one row per window.
+pub fn crossover_rows_on(
+    cfg: &ExperimentConfig,
+    preset: Preset,
+    machine: &MachineConfig,
+) -> Vec<CrossoverRow> {
+    crossover_runs(cfg, preset, machine)
         .into_iter()
-        .map(|run| CrossoverRow {
-            window_frac: run.window_frac,
-            estimate: run.plan.cost.expect("auto plans carry the cost estimate"),
-            pq_secs: run.pq.observed_cost(&machine).total_secs(),
-            sssj_secs: run.sssj.observed_cost(&machine).total_secs(),
+        .map(|run| {
+            let [pq, sssj] = [run.pq, run.sssj].map(|res| res.observed_cost(machine));
+            CrossoverRow {
+                window_frac: run.window_frac,
+                estimate: run.plan.cost.expect("auto plans carry the cost estimate"),
+                pq,
+                sssj,
+                pq_secs: pq.total_secs(),
+                sssj_secs: sssj.total_secs(),
+            }
         })
         .collect()
 }
 
-/// Prints Section 6.3 ([`crossover_rows`] on the last configured preset).
+/// [`crossover_rows_on`] Machine 3.
+pub fn crossover_rows(cfg: &ExperimentConfig, preset: Preset) -> Vec<CrossoverRow> {
+    crossover_rows_on(cfg, preset, &MachineConfig::machine3())
+}
+
+/// Prints Section 6.3 ([`crossover_rows_on`] the last configured preset)
+/// on Machines 3 and 1: per window and plan, the estimate and the charge
+/// as CPU + I/O seconds, the plan `Algo::Auto` chose and its regret.
 pub fn crossover(cfg: &ExperimentConfig) {
     println!("\n== Section 6.3: cost-based index/no-index decision ==");
-    println!(
-        "machine 3 crossover fraction (paper's '~60%' under its 10x random/sequential assumption): {:.2}",
-        crossover_fraction(&MachineConfig::machine3())
-    );
-    println!(
-        "machine 1 crossover fraction: {:.2}",
-        crossover_fraction(&MachineConfig::machine1())
-    );
     let preset = *cfg.presets.last().unwrap_or(&Preset::Disk1);
     println!(
-        "\nRoads: full {} data set; hydrography clipped to a shrinking window.",
+        "Roads: full {} data set; hydrography clipped to a shrinking window.",
         preset.name()
     );
-    println!(
-        "{:>8} {:>10} {:>12} {:>12} {:>12} | {:>12} {:>12}",
-        "window", "touched", "est idx s", "est sort s", "plan", "PQ(pruned) s", "SSSJ s"
-    );
-    for row in crossover_rows(cfg, preset) {
+    let cell = |c: &CostBreakdown| format!("{:.2}+{:.2}", c.cpu_secs, c.io_secs);
+    for machine in [MachineConfig::machine3(), MachineConfig::machine1()] {
         println!(
-            "{:>7.0}% {:>9.2} {:>12.2} {:>12.2} {:>12} | {:>12.2} {:>12.2}",
-            row.window_frac * 100.0,
-            row.estimate.touched_fraction,
-            row.estimate.indexed_secs,
-            row.estimate.non_indexed_secs,
-            format!("{:?}", row.estimate.plan()),
-            row.pq_secs,
-            row.sssj_secs,
+            "\n-- {}: crossover fraction {:.2} (the paper's formula; '~60%' under its 10x random/sequential assumption) --",
+            machine.name,
+            crossover_fraction(&machine)
         );
+        println!(
+            "{:>7} {:>8} | {:>11} {:>11} | {:>11} {:>11} | {:>10} {:>6}",
+            "window", "touched", "PQ est", "PQ charged", "SSSJ est", "SSSJ chgd", "plan", "regret"
+        );
+        for row in crossover_rows_on(cfg, preset, &machine) {
+            let est = &row.estimate;
+            println!(
+                "{:>6.0}% {:>8.2} | {:>11} {:>11} | {:>11} {:>11} | {:>10} {:>6.2}",
+                row.window_frac * 100.0,
+                est.touched_fraction,
+                cell(&est.indexed),
+                cell(&row.pq),
+                cell(&est.non_indexed),
+                cell(&row.sssj),
+                format!("{:?}", est.plan()),
+                row.regret(),
+            );
+        }
     }
-    println!("(paper: index-based execution only pays off when the join touches a small fraction of the index)");
+    println!("(cpu+io simulated seconds; PQ is pruned. Paper: index-based execution only pays off when the join touches a small fraction of the index)");
 }
 
 /// Ablation: Striped-Sweep vs Forward-Sweep inside the sweep-based joins.

@@ -7,8 +7,12 @@
 //! the operators moves the `pq` and `sssj` rows, a change to what planning
 //! reads moves the `plan` rows, and a change to the price moves only the
 //! `auto` rows. On a mismatch the failure prints the observed ledger.
+//!
+//! The same series on Machines 3 and 1 checks the price against the
+//! charge: each plan's estimate within a fifth of what it charged, and the
+//! plan `Algo::Auto` chose charging at most a tenth more than the other.
 
-use usj_bench::{crossover_runs, ExperimentConfig};
+use usj_bench::{crossover_rows_on, crossover_runs, ExperimentConfig};
 use usj_core::JoinPlan;
 use usj_datagen::Preset;
 use usj_io::ledger::{self, Row};
@@ -49,4 +53,31 @@ fn the_section_6_3_series_charges_what_its_ledger_pins() {
         got.push(Row::new(format!("{window} auto")).with("indexed", u64::from(indexed)));
     }
     ledger::check(include_str!("ledgers/section_6_3.ledger"), &got);
+}
+
+#[test]
+fn auto_prices_both_plans_within_a_fifth_of_their_charge() {
+    for machine in [MachineConfig::machine3(), MachineConfig::machine1()] {
+        for row in crossover_rows_on(&config(), Preset::Disk1, &machine) {
+            let what = format!("{}, {:.0} % window", machine.name, row.window_frac * 100.0);
+            for (plan, estimate, charged) in [
+                ("pruned PQ", row.estimate.indexed, row.pq),
+                ("SSSJ", row.estimate.non_indexed, row.sssj),
+            ] {
+                let ratio = estimate.total_secs() / charged.total_secs();
+                assert!(
+                    (0.8..=1.2).contains(&ratio),
+                    "{what}: {plan} estimated {estimate:?}, charged {charged:?}"
+                );
+            }
+            assert!(
+                row.regret() <= 1.10,
+                "{what}: Auto chose {:?} at regret {:.2} ({:.3} s PQ, {:.3} s SSSJ)",
+                row.estimate.plan(),
+                row.regret(),
+                row.pq_secs,
+                row.sssj_secs
+            );
+        }
+    }
 }

@@ -3,23 +3,24 @@
 //! The central practical conclusion of the paper (Section 6.3) is that using
 //! an index whenever one is available is *not* always fastest: the
 //! sort-based SSSJ reads and writes the data strictly sequentially, while an
-//! index traversal pays a (mostly) random access per node. With the paper's
-//! back-of-the-envelope figures — a random read costs about ten sequential
-//! reads, a sequential write about 1.5 — SSSJ costs the equivalent of `6n`
-//! sequential page reads while the index-based PQ costs `10·f·n`, where `f`
-//! is the fraction of the index the join actually has to touch. The index
-//! therefore wins only when `f` is below roughly 60 %.
+//! index traversal pays a (mostly) random access per node. The index
+//! therefore wins only below a machine-dependent fraction of the index the
+//! join touches ([`crossover_fraction`], the paper's formula).
 //!
-//! [`estimate`] reproduces that decision: it estimates `f` from the index
-//! directory (a non-indexed side is assumed fully touched: PQ sorts or
-//! reads all of it) and prices both strategies with the machine's actual
-//! parameters. `SpatialQuery` under `Algo::Auto` runs the cheaper one — PQ
-//! with subtree pruning on the indexed path, SSSJ on the sorted path.
+//! [`estimate`] makes that decision for one join. It predicts the I/O and
+//! CPU counters each plan's passes will charge, asking the functions the
+//! operators run, and prices both with [`CostModel::observed`], the function
+//! that prices the charge. `SpatialQuery` under `Algo::Auto` runs the
+//! cheaper one: PQ with subtree pruning on the indexed path, SSSJ on the
+//! sorted path.
 
-use usj_geom::ITEM_BYTES;
-use usj_io::{MachineConfig, Result, SimEnv, PAGE_SIZE};
+use usj_io::stream::ITEMS_PER_PAGE;
+use usj_io::{Charges, CostBreakdown, CostModel, MachineConfig, Result, SimEnv, PAGE_SIZE};
 
 use crate::input::JoinInput;
+use crate::pq::{PqExtractor, PqJoin};
+use crate::query::SweepPlan;
+use crate::JoinAlgorithm;
 
 /// The execution strategy chosen by the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,23 +31,22 @@ pub enum JoinPlan {
     NonIndexed,
 }
 
-/// The two estimated costs and the quantities they were derived from.
+/// The two plans' predicted costs and the touched fraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
-    /// Estimated seconds for the indexed (PQ) strategy.
-    pub indexed_secs: f64,
-    /// Estimated seconds for the non-indexed (SSSJ) strategy.
-    pub non_indexed_secs: f64,
-    /// Estimated fraction of the indexes' pages the join must touch.
+    /// Predicted cost of the indexed (pruned PQ) plan.
+    pub indexed: CostBreakdown,
+    /// Predicted cost of the non-indexed (SSSJ) plan.
+    pub non_indexed: CostBreakdown,
+    /// Predicted fraction of the indexes' pages the indexed plan reads
+    /// (a side read as sorted runs counts whole).
     pub touched_fraction: f64,
-    /// Break-even fraction for this machine (the paper's "~60 %" figure).
-    pub crossover_fraction: f64,
 }
 
 impl CostEstimate {
     /// The plan implied by the estimate.
     pub fn plan(&self) -> JoinPlan {
-        if self.indexed_secs <= self.non_indexed_secs {
+        if self.indexed.total_secs() <= self.non_indexed.total_secs() {
             JoinPlan::Indexed
         } else {
             JoinPlan::NonIndexed
@@ -66,12 +66,26 @@ pub fn crossover_fraction(machine: &MachineConfig) -> f64 {
     (6.0 * seq / rand).min(1.0)
 }
 
-/// Estimates the indexed and the non-indexed strategy for joining `left`
-/// with `right`.
+/// Predicts what SSSJ and pruned PQ would charge joining `left` with
+/// `right` under `env`'s machine and memory limit, and prices both.
 ///
-/// The estimate itself is cheap: for indexed inputs it inspects only the
-/// directory levels of the trees (`leaves_intersecting`), for non-indexed
-/// inputs it assumes the whole relation participates.
+/// Each side is priced from the function its operator runs or plans
+/// with: which sorts stream their last merge from `query::SweepPlan`; a
+/// side read as sorted runs (dumped and sorted by SSSJ, sorted when a
+/// stream, read once when sorted or cataloged) from
+/// `JoinInput::sweep_charges`, over the sort's levels of
+/// `usj_io::extsort::SortPlan`; a side PQ traverses from
+/// `PqExtractor::sweep_charges`, over the nodes the directory probe
+/// ([`RTree::probe`](usj_rtree::RTree::probe)) counts, and
+/// `PqExtractor::sequential_reads` says which node reads need no seek.
+/// The probe, the only I/O the estimate charges, reads each tree's
+/// internal nodes that meet the other side's bounding box, as PQ's
+/// pruning would.
+///
+/// Rectangle tests of the sweep and output pairs are not priced: they
+/// depend on the data, which the estimate does not read, and both plans
+/// sweep the same pairs. Tiers are not priced either: `Algo::Auto` runs a
+/// relation with tiers as SSSJ without an estimate.
 ///
 /// # Example
 ///
@@ -108,81 +122,47 @@ pub fn estimate(
     left: &JoinInput<'_>,
     right: &JoinInput<'_>,
 ) -> Result<CostEstimate> {
-    let machine = env.machine.clone();
-    let seq_page = machine.read_transfer_secs(PAGE_SIZE as u64);
-    let rand_page = machine.random_access_secs() + seq_page;
-
-    // Non-indexed strategy: sort both relations and sweep. Following
-    // Section 6.3: three read passes and two write passes over the raw
-    // data, all sequential. A side that is *already* sorted (a
-    // `SortedStream`, or a cataloged relation whose sorted run is
-    // persisted) skips the sort entirely and pays only the sweep's one
-    // read pass. The figure stays the paper's even where the sort runs
-    // fewer passes (a single run, or a last merge the sweep reads): priced
-    // as run, single-run sorts make SSSJ the cheaper plan down to §6.3's
-    // 5 % window, and the plan no longer flips where the paper's does.
-    let data_pages = |input: &JoinInput<'_>| -> f64 {
-        (input.len() as f64 * ITEM_BYTES as f64 / PAGE_SIZE as f64).ceil()
-    };
-    let sorted_side_secs = |input: &JoinInput<'_>| -> f64 {
-        let pages = data_pages(input);
-        match input {
-            JoinInput::SortedStream(_) | JoinInput::Cataloged(_) => pages * seq_page,
-            _ => 3.0 * pages * seq_page + 2.0 * pages * seq_page * machine.write_penalty,
-        }
-    };
-    let non_indexed_secs = sorted_side_secs(left) + sorted_side_secs(right);
-
-    // Indexed strategy: every index page the join touches costs a random
-    // read. The touched fraction is estimated from the directory
-    // rectangles; a non-indexed side — or a cataloged one with tiers,
-    // whose tree covers only its base — is charged a full sort instead.
-    let mut indexed_secs = 0.0;
-    let mut touched_pages = 0.0;
-    let mut total_pages = 0.0;
-    for (input, other) in [(left, right), (right, left)] {
-        let tree = match input {
-            JoinInput::Indexed(tree) => Some(*tree),
-            JoinInput::Cataloged(c) if !c.has_tiers() => Some(c.tree),
+    let limit = env.memory_limit;
+    let [sssj_streams, pq_streams] = [JoinAlgorithm::Sssj, JoinAlgorithm::Pq]
+        .map(|alg| SweepPlan::new(alg, limit, [left, right]).streamed);
+    let (mut sssj, mut pq) = (Charges::default(), Charges::default());
+    let (mut touched, mut total) = (0, 0);
+    let mut reads = Vec::new();
+    for (side, (input, other)) in [(left, right), (right, left)].into_iter().enumerate() {
+        sssj.merge(&input.sweep_charges(limit, sssj_streams[side]));
+        let prune = other.known_bbox();
+        // The directory probe reads every tree PQ could traverse.
+        let probe = match (input, prune) {
+            (JoinInput::Indexed(tree), Some(window)) => Some(tree.probe(env, &window)?),
+            (JoinInput::Cataloged(c), Some(window)) if !c.has_tiers() => {
+                Some(c.tree.probe(env, &window)?)
+            }
             _ => None,
         };
-        match tree {
-            Some(tree) => {
-                let frac = match other.known_bbox() {
-                    Some(bbox) => {
-                        let touched = tree.leaves_intersecting(env, &bbox)? as f64;
-                        (touched / tree.num_leaves().max(1) as f64).clamp(0.0, 1.0)
-                    }
-                    // Without knowledge of the other side, assume the
-                    // whole index participates (the conservative choice).
-                    None => 1.0,
-                };
-                let pages = frac * tree.nodes() as f64;
-                indexed_secs += pages * rand_page;
-                touched_pages += pages;
-                total_pages += tree.nodes() as f64;
+        match PqJoin::index_of(input, prune) {
+            Some((tree, _)) => {
+                let probe = probe.unwrap_or_else(|| tree.whole());
+                reads.extend_from_slice(&probe.reads);
+                touched += probe.internal + probe.leaves;
+                total += tree.nodes();
+                pq.merge(&PqExtractor::sweep_charges(tree, &probe, prune.is_some()));
             }
             None => {
-                // This side has no index: PQ sorts it exactly as SSSJ
-                // would (or reads it straight if it is already sorted).
-                let pages = data_pages(input);
-                indexed_secs += sorted_side_secs(input);
-                touched_pages += pages;
-                total_pages += pages;
+                let pages = input.len().div_ceil(ITEMS_PER_PAGE as u64);
+                (touched, total) = (touched + pages, total + pages);
+                pq.merge(&input.sweep_charges(limit, pq_streams[side]));
             }
         }
     }
-    let touched_fraction = if total_pages > 0.0 {
-        touched_pages / total_pages
-    } else {
-        0.0
-    };
-
+    let sequential = PqExtractor::sequential_reads(reads);
+    pq.io.rand_read_ops -= sequential;
+    pq.io.seq_read_ops += sequential;
+    let model = CostModel::new(env.machine.clone());
+    let price = |c: &Charges| model.observed(&c.io, &c.cpu);
     Ok(CostEstimate {
-        indexed_secs,
-        non_indexed_secs,
-        touched_fraction,
-        crossover_fraction: crossover_fraction(&machine),
+        indexed: price(&pq),
+        non_indexed: price(&sssj),
+        touched_fraction: touched as f64 / total.max(1) as f64,
     })
 }
 
@@ -307,7 +287,7 @@ mod tests {
         let est = estimate(&mut env, &JoinInput::Stream(&sa), &JoinInput::Stream(&sb)).unwrap();
         // With no index anywhere, both strategies degenerate to the same
         // sort-based cost.
-        assert!((est.indexed_secs - est.non_indexed_secs).abs() < 1e-9);
+        assert_eq!(est.indexed, est.non_indexed);
         assert!((est.touched_fraction - 1.0).abs() < 1e-9);
     }
 }

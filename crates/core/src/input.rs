@@ -10,7 +10,7 @@ use std::sync::Arc;
 use usj_geom::{Item, Rect};
 use usj_io::merge::{Merge, Run};
 use usj_io::stream::{DEFAULT_PAGES_PER_BLOCK, ITEMS_PER_PAGE};
-use usj_io::{extsort, CpuOp, ItemStream, ItemStreamWriter, Result, SimEnv};
+use usj_io::{extsort, Charges, CpuOp, ItemStream, ItemStreamWriter, Result, SimEnv};
 use usj_rtree::{NodeKind, RTree};
 
 /// A relation registered in a dataset catalog: *both* of its prepared
@@ -241,6 +241,36 @@ impl<'a> JoinInput<'a> {
         }
     }
 
+    /// What [`sorted_runs`](JoinInput::sorted_runs) charges under
+    /// `memory_limit` and the sweep's read of the runs it returns, until
+    /// the sweep has taken every record: a tree's dump, a sort
+    /// ([`extsort::SortPlan`]), the runs read through one merge
+    /// ([`extsort::merge_charges`]), and per record a compare of the
+    /// sweep's two sources (at most one per step). A cataloged relation
+    /// is priced as its base run: `Algo::Auto` prices no tiers.
+    pub(crate) fn sweep_charges(&self, memory_limit: usize, last_merge_streams: bool) -> Charges {
+        let mut charges = Charges::default();
+        let mut sort = |n: u64, pages_per_block: u64| {
+            let k = extsort::runs_left(memory_limit, pages_per_block, last_merge_streams);
+            let plan = extsort::SortPlan::new(n, memory_limit, pages_per_block, k);
+            charges.merge(&plan.charges());
+            plan.last_level().to_vec()
+        };
+        let (runs, pages_per_block) = match self {
+            JoinInput::SortedStream(s) => (vec![s.len()], s.pages_per_block()),
+            JoinInput::Cataloged(c) => (vec![c.sorted.len()], c.sorted.pages_per_block()),
+            JoinInput::Stream(s) => (sort(s.len(), s.pages_per_block()), s.pages_per_block()),
+            JoinInput::Indexed(tree) => {
+                let runs = sort(tree.num_items(), DEFAULT_PAGES_PER_BLOCK);
+                charges.merge(&dump_charges(tree));
+                (runs, DEFAULT_PAGES_PER_BLOCK)
+            }
+        };
+        charges.merge(&extsort::merge_charges(&runs, pages_per_block));
+        charges.cpu.add(CpuOp::Compare, runs.iter().sum());
+        charges
+    }
+
     /// Materialises the relation as an *unsorted* stream (used by PBSM, which
     /// partitions rather than sorts).
     pub fn to_stream(&self, env: &mut SimEnv) -> Result<ItemStream> {
@@ -262,11 +292,7 @@ fn sort_runs(
     bbox_hint: Option<Rect>,
     last_merge_streams: bool,
 ) -> Result<(Vec<ItemStream>, Rect)> {
-    let k = if last_merge_streams {
-        extsort::merge_fan_in(env.memory_limit, s.pages_per_block())
-    } else {
-        1
-    };
+    let k = extsort::runs_left(env.memory_limit, s.pages_per_block(), last_merge_streams);
     let (runs, stats) = extsort::sort_to_runs(env, s, Item::sweep_key, Item::cmp_by_lower_y, k)?;
     Ok((runs, bbox_hint.unwrap_or(stats.bbox)))
 }
@@ -303,6 +329,22 @@ fn dump_tree(env: &mut SimEnv, tree: &RTree) -> Result<ItemStream> {
         }
     }
     writer.finish(env)
+}
+
+/// What [`dump_tree`] charges: every node read, a seek after each block
+/// written, a record move per entry read and per record written, and the
+/// stream's blocks written, each a seek.
+fn dump_charges(tree: &RTree) -> Charges {
+    let n = tree.num_items();
+    let mut charges = extsort::stream_pass(n, DEFAULT_PAGES_PER_BLOCK, true, u64::MAX);
+    let nodes = tree.nodes();
+    let seeks = charges.io.rand_write_ops.min(nodes);
+    let io = &mut charges.io;
+    (io.pages_read, io.rand_read_ops, io.seq_read_ops) = (nodes, seeks, nodes - seeks);
+    charges
+        .cpu
+        .add(CpuOp::ItemMove, tree.whole().internal_entries + 2 * n);
+    charges
 }
 
 /// One sequential pass computing the bounding box of a stream.

@@ -31,8 +31,8 @@ use std::ops::ControlFlow;
 use usj_geom::{Item, Rect};
 use usj_io::merge::Run;
 use usj_io::sim::Measurement;
-use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
-use usj_rtree::{NodeKind, NodeView, RTree};
+use usj_io::{extsort, Charges, CpuOp, MemoryReservation, PageId, Result, SimEnv};
+use usj_rtree::{NodeKind, NodeView, Probe, RTree};
 use usj_sweep::merge_sweep;
 
 use crate::input::{sweep_merge, JoinInput, SweepMerge};
@@ -124,6 +124,43 @@ impl<'a> PqExtractor<'a> {
         // reserve, the first `next` call re-checks and surfaces the error.
         let _ = ex.note_bytes();
         ex
+    }
+
+    /// What an extractor over `tree` charges until the sweep has taken
+    /// every record, for `probe` the nodes it reads and `pruned` whether it
+    /// tests their entries against a window: one read (a seek, unless
+    /// [`sequential_reads`](PqExtractor::sequential_reads)) and a push
+    /// and a pop per node, a record move (and a test) per entry, each
+    /// leaf's sort, and per record staged a move, a push and a pop, a
+    /// compare of the two queues' heads and a compare of the sweep's two
+    /// sources (both at most one per step). Every record of a leaf read
+    /// counts as staged, which overcounts where the window cuts leaves.
+    pub(crate) fn sweep_charges(tree: &RTree, probe: &Probe, pruned: bool) -> Charges {
+        let nodes = probe.internal + probe.leaves;
+        let per_leaf = tree.num_items() / tree.num_leaves().max(1);
+        let records = probe.leaves * per_leaf;
+        let entries = probe.internal_entries + records;
+        let mut charges = Charges::default();
+        (charges.io.pages_read, charges.io.rand_read_ops) = (nodes, nodes);
+        let cpu = &mut charges.cpu;
+        cpu.add(CpuOp::ItemMove, entries + records);
+        cpu.add(CpuOp::RectTest, if pruned { entries } else { 0 });
+        cpu.add(CpuOp::HeapOp, 2 * (nodes + records));
+        let leaf_sort = extsort::sort_cpu(per_leaf).get(CpuOp::Compare);
+        cpu.add(
+            CpuOp::Compare,
+            probe.leaves * leaf_sort + nodes + 2 * records,
+        );
+        charges
+    }
+
+    /// How many of the node `reads` (lower y and page) of one join's
+    /// extractors need no seek: the extractors read their nodes in
+    /// ascending lower y, so a node whose page follows the page of the
+    /// node before it in that order is read sequentially.
+    pub(crate) fn sequential_reads(mut reads: Vec<(f32, PageId)>) -> u64 {
+        reads.sort_by(|a, b| a.0.total_cmp(&b.0));
+        reads.windows(2).filter(|w| w[1].1 == w[0].1 + 1).count() as u64
     }
 
     /// Number of index pages read so far.
@@ -460,20 +497,30 @@ impl PqJoin {
         prune: Option<Rect>,
         last_merge_streams: bool,
     ) -> Result<(SortedSource<'a>, Rect)> {
-        let extractor = |env: &mut SimEnv, tree: &'a RTree, bbox| {
-            Ok((
+        match Self::index_of(input, prune) {
+            Some((tree, bbox)) => Ok((
                 SortedSource::Extractor(PqExtractor::new(env, tree, prune)),
                 bbox,
-            ))
-        };
+            )),
+            None => SortedSource::sorted(env, input, self.region_hint, last_merge_streams),
+        }
+    }
+
+    /// The tree (and the relation's bounding box) the index adapter of
+    /// [`make_source`](PqJoin::make_source) traverses for `input` pruned to
+    /// `prune`, or `None` when `input` is read as sorted runs.
+    pub(crate) fn index_of<'a>(
+        input: &JoinInput<'a>,
+        prune: Option<Rect>,
+    ) -> Option<(&'a RTree, Rect)> {
         match input {
-            JoinInput::Indexed(tree) => extractor(env, tree, tree.bbox()),
+            JoinInput::Indexed(tree) => Some((tree, tree.bbox())),
             JoinInput::Cataloged(c)
                 if !c.has_tiers() && prune.is_some_and(|window| !window.contains(&c.bbox)) =>
             {
-                extractor(env, c.tree, c.bbox)
+                Some((c.tree, c.bbox))
             }
-            _ => SortedSource::sorted(env, input, self.region_hint, last_merge_streams),
+            _ => None,
         }
     }
 }

@@ -44,7 +44,9 @@ use crate::{JoinAlgorithm, JoinOperator};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algo {
     /// Let the Section 6.3 cost model decide between the indexed (pruned PQ)
-    /// and non-indexed (SSSJ) strategies with [`cost::estimate`].
+    /// and non-indexed (SSSJ) strategies: [`cost::estimate`] predicts the
+    /// I/O and CPU each plan's passes will charge under the environment's
+    /// machine and memory limit, and prices both as the charge is priced.
     /// An input with tiers, which the model does not price, runs SSSJ.
     #[default]
     Auto,
@@ -275,8 +277,8 @@ impl fmt::Display for QueryPlan {
                 f,
                 ", auto-selected {:?} (indexed {:.2}s vs sorted {:.2}s, touches {:.0}% of the index)",
                 chosen,
-                cost.indexed_secs,
-                cost.non_indexed_secs,
+                cost.indexed.total_secs(),
+                cost.non_indexed.total_secs(),
                 cost.touched_fraction * 100.0
             )?;
         }

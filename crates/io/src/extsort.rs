@@ -13,7 +13,8 @@
 //! other ([`external_sort_by_key`]); with `k` the fan-in it stops at the
 //! last level and leaves that merge to its consumer, which reads the runs
 //! through a [`Merge`] instead of a written stream.
-//! [`last_level_runs`] says ahead of time how many runs that is.
+//! [`last_level_runs`] says ahead of time how many runs that is, and
+//! [`SortPlan`] what every level forms, writes and charges.
 
 use std::cmp::Ordering;
 
@@ -23,8 +24,8 @@ use crate::error::Result;
 use crate::merge::{Merge, Run};
 use crate::page::PAGE_SIZE;
 use crate::sim::SimEnv;
-use crate::stats::CpuOp;
-use crate::stream::{ItemStream, ItemStreamWriter};
+use crate::stats::{Charges, CpuCounter, CpuOp};
+use crate::stream::{ItemStream, ItemStreamWriter, ITEMS_PER_PAGE};
 
 /// Statistics describing one external sort.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -66,17 +67,134 @@ pub fn merge_fan_in(memory_limit: usize, pages_per_block: u64) -> usize {
     ((memory_limit / 2) / (pages_per_block as usize * PAGE_SIZE)).max(2)
 }
 
+/// The `k` a sort stops at: the [`merge_fan_in`] when its consumer reads
+/// the last merge (`last_merge_streams`), else one.
+pub fn runs_left(memory_limit: usize, pages_per_block: u64, last_merge_streams: bool) -> usize {
+    if last_merge_streams {
+        merge_fan_in(memory_limit, pages_per_block)
+    } else {
+        1
+    }
+}
+
 /// The runs of the last merge of a sort of `n` records in
 /// `pages_per_block`-page blocks under `memory_limit`: what
 /// [`sort_to_runs`] leaves with `k` the [`merge_fan_in`]. One when run
 /// formation makes a single run (or none, for an empty input).
 pub fn last_level_runs(n: u64, memory_limit: usize, pages_per_block: u64) -> u64 {
-    let fan_in = merge_fan_in(memory_limit, pages_per_block) as u64;
-    let mut runs = n.div_ceil(run_capacity(memory_limit) as u64).max(1);
-    while runs > fan_in {
-        runs = runs.div_ceil(fan_in);
+    let k = runs_left(memory_limit, pages_per_block, true);
+    SortPlan::new(n, memory_limit, pages_per_block, k)
+        .last_level()
+        .len() as u64
+}
+
+/// The passes of [`sort_to_runs`] over `n` records in `pages_per_block`-page
+/// blocks under `memory_limit`, stopping at `k` runs, worked out without
+/// running it: the records of every run, level by level.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SortPlan {
+    /// The runs formed, then the runs of each written merge level.
+    levels: Vec<Vec<u64>>,
+    pages_per_block: u64,
+    fan_in: usize,
+}
+
+impl SortPlan {
+    /// The plan of the sort (see the type docs). An empty input forms one
+    /// empty run.
+    pub fn new(n: u64, memory_limit: usize, pages_per_block: u64, k: usize) -> SortPlan {
+        let capacity = run_capacity(memory_limit) as u64;
+        let formed = (0..n.div_ceil(capacity).max(1))
+            .map(|i| capacity.min(n - i * capacity))
+            .collect();
+        let fan_in = merge_fan_in(memory_limit, pages_per_block);
+        let mut levels: Vec<Vec<u64>> = vec![formed];
+        while let Some(runs) = levels.last().filter(|runs| runs.len() > k.max(1)) {
+            let next = runs
+                .chunks(fan_in)
+                .map(|group| group.iter().sum())
+                .collect();
+            levels.push(next);
+        }
+        SortPlan {
+            levels,
+            pages_per_block,
+            fan_in,
+        }
     }
-    runs
+
+    /// The records of each run the sort leaves.
+    pub fn last_level(&self) -> &[u64] {
+        self.levels.last().expect("a sort has a level")
+    }
+
+    /// What the sort charges. Run formation reads the input once, resuming
+    /// with a seek at each run, and each run is sorted ([`sort_cpu`]) and
+    /// written, starting with a seek. Each written level merges every group
+    /// of [`merge_fan_in`] runs ([`merge_charges`]) and writes it, every
+    /// block a seek. Pages, operations, record moves, heap operations and
+    /// run formation's compares are exact for an input laid out in one
+    /// piece; the merges' compares and the seeks are bounded as
+    /// [`merge_charges`] states.
+    pub fn charges(&self) -> Charges {
+        let ppb = self.pages_per_block;
+        let formed = &self.levels[0];
+        let n = formed.iter().sum();
+        let mut charges = stream_pass(n, ppb, false, formed.len() as u64);
+        for &run in formed.iter().filter(|&&run| run > 0) {
+            charges.cpu.merge(&sort_cpu(run));
+            charges.merge(&stream_pass(run, ppb, true, 1));
+        }
+        for level in &self.levels[..self.levels.len() - 1] {
+            for group in level.chunks(self.fan_in).filter(|group| group.len() > 1) {
+                charges.merge(&merge_charges(group, ppb));
+                charges.merge(&stream_pass(group.iter().sum(), ppb, true, u64::MAX));
+            }
+        }
+        charges
+    }
+}
+
+/// What one pass over a stream of `records` in `pages_per_block`-page
+/// blocks charges, reading or (`write`) writing it: its pages, one
+/// operation per block, the first `seeks` of them seeks (`u64::MAX` for
+/// every block), and one record move per record.
+pub fn stream_pass(records: u64, pages_per_block: u64, write: bool, seeks: u64) -> Charges {
+    let pages = records.div_ceil(ITEMS_PER_PAGE as u64);
+    let ops = pages.div_ceil(pages_per_block);
+    let (rand, seq) = (seeks.min(ops), ops - seeks.min(ops));
+    let mut charges = Charges::default();
+    let io = &mut charges.io;
+    if write {
+        (io.pages_written, io.rand_write_ops, io.seq_write_ops) = (pages, rand, seq);
+    } else {
+        (io.pages_read, io.rand_read_ops, io.seq_read_ops) = (pages, rand, seq);
+    }
+    charges.cpu.add(CpuOp::ItemMove, records);
+    charges
+}
+
+/// What reading sorted `runs` (their record counts) of
+/// `pages_per_block`-page blocks through one [`Merge`] charges: each run
+/// read once, every block a seek, as the merge moves between runs. Two or
+/// more runs add a push and a pop per record and the heap's compares. For
+/// `b` the bit length of one less than the run count, a pop sifts through
+/// at most `b − 1` levels at two compares each and a push through at most
+/// `b`, so a merge compares at most `3·b − 2` times per record; the
+/// estimate is `2·b − 1`, a pop sifting the whole way and the successor's
+/// push stopping after one. Seeks are at most the estimate.
+pub fn merge_charges(runs: &[u64], pages_per_block: u64) -> Charges {
+    let mut charges = Charges::default();
+    for &run in runs {
+        charges.merge(&stream_pass(run, pages_per_block, false, u64::MAX));
+    }
+    if runs.len() > 1 {
+        let records: u64 = runs.iter().sum();
+        let depth = u64::from(64 - (runs.len() as u64 - 1).leading_zeros());
+        charges.cpu.add(CpuOp::HeapOp, 2 * records);
+        charges.cpu.add(CpuOp::Compare, (2 * depth - 1) * records);
+    }
+    charges
 }
 
 /// Sorts `input` by `(key, cmp)`: the precomputed `u64` key decides first and
@@ -234,21 +352,28 @@ where
     sort_by_key_then(buffer, |e| e.0, |a, b| cmp(&a.1, &b.1));
 }
 
-/// Charges the deterministic CPU counters of an in-memory sort of `n`
-/// records: `n` times the bit length of `n` comparisons and `n` record
-/// moves.
-pub fn charge_sort(env: &mut SimEnv, n: u64) {
+/// The deterministic CPU counters of an in-memory sort of `n` records: `n`
+/// times the bit length of `n` comparisons and `n` record moves (none for
+/// fewer than two records).
+pub fn sort_cpu(n: u64) -> CpuCounter {
+    let mut cpu = CpuCounter::new();
     if n > 1 {
-        let log = (64 - n.leading_zeros()) as u64;
-        env.charge(CpuOp::Compare, n * log);
-        env.charge(CpuOp::ItemMove, n);
+        cpu.add(CpuOp::Compare, n * u64::from(64 - n.leading_zeros()));
+        cpu.add(CpuOp::ItemMove, n);
     }
+    cpu
+}
+
+/// Charges [`sort_cpu`] of `n` records.
+pub fn charge_sort(env: &mut SimEnv, n: u64) {
+    env.cpu.merge(&sort_cpu(n));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::MachineConfig;
+    use crate::stats::IoStats;
     use usj_geom::Rect;
 
     fn env_with_memory(bytes: usize) -> SimEnv {
@@ -400,6 +525,65 @@ mod tests {
                 let merged: Vec<Item> =
                     std::iter::from_fn(|| merge.next(&mut env).unwrap()).collect();
                 assert_eq!(merged, sorted.read_all(&mut env).unwrap(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_planned_sort_charges_what_the_sort_charges() {
+        // k = usize::MAX stops after run formation, so its compares are
+        // run formation's alone.
+        let kb = 1024;
+        for (limit, pages_per_block) in [(64, 1), (64, 2), (96, 1), (128, 2), (256, 4), (640, 8)] {
+            let limit = limit * kb;
+            let fan_in = merge_fan_in(limit, pages_per_block);
+            for n in [0, 1, 1_023, 1_025, 5_000, 20_000, 45_000] {
+                let data = random_items(n, 7);
+                for k in [1, fan_in, usize::MAX] {
+                    let what =
+                        format!("n {n}, limit {limit}, {pages_per_block}-page blocks, k {k}");
+                    let mut env = env_with_memory(limit);
+                    let s = ItemStream::from_items_with_block(&mut env, &data, pages_per_block)
+                        .unwrap();
+                    let m = env.begin();
+                    sort_to_runs(&mut env, &s, Item::sweep_key, Item::cmp_by_lower_y, k).unwrap();
+                    let (io, cpu) = env.since(&m);
+                    let plan = SortPlan::new(n as u64, limit, pages_per_block, k);
+                    let want = plan.charges();
+                    assert_eq!(io.pages_read, want.io.pages_read, "{what}");
+                    assert_eq!(io.pages_written, want.io.pages_written, "{what}");
+                    assert_eq!(io.read_ops(), want.io.read_ops(), "{what}");
+                    assert_eq!(io.write_ops(), want.io.write_ops(), "{what}");
+                    for op in [CpuOp::ItemMove, CpuOp::HeapOp] {
+                        assert_eq!(cpu.get(op), want.cpu.get(op), "{what}: {op:?}");
+                    }
+
+                    // Seeks: at most the estimate.
+                    let seeks = |io: &IoStats| io.rand_read_ops + io.rand_write_ops;
+                    assert!(seeks(&io) <= seeks(&want.io), "{what}: {io:?}");
+
+                    // Compares: run formation's exactly, each merge's at most
+                    // 3·b − 2 per record.
+                    let formed: u64 = plan.levels[0]
+                        .iter()
+                        .map(|&run| sort_cpu(run).get(CpuOp::Compare))
+                        .sum();
+                    let bound: u64 = plan.levels[..plan.levels.len() - 1]
+                        .iter()
+                        .flat_map(|level| level.chunks(fan_in).filter(|g| g.len() > 1))
+                        .map(|group| {
+                            let b = u64::from(64 - (group.len() as u64 - 1).leading_zeros());
+                            (3 * b - 2) * group.iter().sum::<u64>()
+                        })
+                        .sum();
+                    let merged = cpu.get(CpuOp::Compare) - formed;
+                    assert!(merged <= bound, "{what}: {merged} merge compares");
+                    let estimate = want.cpu.get(CpuOp::Compare) - formed;
+                    assert!(estimate <= bound, "{what}: {estimate} estimated");
+                    if k == usize::MAX {
+                        assert_eq!(merged, 0, "{what}");
+                    }
+                }
             }
         }
     }

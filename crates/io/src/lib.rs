@@ -65,7 +65,7 @@ pub use gauge::{MemoryGauge, MemoryReservation};
 pub use machine::MachineConfig;
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use sim::{ObsPhase, SimEnv};
-pub use stats::{CpuCounter, CpuOp, IoStats};
+pub use stats::{Charges, CpuCounter, CpuOp, IoStats};
 pub use stream::{
     writer_pages_per_block, ItemStream, ItemStreamReader, ItemStreamWriter, ItemsView,
 };

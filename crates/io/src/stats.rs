@@ -209,6 +209,24 @@ impl CpuCounter {
     }
 }
 
+/// The I/O and CPU counters of one piece of work: what it charged, or what
+/// it is predicted to charge before it runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Charges {
+    /// Device traffic.
+    pub io: IoStats,
+    /// CPU operations.
+    pub cpu: CpuCounter,
+}
+
+impl Charges {
+    /// Adds `other` into `self` component-wise.
+    pub fn merge(&mut self, other: &Charges) {
+        self.io.merge(&other.io);
+        self.cpu.merge(&other.cpu);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

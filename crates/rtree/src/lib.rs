@@ -34,7 +34,7 @@ pub mod tree;
 pub use bulk::BulkLoadConfig;
 pub use node::{Node, NodeEntry, NodeKind, NodeView, MAX_FANOUT};
 pub use store::NodeStore;
-pub use tree::{LeafCursor, RTree, RTreeStats};
+pub use tree::{LeafCursor, Probe, RTree, RTreeStats};
 
 // Property-based tests need the external `proptest` crate, which the
 // offline build environment cannot provide; they are opt-in behind the

@@ -251,32 +251,70 @@ impl RTree {
         )
     }
 
-    /// Counts the leaf pages whose directory rectangle intersects `window`
-    /// without descending into them (used by the cost-based join selector to
-    /// estimate what fraction of the index a join would touch).
-    pub fn leaves_intersecting(&self, env: &mut SimEnv, window: &Rect) -> Result<u64> {
+    /// Counts, from the directory alone, what a traversal pruned to
+    /// `window` reads: the root, every internal node whose directory
+    /// rectangle intersects `window` (these are read and charged), their
+    /// entries, and the leaves whose directory rectangle intersects
+    /// `window` (counted, not read). The cost-based join selector prices
+    /// the indexed plan from it.
+    pub fn probe(&self, env: &mut SimEnv, window: &Rect) -> Result<Probe> {
+        let mut probe = Probe {
+            leaves: 1,
+            reads: vec![(self.bbox.lo.y, self.root)],
+            ..Probe::default()
+        };
         if self.height <= 1 {
-            return Ok(1);
+            return Ok(probe);
         }
-        let mut count = 0u64;
+        probe.leaves = 0;
         let mut stack = vec![(self.root, self.height)];
         while let Some((page, level)) = stack.pop() {
             let node = self.read_node(env, page)?;
             env.charge(CpuOp::RectTest, node.len() as u64);
+            probe.internal += 1;
+            probe.internal_entries += node.len() as u64;
             for e in node.entries() {
                 if !e.rect.intersects(window) {
                     continue;
                 }
+                probe.reads.push((e.rect.lo.y, e.child_page()));
                 if level == 2 {
                     // Children of this node are leaves.
-                    count += 1;
+                    probe.leaves += 1;
                 } else {
                     stack.push((e.child_page(), level - 1));
                 }
             }
         }
-        Ok(count)
+        Ok(probe)
     }
+
+    /// What a traversal that prunes nothing reads: every node. Nothing is
+    /// read to say so, so the nodes' positions are not listed.
+    pub fn whole(&self) -> Probe {
+        Probe {
+            internal: self.num_internal(),
+            internal_entries: self.nodes() - 1,
+            leaves: self.num_leaves(),
+            reads: Vec::new(),
+        }
+    }
+}
+
+/// The nodes of a tree a traversal pruned to a window reads
+/// ([`RTree::probe`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Probe {
+    /// Internal nodes read, the root first.
+    pub internal: u64,
+    /// Entries of those internal nodes.
+    pub internal_entries: u64,
+    /// Leaves read.
+    pub leaves: u64,
+    /// The lower y and the page of every node read (internal nodes and
+    /// leaves alike), from the directory rectangles; empty for
+    /// [`RTree::whole`], which reads no directory.
+    pub reads: Vec<(f32, PageId)>,
 }
 
 /// Reads the node on `page` in place (one page request), charging one
@@ -419,17 +457,29 @@ mod tests {
         let mut env = env();
         let items = grid_items(60);
         let tree = RTree::bulk_load(&mut env, &items).unwrap();
-        let all = tree.leaves_intersecting(&mut env, &tree.bbox()).unwrap();
-        assert_eq!(all, tree.num_leaves());
+        let all = tree.probe(&mut env, &tree.bbox()).unwrap();
+        let whole = tree.whole();
+        assert_eq!(
+            (all.internal, all.internal_entries, all.leaves),
+            (whole.internal, whole.internal_entries, whole.leaves)
+        );
+        // Every node once, each with its own page.
+        let mut pages: Vec<PageId> = all.reads.iter().map(|&(_, page)| page).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        assert_eq!(pages.len() as u64, tree.nodes());
         let some = tree
-            .leaves_intersecting(&mut env, &Rect::from_coords(0.0, 0.0, 30.0, 30.0))
+            .probe(&mut env, &Rect::from_coords(0.0, 0.0, 30.0, 30.0))
             .unwrap();
-        assert!(some >= 1);
-        assert!(some < all);
+        assert!(some.leaves >= 1);
+        assert!(some.leaves < all.leaves);
+        assert_eq!(some.reads.len() as u64, some.internal + some.leaves);
         let none = tree
-            .leaves_intersecting(&mut env, &Rect::from_coords(-100.0, -100.0, -50.0, -50.0))
+            .probe(&mut env, &Rect::from_coords(-100.0, -100.0, -50.0, -50.0))
             .unwrap();
-        assert_eq!(none, 0);
+        assert_eq!(none.leaves, 0);
+        // The root is read whatever the window.
+        assert_eq!(none.internal, 1);
     }
 
     #[test]

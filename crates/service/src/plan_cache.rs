@@ -9,9 +9,13 @@
 //! [`SpatialQuery::execute_planned`](usj_core::SpatialQuery::execute_planned),
 //! which skips the re-estimation entirely.
 //!
-//! The fingerprint deliberately excludes the per-query memory budget and
-//! `LIMIT`/cancellation state: those affect how far execution gets, not
-//! which plan is correct.
+//! The fingerprint excludes `LIMIT`/cancellation state, which affects how
+//! far execution gets, not which plan is correct. It also excludes the
+//! per-query memory budget, which can affect the plan: `Algo::Auto` prices
+//! the sorts' passes under the environment's memory limit, so a cached
+//! `Auto` choice is the one priced under the grant of the query that
+//! missed first. Plans are not keyed by grant until admission grants
+//! memory from plans.
 
 use std::collections::HashMap;
 

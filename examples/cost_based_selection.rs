@@ -68,8 +68,8 @@ fn main() {
             window_frac * 100.0,
             local_hydro.len(),
             estimate.touched_fraction,
-            estimate.indexed_secs,
-            estimate.non_indexed_secs,
+            estimate.indexed.total_secs(),
+            estimate.non_indexed.total_secs(),
             format!(
                 "{:?} ({} pairs)",
                 plan.chosen.expect("auto plan"),
