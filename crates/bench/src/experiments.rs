@@ -4,8 +4,8 @@ use usj_core::{
     cost::crossover_fraction, Algo, CostEstimate, JoinAlgorithm, JoinInput, JoinOperator, JoinPlan,
     JoinResult, PbsmJoin, PqJoin, QueryPlan, SpatialQuery, SssjJoin, StJoin,
 };
-use usj_datagen::{Preset, WorkloadSpec};
-use usj_geom::Rect;
+use usj_datagen::{Preset, Workload, WorkloadSpec};
+use usj_geom::{Item, Rect};
 use usj_io::{CostBreakdown, CpuCounter, IoStats, MachineConfig, SimEnv};
 use usj_rtree::{bulk::bulk_load, BulkLoadConfig, RTree};
 use usj_sweep::{sweep_join, ForwardSweep, StripedSweep};
@@ -238,7 +238,27 @@ pub fn fig3(cfg: &ExperimentConfig) {
 }
 
 /// Window fractions of the Section 6.3 experiment, widest first.
-const CROSSOVER_WINDOWS: [f32; 6] = [1.0, 0.6, 0.4, 0.25, 0.1, 0.05];
+pub const CROSSOVER_WINDOWS: [f32; 6] = [1.0, 0.6, 0.4, 0.25, 0.1, 0.05];
+
+/// The hydrography of `workload` that lies inside the square in the lower
+/// left corner of its region covering `window_frac` of its area: the
+/// Section 6.3 experiment's "hydrography of one state".
+pub fn crossover_hydro(workload: &Workload, window_frac: f32) -> Vec<Item> {
+    let region = workload.region;
+    let side = region.width() * window_frac.sqrt();
+    let window = Rect::from_coords(
+        region.lo.x,
+        region.lo.y,
+        region.lo.x + side,
+        region.lo.y + side,
+    );
+    workload
+        .hydro
+        .iter()
+        .copied()
+        .filter(|it| window.contains(&it.rect))
+        .collect()
+}
 
 /// One window of the Section 6.3 experiment as it ran: the `Algo::Auto`
 /// plan with what resolving it charged, and both strategies' runs with the
@@ -277,23 +297,10 @@ pub fn crossover_runs(
     let workload = WorkloadSpec::preset(preset)
         .with_scale(cfg.scale)
         .generate(cfg.seed);
-    let region = workload.region;
     CROSSOVER_WINDOWS
         .iter()
         .map(|&window_frac| {
-            let side = region.width() * window_frac.sqrt();
-            let window = Rect::from_coords(
-                region.lo.x,
-                region.lo.y,
-                region.lo.x + side,
-                region.lo.y + side,
-            );
-            let clipped: Vec<_> = workload
-                .hydro
-                .iter()
-                .copied()
-                .filter(|it| window.contains(&it.rect))
-                .collect();
+            let clipped = crossover_hydro(&workload, window_frac);
             let mut env = SimEnv::new(machine.clone());
             let (roads_tree, hydro_tree) = env.unaccounted(|env| {
                 (
@@ -354,9 +361,9 @@ pub struct CrossoverRow {
     pub pq: CostBreakdown,
     /// What SSSJ on the same inputs charged.
     pub sssj: CostBreakdown,
-    /// `pq`'s total.
+    /// `pq`'s total (`tests/paper_fidelity.rs` reads it).
     pub pq_secs: f64,
-    /// `sssj`'s total.
+    /// `sssj`'s total (`tests/paper_fidelity.rs` reads it).
     pub sssj_secs: f64,
 }
 
@@ -364,11 +371,12 @@ impl CrossoverRow {
     /// The chosen plan's charge over the cheaper plan's: 1 when
     /// `Algo::Auto` picked the plan that charged less.
     pub fn regret(&self) -> f64 {
+        let [pq, sssj] = [self.pq, self.sssj].map(|c| c.total_secs());
         let chosen = match self.estimate.plan() {
-            JoinPlan::Indexed => self.pq_secs,
-            JoinPlan::NonIndexed => self.sssj_secs,
+            JoinPlan::Indexed => pq,
+            JoinPlan::NonIndexed => sssj,
         };
-        chosen / self.pq_secs.min(self.sssj_secs)
+        chosen / pq.min(sssj)
     }
 }
 

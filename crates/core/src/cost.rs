@@ -77,7 +77,9 @@ pub fn crossover_fraction(machine: &MachineConfig) -> f64 {
 /// `usj_io::extsort::SortPlan`; a side PQ traverses from
 /// `PqExtractor::sweep_charges`, over the nodes the directory probe
 /// ([`RTree::probe`](usj_rtree::RTree::probe)) counts, and
-/// `PqExtractor::sequential_reads` says which node reads need no seek.
+/// `PqExtractor::sequential_reads` says which node reads need no seek. A
+/// tree traversed whole, beside a side without a bounding box, is not
+/// probed, so each of its node reads is priced as a seek.
 /// The probe, the only I/O the estimate charges, reads each tree's
 /// internal nodes that meet the other side's bounding box, as PQ's
 /// pruning would.

@@ -331,14 +331,17 @@ fn dump_tree(env: &mut SimEnv, tree: &RTree) -> Result<ItemStream> {
     writer.finish(env)
 }
 
-/// What [`dump_tree`] charges: every node read, a seek after each block
-/// written, a record move per entry read and per record written, and the
-/// stream's blocks written, each a seek.
+/// What [`dump_tree`] charges: every node read, the first and each one
+/// after a full block was written a seek, a record move per entry read and
+/// per record written, and the stream's blocks written, each a seek (the
+/// stream's first page follows the root only when the tree was the
+/// device's last allocation).
 fn dump_charges(tree: &RTree) -> Charges {
     let n = tree.num_items();
     let mut charges = extsort::stream_pass(n, DEFAULT_PAGES_PER_BLOCK, true, u64::MAX);
     let nodes = tree.nodes();
-    let seeks = charges.io.rand_write_ops.min(nodes);
+    let full_blocks = n / (DEFAULT_PAGES_PER_BLOCK * ITEMS_PER_PAGE as u64);
+    let seeks = (1 + full_blocks).min(nodes);
     let io = &mut charges.io;
     (io.pages_read, io.rand_read_ops, io.seq_read_ops) = (nodes, seeks, nodes - seeks);
     charges
@@ -399,6 +402,25 @@ mod tests {
         let input = JoinInput::Indexed(&tree);
         assert_eq!(input.len(), 1000);
         assert_eq!(input.known_bbox(), Some(tree.bbox()));
+    }
+
+    #[test]
+    fn the_planned_dump_charges_what_the_dump_charges() {
+        // 26 176 and 52 352 records fill one and two blocks exactly.
+        for n in [0, 1, 300, 5_000, 26_176, 40_000, 52_352] {
+            let mut env = env();
+            let tree = RTree::bulk_load(&mut env, &items(n)).unwrap();
+            // A page allocated after the tree keeps the dumped stream from
+            // following its root, as in a join over more than one tree.
+            env.device.allocate(1);
+            env.device.reset_stats();
+            let m = env.begin();
+            dump_tree(&mut env, &tree).unwrap();
+            let (io, cpu) = env.since(&m);
+            let want = dump_charges(&tree);
+            assert_eq!(io, want.io, "{n} records");
+            assert_eq!(cpu, want.cpu, "{n} records");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::ops::ControlFlow;
 use usj_geom::{Item, Rect};
 use usj_io::merge::Run;
 use usj_io::sim::Measurement;
-use usj_io::{extsort, Charges, CpuOp, MemoryReservation, PageId, Result, SimEnv};
+use usj_io::{Charges, CpuCounter, CpuOp, MemoryReservation, PageId, Result, SimEnv};
 use usj_rtree::{NodeKind, NodeView, Probe, RTree};
 use usj_sweep::merge_sweep;
 
@@ -133,12 +133,13 @@ impl<'a> PqExtractor<'a> {
     /// and a pop per node, a record move (and a test) per entry, each
     /// leaf's sort, and per record staged a move, a push and a pop, a
     /// compare of the two queues' heads and a compare of the sweep's two
-    /// sources (both at most one per step). Every record of a leaf read
-    /// counts as staged, which overcounts where the window cuts leaves.
+    /// sources (both at most one per step). The leaves read hold their
+    /// share of the tree's records (all of them when every leaf is read),
+    /// each staged whole, which overcounts where the window cuts leaves;
+    /// every leaf's sort ([`leaf_sort_cpu`]) is priced at their average.
     pub(crate) fn sweep_charges(tree: &RTree, probe: &Probe, pruned: bool) -> Charges {
         let nodes = probe.internal + probe.leaves;
-        let per_leaf = tree.num_items() / tree.num_leaves().max(1);
-        let records = probe.leaves * per_leaf;
+        let records = tree.num_items() * probe.leaves / tree.num_leaves().max(1);
         let entries = probe.internal_entries + records;
         let mut charges = Charges::default();
         (charges.io.pages_read, charges.io.rand_read_ops) = (nodes, nodes);
@@ -146,7 +147,8 @@ impl<'a> PqExtractor<'a> {
         cpu.add(CpuOp::ItemMove, entries + records);
         cpu.add(CpuOp::RectTest, if pruned { entries } else { 0 });
         cpu.add(CpuOp::HeapOp, 2 * (nodes + records));
-        let leaf_sort = extsort::sort_cpu(per_leaf).get(CpuOp::Compare);
+        let per_leaf = records / probe.leaves.max(1);
+        let leaf_sort = leaf_sort_cpu(per_leaf).get(CpuOp::Compare);
         cpu.add(
             CpuOp::Compare,
             probe.leaves * leaf_sort + nodes + 2 * records,
@@ -210,9 +212,7 @@ impl<'a> PqExtractor<'a> {
             self.free_buffers.push(slot);
             return;
         }
-        let n = items.len() as u64;
-        env.charge(CpuOp::Compare, n * (64 - n.leading_zeros()) as u64);
-        env.charge(CpuOp::ItemMove, n);
+        env.cpu.merge(&leaf_sort_cpu(items.len() as u64));
         usj_geom::sort_by_lower_y(items);
         self.staged_bytes += items.len() * usj_geom::ITEM_BYTES;
         let first_y = items[0].rect.lo.y;
@@ -287,6 +287,15 @@ impl<'a> PqExtractor<'a> {
             }
         }
     }
+}
+
+/// The CPU counters of sorting a staged leaf of `n` records: `n` times the
+/// bit length of `n` comparisons and `n` record moves.
+fn leaf_sort_cpu(n: u64) -> CpuCounter {
+    let mut cpu = CpuCounter::new();
+    cpu.add(CpuOp::Compare, n * u64::from(64 - n.leading_zeros()));
+    cpu.add(CpuOp::ItemMove, n);
+    cpu
 }
 
 /// One sorted source feeding the sweep: an index adapter, a reader over an
@@ -624,6 +633,51 @@ mod tests {
         let mut expected: Vec<u32> = items.iter().map(|i| i.id).collect();
         expected.sort_unstable();
         assert_eq!(ids, expected);
+    }
+
+    #[test]
+    fn the_planned_traversal_charges_what_the_extractor_charges() {
+        for side in [1, 7, 20, 45, 90, 200] {
+            let mut env = env();
+            let tree = RTree::bulk_load(&mut env, &grid(side, 3.0, 0)).unwrap();
+            let what = format!("{side}x{side} grid");
+            env.device.reset_stats();
+            let m = env.begin();
+            let mut ex = PqExtractor::new(&mut env, &tree, None);
+            let mut records = 0;
+            while ex.next(&mut env).unwrap().is_some() {
+                records += 1;
+            }
+            let (io, cpu) = env.since(&m);
+            let want = PqExtractor::sweep_charges(&tree, &tree.whole(), false);
+            assert_eq!(records, tree.num_items(), "{what}");
+            // A lone extractor reads its nodes in the order
+            // `sequential_reads` assumes, so it predicts the seeks exactly.
+            let all = tree.probe(&mut env, &tree.bbox()).unwrap();
+            let sequential = PqExtractor::sequential_reads(all.reads);
+            assert_eq!(io.seq_read_ops, sequential, "{what}");
+            assert_eq!(io.pages_read, want.io.pages_read, "{what}");
+            assert_eq!(io.read_ops(), want.io.read_ops(), "{what}");
+            for op in [CpuOp::ItemMove, CpuOp::HeapOp, CpuOp::RectTest] {
+                assert_eq!(cpu.get(op), want.cpu.get(op), "{what}: {op:?}");
+            }
+            // Compares: the estimate adds one per record for the sweep's
+            // merge of its two sources, which the extractor alone skips.
+            let compares = want.cpu.get(CpuOp::Compare) - records;
+            assert!(cpu.get(CpuOp::Compare) <= compares, "{what}: {cpu:?}");
+
+            // Pruned to a window, the extractor reads the nodes the
+            // directory probe counts.
+            let window = Rect::from_coords(0.0, 0.0, side as f32, side as f32 * 2.0);
+            let probe = tree.probe(&mut env, &window).unwrap();
+            let m = env.begin();
+            let mut ex = PqExtractor::new(&mut env, &tree, Some(window));
+            while ex.next(&mut env).unwrap().is_some() {}
+            let (io, _) = env.since(&m);
+            let want = PqExtractor::sweep_charges(&tree, &probe, true);
+            assert_eq!(io.pages_read, want.io.pages_read, "{what}, pruned");
+            assert_eq!(probe.reads.len() as u64, want.io.pages_read, "{what}");
+        }
     }
 
     #[test]

@@ -546,7 +546,9 @@ mod tests {
                     let s = ItemStream::from_items_with_block(&mut env, &data, pages_per_block)
                         .unwrap();
                     let m = env.begin();
-                    sort_to_runs(&mut env, &s, Item::sweep_key, Item::cmp_by_lower_y, k).unwrap();
+                    let (runs, _) =
+                        sort_to_runs(&mut env, &s, Item::sweep_key, Item::cmp_by_lower_y, k)
+                            .unwrap();
                     let (io, cpu) = env.since(&m);
                     let plan = SortPlan::new(n as u64, limit, pages_per_block, k);
                     let want = plan.charges();
@@ -583,6 +585,36 @@ mod tests {
                     if k == usize::MAX {
                         assert_eq!(merged, 0, "{what}");
                     }
+
+                    // The runs a sweep reads (k = 1 or the fan-in) read as
+                    // it reads them (one with a reader, more through one
+                    // merge), charge what `merge_charges` predicts: exactly,
+                    // but for compares within 3·b − 2 per record and seeks
+                    // at most its own.
+                    if k == usize::MAX {
+                        continue;
+                    }
+                    let m = env.begin();
+                    if let [run] = &runs[..] {
+                        let mut reader = run.reader();
+                        while reader.next(&mut env).unwrap().is_some() {}
+                    } else {
+                        let runs = runs.iter().map(Run::device).collect();
+                        let mut merge = Merge::new(runs, Item::sweep_key, Item::cmp_by_lower_y);
+                        while merge.next(&mut env).unwrap().is_some() {}
+                    }
+                    let (io, cpu) = env.since(&m);
+                    let want = merge_charges(plan.last_level(), pages_per_block);
+                    assert_eq!(io.pages_read, want.io.pages_read, "{what}");
+                    assert_eq!(io.read_ops(), want.io.read_ops(), "{what}");
+                    assert!(seeks(&io) <= seeks(&want.io), "{what}: {io:?}");
+                    for op in [CpuOp::ItemMove, CpuOp::HeapOp] {
+                        assert_eq!(cpu.get(op), want.cpu.get(op), "{what}: {op:?}");
+                    }
+                    let b = u64::from(64 - (runs.len() as u64).saturating_sub(1).leading_zeros());
+                    let bound = (3 * b).saturating_sub(2) * n as u64;
+                    assert!(cpu.get(CpuOp::Compare) <= bound, "{what}: {cpu:?}");
+                    assert!(want.cpu.get(CpuOp::Compare) <= bound, "{what}");
                 }
             }
         }
